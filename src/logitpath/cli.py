@@ -15,10 +15,9 @@ import click
 
 from .effects import EffectError, EffectRequest
 from .fitting import (DataError, Dataset, FitError, FittedSystem, fit_system)
-from .inference import (InferenceError, effect_table, inner_transform,
-                        outer_transform, transform_fitted)
+from .inference import InferenceError, effect_table, transform_fitted
 from .model import ModelSpecError, SystemSpec, validate_system
-from .multi import PathSpec
+from .multi import PathSpec, marginalize_inner, marginalize_outer_system
 from .simulation import SimulationError, results_to_csv, run_study
 
 _ERRORS = (DataError, FitError, ModelSpecError, EffectError,
@@ -44,8 +43,24 @@ def _load_fitted(path: str) -> FittedSystem:
     doc = _load_json(path)
     try:
         return FittedSystem.from_json_dict(doc)
-    except (KeyError, TypeError, ModelSpecError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         _fail(f"{path}: not a fitted-system artifact ({e})")
+
+
+def _reduction(spec: SystemSpec, inner, outer):
+    """The transform that sums out mediator ``inner`` (only 1) or
+    ``outer`` (only 2 of two); None when neither is given."""
+    if inner is not None:
+        if inner != 1:
+            _fail("only the innermost mediator (index 1) can be summed out; "
+                  "repeat the marginalize command to go deeper")
+        return marginalize_inner
+    if outer is not None:
+        if outer != 2 or len(spec.mediators) != 2:
+            _fail("outer marginalization sums out mediator 2 of a "
+                  "two-mediator system")
+        return marginalize_outer_system
+    return None
 
 
 def _write_or_echo(text: str, out):
@@ -135,19 +150,9 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
     spec = fitted.spec
     if not contrasts and not at_points:
         _fail("nothing to do: give at least one --contrast or --at")
-    transform = None
     if marg_inner is not None and marg_outer is not None:
         _fail("choose one of --marginalize-inner / --marginalize-outer")
-    if marg_inner is not None:
-        if marg_inner != 1:
-            _fail("only the innermost mediator (index 1) can be summed out "
-                  "at this layer; repeat via the marginalize subcommand")
-        transform = inner_transform
-    if marg_outer is not None:
-        if marg_outer != 2 or len(spec.mediators) != 2:
-            _fail("outer marginalization sums out mediator 2 of a "
-                  "two-mediator system")
-        transform = outer_transform
+    transform = _reduction(spec, marg_inner, marg_outer)
 
     try:
         base_settings = _coerce_setting(spec, settings)
@@ -248,16 +253,8 @@ def cmd_marginalize(fitted_path, inner, outer, out):
     if (inner is None) == (outer is None):
         _fail("choose exactly one of --inner / --outer")
     try:
-        if inner is not None:
-            if inner != 1:
-                _fail("only the innermost mediator (index 1) can be summed "
-                      "out; repeat the command to go deeper")
-            reduced, cross = transform_fitted(fitted, inner_transform)
-        else:
-            if outer != 2 or len(fitted.spec.mediators) != 2:
-                _fail("outer marginalization sums out mediator 2 of a "
-                      "two-mediator system")
-            reduced, cross = transform_fitted(fitted, outer_transform)
+        reduced, cross = transform_fitted(
+            fitted, _reduction(fitted.spec, inner, outer))
     except _ERRORS as e:
         _fail(str(e))
     Path(out).write_text(json.dumps(reduced.to_json_dict(), indent=2))

@@ -1,8 +1,20 @@
-"""Forward-mode dual numbers and overflow-safe logistic primitives.
+"""Forward-mode dual numbers, overflow-safe logistic primitives, and the
+one-step marginalization kernel.
 
-A Dual carries a value and a derivative with respect to one scalar seed.
-Pushing Dual(x, 1.0) through the marginal-logit evaluators yields exact
-analytic derivatives without any finite differencing.
+A Dual carries a value and a derivative with respect to one scalar seed;
+either may be a numpy array, elementwise.  Pushing Dual(x, 1.0) through
+the marginal-logit evaluators yields exact analytic derivatives.
+
+Every marginal logit in the package sums binary mediators out one at a
+time.  With r0, r1 the log odds of Y=1 at W=0, 1 and rw the log odds of
+W=1, everything else held fixed, Bayes inversion gives the log odds of
+W=1 given Y=y (``cond_logit``),
+
+    g_y = y * (r1 - r0) + log[(1 + exp r0) / (1 + exp r1)] + rw,
+
+and summing W out gives the log odds of Y=1 (``lift``),
+
+    eta = log[(1 + exp g1) / (1 + exp g0)] + r0.
 """
 
 from __future__ import annotations
@@ -17,10 +29,12 @@ class Dual:
     """value + derivative pair with arithmetic closed under +, -, *."""
 
     __slots__ = ("val", "dot")
+    # numpy defers mixed array-Dual arithmetic to the reflected Dual methods
+    __array_ufunc__ = None
 
-    def __init__(self, val: float, dot: float = 0.0):
-        self.val = float(val)
-        self.dot = float(dot)
+    def __init__(self, val, dot=0.0):
+        self.val = val if isinstance(val, np.ndarray) else float(val)
+        self.dot = dot if isinstance(dot, np.ndarray) else float(dot)
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -50,11 +64,6 @@ class Dual:
         return f"Dual({self.val!r}, {self.dot!r})"
 
 
-def value(t):
-    """Strip a Dual down to its value; pass plain numbers through."""
-    return t.val if isinstance(t, Dual) else float(t)
-
-
 def _softplus_float(t: float) -> float:
     # log(1 + e^t) without overflow: max(t, 0) + log1p(e^{-|t|})
     return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
@@ -68,19 +77,32 @@ def _expit_float(t: float) -> float:
 
 
 def softplus(t):
-    """log(1 + exp(t)) for floats, numpy arrays, or Duals."""
+    """log(1 + exp(t)) for floats, numpy arrays, or Duals of either."""
     if isinstance(t, Dual):
-        return Dual(_softplus_float(t.val), _expit_float(t.val) * t.dot)
+        return Dual(softplus(t.val), expit(t.val) * t.dot)
     if isinstance(t, np.ndarray):
         return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
     return _softplus_float(float(t))
 
 
 def expit(t):
-    """Logistic function for floats, numpy arrays, or Duals."""
+    """Logistic function for floats, numpy arrays, or Duals of either."""
     if isinstance(t, Dual):
-        p = _expit_float(t.val)
+        p = expit(t.val)
         return Dual(p, p * (1.0 - p) * t.dot)
     if isinstance(t, np.ndarray):
         return _np_expit(t)
     return _expit_float(float(t))
+
+
+def cond_logit(y, r0, r1, rw):
+    """Log odds of W=1 given Y=y (0 or 1), from Y's log odds r0, r1 at
+    W=0, 1 and W's own log odds rw."""
+    return y * (r1 - r0) + softplus(r0) - softplus(r1) + rw
+
+
+def lift(r0, r1, rw):
+    """Log odds of Y=1 with the binary W summed out (arguments as in
+    ``cond_logit``)."""
+    core = softplus(r0) - softplus(r1) + rw
+    return softplus((r1 - r0) + core) - softplus(core) + r0

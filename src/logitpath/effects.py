@@ -1,27 +1,25 @@
-"""Single-mediator effect decomposition on the log-odds and probability scales.
+"""Marginal logits and their decomposition into effects.
 
-For the system  Y ~ X, W (+C);  W ~ X (+C)  with binary Y and W, the log
-odds of Y given X alone (W summed out) has the closed form
+The marginal logit of Y given X (and covariates) applies ``lift`` once per
+mediator, innermost first, to a working log-odds function of Y: step j
+turns R_{j-1}(w_j, ..., w_k), with W_1..W_{j-1} already summed out, into
 
-    eta(x) = log[(1 + exp g1(x)) / (1 + exp g0(x))] + rhs(Y | W=0, x)
+    R_j(w_{>j}) = lift(R_{j-1}(W_j=0, w_{>j}), R_{j-1}(W_j=1, w_{>j}),
+                       rhs(W_j | w_{>j})).
 
-where g_y(x) is the log odds of W=1 given Y=y and X=x,
-
-    g_y(x) = y * {rhs(Y|W=1,x) - rhs(Y|W=0,x)}
-             + log[(1 + exp rhs(Y|W=0,x)) / (1 + exp rhs(Y|W=1,x))]
-             + rhs(W|x),
-
-with covariates entering every rhs unchanged.  Every effect component is a
-contrast (or derivative, via dual numbers) of eta under a coefficient mask:
+R_k() is the marginal logit, exact for any treatment kind; Dual inputs
+give derivatives and array inputs many points at once.  The
+single-mediator functions are its k = 1 case.  Each effect component is a
+contrast (or derivative) of the marginal logit under a coefficient mask:
 
     TE   no mask
-    DE   mediator zeroed out of the outcome equation
-    IE   treatment zeroed out of the outcome equation
+    DE   every mediator zeroed out of the outcome equation
+    IE   treatment zeroed out of the outcome equation (GIE for k > 1)
     RES  TE - DE - IE
 
-Probability-scale components apply the same masks inside expit(eta).
-The residual is the non-collapsibility term; it vanishes in linear models
-but not here.
+Probability-scale components apply the same masks inside expit(eta).  The
+residual is the non-collapsibility term; it vanishes in linear models but
+not here.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .dual import Dual, expit, softplus
+from .dual import Dual, cond_logit, expit, lift
 from .fitting import DataError, Dataset, coerce_column
 from .model import ParameterSet, SystemSpec, ZeroMask, zero_out
 
@@ -51,33 +49,63 @@ def _single_mediator(spec: SystemSpec):
     return meds[0]
 
 
-def _parts(params: ParameterSet, x, covariates):
-    spec = params.spec
-    med = _single_mediator(spec)
-    base = {spec.treatment.name: x}
-    if covariates:
-        base.update(covariates)
-    r1 = params.linear_predictor(spec.outcome.name, {**base, med.name: 1.0})
-    r0 = params.linear_predictor(spec.outcome.name, {**base, med.name: 0.0})
-    rw = params.linear_predictor(med.name, base)
-    return r0, r1, rw
+# -- marginal logits -------------------------------------------------------
+
+def _working(params: ParameterSet, base: Mapping, upto: Optional[int]):
+    """Working log-odds closure of Y at ``base`` (treatment and
+    covariates) with the first ``upto`` mediators summed out."""
+    y = params.spec.outcome.name
+
+    def r(w):
+        return params.linear_predictor(y, {**base, **w})
+
+    for med in params.spec.mediators[:upto]:
+        # the defaults bind this step's predecessor and mediator
+        def r(w, r_prev=r, med=med.name):
+            return lift(r_prev({**w, med: 0.0}), r_prev({**w, med: 1.0}),
+                        params.linear_predictor(med, {**base, **w}))
+    return r
+
+
+def g_recursive(params: ParameterSet, j: int, y: int, x,
+                w_above: Optional[Mapping] = None,
+                covariates: Optional[Mapping] = None):
+    """Log odds of W_j=1 given Y=y, X=x and W_{>j}, with W_{<j} summed out.
+
+    ``w_above`` maps the names of the outer mediators W_{j+1}..W_k to 0/1
+    values; it can be omitted when nothing outward of j is referenced.
+    """
+    meds = params.spec.mediators
+    if not 1 <= j <= len(meds):
+        raise EffectError(f"mediator index {j} out of range 1..{len(meds)}")
+    if y not in (0, 1):
+        raise EffectError("y must be 0 or 1")
+    base = {params.spec.treatment.name: x, **(covariates or {})}
+    r = _working(params, base, j - 1)
+    med = meds[j - 1].name
+    wab = dict(w_above or {})
+    return cond_logit(y, r({**wab, med: 0.0}), r({**wab, med: 1.0}),
+                      params.linear_predictor(med, {**base, **wab}))
+
+
+def marginal_logit_multi(params: ParameterSet, x,
+                         covariates: Optional[Mapping] = None):
+    """Log odds of Y=1 given X=x (and covariates), all mediators summed out."""
+    base = {params.spec.treatment.name: x, **(covariates or {})}
+    return _working(params, base, None)({})
 
 
 def g_y(params: ParameterSet, y: int, x, covariates: Optional[Mapping] = None):
     """Log odds of W=1 given Y=y and X=x (and covariates)."""
-    if y not in (0, 1):
-        raise EffectError("y must be 0 or 1")
-    r0, r1, rw = _parts(params, x, covariates)
-    return y * (r1 - r0) + softplus(r0) - softplus(r1) + rw
+    _single_mediator(params.spec)
+    return g_recursive(params, 1, y, x, covariates=covariates)
 
 
 def marginal_logit(params: ParameterSet, x,
                    covariates: Optional[Mapping] = None):
     """Log odds of Y=1 given X=x (and covariates) with W summed out."""
-    r0, r1, rw = _parts(params, x, covariates)
-    g1 = (r1 - r0) + softplus(r0) - softplus(r1) + rw
-    g0 = softplus(r0) - softplus(r1) + rw
-    return softplus(g1) - softplus(g0) + r0
+    _single_mediator(params.spec)
+    return marginal_logit_multi(params, x, covariates)
 
 
 def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
@@ -89,16 +117,13 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     outcome equation.
     """
     spec = params.spec
-    r0, r1, rw = _parts(params, x, covariates)
-    dy = expit(r1) - expit(r0)
-    g1 = (r1 - r0) + softplus(r0) - softplus(r1) + rw
-    g0 = softplus(r0) - softplus(r1) + rw
-    dw = expit(g1) - expit(g0)
+    med = _single_mediator(spec).name
+    base = {spec.treatment.name: x, **(covariates or {})}
+    r = _working(params, base, 0)
+    dy = expit(r({med: 1.0})) - expit(r({med: 0.0}))
     starred = zero_out(params, [(spec.outcome.name, spec.treatment.name)])
-    s0, s1, sw = _parts(starred, x, covariates)
-    h1 = (s1 - s0) + softplus(s0) - softplus(s1) + sw
-    h0 = softplus(s0) - softplus(s1) + sw
-    dws = expit(h1) - expit(h0)
+    dw, dws = (expit(g_y(p, 1, x, covariates)) - expit(g_y(p, 0, x, covariates))
+               for p in (params, starred))
     return dy, dw, dws
 
 
@@ -179,7 +204,7 @@ def _validate_request(spec: SystemSpec, request: EffectRequest):
 
 def component_value(params: ParameterSet, request: EffectRequest,
                     mask: Optional[ZeroMask] = None,
-                    logit_fn: Callable = marginal_logit) -> float:
+                    logit_fn: Callable = marginal_logit_multi) -> float:
     """One effect component: contrast or derivative of the (masked)
     marginal logit, or of its expit on the probability scale."""
     masked = mask.apply(params) if mask is not None else params
@@ -198,9 +223,28 @@ def component_value(params: ParameterSet, request: EffectRequest,
     return e.dot if isinstance(e, Dual) else 0.0
 
 
+#: The coefficient mask of each masked component; RES is TE - DE - IE.
+MASKS = {"TE": lambda spec: None, "DE": direct_mask, "IE": indirect_mask,
+         "GIE": indirect_mask}
+
+
+def indirect_name(spec: SystemSpec) -> str:
+    """IE for one mediator, GIE (global indirect effect) for several."""
+    return "GIE" if len(spec.mediators) > 1 else "IE"
+
+
+def component_names(indirect: str, scale: str) -> tuple:
+    """Names of (TE, DE, IE, RES) on ``scale``; ``indirect`` is IE or GIE."""
+    if scale == "probability":
+        return ("TPE", "DPE", indirect[:-1] + "PE", "RPE")
+    return ("TE", "DE", indirect, "RES")
+
+
 @dataclass(frozen=True)
 class Decomposition:
-    """TE = DE + IE + RES on one scale, for one contrast or derivative point."""
+    """TE = DE + IE + RES on one scale, for one contrast or derivative
+    point; the components are arrays when the request holds an array of
+    evaluation points."""
 
     request: EffectRequest
     scale: str
@@ -211,13 +255,9 @@ class Decomposition:
     indirect_name: str = "IE"
 
     def components(self) -> dict:
-        prob = self.scale == "probability"
-        names = (("TPE", "DPE", "IPE", "RPE") if prob
-                 else ("TE", "DE", self.indirect_name, "RES"))
-        if prob and self.indirect_name == "GIE":
-            names = ("TPE", "DPE", "GIPE", "RPE")
-        return dict(zip(names, (self.total, self.direct,
-                                self.indirect, self.residual)))
+        return dict(zip(component_names(self.indirect_name, self.scale),
+                        (self.total, self.direct, self.indirect,
+                         self.residual)))
 
     def mediated_share(self):
         """(indirect/total, residual-nonzero flag).  The share is only a
@@ -226,16 +266,17 @@ class Decomposition:
         return ratio, bool(abs(self.residual) > 1e-12)
 
 
-def decompose(params: ParameterSet, request: EffectRequest,
-              logit_fn: Callable = marginal_logit,
-              indirect_name: str = "IE") -> Decomposition:
+def decompose(params: ParameterSet, request: EffectRequest) -> Decomposition:
+    """TE / DE / IE / RES decomposition for any number of mediators; the
+    indirect component is the global one (GIE) when there are several."""
     spec = params.spec
+    if not spec.mediators:
+        raise EffectError("system declares no mediators")
     _validate_request(spec, request)
-    te = component_value(params, request, None, logit_fn)
-    de = component_value(params, request, direct_mask(spec), logit_fn)
-    ie = component_value(params, request, indirect_mask(spec), logit_fn)
+    te, de, ie = (component_value(params, request, MASKS[c](spec))
+                  for c in ("TE", "DE", "IE"))
     return Decomposition(request, request.scale, te, de, ie,
-                         te - de - ie, indirect_name)
+                         te - de - ie, indirect_name(spec))
 
 
 def decompose_logodds(params: ParameterSet,
@@ -254,34 +295,27 @@ def decompose_probability(params: ParameterSet,
 
 def average_probability_effects(params: ParameterSet, data: Dataset):
     """(ATPE, ADPE, AIPE): count-weighted means of the per-unit local
-    probability effects, treatment derivative taken at each unit's x."""
+    probability effects, treatment derivative taken at each unit's x.
+    Every unit with a positive count is evaluated in one array-valued
+    decomposition."""
     spec = params.spec
     if spec.treatment.kind != "continuous":
         raise EffectError("average probability effects need a continuous treatment")
     if data.nrows == 0 or data.n == 0:
         raise DataError("empty data")
     x_name = spec.treatment.name
-    needed = set()
-    for resp in spec.responses:
-        needed |= spec.predictors(resp)
-    needed -= {x_name}
-    needed -= {m.name for m in spec.mediators}
-    if x_name not in data.columns:
-        raise DataError(f"data has no column {x_name!r}")
-    xs = coerce_column(spec.variable(x_name), data.columns[x_name])
+    needed = [c.name for c in spec.covariates
+              if any(c.name in spec.predictors(r) for r in spec.responses)]
+    w = np.asarray(data.counts, dtype=float)
+    live = w > 0.0
     covs = {}
-    for name in sorted(needed):
+    for name in [x_name] + sorted(needed):
         if name not in data.columns:
             raise DataError(f"data has no column {name!r}")
-        covs[name] = coerce_column(spec.variable(name), data.columns[name])
-    w = np.asarray(data.counts, dtype=float)
-    tot = np.zeros(3)
-    for i in range(data.nrows):
-        if w[i] == 0.0:
-            continue
-        setting = {k: v[i] for k, v in covs.items()}
-        req = EffectRequest.derivative(float(xs[i]), setting, "probability")
-        d = decompose(params, req)
-        tot += w[i] * np.array([d.total, d.direct, d.indirect])
-    atpe, adpe, aipe = tot / np.sum(w)
-    return float(atpe), float(adpe), float(aipe)
+        covs[name] = coerce_column(spec.variable(name),
+                                   data.columns[name])[live]
+    xs = covs.pop(x_name)
+    d = decompose(params, EffectRequest.derivative(xs, covs, "probability"))
+    w = w[live]
+    return tuple(float(np.sum(w * c) / np.sum(w))
+                 for c in (d.total, d.direct, d.indirect))

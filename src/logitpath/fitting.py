@@ -310,12 +310,23 @@ class FittedSystem:
     def from_json_dict(doc: Mapping) -> "FittedSystem":
         spec = SystemSpec.from_json_dict(doc["spec"]).require_valid()
         params = ParameterSet.from_nested(spec, doc["params"], strict=True)
-        cov_blocks = {resp: np.asarray(doc["covariance"][resp], dtype=float)
-                      for resp in spec.responses}
+        cov_blocks = {}
+        for resp in spec.responses:
+            block = np.asarray(doc["covariance"][resp], dtype=float)
+            width = len(spec.columns(resp))
+            where = f"covariance of equation {resp!r}"
+            if block.shape != (width, width):
+                raise ModelSpecError(f"{where} has shape {block.shape}, "
+                                     f"expected {(width, width)}")
+            if not np.all(np.isfinite(block)):
+                raise ModelSpecError(f"{where} is not finite")
+            if (np.max(np.abs(block - block.T), initial=0.0)
+                    > 1e-8 * np.max(np.abs(block), initial=0.0)):
+                raise ModelSpecError(f"{where} is not symmetric")
+            cov_blocks[resp] = block
         diagnostics = {}
         for resp, d in doc.get("diagnostics", {}).items():
             labels = tuple(spec.column_label(c) for c in spec.columns(resp))
-            k = len(labels)
             coef = np.array([doc["params"][resp][l] for l in labels])
             diagnostics[resp] = EquationFit(
                 resp, labels, coef, cov_blocks[resp], d["loglik"],

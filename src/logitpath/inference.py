@@ -1,7 +1,7 @@
 """Delta-method inference for scalar effect functionals of a fitted system.
 
-One gradient engine serves every effect: central differences of the
-functional over the full coefficient stack (per-coordinate step scaled to
+One gradient engine serves every effect and every reduction: central
+differences over the full coefficient stack (per-coordinate step scaled to
 the coefficient), then se = sqrt(g' Sigma g) with the block-diagonal
 fitted covariance.  Wald intervals and two-sided normal p-values are
 reported on the effect's own scale.
@@ -14,17 +14,17 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.stats import norm
 
-from .effects import (EffectError, EffectRequest, _validate_request,
-                      component_value, direct_mask, indirect_mask)
+from .effects import (MASKS, EffectError, EffectRequest, _validate_request,
+                      component_names, component_value, indirect_name,
+                      marginal_logit_multi)
 from .fitting import FittedSystem
-from .model import ParameterSet
-from .multi import (PathSpec, ZeroMask, marginal_logit_multi,
-                    marginalize_inner, marginalize_outer_system)
+from .model import ParameterSet, ZeroMask
+from .multi import PathSpec
 
 STEP_SCALE = 1e-6
 
@@ -45,35 +45,56 @@ class EffectEstimate:
     level: float = 0.95
 
 
-def delta_se(fitted: FittedSystem, effect: Callable,
-             level: float = 0.95, label: str = "effect") -> EffectEstimate:
-    """Delta-method estimate of a scalar functional of the coefficients.
+def jacobian(fn: Callable, fitted: FittedSystem, label: str):
+    """(value, jacobian) of ``fn`` at the estimate.
 
-    ``effect`` maps a ParameterSet to a float; its gradient is taken by
-    central differences with step 1e-6 * max(1, |coefficient|).
+    ``fn`` maps a ParameterSet to a float or a 1-d array; its jacobian
+    with respect to the flat coefficient stack is taken by central
+    differences with step STEP_SCALE * max(1, |coefficient|).
     """
     spec = fitted.spec
     theta = fitted.params.flatten()
-    value = float(effect(fitted.params))
-    if not math.isfinite(value):
-        raise InferenceError(f"{label}: effect is not finite at the estimate")
-    grad = np.zeros_like(theta)
+    value = np.asarray(fn(fitted.params), dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise InferenceError(f"{label}: not finite at the estimate")
+    jac = np.empty(value.shape + theta.shape)
     for i in range(len(theta)):
         h = STEP_SCALE * max(1.0, abs(theta[i]))
         up = theta.copy()
         up[i] += h
         dn = theta.copy()
         dn[i] -= h
-        fu = float(effect(ParameterSet.from_vector(spec, up)))
-        fd = float(effect(ParameterSet.from_vector(spec, dn)))
-        if not (math.isfinite(fu) and math.isfinite(fd)):
-            resp, col = spec.flat_coords[i]
-            raise InferenceError(
-                f"{label}: effect not finite when perturbing "
-                f"{resp}:{spec.column_label(col)}")
-        grad[i] = (fu - fd) / (2.0 * h)
+        fu = fn(ParameterSet.from_vector(spec, up))
+        fd = fn(ParameterSet.from_vector(spec, dn))
+        jac[..., i] = (fu - fd) / (2.0 * h)
+    # a non-finite evaluation leaves a non-finite column
+    finite = np.isfinite(jac).reshape(-1, len(theta)).all(axis=0)
+    if not finite.all():
+        resp, col = spec.flat_coords[int(np.argmin(finite))]
+        raise InferenceError(f"{label}: not finite when perturbing "
+                             f"{resp}:{spec.column_label(col)}")
+    return value, jac
+
+
+def delta_se(fitted: FittedSystem, effect: Callable,
+             level: float = 0.95, label: str = "effect") -> EffectEstimate:
+    """Delta-method estimate of a scalar functional of the coefficients.
+
+    ``effect`` maps a ParameterSet to a float.  A variance that is not
+    finite, or negative by more than rounding, means the covariance is
+    unusable and raises InferenceError.
+    """
+    value, grad = jacobian(effect, fitted, label)
+    value = float(value)
     sigma = fitted.covariance_matrix()
     var = float(grad @ sigma @ grad)
+    if not math.isfinite(var):
+        raise InferenceError(f"{label}: variance {var} is not finite")
+    if var < 0.0 and -var > 1e-12 * float(np.abs(grad) @ np.abs(sigma)
+                                          @ np.abs(grad)):
+        raise InferenceError(
+            f"{label}: negative variance {var:.3g}; the covariance is not "
+            f"positive semi-definite")
     se = math.sqrt(max(var, 0.0))
     z = float(norm.ppf(0.5 + level / 2.0))
     ci = (value - z * se, value + z * se)
@@ -99,41 +120,24 @@ def component_functional(component: str, request: EffectRequest,
     comp = component.upper()
     if comp == "PSIE" and path is None:
         raise EffectError("PSIE functional needs a path")
+    if comp not in MASKS and comp not in ("RES", "PSIE"):
+        raise EffectError(f"unknown effect component {component!r}")
+
+    def value(p: ParameterSet, comp: str) -> float:
+        if comp == "RES":
+            return value(p, "TE") - value(p, "DE") - value(p, "IE")
+        if comp == "PSIE":
+            mask = ZeroMask.from_targets(p.spec, path.mask_targets(p.spec))
+        else:
+            mask = MASKS[comp](p.spec)
+        return component_value(p, request, mask, marginal_logit_multi)
 
     def f(params: ParameterSet) -> float:
         p = transform(params) if transform is not None else params
-        spec = p.spec
-        _validate_request(spec, request)
-        if comp == "TE":
-            return component_value(p, request, None, marginal_logit_multi)
-        if comp == "DE":
-            return component_value(p, request, direct_mask(spec),
-                                   marginal_logit_multi)
-        if comp in ("IE", "GIE"):
-            return component_value(p, request, indirect_mask(spec),
-                                   marginal_logit_multi)
-        if comp == "RES":
-            te = component_value(p, request, None, marginal_logit_multi)
-            de = component_value(p, request, direct_mask(spec),
-                                 marginal_logit_multi)
-            ie = component_value(p, request, indirect_mask(spec),
-                                 marginal_logit_multi)
-            return te - de - ie
-        if comp == "PSIE":
-            mask = ZeroMask.from_targets(spec, path.mask_targets(spec))
-            return component_value(p, request, mask, marginal_logit_multi)
-        raise EffectError(f"unknown effect component {component!r}")
+        _validate_request(p.spec, request)
+        return value(p, comp)
 
     return f
-
-
-def _component_names(spec, scale: str) -> Sequence:
-    multi = len(spec.mediators) > 1
-    if scale == "probability":
-        return (("DPE", "DE"), ("GIPE" if multi else "IPE", "IE"),
-                ("RPE", "RES"), ("TPE", "TE"))
-    return (("DE", "DE"), ("GIE" if multi else "IE", "IE"),
-            ("RES", "RES"), ("TE", "TE"))
 
 
 @dataclass(frozen=True)
@@ -199,34 +203,27 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
     target_spec = fitted.spec
     if transform is not None:
         target_spec = transform(fitted.params).spec
+    paths = [p if isinstance(p, PathSpec) else PathSpec.parse(p)
+             for p in paths or ()]
     rows = []
     for req in requests:
-        for display, comp in _component_names(target_spec, req.scale):
-            fn = component_functional(comp, req, transform=transform)
-            label = f"{display} {req.label()}"
+        te, de, ie, res = component_names(indirect_name(target_spec),
+                                          req.scale)
+        named = [(name, component_functional(comp, req, transform=transform))
+                 for name, comp in ((de, "DE"), (ie, "IE"), (res, "RES"),
+                                    (te, "TE"))]
+        named += [("PSIE[" + ",".join(str(i) for i in ps.indices) + "]",
+                   component_functional("PSIE", req, path=ps,
+                                        transform=transform))
+                  for ps in paths]
+        for name, fn in named:
+            label = f"{name} {req.label()}"
             if req.covariate_label():
                 label += f" | {req.covariate_label()}"
             est = delta_se(fitted, fn, level=level, label=label)
-            rows.append(EffectRow(display, req.label(),
-                                  req.covariate_label(), est))
-        for p in (paths or ()):
-            ps = p if isinstance(p, PathSpec) else PathSpec.parse(p)
-            fn = component_functional("PSIE", req, path=ps,
-                                      transform=transform)
-            disp = "PSIE[" + ",".join(str(i) for i in ps.indices) + "]"
-            est = delta_se(fitted, fn, level=level,
-                           label=f"{disp} {req.label()}")
-            rows.append(EffectRow(disp, req.label(),
+            rows.append(EffectRow(name, req.label(),
                                   req.covariate_label(), est))
     return EffectTable(tuple(rows))
-
-
-def inner_transform(params: ParameterSet) -> ParameterSet:
-    return marginalize_inner(params)
-
-
-def outer_transform(params: ParameterSet) -> ParameterSet:
-    return marginalize_outer_system(params)
 
 
 def transform_fitted(fitted: FittedSystem, transform: Callable):
@@ -242,35 +239,14 @@ def transform_fitted(fitted: FittedSystem, transform: Callable):
     """
     new_params = transform(fitted.params)
     new_spec = new_params.spec
-    theta = fitted.params.flatten()
-    base = new_params.flatten()
-    jac = np.zeros((len(base), len(theta)))
-    for i in range(len(theta)):
-        h = STEP_SCALE * max(1.0, abs(theta[i]))
-        up = theta.copy()
-        up[i] += h
-        dn = theta.copy()
-        dn[i] -= h
-        fu = transform(ParameterSet.from_vector(fitted.spec, up)).flatten()
-        fd = transform(ParameterSet.from_vector(fitted.spec, dn)).flatten()
-        jac[:, i] = (fu - fd) / (2.0 * h)
+    _, jac = jacobian(lambda p: transform(p).flatten(), fitted,
+                      "reduced coefficients")
     sigma = jac @ fitted.covariance_matrix() @ jac.T
-    offsets = {}
-    pos = 0
-    for resp in new_spec.responses:
-        width = len(new_spec.columns(resp))
-        offsets[resp] = (pos, pos + width)
-        pos += width
-    cov_blocks = {}
-    for resp, (a, b) in offsets.items():
-        cov_blocks[resp] = sigma[a:b, a:b]
-    cross = 0.0
-    for r1, (a1, b1) in offsets.items():
-        for r2, (a2, b2) in offsets.items():
-            if r1 != r2:
-                block = sigma[a1:b1, a2:b2]
-                if block.size:
-                    cross = max(cross, float(np.max(np.abs(block))))
+    # equation of each reduced coefficient, in flat_coords order
+    eq = np.array([new_spec.responses.index(r) for r, _ in new_spec.flat_coords])
+    cov_blocks = {resp: sigma[np.ix_(eq == i, eq == i)]
+                  for i, resp in enumerate(new_spec.responses)}
+    cross = float(np.max(np.abs(sigma[eq[:, None] != eq]), initial=0.0))
     diagnostics = {resp: d for resp, d in fitted.diagnostics.items()
                    if resp in new_spec.equations
                    and new_spec.equations[resp] == fitted.spec.equations.get(resp)}

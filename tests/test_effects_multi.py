@@ -8,7 +8,7 @@ import pytest
 
 from logitpath import EffectError, VariableSpec, SystemSpec, zero_out
 from logitpath.effects import (EffectRequest, decompose_logodds, direct_mask,
-                               indirect_mask, marginal_logit)
+                               g_y, indirect_mask, marginal_logit)
 from logitpath.multi import (PathSpec, decompose_multi, g_recursive,
                              marginal_logit_multi, marginalize_inner,
                              marginalize_outer, marginalize_outer_system,
@@ -50,13 +50,27 @@ def test_marginal_logit_multi_matches_enumeration():
 
 
 def test_one_mediator_recursion_collapses_to_the_direct_formula():
+    # the single-mediator entry points are the k = 1 case of the
+    # recursion; both must agree with Bayes over the enumerated joint law
     rng = np.random.default_rng(91)
     for _ in range(50):
         spec, params = random_system(rng, k=1)
         x, _ = random_treatment_pair(spec, rng)
         cov = random_covariates(spec, rng)
-        assert_close(marginal_logit_multi(params, x, cov),
-                     marginal_logit(params, x, cov), 1e-12, "k=1")
+        want = enum_logit(params, x, cov)
+        assert_close(marginal_logit(params, x, cov), want, 1e-10, "k=1")
+        assert_close(marginal_logit_multi(params, x, cov), want, 1e-10,
+                     "k=1 recursion")
+        base = {"X": x, **cov}
+        pw = _expit(params.linear_predictor("W1", base))
+        for y in (0, 1):
+            joint = []
+            for w in (0, 1):
+                py = _expit(params.linear_predictor("Y", {**base, "W1": w}))
+                joint.append((pw if w else 1.0 - pw)
+                             * (py if y else 1.0 - py))
+            assert_close(g_y(params, y, x, cov),
+                         math.log(joint[1] / joint[0]), 1e-10, "g_y")
 
 
 def test_components_are_enumerations_of_masked_systems():

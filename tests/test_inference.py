@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy.stats import norm
 from logitpath import InferenceError, decompose_logodds
 from logitpath.effects import EffectError, EffectRequest
 from logitpath.inference import (component_functional, delta_se, effect_table,
-                                 inner_transform, outer_transform,
                                  transform_fitted)
+from logitpath.multi import marginalize_inner, marginalize_outer_system
 from conftest import expected_data_fit
 
 
@@ -58,6 +59,21 @@ def test_nonfinite_effects_are_reported(example_fit):
 
     with pytest.raises(InferenceError, match="perturbing Y:1"):
         delta_se(example_fit, blows_up_off_estimate)
+
+
+def test_degenerate_variance_is_an_error(example_fit):
+    req = EffectRequest.contrast(2, 1, {"C": 0})
+    fn = component_functional("TE", req)
+    y = example_fit.cov_blocks["Y"].copy()
+    y[0, 0] = float("nan")
+    nan_fit = replace(example_fit, cov_blocks={**example_fit.cov_blocks,
+                                               "Y": y})
+    with pytest.raises(InferenceError, match="TE 2 vs 1: variance nan"):
+        delta_se(nan_fit, fn, label="TE 2 vs 1")
+    negated = replace(example_fit, cov_blocks={
+        resp: -block for resp, block in example_fit.cov_blocks.items()})
+    with pytest.raises(InferenceError, match="TE 2 vs 1: negative variance"):
+        delta_se(negated, fn, label="TE 2 vs 1")
 
 
 def test_unknown_component_rejected(example_fit):
@@ -117,7 +133,7 @@ def test_table_serializations(example_fit):
 def test_inner_transform_pushforward_matches_composition():
     rng = np.random.default_rng(110)
     fitted = expected_data_fit(rng, k=2)
-    reduced, cross = transform_fitted(fitted, inner_transform)
+    reduced, cross = transform_fitted(fitted, marginalize_inner)
     # original equation blocks are independent and the reduced mediator
     # equations are verbatim copies, so no cross-equation covariance
     # appears and the stored blocks carry the whole sandwich
@@ -126,7 +142,8 @@ def test_inner_transform_pushforward_matches_composition():
     req = EffectRequest.contrast(1, 0)
     for comp in ("TE", "DE", "GIE", "RES"):
         via_original = delta_se(
-            fitted, component_functional(comp, req, transform=inner_transform))
+            fitted,
+            component_functional(comp, req, transform=marginalize_inner))
         via_reduced = delta_se(reduced, component_functional(comp, req))
         assert via_reduced.value == pytest.approx(via_original.value,
                                                   abs=1e-9)
@@ -136,7 +153,7 @@ def test_inner_transform_pushforward_matches_composition():
 def test_outer_transform_pushforward_matches_composition():
     rng = np.random.default_rng(111)
     fitted = expected_data_fit(rng, k=2)
-    reduced, cross = transform_fitted(fitted, outer_transform)
+    reduced, cross = transform_fitted(fitted, marginalize_outer_system)
     # both reduced equations draw on the original W1/W2 blocks, yet the
     # reported cross covariance is numerical dust: one carries the margin
     # of the inner mediator, the other its reverse conditional, and those
@@ -148,7 +165,9 @@ def test_outer_transform_pushforward_matches_composition():
     req = EffectRequest.contrast(1, 0)
     for comp in ("TE", "DE", "IE", "RES"):
         via_original = delta_se(
-            fitted, component_functional(comp, req, transform=outer_transform))
+            fitted,
+            component_functional(comp, req,
+                                 transform=marginalize_outer_system))
         via_reduced = delta_se(reduced, component_functional(comp, req))
         assert via_reduced.value == pytest.approx(via_original.value,
                                                   abs=1e-9)
@@ -189,10 +208,11 @@ def test_effect_table_with_transform():
     rng = np.random.default_rng(112)
     fitted = expected_data_fit(rng, k=2)
     req = EffectRequest.contrast(1, 0)
-    table = effect_table(fitted, [req], transform=inner_transform)
+    table = effect_table(fitted, [req], transform=marginalize_inner)
     assert [r.effect for r in table.rows] == ["DE", "IE", "RES", "TE"]
     want = delta_se(fitted,
-                    component_functional("TE", req, transform=inner_transform))
+                    component_functional("TE", req,
+                                         transform=marginalize_inner))
     got = table.rows[3].estimate
     assert got.value == pytest.approx(want.value, abs=1e-12)
     assert got.se == pytest.approx(want.se, abs=1e-12)

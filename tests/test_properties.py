@@ -1,0 +1,120 @@
+"""Property tests over random systems with one to four mediators.
+
+Examples are drawn by hypothesis under the derandomized profile set in
+conftest, so every run checks the same systems.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from logitpath import (Dataset, EffectRequest, ParameterSet,
+                       average_probability_effects, component_functional,
+                       decompose, marginal_logit_multi)
+from conftest import enum_logit, enum_prob, make_system
+
+TREATMENTS = ("binary", "categorical", "continuous")
+COVARIATES = (False, True, "categorical")
+
+
+@st.composite
+def systems(draw, treatments=TREATMENTS):
+    """A random k = 1..4 mediator system with coefficients in [-2, 2]."""
+    k = draw(st.integers(1, 4))
+    treatment = draw(st.sampled_from(treatments))
+    covariate = draw(st.sampled_from(COVARIATES))
+    extra = ["X:W1"] if draw(st.booleans()) else []
+    spec = make_system(k, treatment, covariate, extra_terms=extra)
+    n = len(spec.flat_coords)
+    coefs = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return ParameterSet(spec, dict(zip(spec.flat_coords, coefs)))
+
+
+def treatment_values(spec):
+    kind = spec.treatment.kind
+    if kind == "binary":
+        return st.just((1, 0))
+    if kind == "categorical":
+        return st.permutations(spec.treatment.levels).map(lambda p: p[:2])
+    return st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(
+        lambda t: t[0] != t[1])
+
+
+def covariate_settings(spec):
+    return st.fixed_dictionaries({
+        v.name: st.sampled_from(v.levels if v.kind == "categorical"
+                                else (0.0, 1.0))
+        for v in spec.covariates})
+
+
+def logit_tolerance(p):
+    # the oracle loses digits in log(1 - p) (or log p) near the boundary
+    return 1e-10 + 1e-14 / min(p, 1.0 - p)
+
+
+@given(st.data())
+def test_marginal_logit_multi_equals_the_enumeration(data):
+    params = data.draw(systems())
+    x, _ = data.draw(treatment_values(params.spec))
+    cov = data.draw(covariate_settings(params.spec))
+    want = enum_logit(params, x, cov)
+    got = marginal_logit_multi(params, x, cov)
+    assert abs(got - want) <= logit_tolerance(enum_prob(params, x, cov))
+
+
+@given(st.data())
+def test_components_add_up_to_the_total(data):
+    params = data.draw(systems())
+    spec = params.spec
+    a, b = data.draw(treatment_values(spec))
+    cov = data.draw(covariate_settings(spec))
+    requests = [EffectRequest.contrast(a, b, cov, scale)
+                for scale in ("logodds", "probability")]
+    if spec.treatment.kind == "continuous":
+        requests += [EffectRequest.derivative(a, cov, scale)
+                     for scale in ("logodds", "probability")]
+    for req in requests:
+        d = decompose(params, req)
+        scale = max(1.0, abs(d.total), abs(d.direct), abs(d.indirect))
+        assert abs(d.direct + d.indirect + d.residual - d.total) \
+            <= 1e-12 * scale
+        assert component_functional("RES", req)(params) == d.residual
+    te = decompose(params, requests[0]).total
+    want = enum_logit(params, a, cov) - enum_logit(params, b, cov)
+    tol = (logit_tolerance(enum_prob(params, a, cov))
+           + logit_tolerance(enum_prob(params, b, cov)))
+    assert abs(te - want) <= tol
+
+
+def per_row_average_probability_effects(params, data):
+    """The reference: one scalar decomposition per data row."""
+    spec = params.spec
+    total = np.zeros(3)
+    for i in range(data.nrows):
+        if data.counts[i] == 0.0:
+            continue
+        setting = {v.name: data.columns[v.name][i] for v in spec.covariates}
+        req = EffectRequest.derivative(float(data.columns["X"][i]), setting,
+                                       "probability")
+        d = decompose(params, req)
+        total += data.counts[i] * np.array([d.total, d.direct, d.indirect])
+    return total / np.sum(data.counts)
+
+
+@given(st.data())
+def test_batched_average_probability_effects_equal_the_row_loop(data):
+    params = data.draw(systems(treatments=("continuous",)))
+    spec = params.spec
+    rows = data.draw(st.lists(
+        st.tuples(st.floats(-3.0, 3.0), covariate_settings(spec),
+                  st.integers(0, 3)),
+        min_size=1, max_size=12).filter(lambda r: any(c for _, _, c in r)))
+    columns = {"X": [x for x, _, _ in rows]}
+    for v in spec.covariates:
+        columns[v.name] = [setting[v.name] for _, setting, _ in rows]
+    dataset = Dataset.from_patterns(columns, [c for _, _, c in rows])
+    batched = average_probability_effects(params, dataset)
+    reference = per_row_average_probability_effects(params, dataset)
+    for got, want in zip(batched, reference):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)

@@ -8,8 +8,9 @@ from logitpath import (Dataset, SystemSpec, VariableSpec,
                        decompose_probability, fit_system, marginal_logit)
 from logitpath.effects import EffectRequest
 import logitpath.simulation as simulation
-from logitpath.simulation import (SimConfig, SimulationError, _eta,
-                                  _stats, _tpe_ipe, fixed_treatment_sample,
+from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
+                                  _eta, _stats, _tpe_ipe,
+                                  fixed_treatment_sample,
                                   generate_data, khb_ratio,
                                   pseudo_population, results_to_csv,
                                   rsd_ratio, run_cell, run_study,
@@ -45,6 +46,8 @@ def test_config_validation():
         SimConfig(**{**ok, "replications": 0})
     with pytest.raises(SimulationError, match="seed"):
         SimConfig(**{**ok, "seed": -2})
+    with pytest.raises(SimulationError, match="beta_x"):
+        SimConfig(**{**ok, "beta_x": float("nan")})
 
 
 # -- closed forms against the generic engine -------------------------------
@@ -114,6 +117,38 @@ def test_generated_data_is_reproducible_and_prefix_stable():
         assert np.array_equal(d1.columns[col], d2.columns[col])
     d3 = generate_data(cfg, 3)
     assert not np.array_equal(d1.columns["Y"], d3.columns["Y"])
+
+
+def test_cell_seed_keeps_the_milli_encoding():
+    # non-negative multiples of 0.001 keep their original entropy, so the
+    # acceptance study and the benchmark's study cells draw the same data
+    pinned = {
+        ("binary", 0.4): [3877365111, 1548960114],
+        ("binary", 0.9): [419630698, 3571461598],
+        ("binary", 1.8): [4274901749, 426679869],
+        ("continuous", 0.4): [876063997, 3599362388],
+        ("continuous", 0.9): [3675990177, 3416231853],
+        ("continuous", 1.8): [3043788121, 1496466281],
+    }
+    for (kind, beta_x), state in pinned.items():
+        cfg = SimConfig(kind=kind, beta_x=beta_x, n=250, replications=1,
+                        seed=7)
+        assert _cell_seed(cfg).generate_state(2).tolist() == state
+
+
+def test_cell_seed_is_injective_for_any_sign():
+    betas = (0.9, 0.9001, 0.8999, -0.5, 0.5, -0.0009, 0.0, 1e-4,
+             2.0 ** -40, -2.0 ** -40, 4.5, -4.5)
+    states = {}
+    for b in betas:
+        cfg = SimConfig(kind="binary", beta_x=b, n=100, replications=1,
+                        seed=3)
+        states.setdefault(tuple(_cell_seed(cfg).generate_state(4)),
+                          []).append(b)
+    assert sorted(len(v) for v in states.values()) == [1] * len(betas)
+    result = run_cell(SimConfig(kind="binary", beta_x=-0.5, n=300,
+                                replications=3, seed=3))
+    assert np.isfinite(result.true_value) and result.true_value != 0.0
 
 
 def test_continuous_treatment_is_shared_binary_is_redrawn():
