@@ -220,20 +220,21 @@ def cmd_simulate(config_path, out, seed):
         _fail(f"{config_path}: expected a JSON object")
     if seed is not None:
         grid = {**grid, "seed": seed}
-    try:
-        results = run_study(grid)
-    except _ERRORS as e:
-        _fail(str(e))
-    csv_text = results_to_csv(results)
-    if out:
-        Path(out).write_text(csv_text)
-    for r in results:
+
+    def progress(r):
         click.echo(
             f"{r.kind:<11} beta_x={r.beta_x:<4} n={r.n:<5} true={r.true_value:.3f}  "
             f"rsd avg={r.rsd.average:.3f} rmse={r.rsd.rmse:.3f}  "
             f"khb avg={r.khb.average:.3f} rmse={r.khb.rmse:.3f}  "
             f"excluded={r.excluded}")
+
+    try:
+        results = run_study(grid, on_cell=progress)
+    except _ERRORS as e:
+        _fail(str(e))
+    csv_text = results_to_csv(results)
     if out:
+        Path(out).write_text(csv_text)
         click.echo(f"wrote {out}")
     else:
         click.echo(csv_text)

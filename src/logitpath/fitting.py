@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -83,12 +84,20 @@ class Dataset:
         names = [k for k in rows[0] if k != "count"]
         cols = {k: [] for k in names}
         counts = []
-        for r in rows:
+        for i, r in enumerate(rows, 1):
+            odd = cols.keys() ^ (r.keys() - {"count"})
+            if odd:
+                raise DataError(f"column {min(odd, key=str)!r} is in only one "
+                                f"of row 1 and row {i}")
             for k in names:
-                if k not in r:
-                    raise DataError(f"row is missing a value for {k!r}")
                 cols[k].append(r[k])
-            counts.append(float(r.get("count", 1.0)))
+            try:
+                counts.append(float(r.get("count", 1.0)))
+            except (TypeError, ValueError):
+                counts.append(math.nan)
+            if not 0.0 <= counts[-1] < math.inf:
+                raise DataError(f"row {i} has count {r.get('count')!r}; "
+                                f"counts must be finite and nonnegative")
         return Dataset({k: np.asarray(v, dtype=object) for k, v in cols.items()},
                        np.asarray(counts, dtype=float))
 
@@ -124,6 +133,11 @@ def _coerce_one(var: VariableSpec, raw):
         for lvl in var.levels:
             if raw == lvl or str(raw) == str(lvl):
                 return lvl
+        try:   # "1.0" or 1.0 is level 1; string levels match only as strings
+            return next(lvl for lvl in var.levels
+                        if isinstance(lvl, (int, float)) and lvl == float(raw))
+        except (TypeError, ValueError, StopIteration):
+            pass
         raise DataError(f"value {raw!r} is not a level of {var.name!r} "
                         f"(levels: {list(var.levels)})")
     try:

@@ -141,7 +141,7 @@ class Column:
 
     factors: tuple
 
-    @property
+    @cached_property
     def term(self) -> Term:
         return Term(frozenset(name for name, _ in self.factors))
 
@@ -327,6 +327,11 @@ class SystemSpec:
         """All (response, column) pairs in the canonical flattened order."""
         return tuple((resp, col) for resp in self.responses
                      for col in self.columns(resp))
+
+    @cached_property
+    def reductions(self) -> dict:
+        """Plans of mediator reductions, by removed mediator (``multi``)."""
+        return {}
 
     # -- validation --------------------------------------------------------
 
@@ -525,11 +530,21 @@ class ParameterSet:
                 f"{len(coords)} coefficients of the system")
         return ParameterSet(spec, {coord: float(v) for coord, v in zip(coords, vec)})
 
+    @cached_property
+    def pairs(self) -> Mapping[str, tuple]:
+        """{response: ((coefficient, column), ...)}, looked up only once."""
+        return {resp: tuple((self.values[(resp, c)], c)
+                            for c in self.spec.columns(resp))
+                for resp in self.spec.equations}
+
     def linear_predictor(self, response: str, assignment: Mapping[str, object]):
         """Sum of coefficient times column value; supports Dual inputs."""
+        try:
+            pairs = self.pairs[response]
+        except KeyError:
+            raise ModelSpecError(f"no equation for response {response!r}") from None
         acc = 0.0
-        for col in self.spec.columns(response):
-            coef = self.values[(response, col)]
+        for coef, col in pairs:
             acc = acc + coef * column_value(col, assignment)
         return acc
 

@@ -115,34 +115,29 @@ def psie(params: ParameterSet, path, request: EffectRequest) -> float:
 
 # -- explicit mediator removal ---------------------------------------------
 
-def _discrete_axes(spec: SystemSpec, names):
+def _corner_system(spec: SystemSpec, response: str, names) -> tuple:
+    """(grid, design): every corner of the discrete predictors ``names``,
+    one array per name, and the response's design at those corners.  The
+    full dummy basis spans every function on the grid: the design is
+    square and invertible."""
     axes = []
     for n in names:
         var = spec.variable(n)
-        if var.kind == "categorical":
-            axes.append(tuple(var.levels))
-        elif var.kind == "binary":
-            axes.append((0.0, 1.0))
-        else:
+        if var.kind == "continuous":
             raise EffectError(
                 f"explicit marginalization needs discrete predictors; "
                 f"{n!r} is continuous (pointwise evaluators have no such limit)")
-    return axes
-
-
-def _extract_equation(new_spec: SystemSpec, response: str, names,
-                      value_fn: Callable) -> dict:
-    """Solve for the column coefficients reproducing ``value_fn`` on the
-    full grid of discrete predictor corners.  Exact: the tensor-product
-    dummy basis spans every function on that grid."""
-    axes = _discrete_axes(new_spec, names)
-    grid = list(itertools.product(*axes)) if names else [()]
-    cols = new_spec.columns(response)
-    design = np.array([[column_value(c, dict(zip(names, combo))) for c in cols]
-                       for combo in grid])
-    vals = np.array([value_fn(dict(zip(names, combo))) for combo in grid])
-    coefs = np.linalg.solve(design, vals)
-    return {(response, c): float(b) for c, b in zip(cols, coefs)}
+        # object levels compare like the scalars they are
+        axes.append(np.array(var.levels, dtype=object) if var.levels
+                    else np.array([0.0, 1.0]))
+    grid = dict(zip(names, (a.ravel() for a in
+                            np.meshgrid(*axes, indexing="ij"))))
+    m = int(np.prod([len(a) for a in axes]))
+    design = np.column_stack([np.broadcast_to(column_value(c, grid), m)
+                              for c in spec.columns(response)])
+    for a in (*grid.values(), design):   # shared by every later reduction
+        a.setflags(write=False)
+    return grid, design
 
 
 def _sum_out(params: ParameterSet, response: str, med: str, assign: Mapping):
@@ -153,34 +148,45 @@ def _sum_out(params: ParameterSet, response: str, med: str, assign: Mapping):
 
 
 def _full_basis(names) -> tuple:
-    terms = []
-    ordered = list(names)
-    for r in range(len(ordered) + 1):
-        for sub in itertools.combinations(ordered, r):
-            terms.append(Term(frozenset(sub)))
-    return tuple(terms)
+    return tuple(Term(frozenset(sub)) for r in range(len(names) + 1)
+                 for sub in itertools.combinations(names, r))
+
+
+def _plan(spec: SystemSpec, gone: str, rebuilt: Mapping) -> tuple:
+    """The coefficient-free part of summing ``gone`` out, kept on ``spec``:
+    the reduced spec and each ``rebuilt`` equation's corner system."""
+    if gone not in spec.reductions:
+        index = spec.variable(gone).mediator_index
+        new_vars = tuple(
+            replace(v, mediator_index=v.mediator_index - 1)
+            if v.role == "mediator" and v.mediator_index > index else v
+            for v in spec.variables if v.name != gone)
+        new_eqs = {resp: _full_basis(rebuilt[resp]) if resp in rebuilt else ts
+                   for resp, ts in spec.equations.items() if resp != gone}
+        new_spec = SystemSpec(new_vars, new_eqs).require_valid()
+        spec.reductions[gone] = new_spec, {
+            resp: _corner_system(new_spec, resp, names)
+            for resp, names in rebuilt.items()}
+    return spec.reductions[gone]
 
 
 def _without(params: ParameterSet, gone: str, rebuilt: Mapping):
     """The system with mediator ``gone`` summed out.  Each ``rebuilt``
     equation ({response: (predictors, value_fn)}) gets the full
-    interaction basis over its predictors and reproduces value_fn at every
-    corner; the other equations are copied verbatim."""
-    spec = params.spec
-    index = spec.variable(gone).mediator_index
-    new_vars = tuple(
-        replace(v, mediator_index=v.mediator_index - 1)
-        if v.role == "mediator" and v.mediator_index > index else v
-        for v in spec.variables if v.name != gone)
-    new_eqs = {resp: _full_basis(rebuilt[resp][0]) if resp in rebuilt else ts
-               for resp, ts in spec.equations.items() if resp != gone}
-    new_spec = SystemSpec(new_vars, new_eqs).require_valid()
-    updates = {}
-    for resp, (names, value_fn) in rebuilt.items():
-        updates.update(_extract_equation(new_spec, resp, names, value_fn))
-    return ParameterSet(new_spec, {c: updates[c] if c in updates
-                                   else params.values[c]
-                                   for c in new_spec.flat_coords})
+    interaction basis over its predictors and reproduces value_fn, called
+    once on the whole corner grid; the other equations are copied."""
+    new_spec, corners = _plan(params.spec, gone,
+                              {resp: names for resp, (names, _) in rebuilt.items()})
+    coefs = {}
+    for resp, (_, value_fn) in rebuilt.items():
+        grid, design = corners[resp]
+        vals = np.broadcast_to(value_fn(grid), len(design))
+        coefs[resp] = np.linalg.solve(design, vals).tolist()
+    # a copied equation keeps its terms, hence its column order
+    values = itertools.chain.from_iterable(
+        coefs[resp] if resp in coefs else [b for b, _ in params.pairs[resp]]
+        for resp in new_spec.responses)
+    return ParameterSet(new_spec, dict(zip(new_spec.flat_coords, values)))
 
 
 def marginalize_inner(params: ParameterSet) -> ParameterSet:

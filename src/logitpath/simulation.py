@@ -39,7 +39,7 @@ import io
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -330,12 +330,13 @@ def run_cell(config: SimConfig) -> SimResult:
                      excluded)
 
 
-def run_study(grid: Mapping) -> list:
+def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
     """Run the full grid described by a config document.
 
     Keys: seed, replications, treatment (list of kinds), beta_x (list),
     n (list); optional truth overrides beta0, beta_w, gamma0, gamma_x,
-    and pseudo_population.
+    and pseudo_population.  ``on_cell`` gets each SimResult as its cell
+    finishes.
     """
     try:
         seed = int(grid["seed"])
@@ -358,6 +359,8 @@ def run_study(grid: Mapping) -> list:
                 cfg = SimConfig(kind=kind, beta_x=beta_x, n=n,
                                 replications=reps, seed=seed, **extra)
                 results.append(run_cell(cfg))
+                if on_cell is not None:
+                    on_cell(results[-1])
     return results
 
 

@@ -352,6 +352,48 @@ def test_simulate_tiny_grid(workdir):
     assert all(r["n"] == "200" for r in rows)
 
 
+def test_simulate_prints_each_cell_as_it_finishes(workdir, monkeypatch):
+    import click
+    from logitpath import simulation
+
+    events = []
+    run_cell, echo = simulation.run_cell, click.echo
+
+    def traced_cell(cfg):
+        events.append("cell")
+        return run_cell(cfg)
+
+    def traced_echo(message=None, *args, **kwargs):
+        events.append(str(message).split()[0])
+        return echo(message, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "run_cell", traced_cell)
+    monkeypatch.setattr(click, "echo", traced_echo)
+    config = workdir / "two_cells.json"
+    config.write_text(json.dumps({
+        "seed": 82, "replications": 4, "treatment": ["binary"],
+        "beta_x": [0.4, 1.8], "n": [150]}))
+    result = invoke("simulate", "--config", config)
+    assert result.exit_code == 0, combined(result)
+    # each summary line is out before the next cell starts, the CSV last
+    assert events == ["cell", "binary", "cell", "binary",
+                      "method,treatment,beta_x,n,average,variance,rmse,"
+                      "true_value,excluded"]
+    lines = result.output.splitlines()
+    assert [l.split()[1] for l in lines[:2]] == ["beta_x=0.4", "beta_x=1.8"]
+    assert lines[2].startswith("method,")
+
+
+def test_fit_rejects_a_non_numeric_count(workdir):
+    data = workdir / "bad_count.csv"
+    data.write_text("Y,W,X,C,count\n1,0,1,1,3\n0,1,2,1,x\n")
+    result = invoke("fit", "--data", data,
+                    "--model", workdir / "example_model.json")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "row 2" in combined(result) and "count" in combined(result)
+
+
 def test_simulate_config_errors(workdir):
     as_list = workdir / "list.json"
     as_list.write_text("[1, 2]")

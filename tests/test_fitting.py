@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from logitpath import Dataset, FittedSystem, fit_logistic, fit_system
-from logitpath.fitting import (DataError, FitError, design_matrix, irls)
+from logitpath import (Dataset, FittedSystem, VariableSpec, fit_logistic,
+                       fit_system)
+from logitpath.fitting import (DataError, FitError, coerce_column,
+                               design_matrix, irls)
 from conftest import make_system, random_params
 
 
@@ -62,6 +64,33 @@ def test_dataset_rejects_ragged_and_negative():
         Dataset.from_patterns({"Y": [1, 0], "X": [1]}, [1, 1])
     with pytest.raises(DataError):
         Dataset.from_patterns({"Y": [1], "X": [1]}, [-2])
+
+
+def test_from_rows_rejects_a_key_missing_from_the_first_row():
+    with pytest.raises(DataError, match=r"'B'.*row 2"):
+        Dataset.from_rows([{"A": 1}, {"A": 0, "B": 2}])
+
+
+@pytest.mark.parametrize("count", ["x", "nan", "inf", -1, None])
+def test_from_rows_rejects_unusable_counts(count):
+    rows = [{"Y": 1, "X": 0, "count": 2}, {"Y": 0, "X": 1, "count": count}]
+    with pytest.raises(DataError, match=r"row 2.*count"):
+        Dataset.from_rows(rows)
+
+
+def test_categorical_values_match_numeric_levels_numerically():
+    var = VariableSpec("X", "treatment", "categorical", levels=(1, 2, 3))
+    got = coerce_column(var, np.array(["1.0", 2.0, "3", 1], dtype=object))
+    assert got.tolist() == [1, 2, 3, 1]
+    assert all(type(v) is int for v in got)
+    with pytest.raises(DataError, match="not a level"):
+        coerce_column(var, np.array(["4.0"], dtype=object))
+    named = VariableSpec("C", "covariate", "categorical",
+                         levels=("a", "1", "b"))
+    assert coerce_column(named, np.array(["a", "1"], dtype=object)).tolist() \
+        == ["a", "1"]
+    with pytest.raises(DataError, match="not a level"):
+        coerce_column(named, np.array(["1.0"], dtype=object))
 
 
 # -- weighting -------------------------------------------------------------

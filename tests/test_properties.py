@@ -1,17 +1,20 @@
-"""Property tests over random systems with one to four mediators.
+"""Property tests over random systems with one to four mediators, and
+over their explicit reductions.
 
 Examples are drawn by hypothesis under the derandomized profile set in
 conftest, so every run checks the same systems.
 """
 
+import itertools
 import math
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from logitpath import (Dataset, EffectRequest, ParameterSet,
+from logitpath import (Dataset, EffectRequest, ParameterSet, SystemSpec,
                        average_probability_effects, component_functional,
-                       decompose, marginal_logit_multi)
+                       decompose, marginal_logit_multi, marginalize_inner,
+                       marginalize_outer, marginalize_outer_system)
 from conftest import enum_logit, enum_prob, make_system
 
 TREATMENTS = ("binary", "categorical", "continuous")
@@ -19,9 +22,10 @@ COVARIATES = (False, True, "categorical")
 
 
 @st.composite
-def systems(draw, treatments=TREATMENTS):
-    """A random k = 1..4 mediator system with coefficients in [-2, 2]."""
-    k = draw(st.integers(1, 4))
+def systems(draw, treatments=TREATMENTS, ks=(1, 4)):
+    """A random k-mediator system (k in the closed range ``ks``) with
+    coefficients in [-2, 2]."""
+    k = draw(st.integers(*ks))
     treatment = draw(st.sampled_from(treatments))
     covariate = draw(st.sampled_from(COVARIATES))
     extra = ["X:W1"] if draw(st.booleans()) else []
@@ -118,3 +122,68 @@ def test_batched_average_probability_effects_equal_the_row_loop(data):
     reference = per_row_average_probability_effects(params, dataset)
     for got, want in zip(batched, reference):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+
+
+# -- explicit reductions ---------------------------------------------------
+
+DISCRETE = ("binary", "categorical")
+
+
+def discrete_settings(spec, names):
+    """Every setting of the discrete variables ``names``."""
+    axes = [spec.variable(n).levels or (0.0, 1.0) for n in names]
+    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
+
+
+@given(st.data())
+def test_inner_reduction_keeps_the_marginal_logit(data):
+    params = data.draw(systems(DISCRETE, ks=(2, 4)))
+    spec = params.spec
+    reduced = marginalize_inner(params)
+    assert len(reduced.spec.mediators) == len(spec.mediators) - 1
+    names = [spec.treatment.name] + [c.name for c in spec.covariates]
+    for setting in discrete_settings(spec, names):
+        x = setting.pop(spec.treatment.name)
+        want = enum_logit(params, x, setting)
+        got = marginal_logit_multi(reduced, x, setting)
+        assert abs(got - want) <= logit_tolerance(enum_prob(params, x, setting))
+
+
+@given(st.data())
+def test_outer_reduction_reproduces_the_outer_evaluator(data):
+    params = data.draw(systems(DISCRETE, ks=(2, 2)))
+    spec = params.spec
+    reduced = marginalize_outer_system(params)
+    assert [m.name for m in reduced.spec.mediators] == ["W1"]
+    evaluator = marginalize_outer(params)
+    names = ["X", "W1"] + [c.name for c in spec.covariates]
+    for setting in discrete_settings(spec, names):
+        rest = {n: v for n, v in setting.items() if n not in ("X", "W1")}
+        want = evaluator(setting["X"], setting["W1"], rest)
+        got = reduced.linear_predictor("Y", setting)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    for setting in discrete_settings(spec, names[:1] + names[2:]):
+        x = setting.pop("X")
+        want = enum_logit(params, x, setting)
+        got = marginal_logit_multi(reduced, x, setting)
+        assert abs(got - want) <= logit_tolerance(enum_prob(params, x, setting))
+
+
+def fresh_copy(params):
+    """The same coefficients on a new, equal spec object."""
+    spec = SystemSpec.from_json_dict(params.spec.to_json_dict())
+    return ParameterSet(spec, dict(zip(spec.flat_coords, params.flatten())))
+
+
+@given(st.data())
+def test_each_spec_keeps_its_own_reduction_plan(data):
+    a = data.draw(systems(DISCRETE, ks=(2, 4)))
+    b = data.draw(systems(DISCRETE, ks=(2, 4)))
+    first = {}
+    for name, params in (("A", a), ("B", b), ("A", a), ("B", b)):
+        reduced = marginalize_inner(params)
+        got = (reduced.spec.to_json_dict(), reduced.flatten().tolist())
+        assert first.setdefault(name, got) == got
+    # the plan built while A's was cached gives B what a fresh spec gives
+    fresh = marginalize_inner(fresh_copy(b))
+    assert first["B"] == (fresh.spec.to_json_dict(), fresh.flatten().tolist())

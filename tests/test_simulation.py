@@ -310,6 +310,16 @@ def test_study_grid_and_csv():
     assert float(lines[1].split(",")[7]) == float(lines[2].split(",")[7])
 
 
+def test_study_reports_each_cell_in_order():
+    grid = {"seed": 73, "replications": 4, "treatment": ["binary"],
+            "beta_x": [0.4, 1.8], "n": [150, 200]}
+    seen = []
+    results = run_study(grid, on_cell=seen.append)
+    assert seen == results
+    assert [(r.beta_x, r.n) for r in seen] == [(0.4, 150), (0.4, 200),
+                                               (1.8, 150), (1.8, 200)]
+
+
 def test_study_grid_with_overrides_and_bad_config():
     grid = {"seed": 72, "replications": 5, "treatment": ["continuous"],
             "beta_x": [0.9], "n": [150], "pseudo_population": 3000,

@@ -1,0 +1,221 @@
+"""Check that two source trees give the same effect numbers.
+
+Fits seeded chain systems (k = 1..5 mediators; binary, categorical and
+continuous treatments; binary and categorical covariates) and dumps every
+number that the effect layer reports: contrast and derivative tables with
+PSIE paths on both scales, inner- and outer-reduced tables, the reduced
+coefficients and covariances of ``transform_fitted``, and the average
+probability effects.  Run the dump once per tree, then compare:
+
+    PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
+    PYTHONPATH=src python tools/same_numbers.py dump B.json   # tree B
+    python tools/same_numbers.py compare A.json B.json
+
+``compare`` exits 1 when a bound fails.  Unreduced tables and the APE
+must be bit-identical.  Reductions solve a corner-point system inside
+every central difference, so they are held to the parent's own
+finite-difference resolution instead: reduced-table values within 1e-14
+absolute and SEs within 2e-8 relative; reduced coefficients within 1e-14
+and covariance entries within 3e-7 of sqrt(c_ii c_jj), or within the
+first tree's own movement when its central-difference step is halved,
+whichever is larger (``compare`` prints both).
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+
+N_RECORDS = 5000
+N_APE = 2000
+
+
+def chain_spec(k, treatment="binary", covariate="binary"):
+    from logitpath import SystemSpec, VariableSpec
+    variables = [VariableSpec("Y", "outcome", "binary")]
+    variables += [VariableSpec(f"W{j}", "mediator", "binary", mediator_index=j)
+                  for j in range(1, k + 1)]
+    variables.append(VariableSpec("X", "treatment", treatment,
+                                  levels=(1, 2, 3) if treatment == "categorical"
+                                  else ()))
+    variables.append(VariableSpec("C", "covariate", covariate,
+                                  levels=("a", "b", "c")
+                                  if covariate == "categorical" else ()))
+    meds = [f"W{j}" for j in range(1, k + 1)]
+    equations = {"Y": ["1", "X", "C"] + meds + ["X:W1"]}
+    for j in range(1, k + 1):
+        equations[f"W{j}"] = ["1", "X", "C"] + meds[j:]
+    return SystemSpec.build(variables, equations)
+
+
+def draw_fit(seed, k, treatment="binary", covariate="binary", n=N_RECORDS):
+    """Fit ``chain_spec`` to records drawn from seeded coefficients."""
+    from logitpath import Dataset, ParameterSet, expit, fit_system
+    spec = chain_spec(k, treatment, covariate)
+    rng = np.random.default_rng([seed, k])
+    truth = ParameterSet(spec, {c: float(rng.normal(0.0, 0.6))
+                                for c in spec.flat_coords})
+
+    def draw(var):
+        if var.kind == "categorical":
+            return np.array(var.levels, dtype=object)[
+                rng.integers(0, len(var.levels), n)]
+        if var.kind == "binary":
+            return (rng.random(n) < 0.5).astype(float)
+        return rng.normal(0.0, 1.2, n)
+
+    cols = {"X": draw(spec.treatment), "C": draw(spec.variable("C"))}
+    for resp in [m.name for m in reversed(spec.mediators)] + ["Y"]:
+        p = expit(np.broadcast_to(truth.linear_predictor(resp, cols), n))
+        cols[resp] = (rng.random(n) < p).astype(float)
+    return fit_system(Dataset.from_records(cols), spec), cols
+
+
+def covariate_values(spec):
+    var = spec.variable("C")
+    return var.levels if var.kind == "categorical" else (0.0, 1.0)
+
+
+def requests(spec):
+    from logitpath import EffectRequest
+    out = []
+    for scale in ("logodds", "probability"):
+        for c in covariate_values(spec):
+            if spec.treatment.kind == "continuous":
+                out += [EffectRequest.derivative(at, {"C": c}, scale)
+                        for at in (-0.5, 0.7)]
+                out.append(EffectRequest.contrast(1.0, -0.5, {"C": c}, scale))
+            elif spec.treatment.kind == "categorical":
+                out += [EffectRequest.contrast(2, 1, {"C": c}, scale),
+                        EffectRequest.contrast(3, 1, {"C": c}, scale)]
+            else:
+                out.append(EffectRequest.contrast(1, 0, {"C": c}, scale))
+    return out
+
+
+def table_numbers(fitted, transform=None):
+    from logitpath import effect_table
+    spec = transform(fitted.params).spec if transform else fitted.spec
+    k = len(spec.mediators)
+    paths = sorted({(1,), (k,)})
+    table = effect_table(fitted, requests(spec), paths=paths,
+                         transform=transform)
+    return [[r["estimate"], r["se"], r["ci_low"], r["ci_high"], r["p_value"]]
+            for r in table.to_records()]
+
+
+def transform_numbers(fitted, transform):
+    """Reduced coefficients and covariance, plus the covariance at half
+    the central-difference step: the tree's own resolution."""
+    from logitpath import inference, transform_fitted
+    reduced, cross = transform_fitted(fitted, transform)
+    step = inference.STEP_SCALE
+    try:
+        inference.STEP_SCALE = step / 2.0
+        half = transform_fitted(fitted, transform)[0]
+    finally:
+        inference.STEP_SCALE = step
+    return {"coefficients": reduced.params.flatten().tolist(),
+            "covariance": reduced.covariance_matrix().tolist(),
+            "covariance_half_step": half.covariance_matrix().tolist(),
+            "cross": cross}
+
+
+def covariance_gap(a, b):
+    """max |a_ij - b_ij| / sqrt(a_ii a_jj)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.max(np.abs(a - b) / np.sqrt(np.outer(np.diag(a), np.diag(a))))
+
+
+def dump(path):
+    from logitpath import (Dataset, average_probability_effects,
+                           marginalize_inner, marginalize_outer_system)
+    exact, reduced, transformed = {}, {}, {}
+    for k in (1, 2, 3, 4, 5):
+        exact[f"table binary k={k}"] = table_numbers(draw_fit(1, k)[0])
+    for k in (1, 2, 3):
+        exact[f"table continuous k={k}"] = table_numbers(
+            draw_fit(2, k, "continuous")[0])
+    exact["table categorical k=2"] = table_numbers(
+        draw_fit(3, 2, "categorical", "categorical")[0])
+    for k, treatment, covariate in ((1, "continuous", "binary"),
+                                    (2, "continuous", "categorical")):
+        fitted, cols = draw_fit(4, k, treatment, covariate, N_APE)
+        exact[f"ape k={k} C {covariate}"] = list(average_probability_effects(
+            fitted.params, Dataset.from_records(cols)))
+    systems = [(2, "binary", "binary"), (3, "binary", "binary"),
+               (4, "binary", "binary"), (3, "categorical", "categorical")]
+    for k, treatment, covariate in systems:
+        fitted = draw_fit(5, k, treatment, covariate)[0]
+        name = f"inner {treatment} k={k}"
+        if k < 4:
+            reduced[f"table {name}"] = table_numbers(fitted, marginalize_inner)
+        transformed[f"transform {name}"] = transform_numbers(
+            fitted, marginalize_inner)
+    for treatment, covariate in (("binary", "binary"),
+                                 ("categorical", "categorical")):
+        fitted = draw_fit(6, 2, treatment, covariate)[0]
+        name = f"outer {treatment} k=2"
+        reduced[f"table {name}"] = table_numbers(fitted,
+                                                 marginalize_outer_system)
+        transformed[f"transform {name}"] = transform_numbers(
+            fitted, marginalize_outer_system)
+    with open(path, "w") as fh:
+        json.dump({"exact": exact, "reduced": reduced,
+                   "transform": transformed}, fh)
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def compare(path_a, path_b):
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    ok = True
+
+    def report(name, worst, bound):
+        nonlocal ok
+        passed = worst <= bound
+        ok &= passed
+        print(f"{'ok  ' if passed else 'FAIL'} {name}: {worst:.3g} "
+              f"(bound {bound:g})")
+
+    for name, rows in a["exact"].items():
+        flat_a = np.ravel(rows)
+        flat_b = np.ravel(b["exact"][name])
+        differ = sum(not _same(x, y) for x, y in zip(flat_a, flat_b))
+        report(f"{name}: numbers not bit-identical", differ, 0)
+    for name, rows in a["reduced"].items():
+        ra, rb = np.array(rows), np.array(b["reduced"][name])
+        report(f"{name}: |value diff|",
+               np.max(np.abs(ra[:, 0] - rb[:, 0])), 1e-14)
+        report(f"{name}: SE relative diff",
+               np.max(np.abs(ra[:, 1] - rb[:, 1]) / ra[:, 1]), 2e-8)
+        print(f"     {name}: p-value diff "
+              f"{np.max(np.abs(ra[:, 4] - rb[:, 4])):.3g}")
+    for name, ta in a["transform"].items():
+        tb = b["transform"][name]
+        report(f"{name}: coefficient diff",
+               np.max(np.abs(np.subtract(ta["coefficients"],
+                                         tb["coefficients"]))), 1e-14)
+        # the bound is the first tree's own step-halving movement where
+        # that exceeds the nominal 3e-7
+        own = covariance_gap(ta["covariance"], ta["covariance_half_step"])
+        report(f"{name}: covariance diff / sqrt(c_ii c_jj), own "
+               f"step-halving {own:.3g}",
+               covariance_gap(ta["covariance"], tb["covariance"]),
+               max(3e-7, own))
+    return ok
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "dump":
+        dump(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(0 if compare(sys.argv[2], sys.argv[3]) else 1)
+    else:
+        sys.exit(__doc__)
