@@ -14,7 +14,8 @@ from pathlib import Path
 import click
 
 from .effects import EffectError, EffectRequest
-from .fitting import (DataError, Dataset, FitError, FittedSystem, fit_system)
+from .fitting import (DataError, Dataset, FitError, FittedSystem,
+                      coerce_value, fit_system)
 from .inference import InferenceError, effect_table, transform_fitted
 from .model import ModelSpecError, SystemSpec, validate_system
 from .multi import PathSpec, marginalize_inner, marginalize_outer_system
@@ -103,20 +104,14 @@ def cmd_fit(data_path, model_path, out):
         click.echo(f"wrote {out}")
 
 
-def _coerce_treatment(spec: SystemSpec, raw: str):
-    from .fitting import _coerce_one
-    return _coerce_one(spec.treatment, raw)
-
-
 def _coerce_setting(spec: SystemSpec, pairs):
-    from .fitting import _coerce_one
     setting = {}
     for text in pairs:
         if "=" not in text:
             _fail(f"--set wants NAME=VALUE, got {text!r}")
         name, _, raw = text.partition("=")
         var = spec.variable(name.strip())
-        setting[var.name] = _coerce_one(var, raw.strip())
+        setting[var.name] = coerce_value(var, raw.strip())
     return setting
 
 
@@ -183,8 +178,8 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
                     pieces = [p.strip() for p in text.split(",")]
                     if len(pieces) != 2:
                         _fail(f"--contrast wants 'a,b', got {text!r}")
-                    x1 = _coerce_treatment(spec, pieces[0])
-                    x0 = _coerce_treatment(spec, pieces[1])
+                    x1 = coerce_value(spec.treatment, pieces[0])
+                    x0 = coerce_value(spec.treatment, pieces[1])
                     requests.append(EffectRequest.contrast(
                         x1, x0, covariates=setting, scale=sc))
                 for at in at_points:

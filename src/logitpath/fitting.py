@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .dual import expit, softplus
-from .model import ModelSpecError, ParameterSet, SystemSpec, VariableSpec
+from .model import ModelSpecError, ParameterSet, SystemSpec, VariableSpec, design
 
 MAX_ITER = 100
 SCORE_TOL = 1e-8
@@ -81,6 +81,10 @@ class Dataset:
         """List of dicts; a 'count' key turns a row into a weighted pattern."""
         if not rows:
             return Dataset({}, np.zeros(0))
+        for i, r in enumerate(rows, 1):
+            if not isinstance(r, Mapping):
+                raise DataError(f"row {i} is {r!r}, not an object of "
+                                f"column values")
         names = [k for k in rows[0] if k != "count"]
         cols = {k: [] for k in names}
         counts = []
@@ -116,6 +120,9 @@ class Dataset:
             doc = json.load(fh)
         if isinstance(doc, dict):
             doc = doc.get("rows", [])
+        if not isinstance(doc, list):
+            raise DataError(f"{path}: expected a list of rows, or an object "
+                            f"holding one under 'rows'")
         if not doc:
             raise DataError(f"empty data: {path}")
         return Dataset.from_rows(doc)
@@ -128,7 +135,8 @@ class Dataset:
         return Dataset.from_csv(path)
 
 
-def _coerce_one(var: VariableSpec, raw):
+def coerce_value(var: VariableSpec, raw):
+    """One raw data value as the value ``var`` takes; DataError if it cannot."""
     if var.kind == "categorical":
         for lvl in var.levels:
             if raw == lvl or str(raw) == str(lvl):
@@ -150,7 +158,7 @@ def _coerce_one(var: VariableSpec, raw):
 
 
 def coerce_column(var: VariableSpec, values: np.ndarray) -> np.ndarray:
-    out = [_coerce_one(var, v) for v in values]
+    out = [coerce_value(var, v) for v in values]
     if var.kind == "categorical":
         return np.asarray(out, dtype=object)
     return np.asarray(out, dtype=float)
@@ -167,17 +175,7 @@ def design_matrix(spec: SystemSpec, response: str, data: Dataset):
     y = coerced[response]
     if spec.variable(response).kind != "binary":
         raise ModelSpecError(f"response {response!r} must be binary to fit")
-    cols = spec.columns(response)
-    X = np.empty((data.nrows, len(cols)))
-    for j, col in enumerate(cols):
-        v = np.ones(data.nrows)
-        for name, lvl in col.factors:
-            arr = coerced[name]
-            if lvl is None:
-                v = v * arr.astype(float)
-            else:
-                v = v * (arr == lvl).astype(float)
-        X[:, j] = v
+    X = design(spec, response, coerced, data.nrows)
     return X, y.astype(float), np.asarray(data.counts, dtype=float)
 
 
@@ -297,9 +295,7 @@ class FittedSystem:
         return scipy.linalg.block_diag(*blocks)
 
     def se(self, response: str, label: str) -> float:
-        cols = self.spec.columns(response)
-        labels = [self.spec.column_label(c) for c in cols]
-        j = labels.index(label)
+        j = self.spec.coord(response, label) - self.spec.slices[response].start
         return float(np.sqrt(self.cov_blocks[response][j, j]))
 
     def to_json_dict(self) -> dict:
@@ -341,9 +337,9 @@ class FittedSystem:
         diagnostics = {}
         for resp, d in doc.get("diagnostics", {}).items():
             labels = tuple(spec.column_label(c) for c in spec.columns(resp))
-            coef = np.array([doc["params"][resp][l] for l in labels])
             diagnostics[resp] = EquationFit(
-                resp, labels, coef, cov_blocks[resp], d["loglik"],
+                resp, labels, params.vector[spec.slices[resp]],
+                cov_blocks[resp], d["loglik"],
                 d["iterations"], d["converged"], d["separation"])
         return FittedSystem(spec, params, cov_blocks, diagnostics,
                             float(doc["n"]))
@@ -360,10 +356,9 @@ class FittedSystem:
                 lines.append(f"  loglik {d.loglik:.4f}  iterations "
                              f"{d.iterations}  converged {d.converged}{flag}")
             lines.append(f"  {'term':<14}{'estimate':>12}{'se':>12}")
-            cols = self.spec.columns(resp)
-            for j, col in enumerate(cols):
+            coefs = self.params.vector[self.spec.slices[resp]].tolist()
+            for j, (col, est) in enumerate(zip(self.spec.columns(resp), coefs)):
                 label = self.spec.column_label(col)
-                est = self.params.values[(resp, col)]
                 se = float(np.sqrt(self.cov_blocks[resp][j, j]))
                 lines.append(f"  {label:<14}{est:>12.4f}{se:>12.4f}")
             lines.append("")
@@ -373,8 +368,6 @@ class FittedSystem:
 def fit_system(data: Dataset, spec: SystemSpec) -> FittedSystem:
     """Fit every declared equation and assemble the joint fitted system."""
     spec.require_valid()
-    params = ParameterSet.zeros(spec)
-    updates = {}
     cov_blocks = {}
     diagnostics = {}
     for resp in spec.responses:
@@ -382,10 +375,8 @@ def fit_system(data: Dataset, spec: SystemSpec) -> FittedSystem:
             eq = fit_logistic(data, spec, resp)
         except (DataError, FitError) as e:
             raise type(e)(f"equation {resp}: {e}") from e
-        cols = spec.columns(resp)
-        for col, b in zip(cols, eq.coef):
-            updates[(resp, col)] = float(b)
         cov_blocks[resp] = eq.cov
         diagnostics[resp] = eq
-    params = params.replace(updates)
+    params = ParameterSet(spec, np.concatenate(
+        [diagnostics[resp].coef for resp in spec.responses]))
     return FittedSystem(spec, params, cov_blocks, diagnostics, data.n)

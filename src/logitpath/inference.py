@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.stats import norm
 
 from .effects import (MASKS, EffectError, EffectRequest, _validate_request,
@@ -242,11 +243,9 @@ def transform_fitted(fitted: FittedSystem, transform: Callable):
     _, jac = jacobian(lambda p: transform(p).flatten(), fitted,
                       "reduced coefficients")
     sigma = jac @ fitted.covariance_matrix() @ jac.T
-    # equation of each reduced coefficient, in flat_coords order
-    eq = np.array([new_spec.responses.index(r) for r, _ in new_spec.flat_coords])
-    cov_blocks = {resp: sigma[np.ix_(eq == i, eq == i)]
-                  for i, resp in enumerate(new_spec.responses)}
-    cross = float(np.max(np.abs(sigma[eq[:, None] != eq]), initial=0.0))
+    cov_blocks = {resp: sigma[s, s] for resp, s in new_spec.slices.items()}
+    off_blocks = sigma - scipy.linalg.block_diag(*cov_blocks.values())
+    cross = float(np.max(np.abs(off_blocks), initial=0.0))
     diagnostics = {resp: d for resp, d in fitted.diagnostics.items()
                    if resp in new_spec.equations
                    and new_spec.equations[resp] == fitted.spec.equations.get(resp)}

@@ -14,7 +14,8 @@ later in this ordering, so the system corresponds to a DAG.
 This module holds the structural pieces everything else builds on:
 
 * ``VariableSpec`` / ``Term`` / ``SystemSpec`` describe the system,
-* ``ParameterSet`` stores one coefficient per design column and evaluates
+* ``ParameterSet`` stores one coefficient per design column, as one
+  read-only vector in the spec's ``flat_coords`` order, and evaluates
   linear predictors,
 * ``ZeroMask`` / ``zero_out`` implement the coefficient-zeroing machinery
   that effect definitions are made of: zeroing a variable inside one
@@ -145,10 +146,6 @@ class Column:
     def term(self) -> Term:
         return Term(frozenset(name for name, _ in self.factors))
 
-    @property
-    def variables(self) -> frozenset:
-        return frozenset(name for name, _ in self.factors)
-
 
 def column_value(col: Column, assignment: Mapping[str, object]):
     """Product of factor values under ``assignment``.
@@ -167,6 +164,14 @@ def column_value(col: Column, assignment: Mapping[str, object]):
         else:
             v = v * ((x == lvl) * 1.0)
     return v
+
+
+def design(spec: SystemSpec, response: str, assignment: Mapping[str, object],
+           nrows: int) -> np.ndarray:
+    """The (nrows, p) design of ``response`` at ``assignment``: one
+    ``column_value`` per column, constants broadcast to every row."""
+    return np.column_stack([np.broadcast_to(column_value(c, assignment), nrows)
+                            for c in spec.columns(response)])
 
 
 _LEVEL_RE = re.compile(r"^(?P<name>[^{}:]+)\{(?P<lvl>[^{},]+),(?P<ref>[^{},]+)\}$")
@@ -329,6 +334,32 @@ class SystemSpec:
                      for col in self.columns(resp))
 
     @cached_property
+    def coord_index(self) -> Mapping[tuple, int]:
+        """Position of each (response, column) in ``flat_coords``."""
+        return {coord: i for i, coord in enumerate(self.flat_coords)}
+
+    @cached_property
+    def slices(self) -> Mapping[str, slice]:
+        """Each response's slice of ``flat_coords``, in response order."""
+        out, start = {}, 0
+        for resp in self.responses:
+            out[resp] = slice(start, start + len(self.columns(resp)))
+            start = out[resp].stop
+        return out
+
+    def coord(self, response: str, col) -> int:
+        """Position of ``response``'s column ``col`` (a Column or its
+        label) in ``flat_coords``."""
+        if isinstance(col, str):
+            col = self.parse_column_label(col)
+        try:
+            return self.coord_index[(response, col)]
+        except KeyError:
+            raise ModelSpecError(
+                f"no coefficient for {response!r} column "
+                f"{self.column_label(col)!r}") from None
+
+    @cached_property
     def reductions(self) -> dict:
         """Plans of mediator reductions, by removed mediator (``multi``)."""
         return {}
@@ -446,20 +477,41 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterSet:
     """One coefficient per design column of every equation in a system.
 
-    Immutable; ``zero_out`` and ``replace`` return modified copies.  The
-    value domain always covers exactly the columns of the owning spec.
+    ``vector`` is a read-only float array in ``spec.flat_coords`` order;
+    ``spec.coord`` and ``spec.slices`` locate a coefficient or an equation
+    in it.  ``zero_out`` and ``replace`` return modified copies.
     """
 
     spec: SystemSpec
-    values: Mapping[tuple, float]
+    vector: np.ndarray
+
+    def __post_init__(self):
+        vec = np.array(self.vector, dtype=float)
+        if vec.shape != (len(self.spec.flat_coords),):
+            raise ModelSpecError(
+                f"vector of shape {vec.shape} does not match the "
+                f"{len(self.spec.flat_coords)} coefficients of the system")
+        vec.setflags(write=False)
+        object.__setattr__(self, "vector", vec)
+
+    def __eq__(self, other):
+        if not isinstance(other, ParameterSet):
+            return NotImplemented
+        return self.spec == other.spec and np.array_equal(self.vector,
+                                                          other.vector)
+
+    @staticmethod
+    def from_vector(spec: SystemSpec, vec) -> "ParameterSet":
+        """Same as ``ParameterSet(spec, vec)``; the bench counts its calls."""
+        return ParameterSet(spec, vec)
 
     @staticmethod
     def zeros(spec: SystemSpec) -> "ParameterSet":
-        return ParameterSet(spec, {coord: 0.0 for coord in spec.flat_coords})
+        return ParameterSet(spec, np.zeros(len(spec.flat_coords)))
 
     @staticmethod
     def from_nested(spec: SystemSpec, nested: Mapping[str, Mapping[str, float]],
@@ -469,73 +521,43 @@ class ParameterSet:
         Labels missing from ``nested`` default to 0 unless ``strict``;
         unknown responses or labels always raise.
         """
-        values = {coord: 0.0 for coord in spec.flat_coords}
+        vec = np.zeros(len(spec.flat_coords))
+        given = set()
         for resp, labels in nested.items():
-            cols = spec.columns(resp)
-            by_label = {spec.column_label(c): c for c in cols}
             for label, val in labels.items():
-                col = by_label.get(label)
-                if col is None:
-                    col = by_label.get(spec.column_label(spec.parse_column_label(label)))
-                if col is None:
-                    raise ModelSpecError(
-                        f"{resp}: no design column labelled {label!r}")
-                values[(resp, col)] = float(val)
-            if strict and len(labels) != len(cols):
-                missing = [spec.column_label(c) for c in cols
-                           if spec.column_label(c) not in labels]
-                raise ModelSpecError(f"{resp}: values missing for {missing}")
-        return ParameterSet(spec, values)
+                i = spec.coord(resp, label)
+                vec[i] = float(val)
+                given.add(i)
+        if strict and len(given) < len(vec):
+            missing = [f"{r}:{spec.column_label(c)}" for i, (r, c)
+                       in enumerate(spec.flat_coords) if i not in given]
+            raise ModelSpecError(f"values missing for {missing}")
+        return ParameterSet(spec, vec)
 
     def get(self, response: str, col) -> float:
-        if isinstance(col, str):
-            col = self.spec.parse_column_label(col)
-        try:
-            return self.values[(response, col)]
-        except KeyError:
-            raise ModelSpecError(
-                f"no coefficient for {response!r} column "
-                f"{self.spec.column_label(col)!r}") from None
+        return float(self.vector[self.spec.coord(response, col)])
 
     def nested(self) -> dict:
-        out = {}
-        for resp in self.spec.responses:
-            out[resp] = {self.spec.column_label(c): self.values[(resp, c)]
-                         for c in self.spec.columns(resp)}
-        return out
+        spec = self.spec
+        return {resp: dict(zip(map(spec.column_label, spec.columns(resp)),
+                               self.vector[s].tolist()))
+                for resp, s in spec.slices.items()}
 
     def replace(self, updates: Mapping[tuple, float]) -> "ParameterSet":
         """Copy with (response, column-or-label) entries overwritten."""
-        values = dict(self.values)
+        vec = self.vector.copy()
         for (resp, col), val in updates.items():
-            if isinstance(col, str):
-                col = self.spec.parse_column_label(col)
-            if (resp, col) not in values:
-                raise ModelSpecError(
-                    f"no coefficient for {resp!r} column "
-                    f"{self.spec.column_label(col)!r}")
-            values[(resp, col)] = float(val)
-        return ParameterSet(self.spec, values)
+            vec[self.spec.coord(resp, col)] = float(val)
+        return ParameterSet(self.spec, vec)
 
     def flatten(self) -> np.ndarray:
-        return np.array([self.values[coord] for coord in self.spec.flat_coords],
-                        dtype=float)
-
-    @staticmethod
-    def from_vector(spec: SystemSpec, vec: np.ndarray) -> "ParameterSet":
-        coords = spec.flat_coords
-        if len(vec) != len(coords):
-            raise ModelSpecError(
-                f"vector length {len(vec)} does not match the "
-                f"{len(coords)} coefficients of the system")
-        return ParameterSet(spec, {coord: float(v) for coord, v in zip(coords, vec)})
+        return self.vector
 
     @cached_property
     def pairs(self) -> Mapping[str, tuple]:
-        """{response: ((coefficient, column), ...)}, looked up only once."""
-        return {resp: tuple((self.values[(resp, c)], c)
-                            for c in self.spec.columns(resp))
-                for resp in self.spec.equations}
+        """{response: ((coefficient, column), ...)} as Python floats."""
+        return {resp: tuple(zip(self.vector[s].tolist(), self.spec.columns(resp)))
+                for resp, s in self.spec.slices.items()}
 
     def linear_predictor(self, response: str, assignment: Mapping[str, object]):
         """Sum of coefficient times column value; supports Dual inputs."""
@@ -577,11 +599,9 @@ class ZeroMask:
         return ZeroMask(frozenset(zeroed))
 
     def apply(self, params: ParameterSet) -> ParameterSet:
-        values = dict(params.values)
-        for (resp, col) in params.spec.flat_coords:
-            if (resp, col.term) in self.zeroed:
-                values[(resp, col)] = 0.0
-        return ParameterSet(params.spec, values)
+        zeroed = [(resp, col.term) in self.zeroed
+                  for resp, col in params.spec.flat_coords]
+        return ParameterSet(params.spec, np.where(zeroed, 0.0, params.vector))
 
     def __or__(self, other: "ZeroMask") -> "ZeroMask":
         return ZeroMask(self.zeroed | other.zeroed)

@@ -24,8 +24,7 @@ import numpy as np
 from .dual import cond_logit, lift
 from .effects import (EffectError, EffectRequest, component_value, decompose,
                       g_recursive, marginal_logit_multi, _validate_request)
-from .model import (ParameterSet, SystemSpec, Term, ZeroMask,
-                    column_value)
+from .model import ParameterSet, SystemSpec, Term, ZeroMask, design
 
 decompose_multi = decompose
 
@@ -132,12 +131,10 @@ def _corner_system(spec: SystemSpec, response: str, names) -> tuple:
                     else np.array([0.0, 1.0]))
     grid = dict(zip(names, (a.ravel() for a in
                             np.meshgrid(*axes, indexing="ij"))))
-    m = int(np.prod([len(a) for a in axes]))
-    design = np.column_stack([np.broadcast_to(column_value(c, grid), m)
-                              for c in spec.columns(response)])
-    for a in (*grid.values(), design):   # shared by every later reduction
+    X = design(spec, response, grid, int(np.prod([len(a) for a in axes])))
+    for a in (*grid.values(), X):   # shared by every later reduction
         a.setflags(write=False)
-    return grid, design
+    return grid, X
 
 
 def _sum_out(params: ParameterSet, response: str, med: str, assign: Mapping):
@@ -179,14 +176,12 @@ def _without(params: ParameterSet, gone: str, rebuilt: Mapping):
                               {resp: names for resp, (names, _) in rebuilt.items()})
     coefs = {}
     for resp, (_, value_fn) in rebuilt.items():
-        grid, design = corners[resp]
-        vals = np.broadcast_to(value_fn(grid), len(design))
-        coefs[resp] = np.linalg.solve(design, vals).tolist()
+        grid, X = corners[resp]
+        coefs[resp] = np.linalg.solve(X, np.broadcast_to(value_fn(grid), len(X)))
     # a copied equation keeps its terms, hence its column order
-    values = itertools.chain.from_iterable(
-        coefs[resp] if resp in coefs else [b for b, _ in params.pairs[resp]]
-        for resp in new_spec.responses)
-    return ParameterSet(new_spec, dict(zip(new_spec.flat_coords, values)))
+    return ParameterSet(new_spec, np.concatenate([
+        coefs[resp] if resp in coefs else params.vector[params.spec.slices[resp]]
+        for resp in new_spec.responses]))
 
 
 def marginalize_inner(params: ParameterSet) -> ParameterSet:

@@ -88,9 +88,8 @@ def make_system(k, treatment="binary", covariate=False, extra_terms=(),
 
 
 def random_params(spec, rng, scale=1.0):
-    values = {coord: float(rng.normal(0.0, scale))
-              for coord in spec.flat_coords}
-    return ParameterSet(spec, values)
+    return ParameterSet.from_vector(
+        spec, [rng.normal(0.0, scale) for _ in spec.flat_coords])
 
 
 def expected_data_fit(rng, k=2, spec=None, total=4000.0):

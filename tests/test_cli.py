@@ -101,6 +101,22 @@ def test_fit_malformed_model_json(workdir):
     assert "bad.json" in combined(result)
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"rows": [[1, 0, 1, 1]]}, "row 1"),
+    (5, "malformed.json"),
+    ([1, 2], "row 1"),
+    ({"rows": {"Y": 1}}, "malformed.json"),
+], ids=["list-row", "number", "list-of-numbers", "rows-object"])
+def test_fit_rejects_malformed_json_data(workdir, doc, named):
+    data = workdir / "malformed.json"
+    data.write_text(json.dumps(doc))
+    result = invoke("fit", "--data", data,
+                    "--model", workdir / "example_model.json")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert named in combined(result)
+
+
 def test_fit_rejects_invalid_system(workdir):
     doc = json.loads((workdir / "example_model.json").read_text())
     doc["variables"][0]["kind"] = "continuous"

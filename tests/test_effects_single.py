@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from logitpath import (Dataset, EffectError, ParameterSet,
+from logitpath import (Dataset, EffectError, ParameterSet, SystemSpec,
                        average_probability_effects, decompose_logodds,
-                       decompose_probability)
+                       decompose_probability, deltas)
 from logitpath.effects import (EffectRequest, component_value, direct_mask,
                                indirect_mask, g_y, marginal_logit)
 from logitpath.multi import decompose_multi
@@ -145,6 +145,51 @@ def test_probability_derivative_density_factor():
 
 
 # -- special cases ---------------------------------------------------------
+
+def bayes_deltas(params, x, covariates):
+    """(delta_y, delta_w) from the joint law of (W, Y) at X=x."""
+    at = {"X": x, **covariates}
+    pw = expit(params.linear_predictor("W1", at))
+    py = [expit(params.linear_predictor("Y", {**at, "W1": w})) for w in (0, 1)]
+    joint = {(w, y): (pw if w else 1.0 - pw) * (py[w] if y else 1.0 - py[w])
+             for w in (0, 1) for y in (0, 1)}
+    p_w1 = [joint[1, y] / (joint[0, y] + joint[1, y]) for y in (0, 1)]
+    return py[1] - py[0], p_w1[1] - p_w1[0]
+
+
+@pytest.mark.parametrize("treatment, xs", [
+    ("binary", (0, 1)), ("categorical", (1, 2, 3)),
+    ("continuous", (-1.3, 0.0, 0.7))])
+def test_deltas_match_bayes_over_the_joint_law(treatment, xs):
+    rng = np.random.default_rng(87)
+    spec = make_system(1, treatment, covariate=True,
+                       extra_terms=("X:W1", "C:W1"))
+    for _ in range(20):
+        params = random_params(spec, rng)
+        starred = params.replace({
+            ("Y", spec.column_label(c)): 0.0 for c in spec.columns("Y")
+            if "X" in c.term.factors})
+        for x in xs:
+            for c in (0, 1):
+                dy, dw, dws = deltas(params, x, {"C": c})
+                want_dy, want_dw = bayes_deltas(params, x, {"C": c})
+                assert_close(dy, want_dy, 1e-14, "delta_y")
+                assert_close(dw, want_dw, 1e-14, "delta_w")
+                assert_close(dws, bayes_deltas(starred, x, {"C": c})[1],
+                             1e-14, "delta_w_star")
+
+
+def test_delta_w_star_is_delta_w_without_a_treatment_term_in_y():
+    rng = np.random.default_rng(88)
+    spec = SystemSpec.build(make_system(1, covariate=True).variables,
+                            {"Y": ["1", "C", "W1", "C:W1"],
+                             "W1": ["1", "X", "C"]})
+    for _ in range(20):
+        params = random_params(spec, rng)
+        for x in (0, 1):
+            _, dw, dws = deltas(params, x, {"C": 1})
+            assert dws == dw
+
 
 def zeroed(params, *labels):
     return params.replace({("Y", lab) if not isinstance(lab, tuple) else lab: 0.0

@@ -6,15 +6,18 @@ conftest, so every run checks the same systems.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from logitpath import (Dataset, EffectRequest, ParameterSet, SystemSpec,
-                       average_probability_effects, component_functional,
-                       decompose, marginal_logit_multi, marginalize_inner,
-                       marginalize_outer, marginalize_outer_system)
+from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
+                       SystemSpec, ZeroMask, average_probability_effects,
+                       component_functional, decompose, marginal_logit_multi,
+                       marginalize_inner, marginalize_outer,
+                       marginalize_outer_system)
 from conftest import enum_logit, enum_prob, make_system
 
 TREATMENTS = ("binary", "categorical", "continuous")
@@ -32,7 +35,38 @@ def systems(draw, treatments=TREATMENTS, ks=(1, 4)):
     spec = make_system(k, treatment, covariate, extra_terms=extra)
     n = len(spec.flat_coords)
     coefs = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-    return ParameterSet(spec, dict(zip(spec.flat_coords, coefs)))
+    return ParameterSet.from_vector(spec, coefs)
+
+
+@given(st.data())
+def test_the_coefficient_vector_is_the_only_layout(data):
+    params = data.draw(systems())
+    spec, vec = params.spec, params.flatten()
+    same = vec.tobytes()
+    assert ParameterSet.from_vector(spec, vec).flatten().tobytes() == same
+    again = ParameterSet.from_nested(spec, params.nested(), strict=True)
+    assert again.flatten().tobytes() == same
+    fitted = FittedSystem(spec, params, {r: np.eye(len(spec.columns(r)))
+                                         for r in spec.responses}, {}, 1.0)
+    doc = json.loads(json.dumps(fitted.to_json_dict()))
+    assert FittedSystem.from_json_dict(doc).params.flatten().tobytes() == same
+
+    for resp, col in spec.flat_coords:
+        label = spec.column_label(col)
+        assert params.get(resp, label) == vec[spec.coord_index[resp, col]]
+    resp, col = data.draw(st.sampled_from(spec.flat_coords))
+    i = spec.coord_index[resp, col]
+    moved = params.replace({(resp, spec.column_label(col)): vec[i] + 1.0})
+    assert list(np.flatnonzero(moved.flatten() != vec)) == [i]
+
+    resp = data.draw(st.sampled_from(spec.responses))
+    var = data.draw(st.sampled_from(spec.ordering))
+    masked = ZeroMask.from_targets(spec, [(resp, var)]).apply(params).flatten()
+    hit = [r == resp and var in c.term.factors for r, c in spec.flat_coords]
+    assert np.array_equal(masked, np.where(hit, 0.0, vec))
+
+    with pytest.raises(ValueError):
+        params.flatten()[0] = 1.0
 
 
 def treatment_values(spec):
@@ -172,7 +206,7 @@ def test_outer_reduction_reproduces_the_outer_evaluator(data):
 def fresh_copy(params):
     """The same coefficients on a new, equal spec object."""
     spec = SystemSpec.from_json_dict(params.spec.to_json_dict())
-    return ParameterSet(spec, dict(zip(spec.flat_coords, params.flatten())))
+    return ParameterSet.from_vector(spec, params.flatten())
 
 
 @given(st.data())

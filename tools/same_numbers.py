@@ -54,8 +54,8 @@ def draw_fit(seed, k, treatment="binary", covariate="binary", n=N_RECORDS):
     from logitpath import Dataset, ParameterSet, expit, fit_system
     spec = chain_spec(k, treatment, covariate)
     rng = np.random.default_rng([seed, k])
-    truth = ParameterSet(spec, {c: float(rng.normal(0.0, 0.6))
-                                for c in spec.flat_coords})
+    truth = ParameterSet.from_vector(
+        spec, [rng.normal(0.0, 0.6) for _ in spec.flat_coords])
 
     def draw(var):
         if var.kind == "categorical":
