@@ -18,8 +18,8 @@ from .effects import (Decomposition, EffectError, EffectRequest,
                       decompose_logodds, decompose_probability, deltas,
                       direct_mask, g_y, indirect_mask, marginal_logit)
 from .multi import (PathSpec, decompose_multi, g_recursive,
-                    marginal_logit_multi, marginalize_inner,
-                    marginalize_outer, marginalize_outer_system, psie,
+                    marginal_logit_multi, marginalize, marginalize_inner,
+                    marginalize_outer_system, psie,
                     residual_structurally_zero)
 from .inference import (EffectEstimate, EffectRow, EffectTable,
                         InferenceError, component_functional, delta_se,

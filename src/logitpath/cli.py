@@ -7,6 +7,7 @@ cached, inspected, or rerun on its own.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ from .effects import EffectError, EffectRequest
 from .fitting import (DataError, Dataset, FitError, FittedSystem,
                       coerce_value, fit_system)
 from .inference import InferenceError, effect_table, transform_fitted
-from .model import ModelSpecError, SystemSpec, validate_system
-from .multi import PathSpec, marginalize_inner, marginalize_outer_system
+from .model import ModelSpecError, SystemSpec
+from .multi import PathSpec, marginalize
 from .simulation import SimulationError, results_to_csv, run_study
 
 _ERRORS = (DataError, FitError, ModelSpecError, EffectError,
@@ -44,24 +45,18 @@ def _load_fitted(path: str) -> FittedSystem:
     doc = _load_json(path)
     try:
         return FittedSystem.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as e:
+    except ModelSpecError as e:
         _fail(f"{path}: not a fitted-system artifact ({e})")
 
 
-def _reduction(spec: SystemSpec, inner, outer):
-    """The transform that sums out mediator ``inner`` (only 1) or
-    ``outer`` (only 2 of two); None when neither is given."""
-    if inner is not None:
-        if inner != 1:
-            _fail("only the innermost mediator (index 1) can be summed out; "
-                  "repeat the marginalize command to go deeper")
-        return marginalize_inner
-    if outer is not None:
-        if outer != 2 or len(spec.mediators) != 2:
-            _fail("outer marginalization sums out mediator 2 of a "
-                  "two-mediator system")
-        return marginalize_outer_system
-    return None
+def _transform(indices):
+    """The transform that sums out the one mediator given by its index;
+    None when no index is given."""
+    if len(indices) > 1:
+        _fail(f"choose exactly one mediator to sum out, not "
+              f"{' and '.join(map(str, indices))}; to remove several, "
+              f"choose one and repeat the marginalize command")
+    return functools.partial(marginalize, j=indices[0]) if indices else None
 
 
 def _write_or_echo(text: str, out):
@@ -85,19 +80,19 @@ def main():
 @click.option("--out", default=None, help="Where to write the fitted artifact.")
 def cmd_fit(data_path, model_path, out):
     """Fit every equation of a system by maximum likelihood."""
-    doc = _load_json(model_path)
     try:
-        spec = SystemSpec.from_json_dict(doc)
+        spec = SystemSpec.from_json_dict(_load_json(model_path))
+        spec.require_valid()
     except ModelSpecError as e:
         _fail(f"{model_path}: {e}")
-    report = validate_system(spec)
-    if not report:
-        _fail(f"{model_path}: invalid system: " + "; ".join(report.problems))
     try:
         data = Dataset.load(data_path)
-        fitted = fit_system(data, spec)
     except _ERRORS as e:
         _fail(str(e))
+    try:
+        fitted = fit_system(data, spec)
+    except _ERRORS as e:
+        _fail(f"{model_path}: {e}")
     click.echo(fitted.summary_text())
     if out:
         Path(out).write_text(json.dumps(fitted.to_json_dict(), indent=2))
@@ -131,42 +126,34 @@ def _coerce_setting(spec: SystemSpec, pairs):
               type=click.Choice(["logodds", "prob", "both"]))
 @click.option("--path", "paths", multiple=True,
               help="Mediator path, comma-separated indices; repeatable.")
-@click.option("--marginalize-inner", "marg_inner", default=None, type=int,
-              help="Sum out mediator 1 (the innermost) before decomposing.")
-@click.option("--marginalize-outer", "marg_outer", default=None, type=int,
-              help="Sum out mediator 2 of a two-mediator system first.")
+@click.option("--marginalize", "--marginalize-inner", "--marginalize-outer",
+              "marginalized", type=int, multiple=True, metavar="J",
+              help="Sum out mediator J (1 is the innermost) before "
+                   "decomposing.")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["text", "json", "csv"]))
 @click.option("--out", default=None)
 def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
-                  paths, marg_inner, marg_outer, fmt, out):
+                  paths, marginalized, fmt, out):
     """Decompose the total effect of the treatment on the outcome."""
     fitted = _load_fitted(fitted_path)
     spec = fitted.spec
     if not contrasts and not at_points:
         _fail("nothing to do: give at least one --contrast or --at")
-    if marg_inner is not None and marg_outer is not None:
-        _fail("choose one of --marginalize-inner / --marginalize-outer")
-    transform = _reduction(spec, marg_inner, marg_outer)
+    transform = _transform(marginalized)
 
     try:
         base_settings = _coerce_setting(spec, settings)
+        var = spec.variable(by_var) if by_var else None
     except _ERRORS as e:
-        _fail(str(e))
+        _fail(f"{fitted_path}: {e}")
     strata = [base_settings]
-    if by_var:
-        try:
-            var = spec.variable(by_var)
-        except ModelSpecError as e:
-            _fail(str(e))
-        if var.kind == "binary":
-            values = (0.0, 1.0)
-        elif var.kind == "categorical":
-            values = var.levels
-        else:
+    if var is not None:
+        if var.kind == "continuous":
             _fail(f"--by needs a binary or categorical variable, "
                   f"{by_var!r} is continuous")
-        strata = [{**base_settings, var.name: v} for v in values]
+        strata = [{**base_settings, var.name: v}
+                  for v in var.levels or (0.0, 1.0)]
 
     scales = ("logodds", "probability") if scale == "both" else (
         "probability" if scale == "prob" else "logodds",)
@@ -187,16 +174,10 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
                         at, covariates=setting, scale=sc))
         parsed_paths = [PathSpec.parse([p.strip() for p in text.split(",")])
                         for text in paths]
-        for ps in parsed_paths:
-            for i in ps.indices:
-                if i > len(spec.mediators):
-                    raise EffectError(
-                        f"path index {i}: system has only "
-                        f"{len(spec.mediators)} mediator(s)")
         table = effect_table(fitted, requests, paths=parsed_paths,
                              transform=transform)
     except _ERRORS as e:
-        _fail(str(e))
+        _fail(f"{fitted_path}: {e}")
     rendered = {"text": table.to_text, "json": table.to_json,
                 "csv": table.to_csv}[fmt]()
     _write_or_echo(rendered, out)
@@ -227,32 +208,24 @@ def cmd_simulate(config_path, out, seed):
         results = run_study(grid, on_cell=progress)
     except _ERRORS as e:
         _fail(str(e))
-    csv_text = results_to_csv(results)
-    if out:
-        Path(out).write_text(csv_text)
-        click.echo(f"wrote {out}")
-    else:
-        click.echo(csv_text)
+    _write_or_echo(results_to_csv(results), out)
 
 
 @main.command("marginalize")
 @click.option("--fitted", "fitted_path", required=True)
-@click.option("--inner", default=None, type=int,
-              help="Sum out the innermost mediator (give index 1).")
-@click.option("--outer", default=None, type=int,
-              help="Sum out mediator 2 of a two-mediator system.")
+@click.option("--mediator", "--inner", "--outer", "mediator", type=int,
+              multiple=True, required=True, metavar="J",
+              help="Sum out mediator J (1 is the innermost).")
 @click.option("--out", required=True,
               help="Where to write the reduced fitted artifact.")
-def cmd_marginalize(fitted_path, inner, outer, out):
+def cmd_marginalize(fitted_path, mediator, out):
     """Rewrite a fitted system with one mediator summed out."""
     fitted = _load_fitted(fitted_path)
-    if (inner is None) == (outer is None):
-        _fail("choose exactly one of --inner / --outer")
+    transform = _transform(mediator)
     try:
-        reduced, cross = transform_fitted(
-            fitted, _reduction(fitted.spec, inner, outer))
+        reduced, cross = transform_fitted(fitted, transform)
     except _ERRORS as e:
-        _fail(str(e))
+        _fail(f"{fitted_path}: {e}")
     Path(out).write_text(json.dumps(reduced.to_json_dict(), indent=2))
     click.echo(reduced.summary_text())
     if cross > 1e-12:
@@ -260,7 +233,7 @@ def cmd_marginalize(fitted_path, inner, outer, out):
             "note: this reduction correlates equations; the artifact keeps "
             "per-equation covariance only, so standard errors computed from "
             "it downstream ignore the cross-equation part. Decompose with "
-            "--marginalize-outer on the original fit for exact ones.",
+            "--marginalize J on the original fit for exact ones.",
             err=True)
     click.echo(f"wrote {out}")
 

@@ -191,6 +191,12 @@ def indirect_mask(spec: SystemSpec) -> ZeroMask:
 
 
 def _validate_request(spec: SystemSpec, request: EffectRequest):
+    for name in request.covariates:
+        var = spec.by_name.get(name)
+        role = var.role if var else "undeclared"
+        if role != "covariate":
+            raise EffectError(f"cannot fix {name!r} ({role}): only "
+                              f"covariates can be fixed")
     kind = spec.treatment.kind
     if request.mode == "derivative" and kind != "continuous":
         raise EffectError("derivative mode requires a continuous treatment")

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .dual import expit, softplus
-from .model import ModelSpecError, ParameterSet, SystemSpec, VariableSpec, design
+from .model import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
+                    design, json_field)
 
 MAX_ITER = 100
 SCORE_TOL = 1e-8
@@ -318,13 +319,28 @@ class FittedSystem:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "FittedSystem":
-        spec = SystemSpec.from_json_dict(doc["spec"]).require_valid()
-        params = ParameterSet.from_nested(spec, doc["params"], strict=True)
+        """Load a ``to_json_dict`` artifact; a malformed field raises a
+        ModelSpecError that names it."""
+        spec = SystemSpec.from_json_dict(
+            json_field(doc, "spec", dict, "the artifact")).require_valid()
+        nested = json_field(doc, "params", dict, "the artifact")
+        for resp, labels in nested.items():
+            for label in json_field(nested, resp, dict, "'params'"):
+                json_field(labels, label, (int, float),
+                           f"{resp!r} of 'params'")
+        params = ParameterSet.from_nested(spec, nested, strict=True)
+        covariance = json_field(doc, "covariance", dict, "the artifact")
         cov_blocks = {}
         for resp in spec.responses:
-            block = np.asarray(doc["covariance"][resp], dtype=float)
-            width = len(spec.columns(resp))
             where = f"covariance of equation {resp!r}"
+            try:
+                block = np.asarray(
+                    json_field(covariance, resp, list, "'covariance'"),
+                    dtype=float)
+            except (TypeError, ValueError):
+                raise ModelSpecError(f"{where} is not a matrix of numbers") \
+                    from None
+            width = len(spec.columns(resp))
             if block.shape != (width, width):
                 raise ModelSpecError(f"{where} has shape {block.shape}, "
                                      f"expected {(width, width)}")
@@ -335,14 +351,23 @@ class FittedSystem:
                 raise ModelSpecError(f"{where} is not symmetric")
             cov_blocks[resp] = block
         diagnostics = {}
-        for resp, d in doc.get("diagnostics", {}).items():
+        raw = (json_field(doc, "diagnostics", dict, "the artifact")
+               if "diagnostics" in doc else {})
+        for resp in raw:
+            d = json_field(raw, resp, dict, "'diagnostics'")
+            if resp not in cov_blocks:
+                raise ModelSpecError(f"'diagnostics' has {resp!r}, which "
+                                     f"has no equation")
+            where = f"{resp!r} of 'diagnostics'"
             labels = tuple(spec.column_label(c) for c in spec.columns(resp))
             diagnostics[resp] = EquationFit(
                 resp, labels, params.vector[spec.slices[resp]],
-                cov_blocks[resp], d["loglik"],
-                d["iterations"], d["converged"], d["separation"])
-        return FittedSystem(spec, params, cov_blocks, diagnostics,
-                            float(doc["n"]))
+                cov_blocks[resp], json_field(d, "loglik", (int, float), where),
+                json_field(d, "iterations", int, where),
+                json_field(d, "converged", bool, where),
+                json_field(d, "separation", bool, where))
+        return FittedSystem(spec, params, cov_blocks, diagnostics, float(
+            json_field(doc, "n", (int, float), "the artifact")))
 
     def summary_text(self) -> str:
         lines = []

@@ -206,6 +206,8 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
         target_spec = transform(fitted.params).spec
     paths = [p if isinstance(p, PathSpec) else PathSpec.parse(p)
              for p in paths or ()]
+    for ps in paths:    # fail before the first row is computed
+        ps.mask_targets(target_spec)
     rows = []
     for req in requests:
         te, de, ie, res = component_names(indirect_name(target_spec),

@@ -29,6 +29,7 @@ like ``X:W`` with a three-level X expands into the columns ``X{2,1}:W`` and
 from __future__ import annotations
 
 import itertools
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,7 +83,12 @@ class VariableSpec:
             if len(self.levels) < 2:
                 raise ModelSpecError(
                     f"categorical variable {self.name!r} needs at least two levels")
-            if len(set(self.levels)) != len(self.levels):
+            try:
+                distinct = len(set(self.levels))
+            except TypeError:
+                raise ModelSpecError(f"levels of {self.name!r} must be "
+                                     f"numbers or strings") from None
+            if distinct != len(self.levels):
                 raise ModelSpecError(
                     f"categorical variable {self.name!r} has duplicate levels")
         elif self.levels:
@@ -92,8 +98,10 @@ class VariableSpec:
         if has_index != (self.role == "mediator"):
             raise ModelSpecError(
                 f"mediator_index must be present iff role is mediator ({self.name!r})")
-        if has_index and self.mediator_index < 1:
-            raise ModelSpecError(f"mediator_index must be >= 1 ({self.name!r})")
+        if has_index and not (isinstance(self.mediator_index, numbers.Integral)
+                              and self.mediator_index >= 1):
+            raise ModelSpecError(
+                f"mediator_index must be an integer >= 1 ({self.name!r})")
 
 
 @dataclass(frozen=True)
@@ -394,6 +402,8 @@ class SystemSpec:
             if self.by_name[resp].role == "covariate":
                 problems.append(f"covariate {resp!r} cannot be a response")
                 continue
+            if not terms:
+                problems.append(f"equation {resp!r} has no terms")
             seen = set()
             present = {t.factors for t in terms}
             for t in terms:
@@ -445,21 +455,42 @@ class SystemSpec:
 
     @staticmethod
     def from_json_dict(d: Mapping) -> "SystemSpec":
-        try:
-            raw_vars = d["variables"]
-            raw_eqs = d["equations"]
-        except (KeyError, TypeError):
-            raise ModelSpecError(
-                "model document needs 'variables' and 'equations'") from None
+        """Build from a model document; a malformed field raises a
+        ModelSpecError that names it."""
+        raw_vars = json_field(d, "variables", list, "the model")
+        raw_eqs = json_field(d, "equations", dict, "the model")
         variables = []
-        for rv in raw_vars:
+        for i, rv in enumerate(raw_vars):
+            where = f"variables[{i}]"
+            if not isinstance(rv, dict):
+                raise ModelSpecError(f"{where} must be an object, got {rv!r}")
             variables.append(VariableSpec(
-                name=rv["name"],
-                role=rv["role"],
-                kind=rv["kind"],
-                levels=tuple(rv.get("levels", ())),
+                name=json_field(rv, "name", str, where),
+                role=json_field(rv, "role", str, where),
+                kind=json_field(rv, "kind", str, where),
+                levels=tuple(json_field(rv, "levels", list, where)
+                             if "levels" in rv else ()),
                 mediator_index=rv.get("index", rv.get("mediator_index"))))
-        return SystemSpec.build(variables, raw_eqs)
+        return SystemSpec.build(variables, {
+            resp: json_field(raw_eqs, resp, list, "'equations'")
+            for resp in raw_eqs})
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               bool: "true or false", int: "an integer"}
+
+
+def json_field(doc, key: str, kind, where: str):
+    """``doc[key]`` of a JSON document, checked to be a ``kind`` (dict,
+    list, str, bool, int or (int, float)); otherwise a ModelSpecError
+    that names the field and ``where`` it sits."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ModelSpecError(f"{where} has no {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ModelSpecError(f"{key!r} of {where} must be "
+                             f"{_JSON_TYPES.get(kind, 'a number')}, "
+                             f"got {doc[key]!r}")
+    return doc[key]
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,18 @@ mediators; they live in ``effects`` and are re-exported here, with
 effect (PSIE) reroutes the treatment through one ordered mediator path by
 zeroing every coefficient not on the path (four rule groups below).
 
-Inner and outer mediator removal (``marginalize_inner``,
-``marginalize_outer``) rebuild explicit reduced systems with ``lift``;
-their coefficient extraction solves an exact corner-point system, which
-is only exact when the remaining predictors are discrete, so those two
-operations refuse continuous treatments or covariates.
+``marginalize(params, j)`` sums any mediator W_j out of the system.  Each
+equation inward of W_j is rebuilt from its values at every corner of its
+new predictors: ``lift`` against W_j's log odds given them, which is
+W_j's own equation updated by ``cond_logit`` through each mediator in
+between.  The corner-point solve is exact only for discrete predictors,
+so continuous treatments or covariates are refused.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class PathSpec:
         k = len(meds)
         for i in self.indices:
             if not 1 <= i <= k:
-                raise EffectError(f"path index {i} out of range 1..{k}")
+                raise EffectError(f"path index {i} out of range 1..{k} "
+                                  f"of the mediators")
         name = {m.mediator_index: m.name for m in meds}
         y = spec.outcome.name
         x = spec.treatment.name
@@ -125,7 +126,7 @@ def _corner_system(spec: SystemSpec, response: str, names) -> tuple:
         if var.kind == "continuous":
             raise EffectError(
                 f"explicit marginalization needs discrete predictors; "
-                f"{n!r} is continuous (pointwise evaluators have no such limit)")
+                f"{n!r} is continuous (the marginal logit has no such limit)")
         # object levels compare like the scalars they are
         axes.append(np.array(var.levels, dtype=object) if var.levels
                     else np.array([0.0, 1.0]))
@@ -137,116 +138,76 @@ def _corner_system(spec: SystemSpec, response: str, names) -> tuple:
     return grid, X
 
 
-def _sum_out(params: ParameterSet, response: str, med: str, assign: Mapping):
-    """Log odds of ``response`` at ``assign``, binary ``med`` summed out."""
-    return lift(params.linear_predictor(response, {**assign, med: 0.0}),
-                params.linear_predictor(response, {**assign, med: 1.0}),
-                params.linear_predictor(med, assign))
-
-
 def _full_basis(names) -> tuple:
     return tuple(Term(frozenset(sub)) for r in range(len(names) + 1)
                  for sub in itertools.combinations(names, r))
 
 
-def _plan(spec: SystemSpec, gone: str, rebuilt: Mapping) -> tuple:
-    """The coefficient-free part of summing ``gone`` out, kept on ``spec``:
-    the reduced spec and each ``rebuilt`` equation's corner system."""
-    if gone not in spec.reductions:
-        index = spec.variable(gone).mediator_index
+def _plan(spec: SystemSpec, j: int) -> tuple:
+    """The coefficient-free part of summing W_j out, kept on ``spec``:
+    W_j's name, the reduced spec, and for each equation inward of W_j
+    (W_{j-1} .. W_1, then Y) the mediators between W_j and it, outermost
+    first, and its corner system over its new predictors."""
+    if j not in spec.reductions:
+        meds = spec.mediators
+        if len(meds) < 2:
+            raise EffectError("summing a mediator out needs at least two "
+                              "mediators")
+        if not 1 <= j <= len(meds):
+            raise EffectError(f"mediator index {j} out of range "
+                              f"1..{len(meds)}")
+        gone = meds[j - 1].name
+        rebuilt, between = {}, ()
+        inward = [m.name for m in reversed(meds[:j - 1])] + [spec.outcome.name]
+        for resp in inward:
+            names = set(spec.predictors(resp) | spec.predictors(gone))
+            for m in between:
+                names |= {m} | spec.predictors(m)
+            rebuilt[resp] = between, sorted(names - {gone}, key=spec.position)
+            between += (resp,)
         new_vars = tuple(
             replace(v, mediator_index=v.mediator_index - 1)
-            if v.role == "mediator" and v.mediator_index > index else v
+            if v.role == "mediator" and v.mediator_index > j else v
             for v in spec.variables if v.name != gone)
-        new_eqs = {resp: _full_basis(rebuilt[resp]) if resp in rebuilt else ts
-                   for resp, ts in spec.equations.items() if resp != gone}
+        new_eqs = {resp: _full_basis(rebuilt[resp][1]) if resp in rebuilt
+                   else ts for resp, ts in spec.equations.items()
+                   if resp != gone}
         new_spec = SystemSpec(new_vars, new_eqs).require_valid()
-        spec.reductions[gone] = new_spec, {
-            resp: _corner_system(new_spec, resp, names)
-            for resp, names in rebuilt.items()}
-    return spec.reductions[gone]
+        spec.reductions[j] = gone, new_spec, tuple(
+            (resp, between, *_corner_system(new_spec, resp, names))
+            for resp, (between, names) in rebuilt.items())
+    return spec.reductions[j]
 
 
-def _without(params: ParameterSet, gone: str, rebuilt: Mapping):
-    """The system with mediator ``gone`` summed out.  Each ``rebuilt``
-    equation ({response: (predictors, value_fn)}) gets the full
-    interaction basis over its predictors and reproduces value_fn, called
-    once on the whole corner grid; the other equations are copied."""
-    new_spec, corners = _plan(params.spec, gone,
-                              {resp: names for resp, (names, _) in rebuilt.items()})
+def marginalize(params: ParameterSet, j: int) -> ParameterSet:
+    """The reduced system (spec attached) with mediator W_j of k >= 2
+    summed out exactly.  Rebuilt equations carry the full interaction
+    basis of their new predictors, own and W_j's plus the mediators in
+    between and theirs, even where the original model had none; the other
+    equations are copied, and outer mediators slide down one index."""
+    spec = params.spec
+    gone, new_spec, rebuilt = _plan(spec, j)
+    lp = params.linear_predictor
     coefs = {}
-    for resp, (_, value_fn) in rebuilt.items():
-        grid, X = corners[resp]
-        coefs[resp] = np.linalg.solve(X, np.broadcast_to(value_fn(grid), len(X)))
+    for resp, between, grid, X in rebuilt:
+        rw = lp(gone, grid)
+        for m in between:
+            rw = cond_logit(grid[m], lp(m, {**grid, gone: 0.0}),
+                            lp(m, {**grid, gone: 1.0}), rw)
+        value = lift(lp(resp, {**grid, gone: 0.0}),
+                     lp(resp, {**grid, gone: 1.0}), rw)
+        coefs[resp] = np.linalg.solve(X, np.broadcast_to(value, len(X)))
     # a copied equation keeps its terms, hence its column order
     return ParameterSet(new_spec, np.concatenate([
-        coefs[resp] if resp in coefs else params.vector[params.spec.slices[resp]]
+        coefs[resp] if resp in coefs else params.vector[spec.slices[resp]]
         for resp in new_spec.responses]))
 
 
 def marginalize_inner(params: ParameterSet) -> ParameterSet:
-    """Sum the innermost mediator out of the system exactly.
-
-    Returns the parameters of the reduced system (spec attached), whose
-    outcome equation carries the full interaction basis over the remaining
-    outcome predictors: marginalization fills in interactions even when
-    the original model had none.  Outer mediators slide down one index.
-    """
-    spec = params.spec
-    if len(spec.mediators) < 2:
-        raise EffectError("inner marginalization needs at least two mediators")
-    w1 = spec.mediators[0].name
-    y = spec.outcome.name
-    rem = sorted((spec.predictors(y) | spec.predictors(w1)) - {w1},
-                 key=spec.position)
-    return _without(params, w1, {
-        y: (rem, lambda a: _sum_out(params, y, w1, a))})
-
-
-def marginalize_outer(params: ParameterSet) -> Callable:
-    """Evaluator (x, w1, covariates) -> log odds of Y=1 given X=x and the
-    inner mediator, with the outer mediator of a two-mediator system
-    summed out.  Pointwise and exact for any treatment kind."""
-    spec = params.spec
-    meds = spec.mediators
-    if len(meds) != 2:
-        raise EffectError("outer marginalization is defined for exactly "
-                          "two mediators")
-    w1, w2 = meds
-    y = spec.outcome.name
-
-    def evaluator(x, w1val, covariates: Optional[Mapping] = None):
-        lp = params.linear_predictor
-        base = {spec.treatment.name: x, **(covariates or {})}
-        # log odds of W2=1 given W1=w1val, by Bayes through W1's equation
-        rw2 = cond_logit(w1val, lp(w1.name, {**base, w2.name: 0.0}),
-                         lp(w1.name, {**base, w2.name: 1.0}),
-                         lp(w2.name, base))
-        at = {**base, w1.name: w1val}
-        return lift(lp(y, {**at, w2.name: 0.0}), lp(y, {**at, w2.name: 1.0}),
-                    rw2)
-
-    return evaluator
+    """Sum the innermost mediator out: ``marginalize(params, 1)``."""
+    return marginalize(params, 1)
 
 
 def marginalize_outer_system(params: ParameterSet) -> ParameterSet:
-    """Reduced single-mediator system with the outer of two mediators
-    removed: outcome equation from the ``marginalize_outer`` evaluator,
-    inner-mediator equation from its own one-step marginalization."""
-    evaluator = marginalize_outer(params)
-    spec = params.spec
-    w1, w2 = (m.name for m in spec.mediators)
-    y = spec.outcome.name
-    x = spec.treatment.name
-    rem_y = sorted(({w1} | spec.predictors(y) | spec.predictors(w1)
-                    | spec.predictors(w2)) - {w2}, key=spec.position)
-    rem_w1 = sorted((spec.predictors(w1) | spec.predictors(w2)) - {w2},
-                    key=spec.position)
-
-    def y_value(assign):
-        a = dict(assign)
-        return evaluator(a.pop(x), a.pop(w1), a)
-
-    return _without(params, w2, {
-        y: (rem_y, y_value),
-        w1: (rem_w1, lambda a: _sum_out(params, w1, w2, a))})
+    """Sum the outermost mediator out: ``marginalize(params, k)``."""
+    return marginalize(params, len(params.spec.mediators))

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 from importlib import resources
 
 from logitpath import FittedSystem
@@ -217,23 +218,45 @@ def test_decompose_bad_arguments(artifact, extra, message):
     assert message in combined(result)
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--set", "C=0", "--set", "X=1"], "cannot fix 'X' (treatment)"),
+    (["--by", "X"], "cannot fix 'X' (treatment)"),
+    (["--set", "W=1", "--set", "C=0"], "cannot fix 'W' (mediator)"),
+], ids=["set-treatment", "by-treatment", "set-mediator"])
+def test_decompose_fixes_covariates_only(artifact, extra, message):
+    result = invoke("decompose", "--fitted", artifact, "--contrast", "2,1",
+                    *extra)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in combined(result)
+
+
+def _total(result):
+    return next(r["estimate"] for r in records(result) if r["effect"] == "TE")
+
+
 def test_decompose_marginalize_flag_errors(artifact, k3_artifact):
     both = invoke("decompose", "--fitted", k3_artifact, "--contrast", "1,0",
                   "--marginalize-inner", "1", "--marginalize-outer", "2")
     assert both.exit_code == 1 and "choose one" in combined(both)
 
-    wrong = invoke("decompose", "--fitted", k3_artifact, "--contrast", "1,0",
-                   "--marginalize-inner", "2")
-    assert wrong.exit_code == 1 and "innermost" in combined(wrong)
+    # any mediator can be summed out, under any of the option's names
+    te = _total(invoke("decompose", "--fitted", k3_artifact, "--contrast",
+                       "1,0", "--format", "json"))
+    for flag in ("--marginalize-inner", "--marginalize-outer"):
+        reduced = invoke("decompose", "--fitted", k3_artifact, "--contrast",
+                         "1,0", flag, "2", "--format", "json")
+        assert abs(_total(reduced) - te) < 1e-9
+
+    beyond = invoke("decompose", "--fitted", k3_artifact, "--contrast",
+                    "1,0", "--marginalize", "4")
+    assert beyond.exit_code == 1
+    assert "mediator index 4 out of range 1..3" in combined(beyond)
 
     single = invoke("decompose", "--fitted", artifact, "--contrast", "2,1",
                     "--set", "C=0", "--marginalize-inner", "1")
     assert single.exit_code == 1
     assert "two mediators" in combined(single)
-
-    outer3 = invoke("decompose", "--fitted", k3_artifact, "--contrast", "1,0",
-                    "--marginalize-outer", "2")
-    assert outer3.exit_code == 1 and "two-mediator" in combined(outer3)
 
 
 def test_decompose_rejects_broken_artifact(workdir):
@@ -286,6 +309,120 @@ def test_decompose_rejects_bad_covariance_block(artifact, workdir, mutate,
     assert f"error: {bad}: " in text and message in text
 
 
+def _set(path, value):
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (_set(["params"], 5), "'params'"),
+    (_set(["params", "W"], [1, 2, 3]), "'W' of 'params'"),
+    (_set(["diagnostics"], 5), "'diagnostics'"),
+    (_set(["diagnostics", "Y", "loglik"], "high"), "'loglik'"),
+    (_set(["params", "Y", "X{2,1}"], "x"), "'X{2,1}' of 'Y' of 'params'"),
+], ids=["params", "equation-params", "diagnostics", "loglik", "coefficient"])
+def test_decompose_names_the_malformed_artifact_field(artifact, workdir,
+                                                      mutate, field):
+    doc = json.loads(artifact.read_text())
+    mutate(doc)
+    bad = workdir / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    result = invoke("decompose", "--fitted", bad, "--contrast", "2,1",
+                    "--set", "C=0")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"error: {bad}: " in combined(result)
+    assert field in combined(result)
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (_set(["equations"], 5), "'equations'"),
+    (_set(["equations", "Y"], 5), "'Y' of 'equations'"),
+    (_set(["variables", 1], 5), "variables[1]"),
+    (_drop(["variables", 0, "name"]), "variables[0] has no 'name'"),
+    (_set(["variables", 2, "levels"], [[1], [2]]), "levels of 'X'"),
+    (_set(["variables", 1, "index"], "first"), "mediator_index"),
+    (_set(["equations", "W"], []), "equation 'W' has no terms"),
+], ids=["equations", "equation", "variable", "name", "levels", "index",
+        "no-terms"])
+def test_fit_names_the_malformed_model_field(workdir, mutate, field):
+    doc = json.loads((workdir / "example_model.json").read_text())
+    mutate(doc)
+    bad = workdir / "malformed_model.json"
+    bad.write_text(json.dumps(doc))
+    result = invoke("fit", "--data", workdir / "example_counts.json",
+                    "--model", bad)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"error: {bad}: " in combined(result)
+    assert field in combined(result)
+
+
+def fields(doc, path=()):
+    """The path of every object member and list item in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from fields(value, path + (key,))
+
+
+ODD_VALUES = (None, True, 0, -1, 5, 2.5, "x", "", [], {}, [1, 2, 3],
+              {"a": 1}, [[1]])
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one field deleted or replaced by an odd value."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(fields(doc))))
+    if draw(st.booleans()):
+        _drop(path)(doc)
+    else:
+        _set(path, draw(st.sampled_from(ODD_VALUES)))(doc)
+    return doc
+
+
+def succeeds_or_names(result, path):
+    if result.exit_code == 0:
+        return
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"error: {path}" in combined(result), combined(result)
+
+
+@given(st.data())
+def test_any_broken_model_field_fails_readably(workdir, data):
+    doc = data.draw(mutated(json.loads(
+        (workdir / "example_model.json").read_text())))
+    bad = workdir / "fuzzed_model.json"
+    bad.write_text(json.dumps(doc))
+    succeeds_or_names(invoke("fit", "--data", workdir / "example_counts.json",
+                             "--model", bad), bad)
+
+
+@given(st.data())
+def test_any_broken_artifact_field_fails_readably(artifact, workdir, data):
+    doc = data.draw(mutated(json.loads(artifact.read_text())))
+    bad = workdir / "fuzzed_artifact.json"
+    bad.write_text(json.dumps(doc))
+    succeeds_or_names(invoke("decompose", "--fitted", bad, "--contrast",
+                             "2,1", "--set", "C=0", "--scale", "logodds"),
+                      bad)
+
+
 def test_inner_marginalization_preserves_gie(k3_artifact):
     full = records(invoke("decompose", "--fitted", k3_artifact,
                           "--contrast", "1,0", "--scale", "logodds",
@@ -334,20 +471,30 @@ def test_marginalize_outer_and_flag_errors(k2_artifact, k3_artifact, workdir):
     assert [m.name for m in reduced.spec.mediators] == ["W1"]
 
     neither = invoke("marginalize", "--fitted", k2_artifact, "--out", out)
-    assert neither.exit_code == 1
-    assert "choose exactly one" in combined(neither)
+    assert neither.exit_code == 2
+    assert "Missing option '--mediator'" in combined(neither)
 
     both = invoke("marginalize", "--fitted", k2_artifact, "--inner", "1",
                   "--outer", "2", "--out", out)
     assert both.exit_code == 1 and "choose exactly one" in combined(both)
 
-    wrong = invoke("marginalize", "--fitted", k2_artifact, "--inner", "2",
-                   "--out", out)
-    assert wrong.exit_code == 1 and "innermost" in combined(wrong)
+    # --inner 2 of two is the outer reduction; --outer 2 of three sums W2
+    # out and keeps the outcome law
+    inner2 = invoke("marginalize", "--fitted", k2_artifact, "--inner", "2",
+                    "--out", out)
+    assert inner2.exit_code == 0, combined(inner2)
+    reduced = FittedSystem.from_json_dict(json.loads(out.read_text()))
+    assert [m.name for m in reduced.spec.mediators] == ["W1"]
 
     outer3 = invoke("marginalize", "--fitted", k3_artifact, "--outer", "2",
                     "--out", out)
-    assert outer3.exit_code == 1 and "two-mediator" in combined(outer3)
+    assert outer3.exit_code == 0, combined(outer3)
+    reduced = FittedSystem.from_json_dict(json.loads(out.read_text()))
+    assert [m.name for m in reduced.spec.mediators] == ["W1", "W3"]
+    te = [_total(invoke("decompose", "--fitted", path, "--contrast", "1,0",
+                        "--scale", "logodds", "--format", "json"))
+          for path in (k3_artifact, out)]
+    assert abs(te[1] - te[0]) < 1e-9
 
 
 def test_simulate_tiny_grid(workdir):

@@ -10,8 +10,8 @@ from logitpath import EffectError, VariableSpec, SystemSpec, zero_out
 from logitpath.effects import (EffectRequest, decompose_logodds, direct_mask,
                                g_y, indirect_mask, marginal_logit)
 from logitpath.multi import (PathSpec, decompose_multi, g_recursive,
-                             marginal_logit_multi, marginalize_inner,
-                             marginalize_outer, marginalize_outer_system,
+                             marginal_logit_multi, marginalize,
+                             marginalize_inner, marginalize_outer_system,
                              psie, residual_structurally_zero)
 from conftest import (_expit, assert_close, enum_logit, enum_prob,
                       make_system, random_covariates, random_params,
@@ -233,37 +233,50 @@ def test_explicit_marginalization_guards():
     with pytest.raises(EffectError, match="two mediators"):
         marginalize_inner(params)
     with pytest.raises(EffectError, match="two mediators"):
-        marginalize_outer(params)
+        marginalize_outer_system(params)
+    # the outer reduction of three mediators sums W3 out
     spec = make_system(3)
     params = random_params(spec, rng)
-    with pytest.raises(EffectError, match="two mediators"):
-        marginalize_outer_system(params)
+    reduced = marginalize_outer_system(params)
+    assert [m.name for m in reduced.spec.mediators] == ["W1", "W2"]
+    for x in (0, 1):
+        assert_close(enum_logit(reduced, x), enum_logit(params, x), 1e-9,
+                     "outcome law without W3")
+    for j in (0, 4):
+        with pytest.raises(EffectError, match="out of range 1..3"):
+            marginalize(params, j)
+
+
+def bayes_outer_logit(params, base, w1):
+    """Log odds of Y=1 given ``base`` and W1=w1 in a two-mediator system,
+    W2 summed out of the joint law."""
+    num = den = 0.0
+    for w2 in (0, 1):
+        pw2 = _expit(params.linear_predictor("W2", base))
+        pw2 = pw2 if w2 == 1 else 1.0 - pw2
+        pw1 = _expit(params.linear_predictor("W1", {**base, "W2": w2}))
+        pw1 = pw1 if w1 == 1 else 1.0 - pw1
+        py = _expit(params.linear_predictor(
+            "Y", {**base, "W1": w1, "W2": w2}))
+        num += py * pw1 * pw2
+        den += pw1 * pw2
+    return math.log(num / den) - math.log(1.0 - num / den)
 
 
 def test_outer_evaluator_matches_bayes():
     rng = np.random.default_rng(98)
-    for _ in range(40):
-        spec = make_system(2, treatment="continuous", covariate=True,
-                           extra_terms=("X:W1",))
+    for i in range(40):
+        spec = make_system(2, treatment=("binary", "categorical")[i % 2],
+                           covariate=True, extra_terms=("X:W1",))
         params = random_params(spec, rng)
-        ev = marginalize_outer(params)
-        x = float(rng.normal())
-        cov = random_covariates(spec, rng)
-        base = {"X": x, **cov}
-        for w1 in (0, 1):
-            num = den = 0.0
-            for w2 in (0, 1):
-                pw2 = _expit(params.linear_predictor("W2", base))
-                pw2 = pw2 if w2 == 1 else 1.0 - pw2
-                pw1 = _expit(params.linear_predictor(
-                    "W1", {**base, "W2": w2}))
-                pw1 = pw1 if w1 == 1 else 1.0 - pw1
-                py = _expit(params.linear_predictor(
-                    "Y", {**base, "W1": w1, "W2": w2}))
-                num += py * pw1 * pw2
-                den += pw1 * pw2
-            want = math.log(num / den) - math.log(1.0 - num / den)
-            assert_close(ev(x, w1, cov), want, 1e-9, "outer evaluator")
+        reduced = marginalize_outer_system(params)
+        for x, cov in design_points(spec):
+            base = {"X": x, **cov}
+            for w1 in (0, 1):
+                assert_close(
+                    reduced.linear_predictor("Y", {**base, "W1": w1}),
+                    bayes_outer_logit(params, base, w1), 1e-9,
+                    "reduced outcome equation")
 
 
 def test_outer_reduction_reproduces_joint_and_margins():
@@ -272,7 +285,6 @@ def test_outer_reduction_reproduces_joint_and_margins():
         spec, params = discrete_system(rng, 2)
         reduced = marginalize_outer_system(params)
         assert [m.name for m in reduced.spec.mediators] == ["W1"]
-        ev = marginalize_outer(params)
         for x, cov in design_points(spec):
             assert_close(enum_logit(reduced, x, cov),
                          enum_logit(params, x, cov), 1e-9, "outcome law")
@@ -288,7 +300,8 @@ def test_outer_reduction_reproduces_joint_and_margins():
             for w1 in (0, 1):
                 assert_close(
                     reduced.linear_predictor("Y", {**base, "W1": w1}),
-                    ev(x, w1, cov), 1e-9, "conditional outcome")
+                    bayes_outer_logit(params, base, w1), 1e-9,
+                    "conditional outcome")
 
 
 # -- path-specific effects -------------------------------------------------

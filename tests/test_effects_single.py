@@ -307,6 +307,18 @@ def test_request_validation():
         decompose_logodds(params, EffectRequest.contrast(1, 7))
 
 
+def test_only_covariates_can_be_fixed():
+    # a treatment setting would override both contrast arms, and a
+    # mediator setting would be ignored by the marginal logit
+    spec = make_system(2, covariate=True)
+    params = random_params(spec, np.random.default_rng(83))
+    for name, role in (("W1", "mediator"), ("X", "treatment"),
+                       ("Y", "outcome"), ("Q", "undeclared")):
+        request = EffectRequest.contrast(1, 0, {"C": 0, name: 1})
+        with pytest.raises(EffectError, match=f"'{name}' .*{role}"):
+            decompose_multi(params, request)
+
+
 def test_fully_masked_treatment_has_zero_derivative():
     spec = make_system(1, treatment="continuous",
                        mediator_terms={"W1": ["1"]})

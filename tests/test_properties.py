@@ -1,5 +1,5 @@
 """Property tests over random systems with one to four mediators, and
-over their explicit reductions.
+over their explicit reductions (two to five mediators).
 
 Examples are drawn by hypothesis under the derandomized profile set in
 conftest, so every run checks the same systems.
@@ -16,23 +16,31 @@ from hypothesis import given, strategies as st
 from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        SystemSpec, ZeroMask, average_probability_effects,
                        component_functional, decompose, marginal_logit_multi,
-                       marginalize_inner, marginalize_outer,
+                       marginalize, marginalize_inner,
                        marginalize_outer_system)
-from conftest import enum_logit, enum_prob, make_system
+from conftest import _expit, enum_logit, enum_prob, make_system
 
 TREATMENTS = ("binary", "categorical", "continuous")
 COVARIATES = (False, True, "categorical")
 
 
 @st.composite
-def systems(draw, treatments=TREATMENTS, ks=(1, 4)):
+def systems(draw, treatments=TREATMENTS, ks=(1, 4), sparse=False):
     """A random k-mediator system (k in the closed range ``ks``) with
-    coefficients in [-2, 2]."""
+    coefficients in [-2, 2].  ``sparse`` mediator equations keep a random
+    subset of their predictors."""
     k = draw(st.integers(*ks))
     treatment = draw(st.sampled_from(treatments))
     covariate = draw(st.sampled_from(COVARIATES))
     extra = ["X:W1"] if draw(st.booleans()) else []
-    spec = make_system(k, treatment, covariate, extra_terms=extra)
+    terms = None
+    if sparse:
+        allowed = ["X"] + (["C"] if covariate else [])
+        terms = {f"W{j}": ["1"] + draw(st.lists(
+            st.sampled_from(allowed + [f"W{i}" for i in range(j + 1, k + 1)]),
+            unique=True)) for j in range(1, k + 1)}
+    spec = make_system(k, treatment, covariate, extra_terms=extra,
+                       mediator_terms=terms)
     n = len(spec.flat_coords)
     coefs = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     return ParameterSet.from_vector(spec, coefs)
@@ -183,24 +191,88 @@ def test_inner_reduction_keeps_the_marginal_logit(data):
         assert abs(got - want) <= logit_tolerance(enum_prob(params, x, setting))
 
 
+def joint_law(params, base):
+    """Every state of the mediators and the outcome at ``base`` (treatment
+    and covariates) with its probability, from linear predictors and
+    expit only: no code shared with the reduction."""
+    spec = params.spec
+    names = [m.name for m in spec.mediators] + [spec.outcome.name]
+    law = []
+    for state in itertools.product((0.0, 1.0), repeat=len(names)):
+        assign = {**base, **dict(zip(names, state))}
+        prob = 1.0
+        for n in names:
+            p = _expit(params.linear_predictor(n, assign))
+            prob *= p if assign[n] == 1.0 else 1.0 - p
+        law.append((assign, prob))
+    return law
+
+
+def conditional(law, response, given):
+    """P(response = 1 | given) under a ``joint_law``."""
+    rows = [(a, p) for a, p in law
+            if all(a[n] == v for n, v in given.items())]
+    return (sum(p for a, p in rows if a[response] == 1.0)
+            / sum(p for _, p in rows))
+
+
 @given(st.data())
 def test_outer_reduction_reproduces_the_outer_evaluator(data):
     params = data.draw(systems(DISCRETE, ks=(2, 2)))
     spec = params.spec
     reduced = marginalize_outer_system(params)
     assert [m.name for m in reduced.spec.mediators] == ["W1"]
-    evaluator = marginalize_outer(params)
     names = ["X", "W1"] + [c.name for c in spec.covariates]
     for setting in discrete_settings(spec, names):
-        rest = {n: v for n, v in setting.items() if n not in ("X", "W1")}
-        want = evaluator(setting["X"], setting["W1"], rest)
+        rest = {n: v for n, v in setting.items() if n != "W1"}
+        p = conditional(joint_law(params, rest), "Y", {"W1": setting["W1"]})
+        want = math.log(p / (1.0 - p))
         got = reduced.linear_predictor("Y", setting)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(got - want) <= logit_tolerance(p)
     for setting in discrete_settings(spec, names[:1] + names[2:]):
         x = setting.pop("X")
         want = enum_logit(params, x, setting)
         got = marginal_logit_multi(reduced, x, setting)
         assert abs(got - want) <= logit_tolerance(enum_prob(params, x, setting))
+
+
+@given(st.data())
+def test_any_mediator_reduction_is_bayes_over_the_joint_law(data):
+    params = data.draw(systems(DISCRETE, ks=(2, 5), sparse=True))
+    spec = params.spec
+    k = len(spec.mediators)
+    j = data.draw(st.integers(1, k), label="j")
+    reduced = marginalize(params, j)
+    gone = spec.mediators[j - 1].name
+    assert [m.name for m in reduced.spec.mediators] == [
+        m.name for m in spec.mediators if m.name != gone]
+    assert [m.mediator_index for m in reduced.spec.mediators] == list(
+        range(1, k))
+    exo = [spec.treatment.name] + [c.name for c in spec.covariates]
+    for setting in discrete_settings(spec, exo):
+        law = joint_law(params, setting)
+        # every reduced equation is the original law of its response
+        # given the reduced predictors
+        for resp in reduced.spec.responses:
+            meds = sorted(reduced.spec.predictors(resp) - set(exo))
+            for given in discrete_settings(spec, meds):
+                p = conditional(law, resp, given)
+                got = reduced.linear_predictor(resp, {**setting, **given})
+                assert abs(got - math.log(p / (1.0 - p))) \
+                    <= 1e-9 + logit_tolerance(p)
+        rest = dict(setting)
+        x = rest.pop(spec.treatment.name)
+        want = enum_logit(params, x, rest)
+        got = marginal_logit_multi(reduced, x, rest)
+        assert abs(got - want) <= 1e-9 + logit_tolerance(
+            enum_prob(params, x, rest))
+    # a plan cached for another mediator leaves this one's result alone
+    other = data.draw(st.integers(1, k).filter(lambda i: i != j),
+                      label="other j")
+    marginalize(params, other)
+    again = marginalize(params, j)
+    assert again.spec == reduced.spec
+    assert again.flatten().tobytes() == reduced.flatten().tobytes()
 
 
 def fresh_copy(params):

@@ -5,13 +5,16 @@ continuous treatments; binary and categorical covariates) and dumps every
 number that the effect layer reports: contrast and derivative tables with
 PSIE paths on both scales, inner- and outer-reduced tables, the reduced
 coefficients and covariances of ``transform_fitted``, and the average
-probability effects.  Run the dump once per tree, then compare:
+probability effects.  A tree that has ``marginalize`` also dumps the
+tables and transforms of summing out each of W1, W2, W3 of a k = 3
+system.  Run the dump once per tree, then compare:
 
     PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
     PYTHONPATH=src python tools/same_numbers.py dump B.json   # tree B
     python tools/same_numbers.py compare A.json B.json
 
-``compare`` exits 1 when a bound fails.  Unreduced tables and the APE
+``compare`` exits 1 when a bound fails; an entry found in only one dump
+is listed and fails nothing.  Unreduced tables and the APE
 must be bit-identical.  Reductions solve a corner-point system inside
 every central difference, so they are held to the parent's own
 finite-difference resolution instead: reduced-table values within 1e-14
@@ -161,6 +164,18 @@ def dump(path):
                                                  marginalize_outer_system)
         transformed[f"transform {name}"] = transform_numbers(
             fitted, marginalize_outer_system)
+    try:
+        from logitpath import marginalize
+    except ImportError:
+        marginalize = None
+    if marginalize is not None:
+        fitted = draw_fit(7, 3)[0]
+        for j in (1, 2, 3):
+            def transform(params, j=j):
+                return marginalize(params, j)
+            reduced[f"table W{j} of k=3"] = table_numbers(fitted, transform)
+            transformed[f"transform W{j} of k=3"] = transform_numbers(
+                fitted, transform)
     with open(path, "w") as fh:
         json.dump({"exact": exact, "reduced": reduced,
                    "transform": transformed}, fh)
@@ -184,12 +199,20 @@ def compare(path_a, path_b):
         print(f"{'ok  ' if passed else 'FAIL'} {name}: {worst:.3g} "
               f"(bound {bound:g})")
 
+    for group in ("exact", "reduced", "transform"):
+        for name in sorted(a[group].keys() ^ b[group].keys()):
+            where = path_a if name in a[group] else path_b
+            print(f"only {name}: in {where} alone, not compared")
     for name, rows in a["exact"].items():
+        if name not in b["exact"]:
+            continue
         flat_a = np.ravel(rows)
         flat_b = np.ravel(b["exact"][name])
         differ = sum(not _same(x, y) for x, y in zip(flat_a, flat_b))
         report(f"{name}: numbers not bit-identical", differ, 0)
     for name, rows in a["reduced"].items():
+        if name not in b["reduced"]:
+            continue
         ra, rb = np.array(rows), np.array(b["reduced"][name])
         report(f"{name}: |value diff|",
                np.max(np.abs(ra[:, 0] - rb[:, 0])), 1e-14)
@@ -198,6 +221,8 @@ def compare(path_a, path_b):
         print(f"     {name}: p-value diff "
               f"{np.max(np.abs(ra[:, 4] - rb[:, 4])):.3g}")
     for name, ta in a["transform"].items():
+        if name not in b["transform"]:
+            continue
         tb = b["transform"][name]
         report(f"{name}: coefficient diff",
                np.max(np.abs(np.subtract(ta["coefficients"],
