@@ -31,6 +31,12 @@ def _fail(message: str):
     sys.exit(1)
 
 
+def _fail_for(error, path: str):
+    """Fail on an argument or datum that the system read from ``path``
+    does not allow: the message names the file without blaming it."""
+    _fail(f"{error} (for the system in {path})")
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -91,6 +97,8 @@ def cmd_fit(data_path, model_path, out):
         _fail(str(e))
     try:
         fitted = fit_system(data, spec)
+    except DataError as e:
+        _fail_for(f"{data_path}: {e}", model_path)
     except _ERRORS as e:
         _fail(f"{model_path}: {e}")
     click.echo(fitted.summary_text())
@@ -146,7 +154,7 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
         base_settings = _coerce_setting(spec, settings)
         var = spec.variable(by_var) if by_var else None
     except _ERRORS as e:
-        _fail(f"{fitted_path}: {e}")
+        _fail_for(e, fitted_path)
     strata = [base_settings]
     if var is not None:
         if var.kind == "continuous":
@@ -177,7 +185,7 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
         table = effect_table(fitted, requests, paths=parsed_paths,
                              transform=transform)
     except _ERRORS as e:
-        _fail(f"{fitted_path}: {e}")
+        _fail_for(e, fitted_path)
     rendered = {"text": table.to_text, "json": table.to_json,
                 "csv": table.to_csv}[fmt]()
     _write_or_echo(rendered, out)
@@ -225,7 +233,7 @@ def cmd_marginalize(fitted_path, mediator, out):
     try:
         reduced, cross = transform_fitted(fitted, transform)
     except _ERRORS as e:
-        _fail(f"{fitted_path}: {e}")
+        _fail_for(e, fitted_path)
     Path(out).write_text(json.dumps(reduced.to_json_dict(), indent=2))
     click.echo(reduced.summary_text())
     if cross > 1e-12:

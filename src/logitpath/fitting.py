@@ -109,11 +109,7 @@ class Dataset:
     @staticmethod
     def from_csv(path) -> "Dataset":
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = [dict(r) for r in reader]
-        if not rows:
-            raise DataError(f"empty data: {path}")
-        return Dataset.from_rows(rows)
+            return Dataset.from_rows([dict(r) for r in csv.DictReader(fh)])
 
     @staticmethod
     def from_json(path) -> "Dataset":
@@ -122,18 +118,22 @@ class Dataset:
         if isinstance(doc, dict):
             doc = doc.get("rows", [])
         if not isinstance(doc, list):
-            raise DataError(f"{path}: expected a list of rows, or an object "
-                            f"holding one under 'rows'")
-        if not doc:
-            raise DataError(f"empty data: {path}")
+            raise DataError("expected a list of rows, or an object holding "
+                            "one under 'rows'")
         return Dataset.from_rows(doc)
 
     @staticmethod
     def load(path) -> "Dataset":
+        """The rows of a CSV or JSON file; a DataError names the file."""
         path = Path(path)
-        if path.suffix.lower() == ".json":
-            return Dataset.from_json(path)
-        return Dataset.from_csv(path)
+        try:
+            if path.suffix.lower() == ".json":
+                return Dataset.from_json(path)
+            return Dataset.from_csv(path)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{e.lineno}: {e.msg}") from None
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
 
 
 def coerce_value(var: VariableSpec, raw):
@@ -323,12 +323,8 @@ class FittedSystem:
         ModelSpecError that names it."""
         spec = SystemSpec.from_json_dict(
             json_field(doc, "spec", dict, "the artifact")).require_valid()
-        nested = json_field(doc, "params", dict, "the artifact")
-        for resp, labels in nested.items():
-            for label in json_field(nested, resp, dict, "'params'"):
-                json_field(labels, label, (int, float),
-                           f"{resp!r} of 'params'")
-        params = ParameterSet.from_nested(spec, nested, strict=True)
+        params = ParameterSet.from_nested(
+            spec, json_field(doc, "params", dict, "the artifact"), strict=True)
         covariance = json_field(doc, "covariance", dict, "the artifact")
         cov_blocks = {}
         for resp in spec.responses:

@@ -33,11 +33,9 @@ import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-
-Level = Union[int, float, str]
 
 ROLES = ("outcome", "treatment", "mediator", "covariate")
 KINDS = ("binary", "continuous", "categorical")
@@ -123,10 +121,6 @@ class Term:
             raise ModelSpecError(f"repeated factor in term {text!r}")
         return Term(frozenset(parts))
 
-    @staticmethod
-    def of(*names: str) -> "Term":
-        return Term(frozenset(names))
-
     @property
     def order(self) -> int:
         return len(self.factors)
@@ -196,12 +190,10 @@ class SystemSpec:
     def build(variables: Sequence[VariableSpec],
               equations: Mapping[str, Sequence]) -> "SystemSpec":
         """Build from variable specs and equations given as term strings or Terms."""
-        eqs = {}
-        for resp, terms in equations.items():
-            parsed = tuple(t if isinstance(t, Term) else Term.parse(str(t))
-                           for t in terms)
-            eqs[resp] = parsed
-        return SystemSpec(tuple(variables), eqs)
+        return SystemSpec(tuple(variables), {
+            resp: tuple(t if isinstance(t, Term) else Term.parse(str(t))
+                        for t in terms)
+            for resp, terms in equations.items()})
 
     # -- structure ---------------------------------------------------------
 
@@ -271,10 +263,7 @@ class SystemSpec:
             raise ModelSpecError(f"no equation for response {response!r}") from None
 
     def predictors(self, response: str) -> frozenset:
-        names = set()
-        for t in self.terms(response):
-            names |= t.factors
-        return frozenset(names)
+        return frozenset().union(*(t.factors for t in self.terms(response)))
 
     # -- design columns ----------------------------------------------------
 
@@ -417,14 +406,13 @@ class SystemSpec:
                         problems.append(
                             f"{resp}: predictor {v!r} does not come after the "
                             f"response in the ordering (recursivity)")
-                if t.order >= 1:
-                    for r in range(t.order):
-                        for sub in itertools.combinations(sorted(t.factors), r):
-                            if frozenset(sub) not in present:
-                                missing = Term(frozenset(sub))
-                                problems.append(
-                                    f"{resp}: term {t} requires lower-order "
-                                    f"term {missing} (hierarchy)")
+                for r in range(t.order):
+                    for sub in itertools.combinations(sorted(t.factors), r):
+                        if frozenset(sub) not in present:
+                            missing = Term(frozenset(sub))
+                            problems.append(
+                                f"{resp}: term {t} requires lower-order "
+                                f"term {missing} (hierarchy)")
         for m in self.mediators:
             if m.name not in self.equations:
                 problems.append(f"mediator {m.name!r} has no equation")
@@ -482,7 +470,7 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
 
 def json_field(doc, key: str, kind, where: str):
     """``doc[key]`` of a JSON document, checked to be a ``kind`` (dict,
-    list, str, bool, int or (int, float)); otherwise a ModelSpecError
+    list, str, bool, int or a number type); otherwise a ModelSpecError
     that names the field and ``where`` it sits."""
     if not isinstance(doc, dict) or key not in doc:
         raise ModelSpecError(f"{where} has no {key!r}")
@@ -550,14 +538,16 @@ class ParameterSet:
         """Build from {response: {column label: value}}.
 
         Labels missing from ``nested`` default to 0 unless ``strict``;
-        unknown responses or labels always raise.
+        unknown responses or labels, and non-numbers, always raise.
         """
         vec = np.zeros(len(spec.flat_coords))
         given = set()
-        for resp, labels in nested.items():
-            for label, val in labels.items():
+        for resp in nested:
+            labels = json_field(nested, resp, dict, "'params'")
+            for label in labels:
                 i = spec.coord(resp, label)
-                vec[i] = float(val)
+                vec[i] = json_field(labels, label, numbers.Real,
+                                    f"{resp!r} of 'params'")
                 given.add(i)
         if strict and len(given) < len(vec):
             missing = [f"{r}:{spec.column_label(c)}" for i, (r, c)

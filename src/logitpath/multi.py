@@ -7,11 +7,13 @@ effect (PSIE) reroutes the treatment through one ordered mediator path by
 zeroing every coefficient not on the path (four rule groups below).
 
 ``marginalize(params, j)`` sums any mediator W_j out of the system.  Each
-equation inward of W_j is rebuilt from its values at every corner of its
-new predictors: ``lift`` against W_j's log odds given them, which is
-W_j's own equation updated by ``cond_logit`` through each mediator in
-between.  The corner-point solve is exact only for discrete predictors,
-so continuous treatments or covariates are refused.
+equation with W_j as a predictor is rebuilt from its values at every
+corner of its new predictors: ``lift`` against W_j's log odds given them,
+W_j's own equation updated by ``cond_logit`` through each rebuilt
+mediator in between; the others are copied, since a variable is
+independent of its non-descendants given its predictors.  The corner-point
+solve is exact only for discrete predictors, so continuous treatments or
+covariates are refused.
 """
 
 from __future__ import annotations
@@ -145,9 +147,9 @@ def _full_basis(names) -> tuple:
 
 def _plan(spec: SystemSpec, j: int) -> tuple:
     """The coefficient-free part of summing W_j out, kept on ``spec``:
-    W_j's name, the reduced spec, and for each equation inward of W_j
-    (W_{j-1} .. W_1, then Y) the mediators between W_j and it, outermost
-    first, and its corner system over its new predictors."""
+    W_j's name, the reduced spec, and for each equation with W_j as a
+    predictor the rebuilt mediators between W_j and it, outermost first,
+    and its corner system over its new predictors."""
     if j not in spec.reductions:
         meds = spec.mediators
         if len(meds) < 2:
@@ -157,14 +159,16 @@ def _plan(spec: SystemSpec, j: int) -> tuple:
             raise EffectError(f"mediator index {j} out of range "
                               f"1..{len(meds)}")
         gone = meds[j - 1].name
-        rebuilt, between = {}, ()
+        rebuilt, passed = {}, ()
         inward = [m.name for m in reversed(meds[:j - 1])] + [spec.outcome.name]
         for resp in inward:
-            names = set(spec.predictors(resp) | spec.predictors(gone))
-            for m in between:
-                names |= {m} | spec.predictors(m)
-            rebuilt[resp] = between, sorted(names - {gone}, key=spec.position)
-            between += (resp,)
+            if gone in spec.predictors(resp):
+                names = set(spec.predictors(resp) | spec.predictors(gone))
+                for m in passed:
+                    names |= {m} | spec.predictors(m)
+                rebuilt[resp] = (tuple(m for m in passed if m in rebuilt),
+                                 sorted(names - {gone}, key=spec.position))
+            passed += (resp,)
         new_vars = tuple(
             replace(v, mediator_index=v.mediator_index - 1)
             if v.role == "mediator" and v.mediator_index > j else v
@@ -181,10 +185,10 @@ def _plan(spec: SystemSpec, j: int) -> tuple:
 
 def marginalize(params: ParameterSet, j: int) -> ParameterSet:
     """The reduced system (spec attached) with mediator W_j of k >= 2
-    summed out exactly.  Rebuilt equations carry the full interaction
-    basis of their new predictors, own and W_j's plus the mediators in
-    between and theirs, even where the original model had none; the other
-    equations are copied, and outer mediators slide down one index."""
+    summed out exactly.  Equations with W_j as a predictor are rebuilt on
+    the full interaction basis of their new predictors, own and W_j's plus
+    the mediators in between and theirs; the others are copied, and outer
+    mediators slide down one index."""
     spec = params.spec
     gone, new_spec, rebuilt = _plan(spec, j)
     lp = params.linear_predictor

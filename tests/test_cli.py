@@ -400,7 +400,8 @@ def succeeds_or_names(result, path):
     if result.exit_code == 0:
         return
     assert isinstance(result.exception, SystemExit), result.exception
-    assert f"error: {path}" in combined(result), combined(result)
+    assert any(line.startswith("error: ") and str(path) in line
+               for line in combined(result).splitlines()), combined(result)
 
 
 @given(st.data())
@@ -555,6 +556,49 @@ def test_fit_rejects_a_non_numeric_count(workdir):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert "row 2" in combined(result) and "count" in combined(result)
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("count.csv", "Y,W,X,C,count\n1,0,1,1,3\n0,1,2,1,x\n", "row 2 has count"),
+    ("syntax.json", "[{", ":1: "),
+    ("empty.csv", "Y,W,X,C,count\n", "empty data"),
+], ids=["count", "json-syntax", "empty"])
+def test_unreadable_data_names_the_data_file(workdir, name, text, message):
+    data = workdir / name
+    data.write_text(text)
+    result = invoke("fit", "--data", data,
+                    "--model", workdir / "example_model.json")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"error: {data}" in combined(result)
+    assert message in combined(result)
+
+
+def test_data_that_does_not_fit_the_model_names_both_files(workdir):
+    data = workdir / "level.csv"
+    data.write_text("Y,W,X,C,count\n1,0,1,1,3\n0,1,7,1,2\n")
+    model = workdir / "example_model.json"
+    result = invoke("fit", "--data", data, "--model", model)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"error: {data}: " in combined(result)
+    assert "value '7' is not a level of 'X'" in combined(result)
+    assert f"(for the system in {model})" in combined(result)
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--set", "C=7"], "binary variable 'C' has value '7'"),
+    (["--by", "Q"], "unknown variable"),
+    (["--contrast", "9,1", "--set", "C=0"], "not a level of 'X'"),
+], ids=["set", "by", "contrast"])
+def test_argument_errors_do_not_blame_the_artifact(artifact, extra, message):
+    result = invoke("decompose", "--fitted", artifact, "--contrast", "2,1",
+                    *extra)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"error: {artifact}:" not in combined(result)
+    assert f"(for the system in {artifact})" in combined(result)
+    assert message in combined(result)
 
 
 def test_simulate_config_errors(workdir):

@@ -247,6 +247,19 @@ def test_explicit_marginalization_guards():
             marginalize(params, j)
 
 
+def test_an_equation_without_the_removed_mediator_is_copied():
+    rng = np.random.default_rng(99)
+    spec = make_system(3, mediator_terms={"W1": ["1", "X"]})
+    params = random_params(spec, rng)
+    reduced = marginalize(params, 3)
+    assert reduced.spec.equations["W1"] == spec.equations["W1"]
+    assert (reduced.vector[reduced.spec.slices["W1"]].tolist()
+            == params.vector[spec.slices["W1"]].tolist())
+    for x in (0, 1):
+        assert_close(enum_logit(reduced, x), enum_logit(params, x), 1e-9,
+                     "outcome law without W3")
+
+
 def bayes_outer_logit(params, base, w1):
     """Log odds of Y=1 given ``base`` and W1=w1 in a two-mediator system,
     W2 summed out of the joint law."""
