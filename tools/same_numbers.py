@@ -7,15 +7,18 @@ PSIE paths on both scales, inner- and outer-reduced tables, the reduced
 coefficients and covariances of ``transform_fitted``, and the average
 probability effects.  A tree that has ``marginalize`` also dumps the
 tables and transforms of summing out each of W1, W2, W3 of a k = 3
-system.  Run the dump once per tree, then compare:
+system.  Direct library calls on seeded coefficients are dumped too:
+``decompose`` (k = 1..4, both scales, contrasts and derivatives),
+``psie`` on every monotone path of a k = 3 system, ``deltas``,
+``g_recursive`` and the ``direct_mask`` / ``indirect_mask`` vectors.  Run the dump once per tree, then compare:
 
     PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
     PYTHONPATH=src python tools/same_numbers.py dump B.json   # tree B
     python tools/same_numbers.py compare A.json B.json
 
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
-is listed and fails nothing.  Unreduced tables and the APE
-must be bit-identical.  Reductions solve a corner-point system inside
+is listed and fails nothing.  Unreduced tables, the APE
+and the direct calls must be bit-identical.  Reductions solve a corner-point system inside
 every central difference, so they are held to the parent's own
 finite-difference resolution instead: reduced-table values within 1e-14
 absolute and SEs within 2e-8 relative; reduced coefficients within 1e-14
@@ -131,10 +134,56 @@ def covariance_gap(a, b):
     return np.max(np.abs(a - b) / np.sqrt(np.outer(np.diag(a), np.diag(a))))
 
 
+def seeded_params(seed, k, treatment="binary", covariate="binary"):
+    """Coefficients drawn from a seeded normal, no fit."""
+    from logitpath import ParameterSet
+    spec = chain_spec(k, treatment, covariate)
+    rng = np.random.default_rng([seed, k])
+    return ParameterSet.from_vector(
+        spec, rng.normal(0.0, 0.6, len(spec.flat_coords)))
+
+
+def direct_numbers():
+    """Numbers of the effect layer called directly, outside the tables."""
+    import itertools
+    from logitpath import (decompose, deltas, direct_mask, g_recursive,
+                           indirect_mask, psie)
+    out = {}
+    for k in (1, 2, 3, 4):
+        for treatment in ("binary", "continuous"):
+            params = seeded_params(8, k, treatment)
+            spec = params.spec
+            out[f"decompose {treatment} k={k}"] = [
+                list(decompose(params, req).components().values())
+                for req in requests(spec)]
+            out[f"masks {treatment} k={k}"] = [
+                mask(spec).apply(params).flatten().tolist()
+                for mask in (direct_mask, indirect_mask)]
+    for treatment in ("binary", "continuous"):
+        params = seeded_params(9, 3, treatment)
+        paths = [sub for r in (1, 2, 3)
+                 for sub in itertools.combinations((1, 2, 3), r)]
+        out[f"psie {treatment} k=3"] = [
+            [psie(params, path, req) for path in paths]
+            for req in requests(params.spec)]
+        out[f"g_recursive {treatment} k=3"] = [
+            g_recursive(params, j, y, x, {f"W{i}": w[i - j - 1]
+                                          for i in range(j + 1, 4)},
+                        {"C": c})
+            for j in (1, 2, 3) for y in (0, 1) for x in (0.0, 1.0)
+            for c in (0.0, 1.0)
+            for w in itertools.product((0.0, 1.0), repeat=3 - j)]
+        params = seeded_params(10, 1, treatment)
+        out[f"deltas {treatment} k=1"] = [
+            list(deltas(params, x, {"C": c}))
+            for x in (0.0, 1.0) for c in (0.0, 1.0)]
+    return out
+
+
 def dump(path):
     from logitpath import (Dataset, average_probability_effects,
                            marginalize_inner, marginalize_outer_system)
-    exact, reduced, transformed = {}, {}, {}
+    exact, reduced, transformed = direct_numbers(), {}, {}
     for k in (1, 2, 3, 4, 5):
         exact[f"table binary k={k}"] = table_numbers(draw_fit(1, k)[0])
     for k in (1, 2, 3):
