@@ -9,8 +9,7 @@ Monte Carlo harness for estimator comparison.
 
 from .dual import Dual, expit, softplus
 from .model import (INTERCEPT, Column, ModelSpecError, ParameterSet,
-                    SystemSpec, Term, ValidationReport, VariableSpec,
-                    ZeroMask, linear_predictor, validate_system, zero_out)
+                    SystemSpec, Term, VariableSpec, ZeroMask, zero_out)
 from .fitting import (DataError, Dataset, EquationFit, FitError,
                       FittedSystem, fit_logistic, fit_system)
 from .effects import (Decomposition, EffectError, EffectRequest,

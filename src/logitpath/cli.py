@@ -215,7 +215,7 @@ def cmd_simulate(config_path, out, seed):
     try:
         results = run_study(grid, on_cell=progress)
     except _ERRORS as e:
-        _fail(str(e))
+        _fail(f"{config_path}: {e}")
     _write_or_echo(results_to_csv(results), out)
 
 

@@ -10,11 +10,13 @@ turns R_{j-1}(w_j, ..., w_k), with W_1..W_{j-1} already summed out, into
 R_k() is the marginal logit, exact for any treatment kind; Dual inputs
 give derivatives and array inputs many points at once.  The
 single-mediator functions are its k = 1 case.  Each effect component is a
-contrast (or derivative) of the marginal logit under a coefficient mask:
+contrast (or derivative) of the marginal logit under a coefficient mask
+(``component_mask``, built once per spec), evaluated by ``component``:
 
     TE   no mask
     DE   every mediator zeroed out of the outcome equation
     IE   treatment zeroed out of the outcome equation (GIE for k > 1)
+    PSIE every arrow off one mediator path zeroed (``multi.PathSpec``)
     RES  TE - DE - IE
 
 Probability-scale components apply the same masks inside expit(eta).  The
@@ -31,7 +33,7 @@ import numpy as np
 
 from .dual import Dual, cond_logit, expit, lift
 from .fitting import DataError, Dataset, coerce_column
-from .model import ParameterSet, SystemSpec, ZeroMask, zero_out
+from .model import ParameterSet, SystemSpec, ZeroMask
 
 SCALES = ("logodds", "probability")
 
@@ -121,7 +123,7 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     base = {spec.treatment.name: x, **(covariates or {})}
     r = _working(params, base, 0)
     dy = expit(r({med: 1.0})) - expit(r({med: 0.0}))
-    starred = zero_out(params, [(spec.outcome.name, spec.treatment.name)])
+    starred = indirect_mask(spec).apply(params)
     dw, dws = (expit(g_y(p, 1, x, covariates)) - expit(g_y(p, 0, x, covariates))
                for p in (params, starred))
     return dy, dw, dws
@@ -179,15 +181,35 @@ class EffectRequest:
         return ", ".join(f"{k}={v}" for k, v in sorted(self.covariates.items()))
 
 
+def component_mask(spec: SystemSpec, name: str, path=None) -> ZeroMask:
+    """The coefficient mask of component ``name`` (TE, DE, IE, GIE, or
+    PSIE along ``path``, a ``multi.PathSpec``); TE's zeroes nothing.
+    Built once per spec and kept in ``spec.masks``."""
+    key = (name, None if path is None else path.indices)
+    if key not in spec.masks:
+        y = spec.outcome.name
+        if name == "TE":
+            targets = []
+        elif name == "DE":
+            targets = [(y, m.name) for m in spec.mediators]
+        elif name in ("IE", "GIE"):
+            targets = [(y, spec.treatment.name)]
+        elif name == "PSIE":
+            targets = path.mask_targets(spec)
+        else:
+            raise EffectError(f"unknown effect component {name!r}")
+        spec.masks[key] = ZeroMask.from_targets(spec, targets)
+    return spec.masks[key]
+
+
 def direct_mask(spec: SystemSpec) -> ZeroMask:
     """Zero every mediator out of the outcome equation."""
-    y = spec.outcome.name
-    return ZeroMask.from_targets(spec, [(y, m.name) for m in spec.mediators])
+    return component_mask(spec, "DE")
 
 
 def indirect_mask(spec: SystemSpec) -> ZeroMask:
     """Zero the treatment out of the outcome equation."""
-    return ZeroMask.from_targets(spec, [(spec.outcome.name, spec.treatment.name)])
+    return component_mask(spec, "IE")
 
 
 def _validate_request(spec: SystemSpec, request: EffectRequest):
@@ -208,12 +230,18 @@ def _validate_request(spec: SystemSpec, request: EffectRequest):
                     f"{v!r} is not a level of {spec.treatment.name!r}")
 
 
-def component_value(params: ParameterSet, request: EffectRequest,
-                    mask: Optional[ZeroMask] = None,
-                    logit_fn: Callable = marginal_logit_multi) -> float:
-    """One effect component: contrast or derivative of the (masked)
-    marginal logit, or of its expit on the probability scale."""
-    masked = mask.apply(params) if mask is not None else params
+def component(params: ParameterSet, request: EffectRequest, name: str,
+              path=None, logit_fn: Callable = marginal_logit_multi):
+    """Effect component ``name`` (TE, DE, IE, GIE, RES, or PSIE along
+    ``path``): the contrast or derivative of the marginal logit
+    ``logit_fn`` under the component's mask, or of its expit on the
+    probability scale.  RES is the residual of TE, DE and IE."""
+    if name == "RES":
+        return Decomposition(request, *(
+            component(params, request, c, logit_fn=logit_fn)
+            for c in ("TE", "DE", "IE"))).residual
+    _validate_request(params.spec, request)
+    masked = component_mask(params.spec, name, path).apply(params)
     covs = dict(request.covariates)
     if request.mode == "contrast":
         a = logit_fn(masked, request.x1, covs)
@@ -227,11 +255,6 @@ def component_value(params: ParameterSet, request: EffectRequest,
         e = expit(e)
     # a fully masked treatment can leave a plain float: derivative is 0
     return e.dot if isinstance(e, Dual) else 0.0
-
-
-#: The coefficient mask of each masked component; RES is TE - DE - IE.
-MASKS = {"TE": lambda spec: None, "DE": direct_mask, "IE": indirect_mask,
-         "GIE": indirect_mask}
 
 
 def indirect_name(spec: SystemSpec) -> str:
@@ -253,15 +276,19 @@ class Decomposition:
     evaluation points."""
 
     request: EffectRequest
-    scale: str
     total: float
     direct: float
     indirect: float
-    residual: float
     indirect_name: str = "IE"
 
+    @property
+    def residual(self):
+        """RES = TE - DE - IE: the non-collapsibility term."""
+        return self.total - self.direct - self.indirect
+
     def components(self) -> dict:
-        return dict(zip(component_names(self.indirect_name, self.scale),
+        return dict(zip(component_names(self.indirect_name,
+                                        self.request.scale),
                         (self.total, self.direct, self.indirect,
                          self.residual)))
 
@@ -278,11 +305,9 @@ def decompose(params: ParameterSet, request: EffectRequest) -> Decomposition:
     spec = params.spec
     if not spec.mediators:
         raise EffectError("system declares no mediators")
-    _validate_request(spec, request)
-    te, de, ie = (component_value(params, request, MASKS[c](spec))
-                  for c in ("TE", "DE", "IE"))
-    return Decomposition(request, request.scale, te, de, ie,
-                         te - de - ie, indirect_name(spec))
+    return Decomposition(request, *(component(params, request, c)
+                                    for c in ("TE", "DE", "IE")),
+                         indirect_name(spec))
 
 
 def decompose_logodds(params: ParameterSet,

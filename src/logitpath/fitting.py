@@ -107,29 +107,19 @@ class Dataset:
                        np.asarray(counts, dtype=float))
 
     @staticmethod
-    def from_csv(path) -> "Dataset":
-        with open(path, newline="") as fh:
-            return Dataset.from_rows([dict(r) for r in csv.DictReader(fh)])
-
-    @staticmethod
-    def from_json(path) -> "Dataset":
-        with open(path) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict):
-            doc = doc.get("rows", [])
-        if not isinstance(doc, list):
-            raise DataError("expected a list of rows, or an object holding "
-                            "one under 'rows'")
-        return Dataset.from_rows(doc)
-
-    @staticmethod
     def load(path) -> "Dataset":
         """The rows of a CSV or JSON file; a DataError names the file."""
         path = Path(path)
         try:
-            if path.suffix.lower() == ".json":
-                return Dataset.from_json(path)
-            return Dataset.from_csv(path)
+            with open(path, newline="") as fh:
+                doc = (json.load(fh) if path.suffix.lower() == ".json"
+                       else [dict(r) for r in csv.DictReader(fh)])
+            if isinstance(doc, dict):
+                doc = doc.get("rows", [])
+            if not isinstance(doc, list):
+                raise DataError("expected a list of rows, or an object "
+                                "holding one under 'rows'")
+            return Dataset.from_rows(doc)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{e.lineno}: {e.msg}") from None
         except DataError as e:

@@ -20,11 +20,10 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import norm
 
-from .effects import (MASKS, EffectError, EffectRequest, _validate_request,
-                      component_names, component_value, indirect_name,
-                      marginal_logit_multi)
+from .effects import (EffectError, EffectRequest, component, component_mask,
+                      component_names, indirect_name, marginal_logit_multi)
 from .fitting import FittedSystem
-from .model import ParameterSet, ZeroMask
+from .model import ParameterSet
 from .multi import PathSpec
 
 STEP_SCALE = 1e-6
@@ -108,35 +107,23 @@ def delta_se(fitted: FittedSystem, effect: Callable,
 
 # -- effect functionals ----------------------------------------------------
 
-def component_functional(component: str, request: EffectRequest,
+def component_functional(name: str, request: EffectRequest,
                          path: Optional[PathSpec] = None,
                          transform: Optional[Callable] = None) -> Callable:
     """Build the ParameterSet -> float map for one effect component.
 
-    ``component`` is one of TE, DE, IE, GIE, RES, PSIE.  ``transform``
+    ``name`` is one of TE, DE, IE, GIE, RES, PSIE.  ``transform``
     optionally rewrites the parameters first (marginalize-then-decompose
     pipelines); masks are built on the transformed system, and gradients
     taken by the caller therefore flow through the transformation.
     """
-    comp = component.upper()
-    if comp == "PSIE" and path is None:
+    name = name.upper()
+    if name == "PSIE" and path is None:
         raise EffectError("PSIE functional needs a path")
-    if comp not in MASKS and comp not in ("RES", "PSIE"):
-        raise EffectError(f"unknown effect component {component!r}")
-
-    def value(p: ParameterSet, comp: str) -> float:
-        if comp == "RES":
-            return value(p, "TE") - value(p, "DE") - value(p, "IE")
-        if comp == "PSIE":
-            mask = ZeroMask.from_targets(p.spec, path.mask_targets(p.spec))
-        else:
-            mask = MASKS[comp](p.spec)
-        return component_value(p, request, mask, marginal_logit_multi)
 
     def f(params: ParameterSet) -> float:
         p = transform(params) if transform is not None else params
-        _validate_request(p.spec, request)
-        return value(p, comp)
+        return component(p, request, name, path, marginal_logit_multi)
 
     return f
 
@@ -178,8 +165,7 @@ class EffectTable:
                   "ci_low", "ci_high", "p_value"]
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for rec in self.to_records():
-            writer.writerow(rec)
+        writer.writerows(self.to_records())
         return buf.getvalue()
 
     def to_text(self) -> str:
@@ -207,7 +193,7 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
     paths = [p if isinstance(p, PathSpec) else PathSpec.parse(p)
              for p in paths or ()]
     for ps in paths:    # fail before the first row is computed
-        ps.mask_targets(target_spec)
+        component_mask(target_spec, "PSIE", ps)
     rows = []
     for req in requests:
         te, de, ie, res = component_names(indirect_name(target_spec),

@@ -17,9 +17,13 @@ This module holds the structural pieces everything else builds on:
 * ``ParameterSet`` stores one coefficient per design column, as one
   read-only vector in the spec's ``flat_coords`` order, and evaluates
   linear predictors,
-* ``ZeroMask`` / ``zero_out`` implement the coefficient-zeroing machinery
-  that effect definitions are made of: zeroing a variable inside one
-  equation removes its main effect and every interaction containing it.
+* ``ZeroMask`` is the coefficient-zeroing machinery that effect
+  definitions are made of: zeroing a variable inside one equation removes
+  its main effect and every interaction containing it.  A mask is a
+  read-only boolean vector over its spec's ``flat_coords``, so applying it
+  is one ``np.where``.  ``effects.component_mask`` maps each effect
+  component (DE, IE/GIE, PSIE along a path) to its mask and caches it in
+  ``SystemSpec.masks``, so each is built once per spec.
 
 Categorical variables are dummy-coded against their first level, so a term
 like ``X:W`` with a three-level X expands into the columns ``X{2,1}:W`` and
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -176,9 +179,6 @@ def design(spec: SystemSpec, response: str, assignment: Mapping[str, object],
                             for c in spec.columns(response)])
 
 
-_LEVEL_RE = re.compile(r"^(?P<name>[^{}:]+)\{(?P<lvl>[^{},]+),(?P<ref>[^{},]+)\}$")
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """The DAG plus one ordered hierarchical term list per modelled response."""
@@ -244,12 +244,6 @@ class SystemSpec:
                 + (self.treatment.name,)
                 + tuple(c.name for c in self.covariates))
 
-    def position(self, name: str) -> int:
-        try:
-            return self.ordering.index(name)
-        except ValueError:
-            raise ModelSpecError(f"unknown variable {name!r}") from None
-
     @cached_property
     def responses(self) -> tuple:
         """Modelled responses in canonical order (outcome first)."""
@@ -303,26 +297,22 @@ class SystemSpec:
                 parts.append(f"{name}{{{lvl},{ref}}}")
         return ":".join(parts)
 
+    @cached_property
+    def _labelled(self) -> Mapping[str, Column]:
+        return {self.column_label(c): c
+                for cols in self._columns.values() for c in cols}
+
     def parse_column_label(self, text: str) -> Column:
-        text = text.strip()
-        if text == "1":
-            return Column(())
-        factors = []
-        for piece in text.split(":"):
-            piece = piece.strip()
-            m = _LEVEL_RE.match(piece)
-            if m:
-                var = self.variable(m.group("name"))
-                raw = m.group("lvl")
-                lvl = next((l for l in var.levels if str(l) == raw), None)
-                if lvl is None:
-                    raise ModelSpecError(
-                        f"level {raw!r} not declared for {var.name!r}")
-                factors.append((var.name, lvl))
-            else:
-                self.variable(piece)
-                factors.append((piece, None))
-        return Column(tuple(sorted(factors, key=lambda f: f[0])))
+        """The column that ``column_label`` labels ``text``, factors in
+        any order: a level is always read against its variable's first
+        level."""
+        pieces = sorted((p.strip() for p in text.split(":")),
+                        key=lambda p: p.split("{")[0])
+        try:
+            return self._labelled[":".join(pieces)]
+        except KeyError:
+            raise ModelSpecError(f"no column of the system is labelled "
+                                 f"{text.strip()!r}") from None
 
     @cached_property
     def flat_coords(self) -> tuple:
@@ -359,6 +349,11 @@ class SystemSpec:
     @cached_property
     def reductions(self) -> dict:
         """Plans of mediator reductions, by removed mediator (``multi``)."""
+        return {}
+
+    @cached_property
+    def masks(self) -> dict:
+        """Masks of effect components, by (component, path) (``effects``)."""
         return {}
 
     # -- validation --------------------------------------------------------
@@ -481,28 +476,13 @@ def json_field(doc, key: str, kind, where: str):
     return doc[key]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problems: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_system(spec: SystemSpec) -> ValidationReport:
-    """Check every structural invariant, returning a report instead of raising."""
-    problems = tuple(spec.validate())
-    return ValidationReport(not problems, problems)
-
-
 @dataclass(frozen=True, eq=False)
 class ParameterSet:
     """One coefficient per design column of every equation in a system.
 
     ``vector`` is a read-only float array in ``spec.flat_coords`` order;
     ``spec.coord`` and ``spec.slices`` locate a coefficient or an equation
-    in it.  ``zero_out`` and ``replace`` return modified copies.
+    in it.  ``replace`` and ``ZeroMask.apply`` return modified copies.
     """
 
     spec: SystemSpec
@@ -591,49 +571,51 @@ class ParameterSet:
             acc = acc + coef * column_value(col, assignment)
         return acc
 
-    def zero_out(self, targets: Iterable[tuple]) -> "ParameterSet":
-        return ZeroMask.from_targets(self.spec, targets).apply(self)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroMask:
-    """A set of (response, term) pairs whose coefficients are forced to zero.
+    """The coefficients of one system that are forced to zero: a
+    read-only boolean vector over ``spec.flat_coords``.
 
     Built from (response, variable) targets: zeroing variable v inside
-    equation r zeroes every term of r containing v, so higher-order
-    interactions are always swept along with the main effect.
+    equation r zeroes every column of r whose term contains v, so
+    higher-order interactions are always swept along with the main effect.
     """
 
-    zeroed: frozenset
+    spec: SystemSpec
+    zeroed: np.ndarray
 
     @staticmethod
     def from_targets(spec: SystemSpec,
                      targets: Iterable[tuple]) -> "ZeroMask":
-        zeroed = set()
+        zeroed = np.zeros(len(spec.flat_coords), dtype=bool)
         for resp, var in targets:
             if resp not in spec.equations:
                 raise ModelSpecError(f"no equation for response {resp!r}")
             spec.variable(var)
-            for t in spec.terms(resp):
-                if var in t.factors:
-                    zeroed.add((resp, t))
-        return ZeroMask(frozenset(zeroed))
+            zeroed[spec.slices[resp]] |= [var in col.term.factors
+                                          for col in spec.columns(resp)]
+        zeroed.setflags(write=False)
+        return ZeroMask(spec, zeroed)
+
+    def _check(self, spec: SystemSpec):
+        if spec is not self.spec and spec != self.spec:
+            raise ModelSpecError("a coefficient mask applies only to the "
+                                 "system it was built for")
 
     def apply(self, params: ParameterSet) -> ParameterSet:
-        zeroed = [(resp, col.term) in self.zeroed
-                  for resp, col in params.spec.flat_coords]
-        return ParameterSet(params.spec, np.where(zeroed, 0.0, params.vector))
+        self._check(params.spec)
+        return ParameterSet(params.spec, np.where(self.zeroed, 0.0,
+                                                  params.vector))
 
     def __or__(self, other: "ZeroMask") -> "ZeroMask":
-        return ZeroMask(self.zeroed | other.zeroed)
+        self._check(other.spec)
+        zeroed = self.zeroed | other.zeroed
+        zeroed.setflags(write=False)
+        return ZeroMask(self.spec, zeroed)
 
 
 def zero_out(params: ParameterSet, targets: Iterable[tuple]) -> ParameterSet:
     """Return a copy of ``params`` with the targeted (equation, variable)
     coefficients set to zero, interactions included."""
-    return params.zero_out(targets)
-
-
-def linear_predictor(params: ParameterSet, response: str,
-                     assignment: Mapping[str, object]):
-    return params.linear_predictor(response, assignment)
+    return ZeroMask.from_targets(params.spec, targets).apply(params)

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import cond_logit, lift
-from .effects import (EffectError, EffectRequest, component_value, decompose,
-                      g_recursive, marginal_logit_multi, _validate_request)
-from .model import ParameterSet, SystemSpec, Term, ZeroMask, design
+from .effects import (EffectError, EffectRequest, component, decompose,
+                      g_recursive, marginal_logit_multi)
+from .model import ParameterSet, SystemSpec, Term, design
 
 decompose_multi = decompose
 
@@ -107,12 +107,9 @@ class PathSpec:
 def psie(params: ParameterSet, path, request: EffectRequest) -> float:
     """Path-specific indirect effect: the total effect left after zeroing
     every coefficient not pertaining to the path."""
-    spec = params.spec
     if not isinstance(path, PathSpec):
         path = PathSpec.parse(path)
-    _validate_request(spec, request)
-    mask = ZeroMask.from_targets(spec, path.mask_targets(spec))
-    return component_value(params, request, mask)
+    return component(params, request, "PSIE", path)
 
 
 # -- explicit mediator removal ---------------------------------------------
@@ -167,7 +164,7 @@ def _plan(spec: SystemSpec, j: int) -> tuple:
                 for m in passed:
                     names |= {m} | spec.predictors(m)
                 rebuilt[resp] = (tuple(m for m in passed if m in rebuilt),
-                                 sorted(names - {gone}, key=spec.position))
+                                 sorted(names - {gone}, key=spec.ordering.index))
             passed += (resp,)
         new_vars = tuple(
             replace(v, mediator_index=v.mediator_index - 1)

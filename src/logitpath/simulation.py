@@ -38,6 +38,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -86,6 +87,9 @@ class SimConfig:
             raise SimulationError("n and replications must be positive")
         if self.seed < 0:
             raise SimulationError("seed must be a nonnegative integer")
+        if self.kind == "continuous" and self.pseudo_population < self.n:
+            raise SimulationError(f"pseudo_population {self.pseudo_population}"
+                                  f" is smaller than n {self.n}")
         for name in ("beta_x", "beta0", "beta_w", "gamma0", "gamma_x"):
             if not math.isfinite(getattr(self, name)):
                 raise SimulationError(f"{name} must be finite")
@@ -215,30 +219,32 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
             conv_w and conv_y and conv_r)
 
 
-def rsd_ratio(x, w, y, kind: str,
-              xs_for_average: Optional[np.ndarray] = None) -> float:
-    """Mediated share from the fitted marginal-logit decomposition."""
-    x = np.asarray(x, dtype=float)
-    gamma, beta, _, _, _, conv = _fit_models(x, np.asarray(w, dtype=float),
-                                             np.asarray(y, dtype=float))
+def _shares(x: np.ndarray, w: np.ndarray, y: np.ndarray, kind: str):
+    """(rsd, khb) mediated shares of one replication, or None when a fit
+    does not converge."""
+    gamma, beta, beta_r, eta_full, eta_red, conv = _fit_models(x, w, y)
     if not conv:
+        return None
+    rsd = (share_binary(*beta, *gamma) if kind == "binary"
+           else share_continuous(*beta, *gamma, x))
+    return rsd, _khb_share(beta, beta_r, eta_full, eta_red, kind)
+
+
+def _converged_shares(x, w, y, kind: str) -> tuple:
+    shares = _shares(*(np.asarray(a, dtype=float) for a in (x, w, y)), kind)
+    if shares is None:
         raise SimulationError("non-convergent fit")
-    b0, bx, bw = beta
-    g0, gx = gamma
-    if kind == "binary":
-        return share_binary(b0, bx, bw, g0, gx)
-    xs = x if xs_for_average is None else xs_for_average
-    return share_continuous(b0, bx, bw, g0, gx, xs)
+    return shares
+
+
+def rsd_ratio(x, w, y, kind: str) -> float:
+    """Mediated share from the fitted marginal-logit decomposition."""
+    return _converged_shares(x, w, y, kind)[0]
 
 
 def khb_ratio(x, w, y, kind: str) -> float:
     """Mediated share from the residualization comparison estimator."""
-    x = np.asarray(x, dtype=float)
-    _, beta, beta_r, eta_full, eta_red, conv = _fit_models(
-        x, np.asarray(w, dtype=float), np.asarray(y, dtype=float))
-    if not conv:
-        raise SimulationError("non-convergent fit")
-    return _khb_share(beta, beta_r, eta_full, eta_red, kind)
+    return _converged_shares(x, w, y, kind)[1]
 
 
 def _khb_share(beta, beta_r, eta_full, eta_red, kind: str) -> float:
@@ -304,19 +310,12 @@ def run_cell(config: SimConfig) -> SimResult:
     excluded = 0
     for child in children:
         rng = np.random.default_rng(child)
-        x, w, y = _draw(config, rng, xs)
-        gamma, beta, beta_r, eta_full, eta_red, conv = _fit_models(x, w, y)
-        if not conv:
+        shares = _shares(*_draw(config, rng, xs), config.kind)
+        if shares is None:
             excluded += 1
             continue
-        b0, bx, bw = beta
-        g0, gx = gamma
-        if config.kind == "binary":
-            rsd_vals.append(share_binary(b0, bx, bw, g0, gx))
-        else:
-            rsd_vals.append(share_continuous(b0, bx, bw, g0, gx, x))
-        khb_vals.append(_khb_share(beta, beta_r, eta_full, eta_red,
-                                   config.kind))
+        rsd_vals.append(shares[0])
+        khb_vals.append(shares[1])
     if excluded > EXCLUSION_LIMIT * config.replications:
         raise SimulationError(
             f"{excluded} of {config.replications} replications excluded "
@@ -330,6 +329,31 @@ def run_cell(config: SimConfig) -> SimResult:
                      excluded)
 
 
+def _is(value, kind) -> bool:
+    """Whether a config value is a ``kind`` (str, float or int): booleans
+    are not numbers, and an int must be a whole number."""
+    if kind is str:
+        return isinstance(value, str)
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return number and (kind is float or isinstance(value, numbers.Integral)
+                       or value.is_integer())
+
+
+def _config_value(grid: Mapping, key: str, kind, many: bool = False):
+    """``grid[key]`` as ``kind``, or as a list of them when ``many``;
+    otherwise a SimulationError that names the field."""
+    if key not in grid:
+        raise SimulationError(f"bad study config: no {key!r}")
+    value = grid[key]
+    items = value if many and isinstance(value, list) else [value]
+    if many != isinstance(value, list) or not all(_is(v, kind)
+                                                  for v in items):
+        want = f"a list of {kind.__name__}" if many else kind.__name__
+        raise SimulationError(f"bad study config: {key!r} must be {want}, "
+                              f"got {value!r}")
+    return [kind(v) for v in items] if many else kind(value)
+
+
 def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
     """Run the full grid described by a config document.
 
@@ -338,20 +362,15 @@ def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
     and pseudo_population.  ``on_cell`` gets each SimResult as its cell
     finishes.
     """
-    try:
-        seed = int(grid["seed"])
-        reps = int(grid["replications"])
-        kinds = list(grid["treatment"])
-        betas = [float(b) for b in grid["beta_x"]]
-        sizes = [int(n) for n in grid["n"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise SimulationError(f"bad study config: {e}") from None
-    extra = {}
-    for key in ("beta0", "beta_w", "gamma0", "gamma_x"):
-        if key in grid:
-            extra[key] = float(grid[key])
-    if "pseudo_population" in grid:
-        extra["pseudo_population"] = int(grid["pseudo_population"])
+    seed = _config_value(grid, "seed", int)
+    reps = _config_value(grid, "replications", int)
+    kinds = _config_value(grid, "treatment", str, many=True)
+    betas = _config_value(grid, "beta_x", float, many=True)
+    sizes = _config_value(grid, "n", int, many=True)
+    extra = {key: _config_value(grid, key, kind) for key, kind
+             in (("beta0", float), ("beta_w", float), ("gamma0", float),
+                 ("gamma_x", float), ("pseudo_population", int))
+             if key in grid}
     results = []
     for kind in kinds:
         for beta_x in betas:

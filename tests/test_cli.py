@@ -333,7 +333,10 @@ def _drop(path):
     (_set(["diagnostics"], 5), "'diagnostics'"),
     (_set(["diagnostics", "Y", "loglik"], "high"), "'loglik'"),
     (_set(["params", "Y", "X{2,1}"], "x"), "'X{2,1}' of 'Y' of 'params'"),
-], ids=["params", "equation-params", "diagnostics", "loglik", "coefficient"])
+    # X{2,1} must not be read as the 2-vs-0 coefficient
+    (_set(["spec", "variables", 2, "levels"], [0, 2, 3]), "'X{2,1}'"),
+], ids=["params", "equation-params", "diagnostics", "loglik", "coefficient",
+        "reference-level"])
 def test_decompose_names_the_malformed_artifact_field(artifact, workdir,
                                                       mutate, field):
     doc = json.loads(artifact.read_text())
@@ -422,6 +425,29 @@ def test_any_broken_artifact_field_fails_readably(artifact, workdir, data):
     succeeds_or_names(invoke("decompose", "--fitted", bad, "--contrast",
                              "2,1", "--set", "C=0", "--scale", "logodds"),
                       bad)
+
+
+@given(st.data())
+def test_any_broken_k2_artifact_field_fails_readably_in_marginalize(
+        k2_artifact, workdir, data):
+    doc = data.draw(mutated(json.loads(k2_artifact.read_text())))
+    bad = workdir / "fuzzed_k2.json"
+    bad.write_text(json.dumps(doc))
+    succeeds_or_names(invoke("marginalize", "--fitted", bad, "--mediator",
+                             "1", "--out", workdir / "fuzzed_reduced.json"),
+                      bad)
+
+
+SMALL_GRID = {"seed": 83, "replications": 3, "treatment": ["binary"],
+              "beta_x": [0.9], "n": [60]}
+
+
+@given(st.data())
+def test_any_broken_grid_field_fails_readably(workdir, data):
+    doc = data.draw(mutated(SMALL_GRID))
+    bad = workdir / "fuzzed_grid.json"
+    bad.write_text(json.dumps(doc))
+    succeeds_or_names(invoke("simulate", "--config", bad), bad)
 
 
 def test_inner_marginalization_preserves_gie(k3_artifact):
@@ -613,3 +639,18 @@ def test_simulate_config_errors(workdir):
     result = invoke("simulate", "--config", sparse)
     assert result.exit_code == 1
     assert "bad study config" in combined(result)
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"beta0": "x"}, "'beta0'"),
+    ({"treatment": ["continuous"], "pseudo_population": 50},
+     "pseudo_population"),
+], ids=["beta0", "population"])
+def test_simulate_names_the_config_and_the_field(workdir, change, field):
+    config = workdir / "odd_grid.json"
+    config.write_text(json.dumps({**SMALL_GRID, **change}))
+    result = invoke("simulate", "--config", config)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert combined(result).startswith(f"error: {config}: ")
+    assert field in combined(result)

@@ -9,7 +9,7 @@ from scipy.special import expit
 from logitpath import (Dataset, EffectError, ParameterSet, SystemSpec,
                        average_probability_effects, decompose_logodds,
                        decompose_probability, deltas)
-from logitpath.effects import (EffectRequest, component_value, direct_mask,
+from logitpath.effects import (EffectRequest, component, direct_mask,
                                indirect_mask, g_y, marginal_logit)
 from logitpath.multi import decompose_multi
 from conftest import (assert_close, enum_logit, enum_prob, make_system,
@@ -324,8 +324,7 @@ def test_fully_masked_treatment_has_zero_derivative():
                        mediator_terms={"W1": ["1"]})
     rng = np.random.default_rng(84)
     params = random_params(spec, rng)
-    gie = component_value(params, EffectRequest.derivative(0.3),
-                          mask=indirect_mask(spec))
+    gie = component(params, EffectRequest.derivative(0.3), "IE")
     assert gie == 0.0
 
 

@@ -1,14 +1,13 @@
 """System declarations, term algebra, parameters, and zero masks."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from logitpath import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
-                       validate_system)
-from logitpath.model import (INTERCEPT, Term, ZeroMask, column_value,
-                             linear_predictor, zero_out)
+from logitpath import ModelSpecError, ParameterSet, SystemSpec, VariableSpec
+from logitpath.model import INTERCEPT, Term, ZeroMask, column_value, zero_out
 from conftest import make_system, random_params
 
 
@@ -52,8 +51,7 @@ def test_variable_spec_validation():
 
 def test_valid_system_has_no_problems():
     spec = two_level_spec()
-    report = validate_system(spec)
-    assert report.ok and bool(report) and not report.problems
+    assert spec.validate() == []
     spec.require_valid()
 
 
@@ -143,6 +141,14 @@ def test_column_label_round_trip():
             assert spec.parse_column_label(lab) == col
 
 
+def test_column_label_with_another_reference_level_is_rejected():
+    # X{2,0} reads as level 2 against level 0, but X's reference is 1
+    spec = make_system(1, treatment="categorical")
+    for label in ("X{2,0}", "X{3,2}", "X{2,3}:W1", "W1:X{3,3}"):
+        with pytest.raises(ModelSpecError, match=re.escape(label)):
+            spec.parse_column_label(label)
+
+
 def test_column_value_categorical_indicator():
     spec = make_system(1, treatment="categorical")
     col = spec.parse_column_label("X{3,1}")
@@ -193,7 +199,7 @@ def test_linear_predictor_matches_hand_computation():
         "W1": {"1": -0.5, "X": 1.0, "C": 0.0}})
     got = params.linear_predictor("Y", {"X": 1, "C": 1, "W1": 1})
     assert got == pytest.approx(-1.0 + 2.0 + 0.5 + 1.5 - 0.25 + 0.75)
-    got = linear_predictor(params, "W1", {"X": 0, "C": 1})
+    got = params.linear_predictor("W1", {"X": 0, "C": 1})
     assert got == pytest.approx(-0.5)
 
 
@@ -227,7 +233,7 @@ def test_zero_out_absent_target_is_noop():
     spec = make_system(2)  # W2 equation has no W-effect on W1? it does; use C
     rng = np.random.default_rng(5)
     params = random_params(spec, rng)
-    masked = params.zero_out([("W2", "W1")])  # W1 never appears in W2's eq
+    masked = zero_out(params, [("W2", "W1")])  # W1 never appears in W2's eq
     assert np.array_equal(masked.flatten(), params.flatten())
 
 
@@ -249,6 +255,27 @@ def test_zero_mask_union_and_idempotence():
     once = both.apply(params)
     assert np.array_equal(once.flatten(), both.apply(once).flatten())
     assert once.get("Y", "X") == 0.0 and once.get("Y", "W1") == 0.0
+    assert np.array_equal(both.zeroed, m1.zeroed | m2.zeroed)
+    with pytest.raises(ValueError):
+        both.zeroed[0] = True
+
+
+def test_zero_mask_belongs_to_its_system():
+    spec = two_level_spec()
+    rng = np.random.default_rng(7)
+    mask = ZeroMask.from_targets(spec, [("Y", "X")])
+    # an equal spec is the same system; a different one is refused even
+    # when its coefficient vector has the same length
+    twin = SystemSpec.from_json_dict(spec.to_json_dict())
+    params = random_params(twin, rng)
+    assert np.array_equal(mask.apply(params).flatten(),
+                          zero_out(params, [("Y", "X")]).flatten())
+    other = make_system(1, covariate=True, extra_terms=("X:W1", "X:C"))
+    assert len(other.flat_coords) == len(spec.flat_coords)
+    with pytest.raises(ModelSpecError, match="system it was built for"):
+        mask.apply(random_params(other, rng))
+    with pytest.raises(ModelSpecError, match="system it was built for"):
+        mask | ZeroMask.from_targets(other, [("Y", "X")])
 
 
 # -- serialization ---------------------------------------------------------

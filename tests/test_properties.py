@@ -18,6 +18,8 @@ from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        component_functional, decompose, marginal_logit_multi,
                        marginalize, marginalize_inner,
                        marginalize_outer_system)
+from logitpath.effects import component_mask
+from logitpath.multi import PathSpec
 from conftest import _expit, enum_logit, enum_prob, make_system
 
 TREATMENTS = ("binary", "categorical", "continuous")
@@ -320,3 +322,31 @@ def test_each_spec_keeps_its_own_reduction_plan(data):
     # the plan built while A's was cached gives B what a fresh spec gives
     fresh = marginalize_inner(fresh_copy(b))
     assert first["B"] == (fresh.spec.to_json_dict(), fresh.flatten().tolist())
+
+
+def mask_numbers(params):
+    """Each component mask of ``params``'s spec applied to ``params``; the
+    masks must come back from the spec's cache on a second lookup."""
+    spec = params.spec
+    keys = [("TE", None), ("DE", None), ("IE", None), ("GIE", None),
+            ("PSIE", PathSpec.parse([1])),
+            ("PSIE", PathSpec.parse([1, len(spec.mediators)]))]
+    masks = [component_mask(spec, name, path) for name, path in keys]
+    assert all(component_mask(spec, name, path) is mask
+               for (name, path), mask in zip(keys, masks))
+    return [mask.apply(params).flatten().tolist() for mask in masks]
+
+
+@given(st.data())
+def test_each_spec_keeps_its_own_masks(data):
+    a = data.draw(systems(ks=(2, 4)))
+    b = data.draw(systems(ks=(2, 4)))
+    first = {}
+    for name, params in (("A", a), ("B", b), ("A", a), ("B", b)):
+        got = mask_numbers(params)
+        assert first.setdefault(name, got) == got
+    # an equal spec builds masks of its own, with the same numbers
+    fresh = fresh_copy(b)
+    assert mask_numbers(fresh) == first["B"]
+    assert component_mask(fresh.spec, "DE") is not component_mask(b.spec,
+                                                                   "DE")

@@ -329,3 +329,24 @@ def test_study_grid_with_overrides_and_bad_config():
     assert 0.0 < result.true_value < 1.0
     with pytest.raises(SimulationError, match="bad study config"):
         run_study({"seed": 1, "replications": 5})
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"beta0": "x"}, "'beta0'"),
+    ({"pseudo_population": "x"}, "'pseudo_population'"),
+    ({"seed": 1.7}, "'seed'"),
+    ({"replications": 2.5}, "'replications'"),
+    ({"n": [60.5]}, "'n'"),
+    ({"beta_x": 0.9}, "'beta_x'"),
+    ({"treatment": "binary"}, "'treatment'"),
+    ({"seed": True}, "'seed'"),
+    ({"treatment": ["continuous"], "pseudo_population": 50},
+     "pseudo_population"),
+], ids=["beta0", "pseudo_population", "fractional-seed", "fractional-reps",
+        "fractional-n", "scalar-beta_x", "string-treatment", "boolean-seed",
+        "small-population"])
+def test_bad_study_config_names_the_field(change, field):
+    grid = {"seed": 5, "replications": 3, "treatment": ["binary"],
+            "beta_x": [0.9], "n": [60], **change}
+    with pytest.raises(SimulationError, match=field):
+        run_study(grid)

@@ -10,16 +10,17 @@ tables and transforms of summing out each of W1, W2, W3 of a k = 3
 system.  Direct library calls on seeded coefficients are dumped too:
 ``decompose`` (k = 1..4, both scales, contrasts and derivatives),
 ``psie`` on every monotone path of a k = 3 system, ``deltas``,
-``g_recursive`` and the ``direct_mask`` / ``indirect_mask`` vectors.  Run the dump once per tree, then compare:
+``g_recursive`` and the ``direct_mask`` / ``indirect_mask`` vectors.
+Run the dump once per tree, then compare:
 
     PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
     PYTHONPATH=src python tools/same_numbers.py dump B.json   # tree B
     python tools/same_numbers.py compare A.json B.json
 
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
-is listed and fails nothing.  Unreduced tables, the APE
-and the direct calls must be bit-identical.  Reductions solve a corner-point system inside
-every central difference, so they are held to the parent's own
+is listed and fails nothing.  Unreduced tables, the APE and the direct
+calls must be bit-identical.  Reductions solve a corner-point system
+inside every central difference, so they are held to the parent's own
 finite-difference resolution instead: reduced-table values within 1e-14
 absolute and SEs within 2e-8 relative; reduced coefficients within 1e-14
 and covariance entries within 3e-7 of sqrt(c_ii c_jj), or within the
