@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .dual import expit, softplus
 from .model import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
@@ -171,6 +170,7 @@ def design_matrix(spec: SystemSpec, response: str, data: Dataset):
 
 
 def _check_rank(X: np.ndarray, w: np.ndarray, labels: Sequence[str]):
+    import scipy.linalg  # only a fit needs the pivoted QR
     keep = w > 0
     Xw = X[keep] * np.sqrt(w[keep])[:, None]
     if Xw.shape[0] == 0:
@@ -187,7 +187,9 @@ def _check_rank(X: np.ndarray, w: np.ndarray, labels: Sequence[str]):
 def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Newton iterations with step-halving.  Returns (beta, H, loglik,
     iterations, converged, separation) where H is the observed information
-    at the returned coefficients."""
+    at the returned coefficients.  A step that still lowers the
+    log-likelihood after MAX_HALVINGS halvings is rejected and ends the
+    fit as not converged."""
     n, p = X.shape
     beta = np.zeros(p)
     eta = X @ beta
@@ -221,8 +223,11 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
             new_eta = X @ new_beta
             new_ll = loglik_of(new_eta)
             halvings += 1
+        tol = LOGLIK_TOL * (1.0 + abs(ll))
+        if ll - new_ll > tol:   # a smaller drop is rounding at the optimum
+            break
         beta, eta = new_beta, new_eta
-        if abs(new_ll - ll) < LOGLIK_TOL * (1.0 + abs(ll)):
+        if abs(new_ll - ll) < tol:
             ll = new_ll
             converged = True
             break
@@ -234,11 +239,14 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     if not separation:
         # a score-converged fit can still sit on a separation ray: fitted
         # logits far beyond anything an interior optimum produces, every
-        # one of them classifying its observation perfectly
+        # one of them classifying its observation perfectly, and the ray's
+        # direction leaving the other logits unchanged, so those rows
+        # cannot pin every coefficient (one far-out point is no ray)
         live = w > 0
         extreme = live & (np.abs(eta) > BIG_LOGIT)
         if np.any(extreme) and np.all(y[extreme] == (eta[extreme] > 0)):
-            separation = True
+            separation = bool(
+                np.linalg.matrix_rank(X[live & ~extreme]) < p)
     return beta, H, ll, it, converged, separation
 
 
@@ -282,8 +290,10 @@ class FittedSystem:
 
     def covariance_matrix(self) -> np.ndarray:
         """Full block-diagonal covariance in flat_coords order."""
-        blocks = [self.cov_blocks[resp] for resp in self.spec.responses]
-        return scipy.linalg.block_diag(*blocks)
+        sigma = np.zeros((len(self.spec.flat_coords),) * 2)
+        for resp, s in self.spec.slices.items():
+            sigma[s, s] = self.cov_blocks[resp]
+        return sigma
 
     def se(self, response: str, label: str) -> float:
         j = self.spec.coord(response, label) - self.spec.slices[response].start

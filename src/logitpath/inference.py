@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .effects import (EffectError, EffectRequest, component, component_mask,
                       component_names, indirect_name, marginal_logit_multi)
@@ -96,10 +95,10 @@ def delta_se(fitted: FittedSystem, effect: Callable,
             f"{label}: negative variance {var:.3g}; the covariance is not "
             f"positive semi-definite")
     se = math.sqrt(max(var, 0.0))
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     ci = (value - z * se, value + z * se)
     if se > 0.0:
-        p = float(2.0 * norm.sf(abs(value) / se))
+        p = float(2.0 * ndtr(-(abs(value) / se)))
     else:
         p = 1.0 if value == 0.0 else 0.0
     return EffectEstimate(label, value, se, ci, p, level)
@@ -232,10 +231,11 @@ def transform_fitted(fitted: FittedSystem, transform: Callable):
                       "reduced coefficients")
     sigma = jac @ fitted.covariance_matrix() @ jac.T
     cov_blocks = {resp: sigma[s, s] for resp, s in new_spec.slices.items()}
-    off_blocks = sigma - scipy.linalg.block_diag(*cov_blocks.values())
-    cross = float(np.max(np.abs(off_blocks), initial=0.0))
     diagnostics = {resp: d for resp, d in fitted.diagnostics.items()
                    if resp in new_spec.equations
                    and new_spec.equations[resp] == fitted.spec.equations.get(resp)}
-    return FittedSystem(new_spec, new_params, cov_blocks, diagnostics,
-                        fitted.n), cross
+    reduced = FittedSystem(new_spec, new_params, cov_blocks, diagnostics,
+                           fitted.n)
+    cross = float(np.max(np.abs(sigma - reduced.covariance_matrix()),
+                         initial=0.0))
+    return reduced, cross

@@ -21,9 +21,10 @@ Each replication fits the system and produces the mediated share two ways:
   coefficient, rescaled by average partial effects on the probability
   scale for a continuous treatment.
 
-Replications with any non-convergent logistic fit are dropped from both
-methods (keeping the comparison on identical replication sets) and
-counted; more than 5 percent exclusions aborts the cell.
+Replications with any non-convergent or separated logistic fit are
+dropped from both methods (keeping the comparison on identical
+replication sets) and counted; more than 5 percent exclusions aborts the
+cell.
 
 All randomness descends from one master seed through named SeedSequence
 children, so results are bit-for-bit reproducible and independent of
@@ -203,27 +204,28 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
     """Fit the three logistic models one replication needs.
 
     Returns (w-model coefs, y-model coefs, reduced y-model coefs,
-    full eta, reduced eta, converged flag).
+    full eta, reduced eta, usable flag); the flag is False when a fit
+    did not converge or flagged separation.
     """
     n = len(x)
     ones = np.ones(n)
     xw_model = np.column_stack([ones, x])
-    gamma, _, _, _, conv_w, _ = irls(xw_model, w, ones)
+    gamma, _, _, _, conv_w, sep_w = irls(xw_model, w, ones)
     xy_full = np.column_stack([ones, x, w])
-    beta, _, _, _, conv_y, _ = irls(xy_full, y, ones)
+    beta, _, _, _, conv_y, sep_y = irls(xy_full, y, ones)
     ols, *_ = np.linalg.lstsq(xw_model, w, rcond=None)
     resid = w - xw_model @ ols
     xy_red = np.column_stack([ones, x, resid])
-    beta_r, _, _, _, conv_r, _ = irls(xy_red, y, ones)
+    beta_r, _, _, _, conv_r, sep_r = irls(xy_red, y, ones)
     return (gamma, beta, beta_r, xy_full @ beta, xy_red @ beta_r,
-            conv_w and conv_y and conv_r)
+            conv_w and conv_y and conv_r and not (sep_w or sep_y or sep_r))
 
 
 def _shares(x: np.ndarray, w: np.ndarray, y: np.ndarray, kind: str):
     """(rsd, khb) mediated shares of one replication, or None when a fit
-    does not converge."""
-    gamma, beta, beta_r, eta_full, eta_red, conv = _fit_models(x, w, y)
-    if not conv:
+    does not converge or flags separation."""
+    gamma, beta, beta_r, eta_full, eta_red, usable = _fit_models(x, w, y)
+    if not usable:
         return None
     rsd = (share_binary(*beta, *gamma) if kind == "binary"
            else share_continuous(*beta, *gamma, x))
@@ -233,7 +235,7 @@ def _shares(x: np.ndarray, w: np.ndarray, y: np.ndarray, kind: str):
 def _converged_shares(x, w, y, kind: str) -> tuple:
     shares = _shares(*(np.asarray(a, dtype=float) for a in (x, w, y)), kind)
     if shares is None:
-        raise SimulationError("non-convergent fit")
+        raise SimulationError("non-convergent or separated fit")
     return shares
 
 

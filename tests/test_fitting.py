@@ -242,3 +242,33 @@ def test_irls_converges_on_clean_problem():
     assert converged and not separation
     assert iters < 10
     assert np.allclose(coef, beta, atol=0.2)
+
+
+def test_one_far_out_point_is_not_a_separation_ray():
+    # 199 overlapping points pin the slope near 3; the point at x = -6
+    # then has a fitted logit near -18, which alone is no ray
+    rng = np.random.default_rng(62)
+    n = 200
+    x = np.append(rng.normal(size=n - 1), -6.0)
+    X = np.column_stack([np.ones(n), x])
+    y = (rng.random(n) < expit(3.0 * x)).astype(float)
+    beta, _, _, _, converged, separation = irls(X, y, np.ones(n))
+    assert (X @ beta)[-1] < -15.0
+    assert converged and not separation
+
+
+def test_irls_rejects_a_step_that_halving_cannot_rescue():
+    # a small weighted design near separation: the 11th Newton step lowers
+    # the log-likelihood by about 200 even after MAX_HALVINGS halvings;
+    # keeping it used to end in converged=True, separation=False
+    X = np.column_stack([np.ones(6),
+                         [-0.808, 0.079, -0.254, -0.626, -0.078, -1.923],
+                         [-0.982, 0.976, 1.363, 0.877, -0.465, 1.182]])
+    y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    w = np.array([0.00106, 0.0152, 140.0, 88.0, 0.00617, 0.00138])
+    beta, _, loglik, iterations, converged, separation = irls(X, y, w)
+    eta = X @ beta
+    assert loglik == pytest.approx(
+        float(np.sum(w * (y * eta - np.logaddexp(0.0, eta)))), abs=1e-12)
+    assert iterations == 11
+    assert not converged and separation

@@ -7,13 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import norm
 
 from logitpath import InferenceError, decompose_logodds
 from logitpath.effects import EffectError, EffectRequest
 from logitpath.inference import (component_functional, delta_se, effect_table,
-                                 transform_fitted)
-from logitpath.multi import marginalize_inner, marginalize_outer_system
+                                 jacobian, transform_fitted)
+from logitpath.multi import (marginalize, marginalize_inner,
+                             marginalize_outer_system)
 from conftest import expected_data_fit
 
 
@@ -27,17 +29,29 @@ def test_linear_functional_se_is_the_coefficient_se(example_fit):
 
 
 def test_interval_and_p_value_formulas(example_fit):
+    # the normal quantile and tail come from scipy.special; scipy.stats'
+    # norm reduces to the same calls, so the numbers are identical
     req = EffectRequest.contrast(3, 1, {"C": 1})
-    est = delta_se(example_fit, component_functional("TE", req))
-    z = norm.ppf(0.975)
-    assert est.ci[0] == pytest.approx(est.value - z * est.se, abs=1e-12)
-    assert est.ci[1] == pytest.approx(est.value + z * est.se, abs=1e-12)
-    assert est.p_value == pytest.approx(
-        2 * norm.sf(abs(est.value) / est.se), abs=1e-12)
-    wide = delta_se(example_fit, component_functional("TE", req), level=0.90)
-    z90 = norm.ppf(0.95)
-    assert wide.ci[1] - wide.ci[0] == pytest.approx(
-        2 * z90 * wide.se, abs=1e-10)
+    for level in (0.8, 0.9, 0.95, 0.99):
+        est = delta_se(example_fit, component_functional("TE", req),
+                       level=level)
+        z = float(norm.ppf(0.5 + level / 2.0))
+        assert est.ci == (est.value - z * est.se, est.value + z * est.se)
+        assert est.p_value == float(2.0 * norm.sf(abs(est.value) / est.se))
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.96, 5.0, 10.0, 20.0, 30.0,
+                                   35.0])
+def test_far_tail_p_value_equals_scipy_stats(example_fit, ratio):
+    # a constant shift moves the value, not the gradient: |value| / se
+    # reaches 35, where p is about 1e-268 and still not 0
+    coef = example_fit.params.get("Y", "X{2,1}")
+    shift = ratio * example_fit.se("Y", "X{2,1}") - coef
+    est = delta_se(example_fit, lambda p: p.get("Y", "X{2,1}") + shift)
+    assert abs(est.value) / est.se == pytest.approx(ratio, rel=1e-6,
+                                                    abs=1e-9)
+    assert est.p_value == float(2.0 * norm.sf(abs(est.value) / est.se))
+    assert ratio < 35.0 or 0.0 < est.p_value < 1e-260
 
 
 def test_degenerate_se_p_value_rule(example_fit):
@@ -172,6 +186,29 @@ def test_outer_transform_pushforward_matches_composition():
         assert via_reduced.value == pytest.approx(via_original.value,
                                                   abs=1e-9)
         assert via_reduced.se == pytest.approx(via_original.se, rel=1e-4)
+
+
+def test_covariance_matrix_equals_scipy_block_diag(example_fit):
+    for fitted in (example_fit,
+                   expected_data_fit(np.random.default_rng(114), k=3)):
+        blocks = [fitted.cov_blocks[r] for r in fitted.spec.responses]
+        assert np.array_equal(fitted.covariance_matrix(),
+                              scipy.linalg.block_diag(*blocks))
+
+
+def test_cross_covariance_matches_the_block_diag_formula():
+    fitted = expected_data_fit(np.random.default_rng(115), k=3)
+
+    def middle(params):
+        return marginalize(params, 2)
+
+    reduced, cross = transform_fitted(fitted, middle)
+    _, jac = jacobian(lambda p: middle(p).flatten(), fitted, "reduced")
+    sigma = jac @ fitted.covariance_matrix() @ jac.T
+    blocks = [sigma[s, s] for s in reduced.spec.slices.values()]
+    want = float(np.max(np.abs(sigma - scipy.linalg.block_diag(*blocks))))
+    assert cross == want
+    assert cross > 0.0
 
 
 def test_structural_zeros_have_zero_se():

@@ -1,5 +1,7 @@
 """The study harness against the generic effect machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,32 @@ def test_nonconvergent_single_replications_raise(monkeypatch):
         rsd_ratio(x, w, y, "binary")
     with pytest.raises(SimulationError, match="non-convergent"):
         khb_ratio(x, w, y, "binary")
+
+
+def test_separated_replications_are_excluded(monkeypatch):
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=200, replications=30,
+                    seed=61)
+    original = simulation.irls
+    calls = {"n": 0}
+
+    def separated_once(X, y, w):
+        calls["n"] += 1
+        out = original(X, y, w)
+        return out[:-1] + (calls["n"] == 5,)   # second replication, Y fit
+
+    monkeypatch.setattr(simulation, "irls", separated_once)
+    assert run_cell(cfg).excluded == 1
+
+
+def test_small_separated_cell_gives_no_nan():
+    # at n = 5 a mediator or outcome is often constant: those fits
+    # "converge" on a separation ray, and their shares are 0/0
+    grid = {"seed": 83, "replications": 3, "treatment": ["binary"],
+            "beta_x": [0.9], "n": [5]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match="excluded"):
+            run_study(grid)
 
 
 def test_study_grid_and_csv():
