@@ -9,8 +9,11 @@ probability effects.  A tree that has ``marginalize`` also dumps the
 tables and transforms of summing out each of W1, W2, W3 of a k = 3
 system.  Direct library calls on seeded coefficients are dumped too:
 ``decompose`` (k = 1..4, both scales, contrasts and derivatives),
-``psie`` on every monotone path of a k = 3 system, ``deltas``,
-``g_recursive`` and the ``direct_mask`` / ``indirect_mask`` vectors.
+``psie`` on every monotone path of a k = 3 system, ``deltas`` (with a
+categorical treatment too), ``g_recursive`` (every j of a k = 4 system
+with ``w_above`` and a categorical covariate too),
+``marginal_logit_multi`` on a system with no mediators and the
+``direct_mask`` / ``indirect_mask`` vectors.
 Run the dump once per tree, then compare:
 
     PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
@@ -50,7 +53,7 @@ def chain_spec(k, treatment="binary", covariate="binary"):
                                   levels=("a", "b", "c")
                                   if covariate == "categorical" else ()))
     meds = [f"W{j}" for j in range(1, k + 1)]
-    equations = {"Y": ["1", "X", "C"] + meds + ["X:W1"]}
+    equations = {"Y": ["1", "X", "C"] + meds + ["X:W1"] * (k > 0)}
     for j in range(1, k + 1):
         equations[f"W{j}"] = ["1", "X", "C"] + meds[j:]
     return SystemSpec.build(variables, equations)
@@ -148,7 +151,7 @@ def direct_numbers():
     """Numbers of the effect layer called directly, outside the tables."""
     import itertools
     from logitpath import (decompose, deltas, direct_mask, g_recursive,
-                           indirect_mask, psie)
+                           indirect_mask, marginal_logit_multi, psie)
     out = {}
     for k in (1, 2, 3, 4):
         for treatment in ("binary", "continuous"):
@@ -178,6 +181,22 @@ def direct_numbers():
         out[f"deltas {treatment} k=1"] = [
             list(deltas(params, x, {"C": c}))
             for x in (0.0, 1.0) for c in (0.0, 1.0)]
+    params = seeded_params(11, 4, "binary", "categorical")
+    out["g_recursive binary k=4 C categorical"] = [
+        g_recursive(params, j, y, x, {f"W{i}": w[i - j - 1]
+                                      for i in range(j + 1, 5)}, {"C": c})
+        for j in (1, 2, 3, 4) for y in (0, 1) for x in (0.0, 1.0)
+        for c in ("a", "b", "c")
+        for w in itertools.product((0.0, 1.0), repeat=4 - j)]
+    params = seeded_params(12, 1, "categorical")
+    out["deltas categorical k=1"] = [
+        list(deltas(params, x, {"C": c}))
+        for x in (1, 2, 3) for c in (0.0, 1.0)]
+    for treatment in ("binary", "continuous"):
+        params = seeded_params(13, 0, treatment)
+        out[f"marginal_logit_multi {treatment} k=0"] = [
+            marginal_logit_multi(params, x, {"C": c})
+            for x in (0.0, 1.0, -0.5) for c in (0.0, 1.0)]
     return out
 
 
