@@ -24,9 +24,8 @@ from .inference import (EffectEstimate, EffectRow, EffectTable,
                         InferenceError, component_functional, delta_se,
                         effect_table, transform_fitted)
 from .simulation import (MethodStats, SimConfig, SimResult, SimulationError,
-                         generate_data, khb_ratio, pseudo_population,
-                         results_to_csv, rsd_ratio, run_cell, run_study,
-                         true_value)
+                         generate_data, pseudo_population, results_to_csv,
+                         run_cell, run_study, true_value)
 
 __version__ = "0.1.0"
 

@@ -1,15 +1,16 @@
 """Marginal logits and their decomposition into effects.
 
-The marginal logit of Y given X (and covariates) applies ``lift`` once per
-mediator, innermost first, to a working log-odds function of Y: step j
-turns R_{j-1}(w_j, ..., w_k), with W_1..W_{j-1} already summed out, into
+The marginal logit of Y given X (and covariates) sums the mediators out
+one at a time, innermost first.  Step j (``_step``) evaluates Y's linear
+predictor at the 2^j corners of W_1..W_j and lifts W_1..W_{j-1} out,
+halving the corners each time, to reach the triple
 
-    R_j(w_{>j}) = lift(R_{j-1}(W_j=0, w_{>j}), R_{j-1}(W_j=1, w_{>j}),
-                       rhs(W_j | w_{>j})).
+    (R_{j-1}(W_j=0, w_{>j}), R_{j-1}(W_j=1, w_{>j}), rhs(W_j | w_{>j})).
 
-R_k() is the marginal logit, exact for any treatment kind; Dual inputs
-give derivatives and array inputs many points at once.  The
-single-mediator functions are its k = 1 case.  Each effect component is a
+``lift`` of step k is the marginal logit, exact for any treatment kind;
+``cond_logit`` of step j is ``g_recursive``.  Dual inputs give derivatives
+and array inputs many points at once.  The single-mediator functions are
+the k = 1 case.  Each effect component is a
 contrast (or derivative) of the marginal logit under a coefficient mask
 (``component_mask``, built once per spec), evaluated by ``component``:
 
@@ -53,20 +54,20 @@ def _single_mediator(spec: SystemSpec):
 
 # -- marginal logits -------------------------------------------------------
 
-def _working(params: ParameterSet, base: Mapping, upto: Optional[int]):
-    """Working log-odds closure of Y at ``base`` (treatment and
-    covariates) with the first ``upto`` mediators summed out."""
-    y = params.spec.outcome.name
-
-    def r(w):
-        return params.linear_predictor(y, {**base, **w})
-
-    for med in params.spec.mediators[:upto]:
-        # the defaults bind this step's predecessor and mediator
-        def r(w, r_prev=r, med=med.name):
-            return lift(r_prev({**w, med: 0.0}), r_prev({**w, med: 1.0}),
-                        params.linear_predictor(med, {**base, **w}))
-    return r
+def _step(params: ParameterSet, base: Mapping, j: int):
+    """Step j's (r0, r1, rw) at ``base`` (treatment, covariates and any
+    outer mediators); corners list W_1..W_j with W_1 changing fastest."""
+    lp = params.linear_predictor
+    meds = params.spec.mediators[:j]
+    corners = [[base]]  # corners[n]: the 2^n assignments of W_{j-n+1}..W_j
+    for med in reversed(meds):
+        corners.append([{**a, med.name: v}
+                        for a in corners[-1] for v in (0.0, 1.0)])
+    r = [lp(params.spec.outcome.name, a) for a in corners.pop()]
+    for med in meds[:-1]:
+        r = [lift(r[2 * c], r[2 * c + 1], lp(med.name, a))
+             for c, a in enumerate(corners.pop())]
+    return r[0], r[1], lp(meds[-1].name, base)
 
 
 def g_recursive(params: ParameterSet, j: int, y: int, x,
@@ -82,19 +83,19 @@ def g_recursive(params: ParameterSet, j: int, y: int, x,
         raise EffectError(f"mediator index {j} out of range 1..{len(meds)}")
     if y not in (0, 1):
         raise EffectError("y must be 0 or 1")
-    base = {params.spec.treatment.name: x, **(covariates or {})}
-    r = _working(params, base, j - 1)
-    med = meds[j - 1].name
-    wab = dict(w_above or {})
-    return cond_logit(y, r({**wab, med: 0.0}), r({**wab, med: 1.0}),
-                      params.linear_predictor(med, {**base, **wab}))
+    base = {params.spec.treatment.name: x, **(covariates or {}),
+            **(w_above or {})}
+    return cond_logit(y, *_step(params, base, j))
 
 
 def marginal_logit_multi(params: ParameterSet, x,
                          covariates: Optional[Mapping] = None):
     """Log odds of Y=1 given X=x (and covariates), all mediators summed out."""
-    base = {params.spec.treatment.name: x, **(covariates or {})}
-    return _working(params, base, None)({})
+    spec = params.spec
+    base = {spec.treatment.name: x, **(covariates or {})}
+    if not spec.mediators:
+        return params.linear_predictor(spec.outcome.name, base)
+    return lift(*_step(params, base, len(spec.mediators)))
 
 
 def g_y(params: ParameterSet, y: int, x, covariates: Optional[Mapping] = None):
@@ -119,13 +120,14 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     outcome equation.
     """
     spec = params.spec
-    med = _single_mediator(spec).name
+    _single_mediator(spec)
     base = {spec.treatment.name: x, **(covariates or {})}
-    r = _working(params, base, 0)
-    dy = expit(r({med: 1.0})) - expit(r({med: 0.0}))
-    starred = indirect_mask(spec).apply(params)
-    dw, dws = (expit(g_y(p, 1, x, covariates)) - expit(g_y(p, 0, x, covariates))
-               for p in (params, starred))
+    steps = [_step(p, base, 1)
+             for p in (params, indirect_mask(spec).apply(params))]
+    r0, r1, _ = steps[0]
+    dy = expit(r1) - expit(r0)
+    dw, dws = (expit(cond_logit(1, *t)) - expit(cond_logit(0, *t))
+               for t in steps)
     return dy, dw, dws
 
 

@@ -53,8 +53,11 @@ class Dataset:
         lengths.add(len(self.counts))
         if len(lengths) > 1:
             raise DataError("columns and counts must share one length")
-        if np.any(np.asarray(self.counts, dtype=float) < 0):
-            raise DataError("counts must be nonnegative")
+        counts = np.asarray(self.counts, dtype=float)
+        bad = np.flatnonzero(~((counts >= 0.0) & (counts < np.inf)))
+        if bad.size:
+            raise DataError(f"row {bad[0] + 1} has count {counts[bad[0]]}; "
+                            f"counts must be finite and nonnegative")
 
     @property
     def n(self) -> float:
@@ -97,7 +100,7 @@ class Dataset:
                 cols[k].append(r[k])
             try:
                 counts.append(float(r.get("count", 1.0)))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 counts.append(math.nan)
             if not 0.0 <= counts[-1] < math.inf:
                 raise DataError(f"row {i} has count {r.get('count')!r}; "
@@ -134,7 +137,7 @@ def coerce_value(var: VariableSpec, raw):
         try:   # "1.0" or 1.0 is level 1; string levels match only as strings
             return next(lvl for lvl in var.levels
                         if isinstance(lvl, (int, float)) and lvl == float(raw))
-        except (TypeError, ValueError, StopIteration):
+        except (TypeError, ValueError, OverflowError, StopIteration):
             pass
         raise DataError(f"value {raw!r} is not a level of {var.name!r} "
                         f"(levels: {list(var.levels)})")
@@ -142,6 +145,11 @@ def coerce_value(var: VariableSpec, raw):
         x = float(raw)
     except (TypeError, ValueError):
         raise DataError(f"non-numeric value {raw!r} for {var.name!r}") from None
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DataError(f"value {raw!r} for {var.name!r} is not a finite "
+                        f"float")
     if var.kind == "binary" and x not in (0.0, 1.0):
         raise DataError(f"binary variable {var.name!r} has value {raw!r}")
     return x

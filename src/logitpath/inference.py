@@ -138,6 +138,7 @@ class EffectRow:
 @dataclass(frozen=True)
 class EffectTable:
     rows: tuple
+    level: float = 0.95
 
     def to_records(self) -> list:
         out = []
@@ -169,7 +170,8 @@ class EffectTable:
 
     def to_text(self) -> str:
         header = (f"{'effect':<10}{'contrast':<14}{'covariates':<14}"
-                  f"{'estimate':>10}{'se':>9}{'ci95':>20}{'p':>9}")
+                  f"{'estimate':>10}{'se':>9}{f'ci{100 * self.level:g}':>20}"
+                  f"{'p':>9}")
         lines = [header, "-" * len(header)]
         for r in self.rows:
             e = r.estimate
@@ -211,7 +213,7 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
             est = delta_se(fitted, fn, level=level, label=label)
             rows.append(EffectRow(name, req.label(),
                                   req.covariate_label(), est))
-    return EffectTable(tuple(rows))
+    return EffectTable(tuple(rows), level)
 
 
 def transform_fitted(fitted: FittedSystem, transform: Callable):

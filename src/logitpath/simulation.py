@@ -72,7 +72,6 @@ class SimConfig:
     seed: int
     beta0: float = -2.0
     beta_w: float = 2.0
-    beta_xw: float = 0.0
     gamma0: float = -2.0
     gamma_x: float = 2.0
     pseudo_population: int = PSEUDO_POPULATION
@@ -80,10 +79,6 @@ class SimConfig:
     def __post_init__(self):
         if self.kind not in ("binary", "continuous"):
             raise SimulationError(f"unknown treatment kind {self.kind!r}")
-        if self.beta_xw != 0.0:
-            raise SimulationError(
-                "the study design has no treatment-mediator interaction; "
-                "beta_xw must be 0")
         if self.n < 1 or self.replications < 1:
             raise SimulationError("n and replications must be positive")
         if self.seed < 0:
@@ -232,23 +227,6 @@ def _shares(x: np.ndarray, w: np.ndarray, y: np.ndarray, kind: str):
     return rsd, _khb_share(beta, beta_r, eta_full, eta_red, kind)
 
 
-def _converged_shares(x, w, y, kind: str) -> tuple:
-    shares = _shares(*(np.asarray(a, dtype=float) for a in (x, w, y)), kind)
-    if shares is None:
-        raise SimulationError("non-convergent or separated fit")
-    return shares
-
-
-def rsd_ratio(x, w, y, kind: str) -> float:
-    """Mediated share from the fitted marginal-logit decomposition."""
-    return _converged_shares(x, w, y, kind)[0]
-
-
-def khb_ratio(x, w, y, kind: str) -> float:
-    """Mediated share from the residualization comparison estimator."""
-    return _converged_shares(x, w, y, kind)[1]
-
-
 def _khb_share(beta, beta_r, eta_full, eta_red, kind: str) -> float:
     bx_full, bx_red = beta[1], beta_r[1]
     if kind == "continuous":
@@ -356,23 +334,30 @@ def _config_value(grid: Mapping, key: str, kind, many: bool = False):
     return [kind(v) for v in items] if many else kind(value)
 
 
+_OPTIONAL_KEYS = {"beta0": float, "beta_w": float, "gamma0": float,
+                  "gamma_x": float, "pseudo_population": int}
+
+
 def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
     """Run the full grid described by a config document.
 
     Keys: seed, replications, treatment (list of kinds), beta_x (list),
     n (list); optional truth overrides beta0, beta_w, gamma0, gamma_x,
-    and pseudo_population.  ``on_cell`` gets each SimResult as its cell
-    finishes.
+    and pseudo_population.  Any other key is refused.  ``on_cell`` gets
+    each SimResult as its cell finishes.
     """
+    unknown = sorted(map(repr, grid.keys() - _OPTIONAL_KEYS.keys() - {
+        "seed", "replications", "treatment", "beta_x", "n"}))
+    if unknown:
+        raise SimulationError(f"bad study config: unknown key "
+                              f"{', '.join(unknown)}")
     seed = _config_value(grid, "seed", int)
     reps = _config_value(grid, "replications", int)
     kinds = _config_value(grid, "treatment", str, many=True)
     betas = _config_value(grid, "beta_x", float, many=True)
     sizes = _config_value(grid, "n", int, many=True)
-    extra = {key: _config_value(grid, key, kind) for key, kind
-             in (("beta0", float), ("beta_w", float), ("gamma0", float),
-                 ("gamma_x", float), ("pseudo_population", int))
-             if key in grid}
+    extra = {key: _config_value(grid, key, kind)
+             for key, kind in _OPTIONAL_KEYS.items() if key in grid}
     results = []
     for kind in kinds:
         for beta_x in betas:

@@ -573,6 +573,33 @@ def test_simulate_prints_each_cell_as_it_finishes(workdir, monkeypatch):
     assert [l.split()[1] for l in lines[:2]] == ["beta_x=0.4", "beta_x=1.8"]
     assert lines[2].startswith("method,")
 
+@pytest.fixture(scope="module")
+def continuous_model(workdir):
+    doc = json.loads((workdir / "example_model.json").read_text())
+    treatment = next(v for v in doc["variables"] if v["name"] == "X")
+    treatment["kind"] = "continuous"
+    del treatment["levels"]
+    out = workdir / "continuous_model.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+ODD_DATA = ODD_VALUES + ("nan", "inf", 1e400, 10 ** 400)
+
+
+@given(st.data())
+def test_any_odd_data_value_fails_readably(workdir, continuous_model, data):
+    doc = json.loads((workdir / "example_counts.json").read_text())
+    path = data.draw(st.sampled_from([("rows", i, key)
+                                      for i, row in enumerate(doc["rows"])
+                                      for key in row]))
+    _set(path, data.draw(st.sampled_from(ODD_DATA)))(doc)
+    bad = workdir / "fuzzed_data.json"
+    bad.write_text(json.dumps(doc))
+    model = data.draw(st.sampled_from([workdir / "example_model.json",
+                                       continuous_model]))
+    succeeds_or_names(invoke("fit", "--data", bad, "--model", model), bad)
+
 
 def test_fit_rejects_a_non_numeric_count(workdir):
     data = workdir / "bad_count.csv"
@@ -588,12 +615,21 @@ def test_fit_rejects_a_non_numeric_count(workdir):
     ("count.csv", "Y,W,X,C,count\n1,0,1,1,3\n0,1,2,1,x\n", "row 2 has count"),
     ("syntax.json", "[{", ":1: "),
     ("empty.csv", "Y,W,X,C,count\n", "empty data"),
-], ids=["count", "json-syntax", "empty"])
-def test_unreadable_data_names_the_data_file(workdir, name, text, message):
+    ("nan.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,nan,1\n", "'nan' for 'X'"),
+    ("inf.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,inf,1\n", "'inf' for 'X'"),
+    ("big_value.json", '[{"Y": 1, "W": 0, "X": 1, "C": 1%s}]' % ("0" * 400),
+     "for 'C' is not a finite float"),
+    ("big_count.json",
+     '[{"Y": 1, "W": 0, "X": 1, "C": 1, "count": 1%s}]' % ("0" * 400),
+     "row 1 has count"),
+], ids=["count", "json-syntax", "empty", "nan", "inf", "big-value",
+        "big-count"])
+def test_unreadable_data_names_the_data_file(workdir, continuous_model, name,
+                                             text, message):
+    # the continuous treatment lets nan and inf reach the fit
     data = workdir / name
     data.write_text(text)
-    result = invoke("fit", "--data", data,
-                    "--model", workdir / "example_model.json")
+    result = invoke("fit", "--data", data, "--model", continuous_model)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"error: {data}" in combined(result)
@@ -645,7 +681,8 @@ def test_simulate_config_errors(workdir):
     ({"beta0": "x"}, "'beta0'"),
     ({"treatment": ["continuous"], "pseudo_population": 50},
      "pseudo_population"),
-], ids=["beta0", "population"])
+    ({"beta_xw": 0.5}, "unknown key 'beta_xw'"),
+], ids=["beta0", "population", "unknown-key"])
 def test_simulate_names_the_config_and_the_field(workdir, change, field):
     config = workdir / "odd_grid.json"
     config.write_text(json.dumps({**SMALL_GRID, **change}))

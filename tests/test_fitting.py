@@ -1,6 +1,7 @@
 """Data ingestion and weighted maximum likelihood."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import expit
 from logitpath import (Dataset, FittedSystem, VariableSpec, fit_logistic,
                        fit_system)
 from logitpath.fitting import (DataError, FitError, coerce_column,
-                               design_matrix, irls)
+                               coerce_value, design_matrix, irls)
 from conftest import make_system, random_params
 
 
@@ -71,11 +72,32 @@ def test_from_rows_rejects_a_key_missing_from_the_first_row():
         Dataset.from_rows([{"A": 1}, {"A": 0, "B": 2}])
 
 
-@pytest.mark.parametrize("count", ["x", "nan", "inf", -1, None])
+@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf])
+def test_dataset_names_the_row_of_a_non_finite_count(count):
+    with pytest.raises(DataError, match=r"row 2 has count.*finite"):
+        Dataset.from_patterns({"Y": [1, 0, 1], "X": [1, 0, 0]}, [3, count, 1])
+
+
+@pytest.mark.parametrize("count", ["x", "nan", "inf", -1, None, 10 ** 400],
+                         ids=["x", "nan", "inf", "-1", "None", "10**400"])
 def test_from_rows_rejects_unusable_counts(count):
     rows = [{"Y": 1, "X": 0, "count": 2}, {"Y": 0, "X": 1, "count": count}]
     with pytest.raises(DataError, match=r"row 2.*count"):
         Dataset.from_rows(rows)
+
+
+@pytest.mark.parametrize("kind,levels", [
+    ("continuous", ()), ("binary", ()), ("categorical", (1, 2, 3))],
+    ids=["continuous", "binary", "categorical"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", math.nan, 1e400,
+                                 10 ** 400],
+                         ids=["'nan'", "'inf'", "'-inf'", "nan", "1e400",
+                              "10**400"])
+def test_coerce_value_refuses_non_finite_and_oversized_numbers(kind, levels,
+                                                               raw):
+    var = VariableSpec("X", "treatment", kind, levels=levels)
+    with pytest.raises(DataError, match="'X'"):
+        coerce_value(var, raw)
 
 
 def test_categorical_values_match_numeric_levels_numerically():

@@ -142,6 +142,14 @@ def test_table_serializations(example_fit):
     assert len(lines) == 6
     assert lines[0].split()[:2] == ["effect", "contrast"]
     assert "TE" in text and "2 vs 1" in text
+    assert lines[0].split()[-2:] == ["ci95", "p"]
+
+
+@pytest.mark.parametrize("level,header", [(0.80, "ci80"), (0.975, "ci97.5")])
+def test_text_table_labels_its_own_level(example_fit, level, header):
+    table = effect_table(example_fit, [EffectRequest.contrast(2, 1, {"C": 0})],
+                         level=level)
+    assert table.to_text().splitlines()[0].split()[-2:] == [header, "p"]
 
 
 def test_inner_transform_pushforward_matches_composition():

@@ -12,10 +12,9 @@ from logitpath.effects import EffectRequest
 import logitpath.simulation as simulation
 from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
                                   _eta, _stats, _tpe_ipe,
-                                  fixed_treatment_sample,
-                                  generate_data, khb_ratio,
-                                  pseudo_population, results_to_csv,
-                                  rsd_ratio, run_cell, run_study,
+                                  _shares, fixed_treatment_sample,
+                                  generate_data, pseudo_population,
+                                  results_to_csv, run_cell, run_study,
                                   share_binary, share_continuous, true_value)
 from logitpath.model import ParameterSet
 from conftest import assert_close
@@ -40,8 +39,6 @@ def test_config_validation():
     SimConfig(**ok)
     with pytest.raises(SimulationError, match="kind"):
         SimConfig(**{**ok, "kind": "ordinal"})
-    with pytest.raises(SimulationError, match="beta_xw"):
-        SimConfig(**ok, beta_xw=0.3)
     with pytest.raises(SimulationError, match="positive"):
         SimConfig(**{**ok, "n": 0})
     with pytest.raises(SimulationError, match="positive"):
@@ -206,7 +203,7 @@ def test_ratio_estimator_equals_the_generic_pipeline():
     y = data.columns["Y"].astype(float)
     fitted = fit_system(data, study_spec("binary"))
     d = decompose_logodds(fitted.params, EffectRequest.contrast(1, 0))
-    assert_close(rsd_ratio(x, w, y, "binary"), d.indirect / d.total,
+    assert_close(_shares(x, w, y, "binary")[0], d.indirect / d.total,
                  1e-8, "binary rsd")
 
     cfg = SimConfig(kind="continuous", beta_x=0.9, n=400, replications=1,
@@ -217,7 +214,7 @@ def test_ratio_estimator_equals_the_generic_pipeline():
     y = data.columns["Y"].astype(float)
     fitted = fit_system(data, study_spec("continuous"))
     atpe, _, aipe = average_probability_effects(fitted.params, data)
-    assert_close(rsd_ratio(x, w, y, "continuous"), aipe / atpe,
+    assert_close(_shares(x, w, y, "continuous")[0], aipe / atpe,
                  1e-8, "continuous rsd")
 
 
@@ -231,8 +228,8 @@ def test_scaled_and_plain_residualization_shares_coincide():
         x = data.columns["X"].astype(float)
         w = data.columns["W"].astype(float)
         y = data.columns["Y"].astype(float)
-        scaled = khb_ratio(x, w, y, "continuous")
-        plain = khb_ratio(x, w, y, "binary")
+        scaled = _shares(x, w, y, "continuous")[1]
+        plain = _shares(x, w, y, "binary")[1]
         assert_close(scaled, plain, 1e-6, "residualization share")
 
 
@@ -280,7 +277,7 @@ def test_exclusion_accounting(monkeypatch):
         run_cell(cfg)
 
 
-def test_nonconvergent_single_replications_raise(monkeypatch):
+def test_nonconvergent_single_replications_give_no_shares(monkeypatch):
     def never(x, w, y):
         return (np.zeros(2), np.zeros(3), np.zeros(3),
                 np.zeros(len(x)), np.zeros(len(x)), False)
@@ -289,10 +286,8 @@ def test_nonconvergent_single_replications_raise(monkeypatch):
     x = np.array([0.0, 1.0] * 20)
     w = np.array([0.0, 1.0] * 20)
     y = np.array([0.0, 1.0] * 20)
-    with pytest.raises(SimulationError, match="non-convergent"):
-        rsd_ratio(x, w, y, "binary")
-    with pytest.raises(SimulationError, match="non-convergent"):
-        khb_ratio(x, w, y, "binary")
+    assert _shares(x, w, y, "binary") is None
+    assert _shares(x, w, y, "continuous") is None
 
 
 def test_separated_replications_are_excluded(monkeypatch):
@@ -370,9 +365,11 @@ def test_study_grid_with_overrides_and_bad_config():
     ({"seed": True}, "'seed'"),
     ({"treatment": ["continuous"], "pseudo_population": 50},
      "pseudo_population"),
+    ({"beta_xw": 0.0}, "unknown key 'beta_xw'"),
+    ({"beta_xw": 0.5, "gama0": -1.0}, "unknown key 'beta_xw', 'gama0'"),
 ], ids=["beta0", "pseudo_population", "fractional-seed", "fractional-reps",
         "fractional-n", "scalar-beta_x", "string-treatment", "boolean-seed",
-        "small-population"])
+        "small-population", "unknown-beta_xw", "unknown-keys"])
 def test_bad_study_config_names_the_field(change, field):
     grid = {"seed": 5, "replications": 3, "treatment": ["binary"],
             "beta_x": [0.9], "n": [60], **change}
