@@ -4,8 +4,8 @@ Fits seeded chain systems (k = 1..5 mediators; binary, categorical and
 continuous treatments; binary and categorical covariates) and dumps every
 number that the effect layer reports: contrast and derivative tables with
 PSIE paths on both scales, inner- and outer-reduced tables, the reduced
-coefficients and covariances of ``transform_fitted``, and the average
-probability effects.  A tree that has ``marginalize`` also dumps the
+coefficients, covariance blocks and cross covariance of
+``transform_fitted``, and the average probability effects.  A tree that has ``marginalize`` also dumps the
 tables and transforms of summing out each of W1, W2, W3 of a k = 3
 system.  Direct library calls on seeded coefficients are dumped too:
 ``decompose`` (k = 1..4, both scales, contrasts and derivatives),
@@ -25,10 +25,11 @@ is listed and fails nothing.  Unreduced tables, the APE and the direct
 calls must be bit-identical.  Reductions solve a corner-point system
 inside every central difference, so they are held to the parent's own
 finite-difference resolution instead: reduced-table values within 1e-14
-absolute and SEs within 2e-8 relative; reduced coefficients within 1e-14
-and covariance entries within 3e-7 of sqrt(c_ii c_jj), or within the
-first tree's own movement when its central-difference step is halved,
-whichever is larger (``compare`` prints both).
+absolute and SEs within 2e-8 relative; reduced coefficients within 1e-14,
+the cross covariance bit-identical, and covariance-block entries within
+3e-7 of sqrt(c_ii c_jj), or within the first tree's own movement when
+its central-difference step is halved, whichever is larger (``compare``
+prints both).
 """
 
 import json
@@ -115,9 +116,19 @@ def table_numbers(fitted, transform=None):
             for r in table.to_records()]
 
 
+def block_covariance(fitted):
+    """The per-equation covariance blocks in flat_coords order, zero
+    between equations: what the artifact stores, whatever else the
+    fitted system carries in memory."""
+    import scipy.linalg
+    return scipy.linalg.block_diag(
+        *(fitted.cov_blocks[resp] for resp in fitted.spec.slices))
+
+
 def transform_numbers(fitted, transform):
-    """Reduced coefficients and covariance, plus the covariance at half
-    the central-difference step: the tree's own resolution."""
+    """Reduced coefficients, covariance blocks and cross covariance, plus
+    the blocks at half the central-difference step: the tree's own
+    resolution."""
     from logitpath import inference, transform_fitted
     reduced, cross = transform_fitted(fitted, transform)
     step = inference.STEP_SCALE
@@ -127,8 +138,8 @@ def transform_numbers(fitted, transform):
     finally:
         inference.STEP_SCALE = step
     return {"coefficients": reduced.params.flatten().tolist(),
-            "covariance": reduced.covariance_matrix().tolist(),
-            "covariance_half_step": half.covariance_matrix().tolist(),
+            "covariance": block_covariance(reduced).tolist(),
+            "covariance_half_step": block_covariance(half).tolist(),
             "cross": cross}
 
 
@@ -296,6 +307,8 @@ def compare(path_a, path_b):
         report(f"{name}: coefficient diff",
                np.max(np.abs(np.subtract(ta["coefficients"],
                                          tb["coefficients"]))), 1e-14)
+        report(f"{name}: cross not bit-identical",
+               int(not _same(ta["cross"], tb["cross"])), 0)
         # the bound is the first tree's own step-halving movement where
         # that exceeds the nominal 3e-7
         own = covariance_gap(ta["covariance"], ta["covariance_half_step"])
