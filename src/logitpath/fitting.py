@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -41,6 +42,14 @@ class FitError(RuntimeError):
     """Raised when an equation cannot be fitted (for example collinearity)."""
 
 
+def _count(raw) -> float:
+    """A count as a float; nan when it is not a number or is too large."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 @dataclass
 class Dataset:
     """Column-oriented data with per-row counts (all ones for record data)."""
@@ -53,11 +62,17 @@ class Dataset:
         lengths.add(len(self.counts))
         if len(lengths) > 1:
             raise DataError("columns and counts must share one length")
-        counts = np.asarray(self.counts, dtype=float)
+        try:
+            counts = np.fromiter(self.counts, float, len(self.counts))
+        except (TypeError, ValueError, OverflowError):
+            counts = np.array([_count(c) for c in self.counts])
         bad = np.flatnonzero(~((counts >= 0.0) & (counts < np.inf)))
         if bad.size:
-            raise DataError(f"row {bad[0] + 1} has count {counts[bad[0]]}; "
+            raw = self.counts[bad[0]]
+            raw = raw.item() if isinstance(raw, np.generic) else raw
+            raise DataError(f"row {bad[0] + 1} has count {reprlib.repr(raw)}; "
                             f"counts must be finite and nonnegative")
+        self.counts = counts
 
     @property
     def n(self) -> float:
@@ -77,7 +92,7 @@ class Dataset:
     def from_patterns(columns: Mapping[str, Sequence],
                       counts: Sequence) -> "Dataset":
         cols = {k: np.asarray(v, dtype=object) for k, v in columns.items()}
-        return Dataset(cols, np.asarray(counts, dtype=float))
+        return Dataset(cols, counts)
 
     @staticmethod
     def from_rows(rows: Sequence[Mapping]) -> "Dataset":
@@ -86,27 +101,21 @@ class Dataset:
             return Dataset({}, np.zeros(0))
         for i, r in enumerate(rows, 1):
             if not isinstance(r, Mapping):
-                raise DataError(f"row {i} is {r!r}, not an object of "
-                                f"column values")
+                raise DataError(f"row {i} is {reprlib.repr(r)}, not an "
+                                f"object of column values")
         names = [k for k in rows[0] if k != "count"]
         cols = {k: [] for k in names}
         counts = []
         for i, r in enumerate(rows, 1):
             odd = cols.keys() ^ (r.keys() - {"count"})
             if odd:
-                raise DataError(f"column {min(odd, key=str)!r} is in only one "
-                                f"of row 1 and row {i}")
+                raise DataError(f"column {reprlib.repr(min(odd, key=str))} is "
+                                f"in only one of row 1 and row {i}")
             for k in names:
                 cols[k].append(r[k])
-            try:
-                counts.append(float(r.get("count", 1.0)))
-            except (TypeError, ValueError, OverflowError):
-                counts.append(math.nan)
-            if not 0.0 <= counts[-1] < math.inf:
-                raise DataError(f"row {i} has count {r.get('count')!r}; "
-                                f"counts must be finite and nonnegative")
+            counts.append(r.get("count", 1.0))
         return Dataset({k: np.asarray(v, dtype=object) for k, v in cols.items()},
-                       np.asarray(counts, dtype=float))
+                       counts)
 
     @staticmethod
     def load(path) -> "Dataset":
@@ -139,19 +148,21 @@ def coerce_value(var: VariableSpec, raw):
                         if isinstance(lvl, (int, float)) and lvl == float(raw))
         except (TypeError, ValueError, OverflowError, StopIteration):
             pass
-        raise DataError(f"value {raw!r} is not a level of {var.name!r} "
-                        f"(levels: {list(var.levels)})")
+        raise DataError(f"value {reprlib.repr(raw)} is not a level of "
+                        f"{var.name!r} (levels: {list(var.levels)})")
     try:
         x = float(raw)
     except (TypeError, ValueError):
-        raise DataError(f"non-numeric value {raw!r} for {var.name!r}") from None
+        raise DataError(f"non-numeric value {reprlib.repr(raw)} for "
+                        f"{var.name!r}") from None
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
-        raise DataError(f"value {raw!r} for {var.name!r} is not a finite "
-                        f"float")
+        raise DataError(f"value {reprlib.repr(raw)} for {var.name!r} is not "
+                        f"a finite float")
     if var.kind == "binary" and x not in (0.0, 1.0):
-        raise DataError(f"binary variable {var.name!r} has value {raw!r}")
+        raise DataError(f"binary variable {var.name!r} has value "
+                        f"{reprlib.repr(raw)}")
     return x
 
 
@@ -260,8 +271,6 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 @dataclass
 class EquationFit:
-    response: str
-    labels: tuple
     coef: np.ndarray
     cov: np.ndarray
     loglik: float
@@ -283,37 +292,49 @@ def fit_logistic(data: Dataset, spec: SystemSpec, response: str) -> EquationFit:
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(H)
         separation = True
-    return EquationFit(response, labels, beta, cov, ll, it, converged, separation)
+    return EquationFit(beta, cov, ll, it, converged, separation)
+
+
+def block_covariance(spec: SystemSpec, blocks: Mapping) -> np.ndarray:
+    """Per-equation blocks as one flat_coords matrix, zero between them."""
+    sigma = np.zeros((len(spec.flat_coords),) * 2)
+    for resp, s in spec.slices.items():
+        sigma[s, s] = blocks[resp]
+    return sigma
 
 
 @dataclass
 class FittedSystem:
-    """A fitted recursive system: estimates, block covariance, diagnostics."""
+    """A fitted recursive system: estimates, their joint covariance in
+    flat_coords order (block-diagonal for a fit), diagnostics."""
 
     spec: SystemSpec
     params: ParameterSet
-    cov_blocks: Mapping[str, np.ndarray]
+    covariance: np.ndarray
     diagnostics: Mapping[str, EquationFit]
     n: float
 
+    @property
+    def cov_blocks(self) -> dict:
+        """The per-equation diagonal blocks of the covariance."""
+        return {resp: self.covariance[s, s]
+                for resp, s in self.spec.slices.items()}
+
     def covariance_matrix(self) -> np.ndarray:
-        """Full block-diagonal covariance in flat_coords order."""
-        sigma = np.zeros((len(self.spec.flat_coords),) * 2)
-        for resp, s in self.spec.slices.items():
-            sigma[s, s] = self.cov_blocks[resp]
-        return sigma
+        """The joint covariance in flat_coords order."""
+        return self.covariance
 
     def se(self, response: str, label: str) -> float:
-        j = self.spec.coord(response, label) - self.spec.slices[response].start
-        return float(np.sqrt(self.cov_blocks[response][j, j]))
+        i = self.spec.coord(response, label)
+        return float(np.sqrt(self.covariance[i, i]))
 
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
             "n": self.n,
             "params": self.params.nested(),
-            "covariance": {resp: self.cov_blocks[resp].tolist()
-                           for resp in self.spec.responses},
+            "covariance": {resp: block.tolist()
+                           for resp, block in self.cov_blocks.items()},
             "diagnostics": {
                 resp: {
                     "loglik": d.loglik,
@@ -334,7 +355,7 @@ class FittedSystem:
         params = ParameterSet.from_nested(
             spec, json_field(doc, "params", dict, "the artifact"), strict=True)
         covariance = json_field(doc, "covariance", dict, "the artifact")
-        cov_blocks = {}
+        blocks = {}
         for resp in spec.responses:
             where = f"covariance of equation {resp!r}"
             try:
@@ -353,25 +374,25 @@ class FittedSystem:
             if (np.max(np.abs(block - block.T), initial=0.0)
                     > 1e-8 * np.max(np.abs(block), initial=0.0)):
                 raise ModelSpecError(f"{where} is not symmetric")
-            cov_blocks[resp] = block
+            blocks[resp] = block
         diagnostics = {}
         raw = (json_field(doc, "diagnostics", dict, "the artifact")
                if "diagnostics" in doc else {})
         for resp in raw:
             d = json_field(raw, resp, dict, "'diagnostics'")
-            if resp not in cov_blocks:
+            if resp not in blocks:
                 raise ModelSpecError(f"'diagnostics' has {resp!r}, which "
                                      f"has no equation")
             where = f"{resp!r} of 'diagnostics'"
-            labels = tuple(spec.column_label(c) for c in spec.columns(resp))
             diagnostics[resp] = EquationFit(
-                resp, labels, params.vector[spec.slices[resp]],
-                cov_blocks[resp], json_field(d, "loglik", (int, float), where),
+                params.vector[spec.slices[resp]], blocks[resp],
+                json_field(d, "loglik", (int, float), where),
                 json_field(d, "iterations", int, where),
                 json_field(d, "converged", bool, where),
                 json_field(d, "separation", bool, where))
-        return FittedSystem(spec, params, cov_blocks, diagnostics, float(
-            json_field(doc, "n", (int, float), "the artifact")))
+        return FittedSystem(spec, params, block_covariance(spec, blocks),
+                            diagnostics, float(json_field(
+                                doc, "n", (int, float), "the artifact")))
 
     def summary_text(self) -> str:
         lines = []
@@ -386,9 +407,9 @@ class FittedSystem:
                              f"{d.iterations}  converged {d.converged}{flag}")
             lines.append(f"  {'term':<14}{'estimate':>12}{'se':>12}")
             coefs = self.params.vector[self.spec.slices[resp]].tolist()
-            for j, (col, est) in enumerate(zip(self.spec.columns(resp), coefs)):
+            for col, est in zip(self.spec.columns(resp), coefs):
                 label = self.spec.column_label(col)
-                se = float(np.sqrt(self.cov_blocks[resp][j, j]))
+                se = self.se(resp, label)
                 lines.append(f"  {label:<14}{est:>12.4f}{se:>12.4f}")
             lines.append("")
         return "\n".join(lines)
@@ -397,15 +418,14 @@ class FittedSystem:
 def fit_system(data: Dataset, spec: SystemSpec) -> FittedSystem:
     """Fit every declared equation and assemble the joint fitted system."""
     spec.require_valid()
-    cov_blocks = {}
     diagnostics = {}
     for resp in spec.responses:
         try:
-            eq = fit_logistic(data, spec, resp)
+            diagnostics[resp] = fit_logistic(data, spec, resp)
         except (DataError, FitError) as e:
             raise type(e)(f"equation {resp}: {e}") from e
-        cov_blocks[resp] = eq.cov
-        diagnostics[resp] = eq
     params = ParameterSet(spec, np.concatenate(
         [diagnostics[resp].coef for resp in spec.responses]))
-    return FittedSystem(spec, params, cov_blocks, diagnostics, data.n)
+    covariance = block_covariance(
+        spec, {resp: d.cov for resp, d in diagnostics.items()})
+    return FittedSystem(spec, params, covariance, diagnostics, data.n)

@@ -2,9 +2,9 @@
 
 One gradient engine serves every effect and every reduction: central
 differences over the full coefficient stack (per-coordinate step scaled to
-the coefficient), then se = sqrt(g' Sigma g) with the block-diagonal
-fitted covariance.  Wald intervals and two-sided normal p-values are
-reported on the effect's own scale.
+the coefficient), then se = sqrt(g' Sigma g) with the fitted covariance,
+which a reduction carries as its full J Sigma J'.  Wald intervals and
+two-sided normal p-values are reported on the effect's own scale.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.special import ndtr, ndtri
 
 from .effects import (EffectError, EffectRequest, component, component_mask,
                       component_names, indirect_name, marginal_logit_multi)
-from .fitting import FittedSystem
+from .fitting import FittedSystem, block_covariance
 from .model import ParameterSet
 from .multi import PathSpec
 
@@ -107,24 +107,14 @@ def delta_se(fitted: FittedSystem, effect: Callable,
 # -- effect functionals ----------------------------------------------------
 
 def component_functional(name: str, request: EffectRequest,
-                         path: Optional[PathSpec] = None,
-                         transform: Optional[Callable] = None) -> Callable:
-    """Build the ParameterSet -> float map for one effect component.
-
-    ``name`` is one of TE, DE, IE, GIE, RES, PSIE.  ``transform``
-    optionally rewrites the parameters first (marginalize-then-decompose
-    pipelines); masks are built on the transformed system, and gradients
-    taken by the caller therefore flow through the transformation.
-    """
+                         path: Optional[PathSpec] = None) -> Callable:
+    """The ParameterSet -> float map of effect component ``name``: one of
+    TE, DE, IE, GIE, RES, PSIE."""
     name = name.upper()
     if name == "PSIE" and path is None:
         raise EffectError("PSIE functional needs a path")
-
-    def f(params: ParameterSet) -> float:
-        p = transform(params) if transform is not None else params
-        return component(p, request, name, path, marginal_logit_multi)
-
-    return f
+    return lambda params: component(params, request, name, path,
+                                    marginal_logit_multi)
 
 
 @dataclass(frozen=True)
@@ -187,24 +177,23 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
                  transform: Optional[Callable] = None,
                  level: float = 0.95) -> EffectTable:
     """One row per effect component and request, ordered DE, IE/GIE, RES,
-    TE within each request, path-specific rows after."""
-    target_spec = fitted.spec
+    TE within each request, path-specific rows after.  A ``transform``
+    reduces the system first, by ``transform_fitted``."""
     if transform is not None:
-        target_spec = transform(fitted.params).spec
+        fitted = transform_fitted(fitted, transform)[0]
     paths = [p if isinstance(p, PathSpec) else PathSpec.parse(p)
              for p in paths or ()]
     for ps in paths:    # fail before the first row is computed
-        component_mask(target_spec, "PSIE", ps)
+        component_mask(fitted.spec, "PSIE", ps)
     rows = []
     for req in requests:
-        te, de, ie, res = component_names(indirect_name(target_spec),
+        te, de, ie, res = component_names(indirect_name(fitted.spec),
                                           req.scale)
-        named = [(name, component_functional(comp, req, transform=transform))
+        named = [(name, component_functional(comp, req))
                  for name, comp in ((de, "DE"), (ie, "IE"), (res, "RES"),
                                     (te, "TE"))]
         named += [("PSIE[" + ",".join(str(i) for i in ps.indices) + "]",
-                   component_functional("PSIE", req, path=ps,
-                                        transform=transform))
+                   component_functional("PSIE", req, path=ps))
                   for ps in paths]
         for name, fn in named:
             label = f"{name} {req.label()}"
@@ -219,25 +208,24 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
 def transform_fitted(fitted: FittedSystem, transform: Callable):
     """Push a parameter transformation through a fitted system.
 
-    The reduced coefficients get their covariance by the delta method
-    (jacobian of new stack w.r.t. old stack against the old block
-    covariance).  Returns (reduced FittedSystem, cross) where ``cross`` is
-    the largest absolute covariance between different reduced equations;
-    the stored artifact keeps per-equation blocks only, so a nonzero
-    ``cross`` means downstream standard errors from the artifact alone
-    would miss that part.
+    The reduced coefficients get their covariance by the delta method:
+    the full J Sigma J' of the jacobian of the new stack w.r.t. the old
+    one.  Returns (reduced FittedSystem, cross) where ``cross`` is the
+    largest absolute covariance between different reduced equations; the
+    stored artifact keeps per-equation blocks only, so a nonzero ``cross``
+    means downstream standard errors from the artifact alone would miss
+    that part.
     """
     new_params = transform(fitted.params)
     new_spec = new_params.spec
     _, jac = jacobian(lambda p: transform(p).flatten(), fitted,
                       "reduced coefficients")
     sigma = jac @ fitted.covariance_matrix() @ jac.T
-    cov_blocks = {resp: sigma[s, s] for resp, s in new_spec.slices.items()}
     diagnostics = {resp: d for resp, d in fitted.diagnostics.items()
                    if resp in new_spec.equations
                    and new_spec.equations[resp] == fitted.spec.equations.get(resp)}
-    reduced = FittedSystem(new_spec, new_params, cov_blocks, diagnostics,
+    reduced = FittedSystem(new_spec, new_params, sigma, diagnostics,
                            fitted.n)
-    cross = float(np.max(np.abs(sigma - reduced.covariance_matrix()),
-                         initial=0.0))
+    blocks = block_covariance(new_spec, reduced.cov_blocks)
+    cross = float(np.max(np.abs(sigma - blocks), initial=0.0))
     return reduced, cross

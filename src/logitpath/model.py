@@ -598,21 +598,12 @@ class ZeroMask:
         zeroed.setflags(write=False)
         return ZeroMask(spec, zeroed)
 
-    def _check(self, spec: SystemSpec):
-        if spec is not self.spec and spec != self.spec:
+    def apply(self, params: ParameterSet) -> ParameterSet:
+        if params.spec is not self.spec and params.spec != self.spec:
             raise ModelSpecError("a coefficient mask applies only to the "
                                  "system it was built for")
-
-    def apply(self, params: ParameterSet) -> ParameterSet:
-        self._check(params.spec)
         return ParameterSet(params.spec, np.where(self.zeroed, 0.0,
                                                   params.vector))
-
-    def __or__(self, other: "ZeroMask") -> "ZeroMask":
-        self._check(other.spec)
-        zeroed = self.zeroed | other.zeroed
-        zeroed.setflags(write=False)
-        return ZeroMask(self.spec, zeroed)
 
 
 def zero_out(params: ParameterSet, targets: Iterable[tuple]) -> ParameterSet:

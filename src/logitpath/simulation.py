@@ -181,15 +181,21 @@ def _draw(config: SimConfig, rng: np.random.Generator,
     return x, w, y
 
 
-def generate_data(config: SimConfig, replication: int) -> Dataset:
-    """The exact data of one replication, reproducible in isolation."""
+def _streams(config: SimConfig, count: int):
+    """The cell's shared treatment sample (None for a binary treatment)
+    and the generators of its first ``count`` replications."""
     xs = None
     if config.kind == "continuous":
         xs = fixed_treatment_sample(config.seed, config.n,
                                     config.pseudo_population)
-    children = _cell_seed(config).spawn(replication + 1)
-    rng = np.random.default_rng(children[replication])
-    x, w, y = _draw(config, rng, xs)
+    return xs, [np.random.default_rng(child)
+                for child in _cell_seed(config).spawn(count)]
+
+
+def generate_data(config: SimConfig, replication: int) -> Dataset:
+    """The exact data of one replication, reproducible in isolation."""
+    xs, rngs = _streams(config, replication + 1)
+    x, w, y = _draw(config, rngs[replication], xs)
     return Dataset.from_records({"Y": y, "X": x, "W": w})
 
 
@@ -281,15 +287,10 @@ def _stats(estimates: np.ndarray, truth: float) -> MethodStats:
 
 def run_cell(config: SimConfig) -> SimResult:
     """All replications of one (kind, beta_x, n) scenario."""
-    xs = None
-    if config.kind == "continuous":
-        xs = fixed_treatment_sample(config.seed, config.n,
-                                    config.pseudo_population)
-    children = _cell_seed(config).spawn(config.replications)
+    xs, rngs = _streams(config, config.replications)
     rsd_vals, khb_vals = [], []
     excluded = 0
-    for child in children:
-        rng = np.random.default_rng(child)
+    for rng in rngs:
         shares = _shares(*_draw(config, rng, xs), config.kind)
         if shares is None:
             excluded += 1

@@ -78,6 +78,40 @@ def test_dataset_names_the_row_of_a_non_finite_count(count):
         Dataset.from_patterns({"Y": [1, 0, 1], "X": [1, 0, 0]}, [3, count, 1])
 
 
+@pytest.mark.parametrize("make", [Dataset.from_patterns, Dataset],
+                         ids=["from_patterns", "Dataset"])
+def test_dataset_names_the_row_of_an_oversized_count(make):
+    with pytest.raises(DataError, match=r"^row 2 has count 1000.*finite"):
+        make({"Y": [1, 0, 1], "X": [1, 0, 0]}, [3, 10 ** 400, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coerce_value(VariableSpec("X", "treatment", "continuous"),
+                         10 ** 400),
+    lambda: coerce_value(VariableSpec("X", "treatment", "categorical",
+                                      levels=(1, 2)), 10 ** 400),
+    lambda: coerce_value(VariableSpec("X", "treatment", "binary"),
+                         "9" * 401),
+    lambda: Dataset.from_rows([{"X": 0}, {"X": 1, "count": 10 ** 400}]),
+    lambda: Dataset.from_rows([{"X": 0}, {"X": 1, "Q" * 401: 0}]),
+], ids=["continuous", "categorical", "binary", "count", "column"])
+def test_errors_shorten_a_huge_value(call):
+    with pytest.raises(DataError) as err:
+        call()
+    assert len(str(err.value)) < 100
+
+
+def test_errors_print_a_short_value_whole():
+    var = VariableSpec("X", "treatment", "continuous")
+    with pytest.raises(DataError, match=r"^non-numeric value 'abc' for 'X'$"):
+        coerce_value(var, "abc")
+    with pytest.raises(DataError, match=r"^binary variable 'X' has value "
+                                        r"2\.5$"):
+        coerce_value(VariableSpec("X", "treatment", "binary"), 2.5)
+    with pytest.raises(DataError, match=r"^row 2 has count 'x'; "):
+        Dataset.from_rows([{"X": 0}, {"X": 1, "count": "x"}])
+
+
 @pytest.mark.parametrize("count", ["x", "nan", "inf", -1, None, 10 ** 400],
                          ids=["x", "nan", "inf", "-1", "None", "10**400"])
 def test_from_rows_rejects_unusable_counts(count):

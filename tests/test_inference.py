@@ -11,7 +11,7 @@ import scipy.linalg
 from scipy.stats import norm
 
 from logitpath import InferenceError, decompose_logodds
-from logitpath.effects import EffectError, EffectRequest
+from logitpath.effects import EffectError, EffectRequest, component
 from logitpath.inference import (component_functional, delta_se, effect_table,
                                  jacobian, transform_fitted)
 from logitpath.multi import (marginalize, marginalize_inner,
@@ -78,14 +78,13 @@ def test_nonfinite_effects_are_reported(example_fit):
 def test_degenerate_variance_is_an_error(example_fit):
     req = EffectRequest.contrast(2, 1, {"C": 0})
     fn = component_functional("TE", req)
-    y = example_fit.cov_blocks["Y"].copy()
-    y[0, 0] = float("nan")
-    nan_fit = replace(example_fit, cov_blocks={**example_fit.cov_blocks,
-                                               "Y": y})
+    sigma = example_fit.covariance.copy()
+    y = example_fit.spec.slices["Y"].start
+    sigma[y, y] = float("nan")
+    nan_fit = replace(example_fit, covariance=sigma)
     with pytest.raises(InferenceError, match="TE 2 vs 1: variance nan"):
         delta_se(nan_fit, fn, label="TE 2 vs 1")
-    negated = replace(example_fit, cov_blocks={
-        resp: -block for resp, block in example_fit.cov_blocks.items()})
+    negated = replace(example_fit, covariance=-example_fit.covariance)
     with pytest.raises(InferenceError, match="TE 2 vs 1: negative variance"):
         delta_se(negated, fn, label="TE 2 vs 1")
 
@@ -164,8 +163,7 @@ def test_inner_transform_pushforward_matches_composition():
     req = EffectRequest.contrast(1, 0)
     for comp in ("TE", "DE", "GIE", "RES"):
         via_original = delta_se(
-            fitted,
-            component_functional(comp, req, transform=marginalize_inner))
+            fitted, lambda p: component(marginalize_inner(p), req, comp))
         via_reduced = delta_se(reduced, component_functional(comp, req))
         assert via_reduced.value == pytest.approx(via_original.value,
                                                   abs=1e-9)
@@ -188,8 +186,7 @@ def test_outer_transform_pushforward_matches_composition():
     for comp in ("TE", "DE", "IE", "RES"):
         via_original = delta_se(
             fitted,
-            component_functional(comp, req,
-                                 transform=marginalize_outer_system))
+            lambda p: component(marginalize_outer_system(p), req, comp))
         via_reduced = delta_se(reduced, component_functional(comp, req))
         assert via_reduced.value == pytest.approx(via_original.value,
                                                   abs=1e-9)
@@ -255,9 +252,34 @@ def test_effect_table_with_transform():
     req = EffectRequest.contrast(1, 0)
     table = effect_table(fitted, [req], transform=marginalize_inner)
     assert [r.effect for r in table.rows] == ["DE", "IE", "RES", "TE"]
-    want = delta_se(fitted,
-                    component_functional("TE", req,
-                                         transform=marginalize_inner))
+    want = delta_se(fitted, lambda p: component(marginalize_inner(p), req,
+                                                "TE"))
     got = table.rows[3].estimate
     assert got.value == pytest.approx(want.value, abs=1e-12)
-    assert got.se == pytest.approx(want.se, abs=1e-12)
+    assert got.se == pytest.approx(want.se, rel=1e-6)
+
+
+def test_transform_table_is_the_table_of_the_reduced_system():
+    # summing out the middle mediator correlates the reduced equations
+    # (cross > 0): the reduced system keeps that part of J Sigma J', so
+    # reducing first and decomposing the reduced fit is the same path as
+    # transform=, and both match the gradient through the reduction
+    fitted = expected_data_fit(np.random.default_rng(115), k=3)
+
+    def middle(params):
+        return marginalize(params, 2)
+
+    reduced, cross = transform_fitted(fitted, middle)
+    assert cross > 0.0
+    reqs = [EffectRequest.contrast(1, 0),
+            EffectRequest.contrast(1, 0, scale="probability")]
+    via_transform = effect_table(fitted, reqs, paths=[[1]], transform=middle)
+    assert via_transform == effect_table(reduced, reqs, paths=[[1]])
+    comps = ("DE", "IE", "RES", "TE")
+    for req, rows in zip(reqs, (via_transform.rows[:5],
+                                via_transform.rows[5:])):
+        for comp, row in zip(comps, rows):
+            want = delta_se(fitted,
+                            lambda p: component(middle(p), req, comp))
+            assert row.estimate.value == pytest.approx(want.value, abs=1e-12)
+            assert row.estimate.se == pytest.approx(want.se, rel=1e-6)

@@ -56,8 +56,8 @@ def test_the_coefficient_vector_is_the_only_layout(data):
     assert ParameterSet.from_vector(spec, vec).flatten().tobytes() == same
     again = ParameterSet.from_nested(spec, params.nested(), strict=True)
     assert again.flatten().tobytes() == same
-    fitted = FittedSystem(spec, params, {r: np.eye(len(spec.columns(r)))
-                                         for r in spec.responses}, {}, 1.0)
+    fitted = FittedSystem(spec, params, np.eye(len(spec.flat_coords)), {},
+                          1.0)
     doc = json.loads(json.dumps(fitted.to_json_dict()))
     assert FittedSystem.from_json_dict(doc).params.flatten().tobytes() == same
 
