@@ -183,19 +183,19 @@ def _draw(config: SimConfig, rng: np.random.Generator,
 
 def _streams(config: SimConfig, count: int):
     """The cell's shared treatment sample (None for a binary treatment)
-    and the generators of its first ``count`` replications."""
+    and an iterator over the generators of its first ``count``
+    replications, each made when it is reached."""
     xs = None
     if config.kind == "continuous":
         xs = fixed_treatment_sample(config.seed, config.n,
                                     config.pseudo_population)
-    return xs, [np.random.default_rng(child)
-                for child in _cell_seed(config).spawn(count)]
+    return xs, map(np.random.default_rng, _cell_seed(config).spawn(count))
 
 
 def generate_data(config: SimConfig, replication: int) -> Dataset:
     """The exact data of one replication, reproducible in isolation."""
     xs, rngs = _streams(config, replication + 1)
-    x, w, y = _draw(config, rngs[replication], xs)
+    x, w, y = _draw(config, list(rngs)[replication], xs)
     return Dataset.from_records({"Y": y, "X": x, "W": w})
 
 
