@@ -62,10 +62,7 @@ class Dataset:
         lengths.add(len(self.counts))
         if len(lengths) > 1:
             raise DataError("columns and counts must share one length")
-        try:
-            counts = np.fromiter(self.counts, float, len(self.counts))
-        except (TypeError, ValueError, OverflowError):
-            counts = np.array([_count(c) for c in self.counts])
+        counts = np.array([_count(c) for c in self.counts], dtype=float)
         bad = np.flatnonzero(~((counts >= 0.0) & (counts < np.inf)))
         if bad.size:
             raw = self.counts[bad[0]]

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import io
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -195,7 +196,7 @@ def _streams(config: SimConfig, count: int):
 def generate_data(config: SimConfig, replication: int) -> Dataset:
     """The exact data of one replication, reproducible in isolation."""
     xs, rngs = _streams(config, replication + 1)
-    x, w, y = _draw(config, list(rngs)[replication], xs)
+    x, w, y = _draw(config, next(itertools.islice(rngs, replication, None)), xs)
     return Dataset.from_records({"Y": y, "X": x, "W": w})
 
 

@@ -258,7 +258,8 @@ def test_effect_table_with_transform():
     assert got.value == pytest.approx(want.value, abs=1e-12)
     # the reference differentiates through the reduction at every point;
     # the table differentiates the reduced system against J Sigma J'
-    assert got.se == pytest.approx(want.se, rel=1e-8)
+    # (they differ by 7e-11 relative here)
+    assert got.se == pytest.approx(want.se, rel=1e-9)
 
 
 def test_transform_table_is_the_table_of_the_reduced_system():
