@@ -9,20 +9,16 @@ Monte Carlo harness for estimator comparison.
 
 from .dual import Dual, expit, softplus
 from .model import (INTERCEPT, Column, ModelSpecError, ParameterSet,
-                    SystemSpec, Term, VariableSpec, ZeroMask, zero_out)
+                    SystemSpec, Term, VariableSpec, ZeroMask)
 from .fitting import (DataError, Dataset, EquationFit, FitError,
                       FittedSystem, fit_logistic, fit_system)
 from .effects import (Decomposition, EffectError, EffectRequest,
-                      average_probability_effects, decompose,
-                      decompose_logodds, decompose_probability, deltas,
-                      direct_mask, g_y, indirect_mask, marginal_logit)
-from .multi import (PathSpec, decompose_multi, g_recursive,
-                    marginal_logit_multi, marginalize, marginalize_inner,
-                    marginalize_outer_system, psie,
-                    residual_structurally_zero)
+                      average_probability_effects, decompose, deltas)
+from .multi import (PathSpec, g_recursive, marginal_logit_multi, marginalize,
+                    marginalize_inner, psie, residual_structurally_zero)
 from .inference import (EffectEstimate, EffectRow, EffectTable,
-                        InferenceError, component_functional, delta_se,
-                        effect_table, transform_fitted)
+                        InferenceError, delta_se, effect_table,
+                        transform_fitted)
 from .simulation import (MethodStats, SimConfig, SimResult, SimulationError,
                          generate_data, pseudo_population, results_to_csv,
                          run_cell, run_study, true_value)

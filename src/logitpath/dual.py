@@ -10,11 +10,11 @@ time.  With r0, r1 the log odds of Y=1 at W=0, 1 and rw the log odds of
 W=1, everything else held fixed, Bayes inversion gives the log odds of
 W=1 given Y=y (``cond_logit``),
 
-    g_y = y * (r1 - r0) + log[(1 + exp r0) / (1 + exp r1)] + rw,
+    g(y) = y * (r1 - r0) + log[(1 + exp r0) / (1 + exp r1)] + rw,
 
 and summing W out gives the log odds of Y=1 (``lift``),
 
-    eta = log[(1 + exp g1) / (1 + exp g0)] + r0.
+    eta = log[(1 + exp g(1)) / (1 + exp g(0))] + r0.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ halving the corners each time, to reach the triple
 
     (R_{j-1}(W_j=0, w_{>j}), R_{j-1}(W_j=1, w_{>j}), rhs(W_j | w_{>j})).
 
-``lift`` of step k is the marginal logit, exact for any treatment kind;
-``cond_logit`` of step j is ``g_recursive``.  Dual inputs give derivatives
-and array inputs many points at once.  The single-mediator functions are
-the k = 1 case.  Each effect component is a
-contrast (or derivative) of the marginal logit under a coefficient mask
-(``component_mask``, built once per spec), evaluated by ``component``:
+``lift`` of step k is the marginal logit (``marginal_logit_multi``), exact
+for any treatment kind; ``cond_logit`` of step j is ``g_recursive``.  Dual
+inputs give derivatives and array inputs many points at once.  One mediator
+is the k = 1 case; only ``deltas`` is specific to it.  Each effect
+component is a contrast (or derivative) of the marginal logit under a
+coefficient mask (``component_mask``, built once per spec), evaluated by
+``component`` and collected by ``decompose``:
 
     TE   no mask
     DE   every mediator zeroed out of the outcome equation
@@ -27,6 +28,7 @@ not here.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
@@ -41,15 +43,6 @@ SCALES = ("logodds", "probability")
 
 class EffectError(ValueError):
     """An effect request that does not fit the system at hand."""
-
-
-def _single_mediator(spec: SystemSpec):
-    meds = spec.mediators
-    if len(meds) != 1:
-        raise EffectError(
-            f"single-mediator decomposition needs exactly one mediator, "
-            f"system has {len(meds)}; use the multi-mediator variant")
-    return meds[0]
 
 
 # -- marginal logits -------------------------------------------------------
@@ -98,19 +91,6 @@ def marginal_logit_multi(params: ParameterSet, x,
     return lift(*_step(params, base, len(spec.mediators)))
 
 
-def g_y(params: ParameterSet, y: int, x, covariates: Optional[Mapping] = None):
-    """Log odds of W=1 given Y=y and X=x (and covariates)."""
-    _single_mediator(params.spec)
-    return g_recursive(params, 1, y, x, covariates=covariates)
-
-
-def marginal_logit(params: ParameterSet, x,
-                   covariates: Optional[Mapping] = None):
-    """Log odds of Y=1 given X=x (and covariates) with W summed out."""
-    _single_mediator(params.spec)
-    return marginal_logit_multi(params, x, covariates)
-
-
 def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     """(delta_y, delta_w, delta_w_star) at X=x.
 
@@ -120,10 +100,12 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     outcome equation.
     """
     spec = params.spec
-    _single_mediator(spec)
+    if len(spec.mediators) != 1:
+        raise EffectError(f"deltas need exactly one mediator, system has "
+                          f"{len(spec.mediators)}")
     base = {spec.treatment.name: x, **(covariates or {})}
     steps = [_step(p, base, 1)
-             for p in (params, indirect_mask(spec).apply(params))]
+             for p in (params, component_mask(spec, "IE").apply(params))]
     r0, r1, _ = steps[0]
     dy = expit(r1) - expit(r0)
     dw, dws = (expit(cond_logit(1, *t)) - expit(cond_logit(0, *t))
@@ -158,6 +140,16 @@ class EffectRequest:
         else:
             if self.at is None:
                 raise EffectError("derivative mode needs an evaluation point")
+        for v in (self.x1, self.x0) if self.mode == "contrast" else (self.at,):
+            try:
+                finite = np.all(np.isfinite(np.asarray(v, dtype=float)))
+            except (TypeError, ValueError):   # a level that is no number
+                finite = True
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise EffectError(f"treatment value {reprlib.repr(v)} is "
+                                  f"not finite")
 
     @staticmethod
     def contrast(x1, x0, covariates=None, scale="logodds") -> "EffectRequest":
@@ -197,6 +189,8 @@ def component_mask(spec: SystemSpec, name: str, path=None) -> ZeroMask:
         elif name in ("IE", "GIE"):
             targets = [(y, spec.treatment.name)]
         elif name == "PSIE":
+            if path is None:
+                raise EffectError("the PSIE component needs a path")
             targets = path.mask_targets(spec)
         else:
             raise EffectError(f"unknown effect component {name!r}")
@@ -204,17 +198,9 @@ def component_mask(spec: SystemSpec, name: str, path=None) -> ZeroMask:
     return spec.masks[key]
 
 
-def direct_mask(spec: SystemSpec) -> ZeroMask:
-    """Zero every mediator out of the outcome equation."""
-    return component_mask(spec, "DE")
-
-
-def indirect_mask(spec: SystemSpec) -> ZeroMask:
-    """Zero the treatment out of the outcome equation."""
-    return component_mask(spec, "IE")
-
-
 def _validate_request(spec: SystemSpec, request: EffectRequest):
+    if not spec.mediators:
+        raise EffectError("system declares no mediators")
     for name in request.covariates:
         var = spec.by_name.get(name)
         role = var.role if var else "undeclared"
@@ -224,12 +210,13 @@ def _validate_request(spec: SystemSpec, request: EffectRequest):
     kind = spec.treatment.kind
     if request.mode == "derivative" and kind != "continuous":
         raise EffectError("derivative mode requires a continuous treatment")
-    if request.mode == "contrast" and kind == "categorical":
-        levels = spec.treatment.levels
+    if request.mode == "contrast" and kind != "continuous":
+        levels = spec.treatment.levels if kind == "categorical" else (0, 1)
         for v in (request.x1, request.x0):
             if v not in levels:
-                raise EffectError(
-                    f"{v!r} is not a level of {spec.treatment.name!r}")
+                raise EffectError(f"{v!r} is not a level of "
+                                  f"{spec.treatment.name!r} (levels: "
+                                  f"{list(levels)})")
 
 
 def component(params: ParameterSet, request: EffectRequest, name: str,
@@ -302,28 +289,12 @@ class Decomposition:
 
 
 def decompose(params: ParameterSet, request: EffectRequest) -> Decomposition:
-    """TE / DE / IE / RES decomposition for any number of mediators; the
-    indirect component is the global one (GIE) when there are several."""
-    spec = params.spec
-    if not spec.mediators:
-        raise EffectError("system declares no mediators")
+    """TE / DE / IE / RES decomposition on the request's scale, for any
+    number of mediators; the indirect component is the global one (GIE)
+    when there are several."""
     return Decomposition(request, *(component(params, request, c)
                                     for c in ("TE", "DE", "IE")),
-                         indirect_name(spec))
-
-
-def decompose_logodds(params: ParameterSet,
-                      request: EffectRequest) -> Decomposition:
-    """Single-mediator decomposition of the log-odds total effect."""
-    _single_mediator(params.spec)
-    return decompose(params, request.with_scale("logodds"))
-
-
-def decompose_probability(params: ParameterSet,
-                          request: EffectRequest) -> Decomposition:
-    """Single-mediator decomposition on the probability scale."""
-    _single_mediator(params.spec)
-    return decompose(params, request.with_scale("probability"))
+                         indirect_name(params.spec))
 
 
 def average_probability_effects(params: ParameterSet, data: Dataset):

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .effects import (EffectError, EffectRequest, component, component_mask,
+from .effects import (EffectRequest, component, component_mask,
                       component_names, indirect_name, marginal_logit_multi)
 from .fitting import FittedSystem, block_covariance
 from .model import ParameterSet
@@ -52,7 +52,7 @@ def jacobian(fn: Callable, fitted: FittedSystem, label: str):
     differences with step STEP_SCALE * max(1, |coefficient|).
     """
     spec = fitted.spec
-    theta = fitted.params.flatten()
+    theta = fitted.params.vector
     value = np.asarray(fn(fitted.params), dtype=float)
     if not np.all(np.isfinite(value)):
         raise InferenceError(f"{label}: not finite at the estimate")
@@ -81,8 +81,11 @@ def delta_se(fitted: FittedSystem, effect: Callable,
 
     ``effect`` maps a ParameterSet to a float.  A variance that is not
     finite, or negative by more than rounding, means the covariance is
-    unusable and raises InferenceError.
+    unusable and raises InferenceError; so does a ``level`` outside (0, 1).
     """
+    if not 0.0 < level < 1.0:
+        raise InferenceError(f"interval level {level!r} is not between 0 "
+                             f"and 1")
     value, grad = jacobian(effect, fitted, label)
     value = float(value)
     sigma = fitted.covariance_matrix()
@@ -104,18 +107,7 @@ def delta_se(fitted: FittedSystem, effect: Callable,
     return EffectEstimate(label, value, se, ci, p, level)
 
 
-# -- effect functionals ----------------------------------------------------
-
-def component_functional(name: str, request: EffectRequest,
-                         path: Optional[PathSpec] = None) -> Callable:
-    """The ParameterSet -> float map of effect component ``name``: one of
-    TE, DE, IE, GIE, RES, PSIE."""
-    name = name.upper()
-    if name == "PSIE" and path is None:
-        raise EffectError("PSIE functional needs a path")
-    return lambda params: component(params, request, name, path,
-                                    marginal_logit_multi)
-
+# -- effect tables ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class EffectRow:
@@ -177,8 +169,9 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
                  transform: Optional[Callable] = None,
                  level: float = 0.95) -> EffectTable:
     """One row per effect component and request, ordered DE, IE/GIE, RES,
-    TE within each request, path-specific rows after.  A ``transform``
-    reduces the system first, by ``transform_fitted``."""
+    TE within each request, path-specific rows after; each row is the
+    delta-method estimate of ``component``.  A ``transform`` reduces the
+    system first, by ``transform_fitted``."""
     if transform is not None:
         fitted = transform_fitted(fitted, transform)[0]
     paths = [p if isinstance(p, PathSpec) else PathSpec.parse(p)
@@ -189,17 +182,19 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
     for req in requests:
         te, de, ie, res = component_names(indirect_name(fitted.spec),
                                           req.scale)
-        named = [(name, component_functional(comp, req))
-                 for name, comp in ((de, "DE"), (ie, "IE"), (res, "RES"),
-                                    (te, "TE"))]
+        named = [(de, "DE", None), (ie, "IE", None), (res, "RES", None),
+                 (te, "TE", None)]
         named += [("PSIE[" + ",".join(str(i) for i in ps.indices) + "]",
-                   component_functional("PSIE", req, path=ps))
-                  for ps in paths]
-        for name, fn in named:
+                   "PSIE", ps) for ps in paths]
+        for name, comp, path in named:
             label = f"{name} {req.label()}"
             if req.covariate_label():
                 label += f" | {req.covariate_label()}"
-            est = delta_se(fitted, fn, level=level, label=label)
+            # this module's name, looked up at each call, so that a wrapped
+            # inference.marginal_logit_multi sees every evaluation
+            est = delta_se(fitted, lambda p: component(
+                p, req, comp, path, marginal_logit_multi),
+                level=level, label=label)
             rows.append(EffectRow(name, req.label(),
                                   req.covariate_label(), est))
     return EffectTable(tuple(rows), level)
@@ -218,7 +213,7 @@ def transform_fitted(fitted: FittedSystem, transform: Callable):
     """
     new_params = transform(fitted.params)
     new_spec = new_params.spec
-    _, jac = jacobian(lambda p: transform(p).flatten(), fitted,
+    _, jac = jacobian(lambda p: transform(p).vector, fitted,
                       "reduced coefficients")
     sigma = jac @ fitted.covariance_matrix() @ jac.T
     diagnostics = {resp: d for resp, d in fitted.diagnostics.items()

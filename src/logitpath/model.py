@@ -551,9 +551,6 @@ class ParameterSet:
             vec[self.spec.coord(resp, col)] = float(val)
         return ParameterSet(self.spec, vec)
 
-    def flatten(self) -> np.ndarray:
-        return self.vector
-
     @cached_property
     def pairs(self) -> Mapping[str, tuple]:
         """{response: ((coefficient, column), ...)} as Python floats."""
@@ -604,9 +601,3 @@ class ZeroMask:
                                  "system it was built for")
         return ParameterSet(params.spec, np.where(self.zeroed, 0.0,
                                                   params.vector))
-
-
-def zero_out(params: ParameterSet, targets: Iterable[tuple]) -> ParameterSet:
-    """Return a copy of ``params`` with the targeted (equation, variable)
-    coefficients set to zero, interactions included."""
-    return ZeroMask.from_targets(params.spec, targets).apply(params)

@@ -1,12 +1,12 @@
 """Path-specific indirect effects and explicit mediator removal.
 
-The marginal logit and the global decomposition work for any number of
-mediators; they live in ``effects`` and are re-exported here, with
-``decompose_multi`` an alias of ``decompose``.  A path-specific indirect
-effect (PSIE) reroutes the treatment through one ordered mediator path by
-zeroing every coefficient not on the path (four rule groups below).
+The marginal logit, ``g_recursive`` and ``decompose`` work for any number
+of mediators and live in ``effects``.  A path-specific indirect effect
+(PSIE) reroutes the treatment through one ordered mediator path by zeroing
+every coefficient not on the path (four rule groups below).
 
-``marginalize(params, j)`` sums any mediator W_j out of the system.  Each
+``marginalize(params, j)`` sums any mediator W_j out of the system, j = 1
+the innermost and j = k the outermost.  Each
 equation with W_j as a predictor is rebuilt from its values at every
 corner of its new predictors: ``lift`` against W_j's log odds given them,
 W_j's own equation updated by ``cond_logit`` through each rebuilt
@@ -24,11 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import cond_logit, lift
-from .effects import (EffectError, EffectRequest, component, decompose,
-                      g_recursive, marginal_logit_multi)
+from .effects import (EffectError, EffectRequest, component, g_recursive,
+                      marginal_logit_multi)
 from .model import ParameterSet, SystemSpec, Term, design
-
-decompose_multi = decompose
 
 
 def residual_structurally_zero(spec: SystemSpec) -> bool:
@@ -207,8 +205,3 @@ def marginalize(params: ParameterSet, j: int) -> ParameterSet:
 def marginalize_inner(params: ParameterSet) -> ParameterSet:
     """Sum the innermost mediator out: ``marginalize(params, 1)``."""
     return marginalize(params, 1)
-
-
-def marginalize_outer_system(params: ParameterSet) -> ParameterSet:
-    """Sum the outermost mediator out: ``marginalize(params, k)``."""
-    return marginalize(params, len(params.spec.mediators))

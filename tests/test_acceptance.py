@@ -35,12 +35,10 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from logitpath import (EffectRequest, ParameterSet, PathSpec, SimConfig,
-                       decompose, decompose_logodds, decompose_multi,
-                       direct_mask, effect_table, fit_system, g_y,
-                       indirect_mask, marginal_logit, marginal_logit_multi,
-                       marginalize_inner, marginalize_outer_system, psie,
-                       run_study, true_value)
-from logitpath.effects import EffectError
+                       decompose, effect_table, fit_system, g_recursive,
+                       marginal_logit_multi, marginalize, marginalize_inner,
+                       psie, run_study, true_value)
+from logitpath.effects import EffectError, component_mask
 from logitpath.simulation import fixed_treatment_sample, share_continuous
 
 from conftest import enum_logit, make_system, random_params
@@ -204,23 +202,23 @@ def _transposed_level_probe(fitted):
     swapped in each parameter group.  A small return value means the
     reference numbers embed exactly that coordinate transposition."""
     spec = fitted.spec
-    theta = fitted.params.flatten()
+    theta = fitted.params.vector
     sigma = fitted.covariance_matrix()
     pos = {(resp, spec.column_label(col)): j
            for j, (resp, col) in enumerate(spec.flat_coords)}
     pairs = [(pos[("Y", "X{2,1}")], pos[("Y", "X{3,1}")]),
              (pos[("Y", "W:X{2,1}")], pos[("Y", "W:X{3,1}")]),
              (pos[("W", "X{2,1}")], pos[("W", "X{3,1}")])]
-    masks = {"DPE": direct_mask(spec), "IPE": indirect_mask(spec),
-             "TPE": None}
+    masks = {"DPE": component_mask(spec, "DE"),
+             "IPE": component_mask(spec, "IE"), "TPE": None}
 
     def contrast(vec, mask, c):
         params = ParameterSet.from_vector(spec, vec)
         if mask is not None:
             params = mask.apply(params)
         cov = {"C": c}
-        return (expit(marginal_logit(params, 3, cov))
-                - expit(marginal_logit(params, 1, cov)))
+        return (expit(marginal_logit_multi(params, 3, cov))
+                - expit(marginal_logit_multi(params, 1, cov)))
 
     worst = 0.0
     for c in (0, 1):
@@ -435,8 +433,7 @@ def test_criterion_6_property_suite():
             cov = {"C": i % 2} if k == 2 else None
             req = EffectRequest.contrast(1, 0, covariates=cov)
         for scale in ("logodds", "probability"):
-            d = (decompose(params, req.with_scale(scale)) if k == 1
-                 else decompose_multi(params, req.with_scale(scale)))
+            d = decompose(params, req.with_scale(scale))
             worst_add = max(worst_add, abs(
                 d.total - d.direct - d.indirect - d.residual))
 
@@ -447,8 +444,7 @@ def test_criterion_6_property_suite():
         params = random_params(specs[k], rng)
         x = float(rng.normal()) if k == 1 else int(rng.integers(2))
         cov = {"C": int(rng.integers(2))} if k < 3 else None
-        eta = (marginal_logit(params, x, cov) if k == 1
-               else marginal_logit_multi(params, x, cov))
+        eta = marginal_logit_multi(params, x, cov)
         worst_enum = max(worst_enum, abs(eta - enum_logit(params, x, cov)))
 
     # summing a mediator out must leave the outcome law intact
@@ -458,7 +454,7 @@ def test_criterion_6_property_suite():
         params = random_params(red_specs[k], rng)
         reductions = [marginalize_inner(params)]
         if k == 2:
-            reductions.append(marginalize_outer_system(params))
+            reductions.append(marginalize(params, 2))
         for reduced in reductions:
             for x in (0, 1):
                 for c in (0, 1):
@@ -477,8 +473,8 @@ def test_criterion_6_property_suite():
     for i in range(150):
         k = 2 + i % 2
         params = random_params(gie_specs[k], rng)
-        full = decompose_multi(params, req10)
-        red = decompose_multi(marginalize_inner(params), req10)
+        full = decompose(params, req10)
+        red = decompose(marginalize_inner(params), req10)
         worst_gie = max(worst_gie, abs(red.indirect - full.indirect),
                         abs(red.total - full.total))
 
@@ -492,22 +488,22 @@ def test_criterion_6_property_suite():
         which = i % 4
         if which == 0:  # treatment absent from the outcome equation
             p = params.replace({("Y", "X"): 0.0, ("Y", "W1:X"): 0.0})
-            d = decompose_logodds(p, EffectRequest.derivative(x))
+            d = decompose(p, EffectRequest.derivative(x))
             worst_case = max(worst_case, abs(d.direct), abs(d.residual),
                              abs(d.total - d.indirect))
         elif which == 1:  # mediator absent: the system collapses
             p = params.replace({("Y", "W1"): 0.0, ("Y", "W1:X"): 0.0})
-            d = decompose_logodds(p, EffectRequest.derivative(x))
+            d = decompose(p, EffectRequest.derivative(x))
             worst_case = max(worst_case, abs(d.indirect), abs(d.residual),
                              abs(d.total - d.direct))
         elif which == 2:  # independent mediator shrinks the effect
             p = params.replace({("Y", "W1:X"): 0.0, ("W1", "X"): 0.0})
-            d = decompose_logodds(p, EffectRequest.derivative(x))
+            d = decompose(p, EffectRequest.derivative(x))
             worst_case = max(worst_case, abs(d.indirect))
             assert abs(d.total) <= abs(p.get("Y", "X")) + 1e-12
         else:  # no treatment-mediator arrow: no sign reversal
             p = params.replace({("W1", "X"): 0.0})
-            d = decompose_logodds(p, EffectRequest.contrast(1.0, 0.0))
+            d = decompose(p, EffectRequest.contrast(1.0, 0.0))
             worst_case = max(worst_case, abs(d.indirect))
             lo = p.get("Y", "X")
             hi = lo + p.get("Y", "W1:X")
@@ -519,9 +515,10 @@ def test_criterion_6_property_suite():
     for _ in range(1000):
         params = random_params(case_spec, rng)
         bw = params.get("Y", "W1")
-        masked = indirect_mask(case_spec).apply(params)
+        masked = component_mask(case_spec, "IE").apply(params)
         x = float(rng.normal(0.0, 1.5))
-        delta = expit(g_y(masked, 1, x)) - expit(g_y(masked, 0, x))
+        delta = (expit(g_recursive(masked, 1, 1, x))
+                 - expit(g_recursive(masked, 1, 0, x)))
         assert delta * bw >= 0.0
 
     # path-specific effects vanish when any arrow on the path is cut

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 from importlib import resources
 
-from logitpath import FittedSystem
+from logitpath import FittedSystem, SystemSpec, VariableSpec
 from logitpath.cli import main
 
 from conftest import expected_data_fit, make_system
@@ -257,6 +257,35 @@ def test_decompose_marginalize_flag_errors(artifact, k3_artifact):
                     "--set", "C=0", "--marginalize-inner", "1")
     assert single.exit_code == 1
     assert "two mediators" in combined(single)
+
+
+def _artifact(workdir, name, spec, seed):
+    fitted = expected_data_fit(np.random.default_rng(seed), spec=spec)
+    out = workdir / name
+    out.write_text(json.dumps(fitted.to_json_dict()))
+    return out
+
+
+def test_decompose_refuses_a_treatment_value_that_is_not_finite(workdir):
+    # the error names the value given, not the fitted system
+    fitted = _artifact(workdir, "continuous.json",
+                       make_system(1, treatment="continuous"), 132)
+    result = invoke("decompose", "--fitted", fitted, "--at", "inf")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "treatment value inf is not finite" in combined(result)
+    assert "at the estimate" not in combined(result)
+
+
+def test_decompose_refuses_a_system_without_mediators(workdir):
+    spec = SystemSpec.build([VariableSpec("Y", "outcome", "binary"),
+                             VariableSpec("X", "treatment", "binary")],
+                            {"Y": ["1", "X"]})
+    fitted = _artifact(workdir, "no_mediators.json", spec, 133)
+    result = invoke("decompose", "--fitted", fitted, "--contrast", "1,0")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "system declares no mediators" in combined(result)
 
 
 def test_decompose_rejects_broken_artifact(workdir):

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from logitpath import EffectError, VariableSpec, SystemSpec, zero_out
-from logitpath.effects import (EffectRequest, decompose_logodds, direct_mask,
-                               g_y, indirect_mask, marginal_logit)
-from logitpath.multi import (PathSpec, decompose_multi, g_recursive,
-                             marginal_logit_multi, marginalize,
-                             marginalize_inner, marginalize_outer_system,
-                             psie, residual_structurally_zero)
+from logitpath import (EffectError, SystemSpec, VariableSpec, ZeroMask,
+                       decompose)
+from logitpath.effects import EffectRequest, component_mask
+from logitpath.multi import (PathSpec, g_recursive, marginal_logit_multi,
+                             marginalize, marginalize_inner, psie,
+                             residual_structurally_zero)
 from conftest import (_expit, assert_close, enum_logit, enum_prob,
                       make_system, random_covariates, random_params,
                       random_system, random_treatment_pair)
@@ -50,15 +49,14 @@ def test_marginal_logit_multi_matches_enumeration():
 
 
 def test_one_mediator_recursion_collapses_to_the_direct_formula():
-    # the single-mediator entry points are the k = 1 case of the
-    # recursion; both must agree with Bayes over the enumerated joint law
+    # one mediator is the k = 1 case of the recursion, which must agree
+    # with Bayes over the enumerated joint law
     rng = np.random.default_rng(91)
     for _ in range(50):
         spec, params = random_system(rng, k=1)
         x, _ = random_treatment_pair(spec, rng)
         cov = random_covariates(spec, rng)
         want = enum_logit(params, x, cov)
-        assert_close(marginal_logit(params, x, cov), want, 1e-10, "k=1")
         assert_close(marginal_logit_multi(params, x, cov), want, 1e-10,
                      "k=1 recursion")
         base = {"X": x, **cov}
@@ -69,8 +67,8 @@ def test_one_mediator_recursion_collapses_to_the_direct_formula():
                 py = _expit(params.linear_predictor("Y", {**base, "W1": w}))
                 joint.append((pw if w else 1.0 - pw)
                              * (py if y else 1.0 - py))
-            assert_close(g_y(params, y, x, cov),
-                         math.log(joint[1] / joint[0]), 1e-10, "g_y")
+            assert_close(g_recursive(params, 1, y, x, covariates=cov),
+                         math.log(joint[1] / joint[0]), 1e-10, "g(y)")
 
 
 def test_components_are_enumerations_of_masked_systems():
@@ -80,10 +78,10 @@ def test_components_are_enumerations_of_masked_systems():
         spec, params = random_system(rng, k=k)
         a, b = random_treatment_pair(spec, rng)
         cov = random_covariates(spec, rng)
-        dm = direct_mask(spec).apply(params)
-        im = indirect_mask(spec).apply(params)
+        dm = component_mask(spec, "DE").apply(params)
+        im = component_mask(spec, "IE").apply(params)
 
-        d = decompose_multi(params, EffectRequest.contrast(a, b, cov))
+        d = decompose(params, EffectRequest.contrast(a, b, cov))
         assert d.indirect_name == "GIE"
         te = enum_logit(params, a, cov) - enum_logit(params, b, cov)
         de = enum_logit(dm, a, cov) - enum_logit(dm, b, cov)
@@ -93,7 +91,7 @@ def test_components_are_enumerations_of_masked_systems():
         assert_close(d.indirect, gie, 1e-10, "GIE")
         assert_close(d.residual, te - de - gie, 1e-9, "RES")
 
-        p = decompose_multi(params, EffectRequest.contrast(
+        p = decompose(params, EffectRequest.contrast(
             a, b, cov, scale="probability"))
         assert_close(p.total, enum_prob(params, a, cov)
                      - enum_prob(params, b, cov), 1e-10, "TPE")
@@ -112,10 +110,12 @@ def test_derivative_components_match_finite_differences():
         params = random_params(spec, rng)
         x = float(rng.normal())
         h = 1e-6
-        d = decompose_multi(params, EffectRequest.derivative(x))
+        d = decompose(params, EffectRequest.derivative(x))
         for val, masked in ((d.total, params),
-                            (d.direct, direct_mask(spec).apply(params)),
-                            (d.indirect, indirect_mask(spec).apply(params))):
+                            (d.direct,
+                             component_mask(spec, "DE").apply(params)),
+                            (d.indirect,
+                             component_mask(spec, "IE").apply(params))):
             fd = (enum_logit(masked, x + h) - enum_logit(masked, x - h)) / (2 * h)
             assert_close(val, fd, 5e-6, "derivative component")
 
@@ -183,8 +183,8 @@ def test_total_effect_survives_inner_marginalization():
         a, b = random_treatment_pair(spec, rng)
         cov = random_covariates(spec, rng)
         req = EffectRequest.contrast(a, b, cov)
-        full = decompose_multi(params, req)
-        red = decompose_multi(marginalize_inner(params), req)
+        full = decompose(params, req)
+        red = decompose(marginalize_inner(params), req)
         assert_close(red.total, full.total, 1e-10, "TE")
 
 
@@ -205,8 +205,8 @@ def test_global_indirect_effect_survives_inner_marginalization():
         params = random_params(spec, rng)
         a, b = random_treatment_pair(spec, rng)
         req = EffectRequest.contrast(a, b, random_covariates(spec, rng))
-        full = decompose_multi(params, req)
-        red = decompose_multi(marginalize_inner(params), req)
+        full = decompose(params, req)
+        red = decompose(marginalize_inner(params), req)
         assert_close(red.total, full.total, 1e-10, "TE")
         assert_close(red.indirect, full.indirect, 1e-10, "GIE")
 
@@ -216,8 +216,8 @@ def test_treatment_arrow_into_removed_mediator_breaks_gie_invariance():
     spec = make_system(2)
     params = random_params(spec, rng)
     req = EffectRequest.contrast(1, 0)
-    full = decompose_multi(params, req)
-    red = decompose_multi(marginalize_inner(params), req)
+    full = decompose(params, req)
+    red = decompose(marginalize_inner(params), req)
     assert_close(red.total, full.total, 1e-10, "TE still matches")
     assert abs(red.indirect - full.indirect) > 1e-3
 
@@ -233,11 +233,11 @@ def test_explicit_marginalization_guards():
     with pytest.raises(EffectError, match="two mediators"):
         marginalize_inner(params)
     with pytest.raises(EffectError, match="two mediators"):
-        marginalize_outer_system(params)
+        marginalize(params, 1)
     # the outer reduction of three mediators sums W3 out
     spec = make_system(3)
     params = random_params(spec, rng)
-    reduced = marginalize_outer_system(params)
+    reduced = marginalize(params, 3)
     assert [m.name for m in reduced.spec.mediators] == ["W1", "W2"]
     for x in (0, 1):
         assert_close(enum_logit(reduced, x), enum_logit(params, x), 1e-9,
@@ -282,7 +282,7 @@ def test_outer_evaluator_matches_bayes():
         spec = make_system(2, treatment=("binary", "categorical")[i % 2],
                            covariate=True, extra_terms=("X:W1",))
         params = random_params(spec, rng)
-        reduced = marginalize_outer_system(params)
+        reduced = marginalize(params, 2)
         for x, cov in design_points(spec):
             base = {"X": x, **cov}
             for w1 in (0, 1):
@@ -296,7 +296,7 @@ def test_outer_reduction_reproduces_joint_and_margins():
     rng = np.random.default_rng(99)
     for _ in range(25):
         spec, params = discrete_system(rng, 2)
-        reduced = marginalize_outer_system(params)
+        reduced = marginalize(params, 2)
         assert [m.name for m in reduced.spec.mediators] == ["W1"]
         for x, cov in design_points(spec):
             assert_close(enum_logit(reduced, x, cov),
@@ -389,7 +389,7 @@ def test_single_mediator_path_is_the_indirect_effect():
         a, b = random_treatment_pair(spec, rng)
         req = EffectRequest.contrast(a, b, random_covariates(spec, rng))
         assert_close(psie(params, [1], req),
-                     decompose_logodds(params, req).indirect,
+                     decompose(params, req).indirect,
                      1e-12, "k=1 path")
 
 
@@ -402,7 +402,7 @@ def test_pure_chain_path_carries_the_whole_indirect_effect():
         params = random_params(spec, rng).replace(
             {("W1", "X"): 0.0, ("Y", "W2"): 0.0})
         req = EffectRequest.contrast(1, 0)
-        d = decompose_multi(params, req)
+        d = decompose(params, req)
         assert_close(psie(params, [1, 2], req), d.indirect, 1e-12, "chain")
         assert_close(psie(params, [1], req), 0.0, 1e-12, "inner alone")
         assert_close(psie(params, [2], req), 0.0, 1e-12, "outer alone")
@@ -430,7 +430,7 @@ def test_treatment_absent_from_outcome_makes_the_effect_fully_indirect():
     spec = chainless_spec(["1", "W1"], ["1", "X"])
     for _ in range(30):
         params = random_params(spec, rng)
-        d = decompose_multi(params, EffectRequest.contrast(1, 0))
+        d = decompose(params, EffectRequest.contrast(1, 0))
         assert_close(d.direct, 0.0, 1e-12, "DE")
         assert_close(d.residual, 0.0, 1e-12, "RES")
         assert_close(d.total, d.indirect, 1e-12, "TE=IE")
@@ -442,8 +442,8 @@ def test_zeroed_treatment_coefficients_behave_like_the_structural_case():
         k = int(rng.integers(1, 4))
         spec, params = random_system(rng, k=k, treatment="binary",
                                      interactions=False)
-        params = zero_out(params, [("Y", "X")])
-        d = decompose_multi(params, EffectRequest.contrast(
+        params = ZeroMask.from_targets(spec, [("Y", "X")]).apply(params)
+        d = decompose(params, EffectRequest.contrast(
             1, 0, random_covariates(spec, rng)))
         assert_close(d.direct, 0.0, 1e-12, "DE")
         assert_close(d.residual, 0.0, 1e-10, "RES")
@@ -456,4 +456,4 @@ def test_no_mediators_delcared_is_rejected():
     spec = SystemSpec.build(variables, {"Y": ["1", "X"]})
     params = random_params(spec, np.random.default_rng(106))
     with pytest.raises(EffectError, match="no mediators"):
-        decompose_multi(params, EffectRequest.contrast(1, 0))
+        decompose(params, EffectRequest.contrast(1, 0))

@@ -7,11 +7,10 @@ import pytest
 from scipy.special import expit
 
 from logitpath import (Dataset, EffectError, ParameterSet, SystemSpec,
-                       average_probability_effects, decompose_logodds,
-                       decompose_probability, deltas)
-from logitpath.effects import (EffectRequest, component, direct_mask,
-                               indirect_mask, g_y, marginal_logit)
-from logitpath.multi import decompose_multi
+                       VariableSpec, average_probability_effects, decompose,
+                       deltas)
+from logitpath.effects import EffectRequest, component, component_mask
+from logitpath.multi import g_recursive, marginal_logit_multi
 from conftest import (assert_close, enum_logit, enum_prob, make_system,
                       random_covariates, random_params, random_system,
                       random_treatment_pair)
@@ -46,7 +45,8 @@ def test_g_y_matches_printed_formula():
             expected = (y * (bw + bxw * x)
                         + math.log1p(math.exp(r0)) - math.log1p(math.exp(r1))
                         + g0 + gx * x)
-            assert_close(g_y(params, y, x), expected, 1e-10, "g_y")
+            assert_close(g_recursive(params, 1, y, x), expected, 1e-10,
+                         "g(y)")
 
 
 def test_marginal_logit_matches_enumeration():
@@ -55,7 +55,7 @@ def test_marginal_logit_matches_enumeration():
         spec, params = random_system(rng, k=1)
         x, _ = random_treatment_pair(spec, rng)
         cov = random_covariates(spec, rng)
-        assert_close(marginal_logit(params, x, cov),
+        assert_close(marginal_logit_multi(params, x, cov),
                      enum_logit(params, x, cov), 1e-10, "marginal logit")
 
 
@@ -64,7 +64,7 @@ def test_total_effect_is_log_cross_product_ratio():
     for _ in range(100):
         spec, params = random_system(rng, k=1, treatment="binary")
         cov = random_covariates(spec, rng)
-        d = decompose_logodds(params, EffectRequest.contrast(1, 0, cov))
+        d = decompose(params, EffectRequest.contrast(1, 0, cov))
         p1 = enum_prob(params, 1, cov)
         p0 = enum_prob(params, 0, cov)
         cpr = (p1 / (1 - p1)) / (p0 / (1 - p0))
@@ -76,11 +76,11 @@ def test_direct_effect_is_the_treatment_coefficient():
     for _ in range(100):
         spec, params = plain_system(rng)
         bx = params.get("Y", "X")
-        d = decompose_logodds(params, EffectRequest.derivative(
+        d = decompose(params, EffectRequest.derivative(
             float(rng.normal())))
         assert_close(d.direct, bx, 1e-10, "DE derivative")
         a, b = random_treatment_pair(spec, rng)
-        d = decompose_logodds(params, EffectRequest.contrast(a, b))
+        d = decompose(params, EffectRequest.contrast(a, b))
         assert_close(d.direct, bx * (a - b), 1e-10, "DE contrast")
 
 
@@ -92,9 +92,10 @@ def test_indirect_effect_closed_form():
         spec, params = plain_system(rng)
         gx = params.get("W1", "X")
         x = float(rng.normal())
-        masked = indirect_mask(spec).apply(params)
-        delta_star = (expit(g_y(masked, 1, x)) - expit(g_y(masked, 0, x)))
-        d = decompose_logodds(params, EffectRequest.derivative(x))
+        masked = component_mask(spec, "IE").apply(params)
+        delta_star = (expit(g_recursive(masked, 1, 1, x))
+                      - expit(g_recursive(masked, 1, 0, x)))
+        d = decompose(params, EffectRequest.derivative(x))
         assert_close(d.indirect, gx * delta_star, 1e-9, "IE closed form")
 
 
@@ -104,8 +105,9 @@ def test_derivative_agrees_with_finite_differences():
         spec, params = plain_system(rng)
         x = float(rng.normal())
         h = 1e-6
-        fd = (marginal_logit(params, x + h) - marginal_logit(params, x - h)) / (2 * h)
-        d = decompose_logodds(params, EffectRequest.derivative(x))
+        fd = (marginal_logit_multi(params, x + h)
+              - marginal_logit_multi(params, x - h)) / (2 * h)
+        d = decompose(params, EffectRequest.derivative(x))
         assert_close(d.total, fd, 1e-6, "TE derivative vs fd")
 
 
@@ -115,13 +117,13 @@ def test_probability_scale_is_expit_of_masked_logits():
         spec, params = random_system(rng, k=1, treatment="binary")
         cov = random_covariates(spec, rng)
         req = EffectRequest.contrast(1, 0, cov, scale="probability")
-        d = decompose_probability(params, req)
+        d = decompose(params, req)
         p1, p0 = enum_prob(params, 1, cov), enum_prob(params, 0, cov)
         assert_close(d.total, p1 - p0, 1e-10, "TPE")
-        dm = direct_mask(spec).apply(params)
+        dm = component_mask(spec, "DE").apply(params)
         q1, q0 = enum_prob(dm, 1, cov), enum_prob(dm, 0, cov)
         assert_close(d.direct, q1 - q0, 1e-10, "DPE")
-        im = indirect_mask(spec).apply(params)
+        im = component_mask(spec, "IE").apply(params)
         r1, r0 = enum_prob(im, 1, cov), enum_prob(im, 0, cov)
         assert_close(d.indirect, r1 - r0, 1e-10, "IPE")
         assert_close(d.residual, d.total - d.direct - d.indirect, 1e-12,
@@ -133,12 +135,13 @@ def test_probability_derivative_density_factor():
     for _ in range(100):
         spec, params = plain_system(rng)
         x = float(rng.normal())
-        dl = decompose_logodds(params, EffectRequest.derivative(x))
-        dp = decompose_probability(params, EffectRequest.derivative(x))
-        eta = marginal_logit(params, x)
+        dl = decompose(params, EffectRequest.derivative(x))
+        dp = decompose(params, EffectRequest.derivative(x, scale="probability"))
+        eta = marginal_logit_multi(params, x)
         p = expit(eta)
         assert_close(dp.total, p * (1 - p) * dl.total, 1e-10, "TPE density")
-        star = marginal_logit(indirect_mask(spec).apply(params), x)
+        star = marginal_logit_multi(component_mask(spec, "IE").apply(params),
+                                    x)
         ps = expit(star)
         assert_close(dp.indirect, ps * (1 - ps) * dl.indirect, 1e-10,
                      "IPE density")
@@ -204,7 +207,7 @@ def test_case_treatment_absent_from_outcome():
         params = zeroed(params, "X", "W1:X")
         for req in (EffectRequest.derivative(float(rng.normal())),
                     EffectRequest.contrast(1.0, -0.5)):
-            d = decompose_logodds(params, req)
+            d = decompose(params, req)
             assert_close(d.direct, 0.0, 1e-12, "DE")
             assert_close(d.residual, 0.0, 1e-10, "RES")
             assert_close(d.total, d.indirect, 1e-10, "TE=IE")
@@ -218,7 +221,7 @@ def test_case_mediator_absent_from_outcome():
         params = zeroed(params, "W1", "W1:X")
         for req in (EffectRequest.derivative(float(rng.normal())),
                     EffectRequest.contrast(2.0, 0.0)):
-            d = decompose_logodds(params, req)
+            d = decompose(params, req)
             assert_close(d.indirect, 0.0, 1e-12, "IE")
             assert_close(d.residual, 0.0, 1e-10, "RES")
             assert_close(d.total, d.direct, 1e-10, "TE=DE")
@@ -231,7 +234,7 @@ def test_case_independent_mediator_shrinks_the_effect():
         spec, params = plain_system(rng)
         params = zeroed(params, "W1:X", ("W1", "X"))
         bx = params.get("Y", "X")
-        d = decompose_logodds(params, EffectRequest.derivative(
+        d = decompose(params, EffectRequest.derivative(
             float(rng.normal(0.0, 2.0))))
         assert_close(d.indirect, 0.0, 1e-12, "IE")
         assert abs(d.total) <= abs(bx) + 1e-12
@@ -252,7 +255,7 @@ def test_case_no_treatment_mediator_arrow_keeps_the_sign():
         if lo * hi <= 0:
             continue
         hits += 1
-        d = decompose_logodds(params, EffectRequest.contrast(1.0, 0.0))
+        d = decompose(params, EffectRequest.contrast(1.0, 0.0))
         sign = 1.0 if lo > 0 else -1.0
         assert d.total * sign >= -1e-12
         assert_close(d.indirect, 0.0, 1e-12, "IE")
@@ -263,9 +266,10 @@ def test_concordance_of_masked_delta_with_mediator_coefficient():
     for _ in range(300):
         spec, params = plain_system(rng)
         bw = params.get("Y", "W1")
-        masked = indirect_mask(spec).apply(params)
+        masked = component_mask(spec, "IE").apply(params)
         x = float(rng.normal(0.0, 2.0))
-        delta_star = expit(g_y(masked, 1, x)) - expit(g_y(masked, 0, x))
+        delta_star = (expit(g_recursive(masked, 1, 1, x))
+                      - expit(g_recursive(masked, 1, 0, x)))
         assert delta_star * bw >= 0.0
         if bw != 0.0:
             assert delta_star != 0.0
@@ -273,17 +277,32 @@ def test_concordance_of_masked_delta_with_mediator_coefficient():
 
 # -- request plumbing ------------------------------------------------------
 
+def with_idle_mediator(params, rng):
+    """``params`` plus an outer mediator W2 that the treatment drives and
+    nothing depends on: two mediators, the same outcome law."""
+    spec = params.spec
+    wide = SystemSpec.build(
+        spec.variables + (VariableSpec("W2", "mediator", "binary",
+                                       mediator_index=2),),
+        {**spec.equations, "W2": ["1", spec.treatment.name]})
+    vec = ParameterSet.from_nested(wide, params.nested()).vector.copy()
+    vec[wide.slices["W2"]] = rng.normal(size=len(wide.columns("W2")))
+    return ParameterSet(wide, vec)
+
+
 def test_single_and_multi_paths_agree_at_one_mediator():
+    # one mediator is the k = 1 case of the recursion: adding an idle
+    # second mediator changes no component
     rng = np.random.default_rng(83)
     for _ in range(100):
         spec, params = random_system(rng, k=1)
+        wide = with_idle_mediator(params, rng)
         a, b = random_treatment_pair(spec, rng)
         cov = random_covariates(spec, rng)
         for scale in ("logodds", "probability"):
             req = EffectRequest.contrast(a, b, cov, scale=scale)
-            one = decompose_logodds(params, req) if scale == "logodds" \
-                else decompose_probability(params, req)
-            many = decompose_multi(params, req)
+            one = decompose(params, req)
+            many = decompose(wide, req)
             assert_close(one.total, many.total, 1e-12, "TE")
             assert_close(one.direct, many.direct, 1e-12, "DE")
             assert_close(one.indirect, many.indirect, 1e-12, "IE")
@@ -297,14 +316,48 @@ def test_request_validation():
         EffectRequest("contrast", x1=None, x0=0)
     with pytest.raises(EffectError):
         EffectRequest.derivative(0.5, scale="logs")
+    # a level that is no number and an array of points are finite
+    assert EffectRequest.contrast("b", "a").x1 == "b"
+    assert EffectRequest.derivative(np.array([0.5, -1.0])).at.shape == (2,)
     spec = make_system(1, treatment="binary")
     params = ParameterSet.zeros(spec)
     with pytest.raises(EffectError):
-        decompose_logodds(params, EffectRequest.derivative(0.5))
+        decompose(params, EffectRequest.derivative(0.5))
     spec = make_system(1, treatment="categorical")
     params = ParameterSet.zeros(spec)
     with pytest.raises(EffectError):
-        decompose_logodds(params, EffectRequest.contrast(1, 7))
+        decompose(params, EffectRequest.contrast(1, 7))
+
+
+def test_binary_treatment_contrasts_only_zero_and_one():
+    # the same values the CLI accepts for a binary treatment
+    spec = make_system(1, treatment="binary")
+    params = random_params(spec, np.random.default_rng(89))
+    for x1, x0 in ((5, 0), (1, 0.5), (-1, 1)):
+        with pytest.raises(EffectError, match=r"not a level of 'X' "
+                                              r"\(levels: \[0, 1\]\)"):
+            decompose(params, EffectRequest.contrast(x1, x0))
+    d = decompose(params, EffectRequest.contrast(1.0, 0.0))
+    assert d.total == decompose(params, EffectRequest.contrast(1, 0)).total
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EffectRequest.contrast(math.inf, 0.0),
+    lambda: EffectRequest.contrast(1.0, math.nan),
+    lambda: EffectRequest.contrast(10 ** 400, 0),
+    lambda: EffectRequest.derivative(-math.inf),
+    lambda: EffectRequest.derivative(np.array([0.5, math.nan])),
+], ids=["x1-inf", "x0-nan", "x1-huge", "at-inf", "at-array-nan"])
+def test_treatment_values_must_be_finite(make):
+    # refused when the request is made, before any coefficient is used
+    with pytest.raises(EffectError, match="not finite"):
+        make()
+
+
+def test_deltas_need_exactly_one_mediator():
+    params = random_params(make_system(2), np.random.default_rng(90))
+    with pytest.raises(EffectError, match="exactly one mediator"):
+        deltas(params, 1)
 
 
 def test_only_covariates_can_be_fixed():
@@ -316,7 +369,7 @@ def test_only_covariates_can_be_fixed():
                        ("Y", "outcome"), ("Q", "undeclared")):
         request = EffectRequest.contrast(1, 0, {"C": 0, name: 1})
         with pytest.raises(EffectError, match=f"'{name}' .*{role}"):
-            decompose_multi(params, request)
+            decompose(params, request)
 
 
 def test_fully_masked_treatment_has_zero_derivative():
@@ -331,7 +384,7 @@ def test_fully_masked_treatment_has_zero_derivative():
 def test_mediated_share_flags_residual():
     rng = np.random.default_rng(85)
     spec, params = plain_system(rng)
-    d = decompose_logodds(params, EffectRequest.contrast(1.0, 0.0))
+    d = decompose(params, EffectRequest.contrast(1.0, 0.0))
     share, residual_nonzero = d.mediated_share()
     assert residual_nonzero == (abs(d.residual) > 1e-12)
     assert share == pytest.approx(d.indirect / d.total)
@@ -345,8 +398,8 @@ def test_average_probability_effects_match_pointwise():
         "Y": rng.integers(0, 2, 40), "X": xs,
         "W1": rng.integers(0, 2, 40)})
     atpe, adpe, aipe = average_probability_effects(params, data)
-    per = [decompose_probability(params, EffectRequest.derivative(float(x)))
-           for x in xs]
+    per = [decompose(params, EffectRequest.derivative(
+        float(x), scale="probability")) for x in xs]
     assert_close(atpe, np.mean([d.total for d in per]), 1e-10, "ATPE")
     assert_close(adpe, np.mean([d.direct for d in per]), 1e-10, "ADPE")
     assert_close(aipe, np.mean([d.indirect for d in per]), 1e-10, "AIPE")

@@ -55,8 +55,8 @@ def test_csv_and_json_loaders(tmp_path):
     spec = small_spec()
     a = Dataset.load(csv_path)
     b = Dataset.load(json_path)
-    fa = fit_system(a, spec).params.flatten()
-    fb = fit_system(b, spec).params.flatten()
+    fa = fit_system(a, spec).params.vector
+    fb = fit_system(b, spec).params.vector
     assert np.allclose(fa, fb, atol=1e-12)
 
 
@@ -158,7 +158,7 @@ def test_pattern_weights_match_expanded_rows():
         expanded += [{k: row[k] for k in ("Y", "X", "W1")}] * row["count"]
     f1 = fit_system(Dataset.from_rows(patterns), spec)
     f2 = fit_system(Dataset.from_rows(expanded), spec)
-    assert np.allclose(f1.params.flatten(), f2.params.flatten(), atol=1e-10)
+    assert np.allclose(f1.params.vector, f2.params.vector, atol=1e-10)
     assert np.allclose(f1.covariance_matrix(), f2.covariance_matrix(),
                        atol=1e-10)
 
@@ -172,7 +172,7 @@ def test_zero_count_patterns_are_inert():
     with_zero = rows + [{"Y": 0, "X": 0, "W1": 1, "count": 0}]
     f1 = fit_system(Dataset.from_rows(rows), spec)
     f2 = fit_system(Dataset.from_rows(with_zero), spec)
-    assert np.allclose(f1.params.flatten(), f2.params.flatten(), atol=1e-12)
+    assert np.allclose(f1.params.vector, f2.params.vector, atol=1e-12)
 
 
 # -- estimation ------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_recovers_known_coefficients():
     truth = random_params(spec, rng)
     data = simulate(spec, truth, 60_000, seed=12)
     fitted = fit_system(data, spec)
-    assert np.allclose(fitted.params.flatten(), truth.flatten(), atol=0.08)
+    assert np.allclose(fitted.params.vector, truth.vector, atol=0.08)
 
 
 def test_covariance_is_inverse_observed_information():
@@ -260,7 +260,7 @@ def test_fitted_system_json_round_trip():
     fitted = fit_system(data, spec)
     doc = json.loads(json.dumps(fitted.to_json_dict()))
     again = FittedSystem.from_json_dict(doc)
-    assert np.allclose(again.params.flatten(), fitted.params.flatten(),
+    assert np.allclose(again.params.vector, fitted.params.vector,
                        atol=0.0)
     assert np.allclose(again.covariance_matrix(), fitted.covariance_matrix(),
                        atol=0.0)

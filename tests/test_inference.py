@@ -10,18 +10,17 @@ import pytest
 import scipy.linalg
 from scipy.stats import norm
 
-from logitpath import InferenceError, decompose_logodds
+from logitpath import InferenceError, decompose
 from logitpath.effects import EffectError, EffectRequest, component
-from logitpath.inference import (component_functional, delta_se, effect_table,
-                                 jacobian, transform_fitted)
-from logitpath.multi import (marginalize, marginalize_inner,
-                             marginalize_outer_system)
+from logitpath.inference import (delta_se, effect_table, jacobian,
+                                 transform_fitted)
+from logitpath.multi import marginalize, marginalize_inner
 from conftest import expected_data_fit
 
 
 def test_linear_functional_se_is_the_coefficient_se(example_fit):
     req = EffectRequest.contrast(2, 1, {"C": 0})
-    est = delta_se(example_fit, component_functional("DE", req))
+    est = delta_se(example_fit, lambda p: component(p, req, "DE"))
     assert est.value == pytest.approx(
         example_fit.params.get("Y", "X{2,1}"), abs=1e-12)
     assert est.se == pytest.approx(
@@ -33,11 +32,23 @@ def test_interval_and_p_value_formulas(example_fit):
     # norm reduces to the same calls, so the numbers are identical
     req = EffectRequest.contrast(3, 1, {"C": 1})
     for level in (0.8, 0.9, 0.95, 0.99):
-        est = delta_se(example_fit, component_functional("TE", req),
+        est = delta_se(example_fit, lambda p: component(p, req, "TE"),
                        level=level)
         z = float(norm.ppf(0.5 + level / 2.0))
         assert est.ci == (est.value - z * est.se, est.value + z * est.se)
         assert est.p_value == float(2.0 * norm.sf(abs(est.value) / est.se))
+
+
+@pytest.mark.parametrize("level", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+def test_interval_level_outside_zero_one_is_refused(example_fit, level):
+    # no interval has such a level: its normal quantile is negative,
+    # infinite or nan
+    req = EffectRequest.contrast(2, 1, {"C": 0})
+    named = f"interval level {level!r} is not between 0 and 1"
+    with pytest.raises(InferenceError, match=named):
+        delta_se(example_fit, lambda p: component(p, req, "TE"), level=level)
+    with pytest.raises(InferenceError, match=named):
+        effect_table(example_fit, [req], level=level)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.96, 5.0, 10.0, 20.0, 30.0,
@@ -77,7 +88,10 @@ def test_nonfinite_effects_are_reported(example_fit):
 
 def test_degenerate_variance_is_an_error(example_fit):
     req = EffectRequest.contrast(2, 1, {"C": 0})
-    fn = component_functional("TE", req)
+
+    def fn(p):
+        return component(p, req, "TE")
+
     sigma = example_fit.covariance.copy()
     y = example_fit.spec.slices["Y"].start
     sigma[y, y] = float("nan")
@@ -92,9 +106,48 @@ def test_degenerate_variance_is_an_error(example_fit):
 def test_unknown_component_rejected(example_fit):
     req = EffectRequest.contrast(2, 1, {"C": 0})
     with pytest.raises(EffectError, match="unknown effect component"):
-        component_functional("XYZ", req)(example_fit.params)
+        component(example_fit.params, req, "XYZ")
     with pytest.raises(EffectError, match="needs a path"):
-        component_functional("PSIE", req)
+        component(example_fit.params, req, "PSIE")
+
+
+def test_effect_table_evaluates_the_module_marginal_logit(example_fit,
+                                                          monkeypatch):
+    # every row goes through inference.marginal_logit_multi, looked up
+    # when it is called: patching the module attribute reaches each row
+    import logitpath.inference as inference
+    calls, per_row = [0], []
+    logit, row_se = inference.marginal_logit_multi, inference.delta_se
+
+    def counted_logit(*args):
+        calls[0] += 1
+        return logit(*args)
+
+    def counted_row(*args, **kwargs):
+        before = calls[0]
+        est = row_se(*args, **kwargs)
+        per_row.append(calls[0] - before)
+        return est
+
+    monkeypatch.setattr(inference, "marginal_logit_multi", counted_logit)
+    monkeypatch.setattr(inference, "delta_se", counted_row)
+    reqs = [EffectRequest.contrast(2, 1, {"C": 0}),
+            EffectRequest.contrast(3, 1, {"C": 1}, scale="probability")]
+    table = effect_table(example_fit, reqs, paths=[[1]])
+    assert len(per_row) == len(table.rows) == 10
+    assert min(per_row) >= 1
+
+
+def test_a_table_refuses_a_system_without_mediators():
+    # nothing is mediated, so there is nothing to split: the table refuses
+    # the system, as decompose does
+    from logitpath import SystemSpec, VariableSpec
+    spec = SystemSpec.build([VariableSpec("Y", "outcome", "binary"),
+                             VariableSpec("X", "treatment", "binary")],
+                            {"Y": ["1", "X"]})
+    fitted = expected_data_fit(np.random.default_rng(116), spec=spec)
+    with pytest.raises(EffectError, match="system declares no mediators"):
+        effect_table(fitted, [EffectRequest.contrast(1, 0)])
 
 
 def test_table_rows_and_ordering(example_fit):
@@ -107,7 +160,7 @@ def test_table_rows_and_ordering(example_fit):
     assert table.rows[5].contrast == "3 vs 1"
     assert table.rows[0].covariates == "C=0"
 
-    d = decompose_logodds(example_fit.params, reqs[0])
+    d = decompose(example_fit.params, reqs[0])
     by_effect = {r.effect: r.estimate.value for r in table.rows[:4]}
     assert by_effect["TE"] == pytest.approx(d.total, abs=1e-12)
     assert by_effect["DE"] == pytest.approx(d.direct, abs=1e-12)
@@ -164,7 +217,7 @@ def test_inner_transform_pushforward_matches_composition():
     for comp in ("TE", "DE", "GIE", "RES"):
         via_original = delta_se(
             fitted, lambda p: component(marginalize_inner(p), req, comp))
-        via_reduced = delta_se(reduced, component_functional(comp, req))
+        via_reduced = delta_se(reduced, lambda p: component(p, req, comp))
         assert via_reduced.value == pytest.approx(via_original.value,
                                                   abs=1e-9)
         assert via_reduced.se == pytest.approx(via_original.se, rel=1e-4)
@@ -173,7 +226,7 @@ def test_inner_transform_pushforward_matches_composition():
 def test_outer_transform_pushforward_matches_composition():
     rng = np.random.default_rng(111)
     fitted = expected_data_fit(rng, k=2)
-    reduced, cross = transform_fitted(fitted, marginalize_outer_system)
+    reduced, cross = transform_fitted(fitted, lambda p: marginalize(p, 2))
     # both reduced equations draw on the original W1/W2 blocks, yet the
     # reported cross covariance is numerical dust: one carries the margin
     # of the inner mediator, the other its reverse conditional, and those
@@ -186,8 +239,8 @@ def test_outer_transform_pushforward_matches_composition():
     for comp in ("TE", "DE", "IE", "RES"):
         via_original = delta_se(
             fitted,
-            lambda p: component(marginalize_outer_system(p), req, comp))
-        via_reduced = delta_se(reduced, component_functional(comp, req))
+            lambda p: component(marginalize(p, 2), req, comp))
+        via_reduced = delta_se(reduced, lambda p: component(p, req, comp))
         assert via_reduced.value == pytest.approx(via_original.value,
                                                   abs=1e-9)
         assert via_reduced.se == pytest.approx(via_original.se, rel=1e-4)
@@ -208,7 +261,7 @@ def test_cross_covariance_matches_the_block_diag_formula():
         return marginalize(params, 2)
 
     reduced, cross = transform_fitted(fitted, middle)
-    _, jac = jacobian(lambda p: middle(p).flatten(), fitted, "reduced")
+    _, jac = jacobian(lambda p: middle(p).vector, fitted, "reduced")
     sigma = jac @ fitted.covariance_matrix() @ jac.T
     blocks = [sigma[s, s] for s in reduced.spec.slices.values()]
     want = float(np.max(np.abs(sigma - scipy.linalg.block_diag(*blocks))))
@@ -239,9 +292,12 @@ def test_structural_zeros_have_zero_se():
 def test_se_is_stable_under_step_halving(example_fit, monkeypatch):
     import logitpath.inference as inference
     req = EffectRequest.contrast(2, 1, {"C": 0})
-    base = delta_se(example_fit, component_functional("RES", req))
+    def res(p):
+        return component(p, req, "RES")
+
+    base = delta_se(example_fit, res)
     monkeypatch.setattr(inference, "STEP_SCALE", 5e-7)
-    halved = delta_se(example_fit, component_functional("RES", req))
+    halved = delta_se(example_fit, res)
     assert halved.se == pytest.approx(base.se, rel=1e-4)
     assert halved.value == base.value
 

@@ -15,10 +15,9 @@ from hypothesis import given, strategies as st
 
 from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        SystemSpec, ZeroMask, average_probability_effects,
-                       component_functional, decompose, marginal_logit_multi,
-                       marginalize, marginalize_inner,
-                       marginalize_outer_system)
-from logitpath.effects import component_mask
+                       decompose, marginal_logit_multi, marginalize,
+                       marginalize_inner)
+from logitpath.effects import component, component_mask
 from logitpath.multi import PathSpec
 from conftest import _expit, enum_logit, enum_prob, make_system
 
@@ -51,15 +50,15 @@ def systems(draw, treatments=TREATMENTS, ks=(1, 4), sparse=False):
 @given(st.data())
 def test_the_coefficient_vector_is_the_only_layout(data):
     params = data.draw(systems())
-    spec, vec = params.spec, params.flatten()
+    spec, vec = params.spec, params.vector
     same = vec.tobytes()
-    assert ParameterSet.from_vector(spec, vec).flatten().tobytes() == same
+    assert ParameterSet.from_vector(spec, vec).vector.tobytes() == same
     again = ParameterSet.from_nested(spec, params.nested(), strict=True)
-    assert again.flatten().tobytes() == same
+    assert again.vector.tobytes() == same
     fitted = FittedSystem(spec, params, np.eye(len(spec.flat_coords)), {},
                           1.0)
     doc = json.loads(json.dumps(fitted.to_json_dict()))
-    assert FittedSystem.from_json_dict(doc).params.flatten().tobytes() == same
+    assert FittedSystem.from_json_dict(doc).params.vector.tobytes() == same
 
     for resp, col in spec.flat_coords:
         label = spec.column_label(col)
@@ -67,16 +66,16 @@ def test_the_coefficient_vector_is_the_only_layout(data):
     resp, col = data.draw(st.sampled_from(spec.flat_coords))
     i = spec.coord_index[resp, col]
     moved = params.replace({(resp, spec.column_label(col)): vec[i] + 1.0})
-    assert list(np.flatnonzero(moved.flatten() != vec)) == [i]
+    assert list(np.flatnonzero(moved.vector != vec)) == [i]
 
     resp = data.draw(st.sampled_from(spec.responses))
     var = data.draw(st.sampled_from(spec.ordering))
-    masked = ZeroMask.from_targets(spec, [(resp, var)]).apply(params).flatten()
+    masked = ZeroMask.from_targets(spec, [(resp, var)]).apply(params).vector
     hit = [r == resp and var in c.term.factors for r, c in spec.flat_coords]
     assert np.array_equal(masked, np.where(hit, 0.0, vec))
 
     with pytest.raises(ValueError):
-        params.flatten()[0] = 1.0
+        params.vector[0] = 1.0
 
 
 def treatment_values(spec):
@@ -127,7 +126,7 @@ def test_components_add_up_to_the_total(data):
         scale = max(1.0, abs(d.total), abs(d.direct), abs(d.indirect))
         assert abs(d.direct + d.indirect + d.residual - d.total) \
             <= 1e-12 * scale
-        assert component_functional("RES", req)(params) == d.residual
+        assert component(params, req, "RES") == d.residual
     te = decompose(params, requests[0]).total
     want = enum_logit(params, a, cov) - enum_logit(params, b, cov)
     tol = (logit_tolerance(enum_prob(params, a, cov))
@@ -251,7 +250,7 @@ def outer_logit(params, setting):
 def test_outer_reduction_reproduces_the_outer_evaluator(data):
     params = data.draw(systems(DISCRETE, ks=(2, 2)))
     spec = params.spec
-    reduced = marginalize_outer_system(params)
+    reduced = marginalize(params, 2)
     assert [m.name for m in reduced.spec.mediators] == ["W1"]
     names = ["X", "W1"] + [c.name for c in spec.covariates]
     for setting in discrete_settings(spec, names):
@@ -301,13 +300,13 @@ def test_any_mediator_reduction_is_bayes_over_the_joint_law(data):
     marginalize(params, other)
     again = marginalize(params, j)
     assert again.spec == reduced.spec
-    assert again.flatten().tobytes() == reduced.flatten().tobytes()
+    assert again.vector.tobytes() == reduced.vector.tobytes()
 
 
 def fresh_copy(params):
     """The same coefficients on a new, equal spec object."""
     spec = SystemSpec.from_json_dict(params.spec.to_json_dict())
-    return ParameterSet.from_vector(spec, params.flatten())
+    return ParameterSet.from_vector(spec, params.vector)
 
 
 @given(st.data())
@@ -317,11 +316,11 @@ def test_each_spec_keeps_its_own_reduction_plan(data):
     first = {}
     for name, params in (("A", a), ("B", b), ("A", a), ("B", b)):
         reduced = marginalize_inner(params)
-        got = (reduced.spec.to_json_dict(), reduced.flatten().tolist())
+        got = (reduced.spec.to_json_dict(), reduced.vector.tolist())
         assert first.setdefault(name, got) == got
     # the plan built while A's was cached gives B what a fresh spec gives
     fresh = marginalize_inner(fresh_copy(b))
-    assert first["B"] == (fresh.spec.to_json_dict(), fresh.flatten().tolist())
+    assert first["B"] == (fresh.spec.to_json_dict(), fresh.vector.tolist())
 
 
 def mask_numbers(params):
@@ -334,7 +333,7 @@ def mask_numbers(params):
     masks = [component_mask(spec, name, path) for name, path in keys]
     assert all(component_mask(spec, name, path) is mask
                for (name, path), mask in zip(keys, masks))
-    return [mask.apply(params).flatten().tolist() for mask in masks]
+    return [mask.apply(params).vector.tolist() for mask in masks]
 
 
 @given(st.data())

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from logitpath import (Dataset, SystemSpec, VariableSpec,
-                       average_probability_effects, decompose_logodds,
-                       decompose_probability, fit_system, marginal_logit)
+                       average_probability_effects, decompose, fit_system,
+                       marginal_logit_multi)
 from logitpath.effects import EffectRequest
 import logitpath.simulation as simulation
 from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
@@ -58,7 +58,7 @@ def test_marginal_logit_closed_form():
         params = study_params("continuous", b0, bx, bw, g0, gx)
         x = float(rng.normal())
         assert_close(_eta(b0, bx, bw, g0, gx, x),
-                     marginal_logit(params, x), 1e-12, "eta")
+                     marginal_logit_multi(params, x), 1e-12, "eta")
 
 
 def test_binary_share_closed_form():
@@ -66,7 +66,7 @@ def test_binary_share_closed_form():
     for _ in range(50):
         b0, bx, bw, g0, gx = rng.normal(0.0, 1.5, 5)
         params = study_params("binary", b0, bx, bw, g0, gx)
-        d = decompose_logodds(params, EffectRequest.contrast(1, 0))
+        d = decompose(params, EffectRequest.contrast(1, 0))
         assert_close(share_binary(b0, bx, bw, g0, gx),
                      d.indirect / d.total, 1e-12, "binary share")
 
@@ -78,7 +78,8 @@ def test_probability_derivatives_closed_form():
         params = study_params("continuous", b0, bx, bw, g0, gx)
         x = float(rng.normal(0.0, 1.4))
         tpe, ipe = _tpe_ipe(b0, bx, bw, g0, gx, x)
-        d = decompose_probability(params, EffectRequest.derivative(x))
+        d = decompose(params, EffectRequest.derivative(
+            x, scale="probability"))
         assert_close(tpe, d.total, 1e-12, "tpe")
         assert_close(ipe, d.indirect, 1e-12, "ipe")
 
@@ -202,7 +203,7 @@ def test_ratio_estimator_equals_the_generic_pipeline():
     w = data.columns["W"].astype(float)
     y = data.columns["Y"].astype(float)
     fitted = fit_system(data, study_spec("binary"))
-    d = decompose_logodds(fitted.params, EffectRequest.contrast(1, 0))
+    d = decompose(fitted.params, EffectRequest.contrast(1, 0))
     assert_close(_shares(x, w, y, "binary")[0], d.indirect / d.total,
                  1e-8, "binary rsd")
 

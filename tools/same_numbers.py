@@ -5,15 +5,15 @@ continuous treatments; binary and categorical covariates) and dumps every
 number that the effect layer reports: contrast and derivative tables with
 PSIE paths on both scales, inner- and outer-reduced tables, the reduced
 coefficients, covariance blocks and cross covariance of
-``transform_fitted``, and the average probability effects.  A tree that has ``marginalize`` also dumps the
-tables and transforms of summing out each of W1, W2, W3 of a k = 3
-system.  Direct library calls on seeded coefficients are dumped too:
-``decompose`` (k = 1..4, both scales, contrasts and derivatives),
-``psie`` on every monotone path of a k = 3 system, ``deltas`` (with a
-categorical treatment too), ``g_recursive`` (every j of a k = 4 system
-with ``w_above`` and a categorical covariate too),
-``marginal_logit_multi`` on a system with no mediators and the
-``direct_mask`` / ``indirect_mask`` vectors.
+``transform_fitted``, the average probability effects, and the tables and
+transforms of summing out each of W1, W2, W3 of a k = 3 system.  Direct
+library calls on seeded coefficients are dumped too: ``decompose``
+(k = 1..4, both scales, contrasts and derivatives), ``psie`` on every
+monotone path of a k = 3 system, ``deltas`` (with a categorical treatment
+too), ``g_recursive`` (every j of a k = 4 system with ``w_above`` and a
+categorical covariate too), ``marginal_logit_multi`` on a system with no
+mediators and the DE and IE ``component_mask`` vectors.  Every reduction
+is spelled ``marginalize(params, j)``.
 Run the dump once per tree, then compare:
 
     PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
@@ -137,7 +137,7 @@ def transform_numbers(fitted, transform):
         half = transform_fitted(fitted, transform)[0]
     finally:
         inference.STEP_SCALE = step
-    return {"coefficients": reduced.params.flatten().tolist(),
+    return {"coefficients": reduced.params.vector.tolist(),
             "covariance": block_covariance(reduced).tolist(),
             "covariance_half_step": block_covariance(half).tolist(),
             "cross": cross}
@@ -161,8 +161,9 @@ def seeded_params(seed, k, treatment="binary", covariate="binary"):
 def direct_numbers():
     """Numbers of the effect layer called directly, outside the tables."""
     import itertools
-    from logitpath import (decompose, deltas, direct_mask, g_recursive,
-                           indirect_mask, marginal_logit_multi, psie)
+    from logitpath import (decompose, deltas, g_recursive,
+                           marginal_logit_multi, psie)
+    from logitpath.effects import component_mask
     out = {}
     for k in (1, 2, 3, 4):
         for treatment in ("binary", "continuous"):
@@ -172,8 +173,8 @@ def direct_numbers():
                 list(decompose(params, req).components().values())
                 for req in requests(spec)]
             out[f"masks {treatment} k={k}"] = [
-                mask(spec).apply(params).flatten().tolist()
-                for mask in (direct_mask, indirect_mask)]
+                component_mask(spec, name).apply(params).vector.tolist()
+                for name in ("DE", "IE")]
     for treatment in ("binary", "continuous"):
         params = seeded_params(9, 3, treatment)
         paths = [sub for r in (1, 2, 3)
@@ -212,8 +213,14 @@ def direct_numbers():
 
 
 def dump(path):
-    from logitpath import (Dataset, average_probability_effects,
-                           marginalize_inner, marginalize_outer_system)
+    from logitpath import Dataset, average_probability_effects, marginalize
+
+    def inner(params):
+        return marginalize(params, 1)
+
+    def outer(params):
+        return marginalize(params, len(params.spec.mediators))
+
     exact, reduced, transformed = direct_numbers(), {}, {}
     for k in (1, 2, 3, 4, 5):
         exact[f"table binary k={k}"] = table_numbers(draw_fit(1, k)[0])
@@ -233,29 +240,21 @@ def dump(path):
         fitted = draw_fit(5, k, treatment, covariate)[0]
         name = f"inner {treatment} k={k}"
         if k < 4:
-            reduced[f"table {name}"] = table_numbers(fitted, marginalize_inner)
-        transformed[f"transform {name}"] = transform_numbers(
-            fitted, marginalize_inner)
+            reduced[f"table {name}"] = table_numbers(fitted, inner)
+        transformed[f"transform {name}"] = transform_numbers(fitted, inner)
     for treatment, covariate in (("binary", "binary"),
                                  ("categorical", "categorical")):
         fitted = draw_fit(6, 2, treatment, covariate)[0]
         name = f"outer {treatment} k=2"
-        reduced[f"table {name}"] = table_numbers(fitted,
-                                                 marginalize_outer_system)
-        transformed[f"transform {name}"] = transform_numbers(
-            fitted, marginalize_outer_system)
-    try:
-        from logitpath import marginalize
-    except ImportError:
-        marginalize = None
-    if marginalize is not None:
-        fitted = draw_fit(7, 3)[0]
-        for j in (1, 2, 3):
-            def transform(params, j=j):
-                return marginalize(params, j)
-            reduced[f"table W{j} of k=3"] = table_numbers(fitted, transform)
-            transformed[f"transform W{j} of k=3"] = transform_numbers(
-                fitted, transform)
+        reduced[f"table {name}"] = table_numbers(fitted, outer)
+        transformed[f"transform {name}"] = transform_numbers(fitted, outer)
+    fitted = draw_fit(7, 3)[0]
+    for j in (1, 2, 3):
+        def transform(params, j=j):
+            return marginalize(params, j)
+        reduced[f"table W{j} of k=3"] = table_numbers(fitted, transform)
+        transformed[f"transform W{j} of k=3"] = transform_numbers(
+            fitted, transform)
     with open(path, "w") as fh:
         json.dump({"exact": exact, "reduced": reduced,
                    "transform": transformed}, fh)
