@@ -231,18 +231,11 @@ def cmd_marginalize(fitted_path, mediator, out):
     fitted = _load_fitted(fitted_path)
     transform = _transform(mediator)
     try:
-        reduced, cross = transform_fitted(fitted, transform)
+        reduced = transform_fitted(fitted, transform)[0]
     except _ERRORS as e:
         _fail_for(e, fitted_path)
     Path(out).write_text(json.dumps(reduced.to_json_dict(), indent=2))
     click.echo(reduced.summary_text())
-    if cross > 1e-12:
-        click.echo(
-            "note: this reduction correlates equations; the artifact keeps "
-            "per-equation covariance only, so standard errors computed from "
-            "it downstream ignore the cross-equation part. Decompose with "
-            "--marginalize J on the original fit for exact ones.",
-            err=True)
     click.echo(f"wrote {out}")
 
 

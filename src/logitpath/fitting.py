@@ -300,6 +300,18 @@ def block_covariance(spec: SystemSpec, blocks: Mapping) -> np.ndarray:
     return sigma
 
 
+def _matrix(raw, width: int, where: str) -> np.ndarray:
+    """A JSON list of rows of numbers as a width x width float array."""
+    try:
+        m = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ModelSpecError(f"{where} is not a matrix of numbers") from None
+    if m.shape != (width, width):
+        raise ModelSpecError(f"{where} has shape {m.shape}, expected "
+                             f"{(width, width)}")
+    return m
+
+
 @dataclass
 class FittedSystem:
     """A fitted recursive system: estimates, their joint covariance in
@@ -330,8 +342,7 @@ class FittedSystem:
             "spec": self.spec.to_json_dict(),
             "n": self.n,
             "params": self.params.nested(),
-            "covariance": {resp: block.tolist()
-                           for resp, block in self.cov_blocks.items()},
+            "covariance": self.covariance.tolist(),
             "diagnostics": {
                 resp: {
                     "loglik": d.loglik,
@@ -351,43 +362,40 @@ class FittedSystem:
             json_field(doc, "spec", dict, "the artifact")).require_valid()
         params = ParameterSet.from_nested(
             spec, json_field(doc, "params", dict, "the artifact"), strict=True)
-        covariance = json_field(doc, "covariance", dict, "the artifact")
-        blocks = {}
-        for resp in spec.responses:
-            where = f"covariance of equation {resp!r}"
-            try:
-                block = np.asarray(
-                    json_field(covariance, resp, list, "'covariance'"),
-                    dtype=float)
-            except (TypeError, ValueError):
-                raise ModelSpecError(f"{where} is not a matrix of numbers") \
-                    from None
-            width = len(spec.columns(resp))
-            if block.shape != (width, width):
-                raise ModelSpecError(f"{where} has shape {block.shape}, "
-                                     f"expected {(width, width)}")
-            if not np.all(np.isfinite(block)):
-                raise ModelSpecError(f"{where} is not finite")
-            if (np.max(np.abs(block - block.T), initial=0.0)
-                    > 1e-8 * np.max(np.abs(block), initial=0.0)):
-                raise ModelSpecError(f"{where} is not symmetric")
-            blocks[resp] = block
+        covariance = json_field(doc, "covariance", (list, dict),
+                                "the artifact")
+        if isinstance(covariance, dict):    # an older artifact's blocks
+            covariance = block_covariance(spec, {resp: _matrix(
+                json_field(covariance, resp, list, "'covariance'"),
+                len(spec.columns(resp)), f"covariance of equation {resp!r}")
+                for resp in spec.responses})
+        covariance = _matrix(covariance, len(spec.flat_coords), "'covariance'")
+        bad, what = ~np.isfinite(covariance), "finite"
+        if not bad.any():
+            bad, what = (np.abs(covariance - covariance.T)
+                         > 1e-8 * np.max(np.abs(covariance))), "symmetric"
+        if bad.any():
+            a, b = (spec.flat_coords[i][0] for i in np.argwhere(bad)[0])
+            raise ModelSpecError(f"covariance of equation {a!r}"
+                                 + f" with {b!r}" * (a != b)
+                                 + f" is not {what}")
         diagnostics = {}
         raw = (json_field(doc, "diagnostics", dict, "the artifact")
                if "diagnostics" in doc else {})
         for resp in raw:
             d = json_field(raw, resp, dict, "'diagnostics'")
-            if resp not in blocks:
+            if resp not in spec.slices:
                 raise ModelSpecError(f"'diagnostics' has {resp!r}, which "
                                      f"has no equation")
             where = f"{resp!r} of 'diagnostics'"
             diagnostics[resp] = EquationFit(
-                params.vector[spec.slices[resp]], blocks[resp],
+                params.vector[spec.slices[resp]],
+                covariance[spec.slices[resp], spec.slices[resp]],
                 json_field(d, "loglik", (int, float), where),
                 json_field(d, "iterations", int, where),
                 json_field(d, "converged", bool, where),
                 json_field(d, "separation", bool, where))
-        return FittedSystem(spec, params, block_covariance(spec, blocks),
+        return FittedSystem(spec, params, covariance,
                             diagnostics, float(json_field(
                                 doc, "n", (int, float), "the artifact")))
 

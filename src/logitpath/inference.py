@@ -206,10 +206,7 @@ def transform_fitted(fitted: FittedSystem, transform: Callable):
     The reduced coefficients get their covariance by the delta method:
     the full J Sigma J' of the jacobian of the new stack w.r.t. the old
     one.  Returns (reduced FittedSystem, cross) where ``cross`` is the
-    largest absolute covariance between different reduced equations; the
-    stored artifact keeps per-equation blocks only, so a nonzero ``cross``
-    means downstream standard errors from the artifact alone would miss
-    that part.
+    largest absolute covariance between different reduced equations.
     """
     new_params = transform(fitted.params)
     new_spec = new_params.spec

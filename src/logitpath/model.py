@@ -465,13 +465,14 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
 
 def json_field(doc, key: str, kind, where: str):
     """``doc[key]`` of a JSON document, checked to be a ``kind`` (dict,
-    list, str, bool, int or a number type); otherwise a ModelSpecError
-    that names the field and ``where`` it sits."""
+    list, str, bool, int or a number type, or a tuple of them); otherwise
+    a ModelSpecError that names the field and ``where`` it sits."""
     if not isinstance(doc, dict) or key not in doc:
         raise ModelSpecError(f"{where} has no {key!r}")
-    if not isinstance(doc[key], kind):
-        raise ModelSpecError(f"{key!r} of {where} must be "
-                             f"{_JSON_TYPES.get(kind, 'a number')}, "
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(doc[key], kinds):
+        wanted = " or ".join(_JSON_TYPES.get(k, "a number") for k in kinds)
+        raise ModelSpecError(f"{key!r} of {where} must be {wanted}, "
                              f"got {doc[key]!r}")
     return doc[key]
 

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from importlib import resources
 
 from logitpath import FittedSystem, SystemSpec, VariableSpec
+from logitpath.fitting import block_covariance
 from logitpath.cli import main
 
 from conftest import expected_data_fit, make_system
@@ -319,16 +320,43 @@ def _covariance_ragged(block):
     return [block[0], block[1][:1]] + block[2:]
 
 
-@pytest.mark.parametrize("mutate,message", [
-    (_covariance_1x1, "equation 'Y' has shape"),
-    (_covariance_nan, "equation 'Y' is not finite"),
-    (_covariance_asymmetric, "equation 'Y' is not symmetric"),
-    (_covariance_ragged, "not a fitted-system artifact"),
-], ids=["wrong-shape", "non-finite", "asymmetric", "ragged"])
-def test_decompose_rejects_bad_covariance_block(artifact, workdir, mutate,
-                                                message):
+def _block_artifact(doc):
+    """``doc`` with its covariance stored as per-equation blocks, the
+    format of older artifacts."""
+    fitted = FittedSystem.from_json_dict(doc)
+    return {**doc, "covariance": {resp: block.tolist() for resp, block
+                                  in fitted.cov_blocks.items()}}
+
+
+def _covariance_cross(matrix):
+    out = [list(row) for row in matrix]
+    out[0][-1] += 0.5
+    return out
+
+
+@pytest.mark.parametrize("blocks,mutate,message", [
+    (True, _covariance_1x1, "equation 'Y' has shape"),
+    (True, _covariance_nan, "equation 'Y' is not finite"),
+    (True, _covariance_asymmetric, "equation 'Y' is not symmetric"),
+    (True, _covariance_ragged, "not a fitted-system artifact"),
+    (False, _covariance_1x1, "'covariance' has shape (1, 1), expected (11, 11)"),
+    (False, _covariance_nan, "covariance of equation 'Y' is not finite"),
+    (False, _covariance_asymmetric,
+     "covariance of equation 'Y' is not symmetric"),
+    (False, _covariance_ragged, "'covariance' is not a matrix of numbers"),
+    (False, _covariance_cross,
+     "covariance of equation 'Y' with 'W' is not symmetric"),
+], ids=["wrong-shape", "non-finite", "asymmetric", "ragged",
+        "matrix-wrong-shape", "matrix-non-finite", "matrix-asymmetric",
+        "matrix-ragged", "matrix-cross-asymmetric"])
+def test_decompose_rejects_bad_covariance_block(artifact, workdir, blocks,
+                                                mutate, message):
     doc = json.loads(artifact.read_text())
-    doc["covariance"]["Y"] = mutate(doc["covariance"]["Y"])
+    if blocks:
+        doc = _block_artifact(doc)
+        doc["covariance"]["Y"] = mutate(doc["covariance"]["Y"])
+    else:
+        doc["covariance"] = mutate(doc["covariance"])
     bad = workdir / "bad_covariance.json"
     bad.write_text(json.dumps(doc))
     result = invoke("decompose", "--fitted", bad, "--contrast", "2,1",
@@ -336,6 +364,42 @@ def test_decompose_rejects_bad_covariance_block(artifact, workdir, mutate,
     assert result.exit_code == 1
     text = combined(result)
     assert f"error: {bad}: " in text and message in text
+
+
+def test_a_block_artifact_loads_block_diagonal(artifact, k2_artifact,
+                                               workdir):
+    # a fit's covariance is block-diagonal, so both formats give one table
+    args = ("--contrast", "2,1", "--by", "C", "--format", "json")
+    doc = json.loads(artifact.read_text())
+    old = workdir / "blocks.json"
+    old.write_text(json.dumps(_block_artifact(doc)))
+    assert (records(invoke("decompose", "--fitted", old, *args))
+            == records(invoke("decompose", "--fitted", artifact, *args)))
+    # a reduced system's blocks load with nothing between the equations
+    out = workdir / "k2_reduced_for_blocks.json"
+    assert invoke("marginalize", "--fitted", k2_artifact, "--mediator", "2",
+                  "--out", out).exit_code == 0
+    full = FittedSystem.from_json_dict(json.loads(out.read_text()))
+    loaded = FittedSystem.from_json_dict(
+        _block_artifact(json.loads(out.read_text())))
+    assert np.array_equal(loaded.covariance,
+                          block_covariance(full.spec, full.cov_blocks))
+    assert not np.array_equal(loaded.covariance, full.covariance)
+
+
+@pytest.mark.parametrize("mediator", ["2", "3"])
+def test_a_saved_reduction_decomposes_as_the_flag_does(k3_artifact, workdir,
+                                                       mediator):
+    out = workdir / f"k3_without_{mediator}.json"
+    result = invoke("marginalize", "--fitted", k3_artifact, "--mediator",
+                    mediator, "--out", out)
+    assert result.exit_code == 0, combined(result)
+    args = ("--contrast", "1,0", "--scale", "both", "--format", "json")
+    saved = invoke("decompose", "--fitted", out, *args)
+    flag = invoke("decompose", "--fitted", k3_artifact, "--marginalize",
+                  mediator, *args)
+    assert saved.exit_code == 0 and flag.exit_code == 0
+    assert saved.output == flag.output
 
 
 def _set(path, value):

@@ -118,8 +118,8 @@ def table_numbers(fitted, transform=None):
 
 def block_covariance(fitted):
     """The per-equation covariance blocks in flat_coords order, zero
-    between equations: what the artifact stores, whatever else the
-    fitted system carries in memory."""
+    between equations; the part between equations is checked as
+    ``cross``."""
     import scipy.linalg
     return scipy.linalg.block_diag(
         *(fitted.cov_blocks[resp] for resp in fitted.spec.slices))
