@@ -28,6 +28,8 @@ not here.
 
 from __future__ import annotations
 
+import math
+import numbers
 import reprlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
@@ -135,7 +137,12 @@ class EffectRequest:
         if self.mode == "contrast":
             if self.x1 is None or self.x0 is None:
                 raise EffectError("contrast mode needs x1 and x0")
-            if self.x1 == self.x0:
+            try:   # array endpoints must differ at every point
+                same = bool(np.any(self.x1 == self.x0))
+            except ValueError:
+                raise EffectError("contrast endpoints must have one "
+                                  "shape") from None
+            if same:
                 raise EffectError("contrast endpoints must differ")
         else:
             if self.at is None:
@@ -198,22 +205,41 @@ def component_mask(spec: SystemSpec, name: str, path=None) -> ZeroMask:
     return spec.masks[key]
 
 
+def _takes(var, value) -> bool:
+    """Whether ``var`` can take ``value``, or every entry of an array of
+    values: binary 0 or 1, categorical one of its levels, continuous a
+    finite number."""
+    if isinstance(value, np.ndarray):
+        try:
+            return all(_takes(var, v) for v in set(value.ravel().tolist()))
+        except TypeError:   # an unhashable entry is no value
+            return False
+    if var.kind == "continuous":
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return value in (var.levels if var.kind == "categorical" else (0, 1))
+
+
 def _validate_request(spec: SystemSpec, request: EffectRequest):
     if not spec.mediators:
         raise EffectError("system declares no mediators")
-    for name in request.covariates:
+    for name, value in request.covariates.items():
         var = spec.by_name.get(name)
         role = var.role if var else "undeclared"
         if role != "covariate":
             raise EffectError(f"cannot fix {name!r} ({role}): only "
                               f"covariates can be fixed")
+        if not _takes(var, value):
+            wanted = {"binary": "0 or 1", "continuous": "a finite number"}.get(
+                var.kind, f"a level in {list(var.levels)}")
+            raise EffectError(f"covariate {name!r} cannot take "
+                              f"{reprlib.repr(value)}; it takes {wanted}")
     kind = spec.treatment.kind
     if request.mode == "derivative" and kind != "continuous":
         raise EffectError("derivative mode requires a continuous treatment")
     if request.mode == "contrast" and kind != "continuous":
-        levels = spec.treatment.levels if kind == "categorical" else (0, 1)
         for v in (request.x1, request.x0):
-            if v not in levels:
+            if not _takes(spec.treatment, v):
+                levels = spec.treatment.levels or (0, 1)
                 raise EffectError(f"{v!r} is not a level of "
                                   f"{spec.treatment.name!r} (levels: "
                                   f"{list(levels)})")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dual import expit, softplus
 from .model import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
-                    design, json_field)
+                    design, json_field, json_number)
 
 MAX_ITER = 100
 SCORE_TOL = 1e-8
@@ -304,8 +305,13 @@ def _matrix(raw, width: int, where: str) -> np.ndarray:
     """A JSON list of rows of numbers as a width x width float array."""
     try:
         m = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ModelSpecError(f"{where} is not a matrix of numbers") from None
+        numbers_only = all(isinstance(x, numbers.Real)
+                           and not isinstance(x, bool)
+                           for row in raw for x in row)
+    except (TypeError, ValueError, OverflowError):
+        numbers_only = False
+    if not numbers_only:
+        raise ModelSpecError(f"{where} is not a matrix of numbers")
     if m.shape != (width, width):
         raise ModelSpecError(f"{where} has shape {m.shape}, expected "
                              f"{(width, width)}")
@@ -391,13 +397,12 @@ class FittedSystem:
             diagnostics[resp] = EquationFit(
                 params.vector[spec.slices[resp]],
                 covariance[spec.slices[resp], spec.slices[resp]],
-                json_field(d, "loglik", (int, float), where),
+                json_field(d, "loglik", numbers.Real, where),
                 json_field(d, "iterations", int, where),
                 json_field(d, "converged", bool, where),
                 json_field(d, "separation", bool, where))
-        return FittedSystem(spec, params, covariance,
-                            diagnostics, float(json_field(
-                                doc, "n", (int, float), "the artifact")))
+        return FittedSystem(spec, params, covariance, diagnostics,
+                            json_number(doc, "n", "the artifact", minimum=0))
 
     def summary_text(self) -> str:
         lines = []

@@ -19,8 +19,9 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .effects import (EffectRequest, component, component_mask,
-                      component_names, indirect_name, marginal_logit_multi)
+from .effects import (EffectRequest, _validate_request, component,
+                      component_mask, component_names, indirect_name,
+                      marginal_logit_multi)
 from .fitting import FittedSystem, block_covariance
 from .model import ParameterSet
 from .multi import PathSpec
@@ -75,6 +76,12 @@ def jacobian(fn: Callable, fitted: FittedSystem, label: str):
     return value, jac
 
 
+def _check_level(level: float):
+    if not 0.0 < level < 1.0:
+        raise InferenceError(f"interval level {level!r} is not between 0 "
+                             f"and 1")
+
+
 def delta_se(fitted: FittedSystem, effect: Callable,
              level: float = 0.95, label: str = "effect") -> EffectEstimate:
     """Delta-method estimate of a scalar functional of the coefficients.
@@ -83,9 +90,7 @@ def delta_se(fitted: FittedSystem, effect: Callable,
     finite, or negative by more than rounding, means the covariance is
     unusable and raises InferenceError; so does a ``level`` outside (0, 1).
     """
-    if not 0.0 < level < 1.0:
-        raise InferenceError(f"interval level {level!r} is not between 0 "
-                             f"and 1")
+    _check_level(level)
     value, grad = jacobian(effect, fitted, label)
     value = float(value)
     sigma = fitted.covariance_matrix()
@@ -171,7 +176,13 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
     """One row per effect component and request, ordered DE, IE/GIE, RES,
     TE within each request, path-specific rows after; each row is the
     delta-method estimate of ``component``.  A ``transform`` reduces the
-    system first, by ``transform_fitted``."""
+    system first, by ``transform_fitted``.  The level and every request
+    are checked before any of that work; paths after the reduction, which
+    sets the mediators they range over."""
+    requests = list(requests)
+    _check_level(level)
+    for req in requests:
+        _validate_request(fitted.spec, req)
     if transform is not None:
         fitted = transform_fitted(fitted, transform)[0]
     paths = [p if isinstance(p, PathSpec) else PathSpec.parse(p)

@@ -33,6 +33,7 @@ like ``X:W`` with a three-level X expands into the columns ``X{2,1}:W`` and
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,8 +100,9 @@ class VariableSpec:
         if has_index != (self.role == "mediator"):
             raise ModelSpecError(
                 f"mediator_index must be present iff role is mediator ({self.name!r})")
-        if has_index and not (isinstance(self.mediator_index, numbers.Integral)
-                              and self.mediator_index >= 1):
+        if has_index and (isinstance(self.mediator_index, bool) or not (
+                isinstance(self.mediator_index, numbers.Integral)
+                and self.mediator_index >= 1)):
             raise ModelSpecError(
                 f"mediator_index must be an integer >= 1 ({self.name!r})")
 
@@ -466,15 +468,33 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
 def json_field(doc, key: str, kind, where: str):
     """``doc[key]`` of a JSON document, checked to be a ``kind`` (dict,
     list, str, bool, int or a number type, or a tuple of them); otherwise
-    a ModelSpecError that names the field and ``where`` it sits."""
+    a ModelSpecError that names the field and ``where`` it sits.  true
+    and false are booleans only, never numbers."""
     if not isinstance(doc, dict) or key not in doc:
         raise ModelSpecError(f"{where} has no {key!r}")
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(doc[key], kinds):
+    value = doc[key]
+    if not isinstance(value, kinds) or (isinstance(value, bool)
+                                        and bool not in kinds):
         wanted = " or ".join(_JSON_TYPES.get(k, "a number") for k in kinds)
         raise ModelSpecError(f"{key!r} of {where} must be {wanted}, "
-                             f"got {doc[key]!r}")
-    return doc[key]
+                             f"got {value!r}")
+    return value
+
+
+def json_number(doc, key: str, where: str, minimum: float = -math.inf):
+    """``doc[key]`` as a finite float no smaller than ``minimum``;
+    otherwise a ModelSpecError that names the field."""
+    value = json_field(doc, key, numbers.Real, where)
+    try:
+        ok = math.isfinite(value) and value >= minimum
+    except OverflowError:   # an integer beyond any float
+        ok = False
+    if not ok:
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise ModelSpecError(f"{key!r} of {where} must be a finite "
+                             f"number{bound}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,7 +539,8 @@ class ParameterSet:
         """Build from {response: {column label: value}}.
 
         Labels missing from ``nested`` default to 0 unless ``strict``;
-        unknown responses or labels, and non-numbers, always raise.
+        unknown responses or labels, and values that are not finite
+        numbers, always raise.
         """
         vec = np.zeros(len(spec.flat_coords))
         given = set()
@@ -527,8 +548,7 @@ class ParameterSet:
             labels = json_field(nested, resp, dict, "'params'")
             for label in labels:
                 i = spec.coord(resp, label)
-                vec[i] = json_field(labels, label, numbers.Real,
-                                    f"{resp!r} of 'params'")
+                vec[i] = json_number(labels, label, f"{resp!r} of 'params'")
                 given.add(i)
         if strict and len(given) < len(vec):
             missing = [f"{r}:{spec.column_label(c)}" for i, (r, c)

@@ -428,8 +428,23 @@ def _drop(path):
     (_set(["params", "Y", "X{2,1}"], "x"), "'X{2,1}' of 'Y' of 'params'"),
     # X{2,1} must not be read as the 2-vs-0 coefficient
     (_set(["spec", "variables", 2, "levels"], [0, 2, 3]), "'X{2,1}'"),
+    # true and false are not numbers, and a number must be finite
+    (_set(["params", "Y", "X{2,1}"], True), "'X{2,1}' of 'Y' of 'params'"),
+    (_set(["params", "Y", "X{2,1}"], float("nan")),
+     "'X{2,1}' of 'Y' of 'params' must be a finite number"),
+    (_set(["n"], True), "'n' of the artifact must be a number"),
+    (_set(["n"], float("nan")), "'n' of the artifact must be a finite"),
+    (_set(["n"], -5), "'n' of the artifact must be a finite number >= 0"),
+    (_set(["diagnostics", "Y", "loglik"], True), "'loglik'"),
+    (_set(["diagnostics", "Y", "iterations"], True), "'iterations'"),
+    (_set(["covariance", 0, 0], True), "'covariance' is not a matrix"),
+    (_set(["covariance", 0, 0], "0.1"), "'covariance' is not a matrix"),
+    (_set(["covariance"], 5), "'covariance' of the artifact must be a list "
+                              "or an object"),
 ], ids=["params", "equation-params", "diagnostics", "loglik", "coefficient",
-        "reference-level"])
+        "reference-level", "coefficient-true", "coefficient-nan", "n-true",
+        "n-nan", "n-negative", "loglik-true", "iterations-true",
+        "covariance-true", "covariance-string", "covariance-number"])
 def test_decompose_names_the_malformed_artifact_field(artifact, workdir,
                                                       mutate, field):
     doc = json.loads(artifact.read_text())
@@ -452,8 +467,9 @@ def test_decompose_names_the_malformed_artifact_field(artifact, workdir,
     (_set(["variables", 2, "levels"], [[1], [2]]), "levels of 'X'"),
     (_set(["variables", 1, "index"], "first"), "mediator_index"),
     (_set(["equations", "W"], []), "equation 'W' has no terms"),
+    (_set(["variables", 1, "index"], True), "mediator_index"),
 ], ids=["equations", "equation", "variable", "name", "levels", "index",
-        "no-terms"])
+        "no-terms", "index-true"])
 def test_fit_names_the_malformed_model_field(workdir, mutate, field):
     doc = json.loads((workdir / "example_model.json").read_text())
     mutate(doc)

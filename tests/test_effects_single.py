@@ -354,6 +354,54 @@ def test_treatment_values_must_be_finite(make):
         make()
 
 
+def test_array_contrast_endpoints_must_differ_everywhere():
+    with pytest.raises(EffectError, match="endpoints must differ"):
+        EffectRequest.contrast(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    with pytest.raises(EffectError, match="endpoints must have one shape"):
+        EffectRequest.contrast(np.array([1.0, 0.0]), np.zeros(3))
+
+
+def _covariate_system(kind):
+    levels = ("a", "b", "c") if kind == "categorical" else ()
+    spec = SystemSpec.build(
+        [VariableSpec("Y", "outcome", "binary"),
+         VariableSpec("W1", "mediator", "binary", mediator_index=1),
+         VariableSpec("X", "treatment", "binary"),
+         VariableSpec("C", "covariate", kind, levels=levels)],
+        {"Y": ["1", "X", "W1", "C"], "W1": ["1", "X", "C"]})
+    return random_params(spec, np.random.default_rng(91))
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("binary", 7), ("binary", 0.5), ("binary", "1"),
+    ("binary", np.array([0.0, 1.0, 2.0])),
+    ("categorical", "zzz"), ("categorical", "B"), ("categorical", 1),
+    ("categorical", np.array(["a", "d"], dtype=object)),
+    ("continuous", math.inf), ("continuous", math.nan), ("continuous", "2"),
+    ("continuous", np.array([0.5, math.nan])),
+], ids=["binary-7", "binary-half", "binary-string", "binary-array",
+        "level-zzz", "level-case", "level-number", "level-array",
+        "continuous-inf", "continuous-nan", "continuous-string",
+        "continuous-array-nan"])
+def test_a_covariate_value_must_be_one_it_takes(kind, value):
+    # before, a binary C = 7 scaled the C coefficient sevenfold and an
+    # unknown level silently read as the reference level
+    params = _covariate_system(kind)
+    with pytest.raises(EffectError, match="covariate 'C' cannot take"):
+        decompose(params, EffectRequest.contrast(1, 0, {"C": value}))
+
+
+@pytest.mark.parametrize("kind, values", [
+    ("binary", (0, 1, 0.0, 1.0, np.array([0.0, 1.0, 1.0]))),
+    ("categorical", ("a", "c", np.array(["b", "a"], dtype=object))),
+    ("continuous", (-2.5, 0, np.float64(3.0), np.array([0.5, -1.0]))),
+])
+def test_every_value_a_covariate_takes_is_accepted(kind, values):
+    params = _covariate_system(kind)
+    for value in values:
+        decompose(params, EffectRequest.contrast(1, 0, {"C": value}))
+
+
 def test_deltas_need_exactly_one_mediator():
     params = random_params(make_system(2), np.random.default_rng(90))
     with pytest.raises(EffectError, match="exactly one mediator"):

@@ -51,6 +51,37 @@ def test_interval_level_outside_zero_one_is_refused(example_fit, level):
         effect_table(example_fit, [req], level=level)
 
 
+@pytest.fixture
+def table_work(monkeypatch):
+    """Counts the reductions and delta-method rows a table computes."""
+    from logitpath import inference
+    calls = {"transform_fitted": 0, "delta_se": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(inference, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(inference, name, counted)
+    return calls
+
+
+def test_a_bad_request_is_refused_before_the_first_row(example_fit,
+                                                       table_work):
+    good = EffectRequest.contrast(2, 1, {"C": 0})
+    bad = EffectRequest.contrast(9, 1, {"C": 0})
+    with pytest.raises(EffectError, match="9 is not a level of 'X'"):
+        effect_table(example_fit, [good, bad])
+    assert table_work == {"transform_fitted": 0, "delta_se": 0}
+
+
+def test_a_bad_level_is_refused_before_the_reduction(table_work):
+    fitted = expected_data_fit(np.random.default_rng(112), k=2)
+    with pytest.raises(InferenceError, match="interval level 1.5"):
+        effect_table(fitted, [EffectRequest.contrast(1, 0)],
+                     transform=marginalize_inner, level=1.5)
+    assert table_work == {"transform_fitted": 0, "delta_se": 0}
+
+
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.96, 5.0, 10.0, 20.0, 30.0,
                                    35.0])
 def test_far_tail_p_value_equals_scipy_stats(example_fit, ratio):
