@@ -2,12 +2,15 @@
 one-step marginalization kernel.
 
 A Dual carries a value and a derivative with respect to one scalar seed;
-either may be a numpy array, elementwise.  Pushing Dual(x, 1.0) through
-the marginal-logit evaluators yields exact analytic derivatives.
+either may be a numpy array, elementwise.  A Dual treatment value passed
+to the marginal-logit evaluators of ``effects`` comes back as a Dual
+holding the exact analytic derivative.
 
-Every marginal logit in the package sums binary mediators out one at a
-time.  With r0, r1 the log odds of Y=1 at W=0, 1 and rw the log odds of
-W=1, everything else held fixed, Bayes inversion gives the log odds of
+Mediator reductions (``multi.marginalize``) and the study's true values
+(``simulation``) sum binary mediators out one at a time; the marginal
+logits of ``effects`` sum all of them at once over the mediator corners.
+With r0, r1 the log odds of Y=1 at W=0, 1 and rw the log odds of W=1,
+everything else held fixed, Bayes inversion gives the log odds of
 W=1 given Y=y (``cond_logit``),
 
     g(y) = y * (r1 - r0) + log[(1 + exp r0) / (1 + exp r1)] + rw,

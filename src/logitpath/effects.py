@@ -1,19 +1,24 @@
 """Marginal logits and their decomposition into effects.
 
-The marginal logit of Y given X (and covariates) sums the mediators out
-one at a time, innermost first.  Step j (``_step``) evaluates Y's linear
-predictor at the 2^j corners of W_1..W_j and lifts W_1..W_{j-1} out,
-halving the corners each time, to reach the triple
+Every marginal logit runs one compiled corner program.  For a setting
+(the treatment value, the fixed covariates and any outer mediators held
+at w_{>j}) it holds the design D of Y and of W_1..W_j at all 2^j corners
+of W_1..W_j, built once and kept on the spec (``_program``).  One
+evaluation is one matmul, eta = D theta, then the log likelihood of each
+corner w and outcome y,
 
-    (R_{j-1}(W_j=0, w_{>j}), R_{j-1}(W_j=1, w_{>j}), rhs(W_j | w_{>j})).
+    l_y(w) = y eta_Y - softplus(eta_Y) + sum_i [w_i eta_i - softplus(eta_i)],
 
-``lift`` of step k is the marginal logit (``marginal_logit_multi``), exact
-for any treatment kind; ``cond_logit`` of step j is ``g_recursive``.  Dual
-inputs give derivatives and array inputs many points at once.  One mediator
-is the k = 1 case; only ``deltas`` is specific to it.  Each effect
-component is a contrast (or derivative) of the marginal logit under a
-coefficient mask (``component_mask``, built once per spec), evaluated by
-``component`` and collected by ``decompose``:
+and a difference of two log-sum-exps over corners (``_log_ratio``):
+l_1 against l_0 is the marginal logit (``marginal_logit_multi``), and
+l_y at W_j = 1 against W_j = 0 is the log odds of W_j given Y = y
+(``g_recursive``).  A Dual treatment value gives the derivative too, the
+difference of the posterior means of dl/dx; arrays of settings (one per
+row) give many points at once.  ``deltas`` reads its single-mediator
+differences off the same program.  Each effect component is a contrast
+(or derivative) of the marginal logit under a coefficient mask
+(``component_mask``, built once per spec), evaluated by ``component`` and
+collected by ``decompose``:
 
     TE   no mask
     DE   every mediator zeroed out of the outcome equation
@@ -32,37 +37,241 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .dual import Dual, cond_logit, expit, lift
+from .dual import Dual, expit, softplus
 from .fitting import DataError, Dataset, coerce_column
-from .model import ParameterSet, SystemSpec, ZeroMask
+from .model import Column, ParameterSet, SystemSpec, ZeroMask, column_value
 
 SCALES = ("logodds", "probability")
+PROGRAMS_KEPT = 64      # settings kept per spec and j; the oldest goes first
 
 
 class EffectError(ValueError):
     """An effect request that does not fit the system at hand."""
 
 
-# -- marginal logits -------------------------------------------------------
+# -- the compiled corner program --------------------------------------------
 
-def _step(params: ParameterSet, base: Mapping, j: int):
-    """Step j's (r0, r1, rw) at ``base`` (treatment, covariates and any
-    outer mediators); corners list W_1..W_j with W_1 changing fastest."""
-    lp = params.linear_predictor
-    meds = params.spec.mediators[:j]
-    corners = [[base]]  # corners[n]: the 2^n assignments of W_{j-n+1}..W_j
-    for med in reversed(meds):
-        corners.append([{**a, med.name: v}
-                        for a in corners[-1] for v in (0.0, 1.0)])
-    r = [lp(params.spec.outcome.name, a) for a in corners.pop()]
-    for med in meds[:-1]:
-        r = [lift(r[2 * c], r[2 * c + 1], lp(med.name, a))
-             for c, a in enumerate(corners.pop())]
-    return r[0], r[1], lp(meds[-1].name, base)
+class _Program(NamedTuple):
+    """A compiled setting.  ``corners`` holds the 0/1 values of every
+    column's mediator factors at the C = 2^j corners of W_1..W_j, times
+    a sign, one (C, p) block per row of ``_joint``'s z: Y twice (+ for
+    y = 0, - for y = 1), then W_1..W_j (+ where w_i = 0, - where 1),
+    each zero outside its own equation.  ``collect`` (2, j + 2) sums
+    -softplus(z) over the rows of each y.  Both depend on the spec and j
+    alone.  s = s0 + x s1 is the product of every column's other factors
+    at the setting, so D = corners * s (s1 is None unless the treatment
+    is continuous, when s0 is taken at x = 0: a ``Term`` holds each
+    variable once, so D is affine in x).  An array of settings gives s0
+    and s1 trailing row axes, and every result the same trailing axes."""
+
+    corners: np.ndarray
+    collect: np.ndarray
+    s0: np.ndarray
+    s1: Optional[np.ndarray]
+
+
+def _split(col: Column, names, inside: bool) -> Column:
+    """``col`` with only the factors whose variable is (or is not, when
+    ``inside`` is False) in ``names``."""
+    return Column(tuple(f for f in col.factors if (f[0] in names) == inside))
+
+
+def _corner_design(spec: SystemSpec, j: int) -> tuple:
+    """``_Program.corners`` and ``collect`` of summing W_1..W_j out,
+    W_1 changing fastest."""
+    names = [m.name for m in spec.mediators[:j]]
+    w = (np.arange(1 << j) >> np.arange(j)[:, None]) & 1
+    corners = dict(zip(names, w.astype(float)))
+    signs = np.vstack([np.ones((1, 1 << j)), -np.ones((1, 1 << j)), 1 - 2 * w])
+    design = np.zeros((j + 2, 1 << j, len(spec.flat_coords)))
+    for r, resp in enumerate([spec.outcome.name] * 2 + names):
+        for i, col in enumerate(spec.columns(resp), spec.slices[resp].start):
+            design[r, :, i] = signs[r] * column_value(
+                _split(col, corners, True), corners)
+    design = design.reshape(-1, design.shape[-1])
+    collect = -np.hstack([np.eye(2), np.ones((2, j))])
+    for a in (design, collect):
+        a.setflags(write=False)
+    return design, collect
+
+
+def _setting_design(spec: SystemSpec, j: int, x, fixed: Mapping) -> tuple:
+    """(s0, s1) of ``_Program`` at treatment value ``x`` and the
+    ``fixed`` covariates and outer mediators."""
+    names = [m.name for m in spec.mediators[:j]]
+    rows = np.broadcast_shapes(*(np.shape(v) for v in (
+        x.val if isinstance(x, Dual) else x, *fixed.values())
+        if isinstance(v, np.ndarray)))
+
+    def at(xv):
+        values = {spec.treatment.name: xv, **fixed}
+        s = np.zeros((len(spec.flat_coords),) + rows)
+        for resp in [spec.outcome.name] + names:
+            for i, col in enumerate(spec.columns(resp),
+                                    spec.slices[resp].start):
+                s[i] = column_value(_split(col, names, False), values)
+        return s
+
+    s0, s1 = (at(x), None) if spec.treatment.kind != "continuous" else (
+        at(0.0), at(1.0))
+    if s1 is not None:
+        s1 -= s0
+        s1.setflags(write=False)
+    s0.setflags(write=False)    # kept programs are shared by every caller
+    return s0, s1
+
+
+def _refuse(var, value, what: str):
+    wanted = {"binary": "0 or 1", "continuous": "a finite number"}.get(
+        var.kind, f"a level in {list(var.levels)}")
+    raise EffectError(f"{what} {var.name!r} cannot take "
+                      f"{reprlib.repr(value)}; it takes {wanted}")
+
+
+def _check_treatment(spec: SystemSpec, x):
+    var = spec.treatment
+    if isinstance(x, Dual):
+        if var.kind != "continuous":
+            raise EffectError(f"a derivative needs a continuous treatment; "
+                              f"{var.name!r} is {var.kind}")
+        x = x.val
+    if not _takes(var, x):
+        _refuse(var, x, "treatment")
+
+
+def _check_covariates(spec: SystemSpec, covariates: Mapping):
+    for name, value in covariates.items():
+        var = spec.by_name.get(name)
+        role = var.role if var else "undeclared"
+        if role != "covariate":
+            raise EffectError(f"cannot fix {name!r} ({role}): only "
+                              f"covariates can be fixed")
+        if not _takes(var, value):
+            _refuse(var, value, "covariate")
+
+
+def _check_setting(spec: SystemSpec, j: int, x, covariates: Mapping,
+                   w_above: Mapping):
+    _check_treatment(spec, x)
+    _check_covariates(spec, covariates)
+    for name, value in w_above.items():
+        var = spec.by_name.get(name)
+        if var is None or var.role != "mediator" or var.mediator_index <= j:
+            role = var.role if var else "undeclared"
+            raise EffectError(f"cannot hold {name!r} ({role}) at a value: "
+                              f"only the mediators outward of mediator {j} "
+                              f"can be")
+        if not _takes(var, value):
+            _refuse(var, value, "mediator")
+
+
+def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
+             w_above: Optional[Mapping] = None) -> _Program:
+    """The corner program of summing W_1..W_j out at a setting, compiled
+    and checked once and kept on the spec.  The key leaves a continuous
+    treatment value out, so the kept settings stay few; an array of
+    settings is compiled for its call alone."""
+    covariates, w_above = covariates or {}, w_above or {}
+    continuous = spec.treatment.kind == "continuous"
+    if continuous:      # not in the key, so checked on every call
+        _check_treatment(spec, x)
+    if j not in spec.programs:
+        spec.programs[j] = *_corner_design(spec, j), {}
+    corners, collect, kept = spec.programs[j]
+    key = program = None
+    if not isinstance(x.val if isinstance(x, Dual) else x, np.ndarray):
+        try:
+            key = (None if continuous else x,
+                   tuple(sorted(covariates.items())),
+                   tuple(sorted(w_above.items())))
+            program = kept.get(key)
+        except TypeError:   # an array of values, or no value at all
+            key = None
+    if program is None:
+        _check_setting(spec, j, x, covariates, w_above)
+        program = _Program(corners, collect, *_setting_design(
+            spec, j, x, {**covariates, **w_above}))
+        if key is not None:
+            if len(kept) >= PROGRAMS_KEPT:
+                del kept[next(iter(kept))]
+            kept[key] = program
+    return program
+
+
+def _joint(program: _Program, theta: np.ndarray, x) -> tuple:
+    """(eta_Y, its slope, l, its slope) at coefficients ``theta``: Y's
+    linear predictor at each corner (C, rows...) and the log likelihood
+    l[y, c, rows...] of Y = y and corner c.  With z = D theta, one
+    matmul, w eta - softplus(eta) = -softplus(+-eta) is -softplus(z),
+    and l sums it over Y's row for y and every mediator's row.  The
+    slopes in x are None unless ``x`` is a Dual."""
+    corners, collect, s0, s1 = program
+    xv = x.val if isinstance(x, Dual) else x
+    s = s0 if s1 is None else s0 + xv * s1
+    shape = (len(collect.T), -1) + s.shape[1:]
+    if s.ndim > 1:   # rows of settings: one trailing axis for the matmul
+        theta = theta.reshape(theta.shape + (1,) * (s.ndim - 1))
+    z = np.matmul(corners, _rows(s * theta)).reshape(shape)
+    sp = softplus(z)
+    ell = np.matmul(collect, _rows(sp)).reshape((2,) + sp.shape[1:])
+    if not isinstance(x, Dual):
+        return z[0], None, ell, None
+    dz = np.matmul(corners, _rows(s1 * theta)).reshape(shape)
+    q = expit(z) * dz
+    return z[0], dz[0], ell, np.matmul(collect, _rows(q)).reshape(
+        (2,) + q.shape[1:])
+
+
+def _rows(t):
+    """``t`` with its axes after the first flattened into one, for a
+    matmul."""
+    return t.reshape(len(t), -1) if t.ndim > 2 else t
+
+
+def _value(val, slope, x):
+    """A float (or array) result, or a Dual when ``x`` is one."""
+    val = val if val.ndim else float(val)
+    if slope is None:
+        return val
+    return Dual(val, slope * x.dot)
+
+
+def _log_ratio(a, delta, d, ddelta, x):
+    """log sum exp(a + delta) - log sum exp a, summing over the first
+    axis: the log of the mean of exp(delta) under the posterior
+    pi = exp a / sum exp a, taken as m + log1p(sum pi expm1(delta - m))
+    with m the mean of delta under pi.  The log1p term is small when
+    delta varies little, so corners that differ only in a mediator that
+    delta does not depend on (one that Y ignores) add little rounding
+    noise, where two log-sum-exps of the whole l would not.  With the
+    slopes ``d`` and ``ddelta`` in x, a Dual whose slope is the mean of
+    d + ddelta under the posterior given exp(delta) less the mean of d
+    under pi."""
+    u = np.exp(a - np.maximum.reduce(a, 0))
+    u = u / np.add.reduce(u, 0)
+    m = np.add.reduce(u * delta, 0)
+    grow = u * np.expm1(delta - m)
+    z = np.add.reduce(grow, 0)
+    val = m + np.log1p(z)
+    if d is None:
+        return _value(val, None, x)
+    v = u + grow
+    return _value(val, np.add.reduce(v * (d + ddelta), 0) / (1.0 + z)
+                  - np.add.reduce(u * d, 0), x)
+
+
+def _halves(a, y: int):
+    """a[y] split into its W_j = 0 and W_j = 1 halves (W_j is the
+    slowest-changing corner mediator), as (a at W_j = 0, the step to
+    W_j = 1); (None, None) for no ``a``."""
+    if a is None:
+        return None, None
+    h = a[y].reshape((2, -1) + a.shape[2:])
+    return h[0], h[1] - h[0]
 
 
 def g_recursive(params: ParameterSet, j: int, y: int, x,
@@ -78,19 +287,22 @@ def g_recursive(params: ParameterSet, j: int, y: int, x,
         raise EffectError(f"mediator index {j} out of range 1..{len(meds)}")
     if y not in (0, 1):
         raise EffectError("y must be 0 or 1")
-    base = {params.spec.treatment.name: x, **(covariates or {}),
-            **(w_above or {})}
-    return cond_logit(y, *_step(params, base, j))
+    _, _, ell, dell = _joint(_program(params.spec, j, x, covariates,
+                                      w_above), params.vector, x)
+    return _log_ratio(*_halves(ell, y), *_halves(dell, y), x)
 
 
 def marginal_logit_multi(params: ParameterSet, x,
                          covariates: Optional[Mapping] = None):
     """Log odds of Y=1 given X=x (and covariates), all mediators summed out."""
-    spec = params.spec
-    base = {spec.treatment.name: x, **(covariates or {})}
-    if not spec.mediators:
-        return params.linear_predictor(spec.outcome.name, base)
-    return lift(*_step(params, base, len(spec.mediators)))
+    k = len(params.spec.mediators)
+    eta, deta, ell, dell = _joint(_program(params.spec, k, x, covariates),
+                                  params.vector, x)
+    if not k:   # Y's own linear predictor
+        return _value(eta[0], None if deta is None else deta[0], x)
+    # l_1 = l_0 + eta_Y at every corner
+    return _log_ratio(ell[0], eta, None if dell is None else dell[0], deta,
+                      x)
 
 
 def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
@@ -105,14 +317,18 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     if len(spec.mediators) != 1:
         raise EffectError(f"deltas need exactly one mediator, system has "
                           f"{len(spec.mediators)}")
-    base = {spec.treatment.name: x, **(covariates or {})}
-    steps = [_step(p, base, 1)
-             for p in (params, component_mask(spec, "IE").apply(params))]
-    r0, r1, _ = steps[0]
-    dy = expit(r1) - expit(r0)
-    dw, dws = (expit(cond_logit(1, *t)) - expit(cond_logit(0, *t))
-               for t in steps)
-    return dy, dw, dws
+    def delta_w(ell, dell):
+        g0, g1 = (_log_ratio(*_halves(ell, y), *_halves(dell, y), x)
+                  for y in (0, 1))
+        return expit(g1) - expit(g0)
+
+    program = _program(spec, 1, x, covariates)
+    eta, deta, ell, dell = _joint(program, params.vector, x)
+    masked = _joint(program, component_mask(spec, "IE").apply(params).vector,
+                    x)
+    r0, r1 = (_value(eta[c], None if deta is None else deta[c], x)
+              for c in (0, 1))
+    return expit(r1) - expit(r0), delta_w(ell, dell), delta_w(*masked[2:])
 
 
 # -- requests and masks ----------------------------------------------------
@@ -210,6 +426,8 @@ def _takes(var, value) -> bool:
     values: binary 0 or 1, categorical one of its levels, continuous a
     finite number."""
     if isinstance(value, np.ndarray):
+        if var.kind == "continuous" and value.dtype.kind in "biuf":
+            return bool(np.isfinite(value).all())
         try:
             return all(_takes(var, v) for v in set(value.ravel().tolist()))
         except TypeError:   # an unhashable entry is no value
@@ -222,17 +440,7 @@ def _takes(var, value) -> bool:
 def _validate_request(spec: SystemSpec, request: EffectRequest):
     if not spec.mediators:
         raise EffectError("system declares no mediators")
-    for name, value in request.covariates.items():
-        var = spec.by_name.get(name)
-        role = var.role if var else "undeclared"
-        if role != "covariate":
-            raise EffectError(f"cannot fix {name!r} ({role}): only "
-                              f"covariates can be fixed")
-        if not _takes(var, value):
-            wanted = {"binary": "0 or 1", "continuous": "a finite number"}.get(
-                var.kind, f"a level in {list(var.levels)}")
-            raise EffectError(f"covariate {name!r} cannot take "
-                              f"{reprlib.repr(value)}; it takes {wanted}")
+    _check_covariates(spec, request.covariates)
     kind = spec.treatment.kind
     if request.mode == "derivative" and kind != "continuous":
         raise EffectError("derivative mode requires a continuous treatment")
@@ -264,12 +472,10 @@ def component(params: ParameterSet, request: EffectRequest, name: str,
         if request.scale == "probability":
             return expit(a) - expit(b)
         return a - b
-    xd = Dual(request.at, 1.0)
-    e = logit_fn(masked, xd, covs)
+    e = logit_fn(masked, Dual(request.at, 1.0), covs)
     if request.scale == "probability":
         e = expit(e)
-    # a fully masked treatment can leave a plain float: derivative is 0
-    return e.dot if isinstance(e, Dual) else 0.0
+    return e.dot
 
 
 def indirect_name(spec: SystemSpec) -> str:

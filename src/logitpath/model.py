@@ -358,6 +358,12 @@ class SystemSpec:
         """Masks of effect components, by (component, path) (``effects``)."""
         return {}
 
+    @cached_property
+    def programs(self) -> dict:
+        """Compiled corner programs of the marginal logits, by number of
+        summed mediators (``effects``)."""
+        return {}
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> list:

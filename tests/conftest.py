@@ -187,6 +187,25 @@ def enum_prob(params, x, covariates=None):
     return total
 
 
+def enum_g(params, j, y, x, w_above=None, covariates=None):
+    """Log odds of W_j=1 given Y=y, X=x, the outer mediators at
+    ``w_above`` and the covariates, by summing W_1..W_{j-1} out of the
+    joint law."""
+    spec = params.spec
+    inner = [v.name for v in spec.mediators[:j]]
+    base = {spec.treatment.name: x, **(covariates or {}), **(w_above or {})}
+    odds = [0.0, 0.0]
+    for state in itertools.product((0, 1), repeat=j):
+        assign = dict(base)
+        assign.update(dict(zip(inner, state)))
+        prob = 1.0
+        for name, w in zip(inner + [spec.outcome.name], state + (y,)):
+            p = _expit(params.linear_predictor(name, assign))
+            prob *= p if w == 1 else 1.0 - p
+        odds[state[-1]] += prob
+    return math.log(odds[1] / odds[0])
+
+
 def enum_logit(params, x, covariates=None):
     p = enum_prob(params, x, covariates)
     return math.log(p / (1.0 - p))

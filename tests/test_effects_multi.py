@@ -8,7 +8,7 @@ import pytest
 
 from logitpath import (EffectError, SystemSpec, VariableSpec, ZeroMask,
                        decompose)
-from logitpath.effects import EffectRequest, component_mask
+from logitpath.effects import PROGRAMS_KEPT, EffectRequest, component_mask
 from logitpath.multi import (PathSpec, g_recursive, marginal_logit_multi,
                              marginalize, marginalize_inner, psie,
                              residual_structurally_zero)
@@ -158,6 +158,111 @@ def test_conditional_mediator_log_odds_match_bayes():
         g_recursive(params, 3, 1, 0.0)
     with pytest.raises(EffectError):
         g_recursive(params, 1, 2, 0.0)
+
+
+def two_mediator_params(treatment="binary", covariate=True):
+    spec = make_system(2, treatment, covariate, extra_terms=("X:W1",))
+    return random_params(spec, np.random.default_rng(95))
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda p: g_recursive(p, 1, 1, 1.0, {"W2": 7}, {"C": 1}),
+                 "'W2'.*7", id="outer-mediator-7"),
+    pytest.param(lambda p: g_recursive(p, 1, 1, 1.0, {"W2": 0.5}, {"C": 1}),
+                 "'W2'.*0.5", id="outer-mediator-half"),
+    pytest.param(lambda p: g_recursive(p, 2, 1, 1.0, {"W1": 1}, {"C": 1}),
+                 "'W1'", id="inner-mediator"),
+    pytest.param(lambda p: g_recursive(p, 1, 1, 1.0, {"W1": 1, "W2": 0},
+                                       {"C": 1}),
+                 "'W1'", id="summed-mediator"),
+    pytest.param(lambda p: g_recursive(p, 2, 1, 1.0, {"Y": 0}, {"C": 1}),
+                 "'Y'", id="outcome-held"),
+    pytest.param(lambda p: g_recursive(p, 2, 1, 1.0, {"Z": 0}, {"C": 1}),
+                 "'Z'", id="undeclared-held"),
+    pytest.param(lambda p: g_recursive(p, 2, 1, 1.0, {"C": 1}, {"C": 1}),
+                 "'C'", id="covariate-held"),
+    pytest.param(lambda p: g_recursive(p, 2, 1, 1.0, None, {"C": 7}),
+                 "'C'.*7", id="g-covariate-7"),
+    pytest.param(lambda p: g_recursive(p, 2, 1, 5.0, None, {"C": 1}),
+                 "'X'.*5.0", id="g-treatment-5"),
+    pytest.param(lambda p: marginal_logit_multi(p, 1.0, {"C": 7}),
+                 "'C'.*7", id="covariate-7"),
+    pytest.param(lambda p: marginal_logit_multi(p, 5.0, {"C": 1}),
+                 "'X'.*5.0", id="treatment-5"),
+    pytest.param(lambda p: marginal_logit_multi(p, 1.0, {"C": 1, "W1": 1}),
+                 "'W1'", id="mediator-as-covariate"),
+    pytest.param(lambda p: marginal_logit_multi(p, 1.0, {"C": 1, "Y": 1}),
+                 "'Y'", id="outcome-as-covariate"),
+    pytest.param(lambda p: marginal_logit_multi(p, 1.0, {"C": 1, "X": 0}),
+                 "'X'", id="treatment-as-covariate"),
+    pytest.param(lambda p: marginal_logit_multi(p, np.array([1.0, 2.0]),
+                                                {"C": 1}),
+                 r"'X'.*2\.", id="treatment-array"),
+])
+def test_direct_calls_refuse_values_a_variable_cannot_take(call, named):
+    params = two_mediator_params()
+    marginal_logit_multi(params, 1.0, {"C": 1})     # a setting already kept
+    with pytest.raises(EffectError, match=named):
+        call(params)
+
+
+@pytest.mark.parametrize("treatment, x, named", [
+    ("continuous", math.inf, "'X'.*inf"),
+    ("continuous", math.nan, "'X'.*nan"),
+    ("continuous", "a", "'X'.*'a'"),
+    ("categorical", 4, "'X'.*4"),
+    ("categorical", 1.5, "'X'.*1.5"),
+], ids=["continuous-inf", "continuous-nan", "continuous-string",
+        "categorical-4", "categorical-1.5"])
+def test_direct_calls_refuse_a_treatment_value_after_a_good_one(
+        treatment, x, named):
+    params = two_mediator_params(treatment)
+    marginal_logit_multi(params, 1, {"C": 1})
+    g_recursive(params, 1, 1, 1, {"W2": 1}, {"C": 1})
+    with pytest.raises(EffectError, match=named):
+        marginal_logit_multi(params, x, {"C": 1})
+    with pytest.raises(EffectError, match=named):
+        g_recursive(params, 1, 1, x, {"W2": 1}, {"C": 1})
+
+
+def test_direct_calls_accept_every_value_a_variable_takes():
+    for treatment, xs in (("binary", (0, 1, 0.0, 1.0, True)),
+                          ("categorical", (1, 2, 3)),
+                          ("continuous", (-2.5, 0, 3))):
+        params = two_mediator_params(treatment, "categorical")
+        for x in xs:
+            for c in ("a", "b", "c"):
+                assert_close(marginal_logit_multi(params, x, {"C": c}),
+                             enum_logit(params, x, {"C": c}), 1e-10,
+                             "marginal logit")
+                for w2 in (0, 1, 0.0, 1.0):
+                    assert math.isfinite(
+                        g_recursive(params, 1, 0, x, {"W2": w2}, {"C": c}))
+
+
+def test_distinct_settings_leave_the_kept_programs_at_their_bound():
+    # a continuous treatment value is not part of a program's key
+    params = two_mediator_params("continuous")
+    for x in np.linspace(-3.0, 3.0, 10_000):
+        marginal_logit_multi(params, float(x), {"C": 1})
+    kept = params.spec.programs[2][-1]
+    assert len(kept) == 1
+    # a continuous covariate is, so its settings stop at the bound
+    variables = [VariableSpec("Y", "outcome", "binary"),
+                 VariableSpec("W1", "mediator", "binary", mediator_index=1),
+                 VariableSpec("X", "treatment", "binary"),
+                 VariableSpec("Z", "covariate", "continuous")]
+    spec = SystemSpec.build(variables, {"Y": ["1", "X", "W1", "Z"],
+                                        "W1": ["1", "X", "Z", "X:Z"]})
+    params = random_params(spec, np.random.default_rng(96))
+    zs = np.linspace(-3.0, 3.0, 3 * PROGRAMS_KEPT).tolist()
+    for z in zs:
+        marginal_logit_multi(params, 1, {"Z": z})
+        assert len(spec.programs[1][-1]) <= PROGRAMS_KEPT
+    assert len(spec.programs[1][-1]) == PROGRAMS_KEPT
+    for z in zs[:3] + zs[-3:]:   # evicted and kept settings alike
+        assert_close(marginal_logit_multi(params, 1, {"Z": z}),
+                     enum_logit(params, 1, {"Z": z}), 1e-10, "after eviction")
 
 
 # -- explicit reductions ---------------------------------------------------

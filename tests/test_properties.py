@@ -1,4 +1,4 @@
-"""Property tests over random systems with one to four mediators, and
+"""Property tests over random systems with one to five mediators, and
 over their explicit reductions (two to five mediators).
 
 Examples are drawn by hypothesis under the derandomized profile set in
@@ -15,24 +15,25 @@ from hypothesis import given, strategies as st
 
 from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        SystemSpec, ZeroMask, average_probability_effects,
-                       decompose, marginal_logit_multi, marginalize,
-                       marginalize_inner)
+                       decompose, g_recursive, marginal_logit_multi,
+                       marginalize, marginalize_inner)
 from logitpath.effects import component, component_mask
 from logitpath.multi import PathSpec
-from conftest import _expit, enum_logit, enum_prob, make_system
+from conftest import _expit, enum_g, enum_logit, enum_prob, make_system
 
 TREATMENTS = ("binary", "categorical", "continuous")
 COVARIATES = (False, True, "categorical")
 
 
 @st.composite
-def systems(draw, treatments=TREATMENTS, ks=(1, 4), sparse=False):
+def systems(draw, treatments=TREATMENTS, ks=(1, 4), sparse=False,
+            covariates=COVARIATES, bound=2.0):
     """A random k-mediator system (k in the closed range ``ks``) with
-    coefficients in [-2, 2].  ``sparse`` mediator equations keep a random
-    subset of their predictors."""
+    coefficients in [-bound, bound].  ``sparse`` mediator equations keep
+    a random subset of their predictors."""
     k = draw(st.integers(*ks))
     treatment = draw(st.sampled_from(treatments))
-    covariate = draw(st.sampled_from(COVARIATES))
+    covariate = draw(st.sampled_from(covariates))
     extra = ["X:W1"] if draw(st.booleans()) else []
     terms = None
     if sparse:
@@ -43,7 +44,7 @@ def systems(draw, treatments=TREATMENTS, ks=(1, 4), sparse=False):
     spec = make_system(k, treatment, covariate, extra_terms=extra,
                        mediator_terms=terms)
     n = len(spec.flat_coords)
-    coefs = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    coefs = draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n))
     return ParameterSet.from_vector(spec, coefs)
 
 
@@ -132,6 +133,44 @@ def test_components_add_up_to_the_total(data):
     tol = (logit_tolerance(enum_prob(params, a, cov))
            + logit_tolerance(enum_prob(params, b, cov)))
     assert abs(te - want) <= tol
+
+
+@given(st.data())
+def test_g_recursive_at_every_j_equals_the_enumeration(data):
+    params = data.draw(systems(ks=(1, 5), covariates=("categorical",),
+                               bound=1.0))
+    spec = params.spec
+    x, _ = data.draw(treatment_values(spec))
+    cov = data.draw(covariate_settings(spec))
+    k = len(spec.mediators)
+    for j in range(1, k + 1):
+        outer = [m.name for m in spec.mediators[j:]]
+        w_above = dict(zip(outer, data.draw(st.lists(
+            st.sampled_from((0, 1)), min_size=k - j, max_size=k - j))))
+        for y in (0, 1):
+            want = enum_g(params, j, y, x, w_above, cov)
+            got = g_recursive(params, j, y, x, w_above, cov)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@given(st.data())
+def test_derivative_components_equal_a_central_difference(data):
+    params = data.draw(systems(("continuous",), ks=(1, 5),
+                               covariates=("categorical",), bound=1.0))
+    spec = params.spec
+    at = data.draw(st.floats(-2.0, 2.0))
+    cov = data.draw(covariate_settings(spec))
+    k = len(spec.mediators)
+    h = 1e-4
+    named = [("TE", None), ("DE", None), ("IE", None),
+             ("PSIE", PathSpec.parse([1])), ("PSIE", PathSpec.parse([k]))]
+    for scale, f in (("logodds", enum_logit), ("probability", enum_prob)):
+        req = EffectRequest.derivative(at, cov, scale)
+        for name, path in named:
+            masked = component_mask(spec, name, path).apply(params)
+            want = (f(masked, at + h, cov) - f(masked, at - h, cov)) / (2 * h)
+            got = component(params, req, name, path)
+            assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def per_row_average_probability_effects(params, data):

@@ -22,7 +22,8 @@ Run the dump once per tree, then compare:
 
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
 is listed and fails nothing.  Unreduced tables, the APE and the direct
-calls must be bit-identical.  Reductions solve a corner-point system
+calls must be bit-identical (``compare`` prints the largest absolute
+difference beside each count).  Reductions solve a corner-point system
 inside every central difference, so they are held to the parent's own
 finite-difference resolution instead: reduced-table values within 1e-14
 absolute and SEs within 2e-8 relative; reduced coefficients within 1e-14,
@@ -204,11 +205,12 @@ def direct_numbers():
     out["deltas categorical k=1"] = [
         list(deltas(params, x, {"C": c}))
         for x in (1, 2, 3) for c in (0.0, 1.0)]
-    for treatment in ("binary", "continuous"):
+    for treatment, xs in (("binary", (0.0, 1.0)),
+                          ("continuous", (0.0, 1.0, -0.5))):
         params = seeded_params(13, 0, treatment)
         out[f"marginal_logit_multi {treatment} k=0"] = [
             marginal_logit_multi(params, x, {"C": c})
-            for x in (0.0, 1.0, -0.5) for c in (0.0, 1.0)]
+            for x in xs for c in (0.0, 1.0)]
     return out
 
 
@@ -287,8 +289,10 @@ def compare(path_a, path_b):
             continue
         flat_a = np.ravel(rows)
         flat_b = np.ravel(b["exact"][name])
-        differ = sum(not _same(x, y) for x, y in zip(flat_a, flat_b))
-        report(f"{name}: numbers not bit-identical", differ, 0)
+        gaps = [abs(x - y) for x, y in zip(flat_a, flat_b)
+                if not _same(x, y)]
+        report(f"{name}: numbers not bit-identical, largest |diff| "
+               f"{max(gaps, default=0.0):.3g}", len(gaps), 0)
     for name, rows in a["reduced"].items():
         if name not in b["reduced"]:
             continue
