@@ -7,7 +7,7 @@ the log-odds or probability scale, with delta-method uncertainty and a
 Monte Carlo harness for estimator comparison.
 """
 
-from .dual import Dual, expit, softplus
+from .dual import expit, softplus
 from .model import (INTERCEPT, Column, ModelSpecError, ParameterSet,
                     SystemSpec, Term, VariableSpec, ZeroMask)
 from .fitting import (DataError, Dataset, EquationFit, FitError,

@@ -1,10 +1,6 @@
-"""Forward-mode dual numbers, overflow-safe logistic primitives, and the
-one-step marginalization kernel.
-
-A Dual carries a value and a derivative with respect to one scalar seed;
-either may be a numpy array, elementwise.  A Dual treatment value passed
-to the marginal-logit evaluators of ``effects`` comes back as a Dual
-holding the exact analytic derivative.
+"""Overflow-safe logistic primitives and the one-step marginalization
+kernel.  The derivative of a marginal logit in a continuous treatment is
+not taken here but by ``effects.marginal_logit_multi(..., slope=True)``.
 
 Mediator reductions (``multi.marginalize``) and the study's true values
 (``simulation``) sum binary mediators out one at a time; the marginal
@@ -28,45 +24,6 @@ import numpy as np
 from scipy.special import expit as _np_expit
 
 
-class Dual:
-    """value + derivative pair with arithmetic closed under +, -, *."""
-
-    __slots__ = ("val", "dot")
-    # numpy defers mixed array-Dual arithmetic to the reflected Dual methods
-    __array_ufunc__ = None
-
-    def __init__(self, val, dot=0.0):
-        self.val = val if isinstance(val, np.ndarray) else float(val)
-        self.dot = dot if isinstance(dot, np.ndarray) else float(dot)
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.dot + other.dot)
-        return Dual(self.val + other, self.dot)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Dual) else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val,
-                        self.dot * other.val + self.val * other.dot)
-        return Dual(self.val * other, self.dot * other)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.dot!r})"
-
-
 def _softplus_float(t: float) -> float:
     # log(1 + e^t) without overflow: max(t, 0) + log1p(e^{-|t|})
     return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
@@ -80,19 +37,14 @@ def _expit_float(t: float) -> float:
 
 
 def softplus(t):
-    """log(1 + exp(t)) for floats, numpy arrays, or Duals of either."""
-    if isinstance(t, Dual):
-        return Dual(softplus(t.val), expit(t.val) * t.dot)
+    """log(1 + exp(t)) for floats or numpy arrays."""
     if isinstance(t, np.ndarray):
         return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
     return _softplus_float(float(t))
 
 
 def expit(t):
-    """Logistic function for floats, numpy arrays, or Duals of either."""
-    if isinstance(t, Dual):
-        p = expit(t.val)
-        return Dual(p, p * (1.0 - p) * t.dot)
+    """Logistic function for floats or numpy arrays."""
     if isinstance(t, np.ndarray):
         return _np_expit(t)
     return _expit_float(float(t))

@@ -12,10 +12,11 @@ corner w and outcome y,
 and a difference of two log-sum-exps over corners (``_log_ratio``):
 l_1 against l_0 is the marginal logit (``marginal_logit_multi``), and
 l_y at W_j = 1 against W_j = 0 is the log odds of W_j given Y = y
-(``g_recursive``).  A Dual treatment value gives the derivative too, the
-difference of the posterior means of dl/dx; arrays of settings (one per
-row) give many points at once.  ``deltas`` reads its single-mediator
-differences off the same program.  Each effect component is a contrast
+(``g_recursive``).  ``marginal_logit_multi(..., slope=True)`` gives the
+derivative in a continuous treatment too, the difference of the posterior
+means of dl/dx; arrays of settings (one per row) give many points at
+once.  ``deltas`` reads its single-mediator differences off the same
+program.  Each effect component is a contrast
 (or derivative) of the marginal logit under a coefficient mask
 (``component_mask``, built once per spec), evaluated by ``component`` and
 collected by ``decompose``:
@@ -41,7 +42,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .dual import Dual, expit, softplus
+from .dual import expit, softplus
 from .fitting import DataError, Dataset, coerce_column
 from .model import Column, ParameterSet, SystemSpec, ZeroMask, column_value
 
@@ -103,9 +104,8 @@ def _setting_design(spec: SystemSpec, j: int, x, fixed: Mapping) -> tuple:
     """(s0, s1) of ``_Program`` at treatment value ``x`` and the
     ``fixed`` covariates and outer mediators."""
     names = [m.name for m in spec.mediators[:j]]
-    rows = np.broadcast_shapes(*(np.shape(v) for v in (
-        x.val if isinstance(x, Dual) else x, *fixed.values())
-        if isinstance(v, np.ndarray)))
+    rows = np.broadcast_shapes(*(np.shape(v) for v in (x, *fixed.values())
+                                 if isinstance(v, np.ndarray)))
 
     def at(xv):
         values = {spec.treatment.name: xv, **fixed}
@@ -133,14 +133,20 @@ def _refuse(var, value, what: str):
 
 
 def _check_treatment(spec: SystemSpec, x):
+    if not _takes(spec.treatment, x):
+        _refuse(spec.treatment, x, "treatment")
+
+
+def _check_slope(spec: SystemSpec):
     var = spec.treatment
-    if isinstance(x, Dual):
-        if var.kind != "continuous":
-            raise EffectError(f"a derivative needs a continuous treatment; "
-                              f"{var.name!r} is {var.kind}")
-        x = x.val
-    if not _takes(var, x):
-        _refuse(var, x, "treatment")
+    if var.kind != "continuous":
+        raise EffectError(f"a derivative needs a continuous treatment; "
+                          f"{var.name!r} is {var.kind}")
+
+
+def _check_mediators(spec: SystemSpec):
+    if not spec.mediators:
+        raise EffectError("system declares no mediators")
 
 
 def _check_covariates(spec: SystemSpec, covariates: Mapping):
@@ -183,7 +189,7 @@ def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
         spec.programs[j] = *_corner_design(spec, j), {}
     corners, collect, kept = spec.programs[j]
     key = program = None
-    if not isinstance(x.val if isinstance(x, Dual) else x, np.ndarray):
+    if not isinstance(x, np.ndarray):
         try:
             key = (None if continuous else x,
                    tuple(sorted(covariates.items())),
@@ -202,23 +208,22 @@ def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
     return program
 
 
-def _joint(program: _Program, theta: np.ndarray, x) -> tuple:
+def _joint(program: _Program, theta: np.ndarray, x, slope=False) -> tuple:
     """(eta_Y, its slope, l, its slope) at coefficients ``theta``: Y's
     linear predictor at each corner (C, rows...) and the log likelihood
     l[y, c, rows...] of Y = y and corner c.  With z = D theta, one
     matmul, w eta - softplus(eta) = -softplus(+-eta) is -softplus(z),
     and l sums it over Y's row for y and every mediator's row.  The
-    slopes in x are None unless ``x`` is a Dual."""
+    slopes in x are None without ``slope``."""
     corners, collect, s0, s1 = program
-    xv = x.val if isinstance(x, Dual) else x
-    s = s0 if s1 is None else s0 + xv * s1
+    s = s0 if s1 is None else s0 + x * s1
     shape = (len(collect.T), -1) + s.shape[1:]
     if s.ndim > 1:   # rows of settings: one trailing axis for the matmul
         theta = theta.reshape(theta.shape + (1,) * (s.ndim - 1))
     z = np.matmul(corners, _rows(s * theta)).reshape(shape)
     sp = softplus(z)
     ell = np.matmul(collect, _rows(sp)).reshape((2,) + sp.shape[1:])
-    if not isinstance(x, Dual):
+    if not slope:
         return z[0], None, ell, None
     dz = np.matmul(corners, _rows(s1 * theta)).reshape(shape)
     q = expit(z) * dz
@@ -232,15 +237,12 @@ def _rows(t):
     return t.reshape(len(t), -1) if t.ndim > 2 else t
 
 
-def _value(val, slope, x):
-    """A float (or array) result, or a Dual when ``x`` is one."""
-    val = val if val.ndim else float(val)
-    if slope is None:
-        return val
-    return Dual(val, slope * x.dot)
+def _value(a):
+    """A result as a float, or as the array of one per row."""
+    return a if a.ndim else float(a)
 
 
-def _log_ratio(a, delta, d, ddelta, x):
+def _log_ratio(a, delta, d=None, ddelta=None):
     """log sum exp(a + delta) - log sum exp a, summing over the first
     axis: the log of the mean of exp(delta) under the posterior
     pi = exp a / sum exp a, taken as m + log1p(sum pi expm1(delta - m))
@@ -248,7 +250,7 @@ def _log_ratio(a, delta, d, ddelta, x):
     delta varies little, so corners that differ only in a mediator that
     delta does not depend on (one that Y ignores) add little rounding
     noise, where two log-sum-exps of the whole l would not.  With the
-    slopes ``d`` and ``ddelta`` in x, a Dual whose slope is the mean of
+    slopes ``d`` and ``ddelta`` in x, the pair with the slope: the mean of
     d + ddelta under the posterior given exp(delta) less the mean of d
     under pi."""
     u = np.exp(a - np.maximum.reduce(a, 0))
@@ -256,20 +258,18 @@ def _log_ratio(a, delta, d, ddelta, x):
     m = np.add.reduce(u * delta, 0)
     grow = u * np.expm1(delta - m)
     z = np.add.reduce(grow, 0)
-    val = m + np.log1p(z)
+    val = _value(m + np.log1p(z))
     if d is None:
-        return _value(val, None, x)
+        return val
     v = u + grow
-    return _value(val, np.add.reduce(v * (d + ddelta), 0) / (1.0 + z)
-                  - np.add.reduce(u * d, 0), x)
+    return val, _value(np.add.reduce(v * (d + ddelta), 0) / (1.0 + z)
+                       - np.add.reduce(u * d, 0))
 
 
 def _halves(a, y: int):
     """a[y] split into its W_j = 0 and W_j = 1 halves (W_j is the
     slowest-changing corner mediator), as (a at W_j = 0, the step to
-    W_j = 1); (None, None) for no ``a``."""
-    if a is None:
-        return None, None
+    W_j = 1)."""
     h = a[y].reshape((2, -1) + a.shape[2:])
     return h[0], h[1] - h[0]
 
@@ -287,22 +287,25 @@ def g_recursive(params: ParameterSet, j: int, y: int, x,
         raise EffectError(f"mediator index {j} out of range 1..{len(meds)}")
     if y not in (0, 1):
         raise EffectError("y must be 0 or 1")
-    _, _, ell, dell = _joint(_program(params.spec, j, x, covariates,
-                                      w_above), params.vector, x)
-    return _log_ratio(*_halves(ell, y), *_halves(dell, y), x)
+    ell = _joint(_program(params.spec, j, x, covariates, w_above),
+                 params.vector, x)[2]
+    return _log_ratio(*_halves(ell, y))
 
 
 def marginal_logit_multi(params: ParameterSet, x,
-                         covariates: Optional[Mapping] = None):
-    """Log odds of Y=1 given X=x (and covariates), all mediators summed out."""
+                         covariates: Optional[Mapping] = None, slope=False):
+    """Log odds of Y=1 given X=x (and covariates), all mediators summed
+    out; with ``slope``, the pair (log odds, its derivative in x) for a
+    continuous treatment."""
+    if slope:
+        _check_slope(params.spec)
     k = len(params.spec.mediators)
     eta, deta, ell, dell = _joint(_program(params.spec, k, x, covariates),
-                                  params.vector, x)
+                                  params.vector, x, slope)
     if not k:   # Y's own linear predictor
-        return _value(eta[0], None if deta is None else deta[0], x)
+        return (_value(eta[0]), _value(deta[0])) if slope else _value(eta[0])
     # l_1 = l_0 + eta_Y at every corner
-    return _log_ratio(ell[0], eta, None if dell is None else dell[0], deta,
-                      x)
+    return _log_ratio(ell[0], eta, dell[0] if slope else None, deta)
 
 
 def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
@@ -317,18 +320,16 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     if len(spec.mediators) != 1:
         raise EffectError(f"deltas need exactly one mediator, system has "
                           f"{len(spec.mediators)}")
-    def delta_w(ell, dell):
-        g0, g1 = (_log_ratio(*_halves(ell, y), *_halves(dell, y), x)
-                  for y in (0, 1))
+    def delta_w(ell):
+        g0, g1 = (_log_ratio(*_halves(ell, y)) for y in (0, 1))
         return expit(g1) - expit(g0)
 
     program = _program(spec, 1, x, covariates)
-    eta, deta, ell, dell = _joint(program, params.vector, x)
+    eta, _, ell, _ = _joint(program, params.vector, x)
     masked = _joint(program, component_mask(spec, "IE").apply(params).vector,
-                    x)
-    r0, r1 = (_value(eta[c], None if deta is None else deta[c], x)
-              for c in (0, 1))
-    return expit(r1) - expit(r0), delta_w(ell, dell), delta_w(*masked[2:])
+                    x)[2]
+    r0, r1 = (_value(eta[c]) for c in (0, 1))
+    return expit(r1) - expit(r0), delta_w(ell), delta_w(masked)
 
 
 # -- requests and masks ----------------------------------------------------
@@ -363,7 +364,7 @@ class EffectRequest:
         else:
             if self.at is None:
                 raise EffectError("derivative mode needs an evaluation point")
-        for v in (self.x1, self.x0) if self.mode == "contrast" else (self.at,):
+        for v in self.treatment_values:
             try:
                 finite = np.all(np.isfinite(np.asarray(v, dtype=float)))
             except (TypeError, ValueError):   # a level that is no number
@@ -373,6 +374,11 @@ class EffectRequest:
             if not finite:
                 raise EffectError(f"treatment value {reprlib.repr(v)} is "
                                   f"not finite")
+
+    @property
+    def treatment_values(self) -> tuple:
+        """(x1, x0) of a contrast, (at,) of a derivative."""
+        return (self.x1, self.x0) if self.mode == "contrast" else (self.at,)
 
     @staticmethod
     def contrast(x1, x0, covariates=None, scale="logodds") -> "EffectRequest":
@@ -437,22 +443,6 @@ def _takes(var, value) -> bool:
     return value in (var.levels if var.kind == "categorical" else (0, 1))
 
 
-def _validate_request(spec: SystemSpec, request: EffectRequest):
-    if not spec.mediators:
-        raise EffectError("system declares no mediators")
-    _check_covariates(spec, request.covariates)
-    kind = spec.treatment.kind
-    if request.mode == "derivative" and kind != "continuous":
-        raise EffectError("derivative mode requires a continuous treatment")
-    if request.mode == "contrast" and kind != "continuous":
-        for v in (request.x1, request.x0):
-            if not _takes(spec.treatment, v):
-                levels = spec.treatment.levels or (0, 1)
-                raise EffectError(f"{v!r} is not a level of "
-                                  f"{spec.treatment.name!r} (levels: "
-                                  f"{list(levels)})")
-
-
 def component(params: ParameterSet, request: EffectRequest, name: str,
               path=None, logit_fn: Callable = marginal_logit_multi):
     """Effect component ``name`` (TE, DE, IE, GIE, RES, or PSIE along
@@ -463,7 +453,7 @@ def component(params: ParameterSet, request: EffectRequest, name: str,
         return Decomposition(request, *(
             component(params, request, c, logit_fn=logit_fn)
             for c in ("TE", "DE", "IE"))).residual
-    _validate_request(params.spec, request)
+    _check_mediators(params.spec)
     masked = component_mask(params.spec, name, path).apply(params)
     covs = dict(request.covariates)
     if request.mode == "contrast":
@@ -472,10 +462,11 @@ def component(params: ParameterSet, request: EffectRequest, name: str,
         if request.scale == "probability":
             return expit(a) - expit(b)
         return a - b
-    e = logit_fn(masked, Dual(request.at, 1.0), covs)
+    e, slope = logit_fn(masked, request.at, covs, slope=True)
     if request.scale == "probability":
-        e = expit(e)
-    return e.dot
+        p = expit(e)
+        return p * (1.0 - p) * slope
+    return slope
 
 
 def indirect_name(spec: SystemSpec) -> str:
@@ -514,10 +505,14 @@ class Decomposition:
                          self.residual)))
 
     def mediated_share(self):
-        """(indirect/total, residual-nonzero flag).  The share is only a
-        clean proportion when the residual is zero; the flag says so."""
-        ratio = self.indirect / self.total if self.total != 0.0 else float("nan")
-        return ratio, bool(abs(self.residual) > 1e-12)
+        """(indirect/total, residual-nonzero flag), elementwise for arrays
+        and nan where the total is zero.  The share is only a clean
+        proportion when the residual is zero; the flag says so."""
+        total = np.asarray(self.total, dtype=float)
+        ratio = np.divide(self.indirect, total, where=total != 0.0,
+                          out=np.full(total.shape, np.nan))
+        flag = np.abs(self.residual) > 1e-12
+        return (ratio, flag) if ratio.ndim else (float(ratio), bool(flag))
 
 
 def decompose(params: ParameterSet, request: EffectRequest) -> Decomposition:

@@ -13,15 +13,16 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .effects import (EffectRequest, _validate_request, component,
-                      component_mask, component_names, indirect_name,
-                      marginal_logit_multi)
+from .effects import (EffectRequest, _check_mediators, _check_setting,
+                      _check_slope, component, component_mask,
+                      component_names, indirect_name, marginal_logit_multi)
 from .fitting import FittedSystem, block_covariance
 from .model import ParameterSet
 from .multi import PathSpec
@@ -77,7 +78,7 @@ def jacobian(fn: Callable, fitted: FittedSystem, label: str):
 
 
 def _check_level(level: float):
-    if not 0.0 < level < 1.0:
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise InferenceError(f"interval level {level!r} is not between 0 "
                              f"and 1")
 
@@ -181,8 +182,12 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
     sets the mediators they range over."""
     requests = list(requests)
     _check_level(level)
-    for req in requests:
-        _validate_request(fitted.spec, req)
+    for req in requests:    # the checks each evaluation makes, made once
+        _check_mediators(fitted.spec)
+        if req.mode == "derivative":
+            _check_slope(fitted.spec)
+        for x in req.treatment_values:
+            _check_setting(fitted.spec, 0, x, req.covariates, {})
     if transform is not None:
         fitted = transform_fitted(fitted, transform)[0]
     paths = [p if isinstance(p, PathSpec) else PathSpec.parse(p)

@@ -157,8 +157,8 @@ class Column:
 def column_value(col: Column, assignment: Mapping[str, object]):
     """Product of factor values under ``assignment``.
 
-    Numeric factors contribute their value (plain numbers or Duals),
-    categorical factors contribute the 0/1 indicator of their level.
+    Numeric factors contribute their value, categorical factors
+    contribute the 0/1 indicator of their level.
     Array values give array results, elementwise.
     """
     v = 1.0
@@ -585,7 +585,8 @@ class ParameterSet:
                 for resp, s in self.spec.slices.items()}
 
     def linear_predictor(self, response: str, assignment: Mapping[str, object]):
-        """Sum of coefficient times column value; supports Dual inputs."""
+        """Sum of coefficient times column value; array values give an
+        array, elementwise."""
         try:
             pairs = self.pairs[response]
         except KeyError:

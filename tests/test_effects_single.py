@@ -9,7 +9,8 @@ from scipy.special import expit
 from logitpath import (Dataset, EffectError, ParameterSet, SystemSpec,
                        VariableSpec, average_probability_effects, decompose,
                        deltas)
-from logitpath.effects import EffectRequest, component, component_mask
+from logitpath.effects import (Decomposition, EffectRequest, component,
+                               component_mask)
 from logitpath.multi import g_recursive, marginal_logit_multi
 from conftest import (assert_close, enum_logit, enum_prob, make_system,
                       random_covariates, random_params, random_system,
@@ -333,9 +334,9 @@ def test_binary_treatment_contrasts_only_zero_and_one():
     # the same values the CLI accepts for a binary treatment
     spec = make_system(1, treatment="binary")
     params = random_params(spec, np.random.default_rng(89))
-    for x1, x0 in ((5, 0), (1, 0.5), (-1, 1)):
-        with pytest.raises(EffectError, match=r"not a level of 'X' "
-                                              r"\(levels: \[0, 1\]\)"):
+    for x1, x0, bad in ((5, 0, 5), (1, 0.5, 0.5), (-1, 1, -1)):
+        with pytest.raises(EffectError, match=f"treatment 'X' cannot take "
+                                              f"{bad}; it takes 0 or 1"):
             decompose(params, EffectRequest.contrast(x1, x0))
     d = decompose(params, EffectRequest.contrast(1.0, 0.0))
     assert d.total == decompose(params, EffectRequest.contrast(1, 0)).total
@@ -432,10 +433,21 @@ def test_fully_masked_treatment_has_zero_derivative():
 def test_mediated_share_flags_residual():
     rng = np.random.default_rng(85)
     spec, params = plain_system(rng)
-    d = decompose(params, EffectRequest.contrast(1.0, 0.0))
+    for req in (EffectRequest.contrast(1.0, 0.0),
+                EffectRequest.derivative(np.array([0.1, 0.5]))):
+        d = decompose(params, req)
+        share, residual_nonzero = d.mediated_share()
+        assert np.array_equal(residual_nonzero, np.abs(d.residual) > 1e-12)
+        assert share == pytest.approx(d.indirect / d.total)
+
+
+def test_mediated_share_is_nan_where_the_total_is_zero():
+    d = Decomposition(EffectRequest.derivative(np.array([0.1, 0.5])),
+                      np.array([0.0, 2.0]), np.array([0.0, 1.5]),
+                      np.array([0.0, 0.5]))
     share, residual_nonzero = d.mediated_share()
-    assert residual_nonzero == (abs(d.residual) > 1e-12)
-    assert share == pytest.approx(d.indirect / d.total)
+    assert np.isnan(share[0]) and share[1] == 0.25
+    assert residual_nonzero.tolist() == [False, False]
 
 
 def test_average_probability_effects_match_pointwise():

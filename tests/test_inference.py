@@ -14,8 +14,9 @@ from logitpath import InferenceError, decompose
 from logitpath.effects import EffectError, EffectRequest, component
 from logitpath.inference import (delta_se, effect_table, jacobian,
                                  transform_fitted)
-from logitpath.multi import marginalize, marginalize_inner
-from conftest import expected_data_fit
+from logitpath.multi import (g_recursive, marginal_logit_multi, marginalize,
+                             marginalize_inner)
+from conftest import expected_data_fit, make_system
 
 
 def test_linear_functional_se_is_the_coefficient_se(example_fit):
@@ -39,10 +40,11 @@ def test_interval_and_p_value_formulas(example_fit):
         assert est.p_value == float(2.0 * norm.sf(abs(est.value) / est.se))
 
 
-@pytest.mark.parametrize("level", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("level", [-0.5, 0.0, 1.0, 1.5, float("nan"), "0.9",
+                                   None])
 def test_interval_level_outside_zero_one_is_refused(example_fit, level):
     # no interval has such a level: its normal quantile is negative,
-    # infinite or nan
+    # infinite or nan, or there is no number to take it of
     req = EffectRequest.contrast(2, 1, {"C": 0})
     named = f"interval level {level!r} is not between 0 and 1"
     with pytest.raises(InferenceError, match=named):
@@ -69,8 +71,45 @@ def test_a_bad_request_is_refused_before_the_first_row(example_fit,
                                                        table_work):
     good = EffectRequest.contrast(2, 1, {"C": 0})
     bad = EffectRequest.contrast(9, 1, {"C": 0})
-    with pytest.raises(EffectError, match="9 is not a level of 'X'"):
+    with pytest.raises(EffectError, match=r"treatment 'X' cannot take 9; "
+                                          r"it takes a level in \[1, 2, 3\]"):
         effect_table(example_fit, [good, bad])
+    assert table_work == {"transform_fitted": 0, "delta_se": 0}
+
+
+@pytest.mark.parametrize("treatment, x, covariates, slope, message", [
+    ("binary", 5, {"C": 1}, False,
+     "treatment 'X' cannot take 5; it takes 0 or 1"),
+    ("categorical", 9, {"C": 1}, False,
+     r"treatment 'X' cannot take 9; it takes a level in \[1, 2, 3\]"),
+    ("binary", 1, {"C": 7}, False,
+     "covariate 'C' cannot take 7; it takes 0 or 1"),
+    ("binary", 0.5, {"C": 1}, True,
+     "a derivative needs a continuous treatment; 'X' is binary"),
+], ids=["binary-treatment-5", "categorical-treatment-9", "covariate-7",
+        "binary-derivative"])
+def test_every_entry_point_refuses_a_fault_with_one_message(
+        request, table_work, treatment, x, covariates, slope, message):
+    # a direct call, a component, a decomposition and a table all say the
+    # same thing, and the table says it before any work
+    if treatment == "categorical":
+        fitted, x0 = request.getfixturevalue("example_fit"), 1
+    else:
+        fitted, x0 = expected_data_fit(np.random.default_rng(113), spec=(
+            make_system(1, covariate=True))), 0
+    params = fitted.params
+    req = (EffectRequest.derivative(x, covariates) if slope
+           else EffectRequest.contrast(x, x0, covariates))
+    calls = [lambda: marginal_logit_multi(params, x, covariates, slope=slope),
+             lambda: component(params, req, "TE"),
+             lambda: decompose(params, req),
+             lambda: effect_table(fitted, [EffectRequest.contrast(
+                 x0 + 1, x0, {"C": 0}), req])]
+    if not slope:   # no derivative is asked of a mediator's log odds
+        calls.append(lambda: g_recursive(params, 1, 1, x, None, covariates))
+    for call in calls:
+        with pytest.raises(EffectError, match=f"^{message}$"):
+            call()
     assert table_work == {"transform_fitted": 0, "delta_se": 0}
 
 

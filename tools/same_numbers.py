@@ -8,7 +8,8 @@ coefficients, covariance blocks and cross covariance of
 ``transform_fitted``, the average probability effects, and the tables and
 transforms of summing out each of W1, W2, W3 of a k = 3 system.  Direct
 library calls on seeded coefficients are dumped too: ``decompose``
-(k = 1..4, both scales, contrasts and derivatives), ``psie`` on every
+(k = 1..4, both scales, contrasts and derivatives, and at an array of
+derivative points of a k = 3 continuous system), ``psie`` on every
 monotone path of a k = 3 system, ``deltas`` (with a categorical treatment
 too), ``g_recursive`` (every j of a k = 4 system with ``w_above`` and a
 categorical covariate too), ``marginal_logit_multi`` on a system with no
@@ -162,7 +163,7 @@ def seeded_params(seed, k, treatment="binary", covariate="binary"):
 def direct_numbers():
     """Numbers of the effect layer called directly, outside the tables."""
     import itertools
-    from logitpath import (decompose, deltas, g_recursive,
+    from logitpath import (EffectRequest, decompose, deltas, g_recursive,
                            marginal_logit_multi, psie)
     from logitpath.effects import component_mask
     out = {}
@@ -176,6 +177,12 @@ def direct_numbers():
             out[f"masks {treatment} k={k}"] = [
                 component_mask(spec, name).apply(params).vector.tolist()
                 for name in ("DE", "IE")]
+    params = seeded_params(14, 3, "continuous")
+    xs = np.linspace(-1.5, 1.5, 7)
+    out["decompose continuous k=3 derivative array"] = [
+        [c.tolist() for c in decompose(params, EffectRequest.derivative(
+            xs, {"C": c}, scale)).components().values()]
+        for scale in ("logodds", "probability") for c in (0.0, 1.0)]
     for treatment in ("binary", "continuous"):
         params = seeded_params(9, 3, treatment)
         paths = [sub for r in (1, 2, 3)
