@@ -43,7 +43,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .dual import expit, softplus
-from .fitting import DataError, Dataset, coerce_column
+from .fitting import DataError, Dataset, _float, coerce_columns
 from .model import Column, ParameterSet, SystemSpec, ZeroMask, column_value
 
 SCALES = ("logodds", "probability")
@@ -130,6 +130,24 @@ def _refuse(var, value, what: str):
         var.kind, f"a level in {list(var.levels)}")
     raise EffectError(f"{what} {var.name!r} cannot take "
                       f"{reprlib.repr(value)}; it takes {wanted}")
+
+
+def as_index(value, what: str, low=-math.inf, high=math.inf) -> int:
+    """``value`` as an int in low..high: any integer but a boolean, a
+    whole number, or the string of an integer (as the CLI passes one);
+    otherwise an EffectError that names the value."""
+    try:
+        index = int(value)
+        whole = not isinstance(value, (bool, np.bool_)) and (
+            isinstance(value, str) or index == value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise EffectError(f"{what} must be an integer, not "
+                          f"{reprlib.repr(value)}")
+    if not low <= index <= high:
+        raise EffectError(f"{what} {index} out of range {low}..{high}")
+    return index
 
 
 def _check_treatment(spec: SystemSpec, x):
@@ -282,11 +300,8 @@ def g_recursive(params: ParameterSet, j: int, y: int, x,
     ``w_above`` maps the names of the outer mediators W_{j+1}..W_k to 0/1
     values; it can be omitted when nothing outward of j is referenced.
     """
-    meds = params.spec.mediators
-    if not 1 <= j <= len(meds):
-        raise EffectError(f"mediator index {j} out of range 1..{len(meds)}")
-    if y not in (0, 1):
-        raise EffectError("y must be 0 or 1")
+    j = as_index(j, "mediator index", 1, len(params.spec.mediators))
+    y = as_index(y, "y", 0, 1)
     ell = _joint(_program(params.spec, j, x, covariates, w_above),
                  params.vector, x)[2]
     return _log_ratio(*_halves(ell, y))
@@ -439,7 +454,7 @@ def _takes(var, value) -> bool:
         except TypeError:   # an unhashable entry is no value
             return False
     if var.kind == "continuous":
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        return isinstance(value, numbers.Real) and math.isfinite(_float(value))
     return value in (var.levels if var.kind == "categorical" else (0, 1))
 
 
@@ -534,18 +549,13 @@ def average_probability_effects(params: ParameterSet, data: Dataset):
         raise EffectError("average probability effects need a continuous treatment")
     if data.nrows == 0 or data.n == 0:
         raise DataError("empty data")
-    x_name = spec.treatment.name
     needed = [c.name for c in spec.covariates
               if any(c.name in spec.predictors(r) for r in spec.responses)]
     w = np.asarray(data.counts, dtype=float)
     live = w > 0.0
-    covs = {}
-    for name in [x_name] + sorted(needed):
-        if name not in data.columns:
-            raise DataError(f"data has no column {name!r}")
-        covs[name] = coerce_column(spec.variable(name),
-                                   data.columns[name])[live]
-    xs = covs.pop(x_name)
+    covs = {name: column[live] for name, column in coerce_columns(
+        spec, data, [spec.treatment.name] + sorted(needed)).items()}
+    xs = covs.pop(spec.treatment.name)
     d = decompose(params, EffectRequest.derivative(xs, covs, "probability"))
     w = w[live]
     return tuple(float(np.sum(w * c) / np.sum(w))

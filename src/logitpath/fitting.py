@@ -43,8 +43,8 @@ class FitError(RuntimeError):
     """Raised when an equation cannot be fitted (for example collinearity)."""
 
 
-def _count(raw) -> float:
-    """A count as a float; nan when it is not a number or is too large."""
+def _float(raw) -> float:
+    """A number as a float; nan when it is no number or is too large."""
     try:
         return float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -63,7 +63,7 @@ class Dataset:
         lengths.add(len(self.counts))
         if len(lengths) > 1:
             raise DataError("columns and counts must share one length")
-        counts = np.array([_count(c) for c in self.counts], dtype=float)
+        counts = np.array([_float(c) for c in self.counts], dtype=float)
         bad = np.flatnonzero(~((counts >= 0.0) & (counts < np.inf)))
         if bad.size:
             raw = self.counts[bad[0]]
@@ -82,9 +82,8 @@ class Dataset:
 
     @staticmethod
     def from_records(columns: Mapping[str, Sequence]) -> "Dataset":
-        cols = {k: np.asarray(v, dtype=object) for k, v in columns.items()}
-        some = next(iter(cols.values()), np.array([]))
-        return Dataset(cols, np.ones(len(some)))
+        some = next(iter(columns.values()), ())
+        return Dataset.from_patterns(columns, np.ones(len(some)))
 
     @staticmethod
     def from_patterns(columns: Mapping[str, Sequence],
@@ -112,8 +111,7 @@ class Dataset:
             for k in names:
                 cols[k].append(r[k])
             counts.append(r.get("count", 1.0))
-        return Dataset({k: np.asarray(v, dtype=object) for k, v in cols.items()},
-                       counts)
+        return Dataset.from_patterns(cols, counts)
 
     @staticmethod
     def load(path) -> "Dataset":
@@ -171,14 +169,20 @@ def coerce_column(var: VariableSpec, values: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+def coerce_columns(spec: SystemSpec, data: Dataset, names) -> dict:
+    """The columns ``names`` of ``data``, each as its variable's values;
+    a DataError names the first that is missing or has a bad value."""
+    try:
+        return {name: coerce_column(spec.variable(name), data.columns[name])
+                for name in names}
+    except KeyError as e:
+        raise DataError(f"data has no column {e.args[0]!r}") from None
+
+
 def design_matrix(spec: SystemSpec, response: str, data: Dataset):
     """Design matrix, response vector, and weights for one equation."""
-    needed = sorted(spec.predictors(response) | {response})
-    coerced = {}
-    for name in needed:
-        if name not in data.columns:
-            raise DataError(f"data has no column {name!r}")
-        coerced[name] = coerce_column(spec.variable(name), data.columns[name])
+    coerced = coerce_columns(
+        spec, data, sorted(spec.predictors(response) | {response}))
     y = coerced[response]
     if spec.variable(response).kind != "binary":
         raise ModelSpecError(f"response {response!r} must be binary to fit")
@@ -207,51 +211,43 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     at the returned coefficients.  A step that still lowers the
     log-likelihood after MAX_HALVINGS halvings is rejected and ends the
     fit as not converged."""
-    n, p = X.shape
-    beta = np.zeros(p)
+    beta = np.zeros(X.shape[1])
     eta = X @ beta
 
     def loglik_of(e):
         return float(np.sum(w * (y * e - softplus(e))))
 
+    def information(prob):
+        return X.T @ (X * (w * prob * (1.0 - prob))[:, None])
+
     ll = loglik_of(eta)
     converged = False
-    it = 0
-    while it < MAX_ITER:
-        it += 1
+    for it in range(1, MAX_ITER + 1):
         prob = expit(eta)
         score = X.T @ (w * (y - prob))
         if np.max(np.abs(score)) < SCORE_TOL:
             converged = True
             break
-        wdiag = w * prob * (1.0 - prob)
-        H = X.T @ (X * wdiag[:, None])
+        H = information(prob)
         try:
             step = np.linalg.solve(H, score)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, score, rcond=None)[0]
-        new_beta = beta + step
-        new_eta = X @ new_beta
-        new_ll = loglik_of(new_eta)
-        halvings = 0
-        while new_ll < ll and halvings < MAX_HALVINGS:
-            step = 0.5 * step
+        for _ in range(MAX_HALVINGS + 1):   # the full step, then halves
             new_beta = beta + step
             new_eta = X @ new_beta
             new_ll = loglik_of(new_eta)
-            halvings += 1
+            if not new_ll < ll:
+                break
+            step = 0.5 * step
         tol = LOGLIK_TOL * (1.0 + abs(ll))
         if ll - new_ll > tol:   # a smaller drop is rounding at the optimum
             break
         beta, eta = new_beta, new_eta
-        if abs(new_ll - ll) < tol:
-            ll = new_ll
-            converged = True
+        converged, ll = abs(new_ll - ll) < tol, new_ll
+        if converged:
             break
-        ll = new_ll
-    prob = expit(eta)
-    wdiag = w * prob * (1.0 - prob)
-    H = X.T @ (X * wdiag[:, None])
+    H = information(expit(eta))
     separation = (not converged) or bool(np.max(np.abs(beta)) > BIG_COEF)
     if not separation:
         # a score-converged fit can still sit on a separation ray: fitted
@@ -263,7 +259,7 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         extreme = live & (np.abs(eta) > BIG_LOGIT)
         if np.any(extreme) and np.all(y[extreme] == (eta[extreme] > 0)):
             separation = bool(
-                np.linalg.matrix_rank(X[live & ~extreme]) < p)
+                np.linalg.matrix_rank(X[live & ~extreme]) < len(beta))
     return beta, H, ll, it, converged, separation
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import cond_logit, lift
-from .effects import (EffectError, EffectRequest, component, g_recursive,
-                      marginal_logit_multi)
+from .effects import (EffectError, EffectRequest, as_index, component,
+                      g_recursive, marginal_logit_multi)
 from .model import ParameterSet, SystemSpec, Term, design
 
 
@@ -53,8 +53,8 @@ class PathSpec:
     @staticmethod
     def parse(seq) -> "PathSpec":
         try:
-            t = tuple(int(i) for i in seq)
-        except (TypeError, ValueError):
+            t = tuple(as_index(i, "mediator index") for i in seq)
+        except TypeError:
             raise EffectError(f"cannot read path indices from {seq!r}") from None
         if not t:
             raise EffectError("a path needs at least one mediator index")
@@ -81,9 +81,7 @@ class PathSpec:
         meds = spec.mediators
         k = len(meds)
         for i in self.indices:
-            if not 1 <= i <= k:
-                raise EffectError(f"path index {i} out of range 1..{k} "
-                                  f"of the mediators")
+            as_index(i, "mediator index", 1, k)
         name = {m.mediator_index: m.name for m in meds}
         y = spec.outcome.name
         x = spec.treatment.name
@@ -150,9 +148,6 @@ def _plan(spec: SystemSpec, j: int) -> tuple:
         if len(meds) < 2:
             raise EffectError("summing a mediator out needs at least two "
                               "mediators")
-        if not 1 <= j <= len(meds):
-            raise EffectError(f"mediator index {j} out of range "
-                              f"1..{len(meds)}")
         gone = meds[j - 1].name
         rebuilt, passed = {}, ()
         inward = [m.name for m in reversed(meds[:j - 1])] + [spec.outcome.name]
@@ -185,7 +180,8 @@ def marginalize(params: ParameterSet, j: int) -> ParameterSet:
     the mediators in between and theirs; the others are copied, and outer
     mediators slide down one index."""
     spec = params.spec
-    gone, new_spec, rebuilt = _plan(spec, j)
+    gone, new_spec, rebuilt = _plan(spec, as_index(
+        j, "mediator index", 1, len(spec.mediators)))
     lp = params.linear_predictor
     coefs = {}
     for resp, between, grid, X in rebuilt:

@@ -210,10 +210,11 @@ def test_direct_calls_refuse_values_a_variable_cannot_take(call, named):
     ("continuous", math.inf, "'X'.*inf"),
     ("continuous", math.nan, "'X'.*nan"),
     ("continuous", "a", "'X'.*'a'"),
+    ("continuous", 10 ** 400, "'X' cannot take 1000.*a finite number"),
     ("categorical", 4, "'X'.*4"),
     ("categorical", 1.5, "'X'.*1.5"),
 ], ids=["continuous-inf", "continuous-nan", "continuous-string",
-        "categorical-4", "categorical-1.5"])
+        "continuous-10**400", "categorical-4", "categorical-1.5"])
 def test_direct_calls_refuse_a_treatment_value_after_a_good_one(
         treatment, x, named):
     params = two_mediator_params(treatment)
@@ -238,6 +239,42 @@ def test_direct_calls_accept_every_value_a_variable_takes():
                 for w2 in (0, 1, 0.0, 1.0):
                     assert math.isfinite(
                         g_recursive(params, 1, 0, x, {"W2": w2}, {"C": c}))
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda p: g_recursive(p, 1, True, 1, {"W2": 0}, {"C": 1}),
+                 "True", id="y-boolean"),
+    pytest.param(lambda p: g_recursive(p, 1, 0.5, 1, {"W2": 0}, {"C": 1}),
+                 "0.5", id="y-fraction"),
+    pytest.param(lambda p: g_recursive(p, True, 1, 1, {"W2": 0}, {"C": 1}),
+                 "True", id="j-boolean"),
+    pytest.param(lambda p: g_recursive(p, 1.5, 1, 1, {"W2": 0}, {"C": 1}),
+                 "1.5", id="j-fraction"),
+    pytest.param(lambda p: PathSpec.parse([1.5]), "1.5", id="path-fraction"),
+    pytest.param(lambda p: PathSpec.parse([2, True]), "True",
+                 id="path-boolean"),
+    pytest.param(lambda p: psie(p, [1.5], EffectRequest.contrast(
+        1, 0, {"C": 1})), "1.5", id="psie-fraction"),
+    pytest.param(lambda p: marginalize(p, True), "True",
+                 id="marginalize-boolean"),
+    pytest.param(lambda p: marginalize(p, 2.5), "2.5",
+                 id="marginalize-fraction"),
+])
+def test_an_index_must_be_an_integer(call, named):
+    # a boolean y indexed the corner array as a new axis, True summed W1
+    # out, and a path through mediator 1.5 was the path through 1
+    with pytest.raises(EffectError, match=f"must be an integer, not {named}$"):
+        call(two_mediator_params())
+
+
+def test_an_index_may_be_any_integer_or_an_integer_string():
+    params = two_mediator_params()
+    want = g_recursive(params, 1, 1, 1, {"W2": 0}, {"C": 1})
+    for j, y in ((np.int64(1), np.int8(1)), (1, 1.0)):
+        assert g_recursive(params, j, y, 1, {"W2": 0}, {"C": 1}) == want
+    assert PathSpec.parse(["2", np.int64(1)]).indices == (1, 2)
+    assert np.array_equal(marginalize(params, np.int64(2)).vector,
+                          marginalize(params, 2).vector)
 
 
 def test_distinct_settings_leave_the_kept_programs_at_their_bound():

@@ -379,11 +379,13 @@ def _covariate_system(kind):
     ("categorical", "zzz"), ("categorical", "B"), ("categorical", 1),
     ("categorical", np.array(["a", "d"], dtype=object)),
     ("continuous", math.inf), ("continuous", math.nan), ("continuous", "2"),
-    ("continuous", np.array([0.5, math.nan])),
+    ("continuous", np.array([0.5, math.nan])), ("continuous", 10 ** 400),
+    ("continuous", np.array([0.5, 10 ** 400], dtype=object)),
 ], ids=["binary-7", "binary-half", "binary-string", "binary-array",
         "level-zzz", "level-case", "level-number", "level-array",
         "continuous-inf", "continuous-nan", "continuous-string",
-        "continuous-array-nan"])
+        "continuous-array-nan", "continuous-10**400",
+        "continuous-array-10**400"])
 def test_a_covariate_value_must_be_one_it_takes(kind, value):
     # before, a binary C = 7 scaled the C coefficient sevenfold and an
     # unknown level silently read as the reference level

@@ -10,13 +10,14 @@ import pytest
 import scipy.linalg
 from scipy.stats import norm
 
-from logitpath import InferenceError, decompose
+from logitpath import (FittedSystem, InferenceError, SystemSpec,
+                       VariableSpec, decompose)
 from logitpath.effects import EffectError, EffectRequest, component
 from logitpath.inference import (delta_se, effect_table, jacobian,
                                  transform_fitted)
 from logitpath.multi import (g_recursive, marginal_logit_multi, marginalize,
                              marginalize_inner)
-from conftest import expected_data_fit, make_system
+from conftest import expected_data_fit, make_system, random_params
 
 
 def test_linear_functional_se_is_the_coefficient_se(example_fit):
@@ -86,14 +87,27 @@ def test_a_bad_request_is_refused_before_the_first_row(example_fit,
      "covariate 'C' cannot take 7; it takes 0 or 1"),
     ("binary", 0.5, {"C": 1}, True,
      "a derivative needs a continuous treatment; 'X' is binary"),
+    ("continuous", 1.0, {"C": 10 ** 400}, False,
+     r"covariate 'C' cannot take 100000000000000000\.\.\.0000000000000000000;"
+     r" it takes a finite number"),
 ], ids=["binary-treatment-5", "categorical-treatment-9", "covariate-7",
-        "binary-derivative"])
+        "binary-derivative", "continuous-covariate-10**400"])
 def test_every_entry_point_refuses_a_fault_with_one_message(
         request, table_work, treatment, x, covariates, slope, message):
     # a direct call, a component, a decomposition and a table all say the
     # same thing, and the table says it before any work
     if treatment == "categorical":
         fitted, x0 = request.getfixturevalue("example_fit"), 1
+    elif treatment == "continuous":     # and a continuous covariate C
+        spec = SystemSpec.build(
+            [VariableSpec("Y", "outcome", "binary"),
+             VariableSpec("W1", "mediator", "binary", mediator_index=1),
+             VariableSpec("X", "treatment", "continuous"),
+             VariableSpec("C", "covariate", "continuous")],
+            {"Y": ["1", "X", "W1", "C"], "W1": ["1", "X", "C"]})
+        fitted = FittedSystem(spec, random_params(
+            spec, np.random.default_rng(114)), np.eye(7), {}, 100.0)
+        x0 = 0.0
     else:
         fitted, x0 = expected_data_fit(np.random.default_rng(113), spec=(
             make_system(1, covariate=True))), 0

@@ -1,4 +1,4 @@
-"""Check that two source trees give the same effect numbers.
+"""Check that two source trees give the same effect, study and fit numbers.
 
 Fits seeded chain systems (k = 1..5 mediators; binary, categorical and
 continuous treatments; binary and categorical covariates) and dumps every
@@ -13,8 +13,13 @@ derivative points of a k = 3 continuous system), ``psie`` on every
 monotone path of a k = 3 system, ``deltas`` (with a categorical treatment
 too), ``g_recursive`` (every j of a k = 4 system with ``w_above`` and a
 categorical covariate too), ``marginal_logit_multi`` on a system with no
-mediators and the DE and IE ``component_mask`` vectors.  Every reduction
-is spelled ``marginalize(params, j)``.
+mediators and the DE and IE ``component_mask`` vectors.  The study and
+the fit are dumped too: ``run_study`` on a small seeded grid (binary and
+continuous treatments, beta_x 0.4 and 1.8, n 250 and 1000, 30
+replications), and every field ``irls`` returns on seeded weighted
+designs, some with zero counts, some needing step-halvings, and one whose
+step halving cannot rescue.  Every reduction is spelled
+``marginalize(params, j)``.
 Run the dump once per tree, then compare:
 
     PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
@@ -22,16 +27,16 @@ Run the dump once per tree, then compare:
     python tools/same_numbers.py compare A.json B.json
 
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
-is listed and fails nothing.  Unreduced tables, the APE and the direct
-calls must be bit-identical (``compare`` prints the largest absolute
-difference beside each count).  Reductions solve a corner-point system
-inside every central difference, so they are held to the parent's own
-finite-difference resolution instead: reduced-table values within 1e-14
-absolute and SEs within 2e-8 relative; reduced coefficients within 1e-14,
-the cross covariance bit-identical, and covariance-block entries within
-3e-7 of sqrt(c_ii c_jj), or within the first tree's own movement when
-its central-difference step is halved, whichever is larger (``compare``
-prints both).
+is listed and fails nothing.  Unreduced tables, the APE, the direct
+calls, the study and the fits must be bit-identical (``compare`` prints
+the largest absolute difference beside each count).  Reductions solve a
+corner-point system inside every central difference, so they are held to
+the parent's own finite-difference resolution instead: reduced-table
+values within 1e-14 absolute and SEs within 2e-8 relative; reduced
+coefficients within 1e-14, the cross covariance bit-identical, and
+covariance-block entries within 3e-7 of sqrt(c_ii c_jj), or within the
+first tree's own movement when its central-difference step is halved,
+whichever is larger (``compare`` prints both).
 """
 
 import json
@@ -221,6 +226,44 @@ def direct_numbers():
     return out
 
 
+def study_numbers():
+    """Every number of each cell of a small seeded ``run_study`` grid."""
+    from logitpath import run_study
+    grid = {"seed": 15, "replications": 30,
+            "treatment": ["binary", "continuous"], "beta_x": [0.4, 1.8],
+            "n": [250, 1000]}
+    return [[r.true_value, *vars(r.rsd).values(), *vars(r.khb).values(),
+             r.excluded] for r in run_study(grid)]
+
+
+def irls_numbers():
+    """Every field ``irls`` returns on seeded weighted designs (a fifth of
+    the counts zero; several need step-halvings), then on a design whose
+    step halving cannot rescue."""
+    from logitpath import expit
+    from logitpath.fitting import irls
+    designs = []
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 15])
+        n, p = int(rng.integers(8, 60)), int(rng.integers(2, 5))
+        X = np.column_stack([np.ones(n), rng.normal(
+            0.0, 1.0 + 2.0 * rng.random(), (n, p - 1))])
+        y = (rng.random(n) < expit(X @ rng.normal(0.0, 2.0, p))).astype(float)
+        w = rng.exponential(1.0 + 50.0 * rng.random(), n) * (
+            rng.random(n) > 0.2)
+        designs.append((X, y, w))
+    designs.append((np.column_stack([
+        np.ones(6), [-0.808, 0.079, -0.254, -0.626, -0.078, -1.923],
+        [-0.982, 0.976, 1.363, 0.877, -0.465, 1.182]]),
+        np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+        np.array([0.00106, 0.0152, 140.0, 88.0, 0.00617, 0.00138])))
+    out = []
+    for X, y, w in designs:
+        beta, H, loglik, iterations, converged, separation = irls(X, y, w)
+        out += [*beta, *H.ravel(), loglik, iterations, converged, separation]
+    return out
+
+
 def dump(path):
     from logitpath import Dataset, average_probability_effects, marginalize
 
@@ -231,6 +274,8 @@ def dump(path):
         return marginalize(params, len(params.spec.mediators))
 
     exact, reduced, transformed = direct_numbers(), {}, {}
+    exact["run_study"] = study_numbers()
+    exact["irls"] = irls_numbers()
     for k in (1, 2, 3, 4, 5):
         exact[f"table binary k={k}"] = table_numbers(draw_fit(1, k)[0])
     for k in (1, 2, 3):
