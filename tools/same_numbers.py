@@ -4,7 +4,7 @@ Fits seeded chain systems (k = 1..5 mediators; binary, categorical and
 continuous treatments; binary and categorical covariates) and dumps every
 number that the effect layer reports: contrast and derivative tables with
 PSIE paths on both scales, inner- and outer-reduced tables, the reduced
-coefficients, covariance blocks and cross covariance of
+coefficients, full covariance and cross covariance of
 ``transform_fitted``, the average probability effects, and the tables and
 transforms of summing out each of W1, W2, W3 of a k = 3 system.  Direct
 library calls on seeded coefficients are dumped too: ``decompose``
@@ -29,14 +29,15 @@ Run the dump once per tree, then compare:
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
 is listed and fails nothing.  Unreduced tables, the APE, the direct
 calls, the study and the fits must be bit-identical (``compare`` prints
-the largest absolute difference beside each count).  Reductions solve a
-corner-point system inside every central difference, so they are held to
-the parent's own finite-difference resolution instead: reduced-table
-values within 1e-14 absolute and SEs within 2e-8 relative; reduced
-coefficients within 1e-14, the cross covariance bit-identical, and
-covariance-block entries within 3e-7 of sqrt(c_ii c_jj), or within the
-first tree's own movement when its central-difference step is halved,
-whichever is larger (``compare`` prints both).
+the largest absolute difference beside each count).  Reductions are
+held to a finite-difference resolution instead, since a central
+difference through the corner-point solve resolves them only that far:
+reduced-table values within 1e-14 absolute and SEs within 2e-8 relative;
+reduced coefficients within 1e-14, and every entry of the full reduced
+covariance, between equations too, within 3e-7 of sqrt(c_ii c_jj), or
+within the first tree's own movement when ``inference.STEP_SCALE`` is
+halved, whichever is larger (``compare`` prints both, and the cross
+covariance's movement beside them).
 """
 
 import json
@@ -123,31 +124,22 @@ def table_numbers(fitted, transform=None):
             for r in table.to_records()]
 
 
-def block_covariance(fitted):
-    """The per-equation covariance blocks in flat_coords order, zero
-    between equations; the part between equations is checked as
-    ``cross``."""
-    import scipy.linalg
-    return scipy.linalg.block_diag(
-        *(fitted.cov_blocks[resp] for resp in fitted.spec.slices))
-
-
 def transform_numbers(fitted, transform):
-    """Reduced coefficients, covariance blocks and cross covariance, plus
-    the blocks at half the central-difference step: the tree's own
-    resolution."""
+    """Reduced coefficients, full covariance and cross covariance, plus
+    the covariance and cross at half ``inference.STEP_SCALE``: the tree's
+    own resolution where its reduction takes central differences."""
     from logitpath import inference, transform_fitted
     reduced, cross = transform_fitted(fitted, transform)
     step = inference.STEP_SCALE
     try:
         inference.STEP_SCALE = step / 2.0
-        half = transform_fitted(fitted, transform)[0]
+        half, half_cross = transform_fitted(fitted, transform)
     finally:
         inference.STEP_SCALE = step
     return {"coefficients": reduced.params.vector.tolist(),
-            "covariance": block_covariance(reduced).tolist(),
-            "covariance_half_step": block_covariance(half).tolist(),
-            "cross": cross}
+            "covariance": reduced.covariance_matrix().tolist(),
+            "covariance_half_step": half.covariance_matrix().tolist(),
+            "cross": cross, "cross_half_step": half_cross}
 
 
 def covariance_gap(a, b):
@@ -362,10 +354,12 @@ def compare(path_a, path_b):
         report(f"{name}: coefficient diff",
                np.max(np.abs(np.subtract(ta["coefficients"],
                                          tb["coefficients"]))), 1e-14)
-        report(f"{name}: cross not bit-identical",
-               int(not _same(ta["cross"], tb["cross"])), 0)
+        print(f"     {name}: cross diff "
+              f"{abs(ta['cross'] - tb['cross']):.3g}, own step-halving "
+              f"{abs(ta['cross'] - ta['cross_half_step']):.3g}")
         # the bound is the first tree's own step-halving movement where
-        # that exceeds the nominal 3e-7
+        # that exceeds the nominal 3e-7; the cross covariance is part of
+        # the full matrix
         own = covariance_gap(ta["covariance"], ta["covariance_half_step"])
         report(f"{name}: covariance diff / sqrt(c_ii c_jj), own "
                f"step-halving {own:.3g}",
