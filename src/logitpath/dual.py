@@ -1,19 +1,15 @@
-"""Overflow-safe logistic primitives and the one-step marginalization
-kernel.  The derivative of a marginal logit in a continuous treatment is
-not taken here but by ``effects.marginal_logit_multi(..., slope=True)``.
+"""Overflow-safe logistic primitives and the study's one-step
+marginalization.  Marginal logits, their derivatives and mediator
+reductions sum over mediator corners in ``effects._log_ratio`` instead.
 
-Mediator reductions (``multi.marginalize``) and the study's true values
-(``simulation``) sum binary mediators out one at a time; the marginal
-logits of ``effects`` sum all of them at once over the mediator corners.
-With r0, r1 the log odds of Y=1 at W=0, 1 and rw the log odds of W=1,
-everything else held fixed, Bayes inversion gives the log odds of
-W=1 given Y=y (``cond_logit``),
+The study's true values (``simulation``) sum its one binary mediator W
+out with ``lift``: with r0, r1 the log odds of Y=1 at W=0, 1 and rw the
+log odds of W=1, everything else held fixed, the log odds of Y=1 are
 
-    g(y) = y * (r1 - r0) + log[(1 + exp r0) / (1 + exp r1)] + rw,
+    eta = softplus(r1 - r0 + core) - softplus(core) + r0,
+    core = softplus(r0) - softplus(r1) + rw,
 
-and summing W out gives the log odds of Y=1 (``lift``),
-
-    eta = log[(1 + exp g(1)) / (1 + exp g(0))] + r0.
+where core + y (r1 - r0) is the log odds of W=1 given Y=y.
 """
 
 from __future__ import annotations
@@ -50,14 +46,8 @@ def expit(t):
     return _expit_float(float(t))
 
 
-def cond_logit(y, r0, r1, rw):
-    """Log odds of W=1 given Y=y (0 or 1), from Y's log odds r0, r1 at
-    W=0, 1 and W's own log odds rw."""
-    return y * (r1 - r0) + softplus(r0) - softplus(r1) + rw
-
-
 def lift(r0, r1, rw):
-    """Log odds of Y=1 with the binary W summed out (arguments as in
-    ``cond_logit``)."""
+    """Log odds of Y=1 with the binary W summed out, from Y's log odds
+    r0, r1 at W=0, 1 and W's own log odds rw."""
     core = softplus(r0) - softplus(r1) + rw
     return softplus((r1 - r0) + core) - softplus(core) + r0

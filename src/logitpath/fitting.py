@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -57,6 +57,8 @@ class Dataset:
 
     columns: Mapping[str, np.ndarray]
     counts: np.ndarray
+    _coerced: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         lengths = {len(v) for v in self.columns.values()}
@@ -163,20 +165,22 @@ def coerce_value(var: VariableSpec, raw):
 
 
 def coerce_column(var: VariableSpec, values: np.ndarray) -> np.ndarray:
-    out = [coerce_value(var, v) for v in values]
-    if var.kind == "categorical":
-        return np.asarray(out, dtype=object)
-    return np.asarray(out, dtype=float)
+    return np.asarray([coerce_value(var, v) for v in values],
+                      dtype=object if var.kind == "categorical" else float)
 
 
 def coerce_columns(spec: SystemSpec, data: Dataset, names) -> dict:
-    """The columns ``names`` of ``data``, each as its variable's values;
-    a DataError names the first that is missing or has a bad value."""
-    try:
-        return {name: coerce_column(spec.variable(name), data.columns[name])
-                for name in names}
-    except KeyError as e:
-        raise DataError(f"data has no column {e.args[0]!r}") from None
+    """The columns ``names`` of ``data``, each as its variable's values,
+    read-only and kept on ``data`` by variable; a DataError names the
+    first that is missing or has a bad value."""
+    for var in map(spec.variable, names):
+        if var not in data._coerced:
+            if var.name not in data.columns:
+                raise DataError(f"data has no column {var.name!r}")
+            column = coerce_column(var, data.columns[var.name])
+            column.setflags(write=False)
+            data._coerced[var] = column
+    return {name: data._coerced[spec.variable(name)] for name in names}
 
 
 def design_matrix(spec: SystemSpec, response: str, data: Dataset):

@@ -1,10 +1,12 @@
 """Delta-method inference for scalar effect functionals of a fitted system.
 
-One gradient engine serves every effect and every reduction: central
-differences over the full coefficient stack (per-coordinate step scaled to
-the coefficient), then se = sqrt(g' Sigma g) with the fitted covariance,
-which a reduction carries as its full J Sigma J'.  Wald intervals and
-two-sided normal p-values are reported on the effect's own scale.
+The gradient of an effect is taken by central differences over the full
+coefficient stack (per-coordinate step scaled to the coefficient), then
+se = sqrt(g' Sigma g) with the fitted covariance.  A mediator reduction
+carries its full J Sigma J', with the exact Jacobian J that
+``multi._reduce`` computes beside the reduced coefficients.  Wald
+intervals and two-sided normal p-values are reported on the effect's own
+scale.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .effects import (EffectRequest, _check_mediators, _check_setting,
                       component_names, indirect_name, marginal_logit_multi)
 from .fitting import FittedSystem, block_covariance
 from .model import ParameterSet
-from .multi import PathSpec
+from .multi import PathSpec, _reduce
 
 STEP_SCALE = 1e-6
 
@@ -46,35 +48,32 @@ class EffectEstimate:
     level: float = 0.95
 
 
-def jacobian(fn: Callable, fitted: FittedSystem, label: str):
-    """(value, jacobian) of ``fn`` at the estimate.
+def gradient(fn: Callable, fitted: FittedSystem, label: str):
+    """(value, gradient) of the scalar ``fn`` at the estimate.
 
-    ``fn`` maps a ParameterSet to a float or a 1-d array; its jacobian
-    with respect to the flat coefficient stack is taken by central
-    differences with step STEP_SCALE * max(1, |coefficient|).
+    ``fn`` maps a ParameterSet to a float; its gradient with respect to
+    the flat coefficient stack is taken by central differences with step
+    STEP_SCALE * max(1, |coefficient|).
     """
     spec = fitted.spec
     theta = fitted.params.vector
-    value = np.asarray(fn(fitted.params), dtype=float)
-    if not np.all(np.isfinite(value)):
+    value = float(fn(fitted.params))
+    if not math.isfinite(value):
         raise InferenceError(f"{label}: not finite at the estimate")
-    jac = np.empty(value.shape + theta.shape)
+    grad = np.empty(theta.shape)
     for i in range(len(theta)):
         h = STEP_SCALE * max(1.0, abs(theta[i]))
-        up = theta.copy()
+        up, dn = theta.copy(), theta.copy()
         up[i] += h
-        dn = theta.copy()
         dn[i] -= h
         fu = fn(ParameterSet.from_vector(spec, up))
         fd = fn(ParameterSet.from_vector(spec, dn))
-        jac[..., i] = (fu - fd) / (2.0 * h)
-    # a non-finite evaluation leaves a non-finite column
-    finite = np.isfinite(jac).reshape(-1, len(theta)).all(axis=0)
-    if not finite.all():
-        resp, col = spec.flat_coords[int(np.argmin(finite))]
+        grad[i] = (fu - fd) / (2.0 * h)
+    if not np.isfinite(grad).all():
+        resp, col = spec.flat_coords[int(np.argmin(np.isfinite(grad)))]
         raise InferenceError(f"{label}: not finite when perturbing "
                              f"{resp}:{spec.column_label(col)}")
-    return value, jac
+    return value, grad
 
 
 def _check_level(level: float):
@@ -92,8 +91,7 @@ def delta_se(fitted: FittedSystem, effect: Callable,
     unusable and raises InferenceError; so does a ``level`` outside (0, 1).
     """
     _check_level(level)
-    value, grad = jacobian(effect, fitted, label)
-    value = float(value)
+    value, grad = gradient(effect, fitted, label)
     sigma = fitted.covariance_matrix()
     var = float(grad @ sigma @ grad)
     if not math.isfinite(var):
@@ -217,17 +215,20 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
 
 
 def transform_fitted(fitted: FittedSystem, transform: Callable):
-    """Push a parameter transformation through a fitted system.
-
-    The reduced coefficients get their covariance by the delta method:
-    the full J Sigma J' of the jacobian of the new stack w.r.t. the old
-    one.  Returns (reduced FittedSystem, cross) where ``cross`` is the
-    largest absolute covariance between different reduced equations.
+    """Push a mediator reduction (``multi.marginalize``) through a fitted
+    system; any other transform is an InferenceError.  The reduced
+    coefficients get the full covariance J Sigma J' of the reduction's
+    exact Jacobian.  Returns (reduced FittedSystem, cross) where ``cross``
+    is the largest absolute covariance between different reduced equations.
     """
     new_params = transform(fitted.params)
     new_spec = new_params.spec
-    _, jac = jacobian(lambda p: transform(p).vector, fitted,
-                      "reduced coefficients")
+    j = next((j for j, (_, reduced_spec, _) in fitted.spec.reductions.items()
+              if reduced_spec is new_spec), None)
+    if j is None:
+        raise InferenceError("a transform must sum one mediator out of the "
+                             "fitted system (multi.marginalize)")
+    jac = _reduce(fitted.params, j)[1]
     sigma = jac @ fitted.covariance_matrix() @ jac.T
     diagnostics = {resp: d for resp, d in fitted.diagnostics.items()
                    if resp in new_spec.equations

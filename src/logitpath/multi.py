@@ -5,15 +5,14 @@ of mediators and live in ``effects``.  A path-specific indirect effect
 (PSIE) reroutes the treatment through one ordered mediator path by zeroing
 every coefficient not on the path (four rule groups below).
 
-``marginalize(params, j)`` sums any mediator W_j out of the system, j = 1
-the innermost and j = k the outermost.  Each
-equation with W_j as a predictor is rebuilt from its values at every
-corner of its new predictors: ``lift`` against W_j's log odds given them,
-W_j's own equation updated by ``cond_logit`` through each rebuilt
-mediator in between; the others are copied, since a variable is
-independent of its non-descendants given its predictors.  The corner-point
-solve is exact only for discrete predictors, so continuous treatments or
-covariates are refused.
+``marginalize(params, j)`` sums any mediator W_j out, j = 1 the innermost
+and j = k the outermost.  Each equation with W_j as a predictor is
+rebuilt from its values at the corners of its new predictors, each an
+``effects._log_ratio`` over W_j = 0, 1 given the mediators in between;
+the same call gives their exact gradient (Fisher's identity), so
+``_reduce`` returns the Jacobian too.  The others are copied: a variable
+is independent of its non-descendants given its predictors.  The
+corner-point solve needs discrete predictors; continuous ones are refused.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dual import cond_logit, lift
-from .effects import (EffectError, EffectRequest, as_index, component,
-                      g_recursive, marginal_logit_multi)
+from .dual import expit, softplus
+from .effects import (EffectError, EffectRequest, _log_ratio, as_index,
+                      component, g_recursive, marginal_logit_multi)
 from .model import ParameterSet, SystemSpec, Term, design
 
 
@@ -110,11 +109,13 @@ def psie(params: ParameterSet, path, request: EffectRequest) -> float:
 
 # -- explicit mediator removal ---------------------------------------------
 
-def _corner_system(spec: SystemSpec, response: str, names) -> tuple:
-    """(grid, design): every corner of the discrete predictors ``names``,
-    one array per name, and the response's design at those corners.  The
-    full dummy basis spans every function on the grid: the design is
-    square and invertible."""
+def _corner_system(spec: SystemSpec, new_spec: SystemSpec, gone: str,
+                   response: str, between, names) -> tuple:
+    """(X, D, E) of rebuilding ``response`` at every corner of the discrete
+    ``names``: X its new design, square and invertible (a full dummy
+    basis); D its old design over all coefficients at W_j = ``gone`` = 0, 1
+    (axis 0), and E those of W_j, ``between`` and D, signed so that
+    -softplus(E theta) is the log likelihood of each one's corner value."""
     axes = []
     for n in names:
         var = spec.variable(n)
@@ -127,10 +128,22 @@ def _corner_system(spec: SystemSpec, response: str, names) -> tuple:
                     else np.array([0.0, 1.0]))
     grid = dict(zip(names, (a.ravel() for a in
                             np.meshgrid(*axes, indexing="ij"))))
-    X = design(spec, response, grid, int(np.prod([len(a) for a in axes])))
-    for a in (*grid.values(), X):   # shared by every later reduction
+    X = design(new_spec, response, grid, int(np.prod([len(a) for a in axes])))
+
+    def full(name):
+        out = np.zeros((2, len(X), len(spec.flat_coords)))
+        for w in (0, 1):
+            out[w, :, spec.slices[name]] = design(
+                spec, name, {**grid, gone: float(w)}, len(X))
+        return out
+
+    D = full(response)
+    E = np.stack([full(gone) * np.array([1.0, -1.0])[:, None, None]]
+                 + [full(m) * (1.0 - 2.0 * grid[m])[:, None] for m in between]
+                 + [D])
+    for a in (X, D, E):     # shared by every later reduction
         a.setflags(write=False)
-    return grid, X
+    return X, D, E
 
 
 def _full_basis(names) -> tuple:
@@ -141,8 +154,8 @@ def _full_basis(names) -> tuple:
 def _plan(spec: SystemSpec, j: int) -> tuple:
     """The coefficient-free part of summing W_j out, kept on ``spec``:
     W_j's name, the reduced spec, and for each equation with W_j as a
-    predictor the rebuilt mediators between W_j and it, outermost first,
-    and its corner system over its new predictors."""
+    predictor its ``_corner_system`` over its new predictors, with the
+    rebuilt mediators between W_j and it."""
     if j not in spec.reductions:
         meds = spec.mediators
         if len(meds) < 2:
@@ -167,10 +180,38 @@ def _plan(spec: SystemSpec, j: int) -> tuple:
                    else ts for resp, ts in spec.equations.items()
                    if resp != gone}
         new_spec = SystemSpec(new_vars, new_eqs).require_valid()
-        spec.reductions[j] = gone, new_spec, tuple(
-            (resp, between, *_corner_system(new_spec, resp, names))
-            for resp, (between, names) in rebuilt.items())
+        spec.reductions[j] = gone, new_spec, {
+            resp: _corner_system(spec, new_spec, gone, resp, between, names)
+            for resp, (between, names) in rebuilt.items()}
     return spec.reductions[j]
+
+
+def _reduce(params: ParameterSet, j: int) -> tuple:
+    """(``marginalize(params, j)``, J): the reduced system and the exact
+    Jacobian of its coefficients in the old ones; X^-1 times the corner
+    values and their gradient for a rebuilt equation, the old coefficients
+    for a copied one."""
+    spec = params.spec
+    gone, new_spec, rebuilt = _plan(spec, as_index(
+        j, "mediator index", 1, len(spec.mediators)))
+    theta = params.vector
+    vector = np.empty(len(new_spec.flat_coords))
+    jac = np.zeros((len(vector), len(theta)))
+    for resp, s in new_spec.slices.items():
+        if resp in rebuilt:
+            X, D, E = rebuilt[resp]
+            z = E @ theta
+            # theta's axis last, a singleton in the values
+            value, grad = _log_ratio(
+                -np.sum(softplus(z), 0)[..., None], (D @ theta)[..., None],
+                -np.sum(expit(z)[..., None] * E, 0), D)
+            solved = np.linalg.solve(X, np.hstack([value, grad]))
+            vector[s], jac[s] = solved[:, 0], solved[:, 1:]
+        else:   # a copied equation keeps its terms, hence its column order
+            old = spec.slices[resp]
+            vector[s] = theta[old]
+            jac[s, old] = np.eye(old.stop - old.start)
+    return ParameterSet(new_spec, vector), jac
 
 
 def marginalize(params: ParameterSet, j: int) -> ParameterSet:
@@ -179,23 +220,7 @@ def marginalize(params: ParameterSet, j: int) -> ParameterSet:
     the full interaction basis of their new predictors, own and W_j's plus
     the mediators in between and theirs; the others are copied, and outer
     mediators slide down one index."""
-    spec = params.spec
-    gone, new_spec, rebuilt = _plan(spec, as_index(
-        j, "mediator index", 1, len(spec.mediators)))
-    lp = params.linear_predictor
-    coefs = {}
-    for resp, between, grid, X in rebuilt:
-        rw = lp(gone, grid)
-        for m in between:
-            rw = cond_logit(grid[m], lp(m, {**grid, gone: 0.0}),
-                            lp(m, {**grid, gone: 1.0}), rw)
-        value = lift(lp(resp, {**grid, gone: 0.0}),
-                     lp(resp, {**grid, gone: 1.0}), rw)
-        coefs[resp] = np.linalg.solve(X, np.broadcast_to(value, len(X)))
-    # a copied equation keeps its terms, hence its column order
-    return ParameterSet(new_spec, np.concatenate([
-        coefs[resp] if resp in coefs else params.vector[spec.slices[resp]]
-        for resp in new_spec.responses]))
+    return _reduce(params, j)[0]
 
 
 def marginalize_inner(params: ParameterSet) -> ParameterSet:

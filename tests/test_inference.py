@@ -12,11 +12,11 @@ from scipy.stats import norm
 
 from logitpath import (FittedSystem, InferenceError, SystemSpec,
                        VariableSpec, decompose)
-from logitpath.effects import EffectError, EffectRequest, component
-from logitpath.inference import (delta_se, effect_table, jacobian,
-                                 transform_fitted)
-from logitpath.multi import (g_recursive, marginal_logit_multi, marginalize,
-                             marginalize_inner)
+from logitpath.effects import (EffectError, EffectRequest, component,
+                               component_mask)
+from logitpath.inference import delta_se, effect_table, transform_fitted
+from logitpath.multi import (_reduce, g_recursive, marginal_logit_multi,
+                             marginalize, marginalize_inner)
 from conftest import expected_data_fit, make_system, random_params
 
 
@@ -345,12 +345,39 @@ def test_cross_covariance_matches_the_block_diag_formula():
         return marginalize(params, 2)
 
     reduced, cross = transform_fitted(fitted, middle)
-    _, jac = jacobian(lambda p: middle(p).vector, fitted, "reduced")
+    _, jac = _reduce(fitted.params, 2)
     sigma = jac @ fitted.covariance_matrix() @ jac.T
     blocks = [sigma[s, s] for s in reduced.spec.slices.values()]
     want = float(np.max(np.abs(sigma - scipy.linalg.block_diag(*blocks))))
     assert cross == want
     assert cross > 0.0
+
+
+def test_reduced_covariance_takes_no_central_difference(monkeypatch):
+    # the reduction's Jacobian is exact, so the difference step does not
+    # enter the reduced covariance
+    import logitpath.inference as inference
+    fitted = expected_data_fit(np.random.default_rng(115), k=3)
+    for j in (1, 2, 3):
+        base = transform_fitted(fitted, lambda p: marginalize(p, j))[0]
+        monkeypatch.setattr(inference, "STEP_SCALE",
+                            inference.STEP_SCALE / 2.0)
+        halved = transform_fitted(fitted, lambda p: marginalize(p, j))[0]
+        monkeypatch.undo()
+        assert halved.covariance.tobytes() == base.covariance.tobytes()
+        assert halved.params.vector.tobytes() == base.params.vector.tobytes()
+
+
+def test_a_transform_that_sums_no_mediator_out_is_refused(example_fit):
+    fitted = expected_data_fit(np.random.default_rng(115), k=3)
+    mask = component_mask(fitted.spec, "DE")
+    for transform in (lambda p: p, mask.apply,
+                      lambda p: marginalize(marginalize(p, 3), 1)):
+        with pytest.raises(InferenceError, match="sum one mediator out"):
+            transform_fitted(fitted, transform)
+    with pytest.raises(InferenceError, match="sum one mediator out"):
+        effect_table(example_fit, [EffectRequest.contrast(2, 1, {"C": 0})],
+                     transform=lambda p: p)
 
 
 def test_structural_zeros_have_zero_se():

@@ -18,7 +18,9 @@ from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        decompose, g_recursive, marginal_logit_multi,
                        marginalize, marginalize_inner)
 from logitpath.effects import component, component_mask
-from logitpath.multi import PathSpec
+from logitpath.inference import STEP_SCALE
+from logitpath.model import column_value
+from logitpath.multi import PathSpec, _reduce
 from conftest import _expit, enum_g, enum_logit, enum_prob, make_system
 
 TREATMENTS = ("binary", "categorical", "continuous")
@@ -340,6 +342,103 @@ def test_any_mediator_reduction_is_bayes_over_the_joint_law(data):
     again = marginalize(params, j)
     assert again.spec == reduced.spec
     assert again.vector.tobytes() == reduced.vector.tobytes()
+
+
+def _softplus(t):
+    return np.logaddexp(0.0, t)
+
+
+def _sigmoid(t):
+    return np.exp(t - _softplus(t))
+
+
+def chain_rule_reduction(params, j):
+    """The Jacobian of summing W_j out, through the one-step formulas: W_j's
+    log odds updated by Bayes through each mediator in between that W_j
+    enters, g(y) = y (r1 - r0) + softplus(r0) - softplus(r1) + rw, then
+    summed out of the response, eta = softplus(r1 - r0 + core) -
+    softplus(core) + r0, differentiated by hand at each corner of the
+    reduced predictors and solved through their design."""
+    spec = params.spec
+    theta = params.vector
+    gone = spec.mediators[j - 1].name
+    reduced = marginalize(params, j).spec
+
+    def row(name, at):
+        out = np.zeros(len(theta))
+        out[spec.slices[name]] = [column_value(c, at)
+                                  for c in spec.columns(name)]
+        return out
+
+    jac = np.zeros((len(reduced.flat_coords), len(theta)))
+    for resp, s in reduced.slices.items():
+        if gone not in spec.predictors(resp):
+            old = spec.slices[resp]
+            jac[s, old] = np.eye(old.stop - old.start)
+            continue
+        inside = spec.variable(resp).mediator_index or 0
+        between = [m.name for m in spec.mediators
+                   if inside < m.mediator_index < j
+                   and gone in spec.predictors(m.name)]
+        corners = discrete_settings(
+            spec, sorted(reduced.predictors(resp), key=spec.ordering.index))
+        grads, X = [], []
+        for at in corners:
+            at0, at1 = {**at, gone: 0.0}, {**at, gone: 1.0}
+            drw = row(gone, at)
+            rw = drw @ theta
+            for m in between:
+                y, a0, a1 = at[m], row(m, at0), row(m, at1)
+                r0, r1 = a0 @ theta, a1 @ theta
+                rw += y * (r1 - r0) + _softplus(r0) - _softplus(r1)
+                drw = drw + (_sigmoid(r0) - y) * a0 + (y - _sigmoid(r1)) * a1
+            b0, b1 = row(resp, at0), row(resp, at1)
+            r0, r1 = b0 @ theta, b1 @ theta
+            core = _softplus(r0) - _softplus(r1) + rw
+            t = r1 - r0 + core
+            step = _sigmoid(t) - _sigmoid(core)
+            grads.append((1.0 - _sigmoid(t) + step * _sigmoid(r0)) * b0
+                         + (_sigmoid(t) - step * _sigmoid(r1)) * b1
+                         + step * drw)
+            X.append([column_value(c, at) for c in reduced.columns(resp)])
+        jac[s] = np.linalg.solve(np.array(X, dtype=float), np.array(grads))
+    return jac
+
+
+def central_difference(params, j, scale):
+    """The Jacobian of ``marginalize(params, j)``'s coefficients by central
+    differences, each step ``scale`` times max(1, |coefficient|), divided
+    by the step as stored, so that a copied coefficient's is exact."""
+    theta = params.vector
+    cols = []
+    for i in range(len(theta)):
+        h = scale * max(1.0, abs(theta[i]))
+        up, dn = theta.copy(), theta.copy()
+        up[i] += h
+        dn[i] -= h
+        cols.append((marginalize(ParameterSet.from_vector(params.spec, up),
+                                 j).vector
+                     - marginalize(ParameterSet.from_vector(params.spec, dn),
+                                   j).vector) / (up[i] - dn[i]))
+    return np.column_stack(cols)
+
+
+@given(st.data())
+def test_the_reduction_jacobian_is_exact(data):
+    params = data.draw(systems(DISCRETE, ks=(2, 5), sparse=True))
+    j = data.draw(st.integers(1, len(params.spec.mediators)), label="j")
+    reduced, jac = _reduce(params, j)
+    assert reduced.vector.tobytes() == marginalize(params, j).vector.tobytes()
+    scale = np.max(np.abs(jac))
+    assert np.max(np.abs(jac - chain_rule_reduction(params, j))) \
+        <= 1e-12 * scale
+    # a central difference resolves J only as far as its rounding lets it,
+    # which its own movement under a halved step shows; the rounding
+    # doubles as the step halves, so the movement can fall short of the
+    # full step's error by up to half of it (at most 1.33 here)
+    fd = central_difference(params, j, STEP_SCALE)
+    own = np.max(np.abs(fd - central_difference(params, j, STEP_SCALE / 2)))
+    assert np.max(np.abs(jac - fd)) <= 2.0 * own
 
 
 def fresh_copy(params):
