@@ -7,11 +7,10 @@ the log-odds or probability scale, with delta-method uncertainty and a
 Monte Carlo harness for estimator comparison.
 """
 
-from .dual import expit, softplus
 from .model import (INTERCEPT, Column, ModelSpecError, ParameterSet,
                     SystemSpec, Term, VariableSpec, ZeroMask)
 from .fitting import (DataError, Dataset, EquationFit, FitError,
-                      FittedSystem, fit_logistic, fit_system)
+                      FittedSystem, expit, fit_logistic, fit_system, softplus)
 from .effects import (Decomposition, EffectError, EffectRequest,
                       average_probability_effects, decompose, deltas)
 from .multi import (PathSpec, g_recursive, marginal_logit_multi, marginalize,

@@ -42,8 +42,8 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .dual import expit, softplus
-from .fitting import DataError, Dataset, _float, coerce_columns
+from .fitting import (DataError, Dataset, _float, coerce_columns, expit,
+                      softplus)
 from .model import Column, ParameterSet, SystemSpec, ZeroMask, column_value
 
 SCALES = ("logodds", "probability")
@@ -57,17 +57,18 @@ class EffectError(ValueError):
 # -- the compiled corner program --------------------------------------------
 
 class _Program(NamedTuple):
-    """A compiled setting.  ``corners`` holds the 0/1 values of every
-    column's mediator factors at the C = 2^j corners of W_1..W_j, times
-    a sign, one (C, p) block per row of ``_joint``'s z: Y twice (+ for
-    y = 0, - for y = 1), then W_1..W_j (+ where w_i = 0, - where 1),
-    each zero outside its own equation.  ``collect`` (2, j + 2) sums
-    -softplus(z) over the rows of each y.  Both depend on the spec and j
-    alone.  s = s0 + x s1 is the product of every column's other factors
-    at the setting, so D = corners * s (s1 is None unless the treatment
-    is continuous, when s0 is taken at x = 0: a ``Term`` holds each
-    variable once, so D is affine in x).  An array of settings gives s0
-    and s1 trailing row axes, and every result the same trailing axes."""
+    """A compiled setting.  ``corners`` holds, for each likelihood row of
+    ``_corner_design`` (a response at 0, at 1, then every other variable
+    whose likelihood enters), the values of every column's factors that
+    change across the corners, times the sign 1 - 2 (row's value), zero
+    outside the row's own equation: one (*shape, p) block per row of
+    ``_joint``'s z.  ``collect`` (2, rows) sums -softplus(z) over the rows
+    of each value of the response.  s = s0 + x s1 is the product of
+    every column's other factors at the setting, so D = corners * s (s1
+    is None unless the treatment is continuous, when s0 is taken at
+    x = 0: a ``Term`` holds each variable once, so D is affine in x).  An
+    array of settings gives s0 and s1 trailing row axes, and every result
+    the same trailing axes."""
 
     corners: np.ndarray
     collect: np.ndarray
@@ -81,20 +82,21 @@ def _split(col: Column, names, inside: bool) -> Column:
     return Column(tuple(f for f in col.factors if (f[0] in names) == inside))
 
 
-def _corner_design(spec: SystemSpec, j: int) -> tuple:
-    """``_Program.corners`` and ``collect`` of summing W_1..W_j out,
-    W_1 changing fastest."""
-    names = [m.name for m in spec.mediators[:j]]
-    w = (np.arange(1 << j) >> np.arange(j)[:, None]) & 1
-    corners = dict(zip(names, w.astype(float)))
-    signs = np.vstack([np.ones((1, 1 << j)), -np.ones((1, 1 << j)), 1 - 2 * w])
-    design = np.zeros((j + 2, 1 << j, len(spec.flat_coords)))
-    for r, resp in enumerate([spec.outcome.name] * 2 + names):
+def _corner_design(spec: SystemSpec, rows, corners: Mapping,
+                   shape: tuple) -> tuple:
+    """``_Program.corners`` and ``collect`` of the likelihood ``rows``,
+    (response, value) pairs: the response at 0, then at 1, then every
+    other variable whose likelihood enters, each value 0/1 at each
+    corner.  ``corners`` maps each variable that changes across the
+    corners to its values there, laid out as ``shape``."""
+    design = np.zeros((len(rows), math.prod(shape), len(spec.flat_coords)))
+    for r, (resp, value) in enumerate(rows):
+        sign = 1 - 2 * np.asarray(value, float)
         for i, col in enumerate(spec.columns(resp), spec.slices[resp].start):
-            design[r, :, i] = signs[r] * column_value(
+            design[r, :, i] = sign * column_value(
                 _split(col, corners, True), corners)
-    design = design.reshape(-1, design.shape[-1])
-    collect = -np.hstack([np.eye(2), np.ones((2, j))])
+    design = design.reshape((len(rows),) + shape + design.shape[-1:])
+    collect = -np.hstack([np.eye(2), np.ones((2, len(rows) - 2))])
     for a in (design, collect):
         a.setflags(write=False)
     return design, collect
@@ -203,8 +205,12 @@ def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
     continuous = spec.treatment.kind == "continuous"
     if continuous:      # not in the key, so checked on every call
         _check_treatment(spec, x)
-    if j not in spec.programs:
-        spec.programs[j] = *_corner_design(spec, j), {}
+    if j not in spec.programs:     # W_1 changes fastest
+        w = (np.arange(1 << j) >> np.arange(j)[:, None]) & 1
+        corners = {m.name: v for m, v in zip(spec.mediators, w.astype(float))}
+        spec.programs[j] = *_corner_design(
+            spec, [(spec.outcome.name, 0), (spec.outcome.name, 1),
+                   *corners.items()], corners, (1 << j,)), {}
     corners, collect, kept = spec.programs[j]
     key = program = None
     if not isinstance(x, np.ndarray):
@@ -226,25 +232,32 @@ def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
     return program
 
 
-def _joint(program: _Program, theta: np.ndarray, x, slope=False) -> tuple:
-    """(eta_Y, its slope, l, its slope) at coefficients ``theta``: Y's
-    linear predictor at each corner (C, rows...) and the log likelihood
-    l[y, c, rows...] of Y = y and corner c.  With z = D theta, one
-    matmul, w eta - softplus(eta) = -softplus(+-eta) is -softplus(z),
-    and l sums it over Y's row for y and every mediator's row.  The
-    slopes in x are None without ``slope``."""
+def _joint(program: _Program, theta: np.ndarray, x, slope=False,
+           grad=False) -> tuple:
+    """(eta, its slope, l, its slope) at coefficients ``theta``: the
+    response's linear predictor at each corner (*shape, rows...) and the
+    log likelihood l[y, *corner, rows...] of the response at y and the
+    corner.  With z = D theta, one matmul, w eta - softplus(eta) =
+    -softplus(+-eta) is -softplus(z), and l sums it over the response's
+    row for y and every other row.  The slopes are in x with ``slope``,
+    in theta on a last axis with ``grad`` (one setting), else None."""
     corners, collect, s0, s1 = program
     s = s0 if s1 is None else s0 + x * s1
-    shape = (len(collect.T), -1) + s.shape[1:]
+    shape = corners.shape[:-1] + s.shape[1:]
+    corners = corners.reshape(-1, len(s))
     if s.ndim > 1:   # rows of settings: one trailing axis for the matmul
         theta = theta.reshape(theta.shape + (1,) * (s.ndim - 1))
     z = np.matmul(corners, _rows(s * theta)).reshape(shape)
     sp = softplus(z)
     ell = np.matmul(collect, _rows(sp)).reshape((2,) + sp.shape[1:])
-    if not slope:
+    if grad:    # z is linear in theta
+        dz = (corners * s).reshape(shape + s.shape)
+        q = expit(z)[..., None] * dz
+    elif slope:
+        dz = np.matmul(corners, _rows(s1 * theta)).reshape(shape)
+        q = expit(z) * dz
+    else:
         return z[0], None, ell, None
-    dz = np.matmul(corners, _rows(s1 * theta)).reshape(shape)
-    q = expit(z) * dz
     return z[0], dz[0], ell, np.matmul(collect, _rows(q)).reshape(
         (2,) + q.shape[1:])
 
@@ -335,16 +348,15 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     if len(spec.mediators) != 1:
         raise EffectError(f"deltas need exactly one mediator, system has "
                           f"{len(spec.mediators)}")
-    def delta_w(ell):
-        g0, g1 = (_log_ratio(*_halves(ell, y)) for y in (0, 1))
+    def delta_w(p):
+        g0, g1 = (g_recursive(p, 1, y, x, covariates=covariates)
+                  for y in (0, 1))
         return expit(g1) - expit(g0)
 
-    program = _program(spec, 1, x, covariates)
-    eta, _, ell, _ = _joint(program, params.vector, x)
-    masked = _joint(program, component_mask(spec, "IE").apply(params).vector,
-                    x)[2]
+    eta = _joint(_program(spec, 1, x, covariates), params.vector, x)[0]
     r0, r1 = (_value(eta[c]) for c in (0, 1))
-    return expit(r1) - expit(r0), delta_w(ell), delta_w(masked)
+    return (expit(r1) - expit(r0), delta_w(params),
+            delta_w(component_mask(spec, "IE").apply(params)))
 
 
 # -- requests and masks ----------------------------------------------------

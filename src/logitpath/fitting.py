@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import expit as _np_expit
 
-from .dual import expit, softplus
 from .model import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
                     design, json_field, json_number)
 
@@ -41,6 +41,32 @@ class DataError(ValueError):
 
 class FitError(RuntimeError):
     """Raised when an equation cannot be fitted (for example collinearity)."""
+
+
+def _softplus_float(t: float) -> float:
+    # log(1 + e^t) without overflow: max(t, 0) + log1p(e^{-|t|})
+    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+
+
+def _expit_float(t: float) -> float:
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
+def softplus(t):
+    """log(1 + exp(t)) for floats or numpy arrays."""
+    if isinstance(t, np.ndarray):
+        return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    return _softplus_float(float(t))
+
+
+def expit(t):
+    """Logistic function for floats or numpy arrays."""
+    if isinstance(t, np.ndarray):
+        return _np_expit(t)
+    return _expit_float(float(t))
 
 
 def _float(raw) -> float:

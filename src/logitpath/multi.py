@@ -7,12 +7,15 @@ every coefficient not on the path (four rule groups below).
 
 ``marginalize(params, j)`` sums any mediator W_j out, j = 1 the innermost
 and j = k the outermost.  Each equation with W_j as a predictor is
-rebuilt from its values at the corners of its new predictors, each an
-``effects._log_ratio`` over W_j = 0, 1 given the mediators in between;
-the same call gives their exact gradient (Fisher's identity), so
-``_reduce`` returns the Jacobian too.  The others are copied: a variable
-is independent of its non-descendants given its predictors.  The
-corner-point solve needs discrete predictors; continuous ones are refused.
+rebuilt from its values at the corners of its new predictors: the
+marginal logit of its response over W_j = 0, 1 given the mediators in
+between, on a compiled ``effects`` corner program.  One
+``effects._joint`` call gives the corners' log likelihoods and their
+theta-gradient, and one ``effects._log_ratio`` call the values and their
+exact gradient (Fisher's identity), so ``_reduce`` returns the Jacobian
+too.  The others are copied: a variable is independent of its
+non-descendants given its predictors.  The corner-point solve needs
+discrete predictors; continuous ones are refused.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dual import expit, softplus
-from .effects import (EffectError, EffectRequest, _log_ratio, as_index,
-                      component, g_recursive, marginal_logit_multi)
+from .effects import (EffectError, EffectRequest, _corner_design, _joint,
+                      _log_ratio, _Program, as_index, component, g_recursive,
+                      marginal_logit_multi)
 from .model import ParameterSet, SystemSpec, Term, design
 
 
@@ -111,11 +114,12 @@ def psie(params: ParameterSet, path, request: EffectRequest) -> float:
 
 def _corner_system(spec: SystemSpec, new_spec: SystemSpec, gone: str,
                    response: str, between, names) -> tuple:
-    """(X, D, E) of rebuilding ``response`` at every corner of the discrete
-    ``names``: X its new design, square and invertible (a full dummy
-    basis); D its old design over all coefficients at W_j = ``gone`` = 0, 1
-    (axis 0), and E those of W_j, ``between`` and D, signed so that
-    -softplus(E theta) is the log likelihood of each one's corner value."""
+    """(X, program) of rebuilding ``response`` at every corner of the
+    discrete ``names``: X its new design, square and invertible (a full
+    dummy basis), and the corner program of its old likelihood and those
+    of W_j = ``gone`` and the ``between`` mediators, over W_j = 0, 1
+    (axis 0) times those corners.  No factor is left for a setting, so
+    s0 is all ones."""
     axes = []
     for n in names:
         var = spec.variable(n)
@@ -129,21 +133,15 @@ def _corner_system(spec: SystemSpec, new_spec: SystemSpec, gone: str,
     grid = dict(zip(names, (a.ravel() for a in
                             np.meshgrid(*axes, indexing="ij"))))
     X = design(new_spec, response, grid, int(np.prod([len(a) for a in axes])))
-
-    def full(name):
-        out = np.zeros((2, len(X), len(spec.flat_coords)))
-        for w in (0, 1):
-            out[w, :, spec.slices[name]] = design(
-                spec, name, {**grid, gone: float(w)}, len(X))
-        return out
-
-    D = full(response)
-    E = np.stack([full(gone) * np.array([1.0, -1.0])[:, None, None]]
-                 + [full(m) * (1.0 - 2.0 * grid[m])[:, None] for m in between]
-                 + [D])
-    for a in (X, D, E):     # shared by every later reduction
+    corners = {n: np.tile(v, 2) for n, v in grid.items()}
+    corners[gone] = np.repeat([0.0, 1.0], len(X))
+    rows = [(response, 0), (response, 1)] + [(m, corners[m])
+                                             for m in (gone, *between)]
+    s0 = np.ones(len(spec.flat_coords))
+    for a in (X, s0):     # shared by every later reduction
         a.setflags(write=False)
-    return X, D, E
+    return X, _Program(*_corner_design(spec, rows, corners, (2, len(X))),
+                       s0, None)
 
 
 def _full_basis(names) -> tuple:
@@ -199,12 +197,11 @@ def _reduce(params: ParameterSet, j: int) -> tuple:
     jac = np.zeros((len(vector), len(theta)))
     for resp, s in new_spec.slices.items():
         if resp in rebuilt:
-            X, D, E = rebuilt[resp]
-            z = E @ theta
+            X, program = rebuilt[resp]
+            eta, deta, ell, dell = _joint(program, theta, None, grad=True)
             # theta's axis last, a singleton in the values
-            value, grad = _log_ratio(
-                -np.sum(softplus(z), 0)[..., None], (D @ theta)[..., None],
-                -np.sum(expit(z)[..., None] * E, 0), D)
+            value, grad = _log_ratio(ell[0][..., None], eta[..., None],
+                                     dell[0], deta)
             solved = np.linalg.solve(X, np.hstack([value, grad]))
             vector[s], jac[s] = solved[:, 0], solved[:, 1:]
         else:   # a copied equation keeps its terms, hence its column order

@@ -47,8 +47,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .dual import lift, softplus
-from .fitting import Dataset, irls
+from .fitting import Dataset, irls, softplus
 
 PSEUDO_POPULATION = 150_000
 EXCLUSION_LIMIT = 0.05
@@ -95,9 +94,17 @@ class SimConfig:
 # -- closed forms for the two-equation model -------------------------------
 
 def _eta(b0, bx, bw, g0, gx, x):
-    """Marginal logit of Y given X=x with W summed out; x may be an array."""
+    """Marginal logit of Y given X=x with W summed out; x may be an array.
+    With r0, r1 the log odds of Y=1 at W=0, 1 and rw the log odds of W=1,
+
+        eta = softplus(r1 - r0 + core) - softplus(core) + r0,
+        core = softplus(r0) - softplus(r1) + rw,
+
+    where core + y (r1 - r0) is the log odds of W=1 given Y=y."""
     r0 = b0 + bx * x
-    return lift(r0, r0 + bw, g0 + gx * x)
+    r1, rw = r0 + bw, g0 + gx * x
+    core = softplus(r0) - softplus(r1) + rw
+    return softplus((r1 - r0) + core) - softplus(core) + r0
 
 
 def share_binary(b0, bx, bw, g0, gx) -> float:
@@ -110,7 +117,7 @@ def share_binary(b0, bx, bw, g0, gx) -> float:
 def _tpe_ipe(b0, bx, bw, g0, gx, x):
     """Pointwise TPE and IPE derivatives at each x (arrays welcome).
 
-    ``pe`` writes the chain rule through ``lift`` out by hand, in one pass
+    ``pe`` writes the chain rule through ``_eta`` out by hand, in one pass
     over the arrays; the IPE is the TPE at r0 = b0 and slope bx = 0.  A
     150000-draw ``true_value`` took 32 ms this way and 62-84 ms through
     ``effects._log_ratio``, the kernel of ``marginal_logit_multi(...,
