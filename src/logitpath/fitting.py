@@ -147,8 +147,8 @@ class Dataset:
         path = Path(path)
         try:
             with open(path, newline="") as fh:
-                doc = (json.load(fh) if path.suffix.lower() == ".json"
-                       else [dict(r) for r in csv.DictReader(fh)])
+                doc = (json.load(fh, object_pairs_hook=_object)
+                       if path.suffix.lower() == ".json" else _csv_rows(fh))
             if isinstance(doc, dict):
                 doc = doc.get("rows", [])
             if not isinstance(doc, list):
@@ -159,6 +159,38 @@ class Dataset:
             raise DataError(f"{path}:{e.lineno}: {e.msg}") from None
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
+
+
+def _twice(names):
+    """The first name in ``names`` that repeats an earlier one, or None."""
+    seen = set()
+    return next((n for n in names if n in seen or seen.add(n)), None)
+
+
+def _object(pairs) -> dict:
+    """A JSON object; a DataError if it names a key twice."""
+    name = _twice(k for k, _ in pairs)
+    if name is not None:
+        raise DataError(f"{name!r} is named twice in one object")
+    return dict(pairs)
+
+
+def _csv_rows(fh) -> list:
+    """The rows of a CSV file as dicts of its header's columns, blank
+    lines skipped; a DataError names a column named twice or a row with
+    a field too many or too few."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    name = _twice(header)
+    if name is not None:
+        raise DataError(f"column {name!r} is named twice in the header")
+    rows = []
+    for fields in filter(None, reader):
+        if len(fields) != len(header):
+            raise DataError(f"row {len(rows) + 1} has {len(fields)} fields; "
+                            f"the header has {len(header)}")
+        rows.append(dict(zip(header, fields)))
+    return rows
 
 
 def coerce_value(var: VariableSpec, raw):

@@ -318,8 +318,9 @@ def _is(value, kind) -> bool:
 
 
 def _config_value(grid: Mapping, key: str, kind, many: bool = False):
-    """``grid[key]`` as ``kind``, or as a list of them when ``many``;
-    otherwise a SimulationError that names the field."""
+    """``grid[key]`` as ``kind``, or as a list of distinct ones, at least
+    one, when ``many``; otherwise a SimulationError that names the
+    field."""
     if key not in grid:
         raise SimulationError(f"bad study config: no {key!r}")
     value = grid[key]
@@ -329,7 +330,14 @@ def _config_value(grid: Mapping, key: str, kind, many: bool = False):
         want = f"a list of {kind.__name__}" if many else kind.__name__
         raise SimulationError(f"bad study config: {key!r} must be {want}, "
                               f"got {value!r}")
-    return [kind(v) for v in items] if many else kind(value)
+    if not many:
+        return kind(value)
+    values = [kind(v) for v in items]
+    if not values or len(set(values)) < len(values):
+        raise SimulationError(f"bad study config: {key!r} must list at "
+                              f"least one value and none twice, got "
+                              f"{value!r}")
+    return values
 
 
 _OPTIONAL_KEYS = {"beta0": float, "beta_w": float, "gamma0": float,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,33 @@ def test_csv_and_json_loaders(tmp_path):
     fa = fit_system(a, spec).params.vector
     fb = fit_system(b, spec).params.vector
     assert np.allclose(fa, fb, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,text", [
+    ("d.csv", "Y,W,X,C,X\n1,0,1,0,0\n"),
+    ("d.json", '[{"Y": 1, "W": 0, "X": 1, "C": 0, "X": 0}]'),
+    ("d.json", '{"rows": [{"Y": 1, "X": 1}, {"Y": 0, "X": 1, "X": 0}]}'),
+], ids=["csv-header", "json-row", "json-second-row"])
+def test_a_column_named_twice_is_refused(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DataError,
+                       match=rf"^{re.escape(str(path))}: .*'X'.* twice"):
+        Dataset.load(path)
+
+
+@pytest.mark.parametrize("line,fields", [("0,1,1,0,1", 5), ("0,1,1", 3)],
+                         ids=["extra-field", "missing-field"])
+def test_a_csv_row_with_the_wrong_number_of_fields_is_named(tmp_path, line,
+                                                            fields):
+    good = "Y,W,X,C\n1,0,1,0\n\n0,0,1,1\n1,1,0,0\n0,1,0,1\n"
+    path = tmp_path / "d.csv"
+    path.write_text(good)
+    assert Dataset.load(path).nrows == 4    # a blank line is skipped
+    path.write_text(good + line + "\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: row 5 "
+                       rf"has {fields} fields; the header has 4$"):
+        Dataset.load(path)
 
 
 def test_dataset_rejects_ragged_and_negative():

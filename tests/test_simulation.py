@@ -368,9 +368,18 @@ def test_study_grid_with_overrides_and_bad_config():
      "pseudo_population"),
     ({"beta_xw": 0.0}, "unknown key 'beta_xw'"),
     ({"beta_xw": 0.5, "gama0": -1.0}, "unknown key 'beta_xw', 'gama0'"),
+    ({"treatment": []}, "'treatment'"),
+    ({"beta_x": []}, "'beta_x'"),
+    ({"n": []}, "'n'"),
+    ({"treatment": ["binary", "binary"]}, "'treatment'"),
+    ({"beta_x": [0.4, 0.4]}, "'beta_x'"),
+    ({"beta_x": [1, 1.0]}, "'beta_x'"),
+    ({"n": [60, 80, 60.0]}, "'n'"),
 ], ids=["beta0", "pseudo_population", "fractional-seed", "fractional-reps",
         "fractional-n", "scalar-beta_x", "string-treatment", "boolean-seed",
-        "small-population", "unknown-beta_xw", "unknown-keys"])
+        "small-population", "unknown-beta_xw", "unknown-keys",
+        "empty-treatment", "empty-beta_x", "empty-n", "repeated-treatment",
+        "repeated-beta_x", "repeated-beta_x-int-float", "repeated-n"])
 def test_bad_study_config_names_the_field(change, field):
     grid = {"seed": 5, "replications": 3, "treatment": ["binary"],
             "beta_x": [0.9], "n": [60], **change}
