@@ -103,8 +103,7 @@ def cmd_fit(data_path, model_path, out):
         _fail(f"{model_path}: {e}")
     click.echo(fitted.summary_text())
     if out:
-        Path(out).write_text(json.dumps(fitted.to_json_dict(), indent=2))
-        click.echo(f"wrote {out}")
+        _write_or_echo(json.dumps(fitted.to_json_dict(), indent=2), out)
 
 
 def _coerce_setting(spec: SystemSpec, pairs):
@@ -234,9 +233,8 @@ def cmd_marginalize(fitted_path, mediator, out):
         reduced = transform_fitted(fitted, transform)[0]
     except _ERRORS as e:
         _fail_for(e, fitted_path)
-    Path(out).write_text(json.dumps(reduced.to_json_dict(), indent=2))
     click.echo(reduced.summary_text())
-    click.echo(f"wrote {out}")
+    _write_or_echo(json.dumps(reduced.to_json_dict(), indent=2), out)
 
 
 if __name__ == "__main__":

@@ -169,7 +169,9 @@ def _check_mediators(spec: SystemSpec):
         raise EffectError("system declares no mediators")
 
 
-def _check_covariates(spec: SystemSpec, covariates: Mapping):
+def _check_setting(spec: SystemSpec, j: int, x, covariates: Mapping,
+                   w_above: Mapping):
+    _check_treatment(spec, x)
     for name, value in covariates.items():
         var = spec.by_name.get(name)
         role = var.role if var else "undeclared"
@@ -178,12 +180,6 @@ def _check_covariates(spec: SystemSpec, covariates: Mapping):
                               f"covariates can be fixed")
         if not _takes(var, value):
             _refuse(var, value, "covariate")
-
-
-def _check_setting(spec: SystemSpec, j: int, x, covariates: Mapping,
-                   w_above: Mapping):
-    _check_treatment(spec, x)
-    _check_covariates(spec, covariates)
     for name, value in w_above.items():
         var = spec.by_name.get(name)
         if var is None or var.role != "mediator" or var.mediator_index <= j:
@@ -297,14 +293,6 @@ def _log_ratio(a, delta, d=None, ddelta=None):
                        - np.add.reduce(u * d, 0))
 
 
-def _halves(a, y: int):
-    """a[y] split into its W_j = 0 and W_j = 1 halves (W_j is the
-    slowest-changing corner mediator), as (a at W_j = 0, the step to
-    W_j = 1)."""
-    h = a[y].reshape((2, -1) + a.shape[2:])
-    return h[0], h[1] - h[0]
-
-
 def g_recursive(params: ParameterSet, j: int, y: int, x,
                 w_above: Optional[Mapping] = None,
                 covariates: Optional[Mapping] = None):
@@ -317,7 +305,8 @@ def g_recursive(params: ParameterSet, j: int, y: int, x,
     y = as_index(y, "y", 0, 1)
     ell = _joint(_program(params.spec, j, x, covariates, w_above),
                  params.vector, x)[2]
-    return _log_ratio(*_halves(ell, y))
+    half = ell[y].reshape((2, -1) + ell.shape[2:])  # W_j changes slowest
+    return _log_ratio(half[0], half[1] - half[0])
 
 
 def marginal_logit_multi(params: ParameterSet, x,

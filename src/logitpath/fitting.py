@@ -147,7 +147,7 @@ class Dataset:
         path = Path(path)
         try:
             with open(path, newline="") as fh:
-                doc = (json.load(fh, object_pairs_hook=_object)
+                doc = (json.load(fh, object_pairs_hook=_once)
                        if path.suffix.lower() == ".json" else _csv_rows(fh))
             if isinstance(doc, dict):
                 doc = doc.get("rows", [])
@@ -161,36 +161,27 @@ class Dataset:
             raise DataError(f"{path}: {e}") from None
 
 
-def _twice(names):
-    """The first name in ``names`` that repeats an earlier one, or None."""
-    seen = set()
-    return next((n for n in names if n in seen or seen.add(n)), None)
-
-
-def _object(pairs) -> dict:
-    """A JSON object; a DataError if it names a key twice."""
-    name = _twice(k for k, _ in pairs)
-    if name is not None:
-        raise DataError(f"{name!r} is named twice in one object")
-    return dict(pairs)
+def _once(pairs, where="one object") -> dict:
+    """``pairs`` as a dict; a DataError names a key given twice."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise DataError(f"column {key!r} is named twice in {where}")
+    return out
 
 
 def _csv_rows(fh) -> list:
-    """The rows of a CSV file as dicts of its header's columns, blank
-    lines skipped; a DataError names a column named twice or a row with
-    a field too many or too few."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    name = _twice(header)
-    if name is not None:
-        raise DataError(f"column {name!r} is named twice in the header")
-    rows = []
-    for fields in filter(None, reader):
+    """The rows of a CSV file as dicts over its header, blank lines
+    skipped; a DataError names a column named twice or a row whose
+    width is not the header's."""
+    header, *rows = [*filter(None, csv.reader(fh))] or [[]]
+    _once([(name, None) for name in header], "the header")
+    for i, fields in enumerate(rows, 1):
         if len(fields) != len(header):
-            raise DataError(f"row {len(rows) + 1} has {len(fields)} fields; "
-                            f"the header has {len(header)}")
-        rows.append(dict(zip(header, fields)))
-    return rows
+            raise DataError(f"row {i} has {len(fields)} fields; the header "
+                            f"has {len(header)}")
+    return [dict(zip(header, fields)) for fields in rows]
 
 
 def coerce_value(var: VariableSpec, raw):
@@ -468,9 +459,7 @@ class FittedSystem:
             d = self.diagnostics.get(resp)
             lines.append(f"equation {resp}")
             if d is not None:
-                flag = ""
-                if d.separation:
-                    flag = "  [separation warning]"
+                flag = "  [separation warning]" if d.separation else ""
                 lines.append(f"  loglik {d.loglik:.4f}  iterations "
                              f"{d.iterations}  converged {d.converged}{flag}")
             lines.append(f"  {'term':<14}{'estimate':>12}{'se':>12}")

@@ -104,10 +104,8 @@ def delta_se(fitted: FittedSystem, effect: Callable,
     se = math.sqrt(max(var, 0.0))
     z = float(ndtri(0.5 + level / 2.0))
     ci = (value - z * se, value + z * se)
-    if se > 0.0:
-        p = float(2.0 * ndtr(-(abs(value) / se)))
-    else:
-        p = 1.0 if value == 0.0 else 0.0
+    p = (float(2.0 * ndtr(-(abs(value) / se))) if se > 0.0
+         else float(value == 0.0))
     return EffectEstimate(label, value, se, ci, p, level)
 
 
@@ -125,31 +123,22 @@ class EffectRow:
 class EffectTable:
     rows: tuple
     level: float = 0.95
+    _FIELDS = ("effect", "contrast", "covariates", "estimate", "se", "ci_low",
+              "ci_high", "p_value")
 
     def to_records(self) -> list:
-        out = []
-        for r in self.rows:
-            e = r.estimate
-            out.append({
-                "effect": r.effect,
-                "contrast": r.contrast,
-                "covariates": r.covariates,
-                "estimate": e.value,
-                "se": e.se,
-                "ci_low": e.ci[0],
-                "ci_high": e.ci[1],
-                "p_value": e.p_value,
-            })
-        return out
+        return [dict(zip(self._FIELDS, (
+            r.effect, r.contrast, r.covariates, r.estimate.value,
+            r.estimate.se, *r.estimate.ci, r.estimate.p_value)))
+            for r in self.rows]
 
     def to_json(self) -> str:
         return json.dumps(self.to_records(), indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        fields = ["effect", "contrast", "covariates", "estimate", "se",
-                  "ci_low", "ci_high", "p_value"]
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=self._FIELDS,
+                                lineterminator="\n")
         writer.writeheader()
         writer.writerows(self.to_records())
         return buf.getvalue()

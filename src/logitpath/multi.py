@@ -137,11 +137,9 @@ def _corner_system(spec: SystemSpec, new_spec: SystemSpec, gone: str,
     corners[gone] = np.repeat([0.0, 1.0], len(X))
     rows = [(response, 0), (response, 1)] + [(m, corners[m])
                                              for m in (gone, *between)]
-    s0 = np.ones(len(spec.flat_coords))
-    for a in (X, s0):     # shared by every later reduction
-        a.setflags(write=False)
+    X.setflags(write=False)     # shared by every later reduction
     return X, _Program(*_corner_design(spec, rows, corners, (2, len(X))),
-                       s0, None)
+                       np.broadcast_to(1.0, len(spec.flat_coords)), None)
 
 
 def _full_basis(names) -> tuple:

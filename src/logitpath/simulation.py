@@ -285,26 +285,18 @@ def _stats(estimates: np.ndarray, truth: float) -> MethodStats:
 def run_cell(config: SimConfig) -> SimResult:
     """All replications of one (kind, beta_x, n) scenario."""
     xs, rngs = _streams(config, config.replications)
-    rsd_vals, khb_vals = [], []
-    excluded = 0
-    for rng in rngs:
-        shares = _shares(*_draw(config, rng, xs), config.kind)
-        if shares is None:
-            excluded += 1
-            continue
-        rsd_vals.append(shares[0])
-        khb_vals.append(shares[1])
+    kept = [s for s in (_shares(*_draw(config, rng, xs), config.kind)
+                        for rng in rngs) if s is not None]
+    excluded = config.replications - len(kept)
     if excluded > EXCLUSION_LIMIT * config.replications:
         raise SimulationError(
             f"{excluded} of {config.replications} replications excluded "
             f"(limit {EXCLUSION_LIMIT:.0%}) in cell "
             f"{config.kind}/beta_x={config.beta_x}/n={config.n}")
     truth = true_value(config)
+    rsd, khb = (_stats(np.asarray(v), truth) for v in zip(*kept))
     return SimResult(config.kind, config.beta_x, config.n,
-                     config.replications, truth,
-                     _stats(np.asarray(rsd_vals), truth),
-                     _stats(np.asarray(khb_vals), truth),
-                     excluded)
+                     config.replications, truth, rsd, khb, excluded)
 
 
 def _is(value, kind) -> bool:
@@ -325,19 +317,15 @@ def _config_value(grid: Mapping, key: str, kind, many: bool = False):
         raise SimulationError(f"bad study config: no {key!r}")
     value = grid[key]
     items = value if many and isinstance(value, list) else [value]
-    if many != isinstance(value, list) or not all(_is(v, kind)
-                                                  for v in items):
-        want = f"a list of {kind.__name__}" if many else kind.__name__
+    typed = many == isinstance(value, list) and all(_is(v, kind)
+                                                    for v in items)
+    values = [kind(v) for v in items] if typed else []
+    if not values or len(set(values)) < len(values):
+        want = (f"a list of distinct {kind.__name__}, at least one" if many
+                else kind.__name__)
         raise SimulationError(f"bad study config: {key!r} must be {want}, "
                               f"got {value!r}")
-    if not many:
-        return kind(value)
-    values = [kind(v) for v in items]
-    if not values or len(set(values)) < len(values):
-        raise SimulationError(f"bad study config: {key!r} must list at "
-                              f"least one value and none twice, got "
-                              f"{value!r}")
-    return values
+    return values if many else values[0]
 
 
 _OPTIONAL_KEYS = {"beta0": float, "beta_w": float, "gamma0": float,
@@ -365,14 +353,12 @@ def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
     extra = {key: _config_value(grid, key, kind)
              for key, kind in _OPTIONAL_KEYS.items() if key in grid}
     results = []
-    for kind in kinds:
-        for beta_x in betas:
-            for n in sizes:
-                cfg = SimConfig(kind=kind, beta_x=beta_x, n=n,
-                                replications=reps, seed=seed, **extra)
-                results.append(run_cell(cfg))
-                if on_cell is not None:
-                    on_cell(results[-1])
+    for kind, beta_x, n in itertools.product(kinds, betas, sizes):
+        results.append(run_cell(SimConfig(kind=kind, beta_x=beta_x, n=n,
+                                          replications=reps, seed=seed,
+                                          **extra)))
+        if on_cell is not None:
+            on_cell(results[-1])
     return results
 
 
