@@ -12,11 +12,14 @@ corner w and outcome y,
 and a difference of two log-sum-exps over corners (``_log_ratio``):
 l_1 against l_0 is the marginal logit (``marginal_logit_multi``), and
 l_y at W_j = 1 against W_j = 0 is the log odds of W_j given Y = y
-(``g_recursive``).  ``marginal_logit_multi(..., slope=True)`` gives the
+(``g_recursive``, from which ``deltas`` reads its single-mediator
+differences).  ``marginal_logit_multi(..., slope=True)`` gives the
 derivative in a continuous treatment too, the difference of the posterior
 means of dl/dx; arrays of settings (one per row) give many points at
-once.  ``deltas`` reads its single-mediator differences off the same
-program.  Each effect component is a contrast
+once.  ``_corner_design`` builds the signed design of any such sum, and
+``multi``'s mediator reductions run their corner sums on it and on
+``_joint(..., grad=True)``, whose dl/dtheta gives their exact Jacobian.
+Each effect component is a contrast
 (or derivative) of the marginal logit under a coefficient mask
 (``component_mask``, built once per spec), evaluated by ``component`` and
 collected by ``decompose``:

@@ -459,7 +459,9 @@ class FittedSystem:
             d = self.diagnostics.get(resp)
             lines.append(f"equation {resp}")
             if d is not None:
-                flag = "  [separation warning]" if d.separation else ""
+                flag = ""
+                if d.separation:
+                    flag = "  [separation warning]"
                 lines.append(f"  loglik {d.loglik:.4f}  iterations "
                              f"{d.iterations}  converged {d.converged}{flag}")
             lines.append(f"  {'term':<14}{'estimate':>12}{'se':>12}")

@@ -104,8 +104,10 @@ def delta_se(fitted: FittedSystem, effect: Callable,
     se = math.sqrt(max(var, 0.0))
     z = float(ndtri(0.5 + level / 2.0))
     ci = (value - z * se, value + z * se)
-    p = (float(2.0 * ndtr(-(abs(value) / se))) if se > 0.0
-         else float(value == 0.0))
+    if se > 0.0:
+        p = float(2.0 * ndtr(-(abs(value) / se)))
+    else:
+        p = 1.0 if value == 0.0 else 0.0
     return EffectEstimate(label, value, se, ci, p, level)
 
 
