@@ -16,14 +16,14 @@ import click
 
 from .effects import EffectError, EffectRequest
 from .fitting import (DataError, Dataset, FitError, FittedSystem,
-                      coerce_value, fit_system)
+                      coerce_value, fit_system, read_input)
 from .inference import InferenceError, effect_table, transform_fitted
 from .model import ModelSpecError, SystemSpec
 from .multi import PathSpec, marginalize
 from .simulation import SimulationError, results_to_csv, run_study
 
 _ERRORS = (DataError, FitError, ModelSpecError, EffectError,
-           InferenceError, SimulationError, OSError, json.JSONDecodeError)
+           InferenceError, SimulationError, OSError)
 
 
 def _fail(message: str):
@@ -37,20 +37,16 @@ def _fail_for(error, path: str):
     _fail(f"{error} (for the system in {path})")
 
 
-def _load_json(path: str):
+def _read(path: str, read=read_input):
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
+        return read(path)
+    except (DataError, OSError) as e:
         _fail(str(e))
-    except json.JSONDecodeError as e:
-        _fail(f"{path}:{e.lineno}: {e.msg}")
 
 
 def _load_fitted(path: str) -> FittedSystem:
-    doc = _load_json(path)
     try:
-        return FittedSystem.from_json_dict(doc)
+        return FittedSystem.from_json_dict(_read(path))
     except ModelSpecError as e:
         _fail(f"{path}: not a fitted-system artifact ({e})")
 
@@ -87,14 +83,10 @@ def main():
 def cmd_fit(data_path, model_path, out):
     """Fit every equation of a system by maximum likelihood."""
     try:
-        spec = SystemSpec.from_json_dict(_load_json(model_path))
-        spec.require_valid()
+        spec = SystemSpec.from_json_dict(_read(model_path)).require_valid()
     except ModelSpecError as e:
         _fail(f"{model_path}: {e}")
-    try:
-        data = Dataset.load(data_path)
-    except _ERRORS as e:
-        _fail(str(e))
+    data = _read(data_path, Dataset.load)
     try:
         fitted = fit_system(data, spec)
     except DataError as e:
@@ -198,7 +190,7 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
 @click.option("--seed", default=None, type=int, help="Override the seed.")
 def cmd_simulate(config_path, out, seed):
     """Run the Monte Carlo comparison study."""
-    grid = _load_json(config_path)
+    grid = _read(config_path)
     if not isinstance(grid, dict):
         _fail(f"{config_path}: expected a JSON object")
     if seed is not None:

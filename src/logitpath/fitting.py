@@ -143,32 +143,46 @@ class Dataset:
 
     @staticmethod
     def load(path) -> "Dataset":
-        """The rows of a CSV or JSON file; a DataError names the file."""
-        path = Path(path)
-        try:
-            with open(path, newline="") as fh:
-                doc = (json.load(fh, object_pairs_hook=_once)
-                       if path.suffix.lower() == ".json" else _csv_rows(fh))
-            if isinstance(doc, dict):
-                doc = doc.get("rows", [])
+        """The rows of a CSV file, or of a JSON list or object holding the
+        list under 'rows'; a DataError names the file."""
+        def rows(fh):
+            doc = (_json if Path(path).suffix.lower() == ".json"
+                   else _csv_rows)(fh)
+            doc = doc.get("rows") if isinstance(doc, dict) else doc
             if not isinstance(doc, list):
                 raise DataError("expected a list of rows, or an object "
                                 "holding one under 'rows'")
             return Dataset.from_rows(doc)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}:{e.lineno}: {e.msg}") from None
-        except DataError as e:
-            raise DataError(f"{path}: {e}") from None
+        return read_input(path, rows)
 
 
 def _once(pairs, where="one object") -> dict:
     """``pairs`` as a dict; a DataError names a key given twice."""
     out = dict(pairs)
     if len(out) < len(pairs):
-        keys = [k for k, _ in pairs]
-        key = next(k for i, k in enumerate(keys) if k in keys[:i])
-        raise DataError(f"column {key!r} is named twice in {where}")
+        key = next(k for k in out if [j for j, _ in pairs].count(k) > 1)
+        raise DataError(f"{key!r} is named twice in {where}")
     return out
+
+
+def _json(fh):    # a DataError names a key given twice in one object
+    return json.load(fh, object_pairs_hook=_once)
+
+
+def read_input(path, parse=_json):
+    """``parse`` of the input file ``path`` read as UTF-8, a BOM skipped;
+    by default its JSON, each key once per object.  A fault in its bytes,
+    syntax or content is a DataError naming it (and a JSON syntax line)."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return parse(fh)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}:{e.lineno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte "
+                        f"0x{e.object[e.start]:02x}: {e.reason})") from None
+    except (DataError, csv.Error) as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def _csv_rows(fh) -> list:
@@ -214,8 +228,16 @@ def coerce_value(var: VariableSpec, raw):
 
 
 def coerce_column(var: VariableSpec, values: np.ndarray) -> np.ndarray:
-    return np.asarray([coerce_value(var, v) for v in values],
-                      dtype=object if var.kind == "categorical" else float)
+    """``values`` as ``var``'s values; a DataError names the first bad row."""
+    try:
+        return np.asarray([coerce_value(var, v) for v in values],
+                          dtype=object if var.kind == "categorical" else float)
+    except DataError:
+        for row, raw in enumerate(values, 1):
+            try:
+                coerce_value(var, raw)
+            except DataError as e:
+                raise DataError(f"row {row}: {e}") from None
 
 
 def coerce_columns(spec: SystemSpec, data: Dataset, names) -> dict:
@@ -243,18 +265,18 @@ def design_matrix(spec: SystemSpec, response: str, data: Dataset):
     return X, y.astype(float), np.asarray(data.counts, dtype=float)
 
 
+def _dependent(X: np.ndarray) -> np.ndarray:
+    """The columns of ``X`` that earlier columns span, to rounding."""
+    r = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+    r = np.pad(r, (0, X.shape[1] - r.size))
+    norm = np.linalg.norm(X, axis=0).max(initial=0.0)
+    return np.flatnonzero(r <= max(X.shape) * np.finfo(float).eps * norm)
+
+
 def _check_rank(X: np.ndarray, w: np.ndarray, labels: Sequence[str]):
-    import scipy.linalg  # only a fit needs the pivoted QR
     keep = w > 0
-    Xw = X[keep] * np.sqrt(w[keep])[:, None]
-    if Xw.shape[0] == 0:
-        raise DataError("empty data: no rows with positive count")
-    _, R, piv = scipy.linalg.qr(Xw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = max(Xw.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        bad = sorted(labels[j] for j in piv[rank:])
+    bad = [labels[j] for j in _dependent(X[keep] * np.sqrt(w[keep])[:, None])]
+    if bad:
         raise FitError(f"design matrix is rank deficient; collinear terms: {bad}")
 
 
@@ -311,8 +333,7 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         live = w > 0
         extreme = live & (np.abs(eta) > BIG_LOGIT)
         if np.any(extreme) and np.all(y[extreme] == (eta[extreme] > 0)):
-            separation = bool(
-                np.linalg.matrix_rank(X[live & ~extreme]) < len(beta))
+            separation = _dependent(X[live & ~extreme]).size > 0
     return beta, H, ll, it, converged, separation
 
 
@@ -331,8 +352,7 @@ def fit_logistic(data: Dataset, spec: SystemSpec, response: str) -> EquationFit:
     if data.nrows == 0 or data.n == 0:
         raise DataError("empty data")
     X, y, w = design_matrix(spec, response, data)
-    labels = tuple(spec.column_label(c) for c in spec.columns(response))
-    _check_rank(X, w, labels)
+    _check_rank(X, w, [spec.column_label(c) for c in spec.columns(response)])
     beta, H, ll, it, converged, separation = irls(X, y, w)
     try:
         cov = np.linalg.inv(H)

@@ -164,9 +164,9 @@ def _cell_seed(config: SimConfig) -> np.random.SeedSequence:
     when that is exact and non-negative, else as _BITS_TAG and the two
     words of its float64 bit pattern: distinct values never collide."""
     kind_code = 0 if config.kind == "binary" else 1
-    milli = round(config.beta_x * 1000)
-    if 0 <= milli < _BITS_TAG and milli / 1000 == config.beta_x:
-        beta = [milli]
+    milli = config.beta_x * 1000    # range first: round() raises at inf
+    if 0 <= milli < _BITS_TAG and round(milli) / 1000 == config.beta_x:
+        beta = [round(milli)]
     else:
         bits = int(np.float64(config.beta_x).view(np.uint64))
         beta = [_BITS_TAG, bits >> 32, bits & 0xFFFFFFFF]

@@ -1,6 +1,7 @@
 """Drives the command line end to end, on the bundled example and on
 synthetic fits written to disk as artifacts."""
 
+import codecs
 import csv
 import io
 import json
@@ -516,24 +517,82 @@ def succeeds_or_names(result, path):
                for line in combined(result).splitlines()), combined(result)
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def dumps(doc, repeat=None):
+    """``doc`` as JSON text; ``repeat`` is None or (path, key), and that
+    key of the object at path is written a second time."""
+    def dump(node, here):
+        if isinstance(node, dict):
+            pairs = [*node.items()]
+            if repeat and repeat[0] == here:
+                pairs.append((repeat[1], node[repeat[1]]))
+            return "{%s}" % ", ".join(f"{json.dumps(k)}: {dump(v, here + (k,))}"
+                                      for k, v in pairs)
+        if isinstance(node, list):
+            return "[%s]" % ", ".join(dump(v, here + (i,))
+                                      for i, v in enumerate(node))
+        return json.dumps(node)
+    return dump(doc, ())
+
+
+@st.composite
+def written(draw, doc):
+    """``doc`` as (variant, the bytes of a file): plain JSON, or JSON with
+    a BOM, with one key of one object repeated, or with an \\xff byte."""
+    variant = draw(st.sampled_from(["plain", "bom", "repeat", "xff"]))
+    repeat = None
+    if variant == "repeat":
+        path = draw(st.sampled_from([p for p in [(), *fields(doc)]
+                                     if isinstance(_at(doc, p), dict)
+                                     and _at(doc, p)]))
+        repeat = path, draw(st.sampled_from(sorted(_at(doc, path))))
+    raw = dumps(doc, repeat).encode()
+    if variant == "bom":
+        raw = codecs.BOM_UTF8 + raw
+    if variant == "xff":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return variant, raw
+
+
+def reads_readably(run, path, variant, raw):
+    """Write ``raw`` to ``path`` and ``run`` a command on it.  Plain JSON
+    succeeds or names the file; a repeated key or a bad byte fails,
+    naming the file; a BOM gives what the file without it gives."""
+    path.write_bytes(raw)
+    result = run()
+    assert variant not in ("repeat", "xff") or result.exit_code == 1
+    succeeds_or_names(result, path)
+    if variant == "bom":
+        path.write_bytes(raw[len(codecs.BOM_UTF8):])
+        plain = run()
+        assert (result.exit_code, combined(result)) == (plain.exit_code,
+                                                        combined(plain))
+
+
 @given(st.data())
 def test_any_broken_model_field_fails_readably(workdir, data):
     doc = data.draw(mutated(json.loads(
         (workdir / "example_model.json").read_text())))
     bad = workdir / "fuzzed_model.json"
-    bad.write_text(json.dumps(doc))
-    succeeds_or_names(invoke("fit", "--data", workdir / "example_counts.json",
-                             "--model", bad), bad)
+    reads_readably(lambda: invoke("fit", "--data",
+                                  workdir / "example_counts.json",
+                                  "--model", bad),
+                   bad, *data.draw(written(doc)))
 
 
 @given(st.data())
 def test_any_broken_artifact_field_fails_readably(artifact, workdir, data):
     doc = data.draw(mutated(json.loads(artifact.read_text())))
     bad = workdir / "fuzzed_artifact.json"
-    bad.write_text(json.dumps(doc))
-    succeeds_or_names(invoke("decompose", "--fitted", bad, "--contrast",
-                             "2,1", "--set", "C=0", "--scale", "logodds"),
-                      bad)
+    reads_readably(lambda: invoke("decompose", "--fitted", bad, "--contrast",
+                                  "2,1", "--set", "C=0", "--scale", "logodds"),
+                   bad, *data.draw(written(doc)))
 
 
 @given(st.data())
@@ -541,10 +600,10 @@ def test_any_broken_k2_artifact_field_fails_readably_in_marginalize(
         k2_artifact, workdir, data):
     doc = data.draw(mutated(json.loads(k2_artifact.read_text())))
     bad = workdir / "fuzzed_k2.json"
-    bad.write_text(json.dumps(doc))
-    succeeds_or_names(invoke("marginalize", "--fitted", bad, "--mediator",
-                             "1", "--out", workdir / "fuzzed_reduced.json"),
-                      bad)
+    reads_readably(lambda: invoke("marginalize", "--fitted", bad, "--mediator",
+                                  "1", "--out",
+                                  workdir / "fuzzed_reduced.json"),
+                   bad, *data.draw(written(doc)))
 
 
 SMALL_GRID = {"seed": 83, "replications": 3, "treatment": ["binary"],
@@ -555,8 +614,8 @@ SMALL_GRID = {"seed": 83, "replications": 3, "treatment": ["binary"],
 def test_any_broken_grid_field_fails_readably(workdir, data):
     doc = data.draw(mutated(SMALL_GRID))
     bad = workdir / "fuzzed_grid.json"
-    bad.write_text(json.dumps(doc))
-    succeeds_or_names(invoke("simulate", "--config", bad), bad)
+    reads_readably(lambda: invoke("simulate", "--config", bad), bad,
+                   *data.draw(written(doc)))
 
 
 def test_inner_marginalization_preserves_gie(k3_artifact):
@@ -704,10 +763,10 @@ def test_any_odd_data_value_fails_readably(workdir, continuous_model, data):
                                       for key in row]))
     _set(path, data.draw(st.sampled_from(ODD_DATA)))(doc)
     bad = workdir / "fuzzed_data.json"
-    bad.write_text(json.dumps(doc))
     model = data.draw(st.sampled_from([workdir / "example_model.json",
                                        continuous_model]))
-    succeeds_or_names(invoke("fit", "--data", bad, "--model", model), bad)
+    reads_readably(lambda: invoke("fit", "--data", bad, "--model", model),
+                   bad, *data.draw(written(doc)))
 
 
 def test_fit_rejects_a_non_numeric_count(workdir):
@@ -731,8 +790,20 @@ def test_fit_rejects_a_non_numeric_count(workdir):
     ("big_count.json",
      '[{"Y": 1, "W": 0, "X": 1, "C": 1, "count": 1%s}]' % ("0" * 400),
      "row 1 has count"),
+    ("binary.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,0.5,7\n",
+     "row 2: binary variable 'C' has value '7'"),
+    ("binary.json", '[{"Y": 1, "W": 0, "X": 1, "C": 1}, '
+                    '{"Y": 0, "W": 2, "X": 1, "C": 1}]',
+     "row 2: binary variable 'W' has value 2"),
+    ("nan_row.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,nan,1\n",
+     "row 2: value 'nan' for 'X' is not a finite float"),
+    ("no_rows.json", '{"row": [{"Y": 1, "W": 0, "X": 1, "C": 1}]}',
+     "an object holding one under 'rows'"),
+    ("long_field.csv", "Y,W,X,C\n1,0,0.5,%s\n" % ("1" * 200_000),
+     "field larger than field limit"),
 ], ids=["count", "json-syntax", "empty", "nan", "inf", "big-value",
-        "big-count"])
+        "big-count", "binary-row", "binary-json-row", "nan-row", "no-rows",
+        "long-field"])
 def test_unreadable_data_names_the_data_file(workdir, continuous_model, name,
                                              text, message):
     # the continuous treatment lets nan and inf reach the fit
@@ -743,6 +814,69 @@ def test_unreadable_data_names_the_data_file(workdir, continuous_model, name,
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"error: {data}" in combined(result)
     assert message in combined(result)
+
+
+def _input_files(workdir, artifact, k2_artifact):
+    """Per input file: its path, the command that reads it, and the (path,
+    key) of an object member to repeat in it."""
+    data, model = workdir / "example_counts.json", workdir / "example_model.json"
+    grid = workdir / "small_grid.json"
+    grid.write_text(json.dumps(SMALL_GRID))
+    reduced = workdir / "bytes_reduced.json"
+    return {
+        "model": (model, lambda p: ("fit", "--data", data, "--model", p),
+                  (("equations",), "Y")),
+        "data": (data, lambda p: ("fit", "--data", p, "--model", model),
+                 (("rows", 1), "C")),
+        "artifact": (artifact, lambda p: ("decompose", "--fitted", p,
+                                          "--contrast", "2,1", "--set", "C=0"),
+                     (("params", "Y"), "X{2,1}")),
+        "k2-artifact": (k2_artifact, lambda p: ("marginalize", "--fitted", p,
+                                                "--mediator", "1", "--out",
+                                                reduced),
+                        ((), "n")),
+        "grid": (grid, lambda p: ("simulate", "--config", p), ((), "n")),
+    }
+
+
+@pytest.mark.parametrize("variant", ["repeat", "xff", "bom"])
+@pytest.mark.parametrize("which", ["model", "data", "artifact", "k2-artifact",
+                                   "grid"])
+def test_every_input_file_is_read_as_utf8_json_with_each_key_once(
+        workdir, artifact, k2_artifact, which, variant):
+    source, command, repeat = _input_files(workdir, artifact,
+                                           k2_artifact)[which]
+    doc = json.loads(source.read_text())
+    raw = dumps(doc, repeat if variant == "repeat" else None).encode()
+    raw = {"repeat": raw, "bom": codecs.BOM_UTF8 + raw,
+           "xff": raw[:20] + b"\xff" + raw[20:]}[variant]
+    path = workdir / f"bytes_{which}.json"
+    path.write_bytes(raw)
+    result = invoke(*command(path))
+    if variant == "bom":
+        path.write_bytes(raw[len(codecs.BOM_UTF8):])
+        assert result.exit_code == 0, combined(result)
+        assert combined(result) == combined(invoke(*command(path)))
+        return
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"error: {path}: " in combined(result)
+    assert ("is named twice in one object" if variant == "repeat"
+            else "not UTF-8 text (byte 0xff") in combined(result)
+
+
+def test_a_csv_with_a_bom_fits_as_without_one(workdir):
+    model = workdir / "example_model.json"
+    rows = json.loads((workdir / "example_counts.json").read_text())["rows"]
+    text = "Y,X,W,C,count\n" + "".join(
+        f"{r['Y']},{r['X']},{r['W']},{r['C']},{r['count']}\n" for r in rows)
+    plain, bom = workdir / "plain.csv", workdir / "bom.csv"
+    plain.write_text(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode())
+    results = [invoke("fit", "--data", p, "--model", model)
+               for p in (plain, bom)]
+    assert results[0].exit_code == 0, combined(results[0])
+    assert results[0].output == results[1].output
 
 
 def test_data_that_does_not_fit_the_model_names_both_files(workdir):

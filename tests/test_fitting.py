@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from logitpath import (Dataset, FittedSystem, VariableSpec, fit_logistic,
                        fit_system)
-from logitpath.fitting import (DataError, FitError, coerce_column,
+from logitpath.fitting import (DataError, FitError, _dependent, coerce_column,
                                coerce_value, design_matrix, irls)
 from conftest import make_system, random_params
 
@@ -249,6 +249,18 @@ def test_collinear_design_is_named():
         "W1": rng.integers(0, 2, n).astype(float)})
     with pytest.raises(FitError, match="collinear"):
         fit_system(data, spec)
+
+
+def test_dependent_columns_are_the_rank_deficit_in_design_order():
+    rng = np.random.default_rng(5)
+    for n, p, rank in [(50, 4, 4), (50, 5, 3), (3, 5, 3), (40, 6, 1),
+                       (0, 3, 0)]:
+        X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, p))
+        assert _dependent(X).tolist() == list(range(rank, p))
+        assert np.linalg.matrix_rank(X) == rank
+    x, z = rng.normal(size=(2, 30))
+    assert _dependent(np.column_stack([np.ones(30), x, 2 * x, z])).tolist() \
+        == [2]
 
 
 def test_non_binary_response_rejected():

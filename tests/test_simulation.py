@@ -138,7 +138,7 @@ def test_cell_seed_keeps_the_milli_encoding():
 
 def test_cell_seed_is_injective_for_any_sign():
     betas = (0.9, 0.9001, 0.8999, -0.5, 0.5, -0.0009, 0.0, 1e-4,
-             2.0 ** -40, -2.0 ** -40, 4.5, -4.5)
+             2.0 ** -40, -2.0 ** -40, 4.5, -4.5, 1e306, -1e306, 1.7e308)
     states = {}
     for b in betas:
         cfg = SimConfig(kind="binary", beta_x=b, n=100, replications=1,
