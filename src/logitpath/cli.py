@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from .effects import EffectError, EffectRequest
-from .fitting import (DataError, Dataset, FitError, FittedSystem,
+from .fitting import (DataError, Dataset, FitError, FittedSystem, _once,
                       coerce_value, fit_system, read_input)
 from .inference import InferenceError, effect_table, transform_fitted
 from .model import ModelSpecError, SystemSpec
@@ -89,7 +89,7 @@ def cmd_fit(data_path, model_path, out):
     data = _read(data_path, Dataset.load)
     try:
         fitted = fit_system(data, spec)
-    except DataError as e:
+    except (DataError, FitError) as e:     # a rank deficiency is the data's
         _fail_for(f"{data_path}: {e}", model_path)
     except _ERRORS as e:
         _fail(f"{model_path}: {e}")
@@ -99,14 +99,14 @@ def cmd_fit(data_path, model_path, out):
 
 
 def _coerce_setting(spec: SystemSpec, pairs):
-    setting = {}
+    setting = []
     for text in pairs:
         if "=" not in text:
             _fail(f"--set wants NAME=VALUE, got {text!r}")
         name, _, raw = text.partition("=")
         var = spec.variable(name.strip())
-        setting[var.name] = coerce_value(var, raw.strip())
-    return setting
+        setting.append((var.name, coerce_value(var, raw.strip())))
+    return _once(setting, "--set")
 
 
 @main.command("decompose")
@@ -151,6 +151,8 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
         if var.kind == "continuous":
             _fail(f"--by needs a binary or categorical variable, "
                   f"{by_var!r} is continuous")
+        if var.name in base_settings:
+            _fail(f"{var.name!r} is named by both --set and --by")
         strata = [{**base_settings, var.name: v}
                   for v in var.levels or (0.0, 1.0)]
 

@@ -38,15 +38,13 @@ not here.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .fitting import (DataError, Dataset, _float, coerce_columns, expit,
-                      softplus)
+from .fitting import DataError, Dataset, coerce_columns, expit, softplus
 from .model import Column, ParameterSet, SystemSpec, ZeroMask, column_value
 
 SCALES = ("logodds", "probability")
@@ -130,13 +128,6 @@ def _setting_design(spec: SystemSpec, j: int, x, fixed: Mapping) -> tuple:
     return s0, s1
 
 
-def _refuse(var, value, what: str):
-    wanted = {"binary": "0 or 1", "continuous": "a finite number"}.get(
-        var.kind, f"a level in {list(var.levels)}")
-    raise EffectError(f"{what} {var.name!r} cannot take "
-                      f"{reprlib.repr(value)}; it takes {wanted}")
-
-
 def as_index(value, what: str, low=-math.inf, high=math.inf) -> int:
     """``value`` as an int in low..high: any integer but a boolean, a
     whole number, or the string of an integer (as the CLI passes one);
@@ -155,11 +146,6 @@ def as_index(value, what: str, low=-math.inf, high=math.inf) -> int:
     return index
 
 
-def _check_treatment(spec: SystemSpec, x):
-    if not _takes(spec.treatment, x):
-        _refuse(spec.treatment, x, "treatment")
-
-
 def _check_slope(spec: SystemSpec):
     var = spec.treatment
     if var.kind != "continuous":
@@ -174,24 +160,20 @@ def _check_mediators(spec: SystemSpec):
 
 def _check_setting(spec: SystemSpec, j: int, x, covariates: Mapping,
                    w_above: Mapping):
-    _check_treatment(spec, x)
-    for name, value in covariates.items():
+    for name, value in [(spec.treatment.name, x), *covariates.items(),
+                        *w_above.items()]:
         var = spec.by_name.get(name)
         role = var.role if var else "undeclared"
-        if role != "covariate":
+        if name in covariates and role != "covariate":
             raise EffectError(f"cannot fix {name!r} ({role}): only "
                               f"covariates can be fixed")
-        if not _takes(var, value):
-            _refuse(var, value, "covariate")
-    for name, value in w_above.items():
-        var = spec.by_name.get(name)
-        if var is None or var.role != "mediator" or var.mediator_index <= j:
-            role = var.role if var else "undeclared"
+        if name in w_above and (role != "mediator"
+                                or var.mediator_index <= j):
             raise EffectError(f"cannot hold {name!r} ({role}) at a value: "
                               f"only the mediators outward of mediator {j} "
                               f"can be")
-        if not _takes(var, value):
-            _refuse(var, value, "mediator")
+        if not var.takes(value):
+            raise EffectError(var.refusal(value))
 
 
 def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
@@ -202,8 +184,8 @@ def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
     settings is compiled for its call alone."""
     covariates, w_above = covariates or {}, w_above or {}
     continuous = spec.treatment.kind == "continuous"
-    if continuous:      # not in the key, so checked on every call
-        _check_treatment(spec, x)
+    if continuous and not spec.treatment.takes(x):     # x is not in the key
+        raise EffectError(spec.treatment.refusal(x))
     if j not in spec.programs:     # W_1 changes fastest
         w = (np.arange(1 << j) >> np.arange(j)[:, None]) & 1
         corners = {m.name: v for m, v in zip(spec.mediators, w.astype(float))}
@@ -444,22 +426,6 @@ def component_mask(spec: SystemSpec, name: str, path=None) -> ZeroMask:
             raise EffectError(f"unknown effect component {name!r}")
         spec.masks[key] = ZeroMask.from_targets(spec, targets)
     return spec.masks[key]
-
-
-def _takes(var, value) -> bool:
-    """Whether ``var`` can take ``value``, or every entry of an array of
-    values: binary 0 or 1, categorical one of its levels, continuous a
-    finite number."""
-    if isinstance(value, np.ndarray):
-        if var.kind == "continuous" and value.dtype.kind in "biuf":
-            return bool(np.isfinite(value).all())
-        try:
-            return all(_takes(var, v) for v in set(value.ravel().tolist()))
-        except TypeError:   # an unhashable entry is no value
-            return False
-    if var.kind == "continuous":
-        return isinstance(value, numbers.Real) and math.isfinite(_float(value))
-    return value in (var.levels if var.kind == "categorical" else (0, 1))
 
 
 def component(params: ParameterSet, request: EffectRequest, name: str,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit as _np_expit
 
 from .model import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
-                    design, json_field, json_number)
+                    _float, design, json_field, json_number)
 
 MAX_ITER = 100
 SCORE_TOL = 1e-8
@@ -69,12 +69,22 @@ def expit(t):
     return _expit_float(float(t))
 
 
-def _float(raw) -> float:
-    """A number as a float; nan when it is no number or is too large."""
+def _floats(values) -> np.ndarray:
+    """``values`` as a new 1-D float array: numpy's conversion, which is
+    Python's ``float`` of each, or ``_float`` of each when that fails."""
     try:
-        return float(raw)
+        out = np.array(values, dtype=float)
+        if out.ndim == 1:
+            return out
     except (TypeError, ValueError, OverflowError):
-        return math.nan
+        pass
+    return np.array([_float(v) for v in values], dtype=float)
+
+
+def _count_error(row: int, raw) -> DataError:
+    raw = raw.item() if isinstance(raw, np.generic) else raw
+    return DataError(f"row {row} has count {reprlib.repr(raw)}; counts "
+                     f"must be finite and nonnegative")
 
 
 @dataclass
@@ -91,13 +101,10 @@ class Dataset:
         lengths.add(len(self.counts))
         if len(lengths) > 1:
             raise DataError("columns and counts must share one length")
-        counts = np.array([_float(c) for c in self.counts], dtype=float)
+        counts = _floats(self.counts)
         bad = np.flatnonzero(~((counts >= 0.0) & (counts < np.inf)))
         if bad.size:
-            raw = self.counts[bad[0]]
-            raw = raw.item() if isinstance(raw, np.generic) else raw
-            raise DataError(f"row {bad[0] + 1} has count {reprlib.repr(raw)}; "
-                            f"counts must be finite and nonnegative")
+            raise _count_error(bad[0] + 1, self.counts[bad[0]])
         self.counts = counts
 
     @property
@@ -128,32 +135,34 @@ class Dataset:
             if not isinstance(r, Mapping):
                 raise DataError(f"row {i} is {reprlib.repr(r)}, not an "
                                 f"object of column values")
-        names = [k for k in rows[0] if k != "count"]
-        cols = {k: [] for k in names}
-        counts = []
-        for i, r in enumerate(rows, 1):
-            odd = cols.keys() ^ (r.keys() - {"count"})
+            odd = (rows[0].keys() ^ r.keys()) - {"count"}
             if odd:
                 raise DataError(f"column {reprlib.repr(min(odd, key=str))} is "
                                 f"in only one of row 1 and row {i}")
-            for k in names:
-                cols[k].append(r[k])
-            counts.append(r.get("count", 1.0))
-        return Dataset.from_patterns(cols, counts)
+            if isinstance(r.get("count"), bool):   # true is no number
+                raise _count_error(i, r["count"])
+        names = [k for k in rows[0] if k != "count"]
+        return Dataset.from_patterns({k: [r[k] for r in rows] for k in names},
+                                     [r.get("count", 1.0) for r in rows])
 
     @staticmethod
     def load(path) -> "Dataset":
-        """The rows of a CSV file, or of a JSON list or object holding the
-        list under 'rows'; a DataError names the file."""
-        def rows(fh):
-            doc = (_json if Path(path).suffix.lower() == ".json"
-                   else _csv_rows)(fh)
+        """The columns of a CSV file under its header, a 'count' column
+        as the counts, or the rows of a JSON list or of an object holding
+        the list under 'rows'; a DataError names the file."""
+        def read(fh):
+            if Path(path).suffix.lower() != ".json":
+                header, rows = _csv_rows(fh)
+                columns = dict(zip(header, zip(*rows)))
+                return Dataset.from_patterns(
+                    columns, columns.pop("count", np.ones(len(rows))))
+            doc = _json(fh)
             doc = doc.get("rows") if isinstance(doc, dict) else doc
             if not isinstance(doc, list):
                 raise DataError("expected a list of rows, or an object "
                                 "holding one under 'rows'")
             return Dataset.from_rows(doc)
-        return read_input(path, rows)
+        return read_input(path, read)
 
 
 def _once(pairs, where="one object") -> dict:
@@ -185,8 +194,8 @@ def read_input(path, parse=_json):
         raise DataError(f"{path}: {e}") from None
 
 
-def _csv_rows(fh) -> list:
-    """The rows of a CSV file as dicts over its header, blank lines
+def _csv_rows(fh) -> tuple:
+    """The header of a CSV file and its rows of fields, blank lines
     skipped; a DataError names a column named twice or a row whose
     width is not the header's."""
     header, *rows = [*filter(None, csv.reader(fh))] or [[]]
@@ -195,49 +204,41 @@ def _csv_rows(fh) -> list:
         if len(fields) != len(header):
             raise DataError(f"row {i} has {len(fields)} fields; the header "
                             f"has {len(header)}")
-    return [dict(zip(header, fields)) for fields in rows]
+    return header, rows
 
 
 def coerce_value(var: VariableSpec, raw):
-    """One raw data value as the value ``var`` takes; DataError if it cannot."""
+    """A raw data field or CLI argument as the value ``var`` takes, the
+    level it names or its float; else a DataError in ``var.refusal`` form."""
     if var.kind == "categorical":
         for lvl in var.levels:
             if raw == lvl or str(raw) == str(lvl):
                 return lvl
-        try:   # "1.0" or 1.0 is level 1; string levels match only as strings
-            return next(lvl for lvl in var.levels
-                        if isinstance(lvl, (int, float)) and lvl == float(raw))
-        except (TypeError, ValueError, OverflowError, StopIteration):
-            pass
-        raise DataError(f"value {reprlib.repr(raw)} is not a level of "
-                        f"{var.name!r} (levels: {list(var.levels)})")
-    try:
-        x = float(raw)
-    except (TypeError, ValueError):
-        raise DataError(f"non-numeric value {reprlib.repr(raw)} for "
-                        f"{var.name!r}") from None
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise DataError(f"value {reprlib.repr(raw)} for {var.name!r} is not "
-                        f"a finite float")
-    if var.kind == "binary" and x not in (0.0, 1.0):
-        raise DataError(f"binary variable {var.name!r} has value "
-                        f"{reprlib.repr(raw)}")
-    return x
+        # "1.0" or 1.0 names level 1; a string level is named only by itself
+        number = _float(raw)
+        value = next((lvl for lvl in var.levels
+                      if isinstance(lvl, (int, float)) and lvl == number), raw)
+    else:
+        value = _float(raw)     # nan for no number, which var cannot take
+    if not var.takes(value):
+        raise DataError(var.refusal(raw))
+    return value
 
 
 def coerce_column(var: VariableSpec, values: np.ndarray) -> np.ndarray:
-    """``values`` as ``var``'s values; a DataError names the first bad row."""
-    try:
-        return np.asarray([coerce_value(var, v) for v in values],
-                          dtype=object if var.kind == "categorical" else float)
-    except DataError:
-        for row, raw in enumerate(values, 1):
-            try:
-                coerce_value(var, raw)
-            except DataError as e:
-                raise DataError(f"row {row}: {e}") from None
+    """``values`` as ``var``'s values; a DataError names the first bad row.
+    A numeric column is walked value by value only to find that row."""
+    if var.kind != "categorical":
+        column = _floats(values)
+        if var.takes(column):
+            return column
+    out = []
+    for row, raw in enumerate(values, 1):
+        try:
+            out.append(coerce_value(var, raw))
+        except DataError as e:
+            raise DataError(f"row {row}: {e}") from None
+    return np.asarray(out, dtype=object if var.kind == "categorical" else float)
 
 
 def coerce_columns(spec: SystemSpec, data: Dataset, names) -> dict:

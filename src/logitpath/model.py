@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -47,6 +48,14 @@ KINDS = ("binary", "continuous", "categorical")
 
 class ModelSpecError(ValueError):
     """An invalid system specification, parameter domain, or lookup."""
+
+
+def _float(raw) -> float:
+    """A number as a float; nan when it is no number or is too large."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,29 @@ class VariableSpec:
                 and self.mediator_index >= 1)):
             raise ModelSpecError(
                 f"mediator_index must be an integer >= 1 ({self.name!r})")
+
+    def takes(self, value) -> bool:
+        """Whether the variable can take ``value`` (data, argument or
+        library call), or every entry of an array of values: binary 0 or
+        1, categorical one of its levels, continuous a finite number."""
+        if isinstance(value, np.ndarray):
+            if self.kind == "continuous" and value.dtype.kind in "biuf":
+                return bool(np.isfinite(value).all())
+            try:
+                return all(self.takes(v) for v in set(value.ravel().tolist()))
+            except TypeError:   # an unhashable entry is no value
+                return False
+        if self.kind == "continuous":
+            return (isinstance(value, numbers.Real)
+                    and math.isfinite(_float(value)))
+        return value in (self.levels if self.kind == "categorical" else (0, 1))
+
+    def refusal(self, value) -> str:
+        """The message for a ``value`` that the variable cannot take."""
+        wanted = {"binary": "0 or 1", "continuous": "a finite number"}.get(
+            self.kind, f"a level in {list(self.levels)}")
+        return (f"{self.role} {self.name!r} cannot take "
+                f"{reprlib.repr(value)}; it takes {wanted}")
 
 
 @dataclass(frozen=True)
@@ -492,11 +524,7 @@ def json_number(doc, key: str, where: str, minimum: float = -math.inf):
     """``doc[key]`` as a finite float no smaller than ``minimum``;
     otherwise a ModelSpecError that names the field."""
     value = json_field(doc, key, numbers.Real, where)
-    try:
-        ok = math.isfinite(value) and value >= minimum
-    except OverflowError:   # an integer beyond any float
-        ok = False
-    if not ok:
+    if not (math.isfinite(_float(value)) and value >= minimum):
         bound = "" if minimum == -math.inf else f" >= {minimum:g}"
         raise ModelSpecError(f"{key!r} of {where} must be a finite "
                              f"number{bound}, got {value!r}")

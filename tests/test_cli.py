@@ -12,7 +12,8 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 from importlib import resources
 
-from logitpath import FittedSystem, SystemSpec, VariableSpec
+from logitpath import (EffectError, EffectRequest, FittedSystem, SystemSpec,
+                       VariableSpec, effect_table)
 from logitpath.fitting import block_covariance
 from logitpath.cli import main
 
@@ -208,11 +209,15 @@ def test_decompose_derivative_needs_continuous_treatment(artifact):
     (["--contrast", "2"], "--contrast wants"),
     (["--contrast", "2,1", "--set", "C"], "--set wants"),
     (["--contrast", "2,1", "--set", "Q=1"], "unknown variable"),
-    (["--contrast", "9,1", "--set", "C=0"], "not a level"),
+    (["--contrast", "9,1", "--set", "C=0"], "treatment 'X' cannot take '9'"),
     (["--contrast", "2,1", "--set", "C=0", "--path", "2,1,3"], "collider"),
     (["--contrast", "2,1", "--set", "C=0", "--path", "1,5"], "mediator"),
     (["--contrast", "2,1", "--set", "C=0", "--by", "Q"], "unknown variable"),
     (["--contrast", "2,1"], "C"),
+    (["--contrast", "2,1", "--set", "C=1", "--by", "C"],
+     "'C' is named by both --set and --by"),
+    (["--contrast", "2,1", "--set", "C=1", "--set", "C=0"],
+     "'C' is named twice in --set"),
 ])
 def test_decompose_bad_arguments(artifact, extra, message):
     result = invoke("decompose", "--fitted", artifact, *extra)
@@ -783,27 +788,31 @@ def test_fit_rejects_a_non_numeric_count(workdir):
     ("count.csv", "Y,W,X,C,count\n1,0,1,1,3\n0,1,2,1,x\n", "row 2 has count"),
     ("syntax.json", "[{", ":1: "),
     ("empty.csv", "Y,W,X,C,count\n", "empty data"),
-    ("nan.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,nan,1\n", "'nan' for 'X'"),
-    ("inf.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,inf,1\n", "'inf' for 'X'"),
+    ("nan.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,nan,1\n",
+     "treatment 'X' cannot take 'nan'"),
+    ("inf.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,inf,1\n",
+     "treatment 'X' cannot take 'inf'"),
     ("big_value.json", '[{"Y": 1, "W": 0, "X": 1, "C": 1%s}]' % ("0" * 400),
-     "for 'C' is not a finite float"),
+     "row 1: covariate 'C' cannot take 1000"),
     ("big_count.json",
      '[{"Y": 1, "W": 0, "X": 1, "C": 1, "count": 1%s}]' % ("0" * 400),
      "row 1 has count"),
     ("binary.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,0.5,7\n",
-     "row 2: binary variable 'C' has value '7'"),
+     "row 2: covariate 'C' cannot take '7'; it takes 0 or 1"),
     ("binary.json", '[{"Y": 1, "W": 0, "X": 1, "C": 1}, '
                     '{"Y": 0, "W": 2, "X": 1, "C": 1}]',
-     "row 2: binary variable 'W' has value 2"),
+     "row 2: mediator 'W' cannot take 2; it takes 0 or 1"),
     ("nan_row.csv", "Y,W,X,C\n1,0,0.5,1\n0,1,nan,1\n",
-     "row 2: value 'nan' for 'X' is not a finite float"),
+     "row 2: treatment 'X' cannot take 'nan'; it takes a finite number"),
     ("no_rows.json", '{"row": [{"Y": 1, "W": 0, "X": 1, "C": 1}]}',
      "an object holding one under 'rows'"),
     ("long_field.csv", "Y,W,X,C\n1,0,0.5,%s\n" % ("1" * 200_000),
      "field larger than field limit"),
+    ("two_rows.csv", "Y,W,X,C\n1,0,0.5,0\n0,1,1.5,1\n",
+     "equation Y: design matrix is rank deficient"),
 ], ids=["count", "json-syntax", "empty", "nan", "inf", "big-value",
         "big-count", "binary-row", "binary-json-row", "nan-row", "no-rows",
-        "long-field"])
+        "long-field", "rank-deficient"])
 def test_unreadable_data_names_the_data_file(workdir, continuous_model, name,
                                              text, message):
     # the continuous treatment lets nan and inf reach the fit
@@ -887,14 +896,35 @@ def test_data_that_does_not_fit_the_model_names_both_files(workdir):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"error: {data}: " in combined(result)
-    assert "value '7' is not a level of 'X'" in combined(result)
+    assert ("row 2: treatment 'X' cannot take '7'; it takes a level in "
+            "[1, 2, 3]") in combined(result)
     assert f"(for the system in {model})" in combined(result)
 
 
+def test_a_value_a_variable_cannot_take_gets_one_message(workdir, artifact):
+    # a data file, a CLI argument and a library call all refuse C = 7 alike
+    body = "covariate 'C' cannot take '7'; it takes 0 or 1"
+    model, data = workdir / "example_model.json", workdir / "c7.csv"
+    data.write_text("Y,W,X,C\n1,0,1,1\n0,1,2,7\n")
+    result = invoke("fit", "--data", data, "--model", model)
+    assert result.exit_code == 1
+    assert (f"error: {data}: equation Y: row 2: {body} (for the system in "
+            f"{model})") in combined(result)
+    result = invoke("decompose", "--fitted", artifact, "--contrast", "2,1",
+                    "--set", "C=7")
+    assert result.exit_code == 1
+    assert f"error: {body} (for the system in {artifact})" in combined(result)
+    fitted = FittedSystem.from_json_dict(json.loads(artifact.read_text()))
+    with pytest.raises(EffectError) as err:
+        effect_table(fitted, [EffectRequest.contrast(2, 1, {"C": "7"})])
+    assert str(err.value) == body
+
+
 @pytest.mark.parametrize("extra,message", [
-    (["--set", "C=7"], "binary variable 'C' has value '7'"),
+    (["--set", "C=7"], "covariate 'C' cannot take '7'; it takes 0 or 1"),
     (["--by", "Q"], "unknown variable"),
-    (["--contrast", "9,1", "--set", "C=0"], "not a level of 'X'"),
+    (["--contrast", "9,1", "--set", "C=0"],
+     "treatment 'X' cannot take '9'; it takes a level in [1, 2, 3]"),
 ], ids=["set", "by", "contrast"])
 def test_argument_errors_do_not_blame_the_artifact(artifact, extra, message):
     result = invoke("decompose", "--fitted", artifact, "--contrast", "2,1",

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import expit
 
 from logitpath import (Dataset, FittedSystem, VariableSpec, fit_logistic,
@@ -126,20 +127,24 @@ def test_errors_shorten_a_huge_value(call):
 
 def test_errors_print_a_short_value_whole():
     var = VariableSpec("X", "treatment", "continuous")
-    with pytest.raises(DataError, match=r"^non-numeric value 'abc' for 'X'$"):
+    with pytest.raises(DataError, match=r"^treatment 'X' cannot take 'abc'; "
+                                        r"it takes a finite number$"):
         coerce_value(var, "abc")
-    with pytest.raises(DataError, match=r"^binary variable 'X' has value "
-                                        r"2\.5$"):
+    with pytest.raises(DataError, match=r"^treatment 'X' cannot take 2\.5; "
+                                        r"it takes 0 or 1$"):
         coerce_value(VariableSpec("X", "treatment", "binary"), 2.5)
     with pytest.raises(DataError, match=r"^row 2 has count 'x'; "):
         Dataset.from_rows([{"X": 0}, {"X": 1, "count": "x"}])
 
 
-@pytest.mark.parametrize("count", ["x", "nan", "inf", -1, None, 10 ** 400],
-                         ids=["x", "nan", "inf", "-1", "None", "10**400"])
+@pytest.mark.parametrize("count", ["x", "nan", "inf", -1, None, 10 ** 400,
+                                   True, False],
+                         ids=["x", "nan", "inf", "-1", "None", "10**400",
+                              "true", "false"])
 def test_from_rows_rejects_unusable_counts(count):
+    # a JSON true or false is no number, as in every other numeric field
     rows = [{"Y": 1, "X": 0, "count": 2}, {"Y": 0, "X": 1, "count": count}]
-    with pytest.raises(DataError, match=r"row 2.*count"):
+    with pytest.raises(DataError, match=r"row 2 has count .*finite"):
         Dataset.from_rows(rows)
 
 
@@ -162,14 +167,80 @@ def test_categorical_values_match_numeric_levels_numerically():
     got = coerce_column(var, np.array(["1.0", 2.0, "3", 1], dtype=object))
     assert got.tolist() == [1, 2, 3, 1]
     assert all(type(v) is int for v in got)
-    with pytest.raises(DataError, match="not a level"):
+    with pytest.raises(DataError, match=r"^row 1: treatment 'X' cannot take "
+                       r"'4\.0'; it takes a level in \[1, 2, 3\]$"):
         coerce_column(var, np.array(["4.0"], dtype=object))
     named = VariableSpec("C", "covariate", "categorical",
                          levels=("a", "1", "b"))
     assert coerce_column(named, np.array(["a", "1"], dtype=object)).tolist() \
         == ["a", "1"]
-    with pytest.raises(DataError, match="not a level"):
+    with pytest.raises(DataError, match=r"^row 1: covariate 'C' cannot take "
+                       r"'1\.0'; it takes a level in \['a', '1', 'b'\]$"):
         coerce_column(named, np.array(["1.0"], dtype=object))
+
+
+def _walk(var, values):
+    """What ``coerce_column`` must give: each value by ``coerce_value``,
+    or the DataError of the first that fails, named by its row."""
+    out = []
+    for row, raw in enumerate(values, 1):
+        try:
+            out.append(coerce_value(var, raw))
+        except DataError as e:
+            return f"row {row}: {e}"
+    return np.asarray(out, dtype=object if var.kind == "categorical"
+                      else float)
+
+
+_PAD = st.sampled_from(["", " ", "\t", " \n"])
+
+
+def _padded(numbers):
+    return st.builds(lambda x, left, right: f"{left}{x!r}{right}", numbers,
+                     _PAD, _PAD)
+
+
+_RAW = st.one_of(
+    st.sampled_from([0, 1, 2, 0.0, -0.0, 1.0, True, False, None, "1", "0",
+                     " 0 ", "-0", "1.5e0", "1_000", "0x1", "nan", "inf",
+                     "-inf", "NaN", 10 ** 400, "9" * 401, "1e400", "", "x",
+                     "abc", "a", "b", "c", "1.0", "2.0", "3"]),
+    st.integers(-3, 3), st.floats(), _padded(st.floats()))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("var,taken", [
+    (VariableSpec("X", "treatment", "binary"),
+     st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False, "1", " 0 ", "-0",
+                      "1.0", "0e0", "\t1\n", "0_0"])),
+    (VariableSpec("X", "treatment", "continuous"),
+     st.one_of(_FINITE, st.integers(-10 ** 6, 10 ** 6), st.booleans(),
+               _padded(_FINITE), st.sampled_from(["1_000", "-0", "1e308"]))),
+    (VariableSpec("X", "treatment", "categorical", levels=(1, 2, 3)),
+     st.sampled_from([1, 2, 3, 2.0, True, "1", "2.0", " 3", "3e0"])),
+    (VariableSpec("C", "covariate", "categorical", levels=("a", "1", "b")),
+     st.sampled_from(["a", "b", "1", 1])),
+], ids=["binary", "continuous", "categorical-numbers", "categorical-names"])
+@given(data=st.data())
+def test_a_column_is_coerced_as_its_values_are_one_by_one(var, taken, data):
+    # values the variable takes, with a few raw values of any sort
+    # slipped in at drawn rows
+    values = data.draw(st.lists(taken, max_size=8))
+    for raw in data.draw(st.lists(_RAW, max_size=2)):
+        values.insert(data.draw(st.integers(0, len(values))), raw)
+    column = np.array(values, dtype=object)
+    want = _walk(var, column)
+    if isinstance(want, str):
+        with pytest.raises(DataError) as err:
+            coerce_column(var, column)
+        assert str(err.value) == want
+        return
+    got = coerce_column(var, column)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert [(type(a), a) for a in got.tolist()] \
+        == [(type(b), b) for b in want.tolist()]
+    if got.dtype == float:
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # -- weighting -------------------------------------------------------------

@@ -18,7 +18,10 @@ the fit are dumped too: ``run_study`` on a small seeded grid (binary and
 continuous treatments, beta_x 0.4 and 1.8, n 250 and 1000, 30
 replications), and every field ``irls`` returns on seeded weighted
 designs, some with zero counts, some needing step-halvings, and one whose
-step halving cannot rescue.  Every reduction is spelled
+step halving cannot rescue.  The data path is dumped too: every number
+of ``fit_system`` on seeded files that ``Dataset.load`` reads, a CSV
+with a count column whose categorical X is written "2" or "2.0" at
+random, and a JSON rows file.  Every reduction is spelled
 ``marginalize(params, j)``.
 Run the dump once per tree, then compare:
 
@@ -42,6 +45,8 @@ relative, since a table row still takes central differences.
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -246,6 +251,50 @@ def irls_numbers():
     return out
 
 
+def fit_numbers(fitted):
+    """Coefficients, covariance, n and every diagnostic of a fit."""
+    out = [*fitted.params.vector, *fitted.covariance_matrix().ravel(),
+           fitted.n]
+    for d in fitted.diagnostics.values():
+        out += [d.loglik, d.iterations, d.converged, d.separation]
+    return out
+
+
+def data_path_numbers():
+    """``fit_system`` on a seeded CSV with a count column, its X written
+    as "2" or "2.0" (and its other values as "1", "1.0" or " 1 ") at
+    random, and on a seeded JSON rows file, each read by
+    ``Dataset.load``."""
+    from logitpath import Dataset, fit_system
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed, name in ((16, "counts.csv"), (17, "rows.json")):
+            cols = draw_fit(seed, 2, "categorical", n=N_APE)[1]
+            rng = np.random.default_rng(seed)
+            names, n = list(cols), len(cols["Y"])
+            counts = rng.integers(0, 4, n)
+            path = Path(tmp) / name
+            if name.endswith(".csv"):
+                forms = ["{:g}", "{:.1f}", " {:g} "]
+                lines = [",".join(names + ["count"])] + [",".join(
+                    [forms[f].format(float(cols[k][i])) for k, f in
+                     zip(names, rng.integers(0, 3, len(names)))]
+                    + [str(counts[i])]) for i in range(n)]
+                path.write_text("\n".join(lines) + "\n")
+            else:
+                rows = [{k: (int(cols[k][i]) if rng.random() < 0.5
+                             else float(cols[k][i])) for k in names}
+                        for i in range(n)]
+                for row, c in zip(rows, counts):
+                    if rng.random() < 0.5:
+                        row["count"] = int(c)
+                path.write_text(json.dumps({"rows": rows}))
+            spec = chain_spec(2, "categorical")
+            out[f"data path {name}"] = fit_numbers(
+                fit_system(Dataset.load(path), spec))
+    return out
+
+
 def dump(path):
     from logitpath import Dataset, average_probability_effects, marginalize
 
@@ -256,6 +305,7 @@ def dump(path):
         return marginalize(params, len(params.spec.mediators))
 
     exact, reduced, transformed = direct_numbers(), {}, {}
+    exact.update(data_path_numbers())
     exact["run_study"] = study_numbers()
     exact["irls"] = irls_numbers()
     for k in (1, 2, 3, 4, 5):
