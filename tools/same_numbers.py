@@ -21,7 +21,9 @@ designs, some with zero counts, some needing step-halvings, and one whose
 step halving cannot rescue.  The data path is dumped too: every number
 of ``fit_system`` on seeded files that ``Dataset.load`` reads, a CSV
 with a count column whose categorical X is written "2" or "2.0" at
-random, and a JSON rows file.  Every reduction is spelled
+random, a JSON rows file, and a JSON rows file whose every value and
+count is written as a float (1.0, 0.0, 2.0); then ``run_study`` on a
+grid whose one size is written 250.0.  Every reduction is spelled
 ``marginalize(params, j)``.
 Run the dump once per tree, then compare:
 
@@ -213,13 +215,15 @@ def direct_numbers():
     return out
 
 
-def study_numbers():
+STUDY_GRID = {"seed": 15, "replications": 30,
+              "treatment": ["binary", "continuous"], "beta_x": [0.4, 1.8],
+              "n": [250, 1000]}
+
+
+def study_numbers(grid=STUDY_GRID):
     """Every number of each cell of a small seeded ``run_study`` grid."""
     from logitpath import run_study
-    grid = {"seed": 15, "replications": 30,
-            "treatment": ["binary", "continuous"], "beta_x": [0.4, 1.8],
-            "n": [250, 1000]}
-    return [[r.true_value, *vars(r.rsd).values(), *vars(r.khb).values(),
+    return [[r.n, r.true_value, *vars(r.rsd).values(), *vars(r.khb).values(),
              r.excluded] for r in run_study(grid)]
 
 
@@ -263,12 +267,14 @@ def fit_numbers(fitted):
 def data_path_numbers():
     """``fit_system`` on a seeded CSV with a count column, its X written
     as "2" or "2.0" (and its other values as "1", "1.0" or " 1 ") at
-    random, and on a seeded JSON rows file, each read by
-    ``Dataset.load``."""
+    random, on a seeded JSON rows file, and on one whose values and
+    counts are all written as floats, each read by ``Dataset.load``; then
+    ``run_study`` on a grid whose size is the float 250.0."""
     from logitpath import Dataset, fit_system
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed, name in ((16, "counts.csv"), (17, "rows.json")):
+        for seed, name in ((16, "counts.csv"), (17, "rows.json"),
+                           (18, "floats.json")):
             cols = draw_fit(seed, 2, "categorical", n=N_APE)[1]
             rng = np.random.default_rng(seed)
             names, n = list(cols), len(cols["Y"])
@@ -282,16 +288,20 @@ def data_path_numbers():
                     + [str(counts[i])]) for i in range(n)]
                 path.write_text("\n".join(lines) + "\n")
             else:
-                rows = [{k: (int(cols[k][i]) if rng.random() < 0.5
-                             else float(cols[k][i])) for k in names}
-                        for i in range(n)]
+                floats = name == "floats.json"
+                rows = [{k: (float(cols[k][i]) if floats
+                             or rng.random() >= 0.5 else int(cols[k][i]))
+                         for k in names} for i in range(n)]
                 for row, c in zip(rows, counts):
-                    if rng.random() < 0.5:
-                        row["count"] = int(c)
+                    if floats or rng.random() < 0.5:
+                        row["count"] = float(c) if floats else int(c)
                 path.write_text(json.dumps({"rows": rows}))
             spec = chain_spec(2, "categorical")
             out[f"data path {name}"] = fit_numbers(
                 fit_system(Dataset.load(path), spec))
+    out["data path grid n 250.0"] = study_numbers(
+        {**STUDY_GRID, "treatment": ["binary"], "beta_x": [0.4],
+         "n": [250.0]})
     return out
 
 
