@@ -45,7 +45,8 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .fitting import DataError, Dataset, coerce_columns, expit, softplus
-from .model import Column, ParameterSet, SystemSpec, ZeroMask, column_value
+from .model import (Column, ParameterSet, SystemSpec, ZeroMask, _is,
+                    column_value)
 
 SCALES = ("logodds", "probability")
 PROGRAMS_KEPT = 64      # settings kept per spec and j; the oldest goes first
@@ -129,18 +130,17 @@ def _setting_design(spec: SystemSpec, j: int, x, fixed: Mapping) -> tuple:
 
 
 def as_index(value, what: str, low=-math.inf, high=math.inf) -> int:
-    """``value`` as an int in low..high: any integer but a boolean, a
-    whole number, or the string of an integer (as the CLI passes one);
-    otherwise an EffectError that names the value."""
+    """``value`` as an int in low..high: a whole number (``model._is``)
+    or the string of an integer (as the CLI passes one); otherwise an
+    EffectError that names the value."""
     try:
-        index = int(value)
-        whole = not isinstance(value, (bool, np.bool_)) and (
-            isinstance(value, str) or index == value)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
+        index = int(value) if isinstance(value, str) else value
+    except ValueError:
+        index = None
+    if not _is(index, int):
         raise EffectError(f"{what} must be an integer, not "
                           f"{reprlib.repr(value)}")
+    index = int(index)
     if not low <= index <= high:
         raise EffectError(f"{what} {index} out of range {low}..{high}")
     return index
@@ -195,10 +195,12 @@ def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
     corners, collect, kept = spec.programs[j]
     key = program = None
     if not isinstance(x, np.ndarray):
-        try:
-            key = (None if continuous else x,
+        try:    # types too: True must not find the program of 1
+            key = (None if continuous else (x, type(x)),
                    tuple(sorted(covariates.items())),
-                   tuple(sorted(w_above.items())))
+                   tuple(sorted(w_above.items())),
+                   tuple(map(type, covariates.values())),
+                   tuple(map(type, w_above.values())))
             program = kept.get(key)
         except TypeError:   # an array of values, or no value at all
             key = None
@@ -362,19 +364,8 @@ class EffectRequest:
                                   "shape") from None
             if same:
                 raise EffectError("contrast endpoints must differ")
-        else:
-            if self.at is None:
-                raise EffectError("derivative mode needs an evaluation point")
-        for v in self.treatment_values:
-            try:
-                finite = np.all(np.isfinite(np.asarray(v, dtype=float)))
-            except (TypeError, ValueError):   # a level that is no number
-                finite = True
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise EffectError(f"treatment value {reprlib.repr(v)} is "
-                                  f"not finite")
+        elif self.at is None:
+            raise EffectError("derivative mode needs an evaluation point")
 
     @property
     def treatment_values(self) -> tuple:

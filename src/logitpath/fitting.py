@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 from scipy.special import expit as _np_expit
 
 from .model import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
-                    _float, design, json_field, json_number)
+                    _float, _is, design, json_field, json_number)
 
 MAX_ITER = 100
 SCORE_TOL = 1e-8
@@ -70,21 +69,16 @@ def expit(t):
 
 
 def _floats(values) -> np.ndarray:
-    """``values`` as a new 1-D float array: numpy's conversion, which is
-    Python's ``float`` of each, or ``_float`` of each when that fails."""
-    try:
-        out = np.array(values, dtype=float)
-        if out.ndim == 1:
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """``values`` as a new 1-D float array, ``_float`` of each: numpy's
+    conversion, which is Python's ``float`` of each, when every value is
+    a number or text (one value of each type is enough to tell)."""
+    if all(_is(v, (str, float))
+           for v in dict(zip(map(type, values), values)).values()):
+        try:
+            return np.array(values, dtype=float)
+        except (ValueError, OverflowError):     # text that is no number
+            pass
     return np.array([_float(v) for v in values], dtype=float)
-
-
-def _count_error(row: int, raw) -> DataError:
-    raw = raw.item() if isinstance(raw, np.generic) else raw
-    return DataError(f"row {row} has count {reprlib.repr(raw)}; counts "
-                     f"must be finite and nonnegative")
 
 
 @dataclass
@@ -104,7 +98,10 @@ class Dataset:
         counts = _floats(self.counts)
         bad = np.flatnonzero(~((counts >= 0.0) & (counts < np.inf)))
         if bad.size:
-            raise _count_error(bad[0] + 1, self.counts[bad[0]])
+            raw = self.counts[bad[0]]
+            raw = raw.item() if isinstance(raw, np.generic) else raw
+            raise DataError(f"row {bad[0] + 1} has count {reprlib.repr(raw)}; "
+                            f"counts must be finite and nonnegative")
         self.counts = counts
 
     @property
@@ -139,8 +136,6 @@ class Dataset:
             if odd:
                 raise DataError(f"column {reprlib.repr(min(odd, key=str))} is "
                                 f"in only one of row 1 and row {i}")
-            if isinstance(r.get("count"), bool):   # true is no number
-                raise _count_error(i, r["count"])
         names = [k for k in rows[0] if k != "count"]
         return Dataset.from_patterns({k: [r[k] for r in rows] for k in names},
                                      [r.get("count", 1.0) for r in rows])
@@ -211,13 +206,15 @@ def coerce_value(var: VariableSpec, raw):
     """A raw data field or CLI argument as the value ``var`` takes, the
     level it names or its float; else a DataError in ``var.refusal`` form."""
     if var.kind == "categorical":
-        for lvl in var.levels:
-            if raw == lvl or str(raw) == str(lvl):
-                return lvl
+        # text or a number names a level by its text (True names no level)
+        if isinstance(raw, str) or _is(raw, float):     # text first: faster
+            for lvl in var.levels:
+                if str(raw) == str(lvl):
+                    return lvl
         # "1.0" or 1.0 names level 1; a string level is named only by itself
         number = _float(raw)
         value = next((lvl for lvl in var.levels
-                      if isinstance(lvl, (int, float)) and lvl == number), raw)
+                      if _is(lvl, float) and lvl == number), raw)
     else:
         value = _float(raw)     # nan for no number, which var cannot take
     if not var.takes(value):
@@ -375,9 +372,7 @@ def _matrix(raw, width: int, where: str) -> np.ndarray:
     """A JSON list of rows of numbers as a width x width float array."""
     try:
         m = np.asarray(raw, dtype=float)
-        numbers_only = all(isinstance(x, numbers.Real)
-                           and not isinstance(x, bool)
-                           for row in raw for x in row)
+        numbers_only = all(_is(x, float) for row in raw for x in row)
     except (TypeError, ValueError, OverflowError):
         numbers_only = False
     if not numbers_only:
@@ -467,7 +462,7 @@ class FittedSystem:
             diagnostics[resp] = EquationFit(
                 params.vector[spec.slices[resp]],
                 covariance[spec.slices[resp], spec.slices[resp]],
-                json_field(d, "loglik", numbers.Real, where),
+                json_field(d, "loglik", float, where),
                 json_field(d, "iterations", int, where),
                 json_field(d, "converged", bool, where),
                 json_field(d, "separation", bool, where))

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -26,7 +25,7 @@ from .effects import (EffectRequest, _check_mediators, _check_setting,
                       _check_slope, component, component_mask,
                       component_names, indirect_name, marginal_logit_multi)
 from .fitting import FittedSystem, block_covariance
-from .model import ParameterSet
+from .model import ParameterSet, _is
 from .multi import PathSpec, _reduce
 
 STEP_SCALE = 1e-6
@@ -77,7 +76,7 @@ def gradient(fn: Callable, fitted: FittedSystem, label: str):
 
 
 def _check_level(level: float):
-    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+    if not (_is(level, float) and 0.0 < level < 1.0):
         raise InferenceError(f"interval level {level!r} is not between 0 "
                              f"and 1")
 

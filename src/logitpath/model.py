@@ -50,8 +50,30 @@ class ModelSpecError(ValueError):
     """An invalid system specification, parameter domain, or lookup."""
 
 
+def _is(value, kind) -> bool:
+    """Whether a value from outside the program (a file, an argument or a
+    library call) is a ``kind``, or one of a tuple of kinds.  float means
+    a number: a real that is no boolean, Python's or numpy's, since true
+    and false are no numbers.  int means a whole number, so 2 and 2.0
+    both are.  Any other kind means an instance of it."""
+    if isinstance(kind, tuple):     # a loop, not any(): met once per datum
+        for k in kind:
+            if _is(value, k):
+                return True
+        return False
+    if kind is not float and kind is not int:
+        return isinstance(value, kind)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return (kind is float or isinstance(value, numbers.Integral)
+            or _float(value).is_integer())
+
+
 def _float(raw) -> float:
-    """A number as a float; nan when it is no number or is too large."""
+    """A number or the text of one as a float; nan for anything else (a
+    boolean too) or a value too large, which makes the value not finite."""
+    if not _is(raw, (str, float)):
+        return math.nan
     try:
         return float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -94,12 +116,10 @@ class VariableSpec:
             if len(self.levels) < 2:
                 raise ModelSpecError(
                     f"categorical variable {self.name!r} needs at least two levels")
-            try:
-                distinct = len(set(self.levels))
-            except TypeError:
+            if not all(_is(lvl, (str, float)) for lvl in self.levels):
                 raise ModelSpecError(f"levels of {self.name!r} must be "
-                                     f"numbers or strings") from None
-            if distinct != len(self.levels):
+                                     f"numbers or strings")
+            if len(set(self.levels)) != len(self.levels):
                 raise ModelSpecError(
                     f"categorical variable {self.name!r} has duplicate levels")
         elif self.levels:
@@ -109,27 +129,33 @@ class VariableSpec:
         if has_index != (self.role == "mediator"):
             raise ModelSpecError(
                 f"mediator_index must be present iff role is mediator ({self.name!r})")
-        if has_index and (isinstance(self.mediator_index, bool) or not (
-                isinstance(self.mediator_index, numbers.Integral)
-                and self.mediator_index >= 1)):
-            raise ModelSpecError(
-                f"mediator_index must be an integer >= 1 ({self.name!r})")
+        if has_index:
+            if not (_is(self.mediator_index, int) and self.mediator_index >= 1):
+                raise ModelSpecError(
+                    f"mediator_index must be an integer >= 1 ({self.name!r})")
+            object.__setattr__(self, "mediator_index",
+                               int(self.mediator_index))
 
     def takes(self, value) -> bool:
         """Whether the variable can take ``value`` (data, argument or
         library call), or every entry of an array of values: binary 0 or
-        1, categorical one of its levels, continuous a finite number."""
+        1, categorical one of its levels, continuous a finite number; a
+        boolean is none of them."""
         if isinstance(value, np.ndarray):
-            if self.kind == "continuous" and value.dtype.kind in "biuf":
-                return bool(np.isfinite(value).all())
-            try:
-                return all(self.takes(v) for v in set(value.ravel().tolist()))
+            if value.dtype.kind in "iuf":   # numbers, none of them boolean
+                return (bool(np.isfinite(value).all())
+                        if self.kind == "continuous"
+                        else all(map(self.takes, np.unique(value).tolist())))
+            flat = value.ravel().tolist()
+            try:    # each distinct value of each type: True equals 1
+                return all(self.takes(v) for _, v in set(zip(map(type, flat),
+                                                             flat)))
             except TypeError:   # an unhashable entry is no value
                 return False
         if self.kind == "continuous":
-            return (isinstance(value, numbers.Real)
-                    and math.isfinite(_float(value)))
-        return value in (self.levels if self.kind == "categorical" else (0, 1))
+            return _is(value, float) and math.isfinite(_float(value))
+        return _is(value, (str, float)) and value in (
+            self.levels if self.kind == "categorical" else (0, 1))
 
     def refusal(self, value) -> str:
         """The message for a ``value`` that the variable cannot take."""
@@ -500,30 +526,29 @@ class SystemSpec:
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
-               bool: "true or false", int: "an integer"}
+               bool: "true or false", int: "an integer", float: "a number"}
 
 
 def json_field(doc, key: str, kind, where: str):
-    """``doc[key]`` of a JSON document, checked to be a ``kind`` (dict,
-    list, str, bool, int or a number type, or a tuple of them); otherwise
-    a ModelSpecError that names the field and ``where`` it sits.  true
-    and false are booleans only, never numbers."""
+    """``doc[key]`` of a JSON document, checked by ``_is`` to be a
+    ``kind`` (dict, list, str, bool, int or float, or a tuple of them),
+    an int as an int; otherwise a ModelSpecError that names the field and
+    ``where`` it sits."""
     if not isinstance(doc, dict) or key not in doc:
         raise ModelSpecError(f"{where} has no {key!r}")
-    kinds = kind if isinstance(kind, tuple) else (kind,)
     value = doc[key]
-    if not isinstance(value, kinds) or (isinstance(value, bool)
-                                        and bool not in kinds):
-        wanted = " or ".join(_JSON_TYPES.get(k, "a number") for k in kinds)
+    if not _is(value, kind):
+        wanted = " or ".join(map(_JSON_TYPES.get, kind if isinstance(
+            kind, tuple) else (kind,)))
         raise ModelSpecError(f"{key!r} of {where} must be {wanted}, "
                              f"got {value!r}")
-    return value
+    return int(value) if kind is int else value
 
 
 def json_number(doc, key: str, where: str, minimum: float = -math.inf):
     """``doc[key]`` as a finite float no smaller than ``minimum``;
     otherwise a ModelSpecError that names the field."""
-    value = json_field(doc, key, numbers.Real, where)
+    value = json_field(doc, key, float, where)
     if not (math.isfinite(_float(value)) and value >= minimum):
         bound = "" if minimum == -math.inf else f" >= {minimum:g}"
         raise ModelSpecError(f"{key!r} of {where} must be a finite "

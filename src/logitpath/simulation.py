@@ -40,14 +40,14 @@ import io
 import csv
 import itertools
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .fitting import Dataset, irls, softplus
+from .model import _float, _is
 
 PSEUDO_POPULATION = 150_000
 EXCLUSION_LIMIT = 0.05
@@ -63,7 +63,8 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One study cell: treatment kind, effect size, sample size, seeds."""
+    """One study cell: treatment kind, effect size, sample size, seeds.
+    Each field is checked here, for a library call and a grid alike."""
 
     kind: str
     beta_x: float
@@ -78,17 +79,27 @@ class SimConfig:
 
     def __post_init__(self):
         if self.kind not in ("binary", "continuous"):
-            raise SimulationError(f"unknown treatment kind {self.kind!r}")
-        if self.n < 1 or self.replications < 1:
-            raise SimulationError("n and replications must be positive")
-        if self.seed < 0:
-            raise SimulationError("seed must be a nonnegative integer")
-        if self.kind == "continuous" and self.pseudo_population < self.n:
-            raise SimulationError(f"pseudo_population {self.pseudo_population}"
-                                  f" is smaller than n {self.n}")
+            raise SimulationError(f"bad study config: unknown treatment "
+                                  f"kind {self.kind!r}")
+        for name, least in (("n", 1), ("replications", 1), ("seed", 0),
+                            ("pseudo_population", 1)):
+            value = getattr(self, name)
+            if not (_is(value, int) and value >= least):
+                raise SimulationError(
+                    f"bad study config: {name!r} must be a "
+                    f"{'positive' if least else 'nonnegative'} integer, "
+                    f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("beta_x", "beta0", "beta_w", "gamma0", "gamma_x"):
-            if not math.isfinite(getattr(self, name)):
-                raise SimulationError(f"{name} must be finite")
+            value = getattr(self, name)
+            if not (_is(value, float) and math.isfinite(_float(value))):
+                raise SimulationError(f"bad study config: {name!r} must be "
+                                      f"a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if self.kind == "continuous" and self.pseudo_population < self.n:
+            raise SimulationError(f"bad study config: pseudo_population "
+                                  f"{self.pseudo_population} is smaller "
+                                  f"than n {self.n}")
 
 
 # -- closed forms for the two-equation model -------------------------------
@@ -196,7 +207,11 @@ def _streams(config: SimConfig, count: int):
 
 
 def generate_data(config: SimConfig, replication: int) -> Dataset:
-    """The exact data of one replication, reproducible in isolation."""
+    """The exact data of replication 0, 1, ..., reproducible in isolation."""
+    if not (_is(replication, int) and replication >= 0):
+        raise SimulationError(f"'replication' must be a nonnegative "
+                              f"integer, got {replication!r}")
+    replication = int(replication)
     xs, rngs = _streams(config, replication + 1)
     x, w, y = _draw(config, next(itertools.islice(rngs, replication, None)), xs)
     return Dataset.from_records({"Y": y, "X": x, "W": w})
@@ -299,64 +314,38 @@ def run_cell(config: SimConfig) -> SimResult:
                      config.replications, truth, rsd, khb, excluded)
 
 
-def _is(value, kind) -> bool:
-    """Whether a config value is a ``kind`` (str, float or int): booleans
-    are not numbers, and an int must be a whole number."""
-    if kind is str:
-        return isinstance(value, str)
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return number and (kind is float or isinstance(value, numbers.Integral)
-                       or value.is_integer())
-
-
-def _config_value(grid: Mapping, key: str, kind, many: bool = False):
-    """``grid[key]`` as ``kind``, or as a list of distinct ones, at least
-    one, when ``many``; otherwise a SimulationError that names the
-    field."""
-    if key not in grid:
-        raise SimulationError(f"bad study config: no {key!r}")
-    value = grid[key]
-    items = value if many and isinstance(value, list) else [value]
-    typed = many == isinstance(value, list) and all(_is(v, kind)
-                                                    for v in items)
-    values = [kind(v) for v in items] if typed else []
-    if not values or len(set(values)) < len(values):
-        want = (f"a list of distinct {kind.__name__}, at least one" if many
-                else kind.__name__)
-        raise SimulationError(f"bad study config: {key!r} must be {want}, "
-                              f"got {value!r}")
-    return values if many else values[0]
-
-
-_OPTIONAL_KEYS = {"beta0": float, "beta_w": float, "gamma0": float,
-                  "gamma_x": float, "pseudo_population": int}
-
-
 def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
     """Run the full grid described by a config document.
 
     Keys: seed, replications, treatment (list of kinds), beta_x (list),
     n (list); optional truth overrides beta0, beta_w, gamma0, gamma_x,
-    and pseudo_population.  Any other key is refused.  ``on_cell`` gets
-    each SimResult as its cell finishes.
+    and pseudo_population.  Any other key is refused, and so is a list
+    that is empty or repeats a value; ``SimConfig`` checks each value.
+    ``on_cell`` gets each SimResult as its cell finishes.
     """
-    unknown = sorted(map(repr, grid.keys() - _OPTIONAL_KEYS.keys() - {
-        "seed", "replications", "treatment", "beta_x", "n"}))
+    # the keys are SimConfig's fields, the lists name the cells' kinds,
+    # effects and sizes
+    lists = ("treatment", "beta_x", "n")
+    keys = {f.name for f in fields(SimConfig)} - {"kind"} | {"treatment"}
+    unknown = sorted(map(repr, grid.keys() - keys))
     if unknown:
         raise SimulationError(f"bad study config: unknown key "
                               f"{', '.join(unknown)}")
-    seed = _config_value(grid, "seed", int)
-    reps = _config_value(grid, "replications", int)
-    kinds = _config_value(grid, "treatment", str, many=True)
-    betas = _config_value(grid, "beta_x", float, many=True)
-    sizes = _config_value(grid, "n", int, many=True)
-    extra = {key: _config_value(grid, key, kind)
-             for key, kind in _OPTIONAL_KEYS.items() if key in grid}
+    for key in ("seed", "replications", *lists):
+        value = grid.get(key)
+        if key not in grid:
+            raise SimulationError(f"bad study config: no {key!r}")
+        if key in lists and not (isinstance(value, list) and value and all(
+                v not in value[:i] for i, v in enumerate(value))):
+            raise SimulationError(f"bad study config: {key!r} must be a "
+                                  f"list of distinct values, at least one, "
+                                  f"got {value!r}")
+    rest = {key: value for key, value in grid.items() if key not in lists}
+    configs = [SimConfig(kind, beta_x, n, **rest) for kind, beta_x, n
+               in itertools.product(*map(grid.get, lists))]
     results = []
-    for kind, beta_x, n in itertools.product(kinds, betas, sizes):
-        results.append(run_cell(SimConfig(kind=kind, beta_x=beta_x, n=n,
-                                          replications=reps, seed=seed,
-                                          **extra)))
+    for config in configs:     # every cell is checked before the first runs
+        results.append(run_cell(config))
         if on_cell is not None:
             on_cell(results[-1])
     return results

@@ -273,14 +273,17 @@ def _artifact(workdir, name, spec, seed):
     return out
 
 
-def test_decompose_refuses_a_treatment_value_that_is_not_finite(workdir):
-    # the error names the value given, not the fitted system
+@pytest.mark.parametrize("at", ["inf", "nan"])
+def test_decompose_refuses_a_treatment_value_that_is_not_finite(workdir, at):
+    # the error names the value given, in the one form of a value the
+    # treatment cannot take, and does not blame the fitted system
     fitted = _artifact(workdir, "continuous.json",
                        make_system(1, treatment="continuous"), 132)
-    result = invoke("decompose", "--fitted", fitted, "--at", "inf")
+    result = invoke("decompose", "--fitted", fitted, "--at", at)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
-    assert "treatment value inf is not finite" in combined(result)
+    assert (f"error: treatment 'X' cannot take {at}; it takes a finite "
+            f"number (for the system in {fitted})") in combined(result)
     assert "at the estimate" not in combined(result)
 
 
@@ -474,8 +477,10 @@ def test_decompose_names_the_malformed_artifact_field(artifact, workdir,
     (_set(["variables", 1, "index"], "first"), "mediator_index"),
     (_set(["equations", "W"], []), "equation 'W' has no terms"),
     (_set(["variables", 1, "index"], True), "mediator_index"),
+    (_set(["variables", 2, "levels", 0], True), "levels of 'X' must be "
+                                                "numbers or strings"),
 ], ids=["equations", "equation", "variable", "name", "levels", "index",
-        "no-terms", "index-true"])
+        "no-terms", "index-true", "level-true"])
 def test_fit_names_the_malformed_model_field(workdir, mutate, field):
     doc = json.loads((workdir / "example_model.json").read_text())
     mutate(doc)
@@ -498,20 +503,29 @@ def fields(doc, path=()):
         yield from fields(value, path + (key,))
 
 
-ODD_VALUES = (None, True, 0, -1, 5, 2.5, "x", "", [], {}, [1, 2, 3],
+ODD_VALUES = (None, True, False, 0, -1, 5, 2.5, "x", "", [], {}, [1, 2, 3],
               {"a": 1}, [[1]])
+
+
+def _boolean_for_number(held, value) -> bool:
+    """Whether ``value`` is true or false put where the number ``held``
+    was: no number, so always refused."""
+    return isinstance(value, bool) and isinstance(held, (int, float)) \
+        and not isinstance(held, bool)
 
 
 @st.composite
 def mutated(draw, doc):
-    """``doc`` with one field deleted or replaced by an odd value."""
+    """``doc`` with one field deleted or replaced by an odd value, and
+    whether that value is true or false in place of a number."""
     doc = json.loads(json.dumps(doc))
     path = draw(st.sampled_from(list(fields(doc))))
     if draw(st.booleans()):
         _drop(path)(doc)
-    else:
-        _set(path, draw(st.sampled_from(ODD_VALUES)))(doc)
-    return doc
+        return doc, False
+    held, value = _at(doc, path), draw(st.sampled_from(ODD_VALUES))
+    _set(path, value)(doc)
+    return doc, _boolean_for_number(held, value)
 
 
 def succeeds_or_names(result, path):
@@ -565,13 +579,15 @@ def written(draw, doc):
     return variant, raw
 
 
-def reads_readably(run, path, variant, raw):
+def reads_readably(run, path, variant, raw, refused=False):
     """Write ``raw`` to ``path`` and ``run`` a command on it.  Plain JSON
-    succeeds or names the file; a repeated key or a bad byte fails,
-    naming the file; a BOM gives what the file without it gives."""
+    succeeds or names the file; a repeated key, a bad byte, or true or
+    false in place of a number (``refused``) fails, naming the file; a
+    BOM gives what the file without it gives."""
     path.write_bytes(raw)
     result = run()
-    assert variant not in ("repeat", "xff") or result.exit_code == 1
+    assert (variant not in ("repeat", "xff") and not refused) \
+        or result.exit_code == 1, combined(result)
     succeeds_or_names(result, path)
     if variant == "bom":
         path.write_bytes(raw[len(codecs.BOM_UTF8):])
@@ -582,33 +598,33 @@ def reads_readably(run, path, variant, raw):
 
 @given(st.data())
 def test_any_broken_model_field_fails_readably(workdir, data):
-    doc = data.draw(mutated(json.loads(
+    doc, refused = data.draw(mutated(json.loads(
         (workdir / "example_model.json").read_text())))
     bad = workdir / "fuzzed_model.json"
     reads_readably(lambda: invoke("fit", "--data",
                                   workdir / "example_counts.json",
                                   "--model", bad),
-                   bad, *data.draw(written(doc)))
+                   bad, *data.draw(written(doc)), refused)
 
 
 @given(st.data())
 def test_any_broken_artifact_field_fails_readably(artifact, workdir, data):
-    doc = data.draw(mutated(json.loads(artifact.read_text())))
+    doc, refused = data.draw(mutated(json.loads(artifact.read_text())))
     bad = workdir / "fuzzed_artifact.json"
     reads_readably(lambda: invoke("decompose", "--fitted", bad, "--contrast",
                                   "2,1", "--set", "C=0", "--scale", "logodds"),
-                   bad, *data.draw(written(doc)))
+                   bad, *data.draw(written(doc)), refused)
 
 
 @given(st.data())
 def test_any_broken_k2_artifact_field_fails_readably_in_marginalize(
         k2_artifact, workdir, data):
-    doc = data.draw(mutated(json.loads(k2_artifact.read_text())))
+    doc, refused = data.draw(mutated(json.loads(k2_artifact.read_text())))
     bad = workdir / "fuzzed_k2.json"
     reads_readably(lambda: invoke("marginalize", "--fitted", bad, "--mediator",
                                   "1", "--out",
                                   workdir / "fuzzed_reduced.json"),
-                   bad, *data.draw(written(doc)))
+                   bad, *data.draw(written(doc)), refused)
 
 
 SMALL_GRID = {"seed": 83, "replications": 3, "treatment": ["binary"],
@@ -617,10 +633,10 @@ SMALL_GRID = {"seed": 83, "replications": 3, "treatment": ["binary"],
 
 @given(st.data())
 def test_any_broken_grid_field_fails_readably(workdir, data):
-    doc = data.draw(mutated(SMALL_GRID))
+    doc, refused = data.draw(mutated(SMALL_GRID))
     bad = workdir / "fuzzed_grid.json"
     reads_readably(lambda: invoke("simulate", "--config", bad), bad,
-                   *data.draw(written(doc)))
+                   *data.draw(written(doc)), refused)
 
 
 def test_inner_marginalization_preserves_gie(k3_artifact):
@@ -766,12 +782,37 @@ def test_any_odd_data_value_fails_readably(workdir, continuous_model, data):
     path = data.draw(st.sampled_from([("rows", i, key)
                                       for i, row in enumerate(doc["rows"])
                                       for key in row]))
-    _set(path, data.draw(st.sampled_from(ODD_DATA)))(doc)
+    held, value = _at(doc, path), data.draw(st.sampled_from(ODD_DATA))
+    _set(path, value)(doc)
     bad = workdir / "fuzzed_data.json"
     model = data.draw(st.sampled_from([workdir / "example_model.json",
                                        continuous_model]))
     reads_readably(lambda: invoke("fit", "--data", bad, "--model", model),
-                   bad, *data.draw(written(doc)))
+                   bad, *data.draw(written(doc)),
+                   _boolean_for_number(held, value))
+
+
+@pytest.mark.parametrize("column,message", [
+    ("Y", "outcome 'Y' cannot take {}; it takes 0 or 1"),
+    ("W", "mediator 'W' cannot take {}; it takes 0 or 1"),
+    ("X", "treatment 'X' cannot take {}; it takes a level in [1, 2, 3]"),
+    ("C", "covariate 'C' cannot take {}; it takes 0 or 1"),
+], ids=["Y", "W", "X", "C"])
+@pytest.mark.parametrize("value", [True, False])
+def test_fit_refuses_a_boolean_data_value(workdir, column, message, value):
+    # before, a JSON true was fitted as 1 and false as 0
+    doc = json.loads((workdir / "example_counts.json").read_text())
+    doc["rows"][0][column] = value
+    bad = workdir / "boolean_data.json"
+    bad.write_text(json.dumps(doc))
+    model = workdir / "example_model.json"
+    result = invoke("fit", "--data", bad, "--model", model)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    line = combined(result).strip()
+    assert line.startswith(f"error: {bad}: ")
+    assert "row 1: " + message.format(value) in line
+    assert line.endswith(f"(for the system in {model})")
 
 
 def test_fit_rejects_a_non_numeric_count(workdir):

@@ -187,6 +187,10 @@ def two_mediator_params(treatment="binary", covariate=True):
                  "'X'.*5.0", id="g-treatment-5"),
     pytest.param(lambda p: marginal_logit_multi(p, 1.0, {"C": 7}),
                  "'C'.*7", id="covariate-7"),
+    pytest.param(lambda p: marginal_logit_multi(p, 1.0, {"C": True}),
+                 "'C' cannot take True", id="covariate-true"),
+    pytest.param(lambda p: g_recursive(p, 1, 1, 1.0, {"W2": False}, {"C": 1}),
+                 "'W2' cannot take False", id="outer-mediator-false"),
     pytest.param(lambda p: marginal_logit_multi(p, 5.0, {"C": 1}),
                  "'X'.*5.0", id="treatment-5"),
     pytest.param(lambda p: marginal_logit_multi(p, 1.0, {"C": 1, "W1": 1}),
@@ -213,8 +217,14 @@ def test_direct_calls_refuse_values_a_variable_cannot_take(call, named):
     ("continuous", 10 ** 400, "'X' cannot take 1000.*a finite number"),
     ("categorical", 4, "'X'.*4"),
     ("categorical", 1.5, "'X'.*1.5"),
+    ("binary", True, "'X' cannot take True; it takes 0 or 1"),
+    ("binary", np.bool_(True), "'X' cannot take .*True.*; it takes 0 or 1"),
+    ("categorical", True, "'X' cannot take True"),
+    ("continuous", True, "'X' cannot take True; it takes a finite number"),
 ], ids=["continuous-inf", "continuous-nan", "continuous-string",
-        "continuous-10**400", "categorical-4", "categorical-1.5"])
+        "continuous-10**400", "categorical-4", "categorical-1.5",
+        "binary-true", "binary-numpy-true", "categorical-true",
+        "continuous-true"])
 def test_direct_calls_refuse_a_treatment_value_after_a_good_one(
         treatment, x, named):
     params = two_mediator_params(treatment)
@@ -227,7 +237,7 @@ def test_direct_calls_refuse_a_treatment_value_after_a_good_one(
 
 
 def test_direct_calls_accept_every_value_a_variable_takes():
-    for treatment, xs in (("binary", (0, 1, 0.0, 1.0, True)),
+    for treatment, xs in (("binary", (0, 1, 0.0, 1.0)),
                           ("categorical", (1, 2, 3)),
                           ("continuous", (-2.5, 0, 3))):
         params = two_mediator_params(treatment, "categorical")

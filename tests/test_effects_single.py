@@ -317,7 +317,7 @@ def test_request_validation():
         EffectRequest("contrast", x1=None, x0=0)
     with pytest.raises(EffectError):
         EffectRequest.derivative(0.5, scale="logs")
-    # a level that is no number and an array of points are finite
+    # a request holds any treatment value; the system checks it at use
     assert EffectRequest.contrast("b", "a").x1 == "b"
     assert EffectRequest.derivative(np.array([0.5, -1.0])).at.shape == (2,)
     spec = make_system(1, treatment="binary")
@@ -350,9 +350,16 @@ def test_binary_treatment_contrasts_only_zero_and_one():
     lambda: EffectRequest.derivative(np.array([0.5, math.nan])),
 ], ids=["x1-inf", "x0-nan", "x1-huge", "at-inf", "at-array-nan"])
 def test_treatment_values_must_be_finite(make):
-    # refused when the request is made, before any coefficient is used
-    with pytest.raises(EffectError, match="not finite"):
-        make()
+    # refused at first use, in the one form of a value a variable cannot
+    # take, on a continuous and (for a contrast) on a binary system
+    request = make()
+    kinds = ("continuous", "binary") if request.mode == "contrast" else (
+        "continuous",)
+    for kind in kinds:
+        params = ParameterSet.zeros(make_system(1, treatment=kind))
+        with pytest.raises(EffectError, match=r"^treatment 'X' cannot take "
+                                              r".+; it takes "):
+            decompose(params, request)
 
 
 def test_array_contrast_endpoints_must_differ_everywhere():
@@ -381,11 +388,14 @@ def _covariate_system(kind):
     ("continuous", math.inf), ("continuous", math.nan), ("continuous", "2"),
     ("continuous", np.array([0.5, math.nan])), ("continuous", 10 ** 400),
     ("continuous", np.array([0.5, 10 ** 400], dtype=object)),
+    ("binary", True), ("binary", np.array([1.0, True], dtype=object)),
+    ("continuous", False), ("continuous", np.array([True, False])),
 ], ids=["binary-7", "binary-half", "binary-string", "binary-array",
         "level-zzz", "level-case", "level-number", "level-array",
         "continuous-inf", "continuous-nan", "continuous-string",
         "continuous-array-nan", "continuous-10**400",
-        "continuous-array-10**400"])
+        "continuous-array-10**400", "binary-true", "binary-array-true",
+        "continuous-false", "continuous-boolean-array"])
 def test_a_covariate_value_must_be_one_it_takes(kind, value):
     # before, a binary C = 7 scaled the C coefficient sevenfold and an
     # unknown level silently read as the reference level

@@ -148,6 +148,48 @@ def test_from_rows_rejects_unusable_counts(count):
         Dataset.from_rows(rows)
 
 
+@pytest.mark.parametrize("treatment", ["binary", "continuous", "categorical"])
+@pytest.mark.parametrize("column", ["Y", "W1", "X", "C"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_data_value_is_refused(treatment, column, value):
+    # true and false are no numbers: before, a JSON true was fitted as 1
+    spec = make_system(1, treatment=treatment, covariate=True)
+    xs = (1, 2) if treatment == "categorical" else (0, 1)
+    rows = [{"Y": y, "W1": w, "X": x, "C": c}
+            for y in (0, 1) for w in (0, 1) for x in xs for c in (0, 1)]
+    rows[0][column] = value
+    var = spec.variable(column)
+    takes = {"binary": "0 or 1", "continuous": "a finite number",
+             "categorical": "a level in [1, 2, 3]"}[var.kind]
+    with pytest.raises(DataError, match=re.escape(
+            f"row 1: {var.role} '{column}' cannot take {value}; it takes "
+            f"{takes}")):
+        fit_system(Dataset.from_rows(rows), spec)
+
+
+def test_a_whole_number_of_iterations_loads_as_an_integer():
+    spec = small_spec()
+    fitted = fit_system(simulate(spec, random_params(
+        spec, np.random.default_rng(7)), 400, 8), spec)
+    doc = json.loads(json.dumps(fitted.to_json_dict()))
+    doc["diagnostics"]["Y"]["iterations"] = float(fitted.diagnostics[
+        "Y"].iterations)
+    loaded = FittedSystem.from_json_dict(doc).diagnostics["Y"].iterations
+    assert loaded == fitted.diagnostics["Y"].iterations
+    assert type(loaded) is int
+
+
+def test_a_boolean_array_is_no_column_and_no_counts():
+    spec = make_system(1, covariate=True)
+    columns = {"Y": [1, 0, 1], "W1": [0, 1, 1], "X": [1, 0, 0], "C": [0, 1, 0]}
+    with pytest.raises(DataError, match=r"^row 1 has count True; "):
+        Dataset.from_patterns(columns, np.array([True, True, False]))
+    flags = {**columns, "C": np.array([False, True, False])}
+    with pytest.raises(DataError, match=r"row 1: covariate 'C' cannot take "
+                                        r"(np\.)?False_?; it takes 0 or 1"):
+        fit_system(Dataset.from_records(flags), spec)
+
+
 @pytest.mark.parametrize("kind,levels", [
     ("continuous", ()), ("binary", ()), ("categorical", (1, 2, 3))],
     ids=["continuous", "binary", "categorical"])
@@ -177,6 +219,18 @@ def test_categorical_values_match_numeric_levels_numerically():
     with pytest.raises(DataError, match=r"^row 1: covariate 'C' cannot take "
                        r"'1\.0'; it takes a level in \['a', '1', 'b'\]$"):
         coerce_column(named, np.array(["1.0"], dtype=object))
+
+
+def test_a_boolean_or_null_names_no_level():
+    # before, JSON true, false and null named these levels by their text
+    var = VariableSpec("C", "covariate", "categorical",
+                       levels=("True", "False", "None"))
+    assert coerce_column(var, np.array(["True", "None"], dtype=object)
+                         ).tolist() == ["True", "None"]
+    for raw in (True, False, None):
+        with pytest.raises(DataError, match=rf"^row 1: covariate 'C' cannot "
+                                            rf"take {raw}; it takes a level"):
+            coerce_column(var, np.array([raw], dtype=object))
 
 
 def _walk(var, values):
@@ -211,13 +265,13 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @pytest.mark.parametrize("var,taken", [
     (VariableSpec("X", "treatment", "binary"),
-     st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False, "1", " 0 ", "-0",
-                      "1.0", "0e0", "\t1\n", "0_0"])),
+     st.sampled_from([0, 1, 0.0, -0.0, 1.0, "1", " 0 ", "-0", "1.0", "0e0",
+                      "\t1\n", "0_0"])),
     (VariableSpec("X", "treatment", "continuous"),
-     st.one_of(_FINITE, st.integers(-10 ** 6, 10 ** 6), st.booleans(),
-               _padded(_FINITE), st.sampled_from(["1_000", "-0", "1e308"]))),
+     st.one_of(_FINITE, st.integers(-10 ** 6, 10 ** 6), _padded(_FINITE),
+               st.sampled_from(["1_000", "-0", "1e308"]))),
     (VariableSpec("X", "treatment", "categorical", levels=(1, 2, 3)),
-     st.sampled_from([1, 2, 3, 2.0, True, "1", "2.0", " 3", "3e0"])),
+     st.sampled_from([1, 2, 3, 2.0, "1", "2.0", " 3", "3e0"])),
     (VariableSpec("C", "covariate", "categorical", levels=("a", "1", "b")),
      st.sampled_from(["a", "b", "1", 1])),
 ], ids=["binary", "continuous", "categorical-numbers", "categorical-names"])

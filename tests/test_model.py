@@ -47,6 +47,22 @@ def test_variable_spec_validation():
         VariableSpec("W", "mediator", "binary", mediator_index=0)
 
 
+def test_a_whole_number_is_an_index_and_a_boolean_is_no_number():
+    # 2.0 is the index 2, kept as an int; true is no index and no level
+    w = VariableSpec("W", "mediator", "binary", mediator_index=2.0)
+    assert w.mediator_index == 2 and type(w.mediator_index) is int
+    for index in (True, np.bool_(True), 1.5, "1"):
+        with pytest.raises(ModelSpecError, match="mediator_index"):
+            VariableSpec("W", "mediator", "binary", mediator_index=index)
+    for levels in ((True, 2, 3), (0, np.bool_(False)), (1, [2])):
+        with pytest.raises(ModelSpecError, match="numbers or strings"):
+            VariableSpec("X", "treatment", "categorical", levels=levels)
+    doc = make_system(2).to_json_dict()
+    doc["variables"][1]["index"] = 1.0
+    assert json.dumps(SystemSpec.from_json_dict(doc).to_json_dict()) \
+        == json.dumps(make_system(2).to_json_dict())
+
+
 # -- system validation -----------------------------------------------------
 
 def test_valid_system_has_no_problems():

@@ -1,5 +1,6 @@
 """The study harness against the generic effect machinery."""
 
+import re
 import warnings
 
 import numpy as np
@@ -47,6 +48,41 @@ def test_config_validation():
         SimConfig(**{**ok, "seed": -2})
     with pytest.raises(SimulationError, match="beta_x"):
         SimConfig(**{**ok, "beta_x": float("nan")})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5), ("seed", True), ("n", True), ("n", 50.5),
+    ("replications", True), ("pseudo_population", np.bool_(True)),
+    ("beta_x", True), ("beta_w", "2"),
+], ids=["seed-fraction", "seed-true", "n-true", "n-fraction",
+        "replications-true", "population-numpy-true", "beta_x-true",
+        "beta_w-string"])
+def test_a_cell_field_is_a_number_of_its_kind(field, value):
+    # before, a seed of 1.5 or True reran seed 1's replications, and an n
+    # of True or 50.5 failed with a numpy TypeError inside run_cell
+    ok = dict(kind="binary", beta_x=0.9, n=50, replications=2, seed=1)
+    with pytest.raises(SimulationError, match=(
+            rf"^bad study config: '{field}' must be a .+, got "
+            rf"{re.escape(repr(value))}$")) as err:
+        SimConfig(**{**ok, field: value})
+    # a grid file meets the same rule and the same message
+    grid = {"seed": 1, "replications": 2, "treatment": ["binary"],
+            "beta_x": [0.9], "n": [50],
+            field: [value] if field in ("beta_x", "n") else value}
+    with pytest.raises(SimulationError) as again:
+        run_study(grid)
+    assert str(again.value) == str(err.value)
+
+
+def test_a_whole_float_is_the_integer_it_names():
+    ints = SimConfig(kind="binary", beta_x=1, n=60, replications=3, seed=11)
+    floats = SimConfig(kind="binary", beta_x=1.0, n=60.0, replications=3.0,
+                       seed=11.0, pseudo_population=150_000.0)
+    assert floats == ints
+    assert [type(getattr(floats, name)) for name in (
+        "n", "replications", "seed", "pseudo_population", "beta_x")] \
+        == [int, int, int, int, float]
+    assert run_cell(floats) == run_cell(ints)
 
 
 # -- closed forms against the generic engine -------------------------------
@@ -117,6 +153,24 @@ def test_generated_data_is_reproducible_and_prefix_stable():
         assert np.array_equal(d1.columns[col], d2.columns[col])
     d3 = generate_data(cfg, 3)
     assert not np.array_equal(d1.columns["Y"], d3.columns["Y"])
+
+
+@pytest.mark.parametrize("replication", [-1, 1.5, True],
+                         ids=["negative", "fraction", "true"])
+def test_generate_data_refuses_a_replication_that_is_no_index(replication):
+    # before: an islice ValueError, a TypeError, and replication 1's data
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=60, replications=4, seed=11)
+    with pytest.raises(SimulationError, match=(
+            rf"^'replication' must be a nonnegative integer, got "
+            rf"{re.escape(repr(replication))}$")):
+        generate_data(cfg, replication)
+
+
+def test_generate_data_reads_a_whole_float_replication():
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=60, replications=4, seed=11)
+    d2, again = generate_data(cfg, 2), generate_data(cfg, 2.0)
+    for col in ("X", "W", "Y"):
+        assert np.array_equal(d2.columns[col], again.columns[col])
 
 
 def test_cell_seed_keeps_the_milli_encoding():
