@@ -323,8 +323,7 @@ def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
     that is empty or repeats a value; ``SimConfig`` checks each value.
     ``on_cell`` gets each SimResult as its cell finishes.
     """
-    # the keys are SimConfig's fields, the lists name the cells' kinds,
-    # effects and sizes
+    # a grid names SimConfig's fields, with treatment for kind
     lists = ("treatment", "beta_x", "n")
     keys = {f.name for f in fields(SimConfig)} - {"kind"} | {"treatment"}
     unknown = sorted(map(repr, grid.keys() - keys))
@@ -332,9 +331,9 @@ def run_study(grid: Mapping, on_cell: Optional[Callable] = None) -> list:
         raise SimulationError(f"bad study config: unknown key "
                               f"{', '.join(unknown)}")
     for key in ("seed", "replications", *lists):
-        value = grid.get(key)
         if key not in grid:
             raise SimulationError(f"bad study config: no {key!r}")
+        value = grid[key]
         if key in lists and not (isinstance(value, list) and value and all(
                 v not in value[:i] for i, v in enumerate(value))):
             raise SimulationError(f"bad study config: {key!r} must be a "
