@@ -222,33 +222,39 @@ def _joint(program: _Program, theta: np.ndarray, x, slope=False,
     log likelihood l[y, *corner, rows...] of the response at y and the
     corner.  With z = D theta, one matmul, w eta - softplus(eta) =
     -softplus(+-eta) is -softplus(z), and l sums it over the response's
-    row for y and every other row.  The slopes are in x with ``slope``,
-    in theta on a last axis with ``grad`` (one setting), else None."""
+    row for y and every other row.  A stack of vectors, theta (vectors,
+    p), gives every result a last axis, each vector's bits its own call's.
+    The slopes are in x with ``slope``, in theta on a last axis with
+    ``grad`` (one vector, one setting), else None."""
     corners, collect, s0, s1 = program
     s = s0 if s1 is None else s0 + x * s1
-    shape = corners.shape[:-1] + s.shape[1:]
+    stack = theta.shape[:-1]
+    shape = corners.shape[:-1] + s.shape[1:] + stack
     corners = corners.reshape(-1, len(s))
     if s.ndim > 1:   # rows of settings: one trailing axis for the matmul
         theta = theta.reshape(theta.shape + (1,) * (s.ndim - 1))
-    z = np.matmul(corners, _rows(s * theta)).reshape(shape)
-    sp = softplus(z)
-    ell = np.matmul(collect, _rows(sp)).reshape((2,) + sp.shape[1:])
+    z = _dot(corners, s * theta, shape, stack)
+    ell = _dot(collect, softplus(z), (2,) + z.shape[1:])
     if grad:    # z is linear in theta
         dz = (corners * s).reshape(shape + s.shape)
         q = expit(z)[..., None] * dz
     elif slope:
-        dz = np.matmul(corners, _rows(s1 * theta)).reshape(shape)
+        dz = _dot(corners, s1 * theta, shape, stack)
         q = expit(z) * dz
     else:
         return z[0], None, ell, None
-    return z[0], dz[0], ell, np.matmul(collect, _rows(q)).reshape(
-        (2,) + q.shape[1:])
+    return z[0], dz[0], ell, _dot(collect, q, (2,) + q.shape[1:])
 
 
-def _rows(t):
-    """``t`` with its axes after the first flattened into one, for a
-    matmul."""
-    return t.reshape(len(t), -1) if t.ndim > 2 else t
+def _dot(a, t, shape, stack=()):
+    """a @ t as ``shape``, the axes of t after its first flattened into
+    one; a ``stack`` of vectors leads t, one slice of a batched matmul
+    each, and its axis goes last."""
+    if stack:
+        t = np.matmul(a, t.reshape(stack + (a.shape[1], -1)))
+        return np.moveaxis(t, 0, -1).reshape(shape)
+    t = np.matmul(a, t.reshape(len(t), -1) if t.ndim > 2 else t)
+    return t.reshape(shape)
 
 
 def _value(a):
@@ -324,15 +330,14 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     if len(spec.mediators) != 1:
         raise EffectError(f"deltas need exactly one mediator, system has "
                           f"{len(spec.mediators)}")
-    def delta_w(p):
-        g0, g1 = (g_recursive(p, 1, y, x, covariates=covariates)
-                  for y in (0, 1))
-        return expit(g1) - expit(g0)
+    eta, _, ell, _ = _joint(_program(spec, 1, x, covariates), np.stack([
+        params.vector, component_mask(spec, "IE").apply(params).vector]), x)
+    # g_recursive's log odds of W given Y = 0, 1, for each vector
+    g0, g1 = (_log_ratio(ell[y][:1], ell[y][1:] - ell[y][:1]) for y in (0, 1))
 
-    eta = _joint(_program(spec, 1, x, covariates), params.vector, x)[0]
-    r0, r1 = (_value(eta[c]) for c in (0, 1))
-    return (expit(r1) - expit(r0), delta_w(params),
-            delta_w(component_mask(spec, "IE").apply(params)))
+    def delta(a1, a0, i):   # each vector's values as its own call gives them
+        return expit(_value(a1[..., i])) - expit(_value(a0[..., i]))
+    return delta(eta[1], eta[0], 0), delta(g1, g0, 0), delta(g1, g0, 1)
 
 
 # -- requests and masks ----------------------------------------------------

@@ -224,17 +224,22 @@ def coerce_value(var: VariableSpec, raw):
 
 def coerce_column(var: VariableSpec, values: np.ndarray) -> np.ndarray:
     """``values`` as ``var``'s values; a DataError names the first bad row.
-    A numeric column is walked value by value only to find that row."""
+    A numeric column is walked value by value only to find that row; a
+    categorical one coerces each distinct (type, text) once, since the
+    text tells -0.0 from 0.0 where == does not."""
     if var.kind != "categorical":
         column = _floats(values)
         if var.takes(column):
             return column
-    out = []
+    out, seen = [], {}
     for row, raw in enumerate(values, 1):
-        try:
-            out.append(coerce_value(var, raw))
-        except DataError as e:
-            raise DataError(f"row {row}: {e}") from None
+        key = raw if type(raw) is str else (type(raw), str(raw))
+        if key not in seen:
+            try:
+                seen[key] = coerce_value(var, raw)
+            except DataError as e:
+                raise DataError(f"row {row}: {e}") from None
+        out.append(seen[key])
     return np.asarray(out, dtype=object if var.kind == "categorical" else float)
 
 

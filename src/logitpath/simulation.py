@@ -30,8 +30,11 @@ All randomness descends from one master seed through named SeedSequence
 children, so results are bit-for-bit reproducible and independent of
 execution order.
 
-The estimator formulas here are lean closed forms specialized to the
-two-equation no-interaction model; tests pin them to the generic engine.
+A binary cell's rsd shares are ``decompose``'s, bit for bit: one kernel
+call per treatment value runs every kept fit and its IE-masked copy as
+one stack.  A continuous cell keeps a closed form (``_tpe_ipe``): on the
+stacked kernel 100 replications at n = 1000 took 105-129 ms, not 28 ms,
+and the 150000-draw truth 150 ms, not 32 ms (2-vCPU Intel Xeon VM).
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
+from .effects import _joint, _log_ratio, _program, component_mask
 from .fitting import Dataset, irls, softplus
-from .model import _float, _is
+from .model import SystemSpec, VariableSpec, _float, _is
 
 PSEUDO_POPULATION = 150_000
 EXCLUSION_LIMIT = 0.05
@@ -55,6 +59,11 @@ _POP_TAG = 101
 _SUB_TAG = 102
 _REP_TAG = 200
 _BITS_TAG = 2 ** 32 - 1
+_BINARY = SystemSpec.build(     # flat_coords order: b0, bx, bw, g0, gx
+    [VariableSpec("Y", "outcome", "binary"),
+     VariableSpec("W", "mediator", "binary", mediator_index=1),
+     VariableSpec("X", "treatment", "binary")],
+    {"Y": ["1", "X", "W"], "W": ["1", "X"]})
 
 
 class SimulationError(RuntimeError):
@@ -102,38 +111,28 @@ class SimConfig:
                                   f"than n {self.n}")
 
 
-# -- closed forms for the two-equation model -------------------------------
-
-def _eta(b0, bx, bw, g0, gx, x):
-    """Marginal logit of Y given X=x with W summed out; x may be an array.
-    With r0, r1 the log odds of Y=1 at W=0, 1 and rw the log odds of W=1,
-
-        eta = softplus(r1 - r0 + core) - softplus(core) + r0,
-        core = softplus(r0) - softplus(r1) + rw,
-
-    where core + y (r1 - r0) is the log odds of W=1 given Y=y."""
-    r0 = b0 + bx * x
-    r1, rw = r0 + bw, g0 + gx * x
-    core = softplus(r0) - softplus(r1) + rw
-    return softplus((r1 - r0) + core) - softplus(core) + r0
+def _label(config: SimConfig) -> str:
+    return f"{config.kind}/beta_x={config.beta_x}/n={config.n}"
 
 
-def share_binary(b0, bx, bw, g0, gx) -> float:
-    """IE / TE for the {1,0} contrast on the log-odds scale."""
-    def contrast(bx):
-        return _eta(b0, bx, bw, g0, gx, 1.0) - _eta(b0, bx, bw, g0, gx, 0.0)
-    return contrast(0.0) / contrast(bx)
+# -- the two-equation model's effects -------------------------------------
+
+def _binary_effects(theta: np.ndarray) -> list:
+    """[IE, TE] of the {1,0} contrast on the log-odds scale at each row
+    (b0, bx, bw, g0, gx) of ``theta``, by ``decompose``'s kernel."""
+    stack = np.vstack([np.where(
+        component_mask(_BINARY, "IE").zeroed, 0.0, theta), theta])
+    return np.split(np.subtract(*(
+        _log_ratio(ell[0], eta) for eta, _, ell, _ in (
+            _joint(_program(_BINARY, 1, x, None), stack, x)
+            for x in (1, 0)))), 2)
 
 
 def _tpe_ipe(b0, bx, bw, g0, gx, x):
-    """Pointwise TPE and IPE derivatives at each x (arrays welcome).
-
-    ``pe`` writes the chain rule through ``_eta`` out by hand, in one pass
-    over the arrays; the IPE is the TPE at r0 = b0 and slope bx = 0.  A
-    150000-draw ``true_value`` took 32 ms this way and 62-84 ms through
-    ``effects._log_ratio``, the kernel of ``marginal_logit_multi(...,
-    slope=True)`` for a fitted system (2-vCPU Intel Xeon VM).
-    """
+    """Pointwise TPE and IPE derivatives at each x (arrays welcome):
+    ``pe`` writes the chain rule through the marginal logit
+    softplus(bw + core) - softplus(core) + r0 out by hand, in one pass;
+    the IPE is the TPE at r0 = b0 and slope bx = 0."""
     rw = g0 + gx * x
 
     def pe(r0, bx):     # Y's log odds at W = 0, and its slope in x
@@ -237,15 +236,14 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
             all(fit[4] and not fit[5] for fit in fits))
 
 
-def _shares(x: np.ndarray, w: np.ndarray, y: np.ndarray, kind: str):
-    """(rsd, khb) mediated shares of one replication, or None when a fit
-    does not converge or flags separation."""
-    gamma, beta, beta_r, eta_full, eta_red, usable = _fit_models(x, w, y)
-    if not usable:
-        return None
-    rsd = (share_binary(*beta, *gamma) if kind == "binary"
-           else share_continuous(*beta, *gamma, x))
-    return rsd, _khb_share(beta, beta_r, eta_full, eta_red, kind)
+def _shares(fits: Sequence, kind: str, xs: Optional[np.ndarray]) -> tuple:
+    """(rsd, khb) shares of kept replications' ``_fit_models`` tuples, as
+    arrays; ``xs`` is a continuous treatment's shared sample."""
+    gammas, betas, *_ = zip(*fits)
+    rsd = (np.divide(*_binary_effects(np.hstack([betas, gammas])))
+           if kind == "binary" else
+           [share_continuous(*b, *g, xs) for b, g in zip(betas, gammas)])
+    return np.asarray(rsd), np.array([_khb_share(*f[1:5], kind) for f in fits])
 
 
 def _khb_share(beta, beta_r, eta_full, eta_red, kind: str) -> float:
@@ -262,13 +260,20 @@ def _khb_share(beta, beta_r, eta_full, eta_red, kind: str) -> float:
 
 def true_value(config: SimConfig) -> float:
     """The estimand: exact for a binary treatment, a pseudo-population
-    average for a continuous one."""
+    average for a continuous one.  A total effect of 0 at the truth
+    leaves it undefined, a SimulationError that names the cell."""
     truth = (config.beta0, config.beta_x, config.beta_w, config.gamma0,
              config.gamma_x)
     if config.kind == "binary":
-        return share_binary(*truth)
-    return share_continuous(*truth, pseudo_population(
-        config.seed, config.pseudo_population))
+        ie, te = (e[0] for e in _binary_effects(np.array([truth])))
+    else:
+        te, ie = map(np.mean, _tpe_ipe(*truth, pseudo_population(
+            config.seed, config.pseudo_population)))
+    if te == 0.0:
+        raise SimulationError(f"cell {_label(config)}: its total effect at "
+                              f"the truth is 0, so its mediated share is "
+                              f"undefined")
+    return float(ie / te)
 
 
 @dataclass(frozen=True)
@@ -298,18 +303,18 @@ def _stats(estimates: np.ndarray, truth: float) -> MethodStats:
 
 
 def run_cell(config: SimConfig) -> SimResult:
-    """All replications of one (kind, beta_x, n) scenario."""
+    """All replications of one (kind, beta_x, n) scenario; the truth
+    comes first, so a cell without one fails before its first draw."""
+    truth = true_value(config)
     xs, rngs = _streams(config, config.replications)
-    kept = [s for s in (_shares(*_draw(config, rng, xs), config.kind)
-                        for rng in rngs) if s is not None]
+    kept = [fit for fit in (_fit_models(*_draw(config, rng, xs))
+                            for rng in rngs) if fit[-1]]
     excluded = config.replications - len(kept)
     if excluded > EXCLUSION_LIMIT * config.replications:
         raise SimulationError(
             f"{excluded} of {config.replications} replications excluded "
-            f"(limit {EXCLUSION_LIMIT:.0%}) in cell "
-            f"{config.kind}/beta_x={config.beta_x}/n={config.n}")
-    truth = true_value(config)
-    rsd, khb = (_stats(np.asarray(v), truth) for v in zip(*kept))
+            f"(limit {EXCLUSION_LIMIT:.0%}) in cell {_label(config)}")
+    rsd, khb = (_stats(v, truth) for v in _shares(kept, config.kind, xs))
     return SimResult(config.kind, config.beta_x, config.n,
                      config.replications, truth, rsd, khb, excluded)
 

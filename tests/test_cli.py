@@ -977,6 +977,22 @@ def test_argument_errors_do_not_blame_the_artifact(artifact, extra, message):
     assert message in combined(result)
 
 
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_simulate_refuses_a_cell_without_a_total_effect(workdir, kind):
+    # before: a ZeroDivisionError traceback (binary), or a true value and
+    # an rmse of nan written with exit 0 (continuous)
+    config = workdir / f"flat_{kind}.json"
+    config.write_text(json.dumps({
+        "seed": 3, "replications": 5, "treatment": [kind], "beta_x": [0.0],
+        "n": [100], "gamma_x": 0.0}))
+    result = invoke("simulate", "--config", config)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert combined(result).startswith(
+        f"error: {config}: cell {kind}/beta_x=0.0/n=100: its total effect "
+        f"at the truth is 0, so its mediated share is undefined\n")
+
+
 def test_simulate_config_errors(workdir):
     as_list = workdir / "list.json"
     as_list.write_text("[1, 2]")

@@ -17,7 +17,7 @@ from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        SystemSpec, ZeroMask, average_probability_effects,
                        decompose, g_recursive, marginal_logit_multi,
                        marginalize, marginalize_inner)
-from logitpath.effects import component, component_mask
+from logitpath.effects import _joint, _program, component, component_mask
 from logitpath.inference import STEP_SCALE
 from logitpath.model import column_value
 from logitpath.multi import PathSpec, _reduce
@@ -36,7 +36,7 @@ def systems(draw, treatments=TREATMENTS, ks=(1, 4), sparse=False,
     k = draw(st.integers(*ks))
     treatment = draw(st.sampled_from(treatments))
     covariate = draw(st.sampled_from(covariates))
-    extra = ["X:W1"] if draw(st.booleans()) else []
+    extra = ["X:W1"] if k and draw(st.booleans()) else []
     terms = None
     if sparse:
         allowed = ["X"] + (["C"] if covariate else [])
@@ -173,6 +173,37 @@ def test_derivative_components_equal_a_central_difference(data):
             want = (f(masked, at + h, cov) - f(masked, at - h, cov)) / (2 * h)
             got = component(params, req, name, path)
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
+@given(st.data())
+def test_a_stack_of_vectors_is_a_loop_of_single_calls(data):
+    # each vector of a stack is one slice of a batched matmul, so every
+    # result along the stack's last axis is its own call's, bit for bit
+    spec = data.draw(systems(ks=(0, 5), covariates=("categorical",))).spec
+    p = len(spec.flat_coords)
+    stack = np.array(data.draw(st.lists(st.lists(
+        st.floats(-2.0, 2.0), min_size=p, max_size=p), min_size=1,
+        max_size=4)))
+    x, _ = data.draw(treatment_values(spec))
+    cov = data.draw(covariate_settings(spec))
+    rows = data.draw(st.integers(0, 3))
+    if rows:    # rows of settings: C, and a continuous x, one per row
+        cov = {"C": np.array(data.draw(st.lists(st.sampled_from(
+            spec.variable("C").levels), min_size=rows, max_size=rows)),
+            dtype=object)}
+        if spec.treatment.kind == "continuous":
+            x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0),
+                                            min_size=rows, max_size=rows)))
+    slope = spec.treatment.kind == "continuous" and data.draw(st.booleans())
+    program = _program(spec, len(spec.mediators), x, cov)
+    stacked = _joint(program, stack, x, slope)
+    for i, theta in enumerate(stack):
+        for got, want in zip(stacked, _joint(program, theta, x, slope)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                got = np.ascontiguousarray(got[..., i])
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def per_row_average_probability_effects(params, data):

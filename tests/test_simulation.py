@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from logitpath import (Dataset, SystemSpec, VariableSpec,
-                       average_probability_effects, decompose, fit_system,
-                       marginal_logit_multi)
+                       average_probability_effects, decompose, fit_system)
 from logitpath.effects import EffectRequest
 import logitpath.simulation as simulation
 from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
-                                  _eta, _stats, _tpe_ipe,
+                                  _fit_models, _stats, _tpe_ipe,
                                   _shares, fixed_treatment_sample,
                                   generate_data, pseudo_population,
                                   results_to_csv, run_cell, run_study,
-                                  share_binary, share_continuous, true_value)
+                                  share_continuous, true_value)
 from logitpath.model import ParameterSet
 from conftest import assert_close
 
@@ -85,27 +84,7 @@ def test_a_whole_float_is_the_integer_it_names():
     assert run_cell(floats) == run_cell(ints)
 
 
-# -- closed forms against the generic engine -------------------------------
-
-def test_marginal_logit_closed_form():
-    rng = np.random.default_rng(120)
-    for _ in range(50):
-        b0, bx, bw, g0, gx = rng.normal(0.0, 1.5, 5)
-        params = study_params("continuous", b0, bx, bw, g0, gx)
-        x = float(rng.normal())
-        assert_close(_eta(b0, bx, bw, g0, gx, x),
-                     marginal_logit_multi(params, x), 1e-12, "eta")
-
-
-def test_binary_share_closed_form():
-    rng = np.random.default_rng(121)
-    for _ in range(50):
-        b0, bx, bw, g0, gx = rng.normal(0.0, 1.5, 5)
-        params = study_params("binary", b0, bx, bw, g0, gx)
-        d = decompose(params, EffectRequest.contrast(1, 0))
-        assert_close(share_binary(b0, bx, bw, g0, gx),
-                     d.indirect / d.total, 1e-12, "binary share")
-
+# -- the continuous closed forms against the generic engine ----------------
 
 def test_probability_derivatives_closed_form():
     rng = np.random.default_rng(122)
@@ -139,6 +118,27 @@ def test_zero_mediator_arrow_means_zero_share():
     cfg = SimConfig(kind="continuous", beta_x=0.9, n=50, replications=2,
                     seed=3, beta_w=0.0, pseudo_population=1000)
     assert true_value(cfg) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_a_cell_without_a_total_effect_at_the_truth_fails_first(
+        kind, monkeypatch):
+    # before: a ZeroDivisionError (binary), or a true value and an rmse of
+    # nan (continuous), after every replication was fitted
+    fitted = []
+
+    def recording(x, w, y):
+        fitted.append(x)
+        return _fit_models(x, w, y)
+
+    monkeypatch.setattr(simulation, "_fit_models", recording)
+    grid = {"seed": 3, "replications": 5, "treatment": [kind],
+            "beta_x": [0.0], "n": [100], "gamma_x": 0.0}
+    with pytest.raises(SimulationError, match=(
+            rf"^cell {kind}/beta_x=0.0/n=100: its total effect at the truth "
+            rf"is 0, so its mediated share is undefined$")):
+        run_study(grid)
+    assert fitted == []
 
 
 # -- reproducible randomness -----------------------------------------------
@@ -249,17 +249,34 @@ def test_run_cell_uses_the_same_replications_as_generate_data(monkeypatch):
 
 # -- per-replication estimators --------------------------------------------
 
-def test_ratio_estimator_equals_the_generic_pipeline():
-    cfg = SimConfig(kind="binary", beta_x=0.9, n=400, replications=1,
+def test_ratio_estimator_equals_the_generic_pipeline(monkeypatch):
+    # a binary cell's shares are decompose's IE/TE on each fit, bit for bit
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=400, replications=20,
                     seed=41)
-    data = generate_data(cfg, 0)
-    x = data.columns["X"].astype(float)
-    w = data.columns["W"].astype(float)
-    y = data.columns["Y"].astype(float)
-    fitted = fit_system(data, study_spec("binary"))
+    fits = []
+
+    def recording(x, w, y):
+        fits.append(_fit_models(x, w, y))
+        return fits[-1]
+
+    monkeypatch.setattr(simulation, "_fit_models", recording)
+    result = run_cell(cfg)
+    kept = [fit for fit in fits if fit[-1]]
+    rsd = _shares(kept, "binary", None)[0]
+    assert len(rsd) == len(kept) == 20 - result.excluded
+    for (gamma, beta, *_), share in zip(kept, rsd):
+        d = decompose(study_params("binary", *beta, *gamma),
+                      EffectRequest.contrast(1, 0))
+        assert share == d.indirect / d.total
+    d = decompose(study_params("binary", cfg.beta0, cfg.beta_x, cfg.beta_w,
+                               cfg.gamma0, cfg.gamma_x),
+                  EffectRequest.contrast(1, 0))
+    assert result.true_value == d.indirect / d.total
+    assert result.rsd == _stats(rsd, result.true_value)
+    # the study's own fit is the library's
+    fitted = fit_system(generate_data(cfg, 0), study_spec("binary"))
     d = decompose(fitted.params, EffectRequest.contrast(1, 0))
-    assert_close(_shares(x, w, y, "binary")[0], d.indirect / d.total,
-                 1e-8, "binary rsd")
+    assert_close(rsd[0], d.indirect / d.total, 1e-8, "binary rsd")
 
     cfg = SimConfig(kind="continuous", beta_x=0.9, n=400, replications=1,
                     seed=42, pseudo_population=5000)
@@ -269,8 +286,8 @@ def test_ratio_estimator_equals_the_generic_pipeline():
     y = data.columns["Y"].astype(float)
     fitted = fit_system(data, study_spec("continuous"))
     atpe, _, aipe = average_probability_effects(fitted.params, data)
-    assert_close(_shares(x, w, y, "continuous")[0], aipe / atpe,
-                 1e-8, "continuous rsd")
+    assert_close(_shares([_fit_models(x, w, y)], "continuous", x)[0][0],
+                 aipe / atpe, 1e-8, "continuous rsd")
 
 
 def test_scaled_and_plain_residualization_shares_coincide():
@@ -283,8 +300,9 @@ def test_scaled_and_plain_residualization_shares_coincide():
         x = data.columns["X"].astype(float)
         w = data.columns["W"].astype(float)
         y = data.columns["Y"].astype(float)
-        scaled = _shares(x, w, y, "continuous")[1]
-        plain = _shares(x, w, y, "binary")[1]
+        fits = [_fit_models(x, w, y)]
+        scaled = _shares(fits, "continuous", x)[1][0]
+        plain = _shares(fits, "binary", None)[1][0]
         assert_close(scaled, plain, 1e-6, "residualization share")
 
 
@@ -338,11 +356,12 @@ def test_nonconvergent_single_replications_give_no_shares(monkeypatch):
                 np.zeros(len(x)), np.zeros(len(x)), False)
 
     monkeypatch.setattr(simulation, "_fit_models", never)
-    x = np.array([0.0, 1.0] * 20)
-    w = np.array([0.0, 1.0] * 20)
-    y = np.array([0.0, 1.0] * 20)
-    assert _shares(x, w, y, "binary") is None
-    assert _shares(x, w, y, "continuous") is None
+    for kind in ("binary", "continuous"):
+        cfg = SimConfig(kind=kind, beta_x=0.9, n=40, replications=1,
+                        seed=3, pseudo_population=1000)
+        with pytest.raises(SimulationError,
+                           match="^1 of 1 replications excluded"):
+            run_cell(cfg)
 
 
 def test_separated_replications_are_excluded(monkeypatch):

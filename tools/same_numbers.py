@@ -11,20 +11,21 @@ library calls on seeded coefficients are dumped too: ``decompose``
 (k = 1..4, both scales, contrasts and derivatives, and at an array of
 derivative points of a k = 3 continuous system), ``psie`` on every
 monotone path of a k = 3 system, ``deltas`` (with a categorical treatment
-too), ``g_recursive`` (every j of a k = 4 system with ``w_above`` and a
-categorical covariate too), ``marginal_logit_multi`` on a system with no
-mediators and the DE and IE ``component_mask`` vectors.  The study and
-the fit are dumped too: ``run_study`` on a small seeded grid (binary and
-continuous treatments, beta_x 0.4 and 1.8, n 250 and 1000, 30
-replications), and every field ``irls`` returns on seeded weighted
-designs, some with zero counts, some needing step-halvings, and one whose
-step halving cannot rescue.  The data path is dumped too: every number
-of ``fit_system`` on seeded files that ``Dataset.load`` reads, a CSV
-with a count column whose categorical X is written "2" or "2.0" at
-random, a JSON rows file, and a JSON rows file whose every value and
-count is written as a float (1.0, 0.0, 2.0); then ``run_study`` on a
-grid whose one size is written 250.0.  Every reduction is spelled
-``marginalize(params, j)``.
+too, and at an array of continuous treatment values), ``g_recursive``
+(every j of a k = 4 system with ``w_above`` and a categorical covariate
+too), ``marginal_logit_multi`` on a system with no mediators and the DE
+and IE ``component_mask`` vectors.  The study and the fit are dumped too:
+``run_study`` on a small seeded grid (binary and continuous treatments,
+beta_x 0.4 and 1.8, n 250 and 1000, 30 replications), its binary and its
+continuous cells as two entries, and every field ``irls`` returns on
+seeded weighted designs, some with zero counts, some needing
+step-halvings, and one whose step halving cannot rescue.  The data path
+is dumped too: every number of ``fit_system`` on seeded files that
+``Dataset.load`` reads, a CSV with a count column whose categorical X is
+written "2" or "2.0" at random, a JSON rows file, and a JSON rows file
+whose every value and count is written as a float (1.0, 0.0, 2.0); then
+``run_study`` on a grid whose one size is written 250.0.  Every
+reduction is spelled ``marginalize(params, j)``.
 Run the dump once per tree, then compare:
 
     PYTHONPATH=src python tools/same_numbers.py dump A.json   # tree A
@@ -33,10 +34,15 @@ Run the dump once per tree, then compare:
 
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
 is listed and fails nothing.  Unreduced tables, the APE, the direct
-calls, the study and the fits must be bit-identical (``compare`` prints
-the largest absolute difference beside each count).  A reduction's
-corner sums may add their rows in another order, so reductions are held
-to rounding instead: reduced coefficients within 1e-14, and every entry
+calls, the continuous study cells and the fits must be bit-identical
+(``compare`` prints the largest absolute difference beside each count).
+The binary study cells (``run_study binary`` and the grid of size
+250.0) are held within 1e-15 absolute: their shares come from the
+marginal logit's corner kernel, whose log ratio may round a last bit
+otherwise than a closed form of the same number (1.11e-16 at most when
+the closed form gave way to the kernel).  A reduction's corner sums may
+add their rows in another order, so reductions are held to rounding
+instead: reduced coefficients within 1e-14, and every entry
 of the full reduced covariance, between equations too, within 1e-11 of
 sqrt(c_ii c_jj), with no central difference on either side (``compare``
 prints the cross covariance's difference beside them).  Reduced-table
@@ -195,6 +201,9 @@ def direct_numbers():
         out[f"deltas {treatment} k=1"] = [
             list(deltas(params, x, {"C": c}))
             for x in (0.0, 1.0) for c in (0.0, 1.0)]
+    out["deltas continuous k=1 array"] = [
+        [d.tolist() for d in deltas(params, np.linspace(-1.5, 1.5, 7),
+                                    {"C": c})] for c in (0.0, 1.0)]
     params = seeded_params(11, 4, "binary", "categorical")
     out["g_recursive binary k=4 C categorical"] = [
         g_recursive(params, j, y, x, {f"W{i}": w[i - j - 1]
@@ -221,10 +230,15 @@ STUDY_GRID = {"seed": 15, "replications": 30,
 
 
 def study_numbers(grid=STUDY_GRID):
-    """Every number of each cell of a small seeded ``run_study`` grid."""
+    """Every number of each cell of a small seeded ``run_study`` grid, by
+    treatment kind."""
     from logitpath import run_study
-    return [[r.n, r.true_value, *vars(r.rsd).values(), *vars(r.khb).values(),
-             r.excluded] for r in run_study(grid)]
+    out = {}
+    for r in run_study(grid):
+        out.setdefault(r.kind, []).append(
+            [r.n, r.true_value, *vars(r.rsd).values(),
+             *vars(r.khb).values(), r.excluded])
+    return out
 
 
 def irls_numbers():
@@ -268,8 +282,7 @@ def data_path_numbers():
     """``fit_system`` on a seeded CSV with a count column, its X written
     as "2" or "2.0" (and its other values as "1", "1.0" or " 1 ") at
     random, on a seeded JSON rows file, and on one whose values and
-    counts are all written as floats, each read by ``Dataset.load``; then
-    ``run_study`` on a grid whose size is the float 250.0."""
+    counts are all written as floats, each read by ``Dataset.load``."""
     from logitpath import Dataset, fit_system
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -299,9 +312,6 @@ def data_path_numbers():
             spec = chain_spec(2, "categorical")
             out[f"data path {name}"] = fit_numbers(
                 fit_system(Dataset.load(path), spec))
-    out["data path grid n 250.0"] = study_numbers(
-        {**STUDY_GRID, "treatment": ["binary"], "beta_x": [0.4],
-         "n": [250.0]})
     return out
 
 
@@ -316,7 +326,12 @@ def dump(path):
 
     exact, reduced, transformed = direct_numbers(), {}, {}
     exact.update(data_path_numbers())
-    exact["run_study"] = study_numbers()
+    cells = study_numbers()
+    exact["run_study continuous"] = cells["continuous"]
+    study = {"run_study binary": cells["binary"],
+             "data path grid n 250.0": study_numbers(
+                 {**STUDY_GRID, "treatment": ["binary"], "beta_x": [0.4],
+                  "n": [250.0]})["binary"]}
     exact["irls"] = irls_numbers()
     for k in (1, 2, 3, 4, 5):
         exact[f"table binary k={k}"] = table_numbers(draw_fit(1, k)[0])
@@ -352,7 +367,7 @@ def dump(path):
         transformed[f"transform W{j} of k=3"] = transform_numbers(
             fitted, transform)
     with open(path, "w") as fh:
-        json.dump({"exact": exact, "reduced": reduced,
+        json.dump({"exact": exact, "study": study, "reduced": reduced,
                    "transform": transformed}, fh)
 
 
@@ -374,7 +389,7 @@ def compare(path_a, path_b):
         print(f"{'ok  ' if passed else 'FAIL'} {name}: {worst:.3g} "
               f"(bound {bound:g})")
 
-    for group in ("exact", "reduced", "transform"):
+    for group in ("exact", "study", "reduced", "transform"):
         for name in sorted(a[group].keys() ^ b[group].keys()):
             where = path_a if name in a[group] else path_b
             print(f"only {name}: in {where} alone, not compared")
@@ -387,6 +402,11 @@ def compare(path_a, path_b):
                 if not _same(x, y)]
         report(f"{name}: numbers not bit-identical, largest |diff| "
                f"{max(gaps, default=0.0):.3g}", len(gaps), 0)
+    for name, rows in a["study"].items():
+        if name in b["study"]:
+            gaps = np.abs(np.subtract(rows, b["study"][name]))
+            report(f"{name}: {np.count_nonzero(gaps)} numbers moved, "
+                   f"largest |diff|", np.max(gaps), 1e-15)
     for name, rows in a["reduced"].items():
         if name not in b["reduced"]:
             continue
