@@ -291,19 +291,32 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     fit as not converged."""
     beta = np.zeros(X.shape[1])
     eta = X @ beta
+    XT = X.T
 
-    def loglik_of(e):
-        return float(np.sum(w * (y * e - softplus(e))))
+    def loglik_of(e):   # softplus(e) written out, in place, same rounding
+        t = np.abs(e)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        t += np.maximum(e, 0.0)
+        u = y * e
+        u -= t
+        u *= w
+        return float(u.sum())
 
     def information(prob):
-        return X.T @ (X * (w * prob * (1.0 - prob))[:, None])
+        v = w * prob
+        v *= 1.0 - prob
+        return XT @ (X * v[:, None])
 
     ll = loglik_of(eta)
     converged = False
     for it in range(1, MAX_ITER + 1):
         prob = expit(eta)
-        score = X.T @ (w * (y - prob))
-        if np.max(np.abs(score)) < SCORE_TOL:
+        resid = y - prob
+        resid *= w
+        score = XT @ resid
+        if np.abs(score).max() < SCORE_TOL:
             converged = True
             break
         H = information(prob)
@@ -321,12 +334,12 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         tol = LOGLIK_TOL * (1.0 + abs(ll))
         if ll - new_ll > tol:   # a smaller drop is rounding at the optimum
             break
-        beta, eta = new_beta, new_eta
+        beta, eta, prob = new_beta, new_eta, None   # prob is stale
         converged, ll = abs(new_ll - ll) < tol, new_ll
         if converged:
             break
-    H = information(expit(eta))
-    separation = (not converged) or bool(np.max(np.abs(beta)) > BIG_COEF)
+    H = information(expit(eta) if prob is None else prob)
+    separation = (not converged) or bool(np.abs(beta).max() > BIG_COEF)
     if not separation:
         # a score-converged fit can still sit on a separation ray: fitted
         # logits far beyond anything an interior optimum produces, every

@@ -19,7 +19,10 @@ Each replication fits the system and produces the mediated share two ways:
   against reduced model Y ~ X + R with R the OLS residual of W on X,
   share = (reduced X coefficient - full X coefficient) / reduced X
   coefficient, rescaled by average partial effects on the probability
-  scale for a continuous treatment.
+  scale for a continuous treatment.  The reduced model is the full one
+  in other coordinates (Karlson, Holm & Breen 2012), so its coefficients
+  come from the full fit and the OLS fit: a replication runs two logistic
+  fits, W ~ X and Y ~ X + W.
 
 Replications with any non-convergent or separated logistic fit are
 dropped from both methods (keeping the comparison on identical
@@ -28,7 +31,9 @@ cell.
 
 All randomness descends from one master seed through named SeedSequence
 children, so results are bit-for-bit reproducible and independent of
-execution order.
+execution order.  The pseudo-population is drawn once per seed, and a
+continuous truth is computed once for the cells that differ only in n
+(the grid's sizes vary fastest).
 
 A binary cell's rsd shares are ``decompose``'s, bit for bit: one kernel
 call per treatment value runs every kept fit and its IE-masked copy as
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import io
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -159,10 +165,27 @@ def pseudo_population(seed: int, size: int = PSEUDO_POPULATION) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0), size)
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_population(seed: int, size: int) -> np.ndarray:
+    """``pseudo_population``, read-only, drawn once for consecutive calls
+    with the same seed and size (a study's continuous cells)."""
+    pop = pseudo_population(seed, size)
+    pop.flags.writeable = False
+    return pop
+
+
+@functools.lru_cache(maxsize=1)
+def _population_effects(truth: tuple, seed: int, size: int) -> tuple:
+    """(ATPE, AIPE) at ``truth`` over the pseudo-population, computed once
+    for consecutive cells that differ only in n."""
+    return tuple(map(np.mean, _tpe_ipe(*truth,
+                                       _shared_population(seed, size))))
+
+
 def fixed_treatment_sample(seed: int, n: int,
                            size: int = PSEUDO_POPULATION) -> np.ndarray:
     """The size-n treatment subsample shared by every replication."""
-    pop = pseudo_population(seed, size)
+    pop = _shared_population(seed, size)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SUB_TAG,
                                                         int(n)]))
     idx = rng.choice(size, size=n, replace=False)
@@ -219,20 +242,27 @@ def generate_data(config: SimConfig, replication: int) -> Dataset:
 # -- per-replication estimators --------------------------------------------
 
 def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
-    """Fit the three logistic models one replication needs.
+    """Fit W ~ X and Y ~ X + W.  KHB's reduced model Y ~ X + R, with
+    R = W - a - b X the OLS residual, is the full model in other
+    coordinates: beta_r = (b0 + a bw, bx + b bw, bw), with the same eta.
+    Newton's method is affine-invariant, so a fit of the reduced design
+    would follow the full fit's path up to rounding and the stopping rule,
+    and would flag as it does unless W is affine in X, where the W fit
+    separates anyway.
 
     Returns (w-model coefs, y-model coefs, reduced y-model coefs,
-    full eta, reduced eta, usable flag); the flag is False when a fit
-    did not converge or flagged separation.
+    full eta, reduced eta, usable flag); the flag is False when either
+    fit did not converge or flagged separation.
     """
     ones = np.ones(len(x))
     xw_model = np.column_stack([ones, x])
     ols, *_ = np.linalg.lstsq(xw_model, w, rcond=None)
-    designs = (xw_model, np.column_stack([ones, x, w]),
-               np.column_stack([ones, x, w - xw_model @ ols]))
-    fits = [irls(X, v, ones) for X, v in zip(designs, (w, y, y))]
-    (gamma, *_), (beta, *_), (beta_r, *_) = fits
-    return (gamma, beta, beta_r, designs[1] @ beta, designs[2] @ beta_r,
+    full = np.column_stack([ones, x, w])
+    fits = [irls(xw_model, w, ones), irls(full, y, ones)]
+    (gamma, *_), (beta, *_) = fits
+    beta_r = np.append(beta[:2] + ols * beta[2], beta[2])
+    eta = full @ beta
+    return (gamma, beta, beta_r, eta, eta,
             all(fit[4] and not fit[5] for fit in fits))
 
 
@@ -267,8 +297,8 @@ def true_value(config: SimConfig) -> float:
     if config.kind == "binary":
         ie, te = (e[0] for e in _binary_effects(np.array([truth])))
     else:
-        te, ie = map(np.mean, _tpe_ipe(*truth, pseudo_population(
-            config.seed, config.pseudo_population)))
+        te, ie = _population_effects(truth, config.seed,
+                                     config.pseudo_population)
     if te == 0.0:
         raise SimulationError(f"cell {_label(config)}: its total effect at "
                               f"the truth is 0, so its mediated share is "

@@ -9,6 +9,7 @@ import pytest
 from logitpath import (Dataset, SystemSpec, VariableSpec,
                        average_probability_effects, decompose, fit_system)
 from logitpath.effects import EffectRequest
+import logitpath.fitting as fitting
 import logitpath.simulation as simulation
 from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
                                   _fit_models, _stats, _tpe_ipe,
@@ -16,6 +17,7 @@ from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
                                   generate_data, pseudo_population,
                                   results_to_csv, run_cell, run_study,
                                   share_continuous, true_value)
+from logitpath.fitting import irls
 from logitpath.model import ParameterSet
 from conftest import assert_close
 
@@ -227,6 +229,42 @@ def test_fixed_sample_comes_from_the_pseudo_population():
     assert np.array_equal(sub, fixed_treatment_sample(5, 120, 3000))
 
 
+def test_study_shares_each_truth_and_population(monkeypatch):
+    # cells that differ only in n share one truth, and every continuous
+    # cell of the seed one pseudo-population
+    grid = {"seed": 23, "replications": 2, "treatment": ["continuous"],
+            "beta_x": [0.9], "n": [60, 80], "pseudo_population": 4000}
+    configs = [SimConfig("continuous", 0.9, n, 2, 23, pseudo_population=4000)
+               for n in (60, 80)]
+    fresh = [true_value(cfg) for cfg in configs]
+    draws, population_evals = [], []
+    original_draw, original_effects = pseudo_population, _tpe_ipe
+
+    def counting_draw(seed, size):
+        draws.append((seed, size))
+        return original_draw(seed, size)
+
+    def counting_effects(*args):
+        population_evals.append(np.size(args[-1]) == 4000)
+        return original_effects(*args)
+
+    simulation._shared_population.cache_clear()
+    simulation._population_effects.cache_clear()
+    monkeypatch.setattr(simulation, "pseudo_population", counting_draw)
+    monkeypatch.setattr(simulation, "_tpe_ipe", counting_effects)
+    results = run_study(grid)
+    assert draws == [(23, 4000)]
+    assert population_evals.count(True) == 1
+    assert [r.true_value for r in results] == fresh
+    pop = pseudo_population(23, 4000)
+    assert pop.flags.writeable and pop is not pseudo_population(23, 4000)
+    for n in (60, 80):     # the second cell's truth is shared, not its error
+        with pytest.raises(SimulationError,
+                           match=f"^cell continuous/beta_x=0.0/n={n}:"):
+            true_value(SimConfig("continuous", 0.0, n, 2, 23, gamma_x=0.0,
+                                 pseudo_population=4000))
+
+
 def test_run_cell_uses_the_same_replications_as_generate_data(monkeypatch):
     cfg = SimConfig(kind="binary", beta_x=0.9, n=150, replications=4,
                     seed=31)
@@ -306,6 +344,45 @@ def test_scaled_and_plain_residualization_shares_coincide():
         assert_close(scaled, plain, 1e-6, "residualization share")
 
 
+# (kind, seed, beta_x, n, replication, usable): a small-n binary and
+# continuous replication whose Y fit halves a step, a separated one whose
+# Y fit needs halvings to make progress, and two at the study's sizes
+REPARAMETRIZED = [("binary", 1, 1.8, 12, 93, True),
+                  ("continuous", 4, 0.9, 16, 0, True),
+                  ("continuous", 3, 1.8, 16, 54, False),
+                  ("binary", 2, 0.4, 250, 0, True),
+                  ("continuous", 2, 0.4, 1000, 0, True)]
+
+
+@pytest.mark.parametrize("kind,seed,beta_x,n,rep,usable", REPARAMETRIZED)
+def test_reduced_fit_is_the_full_fit_reparametrized(kind, seed, beta_x, n,
+                                                    rep, usable, monkeypatch):
+    cfg = SimConfig(kind=kind, beta_x=beta_x, n=n, replications=1,
+                    seed=seed, pseudo_population=5000)
+    data = generate_data(cfg, rep)
+    x, w, y = (data.columns[v].astype(float) for v in "XWY")
+    ones = np.ones(n)
+    xw = np.column_stack([ones, x])
+    ols = np.linalg.lstsq(xw, w, rcond=None)[0]
+    reduced = irls(np.column_stack([ones, x, w - xw @ ols]), y, ones)
+    full = irls(np.column_stack([ones, x, w]), y, ones)
+    gamma, beta, beta_r, eta, eta_red, kept = _fit_models(x, w, y)
+    assert np.array_equal(beta, full[0]) and eta_red is eta
+    assert reduced[4:] == full[4:]
+    assert kept == usable == all(f[4] and not f[5]
+                                 for f in (irls(xw, w, ones), full))
+    if usable:
+        # two fits of one likelihood stop at different points within the
+        # stopping rule: at most 1.3e-8 of 1 + |beta| over 3,510 usable
+        # replications, n from 12 to 1,000
+        assert np.all(np.abs(beta_r - reduced[0])
+                      <= 1e-7 * (1.0 + np.abs(reduced[0])))
+    if n < 100:     # the Y fit takes a halving: without one it differs
+        monkeypatch.setattr(fitting, "MAX_HALVINGS", 0)
+        unhalved = irls(np.column_stack([ones, x, w]), y, ones)
+        assert not np.array_equal(unhalved[0], full[0])
+
+
 # -- cell orchestration ----------------------------------------------------
 
 def test_stats_identities():
@@ -373,7 +450,7 @@ def test_separated_replications_are_excluded(monkeypatch):
     def separated_once(X, y, w):
         calls["n"] += 1
         out = original(X, y, w)
-        return out[:-1] + (calls["n"] == 5,)   # second replication, Y fit
+        return out[:-1] + (calls["n"] == 4,)   # second replication, Y fit
 
     monkeypatch.setattr(simulation, "irls", separated_once)
     assert run_cell(cfg).excluded == 1
