@@ -268,6 +268,25 @@ def design_matrix(spec: SystemSpec, response: str, data: Dataset):
     return X, y.astype(float), np.asarray(data.counts, dtype=float)
 
 
+def tabulate(columns: Sequence, radices: Sequence[int]) -> np.ndarray:
+    """The count of each combination of values of the whole-valued
+    ``columns`` (column j in range(radices[j])), as an array of shape
+    ``radices``: one bincount over the rows' mixed-radix code."""
+    code = 0
+    for column, radix in zip(columns, radices):
+        code = code * radix + column
+    return np.bincount(np.asarray(code, dtype=np.intp),
+                       minlength=math.prod(radices)).reshape(radices)
+
+
+def patterns(table: np.ndarray):
+    """The nonzero cells of a ``tabulate`` table, in its order, as (values,
+    one row per cell; float counts).  A logistic fit on these rows,
+    weighted, has the likelihood of the fit on the tabulated rows."""
+    present = np.nonzero(table)
+    return np.column_stack(present).astype(float), table[present].astype(float)
+
+
 def _dependent(X: np.ndarray) -> np.ndarray:
     """The columns of ``X`` that earlier columns span, to rounding."""
     r = np.abs(np.diag(np.linalg.qr(X, mode="r")))

@@ -18,16 +18,20 @@ Each replication fits the system and produces the mediated share two ways:
 * khb: the residualization comparison method, full model Y ~ X + W
   against reduced model Y ~ X + R with R the OLS residual of W on X,
   share = (reduced X coefficient - full X coefficient) / reduced X
-  coefficient, rescaled by average partial effects on the probability
-  scale for a continuous treatment.  The reduced model is the full one
-  in other coordinates (Karlson, Holm & Breen 2012), so its coefficients
-  come from the full fit and the OLS fit: a replication runs two logistic
-  fits, W ~ X and Y ~ X + W.
+  coefficient.  The reduced model is the full one in other coordinates
+  (Karlson, Holm & Breen 2012), so its coefficients come from the full
+  fit and the OLS fit: a replication runs two logistic fits, W ~ X and
+  Y ~ X + W.  Both models share one eta, so the average-partial-effect
+  rescaling of a continuous treatment's share cancels out of the ratio.
 
-Replications with any non-convergent or separated logistic fit are
-dropped from both methods (keeping the comparison on identical
-replication sets) and counted; more than 5 percent exclusions aborts the
-cell.
+A binary replication fits each equation on its weighted patterns, the at
+most 4 distinct (x, w) and 8 distinct (x, w, y) rows with their counts,
+which have the likelihood of its n rows.
+
+Replications whose treatment takes one value, or with any non-convergent
+or separated logistic fit, are dropped from both methods (keeping the
+comparison on identical replication sets) and counted; more than 5
+percent exclusions aborts the cell.
 
 All randomness descends from one master seed through named SeedSequence
 children, so results are bit-for-bit reproducible and independent of
@@ -56,7 +60,7 @@ import numpy as np
 from scipy.special import expit
 
 from .effects import _joint, _log_ratio, _program, component_mask
-from .fitting import Dataset, irls, softplus
+from .fitting import Dataset, irls, patterns, softplus, tabulate
 from .model import SystemSpec, VariableSpec, _float, _is
 
 PSEUDO_POPULATION = 150_000
@@ -250,40 +254,45 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
     and would flag as it does unless W is affine in X, where the W fit
     separates anyway.
 
-    Returns (w-model coefs, y-model coefs, reduced y-model coefs,
-    full eta, reduced eta, usable flag); the flag is False when either
-    fit did not converge or flagged separation.
+    A 0/1 treatment is fitted on the weighted patterns of the data: W ~ X
+    on its at most 4 distinct (x, w) rows and Y ~ X + W on its at most 8
+    (x, w, y) rows, each counted once, with the same likelihood as the n
+    rows; a and a + b are then the means of w at x = 0 and x = 1.
+
+    Returns (w-model coefs, y-model coefs, reduced y-model coefs, usable
+    flag); the flag is False when the treatment takes one value, or when
+    either fit did not converge or flagged separation.
     """
-    ones = np.ones(len(x))
-    xw_model = np.column_stack([ones, x])
-    ols, *_ = np.linalg.lstsq(xw_model, w, rcond=None)
-    full = np.column_stack([ones, x, w])
-    fits = [irls(xw_model, w, ones), irls(full, y, ones)]
+    if np.all((x == 0.0) | (x == 1.0)):
+        cells = tabulate((x, w, y), (2, 2, 2))
+        xw = cells.sum(axis=2)
+        mean = xw[:, 1] / np.maximum(xw.sum(axis=1), 1)   # of w at x = 0, 1
+        ols = np.array([mean[0], mean[1] - mean[0]])
+        fits = [irls(np.column_stack([np.ones(len(v)), v[:, :-1]]), v[:, -1],
+                     count) for v, count in map(patterns, (xw, cells))]
+    else:
+        ones = np.ones(len(x))
+        xw_model = np.column_stack([ones, x])
+        ols, *_ = np.linalg.lstsq(xw_model, w, rcond=None)
+        fits = [irls(xw_model, w, ones),
+                irls(np.column_stack([ones, x, w]), y, ones)]
     (gamma, *_), (beta, *_) = fits
     beta_r = np.append(beta[:2] + ols * beta[2], beta[2])
-    eta = full @ beta
-    return (gamma, beta, beta_r, eta, eta,
-            all(fit[4] and not fit[5] for fit in fits))
+    return (gamma, beta, beta_r, bool(x.min() < x.max()) and all(
+        fit[4] and not fit[5] for fit in fits))
 
 
 def _shares(fits: Sequence, kind: str, xs: Optional[np.ndarray]) -> tuple:
     """(rsd, khb) shares of kept replications' ``_fit_models`` tuples, as
-    arrays; ``xs`` is a continuous treatment's shared sample."""
-    gammas, betas, *_ = zip(*fits)
+    arrays; ``xs`` is a continuous treatment's shared sample.  The KHB
+    share is (bx_red - bx_full) / bx_red for either kind: the reduced
+    model's eta is the full model's, so rescaling both coefficients by one
+    average partial effect would cancel out of the ratio."""
+    gammas, betas, betas_r, _ = map(np.array, zip(*fits))
     rsd = (np.divide(*_binary_effects(np.hstack([betas, gammas])))
            if kind == "binary" else
            [share_continuous(*b, *g, xs) for b, g in zip(betas, gammas)])
-    return np.asarray(rsd), np.array([_khb_share(*f[1:5], kind) for f in fits])
-
-
-def _khb_share(beta, beta_r, eta_full, eta_red, kind: str) -> float:
-    bx_full, bx_red = beta[1], beta_r[1]
-    if kind == "continuous":    # rescaled by average partial effects
-        def ape(eta):
-            p = expit(eta)
-            return float(np.mean(p * (1.0 - p)))
-        bx_full, bx_red = bx_full * ape(eta_full), bx_red * ape(eta_red)
-    return (bx_red - bx_full) / bx_red
+    return np.asarray(rsd), (betas_r[:, 1] - betas[:, 1]) / betas_r[:, 1]
 
 
 # -- the study -------------------------------------------------------------

@@ -12,7 +12,8 @@ from scipy.special import expit
 from logitpath import (Dataset, FittedSystem, VariableSpec, fit_logistic,
                        fit_system)
 from logitpath.fitting import (DataError, FitError, _dependent, coerce_column,
-                               coerce_value, design_matrix, irls)
+                               coerce_value, design_matrix, irls, patterns,
+                               tabulate)
 from conftest import make_system, random_params
 
 
@@ -314,6 +315,16 @@ def test_pattern_weights_match_expanded_rows():
     assert np.allclose(f1.params.vector, f2.params.vector, atol=1e-10)
     assert np.allclose(f1.covariance_matrix(), f2.covariance_matrix(),
                        atol=1e-10)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                          st.integers(0, 3)), min_size=1, max_size=40))
+def test_tabulated_patterns_are_the_distinct_rows_and_their_counts(rows):
+    columns = np.array(rows, dtype=float).T
+    values, counts = patterns(tabulate(columns, (3, 2, 4)))
+    want, want_counts = np.unique(np.array(rows), axis=0, return_counts=True)
+    assert np.array_equal(values, want) and values.dtype == float
+    assert np.array_equal(counts, want_counts) and counts.dtype == float
 
 
 def test_zero_count_patterns_are_inert():

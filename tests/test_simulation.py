@@ -329,19 +329,29 @@ def test_ratio_estimator_equals_the_generic_pipeline(monkeypatch):
 
 
 def test_scaled_and_plain_residualization_shares_coincide():
-    # the reduced design spans the same space as the full one, so the
-    # average-partial-effect rescaling cancels out of the ratio
+    # the reduced model's eta, computed here in its own coordinates, is
+    # the full model's, so the average partial effect that rescales the
+    # two X coefficients cancels out of the continuous share
     for seed in (51, 52, 53):
         cfg = SimConfig(kind="continuous", beta_x=0.9, n=500,
                         replications=1, seed=seed, pseudo_population=5000)
         data = generate_data(cfg, 0)
-        x = data.columns["X"].astype(float)
-        w = data.columns["W"].astype(float)
-        y = data.columns["Y"].astype(float)
-        fits = [_fit_models(x, w, y)]
-        scaled = _shares(fits, "continuous", x)[1][0]
-        plain = _shares(fits, "binary", None)[1][0]
-        assert_close(scaled, plain, 1e-6, "residualization share")
+        x, w, y = (data.columns[v].astype(float) for v in "XWY")
+        fit = _fit_models(x, w, y)
+        gamma, beta, beta_r, kept = fit
+        ones = np.ones(len(x))
+        xw = np.column_stack([ones, x])
+        residual = w - xw @ np.linalg.lstsq(xw, w, rcond=None)[0]
+
+        def ape(eta):
+            p = 1.0 / (1.0 + np.exp(-eta))
+            return np.mean(p * (1.0 - p))
+        bx = beta[1] * ape(np.column_stack([ones, x, w]) @ beta)
+        bx_red = beta_r[1] * ape(np.column_stack([ones, x, residual])
+                                 @ beta_r)
+        assert kept
+        assert_close(_shares([fit], "continuous", x)[1][0],
+                     (bx_red - bx) / bx_red, 1e-12, "residualization share")
 
 
 # (kind, seed, beta_x, n, replication, usable): a small-n binary and
@@ -366,21 +376,95 @@ def test_reduced_fit_is_the_full_fit_reparametrized(kind, seed, beta_x, n,
     ols = np.linalg.lstsq(xw, w, rcond=None)[0]
     reduced = irls(np.column_stack([ones, x, w - xw @ ols]), y, ones)
     full = irls(np.column_stack([ones, x, w]), y, ones)
-    gamma, beta, beta_r, eta, eta_red, kept = _fit_models(x, w, y)
-    assert np.array_equal(beta, full[0]) and eta_red is eta
+    gamma, beta, beta_r, kept = _fit_models(x, w, y)
+    # two fits of one likelihood stop at different points within the
+    # stopping rule: at most 1.3e-8 of 1 + |beta| over 3,510 usable
+    # replications, n from 12 to 1,000 (reduced against full), and
+    # 2.7e-8 over 36,000 binary ones (patterns against rows)
+    near = 1e-7 * (1.0 + np.abs(full[0]))
+    if kind == "continuous":    # fitted on its rows
+        assert np.array_equal(beta, full[0])
+    else:                       # fitted on its patterns
+        assert np.all(np.abs(beta - full[0]) <= near)
     assert reduced[4:] == full[4:]
     assert kept == usable == all(f[4] and not f[5]
                                  for f in (irls(xw, w, ones), full))
     if usable:
-        # two fits of one likelihood stop at different points within the
-        # stopping rule: at most 1.3e-8 of 1 + |beta| over 3,510 usable
-        # replications, n from 12 to 1,000
         assert np.all(np.abs(beta_r - reduced[0])
                       <= 1e-7 * (1.0 + np.abs(reduced[0])))
     if n < 100:     # the Y fit takes a halving: without one it differs
         monkeypatch.setattr(fitting, "MAX_HALVINGS", 0)
         unhalved = irls(np.column_stack([ones, x, w]), y, ones)
         assert not np.array_equal(unhalved[0], full[0])
+
+
+def pattern_fit(*columns):
+    """``irls`` on the distinct rows of ``columns``, each weighted by its
+    count: the last column is the response."""
+    rows, counts = np.unique(np.column_stack(columns), axis=0,
+                             return_counts=True)
+    return irls(np.column_stack([np.ones(len(rows)), rows[:, :-1]]),
+                rows[:, -1], counts.astype(float))
+
+
+# (seed, beta_x, n, replication, distinct (x, w) rows, distinct (x, w, y)
+# rows, usable): an empty (x, w) cell, where the W fit separates; every
+# (x, w) cell filled and a separated Y fit; empty (x, w, y) cells only;
+# every cell filled; and the study's sizes
+PATTERNS = [(1, 1.8, 12, 1, 3, 5, False), (1, 1.8, 12, 4, 4, 4, False),
+            (1, 1.8, 12, 0, 4, 7, True), (1, 1.8, 20, 2, 4, 8, True),
+            (2, 0.4, 250, 0, 4, 8, True), (5, 0.9, 1000, 3, 4, 8, True)]
+
+
+@pytest.mark.parametrize("seed,beta_x,n,rep,xw_rows,xwy_rows,usable",
+                         PATTERNS)
+def test_a_binary_replication_is_fitted_on_its_patterns(
+        seed, beta_x, n, rep, xw_rows, xwy_rows, usable, monkeypatch):
+    cfg = SimConfig(kind="binary", beta_x=beta_x, n=n, replications=1,
+                    seed=seed)
+    data = generate_data(cfg, rep)
+    x, w, y = (data.columns[v].astype(float) for v in "XWY")
+    seen = []
+
+    def recording(X, response, weights):
+        seen.append((X, irls(X, response, weights)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(simulation, "irls", recording)
+    gamma, beta, beta_r, kept = _fit_models(x, w, y)
+    w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
+    assert [len(X) for X, _ in seen] == [xw_rows, xwy_rows]
+    for (_, fit), want in zip(seen, (w_fit, y_fit)):
+        assert all(np.array_equal(a, b) for a, b in zip(fit, want))
+    assert np.array_equal(gamma, w_fit[0]) and np.array_equal(beta, y_fit[0])
+    assert kept == usable == all(f[4] and not f[5] for f in (w_fit, y_fit))
+    # (a, b) of the OLS fit of w on x, from the pattern counts
+    ols = np.linalg.lstsq(np.column_stack([np.ones(n), x]), w,
+                          rcond=None)[0]
+    assert np.allclose(beta_r, np.append(beta[:2] + ols * beta[2], beta[2]),
+                       rtol=1e-14, atol=1e-14)
+
+
+def test_a_treatment_of_one_value_is_excluded(monkeypatch):
+    # before: kept with bx = 0, so both of its shares were 0/0
+    rng = np.random.default_rng(0)
+    w, y = ((rng.random(12) < 0.5).astype(float) for _ in "wy")
+    original = simulation._draw
+    calls = {"n": 0}
+
+    def constant_once(*args):
+        calls["n"] += 1
+        x, w, y = original(*args)
+        return (np.zeros_like(x) if calls["n"] == 2 else x), w, y
+
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=200, replications=30,
+                    seed=61)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.zeros(12), np.ones(12), np.full(12, 0.7)):
+            assert _fit_models(x, w, y)[-1] is False
+        monkeypatch.setattr(simulation, "_draw", constant_once)
+        assert run_cell(cfg).excluded == 1
 
 
 # -- cell orchestration ----------------------------------------------------
@@ -429,8 +513,7 @@ def test_exclusion_accounting(monkeypatch):
 
 def test_nonconvergent_single_replications_give_no_shares(monkeypatch):
     def never(x, w, y):
-        return (np.zeros(2), np.zeros(3), np.zeros(3),
-                np.zeros(len(x)), np.zeros(len(x)), False)
+        return np.zeros(2), np.zeros(3), np.zeros(3), False
 
     monkeypatch.setattr(simulation, "_fit_models", never)
     for kind in ("binary", "continuous"):
