@@ -21,8 +21,8 @@ once.  ``_corner_design`` builds the signed design of any such sum, and
 ``_joint(..., grad=True)``, whose dl/dtheta gives their exact Jacobian.
 Each effect component is a contrast
 (or derivative) of the marginal logit under a coefficient mask
-(``component_mask``, built once per spec), evaluated by ``component`` and
-collected by ``decompose``:
+(``component_mask``, built once per spec), evaluated by ``component``;
+``decompose`` runs TE, DE and IE as one stack of masked coefficients:
 
     TE   no mask
     DE   every mediator zeroed out of the outcome equation
@@ -104,12 +104,11 @@ def _corner_design(spec: SystemSpec, rows, corners: Mapping,
     return design, collect
 
 
-def _setting_design(spec: SystemSpec, j: int, x, fixed: Mapping) -> tuple:
-    """(s0, s1) of ``_Program`` at treatment value ``x`` and the
-    ``fixed`` covariates and outer mediators."""
+def _setting_design(spec: SystemSpec, j: int, x, fixed: Mapping,
+                    rows: tuple) -> tuple:
+    """(s0, s1) of ``_Program``, with ``rows`` trailing axes, at treatment
+    value ``x`` and the ``fixed`` covariates and outer mediators."""
     names = [m.name for m in spec.mediators[:j]]
-    rows = np.broadcast_shapes(*(np.shape(v) for v in (x, *fixed.values())
-                                 if isinstance(v, np.ndarray)))
 
     def at(xv):
         values = {spec.treatment.name: xv, **fixed}
@@ -146,9 +145,10 @@ def as_index(value, what: str, low=-math.inf, high=math.inf) -> int:
     return index
 
 
-def _check_slope(spec: SystemSpec):
+def _check_slope(spec: SystemSpec, slope: bool):
+    """Refuses a derivative (``slope``) in a treatment not continuous."""
     var = spec.treatment
-    if var.kind != "continuous":
+    if slope and var.kind != "continuous":
         raise EffectError(f"a derivative needs a continuous treatment; "
                           f"{var.name!r} is {var.kind}")
 
@@ -159,9 +159,11 @@ def _check_mediators(spec: SystemSpec):
 
 
 def _check_setting(spec: SystemSpec, j: int, x, covariates: Mapping,
-                   w_above: Mapping):
-    for name, value in [(spec.treatment.name, x), *covariates.items(),
-                        *w_above.items()]:
+                   w_above: Mapping) -> tuple:
+    """The shape a setting's arrays broadcast to; refuses a bad setting."""
+    setting = [(spec.treatment.name, x), *covariates.items(),
+               *w_above.items()]
+    for name, value in setting:
         var = spec.by_name.get(name)
         role = var.role if var else "undeclared"
         if name in covariates and role != "covariate":
@@ -174,6 +176,13 @@ def _check_setting(spec: SystemSpec, j: int, x, covariates: Mapping,
                               f"can be")
         if not var.takes(value):
             raise EffectError(var.refusal(value))
+    arrays = {n: v.shape for n, v in setting if isinstance(v, np.ndarray)}
+    try:
+        return np.broadcast_shapes(*arrays.values())
+    except ValueError:
+        shapes = ", ".join(f"{n!r} {shape}" for n, shape in arrays.items())
+        raise EffectError(f"the setting's arrays do not broadcast to one "
+                          f"shape: {shapes}") from None
 
 
 def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
@@ -205,9 +214,9 @@ def _program(spec: SystemSpec, j: int, x, covariates: Optional[Mapping],
         except TypeError:   # an array of values, or no value at all
             key = None
     if program is None:
-        _check_setting(spec, j, x, covariates, w_above)
+        rows = _check_setting(spec, j, x, covariates, w_above)
         program = _Program(corners, collect, *_setting_design(
-            spec, j, x, {**covariates, **w_above}))
+            spec, j, x, {**covariates, **w_above}, rows))
         if key is not None:
             if len(kept) >= PROGRAMS_KEPT:
                 del kept[next(iter(kept))]
@@ -222,8 +231,9 @@ def _joint(program: _Program, theta: np.ndarray, x, slope=False,
     log likelihood l[y, *corner, rows...] of the response at y and the
     corner.  With z = D theta, one matmul, w eta - softplus(eta) =
     -softplus(+-eta) is -softplus(z), and l sums it over the response's
-    row for y and every other row.  A stack of vectors, theta (vectors,
-    p), gives every result a last axis, each vector's bits its own call's.
+    row for y and every other row.  A stack of vectors, theta (*stack,
+    p), gives every result the stack's axes last, each vector's bits its
+    own call's.
     The slopes are in x with ``slope``, in theta on a last axis with
     ``grad`` (one vector, one setting), else None."""
     corners, collect, s0, s1 = program
@@ -249,9 +259,9 @@ def _joint(program: _Program, theta: np.ndarray, x, slope=False,
 def _dot(a, t, shape, stack=()):
     """a @ t as ``shape``, the axes of t after its first flattened into
     one; a ``stack`` of vectors leads t, one slice of a batched matmul
-    each, and its axis goes last."""
+    each, and its axes go last."""
     if stack:
-        t = np.matmul(a, t.reshape(stack + (a.shape[1], -1)))
+        t = np.matmul(a, t.reshape((math.prod(stack), a.shape[1], -1)))
         return np.moveaxis(t, 0, -1).reshape(shape)
     t = np.matmul(a, t.reshape(len(t), -1) if t.ndim > 2 else t)
     return t.reshape(shape)
@@ -307,8 +317,7 @@ def marginal_logit_multi(params: ParameterSet, x,
     """Log odds of Y=1 given X=x (and covariates), all mediators summed
     out; with ``slope``, the pair (log odds, its derivative in x) for a
     continuous treatment."""
-    if slope:
-        _check_slope(params.spec)
+    _check_slope(params.spec, slope)
     k = len(params.spec.mediators)
     eta, deta, ell, dell = _joint(_program(params.spec, k, x, covariates),
                                   params.vector, x, slope)
@@ -438,16 +447,20 @@ def component(params: ParameterSet, request: EffectRequest, name: str,
     masked = component_mask(params.spec, name, path).apply(params)
     covs = dict(request.covariates)
     if request.mode == "contrast":
-        a = logit_fn(masked, request.x1, covs)
-        b = logit_fn(masked, request.x0, covs)
-        if request.scale == "probability":
-            return expit(a) - expit(b)
-        return a - b
-    e, slope = logit_fn(masked, request.at, covs, slope=True)
-    if request.scale == "probability":
-        p = expit(e)
-        return p * (1.0 - p) * slope
-    return slope
+        return _effect(request, logit_fn(masked, request.x1, covs),
+                       logit_fn(masked, request.x0, covs))
+    return _effect(request, *logit_fn(masked, request.at, covs, slope=True))
+
+
+def _effect(request: EffectRequest, a, b):
+    """The contrast a - b of two marginal logits, or the slope b of the
+    marginal logit a, on the request's scale."""
+    if request.scale == "logodds":
+        return a - b if request.mode == "contrast" else b
+    if request.mode == "contrast":
+        return expit(a) - expit(b)
+    p = expit(a)
+    return p * (1.0 - p) * b
 
 
 def indirect_name(spec: SystemSpec) -> str:
@@ -500,9 +513,32 @@ def decompose(params: ParameterSet, request: EffectRequest) -> Decomposition:
     """TE / DE / IE / RES decomposition on the request's scale, for any
     number of mediators; the indirect component is the global one (GIE)
     when there are several."""
-    return Decomposition(request, *(component(params, request, c)
-                                    for c in ("TE", "DE", "IE")),
-                         indirect_name(params.spec))
+    return _decompose(params.spec, params.vector, request)
+
+
+def _decompose(spec: SystemSpec, theta: np.ndarray,
+               request: EffectRequest) -> Decomposition:
+    """``decompose`` at ``theta``, one vector or a stack (vectors, p) that
+    gives each component a last axis: TE, DE and IE masked copies of theta
+    in one stack, one program per treatment value.  Each component sums
+    its own corners, so one vector gives ``component``'s bits; a stack
+    sums 8 or more corners in sequence, not pairwise, and takes the array
+    expit, so it may differ from per-vector calls in the last bits."""
+    _check_mediators(spec)
+    slope = request.mode == "derivative"
+    _check_slope(spec, slope)
+    stack = np.stack([np.where(component_mask(spec, c).zeroed, 0.0, theta)
+                      for c in ("TE", "DE", "IE")])
+    logits = []
+    for x in request.treatment_values:
+        eta, deta, ell, dell = _joint(_program(
+            spec, len(spec.mediators), x, request.covariates), stack, x, slope)
+        terms = (ell[0], eta, dell[0], deta) if slope else (ell[0], eta)
+        logits.append([_log_ratio(*a) for a in zip(*(   # one per component
+            np.moveaxis(t, -theta.ndim, 0) for t in terms))])
+    return Decomposition(request, *(
+        _effect(request, *pair) for pair in (
+            logits[0] if slope else zip(*logits))), indirect_name(spec))
 
 
 def average_probability_effects(params: ParameterSet, data: Dataset):

@@ -172,8 +172,7 @@ def effect_table(fitted: FittedSystem, requests: Iterable[EffectRequest],
     _check_level(level)
     for req in requests:    # the checks each evaluation makes, made once
         _check_mediators(fitted.spec)
-        if req.mode == "derivative":
-            _check_slope(fitted.spec)
+        _check_slope(fitted.spec, req.mode == "derivative")
         for x in req.treatment_values:
             _check_setting(fitted.spec, 0, x, req.covariates, {})
     if transform is not None:

@@ -39,11 +39,11 @@ execution order.  The pseudo-population is drawn once per seed, and a
 continuous truth is computed once for the cells that differ only in n
 (the grid's sizes vary fastest).
 
-A binary cell's rsd shares are ``decompose``'s, bit for bit: one kernel
-call per treatment value runs every kept fit and its IE-masked copy as
-one stack.  A continuous cell keeps a closed form (``_tpe_ipe``): on the
-stacked kernel 100 replications at n = 1000 took 105-129 ms, not 28 ms,
-and the 150000-draw truth 150 ms, not 32 ms (2-vCPU Intel Xeon VM).
+A binary cell's truth and rsd shares are ``decompose``'s bit for bit,
+by ``effects._decompose`` on the truth and on the stack of kept fits.  A
+continuous cell keeps a closed form (``_tpe_ipe``): on the stacked kernel
+100 replications at n = 1000 took 105-129 ms, not 28 ms, and the
+150000-draw truth 150 ms, not 32 ms (2-vCPU Intel Xeon VM).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .effects import _joint, _log_ratio, _program, component_mask
+from .effects import EffectRequest, _decompose
 from .fitting import Dataset, irls, patterns, softplus, tabulate
 from .model import SystemSpec, VariableSpec, _float, _is
 
@@ -126,17 +126,6 @@ def _label(config: SimConfig) -> str:
 
 
 # -- the two-equation model's effects -------------------------------------
-
-def _binary_effects(theta: np.ndarray) -> list:
-    """[IE, TE] of the {1,0} contrast on the log-odds scale at each row
-    (b0, bx, bw, g0, gx) of ``theta``, by ``decompose``'s kernel."""
-    stack = np.vstack([np.where(
-        component_mask(_BINARY, "IE").zeroed, 0.0, theta), theta])
-    return np.split(np.subtract(*(
-        _log_ratio(ell[0], eta) for eta, _, ell, _ in (
-            _joint(_program(_BINARY, 1, x, None), stack, x)
-            for x in (1, 0)))), 2)
-
 
 def _tpe_ipe(b0, bx, bw, g0, gx, x):
     """Pointwise TPE and IPE derivatives at each x (arrays welcome):
@@ -284,14 +273,17 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
 
 def _shares(fits: Sequence, kind: str, xs: Optional[np.ndarray]) -> tuple:
     """(rsd, khb) shares of kept replications' ``_fit_models`` tuples, as
-    arrays; ``xs`` is a continuous treatment's shared sample.  The KHB
-    share is (bx_red - bx_full) / bx_red for either kind: the reduced
-    model's eta is the full model's, so rescaling both coefficients by one
-    average partial effect would cancel out of the ratio."""
+    arrays; ``xs`` is a continuous treatment's shared sample.  A binary
+    rsd share is IE/TE of one ``_decompose`` over the stack of fits,
+    ``decompose``'s on each fit bit for bit.  The KHB share is
+    (bx_red - bx_full) / bx_red for either kind: the reduced model's eta
+    is the full model's, so rescaling both coefficients by one average
+    partial effect would cancel out of the ratio."""
     gammas, betas, betas_r, _ = map(np.array, zip(*fits))
-    rsd = (np.divide(*_binary_effects(np.hstack([betas, gammas])))
-           if kind == "binary" else
-           [share_continuous(*b, *g, xs) for b, g in zip(betas, gammas)])
+    rsd = ([share_continuous(*b, *g, xs) for b, g in zip(betas, gammas)]
+           if kind == "continuous" else _decompose(
+               _BINARY, np.hstack([betas, gammas]),
+               EffectRequest.contrast(1, 0)).mediated_share()[0])
     return np.asarray(rsd), (betas_r[:, 1] - betas[:, 1]) / betas_r[:, 1]
 
 
@@ -304,7 +296,8 @@ def true_value(config: SimConfig) -> float:
     truth = (config.beta0, config.beta_x, config.beta_w, config.gamma0,
              config.gamma_x)
     if config.kind == "binary":
-        ie, te = (e[0] for e in _binary_effects(np.array([truth])))
+        d = _decompose(_BINARY, np.array(truth), EffectRequest.contrast(1, 0))
+        te, ie = d.total, d.indirect
     else:
         te, ie = _population_effects(truth, config.seed,
                                      config.pseudo_population)

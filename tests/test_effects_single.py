@@ -369,6 +369,25 @@ def test_array_contrast_endpoints_must_differ_everywhere():
         EffectRequest.contrast(np.array([1.0, 0.0]), np.zeros(3))
 
 
+def test_array_settings_must_broadcast_to_one_shape():
+    # a (3,) treatment against a (2,) covariate or outer mediator ended in
+    # numpy's "shape mismatch" from the setting's design
+    params = random_params(make_system(2, treatment="continuous",
+                                       covariate=True),
+                           np.random.default_rng(98))
+    x, two = np.array([0.5, -1.0, 2.0]), np.array([0.0, 1.0])
+    for call, other in [
+            (lambda: marginal_logit_multi(params, x, {"C": two}), "C"),
+            (lambda: g_recursive(params, 1, 1, x, {"W2": two}, {"C": 1}),
+             "W2"),
+            (lambda: decompose(params, EffectRequest.derivative(
+                x, {"C": two})), "C")]:
+        with pytest.raises(EffectError, match=(
+                rf"^the setting's arrays do not broadcast to one shape: "
+                rf"'X' \(3,\), '{other}' \(2,\)$")):
+            call()
+
+
 def _covariate_system(kind):
     levels = ("a", "b", "c") if kind == "categorical" else ()
     spec = SystemSpec.build(
@@ -475,3 +494,24 @@ def test_average_probability_effects_match_pointwise():
     assert_close(atpe, np.mean([d.total for d in per]), 1e-10, "ATPE")
     assert_close(adpe, np.mean([d.direct for d in per]), 1e-10, "ADPE")
     assert_close(aipe, np.mean([d.indirect for d in per]), 1e-10, "AIPE")
+
+
+def test_one_average_probability_effects_call_compiles_one_program(
+        monkeypatch):
+    # TE, DE and IE differ only in their coefficients, so the rows'
+    # setting is compiled once for all three
+    from logitpath import effects
+    compiled, design = [0], effects._setting_design
+
+    def counted(*args):
+        compiled[0] += 1
+        return design(*args)
+
+    monkeypatch.setattr(effects, "_setting_design", counted)
+    rng = np.random.default_rng(87)
+    spec, params = plain_system(rng)
+    data = Dataset.from_records({
+        "Y": rng.integers(0, 2, 40), "X": rng.normal(0.0, 1.5, 40),
+        "W1": rng.integers(0, 2, 40)})
+    average_probability_effects(params, data)
+    assert compiled[0] == 1

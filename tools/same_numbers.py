@@ -8,8 +8,10 @@ coefficients, full covariance and cross covariance of
 ``transform_fitted``, the average probability effects, and the tables and
 transforms of summing out each of W1, W2, W3 of a k = 3 system.  Direct
 library calls on seeded coefficients are dumped too: ``decompose``
-(k = 1..4, both scales, contrasts and derivatives, and at an array of
-derivative points of a k = 3 continuous system), ``psie`` on every
+(k = 1..4, both scales, contrasts and derivatives, at an array of
+derivative points of a k = 3 continuous system, and at rows of contrast
+settings of a k = 3 binary system, its categorical C an object array),
+``psie`` on every
 monotone path of a k = 3 system, ``deltas`` (with a categorical treatment
 too, and at an array of continuous treatment values), ``g_recursive``
 (every j of a k = 4 system with ``w_above`` and a categorical covariate
@@ -202,6 +204,12 @@ def direct_numbers():
         [c.tolist() for c in decompose(params, EffectRequest.derivative(
             xs, {"C": c}, scale)).components().values()]
         for scale in ("logodds", "probability") for c in (0.0, 1.0)]
+    params = seeded_params(16, 3, "binary", "categorical")
+    cs = np.array(["a", "b", "c", "c", "a", "b"], dtype=object)
+    out["decompose binary k=3 contrast rows"] = [
+        [c.tolist() for c in decompose(params, EffectRequest.contrast(
+            1, 0, {"C": cs}, scale)).components().values()]
+        for scale in ("logodds", "probability")]
     for treatment in ("binary", "continuous"):
         params = seeded_params(9, 3, treatment)
         paths = [sub for r in (1, 2, 3)
