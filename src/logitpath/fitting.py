@@ -302,6 +302,52 @@ def _check_rank(X: np.ndarray, w: np.ndarray, labels: Sequence[str]):
         raise FitError(f"design matrix is rank deficient; collinear terms: {bad}")
 
 
+def _loglik(eta: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """The log-likelihood sum(w (y eta - softplus(eta))) over the last
+    axis, softplus written out in place with ``softplus``'s rounding."""
+    t = np.abs(eta)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(eta, 0.0)
+    u = y * eta
+    u -= t
+    u *= w
+    return u.sum(axis=-1)
+
+
+def _information(X: np.ndarray, XT: np.ndarray, w: np.ndarray,
+                 prob: np.ndarray):
+    """X' diag(w p (1 - p)) X, for one design or a stack of them, XT
+    the transposed view of X."""
+    v = w * prob
+    v *= 1.0 - prob
+    return XT @ (X * v[..., None])
+
+
+def _newton_step(H: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """The step H^-1 score, by least squares where H is singular."""
+    try:
+        return np.linalg.solve(H, score)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(H, score, rcond=None)[0]
+
+
+def _separated(X, y, w, beta, eta) -> bool:
+    """Whether a converged fit flags separation: a coefficient beyond
+    BIG_COEF, or a separation ray.  On a ray the fitted logits lie far
+    beyond anything an interior optimum produces, every one of them
+    classifying its observation perfectly, and the ray's direction
+    leaves the other logits unchanged, so those rows cannot pin every
+    coefficient (one far-out point is no ray)."""
+    if np.abs(beta).max() > BIG_COEF:
+        return True
+    live = w > 0
+    extreme = live & (np.abs(eta) > BIG_LOGIT)
+    return bool(np.any(extreme) and np.all(y[extreme] == (eta[extreme] > 0))
+                and _dependent(X[live & ~extreme]).size > 0)
+
+
 def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Newton iterations with step-halving.  Returns (beta, H, loglik,
     iterations, converged, separation) where H is the observed information
@@ -311,24 +357,7 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     beta = np.zeros(X.shape[1])
     eta = X @ beta
     XT = X.T
-
-    def loglik_of(e):   # softplus(e) written out, in place, same rounding
-        t = np.abs(e)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        t += np.maximum(e, 0.0)
-        u = y * e
-        u -= t
-        u *= w
-        return float(u.sum())
-
-    def information(prob):
-        v = w * prob
-        v *= 1.0 - prob
-        return XT @ (X * v[:, None])
-
-    ll = loglik_of(eta)
+    ll = float(_loglik(eta, y, w))
     converged = False
     for it in range(1, MAX_ITER + 1):
         prob = expit(eta)
@@ -338,15 +367,11 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         if np.abs(score).max() < SCORE_TOL:
             converged = True
             break
-        H = information(prob)
-        try:
-            step = np.linalg.solve(H, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, score, rcond=None)[0]
+        step = _newton_step(_information(X, XT, w, prob), score)
         for _ in range(MAX_HALVINGS + 1):   # the full step, then halves
             new_beta = beta + step
             new_eta = X @ new_beta
-            new_ll = loglik_of(new_eta)
+            new_ll = float(_loglik(new_eta, y, w))
             if not new_ll < ll:
                 break
             step = 0.5 * step
@@ -357,19 +382,74 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         converged, ll = abs(new_ll - ll) < tol, new_ll
         if converged:
             break
-    H = information(expit(eta) if prob is None else prob)
-    separation = (not converged) or bool(np.abs(beta).max() > BIG_COEF)
-    if not separation:
-        # a score-converged fit can still sit on a separation ray: fitted
-        # logits far beyond anything an interior optimum produces, every
-        # one of them classifying its observation perfectly, and the ray's
-        # direction leaving the other logits unchanged, so those rows
-        # cannot pin every coefficient (one far-out point is no ray)
-        live = w > 0
-        extreme = live & (np.abs(eta) > BIG_LOGIT)
-        if np.any(extreme) and np.all(y[extreme] == (eta[extreme] > 0)):
-            separation = _dependent(X[live & ~extreme]).size > 0
+    H = _information(X, XT, w, expit(eta) if prob is None else prob)
+    separation = not converged or _separated(X, y, w, beta, eta)
     return beta, H, ll, it, converged, separation
+
+
+def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """``irls`` on each fit of a stack: X of shape (R, m, p), y and w of
+    shape (R, m).  Returns ``irls``'s six fields, each stacked on a first
+    axis of R, and equal to ``irls``'s on each slice bit for bit.  The
+    slices take their Newton steps in lock step, each by ``irls``'s
+    rules, and a slice leaves the stack where ``irls`` would stop; batched
+    matmuls and solves do each slice's arithmetic as ``irls`` does it."""
+    R, p = len(X), X.shape[2]
+    beta = np.zeros((R, p))
+    eta = (X @ beta[..., None])[..., 0]
+    ll = _loglik(eta, y, w)
+    iterations = np.full(R, MAX_ITER)
+    converged = np.zeros(R, dtype=bool)
+    act = np.arange(R)      # the slices still iterating
+    for it in range(1, MAX_ITER + 1):
+        Xa, ya, wa, old = X[act], y[act], w[act], ll[act]
+        prob = expit(eta[act])
+        resid = ya - prob
+        resid *= wa
+        score = (np.swapaxes(Xa, 1, 2) @ resid[..., None])[..., 0]
+        stop = np.abs(score).max(axis=1) < SCORE_TOL
+        if stop.any():
+            converged[act[stop]], iterations[act[stop]] = True, it
+            go = ~stop
+            act, Xa, ya, wa, old, prob, score = (
+                a[go] for a in (act, Xa, ya, wa, old, prob, score))
+            if not act.size:
+                break
+        H = _information(Xa, np.swapaxes(Xa, 1, 2), wa, prob)
+        try:
+            step = np.linalg.solve(H, score[..., None])[..., 0]
+        except np.linalg.LinAlgError:   # only a singular slice takes lstsq
+            step = np.array([_newton_step(*hs) for hs in zip(H, score)])
+        new_beta = beta[act] + step
+        new_eta = (Xa @ new_beta[..., None])[..., 0]
+        new_ll = _loglik(new_eta, ya, wa)
+        lower = new_ll < old
+        for _ in range(MAX_HALVINGS):   # the full step was tried: halves
+            if not lower.any():
+                break
+            h = np.flatnonzero(lower)
+            step[h] = 0.5 * step[h]
+            new_beta[h] = beta[act[h]] + step[h]
+            new_eta[h] = (Xa[h] @ new_beta[h][..., None])[..., 0]
+            new_ll[h] = _loglik(new_eta[h], ya[h], wa[h])
+            lower[h] = new_ll[h] < old[h]
+        tol = LOGLIK_TOL * (1.0 + np.abs(old))
+        kept = ~(old - new_ll > tol)    # a rejected step ends its slice
+        beta[act[kept]], eta[act[kept]] = new_beta[kept], new_eta[kept]
+        ll[act[kept]] = new_ll[kept]
+        done = ~kept | (np.abs(new_ll - old) < tol)
+        converged[act[done]] = kept[done]
+        iterations[act[done]] = it
+        act = act[~done]
+        if not act.size:
+            break
+    H = _information(X, np.swapaxes(X, 1, 2), w, expit(eta))
+    separation = ~converged     # converged: where _separated could flag
+    suspect = converged & ((np.abs(beta).max(axis=1) > BIG_COEF) | (
+        (w > 0) & (np.abs(eta) > BIG_LOGIT)).any(axis=1))
+    for i in np.flatnonzero(suspect):
+        separation[i] = _separated(X[i], y[i], w[i], beta[i], eta[i])
+    return beta, H, ll, iterations, converged, separation
 
 
 @dataclass

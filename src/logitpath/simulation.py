@@ -26,7 +26,13 @@ Each replication fits the system and produces the mediated share two ways:
 
 A binary replication fits each equation on its weighted patterns, the at
 most 4 distinct (x, w) and 8 distinct (x, w, y) rows with their counts,
-which have the likelihood of its n rows.
+which have the likelihood of its n rows.  A binary cell keeps only each
+replication's counts, and fits all its replications at once: those whose
+patterns are the same cells make one ``fitting.irls_stack`` per
+equation, each fit ``irls``'s bit for bit.  A continuous replication
+fits its n rows with ``irls``, one call per fit: on 100 replications a
+stack of its fits took 18 ms against 44 ms at n = 250, but 72 ms against
+68 ms at n = 1000 (2-vCPU Intel Xeon VM).
 
 Replications whose treatment takes one value, or with any non-convergent
 or separated logistic fit, are dropped from both methods (keeping the
@@ -60,7 +66,8 @@ import numpy as np
 from scipy.special import expit
 
 from .effects import EffectRequest, _decompose
-from .fitting import Dataset, irls, patterns, softplus, tabulate
+from .fitting import (Dataset, irls, irls_stack, patterns, softplus,
+                      tabulate)
 from .model import SystemSpec, VariableSpec, _float, _is
 
 PSEUDO_POPULATION = 150_000
@@ -243,43 +250,75 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
     and would flag as it does unless W is affine in X, where the W fit
     separates anyway.
 
-    A 0/1 treatment is fitted on the weighted patterns of the data: W ~ X
-    on its at most 4 distinct (x, w) rows and Y ~ X + W on its at most 8
-    (x, w, y) rows, each counted once, with the same likelihood as the n
-    rows; a and a + b are then the means of w at x = 0 and x = 1.
+    A 0/1 treatment is fitted as a stack of one by ``_fit_tables``, on
+    the counts of its (x, w, y) values.
 
     Returns (w-model coefs, y-model coefs, reduced y-model coefs, usable
     flag); the flag is False when the treatment takes one value, or when
     either fit did not converge or flagged separation.
     """
     if np.all((x == 0.0) | (x == 1.0)):
-        cells = tabulate((x, w, y), (2, 2, 2))
-        xw = cells.sum(axis=2)
-        mean = xw[:, 1] / np.maximum(xw.sum(axis=1), 1)   # of w at x = 0, 1
-        ols = np.array([mean[0], mean[1] - mean[0]])
-        fits = [irls(np.column_stack([np.ones(len(v)), v[:, :-1]]), v[:, -1],
-                     count) for v, count in map(patterns, (xw, cells))]
-    else:
-        ones = np.ones(len(x))
-        xw_model = np.column_stack([ones, x])
-        ols, *_ = np.linalg.lstsq(xw_model, w, rcond=None)
-        fits = [irls(xw_model, w, ones),
-                irls(np.column_stack([ones, x, w]), y, ones)]
+        *coefs, usable = _fit_tables(tabulate((x, w, y), (2, 2, 2))[None])
+        return (*(c[0] for c in coefs), bool(usable[0]))
+    ones = np.ones(len(x))
+    xw_model = np.column_stack([ones, x])
+    ols, *_ = np.linalg.lstsq(xw_model, w, rcond=None)
+    fits = [irls(xw_model, w, ones),
+            irls(np.column_stack([ones, x, w]), y, ones)]
     (gamma, *_), (beta, *_) = fits
     beta_r = np.append(beta[:2] + ols * beta[2], beta[2])
     return (gamma, beta, beta_r, bool(x.min() < x.max()) and all(
         fit[4] and not fit[5] for fit in fits))
 
 
-def _shares(fits: Sequence, kind: str, xs: Optional[np.ndarray]) -> tuple:
-    """(rsd, khb) shares of kept replications' ``_fit_models`` tuples, as
+def _fit_tables(tables: np.ndarray):
+    """``_fit_models`` for a stack of replications with a 0/1 treatment,
+    given as their (x, w, y) counts, shape (R, 2, 2, 2).  W ~ X is fitted
+    on each replication's at most 4 distinct (x, w) rows and Y ~ X + W on
+    its at most 8 (x, w, y) rows, each counted once, with the same
+    likelihood as its n rows; a and a + b are the means of w at x = 0
+    and x = 1.  Returns (gammas, betas, betas_r, usable), stacked on a
+    first axis of R."""
+    xw = tables.sum(axis=3)
+    at_x = xw.sum(axis=2)
+    mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
+    ols = np.column_stack([mean[:, 0], mean[:, 1] - mean[:, 0]])
+    (gammas, w_ok), (betas, y_ok) = map(_pattern_fits, (xw, tables))
+    betas_r = np.column_stack([betas[:, :2] + ols * betas[:, 2:],
+                               betas[:, 2]])
+    return gammas, betas, betas_r, (at_x > 0).all(axis=1) & w_ok & y_ok
+
+
+def _pattern_fits(tables: np.ndarray):
+    """The coefficients of the logistic fit of each table's last variable
+    on the others, on the table's nonzero cells (``patterns``), and
+    whether it converged without separation.  Tables with the same
+    nonzero cells fit on the same rows, so each such group is one
+    ``irls_stack``: every fit is ``irls``'s on its patterns, bit for bit."""
+    flat = tables.reshape(len(tables), -1)
+    cell_sets, group_of = np.unique(flat > 0, axis=0, return_inverse=True)
+    coefs = np.empty((len(tables), tables.ndim - 1))
+    ok = np.empty(len(tables), dtype=bool)
+    for key, cells in enumerate(cell_sets):
+        group = np.flatnonzero(group_of == key)
+        values, _ = patterns(tables[group[0]])      # the group's one design
+        X = np.column_stack([np.ones(len(values)), values[:, :-1]])
+        fit = irls_stack(np.broadcast_to(X, (len(group), *X.shape)),
+                         np.broadcast_to(values[:, -1], (len(group), len(X))),
+                         flat[group][:, cells].astype(float))
+        coefs[group], ok[group] = fit[0], fit[4] & ~fit[5]
+    return coefs, ok
+
+
+def _shares(gammas, betas, betas_r, kind: str,
+            xs: Optional[np.ndarray]) -> tuple:
+    """(rsd, khb) shares of kept replications' stacked coefficients, as
     arrays; ``xs`` is a continuous treatment's shared sample.  A binary
     rsd share is IE/TE of one ``_decompose`` over the stack of fits,
     ``decompose``'s on each fit bit for bit.  The KHB share is
     (bx_red - bx_full) / bx_red for either kind: the reduced model's eta
     is the full model's, so rescaling both coefficients by one average
     partial effect would cancel out of the ratio."""
-    gammas, betas, betas_r, _ = map(np.array, zip(*fits))
     rsd = ([share_continuous(*b, *g, xs) for b, g in zip(betas, gammas)]
            if kind == "continuous" else _decompose(
                _BINARY, np.hstack([betas, gammas]),
@@ -339,14 +378,21 @@ def run_cell(config: SimConfig) -> SimResult:
     comes first, so a cell without one fails before its first draw."""
     truth = true_value(config)
     xs, rngs = _streams(config, config.replications)
-    kept = [fit for fit in (_fit_models(*_draw(config, rng, xs))
-                            for rng in rngs) if fit[-1]]
-    excluded = config.replications - len(kept)
+    if config.kind == "binary":     # counts only: no replication's rows kept
+        tables = np.zeros((config.replications, 2, 2, 2), dtype=np.intp)
+        for table, rng in zip(tables, rngs):
+            table[...] = tabulate(_draw(config, rng, xs), (2, 2, 2))
+        *coefs, kept = _fit_tables(tables)
+    else:
+        *coefs, kept = map(np.array, zip(*(
+            _fit_models(*_draw(config, rng, xs)) for rng in rngs)))
+    excluded = config.replications - int(np.count_nonzero(kept))
     if excluded > EXCLUSION_LIMIT * config.replications:
         raise SimulationError(
             f"{excluded} of {config.replications} replications excluded "
             f"(limit {EXCLUSION_LIMIT:.0%}) in cell {_label(config)}")
-    rsd, khb = (_stats(v, truth) for v in _shares(kept, config.kind, xs))
+    rsd, khb = (_stats(v, truth) for v in _shares(
+        *(c[kept] for c in coefs), config.kind, xs))
     return SimResult(config.kind, config.beta_x, config.n,
                      config.replications, truth, rsd, khb, excluded)
 

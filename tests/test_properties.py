@@ -1,5 +1,6 @@
 """Property tests over random systems with one to five mediators, and
-over their explicit reductions (two to five mediators).
+over their explicit reductions (two to five mediators); and of the
+stacked Newton solver against ``irls``.
 
 Examples are drawn by hypothesis under the derandomized profile set in
 conftest, so every run checks the same systems.
@@ -19,6 +20,8 @@ from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        marginalize, marginalize_inner)
 from logitpath.effects import (_decompose, _joint, _program, component,
                                component_mask)
+from logitpath import fitting
+from logitpath.fitting import irls, irls_stack
 from logitpath.inference import STEP_SCALE
 from logitpath.model import column_value
 from logitpath.multi import PathSpec, _reduce
@@ -588,3 +591,93 @@ def test_each_spec_keeps_its_own_masks(data):
     assert mask_numbers(fresh) == first["B"]
     assert component_mask(fresh.spec, "DE") is not component_mask(b.spec,
                                                                    "DE")
+
+
+# -- the stacked Newton solver ----------------------------------------------
+
+# the design of test_irls_rejects_a_step_that_halving_cannot_rescue
+UNRESCUABLE = (np.column_stack([
+    np.ones(6), [-0.808, 0.079, -0.254, -0.626, -0.078, -1.923],
+    [-0.982, 0.976, 1.363, 0.877, -0.465, 1.182]]),
+    np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+    np.array([0.00106, 0.0152, 140.0, 88.0, 0.00617, 0.00138]))
+FIT_KINDS = ("weighted", "unit", "singular", "ray", "table", "unrescuable")
+
+
+def fit_slice(kind, m, p, seed):
+    """One weighted logistic fit (X, y, w) of shape (m, p), some of whose
+    weights are zero: weighted rows (most stop on the log-likelihood
+    rule), unit weights (most stop on the score test), a design whose
+    last column repeats the intercept or is zero (a singular
+    information), a ray (every row with x1 = 0 has y = 0), the (x, w) or
+    (x, w, y) table of a binary study replication with counts of 0 to 5,
+    or, at (6, 3), the step that halving cannot rescue."""
+    if kind == "unrescuable" and (m, p) == (6, 3):
+        return tuple(a.copy() for a in UNRESCUABLE)
+    rng = np.random.default_rng([seed, m, p])
+    X = np.column_stack([np.ones(m), rng.normal(
+        0.0, 1.0 + 2.0 * rng.random(), (m, p - 1))])
+    y = (rng.random(m) < 0.5).astype(float)
+    w = rng.exponential(1.0 + 50.0 * rng.random(), m) * (rng.random(m) > 0.2)
+    if kind == "unit":
+        w = np.ones(m)
+    elif kind == "singular":
+        X[:, -1] = X[:, 0] if rng.random() < 0.5 else 0.0
+    elif kind == "ray":
+        X[:, 1] = rng.random(m) < 0.5
+        y[X[:, 1] == 0.0] = 0.0
+    elif kind == "table" and m == 2 ** p:
+        cells = np.array(list(itertools.product((0.0, 1.0), repeat=p)))
+        X[:, 1:], y = cells[:, :-1], cells[:, -1]
+        w = rng.integers(0, 6, m).astype(float)
+    return X, y, w
+
+
+def assert_stack_is_irls(fits):
+    """Every field of every slice of ``irls_stack`` is ``irls``'s on that
+    slice, in value, dtype and bytes."""
+    got = irls_stack(*map(np.array, zip(*fits)))
+    for i, fit in enumerate(fits):
+        for a, b in zip(got, irls(*fit)):
+            a, b = np.asarray(a[i]), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return got
+
+
+@given(st.data())
+def test_a_stacked_irls_is_irls_on_each_slice(data):
+    m, p = data.draw(st.one_of(
+        st.sampled_from([(4, 2), (8, 3), (6, 3)]),
+        st.tuples(st.integers(1, 9), st.integers(2, 4))))
+    fits = data.draw(st.lists(st.builds(
+        fit_slice, st.sampled_from(FIT_KINDS), st.just(m), st.just(p),
+        st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
+    assert_stack_is_irls(fits)
+
+
+def test_one_stack_ends_its_slices_every_way_irls_ends(monkeypatch):
+    fits = [fit_slice(kind, 6, 3, seed) for kind, seed in (
+        ("unit", 2), ("weighted", 1), ("unrescuable", 0), ("singular", 0),
+        ("ray", 5))]
+    beta, _, _, iterations, converged, separation = assert_stack_is_irls(fits)
+    solves, lstsq = [], np.linalg.lstsq
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(
+            a[0].shape) or lstsq(*a, **k))
+        irls_stack(*map(np.array, zip(*fits)))
+        stacked = len(solves)
+        irls(*fits[3])
+    # only the singular slice takes lstsq, at each of its 6 steps, as irls
+    assert stacked == len(solves) - stacked == 6
+    assert set(solves) == {(3, 3)}
+    # a slice stopped by the score test ends elsewhere without it
+    monkeypatch.setattr(fitting, "SCORE_TOL", 0.0)
+    untested = irls_stack(*map(np.array, zip(*fits)))
+    by_score = (untested[3] != iterations) | np.any(untested[0] != beta, 1)
+    assert by_score.tolist() == [True, False, False, False, True]
+    assert iterations.tolist()[:2] == [7, 5] and converged[:2].all()
+    # the rejected step ends its slice at iteration 11, not converged
+    assert iterations[2] == 11 and not converged[2] and separation[2]
+    # a ray: converged, every coefficient within BIG_COEF, and flagged
+    assert converged[4] and np.abs(beta[4]).max() < 50.0 and separation[4]
+    assert not separation[[0, 1, 3]].any()

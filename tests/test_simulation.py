@@ -12,12 +12,12 @@ from logitpath.effects import EffectRequest
 import logitpath.fitting as fitting
 import logitpath.simulation as simulation
 from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
-                                  _fit_models, _stats, _tpe_ipe,
+                                  _fit_models, _fit_tables, _stats, _tpe_ipe,
                                   _shares, fixed_treatment_sample,
                                   generate_data, pseudo_population,
                                   results_to_csv, run_cell, run_study,
                                   share_continuous, true_value)
-from logitpath.fitting import irls
+from logitpath.fitting import irls, tabulate
 from logitpath.model import ParameterSet
 from conftest import assert_close
 
@@ -133,7 +133,12 @@ def test_a_cell_without_a_total_effect_at_the_truth_fails_first(
         fitted.append(x)
         return _fit_models(x, w, y)
 
+    def recording_stack(tables):    # a binary cell's one fit of them all
+        fitted.append(tables)
+        return _fit_tables(tables)
+
     monkeypatch.setattr(simulation, "_fit_models", recording)
+    monkeypatch.setattr(simulation, "_fit_tables", recording_stack)
     grid = {"seed": 3, "replications": 5, "treatment": [kind],
             "beta_x": [0.0], "n": [100], "gamma_x": 0.0}
     with pytest.raises(SimulationError, match=(
@@ -268,21 +273,28 @@ def test_study_shares_each_truth_and_population(monkeypatch):
 def test_run_cell_uses_the_same_replications_as_generate_data(monkeypatch):
     cfg = SimConfig(kind="binary", beta_x=0.9, n=150, replications=4,
                     seed=31)
-    seen = []
-    original = simulation._fit_models
+    seen, stacks = [], []
+    original_draw, original_fit = simulation._draw, simulation._fit_tables
 
-    def recording(x, w, y):
-        seen.append((x.copy(), w.copy(), y.copy()))
-        return original(x, w, y)
+    def recording(*args):
+        seen.append(tuple(v.copy() for v in original_draw(*args)))
+        return seen[-1]
 
-    monkeypatch.setattr(simulation, "_fit_models", recording)
+    def recording_stack(tables):
+        stacks.append(tables.copy())
+        return original_fit(tables)
+
+    monkeypatch.setattr(simulation, "_draw", recording)
+    monkeypatch.setattr(simulation, "_fit_tables", recording_stack)
     run_cell(cfg)
-    assert len(seen) == 4
-    for i, (x, w, y) in enumerate(seen):
+    assert len(seen) == 4 and len(stacks) == 1 and len(stacks[0]) == 4
+    for i, ((x, w, y), table) in enumerate(zip(seen, stacks[0])):
         d = generate_data(cfg, i)
         assert np.array_equal(x, d.columns["X"].astype(float))
         assert np.array_equal(w, d.columns["W"].astype(float))
         assert np.array_equal(y, d.columns["Y"].astype(float))
+        # the cell fits the counts of exactly these values
+        assert np.array_equal(table, tabulate((x, w, y), (2, 2, 2)))
 
 
 # -- per-replication estimators --------------------------------------------
@@ -293,16 +305,17 @@ def test_ratio_estimator_equals_the_generic_pipeline(monkeypatch):
                     seed=41)
     fits = []
 
-    def recording(x, w, y):
-        fits.append(_fit_models(x, w, y))
+    def recording(tables):
+        fits.append(_fit_tables(tables))
         return fits[-1]
 
-    monkeypatch.setattr(simulation, "_fit_models", recording)
+    monkeypatch.setattr(simulation, "_fit_tables", recording)
     result = run_cell(cfg)
-    kept = [fit for fit in fits if fit[-1]]
-    rsd = _shares(kept, "binary", None)[0]
-    assert len(rsd) == len(kept) == 20 - result.excluded
-    for (gamma, beta, *_), share in zip(kept, rsd):
+    (*coefs, usable), = fits
+    kept = [c[usable] for c in coefs]
+    rsd = _shares(*kept, "binary", None)[0]
+    assert len(rsd) == np.count_nonzero(usable) == 20 - result.excluded
+    for gamma, beta, share in zip(*kept[:2], rsd):
         d = decompose(study_params("binary", *beta, *gamma),
                       EffectRequest.contrast(1, 0))
         assert share == d.indirect / d.total
@@ -324,7 +337,9 @@ def test_ratio_estimator_equals_the_generic_pipeline(monkeypatch):
     y = data.columns["Y"].astype(float)
     fitted = fit_system(data, study_spec("continuous"))
     atpe, _, aipe = average_probability_effects(fitted.params, data)
-    assert_close(_shares([_fit_models(x, w, y)], "continuous", x)[0][0],
+    gamma, beta, beta_r, _ = _fit_models(x, w, y)
+    assert_close(_shares(gamma[None], beta[None], beta_r[None],
+                         "continuous", x)[0][0],
                  aipe / atpe, 1e-8, "continuous rsd")
 
 
@@ -350,7 +365,8 @@ def test_scaled_and_plain_residualization_shares_coincide():
         bx_red = beta_r[1] * ape(np.column_stack([ones, x, residual])
                                  @ beta_r)
         assert kept
-        assert_close(_shares([fit], "continuous", x)[1][0],
+        assert_close(_shares(gamma[None], beta[None], beta_r[None],
+                             "continuous", x)[1][0],
                      (bx_red - bx) / bx_red, 1e-12, "residualization share")
 
 
@@ -425,17 +441,18 @@ def test_a_binary_replication_is_fitted_on_its_patterns(
     data = generate_data(cfg, rep)
     x, w, y = (data.columns[v].astype(float) for v in "XWY")
     seen = []
+    original = simulation.irls_stack
 
     def recording(X, response, weights):
-        seen.append((X, irls(X, response, weights)))
+        seen.append((X, original(X, response, weights)))
         return seen[-1][-1]
 
-    monkeypatch.setattr(simulation, "irls", recording)
+    monkeypatch.setattr(simulation, "irls_stack", recording)
     gamma, beta, beta_r, kept = _fit_models(x, w, y)
     w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
-    assert [len(X) for X, _ in seen] == [xw_rows, xwy_rows]
+    assert [X.shape for X, _ in seen] == [(1, xw_rows, 2), (1, xwy_rows, 3)]
     for (_, fit), want in zip(seen, (w_fit, y_fit)):
-        assert all(np.array_equal(a, b) for a, b in zip(fit, want))
+        assert all(np.array_equal(a[0], b) for a, b in zip(fit, want))
     assert np.array_equal(gamma, w_fit[0]) and np.array_equal(beta, y_fit[0])
     assert kept == usable == all(f[4] and not f[5] for f in (w_fit, y_fit))
     # (a, b) of the OLS fit of w on x, from the pattern counts
@@ -482,31 +499,25 @@ def test_stats_identities():
 def test_exclusion_accounting(monkeypatch):
     cfg = SimConfig(kind="binary", beta_x=0.9, n=200, replications=30,
                     seed=61)
-    original = simulation._fit_models
-    calls = {"n": 0}
+    original = simulation._fit_tables
 
-    def flaky(x, w, y):
-        calls["n"] += 1
-        out = original(x, w, y)
-        if calls["n"] == 2:
-            return out[:-1] + (False,)
-        return out
+    def flaky(tables):
+        *coefs, usable = original(tables)
+        assert usable.all()
+        usable[1] = False       # the second replication
+        return (*coefs, usable)
 
-    monkeypatch.setattr(simulation, "_fit_models", flaky)
+    monkeypatch.setattr(simulation, "_fit_tables", flaky)
     result = run_cell(cfg)
     assert result.excluded == 1
     assert result.replications == 30
 
-    calls["n"] = 0
+    def broken(tables):
+        *coefs, usable = original(tables)
+        usable[:3] = False      # the first three replications
+        return (*coefs, usable)
 
-    def broken(x, w, y):
-        calls["n"] += 1
-        out = original(x, w, y)
-        if calls["n"] <= 3:
-            return out[:-1] + (False,)
-        return out
-
-    monkeypatch.setattr(simulation, "_fit_models", broken)
+    monkeypatch.setattr(simulation, "_fit_tables", broken)
     with pytest.raises(SimulationError, match="excluded"):
         run_cell(cfg)
 
@@ -515,7 +526,13 @@ def test_nonconvergent_single_replications_give_no_shares(monkeypatch):
     def never(x, w, y):
         return np.zeros(2), np.zeros(3), np.zeros(3), False
 
+    def never_stacked(tables):
+        r = len(tables)
+        return np.zeros((r, 2)), np.zeros((r, 3)), np.zeros((r, 3)), \
+            np.zeros(r, dtype=bool)
+
     monkeypatch.setattr(simulation, "_fit_models", never)
+    monkeypatch.setattr(simulation, "_fit_tables", never_stacked)
     for kind in ("binary", "continuous"):
         cfg = SimConfig(kind=kind, beta_x=0.9, n=40, replications=1,
                         seed=3, pseudo_population=1000)
@@ -527,16 +544,21 @@ def test_nonconvergent_single_replications_give_no_shares(monkeypatch):
 def test_separated_replications_are_excluded(monkeypatch):
     cfg = SimConfig(kind="binary", beta_x=0.9, n=200, replications=30,
                     seed=61)
-    original = simulation.irls
-    calls = {"n": 0}
+    original = simulation.irls_stack
+    stacks = []
 
     def separated_once(X, y, w):
-        calls["n"] += 1
+        stacks.append(X.shape)
         out = original(X, y, w)
-        return out[:-1] + (calls["n"] == 4,)   # second replication, Y fit
+        if len(stacks) == 2:    # the Y stack: flag the second replication
+            assert not out[-1].any()
+            out[-1][1] = True
+        return out
 
-    monkeypatch.setattr(simulation, "irls", separated_once)
+    monkeypatch.setattr(simulation, "irls_stack", separated_once)
     assert run_cell(cfg).excluded == 1
+    # one W stack and one Y stack, each of every replication in order
+    assert stacks == [(30, 4, 2), (30, 8, 3)]
 
 
 def test_small_separated_cell_gives_no_nan():

@@ -19,7 +19,10 @@ too), ``marginal_logit_multi`` on a system with no mediators and the DE
 and IE ``component_mask`` vectors.  The study and the fit are dumped too:
 ``run_study`` on a small seeded grid (binary and continuous treatments,
 beta_x 0.4 and 1.8, n 250 and 1000, 30 replications), its binary and its
-continuous cells as two entries, and every field ``irls`` returns on
+continuous cells as two entries, then its binary cells at n 5, 12 and
+40 (200 replications, with the exclusion limit lifted so that every
+cell reports its kept replications: small samples leave pattern cells
+empty and designs singular), and every field ``irls`` returns on
 seeded weighted designs, some with zero counts, some needing
 step-halvings, and one whose step halving cannot rescue, then on the
 same designs with unit weights, most of whose fits stop on the score
@@ -39,7 +42,8 @@ Run the dump once per tree, then compare:
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
 is listed and fails nothing.  Unreduced tables, the APE, the direct
 calls, the continuous study cells and the fits must be bit-identical
-(``compare`` prints the largest absolute difference beside each count).
+(``compare`` prints the largest absolute difference beside each count),
+and so must the small-n binary cells.
 The binary study cells (``run_study binary`` and the grid of size
 250.0) are held within 1e-8 relative (``STUDY_BOUND``): a binary
 replication may be fitted on its n rows or on its at most 8 weighted
@@ -268,6 +272,23 @@ def study_numbers(grid=STUDY_GRID):
     return out
 
 
+SMALL_N_GRID = {"seed": 19, "replications": 200, "treatment": ["binary"],
+                "beta_x": [0.4, 1.8], "n": [5, 12, 40]}
+
+
+def small_n_study_numbers():
+    """Every number of each cell of ``SMALL_N_GRID``, KHB statistics
+    included, with ``EXCLUSION_LIMIT`` lifted: these cells exclude 30 to
+    198 of 200 replications, and the study would refuse them."""
+    from logitpath import simulation
+    limit, simulation.EXCLUSION_LIMIT = simulation.EXCLUSION_LIMIT, 1.0
+    try:
+        rows, khb = study_numbers(SMALL_N_GRID)["binary"]
+    finally:
+        simulation.EXCLUSION_LIMIT = limit
+    return [row + stats for row, stats in zip(rows, khb)]
+
+
 def irls_numbers(unit=False):
     """Every field ``irls`` returns on seeded weighted designs (a fifth of
     the counts zero; several need step-halvings), then on a design whose
@@ -363,6 +384,7 @@ def dump(path):
     study["data path grid n 250.0"], khb["data path grid n 250.0"] = (
         study_numbers({**STUDY_GRID, "treatment": ["binary"],
                        "beta_x": [0.4], "n": [250.0]})["binary"])
+    exact["run_study binary small n"] = small_n_study_numbers()
     exact["irls"] = irls_numbers()
     exact["irls unit weights"] = irls_numbers(unit=True)
     for k in (1, 2, 3, 4, 5):
