@@ -387,14 +387,21 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     return beta, H, ll, it, converged, separation
 
 
+def _take(X: np.ndarray, slices) -> np.ndarray:
+    """The designs of ``slices`` of a stack: a shared design is each one's."""
+    return X if X.ndim == 2 else X[slices]
+
+
 def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """``irls`` on each fit of a stack: X of shape (R, m, p), y and w of
-    shape (R, m).  Returns ``irls``'s six fields, each stacked on a first
-    axis of R, and equal to ``irls``'s on each slice bit for bit.  The
-    slices take their Newton steps in lock step, each by ``irls``'s
-    rules, and a slice leaves the stack where ``irls`` would stop; batched
-    matmuls and solves do each slice's arithmetic as ``irls`` does it."""
-    R, p = len(X), X.shape[2]
+    """``irls`` on each fit of a stack: y and w of shape (R, m), and X of
+    shape (R, m, p), or (m, p) for one design shared by every slice,
+    which is broadcast and never copied.  Returns ``irls``'s six fields,
+    each stacked on a first axis of R, and equal to ``irls``'s on each
+    slice bit for bit.  The slices take their Newton steps in lock step,
+    each by ``irls``'s rules, and a slice leaves the stack where ``irls``
+    would stop; batched matmuls and solves do each slice's arithmetic as
+    ``irls`` does it."""
+    R, p = len(y), X.shape[-1]
     beta = np.zeros((R, p))
     eta = (X @ beta[..., None])[..., 0]
     ll = _loglik(eta, y, w)
@@ -402,20 +409,21 @@ def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     converged = np.zeros(R, dtype=bool)
     act = np.arange(R)      # the slices still iterating
     for it in range(1, MAX_ITER + 1):
-        Xa, ya, wa, old = X[act], y[act], w[act], ll[act]
+        Xa, ya, wa, old = _take(X, act), y[act], w[act], ll[act]
         prob = expit(eta[act])
         resid = ya - prob
         resid *= wa
-        score = (np.swapaxes(Xa, 1, 2) @ resid[..., None])[..., 0]
+        score = (np.swapaxes(Xa, -1, -2) @ resid[..., None])[..., 0]
         stop = np.abs(score).max(axis=1) < SCORE_TOL
         if stop.any():
             converged[act[stop]], iterations[act[stop]] = True, it
             go = ~stop
-            act, Xa, ya, wa, old, prob, score = (
-                a[go] for a in (act, Xa, ya, wa, old, prob, score))
+            Xa = _take(Xa, go)
+            act, ya, wa, old, prob, score = (
+                a[go] for a in (act, ya, wa, old, prob, score))
             if not act.size:
                 break
-        H = _information(Xa, np.swapaxes(Xa, 1, 2), wa, prob)
+        H = _information(Xa, np.swapaxes(Xa, -1, -2), wa, prob)
         try:
             step = np.linalg.solve(H, score[..., None])[..., 0]
         except np.linalg.LinAlgError:   # only a singular slice takes lstsq
@@ -430,7 +438,7 @@ def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
             h = np.flatnonzero(lower)
             step[h] = 0.5 * step[h]
             new_beta[h] = beta[act[h]] + step[h]
-            new_eta[h] = (Xa[h] @ new_beta[h][..., None])[..., 0]
+            new_eta[h] = (_take(Xa, h) @ new_beta[h][..., None])[..., 0]
             new_ll[h] = _loglik(new_eta[h], ya[h], wa[h])
             lower[h] = new_ll[h] < old[h]
         tol = LOGLIK_TOL * (1.0 + np.abs(old))
@@ -443,12 +451,12 @@ def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         act = act[~done]
         if not act.size:
             break
-    H = _information(X, np.swapaxes(X, 1, 2), w, expit(eta))
+    H = _information(X, np.swapaxes(X, -1, -2), w, expit(eta))
     separation = ~converged     # converged: where _separated could flag
     suspect = converged & ((np.abs(beta).max(axis=1) > BIG_COEF) | (
         (w > 0) & (np.abs(eta) > BIG_LOGIT)).any(axis=1))
     for i in np.flatnonzero(suspect):
-        separation[i] = _separated(X[i], y[i], w[i], beta[i], eta[i])
+        separation[i] = _separated(_take(X, i), y[i], w[i], beta[i], eta[i])
     return beta, H, ll, iterations, converged, separation
 
 

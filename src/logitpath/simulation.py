@@ -29,15 +29,24 @@ most 4 distinct (x, w) and 8 distinct (x, w, y) rows with their counts,
 which have the likelihood of its n rows.  A binary cell keeps only each
 replication's counts, and fits all its replications at once: those whose
 patterns are the same cells make one ``fitting.irls_stack`` per
-equation, each fit ``irls``'s bit for bit.  A continuous replication
-fits its n rows with ``irls``, one call per fit: on 100 replications a
-stack of its fits took 18 ms against 44 ms at n = 250, but 72 ms against
-68 ms at n = 1000 (2-vCPU Intel Xeon VM).
+equation, each fit ``irls``'s bit for bit.  A continuous cell holds its
+treatment sample fixed, so W ~ X has the one design [1, x] for every
+replication.  The cell draws and fits its replications in chunks of at
+most ``CHUNK_ROWS`` rows (replications x n): a chunk's W ~ X fits are
+one ``irls_stack`` on the shared design, each fit ``irls``'s bit for
+bit, and its KHB OLS fits one product with the design's pseudo-inverse;
+each Y ~ X + W is fitted by ``irls`` on its own rows.  On the W fits and
+OLS of 100 replications, serial calls took 38-47, 44-56 and 59-72 ms at
+n = 250, 500 and 1000, and chunks of 15,000 rows 13-15, 28-29 and 39-51
+ms, the best or within noise of the best of 5,000 to 50,000 rows;
+25,000 rows took 13-16, 28-31 and 44-50 ms (2-vCPU Intel Xeon VM).
 
-Replications whose treatment takes one value, or with any non-convergent
-or separated logistic fit, are dropped from both methods (keeping the
-comparison on identical replication sets) and counted; more than 5
-percent exclusions aborts the cell.
+Replications whose treatment takes one value, whose binary counts tie
+(the mean of y the same at x = 0 and x = 1, so the fitted total effect
+is 0 up to the stopping error), or with any non-convergent or separated
+logistic fit, are dropped from both methods (keeping the comparison on
+identical replication sets) and counted; more than 5 percent exclusions
+aborts the cell.
 
 All randomness descends from one master seed through named SeedSequence
 children, so results are bit-for-bit reproducible and independent of
@@ -72,6 +81,7 @@ from .model import SystemSpec, VariableSpec, _float, _is
 
 PSEUDO_POPULATION = 150_000
 EXCLUSION_LIMIT = 0.05
+CHUNK_ROWS = 15_000     # rows (replications x n) a continuous chunk fits
 _POP_TAG = 101
 _SUB_TAG = 102
 _REP_TAG = 200
@@ -251,7 +261,11 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
     separates anyway.
 
     A 0/1 treatment is fitted as a stack of one by ``_fit_tables``, on
-    the counts of its (x, w, y) values.
+    the counts of its (x, w, y) values.  Any other treatment is fitted
+    here on its n rows, one ``irls`` call per equation: this is the
+    reference for a continuous cell's ``_fit_chunk``, which gives the
+    same coefficients and flag bit for bit, and the same reduced
+    coefficients to rounding.
 
     Returns (w-model coefs, y-model coefs, reduced y-model coefs, usable
     flag); the flag is False when the treatment takes one value, or when
@@ -266,9 +280,42 @@ def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
     fits = [irls(xw_model, w, ones),
             irls(np.column_stack([ones, x, w]), y, ones)]
     (gamma, *_), (beta, *_) = fits
-    beta_r = np.append(beta[:2] + ols * beta[2], beta[2])
-    return (gamma, beta, beta_r, bool(x.min() < x.max()) and all(
-        fit[4] and not fit[5] for fit in fits))
+    return (gamma, beta, _reduced(beta, ols), bool(x.min() < x.max()) and
+            all(fit[4] and not fit[5] for fit in fits))
+
+
+def _reduced(betas: np.ndarray, ols: np.ndarray) -> np.ndarray:
+    """KHB's reduced-model coefficients (b0 + a bw, bx + b bw, bw) of full
+    fits (b0, bx, bw) and OLS fits (a, b), each on a last axis."""
+    return np.concatenate([betas[..., :2] + ols * betas[..., 2:],
+                           betas[..., 2:]], axis=-1)
+
+
+def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
+    """``_fit_models`` for a chunk of replications of a continuous cell,
+    which share the treatment sample ``x``; ``ws`` and ``ys`` have shape
+    (R, n).  W ~ X has the one design [1, x] for every replication, so
+    its fits are one ``irls_stack`` on the shared design, and KHB's OLS
+    fits (a, b) are the chunk's responses times the design's
+    pseudo-inverse; Y ~ X + W is fitted by ``irls`` on each replication's
+    rows.  Returns (gammas, betas, betas_r, usable), stacked on a first
+    axis of R.
+
+    One ``lstsq`` with a right-hand side per replication would give the
+    OLS fits too, but it runs multithreaded BLAS: with the other vCPU of
+    a 2-vCPU VM busy it took 16 ms a chunk, not 0.17 ms, where the
+    pseudo-inverse took 0.06-0.08 ms."""
+    ones = np.ones(len(x))
+    xw_model = np.column_stack([ones, x])
+    ols = ws @ np.linalg.pinv(xw_model).T
+    gammas, *_, w_converged, w_separated = irls_stack(
+        xw_model, ws, np.broadcast_to(ones, ws.shape))
+    y_fits = [irls(np.column_stack([xw_model, w]), y, ones)
+              for w, y in zip(ws, ys)]
+    betas = np.array([fit[0] for fit in y_fits])
+    y_ok = np.array([fit[4] and not fit[5] for fit in y_fits])
+    return (gammas, betas, _reduced(betas, ols),
+            (x.min() < x.max()) & w_converged & ~w_separated & y_ok)
 
 
 def _fit_tables(tables: np.ndarray):
@@ -277,16 +324,20 @@ def _fit_tables(tables: np.ndarray):
     on each replication's at most 4 distinct (x, w) rows and Y ~ X + W on
     its at most 8 (x, w, y) rows, each counted once, with the same
     likelihood as its n rows; a and a + b are the means of w at x = 0
-    and x = 1.  Returns (gammas, betas, betas_r, usable), stacked on a
-    first axis of R."""
+    and x = 1.  A replication is not usable when the means of y at x = 0
+    and x = 1 tie, y11 n0 = y01 n1 in its counts: its fitted total effect
+    is then 0 up to the fits' stopping error, and its share undefined.
+    Returns (gammas, betas, betas_r, usable), stacked on a first axis of
+    R."""
     xw = tables.sum(axis=3)
     at_x = xw.sum(axis=2)
     mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
     ols = np.column_stack([mean[:, 0], mean[:, 1] - mean[:, 0]])
     (gammas, w_ok), (betas, y_ok) = map(_pattern_fits, (xw, tables))
-    betas_r = np.column_stack([betas[:, :2] + ols * betas[:, 2:],
-                               betas[:, 2]])
-    return gammas, betas, betas_r, (at_x > 0).all(axis=1) & w_ok & y_ok
+    y1 = tables[..., 1].sum(axis=2)     # of y = 1 at x = 0, 1
+    tied = y1[:, 1] * at_x[:, 0] == y1[:, 0] * at_x[:, 1]
+    return (gammas, betas, _reduced(betas, ols),
+            (at_x > 0).all(axis=1) & ~tied & w_ok & y_ok)
 
 
 def _pattern_fits(tables: np.ndarray):
@@ -303,8 +354,8 @@ def _pattern_fits(tables: np.ndarray):
         group = np.flatnonzero(group_of == key)
         values, _ = patterns(tables[group[0]])      # the group's one design
         X = np.column_stack([np.ones(len(values)), values[:, :-1]])
-        fit = irls_stack(np.broadcast_to(X, (len(group), *X.shape)),
-                         np.broadcast_to(values[:, -1], (len(group), len(X))),
+        fit = irls_stack(X, np.broadcast_to(values[:, -1],
+                                            (len(group), len(X))),
                          flat[group][:, cells].astype(float))
         coefs[group], ok[group] = fit[0], fit[4] & ~fit[5]
     return coefs, ok
@@ -383,9 +434,13 @@ def run_cell(config: SimConfig) -> SimResult:
         for table, rng in zip(tables, rngs):
             table[...] = tabulate(_draw(config, rng, xs), (2, 2, 2))
         *coefs, kept = _fit_tables(tables)
-    else:
-        *coefs, kept = map(np.array, zip(*(
-            _fit_models(*_draw(config, rng, xs)) for rng in rngs)))
+    else:       # chunks of at most CHUNK_ROWS rows, drawn in order
+        size, chunks = max(1, CHUNK_ROWS // config.n), []
+        while chunk := list(itertools.islice(rngs, size)):
+            ws, ys = (np.array(v) for v in zip(*(
+                _draw(config, rng, xs)[1:] for rng in chunk)))
+            chunks.append(_fit_chunk(xs, ws, ys))
+        *coefs, kept = map(np.concatenate, zip(*chunks))
     excluded = config.replications - int(np.count_nonzero(kept))
     if excluded > EXCLUSION_LIMIT * config.replications:
         raise SimulationError(

@@ -602,6 +602,7 @@ UNRESCUABLE = (np.column_stack([
     np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
     np.array([0.00106, 0.0152, 140.0, 88.0, 0.00617, 0.00138]))
 FIT_KINDS = ("weighted", "unit", "singular", "ray", "table", "unrescuable")
+SHARED_KINDS = ("weighted", "unit", "singular", "ray", "separated")
 
 
 def fit_slice(kind, m, p, seed):
@@ -633,10 +634,45 @@ def fit_slice(kind, m, p, seed):
     return X, y, w
 
 
-def assert_stack_is_irls(fits):
+def shared_design(m, p, seed, binary):
+    """A design for a stack to share: an intercept, normal columns and,
+    with ``binary``, a last column of 0s and 1s."""
+    rng = np.random.default_rng([seed, m, p])
+    X = np.column_stack([np.ones(m), rng.normal(
+        0.0, 1.0 + 2.0 * rng.random(), (m, p - 1))])
+    if binary:
+        X[:, -1] = rng.random(m) < 0.5
+    return X
+
+
+def on_design(X, kind, seed):
+    """A response and weights for the design ``X`` that a stack shares:
+    weighted (a fifth of the weights zero), unit weights, no weight on
+    the rows where X's last column is nonzero (a singular information
+    when that column holds 0s and 1s), a ray (every row whose last
+    column is 0 has y = 0), or complete separation (y is 1 exactly where
+    X's second column is above its median)."""
+    m, p = X.shape
+    rng = np.random.default_rng([seed, m, p])
+    y = (rng.random(m) < 0.5).astype(float)
+    w = rng.exponential(1.0 + 50.0 * rng.random(), m) * (rng.random(m) > 0.2)
+    if kind == "unit":
+        w = np.ones(m)
+    elif kind == "singular":
+        w[X[:, -1] != 0.0] = 0.0
+    elif kind == "ray":
+        y[X[:, -1] == 0.0] = 0.0
+    elif kind == "separated":
+        y = (X[:, 1] > np.median(X[:, 1])).astype(float)
+    return X, y, w
+
+
+def assert_stack_is_irls(fits, shared=False):
     """Every field of every slice of ``irls_stack`` is ``irls``'s on that
-    slice, in value, dtype and bytes."""
-    got = irls_stack(*map(np.array, zip(*fits)))
+    slice, in value, dtype and bytes; with ``shared``, every fit has the
+    first fit's design, passed once as an (m, p) array."""
+    X, y, w = map(np.array, zip(*fits))
+    got = irls_stack(X[0] if shared else X, y, w)
     for i, fit in enumerate(fits):
         for a, b in zip(got, irls(*fit)):
             a, b = np.asarray(a[i]), np.asarray(b)
@@ -653,6 +689,17 @@ def test_a_stacked_irls_is_irls_on_each_slice(data):
         fit_slice, st.sampled_from(FIT_KINDS), st.just(m), st.just(p),
         st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
     assert_stack_is_irls(fits)
+    # one design shared by every slice, whole and in chunks of c slices
+    X = shared_design(m, p, data.draw(st.integers(0, 2 ** 32 - 1)),
+                      data.draw(st.booleans()))
+    shared = [on_design(X, kind, seed) for kind, seed in data.draw(
+        st.lists(st.tuples(st.sampled_from(SHARED_KINDS),
+                           st.integers(0, 2 ** 32 - 1)),
+                 min_size=1, max_size=9))]
+    assert_stack_is_irls(shared, shared=True)
+    c = data.draw(st.integers(1, len(shared)))
+    for start in range(0, len(shared), c):
+        assert_stack_is_irls(shared[start:start + c], shared=True)
 
 
 def test_one_stack_ends_its_slices_every_way_irls_ends(monkeypatch):
@@ -681,3 +728,28 @@ def test_one_stack_ends_its_slices_every_way_irls_ends(monkeypatch):
     # a ray: converged, every coefficient within BIG_COEF, and flagged
     assert converged[4] and np.abs(beta[4]).max() < 50.0 and separation[4]
     assert not separation[[0, 1, 3]].any()
+
+
+def test_a_shared_design_stack_ends_its_slices_every_way_irls_ends(
+        monkeypatch):
+    X = shared_design(30, 3, 1, True)
+    fits = [on_design(X, kind, seed) for kind, seed in (
+        ("unit", 0), ("weighted", 1), ("singular", 0), ("ray", 0),
+        ("separated", 0))]
+    assert (fits[1][2] == 0.0).any()
+    beta, _, _, iterations, converged, separation = assert_stack_is_irls(
+        fits, shared=True)
+    solves, lstsq = [], np.linalg.lstsq
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(
+            a[0].shape) or lstsq(*a, **k))
+        irls_stack(X, *map(np.array, zip(*(f[1:] for f in fits))))
+        stacked = len(solves)
+        irls(*fits[2])
+    # only the singular slice takes lstsq, at each of its steps, as irls
+    assert stacked == len(solves) - stacked == 5
+    assert iterations.tolist() == [4, 7, 6, 24, 29] and converged.all()
+    # a ray, flagged with every coefficient within BIG_COEF, and a
+    # complete separation, flagged beyond it
+    assert separation.tolist() == [False, False, False, True, True]
+    assert np.abs(beta[3]).max() < 50.0 < np.abs(beta[4]).max()

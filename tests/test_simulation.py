@@ -12,8 +12,9 @@ from logitpath.effects import EffectRequest
 import logitpath.fitting as fitting
 import logitpath.simulation as simulation
 from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
-                                  _fit_models, _fit_tables, _stats, _tpe_ipe,
-                                  _shares, fixed_treatment_sample,
+                                  _fit_chunk, _fit_models, _fit_tables,
+                                  _stats, _tpe_ipe, _shares,
+                                  fixed_treatment_sample,
                                   generate_data, pseudo_population,
                                   results_to_csv, run_cell, run_study,
                                   share_continuous, true_value)
@@ -129,15 +130,15 @@ def test_a_cell_without_a_total_effect_at_the_truth_fails_first(
     # nan (continuous), after every replication was fitted
     fitted = []
 
-    def recording(x, w, y):
-        fitted.append(x)
-        return _fit_models(x, w, y)
+    def recording_chunk(x, ws, ys):     # a continuous cell's fits, by chunk
+        fitted.append(ws)
+        return _fit_chunk(x, ws, ys)
 
     def recording_stack(tables):    # a binary cell's one fit of them all
         fitted.append(tables)
         return _fit_tables(tables)
 
-    monkeypatch.setattr(simulation, "_fit_models", recording)
+    monkeypatch.setattr(simulation, "_fit_chunk", recording_chunk)
     monkeypatch.setattr(simulation, "_fit_tables", recording_stack)
     grid = {"seed": 3, "replications": 5, "treatment": [kind],
             "beta_x": [0.0], "n": [100], "gamma_x": 0.0}
@@ -197,7 +198,7 @@ def test_cell_seed_keeps_the_milli_encoding():
         assert _cell_seed(cfg).generate_state(2).tolist() == state
 
 
-def test_cell_seed_is_injective_for_any_sign():
+def test_cell_seed_is_injective_for_any_sign(monkeypatch):
     betas = (0.9, 0.9001, 0.8999, -0.5, 0.5, -0.0009, 0.0, 1e-4,
              2.0 ** -40, -2.0 ** -40, 4.5, -4.5, 1e306, -1e306, 1.7e308)
     states = {}
@@ -207,9 +208,13 @@ def test_cell_seed_is_injective_for_any_sign():
         states.setdefault(tuple(_cell_seed(cfg).generate_state(4)),
                           []).append(b)
     assert sorted(len(v) for v in states.values()) == [1] * len(betas)
+    # replication 0 of this cell ties (26 of 150 with y = 1 at each x),
+    # so the cell is run with the exclusion limit lifted
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
     result = run_cell(SimConfig(kind="binary", beta_x=-0.5, n=300,
                                 replications=3, seed=3))
     assert np.isfinite(result.true_value) and result.true_value != 0.0
+    assert result.excluded == 1 and np.isfinite(result.rsd.average)
 
 
 def test_continuous_treatment_is_shared_binary_is_redrawn():
@@ -414,6 +419,38 @@ def test_reduced_fit_is_the_full_fit_reparametrized(kind, seed, beta_x, n,
         assert not np.array_equal(unhalved[0], full[0])
 
 
+def test_a_continuous_cell_fits_each_replication_as_fit_models(monkeypatch):
+    # chunks of 4 of 11 replications; replication 4's Y fit separates
+    cfg = SimConfig(kind="continuous", beta_x=1.8, n=40, replications=11,
+                    seed=4, pseudo_population=5000)
+    monkeypatch.setattr(simulation, "CHUNK_ROWS", 4 * 40 + 39)
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 0.1)
+    chunks, xs = [], fixed_treatment_sample(cfg.seed, cfg.n, 5000)
+
+    def recording(x, ws, ys):
+        assert np.array_equal(x, xs)
+        chunks.append((ws.shape, ys.shape, _fit_chunk(x, ws, ys)))
+        return chunks[-1][-1]
+
+    monkeypatch.setattr(simulation, "_fit_chunk", recording)
+    result = run_cell(cfg)
+    assert [shapes[:2] for shapes in chunks] == [
+        ((4, 40), (4, 40)), ((4, 40), (4, 40)), ((3, 40), (3, 40))]
+    gammas, betas, betas_r, usable = map(np.concatenate,
+                                         zip(*(c[-1] for c in chunks)))
+    assert result.excluded == 1 and np.flatnonzero(~usable).tolist() == [4]
+    for i in range(cfg.replications):
+        data = generate_data(cfg, i)
+        gamma, beta, beta_r, kept = _fit_models(
+            *(data.columns[v].astype(float) for v in "XWY"))
+        assert gammas[i].tobytes() == gamma.tobytes()
+        assert betas[i].tobytes() == beta.tobytes()
+        assert usable[i] == kept
+        # KHB's OLS fits of a chunk are one product with a pseudo-inverse
+        assert np.all(np.abs(betas_r[i] - beta_r)
+                      <= 1e-14 * (1.0 + np.abs(beta_r)))
+
+
 def pattern_fit(*columns):
     """``irls`` on the distinct rows of ``columns``, each weighted by its
     count: the last column is the response."""
@@ -444,13 +481,16 @@ def test_a_binary_replication_is_fitted_on_its_patterns(
     original = simulation.irls_stack
 
     def recording(X, response, weights):
-        seen.append((X, original(X, response, weights)))
+        seen.append(((X.shape, response.shape),
+                     original(X, response, weights)))
         return seen[-1][-1]
 
     monkeypatch.setattr(simulation, "irls_stack", recording)
     gamma, beta, beta_r, kept = _fit_models(x, w, y)
     w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
-    assert [X.shape for X, _ in seen] == [(1, xw_rows, 2), (1, xwy_rows, 3)]
+    # each equation's one shared design, and a stack of one response
+    assert [shapes for shapes, _ in seen] == [
+        ((xw_rows, 2), (1, xw_rows)), ((xwy_rows, 3), (1, xwy_rows))]
     for (_, fit), want in zip(seen, (w_fit, y_fit)):
         assert all(np.array_equal(a[0], b) for a, b in zip(fit, want))
     assert np.array_equal(gamma, w_fit[0]) and np.array_equal(beta, y_fit[0])
@@ -482,6 +522,35 @@ def test_a_treatment_of_one_value_is_excluded(monkeypatch):
             assert _fit_models(x, w, y)[-1] is False
         monkeypatch.setattr(simulation, "_draw", constant_once)
         assert run_cell(cfg).excluded == 1
+
+
+def test_a_binary_replication_whose_counts_tie_is_excluded(monkeypatch):
+    # before: kept with a total effect of rounding size (the sample log
+    # odds ratio of Y on X is 0), so its share made this accepted cell's
+    # rsd average -2.17e8, with 6 exclusions
+    cfg = SimConfig(kind="binary", beta_x=0.4, n=100, replications=2000,
+                    seed=17)
+    seen = []
+
+    def recording(tables):
+        seen.append((tables.copy(), _fit_tables(tables)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(simulation, "_fit_tables", recording)
+    result = run_cell(cfg)
+    (tables, (gammas, betas, _, usable)), = seen
+    at_x = tables.sum(axis=(2, 3))
+    y1 = tables[..., 1].sum(axis=2)     # Y = 1 at x = 0, 1
+    tied = y1[:, 1] * at_x[:, 0] == y1[:, 0] * at_x[:, 1]
+    assert np.count_nonzero(tied) == 2 and not usable[tied].any()
+    assert result.excluded == 6 + 2
+    assert all(np.isfinite(list(vars(result.rsd).values())))
+    assert abs(result.rsd.average - result.true_value) < 0.1
+    # every kept replication has a total effect well away from 0
+    te = simulation._decompose(simulation._BINARY,
+                               np.hstack([betas, gammas])[usable],
+                               EffectRequest.contrast(1, 0)).total
+    assert np.abs(te).min() > 1e-3
 
 
 # -- cell orchestration ----------------------------------------------------
@@ -523,16 +592,14 @@ def test_exclusion_accounting(monkeypatch):
 
 
 def test_nonconvergent_single_replications_give_no_shares(monkeypatch):
-    def never(x, w, y):
-        return np.zeros(2), np.zeros(3), np.zeros(3), False
-
-    def never_stacked(tables):
-        r = len(tables)
+    def never(r):
         return np.zeros((r, 2)), np.zeros((r, 3)), np.zeros((r, 3)), \
             np.zeros(r, dtype=bool)
 
-    monkeypatch.setattr(simulation, "_fit_models", never)
-    monkeypatch.setattr(simulation, "_fit_tables", never_stacked)
+    monkeypatch.setattr(simulation, "_fit_chunk",
+                        lambda x, ws, ys: never(len(ws)))
+    monkeypatch.setattr(simulation, "_fit_tables",
+                        lambda tables: never(len(tables)))
     for kind in ("binary", "continuous"):
         cfg = SimConfig(kind=kind, beta_x=0.9, n=40, replications=1,
                         seed=3, pseudo_population=1000)
@@ -548,7 +615,7 @@ def test_separated_replications_are_excluded(monkeypatch):
     stacks = []
 
     def separated_once(X, y, w):
-        stacks.append(X.shape)
+        stacks.append(y.shape)
         out = original(X, y, w)
         if len(stacks) == 2:    # the Y stack: flag the second replication
             assert not out[-1].any()
@@ -558,7 +625,7 @@ def test_separated_replications_are_excluded(monkeypatch):
     monkeypatch.setattr(simulation, "irls_stack", separated_once)
     assert run_cell(cfg).excluded == 1
     # one W stack and one Y stack, each of every replication in order
-    assert stacks == [(30, 4, 2), (30, 8, 3)]
+    assert stacks == [(30, 4), (30, 8)]
 
 
 def test_small_separated_cell_gives_no_nan():

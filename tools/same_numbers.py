@@ -22,8 +22,10 @@ beta_x 0.4 and 1.8, n 250 and 1000, 30 replications), its binary and its
 continuous cells as two entries, then its binary cells at n 5, 12 and
 40 (200 replications, with the exclusion limit lifted so that every
 cell reports its kept replications: small samples leave pattern cells
-empty and designs singular), and every field ``irls`` returns on
-seeded weighted designs, some with zero counts, some needing
+empty and designs singular), and its continuous cells at n 12 and 40
+(200 replications, the limit lifted: many fits in a chunk of
+replications separate), and every field ``irls`` returns on seeded
+weighted designs, some with zero counts, some needing
 step-halvings, and one whose step halving cannot rescue, then on the
 same designs with unit weights, most of whose fits stop on the score
 test.  The data path
@@ -43,7 +45,8 @@ Run the dump once per tree, then compare:
 is listed and fails nothing.  Unreduced tables, the APE, the direct
 calls, the continuous study cells and the fits must be bit-identical
 (``compare`` prints the largest absolute difference beside each count),
-and so must the small-n binary cells.
+and so must the small-n binary cells and the small-n continuous cells
+but for their KHB statistics.
 The binary study cells (``run_study binary`` and the grid of size
 250.0) are held within 1e-8 relative (``STUDY_BOUND``): a binary
 replication may be fitted on its n rows or on its at most 8 weighted
@@ -63,9 +66,14 @@ grids, 1.4e-8 on the benchmark's grids and 6.4e-10 on the acceptance
 grid; against the change to patterns, 1.2e-10, 2.3e-9 and 1.4e-9.  A
 continuous cell's KHB share drops an average-partial-effect factor
 that cancels out of its ratio, which moves it by rounding only (at
-most 1.1e-15 relative on these grids).  A reduction's corner sums may
-add their rows in another order, so reductions are held to rounding
-instead: reduced coefficients within 1e-14, and every entry
+most 1.1e-15 relative on these grids), and takes the OLS fits (a, b)
+of a chunk of replications from one product with the design's
+pseudo-inverse, not from one ``lstsq`` per replication, which moves it
+by rounding only (at most 3.6e-15 relative on these grids, 9.8e-16 on
+the acceptance grid and the benchmark's grids).  A
+reduction's corner sums may add their rows in another order, so
+reductions are held to rounding instead: reduced coefficients within
+1e-14, and every entry
 of the full reduced covariance, between equations too, within 1e-11 of
 sqrt(c_ii c_jj), with no central difference on either side (``compare``
 prints the cross covariance's difference beside them).  Reduced-table
@@ -272,21 +280,22 @@ def study_numbers(grid=STUDY_GRID):
     return out
 
 
-SMALL_N_GRID = {"seed": 19, "replications": 200, "treatment": ["binary"],
-                "beta_x": [0.4, 1.8], "n": [5, 12, 40]}
+SMALL_N_GRID = {"seed": 19, "replications": 200, "beta_x": [0.4, 1.8]}
+SMALL_N = {"binary": [5, 12, 40], "continuous": [12, 40]}
 
 
-def small_n_study_numbers():
-    """Every number of each cell of ``SMALL_N_GRID``, KHB statistics
-    included, with ``EXCLUSION_LIMIT`` lifted: these cells exclude 30 to
-    198 of 200 replications, and the study would refuse them."""
+def small_n_study_numbers(kind):
+    """Every number of each ``kind`` cell of ``SMALL_N_GRID`` at the sizes
+    ``SMALL_N[kind]``, as (rows, KHB statistics), with ``EXCLUSION_LIMIT``
+    lifted: these cells exclude many of their 200 replications (30 to 198
+    in a binary cell), and the study would refuse them."""
     from logitpath import simulation
     limit, simulation.EXCLUSION_LIMIT = simulation.EXCLUSION_LIMIT, 1.0
     try:
-        rows, khb = study_numbers(SMALL_N_GRID)["binary"]
+        return study_numbers({**SMALL_N_GRID, "treatment": [kind],
+                              "n": SMALL_N[kind]})[kind]
     finally:
         simulation.EXCLUSION_LIMIT = limit
-    return [row + stats for row, stats in zip(rows, khb)]
 
 
 def irls_numbers(unit=False):
@@ -384,7 +393,12 @@ def dump(path):
     study["data path grid n 250.0"], khb["data path grid n 250.0"] = (
         study_numbers({**STUDY_GRID, "treatment": ["binary"],
                        "beta_x": [0.4], "n": [250.0]})["binary"])
-    exact["run_study binary small n"] = small_n_study_numbers()
+    rows, stats = small_n_study_numbers("binary")
+    exact["run_study binary small n"] = [
+        row + khb_row for row, khb_row in zip(rows, stats)]
+    (exact["run_study continuous small n"],
+     khb["run_study continuous small n"]) = small_n_study_numbers(
+         "continuous")
     exact["irls"] = irls_numbers()
     exact["irls unit weights"] = irls_numbers(unit=True)
     for k in (1, 2, 3, 4, 5):
