@@ -24,29 +24,18 @@ Each replication fits the system and produces the mediated share two ways:
   Y ~ X + W.  Both models share one eta, so the average-partial-effect
   rescaling of a continuous treatment's share cancels out of the ratio.
 
-A binary replication fits each equation on its weighted patterns, the at
-most 4 distinct (x, w) and 8 distinct (x, w, y) rows with their counts,
-which have the likelihood of its n rows.  A binary cell keeps only each
-replication's counts, and fits all its replications at once: those whose
-patterns are the same cells make one ``fitting.irls_stack`` per
-equation, each fit ``irls``'s bit for bit.  A continuous cell holds its
-treatment sample fixed, so W ~ X has the one design [1, x] for every
-replication.  The cell draws and fits its replications in chunks of at
-most ``CHUNK_ROWS`` rows (replications x n): a chunk's W ~ X fits are
-one ``irls_stack`` on the shared design, each fit ``irls``'s bit for
-bit, and its KHB OLS fits one product with the design's pseudo-inverse;
-each Y ~ X + W is fitted by ``irls`` on its own rows.  On the W fits and
-OLS of 100 replications, serial calls took 38-47, 44-56 and 59-72 ms at
-n = 250, 500 and 1000, and chunks of 15,000 rows 13-15, 28-29 and 39-51
-ms, the best or within noise of the best of 5,000 to 50,000 rows;
-25,000 rows took 13-16, 28-31 and 44-50 ms (2-vCPU Intel Xeon VM).
+Each replication is fitted only by its cell's path, on a stack of
+replications: a binary cell fits all its replications at once from their
+(x, w, y) counts (``_fit_tables``), and a continuous cell, whose W ~ X
+has the one design [1, x], in chunks of at most ``CHUNK_ROWS`` rows
+(``_fit_chunk``).  ``_fit_models`` is that path on a stack of one.
 
 Replications whose treatment takes one value, whose binary counts tie
 (the mean of y the same at x = 0 and x = 1, so the fitted total effect
 is 0 up to the stopping error), or with any non-convergent or separated
 logistic fit, are dropped from both methods (keeping the comparison on
-identical replication sets) and counted; more than 5 percent exclusions
-aborts the cell.
+identical replication sets) and counted; more than 5 percent exclusions,
+or none kept, aborts the cell.
 
 All randomness descends from one master seed through named SeedSequence
 children, so results are bit-for-bit reproducible and independent of
@@ -54,11 +43,8 @@ execution order.  The pseudo-population is drawn once per seed, and a
 continuous truth is computed once for the cells that differ only in n
 (the grid's sizes vary fastest).
 
-A binary cell's truth and rsd shares are ``decompose``'s bit for bit,
-by ``effects._decompose`` on the truth and on the stack of kept fits.  A
-continuous cell keeps a closed form (``_tpe_ipe``): on the stacked kernel
-100 replications at n = 1000 took 105-129 ms, not 28 ms, and the
-150000-draw truth 150 ms, not 32 ms (2-vCPU Intel Xeon VM).
+A binary cell's truth and rsd shares are ``decompose``'s bit for bit;
+a continuous cell's come from the closed form ``_tpe_ipe``.
 """
 
 from __future__ import annotations
@@ -81,7 +67,12 @@ from .model import SystemSpec, VariableSpec, _float, _is
 
 PSEUDO_POPULATION = 150_000
 EXCLUSION_LIMIT = 0.05
-CHUNK_ROWS = 15_000     # rows (replications x n) a continuous chunk fits
+# Rows (replications x n) a continuous chunk fits.  On the W fits and OLS
+# of 100 replications, serial calls took 38-47, 44-56 and 59-72 ms at
+# n = 250, 500 and 1000, and chunks of 15,000 rows 13-15, 28-29 and 39-51
+# ms, the best or within noise of the best of 5,000 to 50,000 rows;
+# 25,000 rows took 13-16, 28-31 and 44-50 ms (2-vCPU Intel Xeon VM).
+CHUNK_ROWS = 15_000
 _POP_TAG = 101
 _SUB_TAG = 102
 _REP_TAG = 200
@@ -148,7 +139,11 @@ def _tpe_ipe(b0, bx, bw, g0, gx, x):
     """Pointwise TPE and IPE derivatives at each x (arrays welcome):
     ``pe`` writes the chain rule through the marginal logit
     softplus(bw + core) - softplus(core) + r0 out by hand, in one pass;
-    the IPE is the TPE at r0 = b0 and slope bx = 0."""
+    the IPE is the TPE at r0 = b0 and slope bx = 0.  The study's
+    continuous cells use this closed form, not ``effects._decompose``: on
+    the stacked kernel 100 replications at n = 1000 took 105-129 ms, not
+    28 ms, and the 150000-draw truth 150 ms, not 32 ms (2-vCPU Intel Xeon
+    VM)."""
     rw = g0 + gx * x
 
     def pe(r0, bx):     # Y's log odds at W = 0, and its slope in x
@@ -249,57 +244,42 @@ def generate_data(config: SimConfig, replication: int) -> Dataset:
     return Dataset.from_records({"Y": y, "X": x, "W": w})
 
 
-# -- per-replication estimators --------------------------------------------
+# -- a cell's estimators ---------------------------------------------------
 
 def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
-    """Fit W ~ X and Y ~ X + W.  KHB's reduced model Y ~ X + R, with
-    R = W - a - b X the OLS residual, is the full model in other
-    coordinates: beta_r = (b0 + a bw, bx + b bw, bw), with the same eta.
-    Newton's method is affine-invariant, so a fit of the reduced design
-    would follow the full fit's path up to rounding and the stopping rule,
-    and would flag as it does unless W is affine in X, where the W fit
-    separates anyway.
-
-    A 0/1 treatment is fitted as a stack of one by ``_fit_tables``, on
-    the counts of its (x, w, y) values.  Any other treatment is fitted
-    here on its n rows, one ``irls`` call per equation: this is the
-    reference for a continuous cell's ``_fit_chunk``, which gives the
-    same coefficients and flag bit for bit, and the same reduced
-    coefficients to rounding.
-
-    Returns (w-model coefs, y-model coefs, reduced y-model coefs, usable
-    flag); the flag is False when the treatment takes one value, or when
-    either fit did not converge or flagged separation.
-    """
+    """One replication's fits, by its cell's path on a stack of one:
+    ``_fit_tables`` on the counts of a 0/1 treatment, ``_fit_chunk`` on
+    any other.  Returns (w-model coefs, y-model coefs, reduced y-model
+    coefs, usable flag)."""
     if np.all((x == 0.0) | (x == 1.0)):
         *coefs, usable = _fit_tables(tabulate((x, w, y), (2, 2, 2))[None])
-        return (*(c[0] for c in coefs), bool(usable[0]))
-    ones = np.ones(len(x))
-    xw_model = np.column_stack([ones, x])
-    ols, *_ = np.linalg.lstsq(xw_model, w, rcond=None)
-    fits = [irls(xw_model, w, ones),
-            irls(np.column_stack([ones, x, w]), y, ones)]
-    (gamma, *_), (beta, *_) = fits
-    return (gamma, beta, _reduced(beta, ols), bool(x.min() < x.max()) and
-            all(fit[4] and not fit[5] for fit in fits))
+    else:
+        *coefs, usable = _fit_chunk(x, w[None], y[None])
+    return (*(c[0] for c in coefs), bool(usable[0]))
 
 
 def _reduced(betas: np.ndarray, ols: np.ndarray) -> np.ndarray:
     """KHB's reduced-model coefficients (b0 + a bw, bx + b bw, bw) of full
-    fits (b0, bx, bw) and OLS fits (a, b), each on a last axis."""
+    fits (b0, bx, bw) and OLS fits (a, b), each on a last axis.  The
+    reduced model Y ~ X + R, with R = W - a - b X the OLS residual, is the
+    full model in other coordinates, with the same eta.  Newton's method
+    is affine-invariant, so a fit of the reduced design would follow the
+    full fit's path up to rounding and the stopping rule, and would flag
+    as it does unless W is affine in X, where the W fit separates anyway."""
     return np.concatenate([betas[..., :2] + ols * betas[..., 2:],
                            betas[..., 2:]], axis=-1)
 
 
 def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
-    """``_fit_models`` for a chunk of replications of a continuous cell,
-    which share the treatment sample ``x``; ``ws`` and ``ys`` have shape
+    """The fits of a chunk of replications of a continuous cell, which
+    share the treatment sample ``x``; ``ws`` and ``ys`` have shape
     (R, n).  W ~ X has the one design [1, x] for every replication, so
     its fits are one ``irls_stack`` on the shared design, and KHB's OLS
     fits (a, b) are the chunk's responses times the design's
     pseudo-inverse; Y ~ X + W is fitted by ``irls`` on each replication's
     rows.  Returns (gammas, betas, betas_r, usable), stacked on a first
-    axis of R.
+    axis of R; a replication is usable when x takes two values or more
+    and both its fits converged without separation.
 
     One ``lstsq`` with a right-hand side per replication would give the
     OLS fits too, but it runs multithreaded BLAS: with the other vCPU of
@@ -319,16 +299,17 @@ def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
 
 
 def _fit_tables(tables: np.ndarray):
-    """``_fit_models`` for a stack of replications with a 0/1 treatment,
-    given as their (x, w, y) counts, shape (R, 2, 2, 2).  W ~ X is fitted
-    on each replication's at most 4 distinct (x, w) rows and Y ~ X + W on
-    its at most 8 (x, w, y) rows, each counted once, with the same
-    likelihood as its n rows; a and a + b are the means of w at x = 0
-    and x = 1.  A replication is not usable when the means of y at x = 0
-    and x = 1 tie, y11 n0 = y01 n1 in its counts: its fitted total effect
-    is then 0 up to the fits' stopping error, and its share undefined.
-    Returns (gammas, betas, betas_r, usable), stacked on a first axis of
-    R."""
+    """The fits of a stack of replications with a 0/1 treatment, given as
+    their (x, w, y) counts, shape (R, 2, 2, 2).  W ~ X is fitted on each
+    replication's at most 4 distinct (x, w) rows and Y ~ X + W on its at
+    most 8 (x, w, y) rows, each counted once, with the same likelihood
+    as its n rows; a and a + b are the means of w at x = 0 and x = 1.  A
+    replication is not usable when x takes one value, when either fit
+    does not converge or flags separation, or when the means of y at
+    x = 0 and x = 1 tie, y11 n0 = y01 n1 in its counts: its fitted total
+    effect is then 0 up to the fits' stopping error, and its share
+    undefined.  Returns (gammas, betas, betas_r, usable), stacked on a
+    first axis of R."""
     xw = tables.sum(axis=3)
     at_x = xw.sum(axis=2)
     mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
@@ -381,8 +362,9 @@ def _shares(gammas, betas, betas_r, kind: str,
 
 def true_value(config: SimConfig) -> float:
     """The estimand: exact for a binary treatment, a pseudo-population
-    average for a continuous one.  A total effect of 0 at the truth
-    leaves it undefined, a SimulationError that names the cell."""
+    average for a continuous one.  A total effect of 0, or a total or
+    indirect effect that is not finite, at the truth leaves it undefined,
+    a SimulationError that names the cell."""
     truth = (config.beta0, config.beta_x, config.beta_w, config.gamma0,
              config.gamma_x)
     if config.kind == "binary":
@@ -391,10 +373,11 @@ def true_value(config: SimConfig) -> float:
     else:
         te, ie = _population_effects(truth, config.seed,
                                      config.pseudo_population)
-    if te == 0.0:
-        raise SimulationError(f"cell {_label(config)}: its total effect at "
-                              f"the truth is 0, so its mediated share is "
-                              f"undefined")
+    for name, value in (("total", te), ("indirect", ie)):
+        if not math.isfinite(value) or name == "total" and value == 0.0:
+            raise SimulationError(
+                f"cell {_label(config)}: its {name} effect at the truth is "
+                f"{value + 0.0:g}, so its mediated share is undefined")
     return float(ie / te)
 
 
@@ -442,10 +425,11 @@ def run_cell(config: SimConfig) -> SimResult:
             chunks.append(_fit_chunk(xs, ws, ys))
         *coefs, kept = map(np.concatenate, zip(*chunks))
     excluded = config.replications - int(np.count_nonzero(kept))
-    if excluded > EXCLUSION_LIMIT * config.replications:
+    if excluded > EXCLUSION_LIMIT * config.replications or not kept.any():
         raise SimulationError(
             f"{excluded} of {config.replications} replications excluded "
-            f"(limit {EXCLUSION_LIMIT:.0%}) in cell {_label(config)}")
+            f"(limit {EXCLUSION_LIMIT:.0%}) in cell {_label(config)}"
+            + ("" if kept.any() else ", so it has no share to average"))
     rsd, khb = (_stats(v, truth) for v in _shares(
         *(c[kept] for c in coefs), config.kind, xs))
     return SimResult(config.kind, config.beta_x, config.n,

@@ -123,11 +123,17 @@ def test_zero_mediator_arrow_means_zero_share():
     assert true_value(cfg) == 0.0
 
 
-@pytest.mark.parametrize("kind", ["binary", "continuous"])
+@pytest.mark.parametrize("kind,truth,te", [
+    ("binary", {"gamma_x": 0.0}, "0"), ("continuous", {"gamma_x": 0.0}, "0"),
+    ("binary", {"beta_w": 800.0}, "nan"),
+    ("continuous", {"gamma_x": -1e308}, "nan"),
+], ids=["binary", "continuous", "binary-not-finite", "continuous-not-finite"])
 def test_a_cell_without_a_total_effect_at_the_truth_fails_first(
-        kind, monkeypatch):
+        kind, truth, te, monkeypatch):
     # before: a ZeroDivisionError (binary), or a true value and an rmse of
-    # nan (continuous), after every replication was fitted
+    # nan (continuous), after every replication was fitted; a truth that
+    # is not finite (expm1 overflows in the binary kernel, inf - inf in
+    # the continuous closed form) was a true value of nan
     fitted = []
 
     def recording_chunk(x, ws, ys):     # a continuous cell's fits, by chunk
@@ -141,12 +147,28 @@ def test_a_cell_without_a_total_effect_at_the_truth_fails_first(
     monkeypatch.setattr(simulation, "_fit_chunk", recording_chunk)
     monkeypatch.setattr(simulation, "_fit_tables", recording_stack)
     grid = {"seed": 3, "replications": 5, "treatment": [kind],
-            "beta_x": [0.0], "n": [100], "gamma_x": 0.0}
-    with pytest.raises(SimulationError, match=(
-            rf"^cell {kind}/beta_x=0.0/n=100: its total effect at the truth "
-            rf"is 0, so its mediated share is undefined$")):
-        run_study(grid)
+            "beta_x": [0.0], "n": [100], "pseudo_population": 1000, **truth}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SimulationError, match=(
+                rf"^cell {kind}/beta_x=0.0/n=100: its total effect at the "
+                rf"truth is {te}, so its mediated share is undefined$")):
+            run_study(grid)
     assert fitted == []
+
+
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_a_cell_that_keeps_no_replication_fails_readably(kind, monkeypatch):
+    # before, with the exclusion limit lifted: numpy's "cannot reshape
+    # array of size 0" (binary), or "Mean of empty slice" and statistics
+    # of nan (continuous); a treatment of one unit takes one value, so
+    # every replication is excluded
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    cfg = SimConfig(kind, 0.9, 1, 5, 3, pseudo_population=1000)
+    with pytest.raises(SimulationError, match=re.escape(
+            f"5 of 5 replications excluded (limit 100%) in cell "
+            f"{kind}/beta_x=0.9/n=1, so it has no share to average")):
+        run_cell(cfg)
 
 
 # -- reproducible randomness -----------------------------------------------
@@ -419,36 +441,74 @@ def test_reduced_fit_is_the_full_fit_reparametrized(kind, seed, beta_x, n,
         assert not np.array_equal(unhalved[0], full[0])
 
 
-def test_a_continuous_cell_fits_each_replication_as_fit_models(monkeypatch):
-    # chunks of 4 of 11 replications; replication 4's Y fit separates
-    cfg = SimConfig(kind="continuous", beta_x=1.8, n=40, replications=11,
-                    seed=4, pseudo_population=5000)
-    monkeypatch.setattr(simulation, "CHUNK_ROWS", 4 * 40 + 39)
-    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 0.1)
-    chunks, xs = [], fixed_treatment_sample(cfg.seed, cfg.n, 5000)
+# (kind, n, excluded replications): a continuous replication 4's Y fit
+# separates at n = 40; n = 12 leaves pattern cells empty and separates
+# most fits
+ALONE_AND_STACKED = [("continuous", 40, [4]),
+                     ("continuous", 12, [0, 1, 2, 5, 6, 7, 8, 9, 10]),
+                     ("binary", 40, [0, 7]),
+                     ("binary", 12, [0, 1, 3, 4, 5, 7, 8, 9])]
 
-    def recording(x, ws, ys):
-        assert np.array_equal(x, xs)
-        chunks.append((ws.shape, ys.shape, _fit_chunk(x, ws, ys)))
-        return chunks[-1][-1]
 
-    monkeypatch.setattr(simulation, "_fit_chunk", recording)
+@pytest.mark.parametrize("kind,n,excluded", ALONE_AND_STACKED, ids=[
+    f"{kind}-{n}" for kind, n, _ in ALONE_AND_STACKED])
+def test_a_cell_fits_each_replication_as_it_fits_alone(kind, n, excluded,
+                                                       monkeypatch):
+    # 11 replications: a continuous cell fits them in chunks of 4, 4 and
+    # 3, a binary cell as one stack of counts
+    cfg = SimConfig(kind=kind, beta_x=1.8, n=n, replications=11, seed=4,
+                    pseudo_population=5000)
+    monkeypatch.setattr(simulation, "CHUNK_ROWS", 4 * n + n - 1)
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    stacks, path = [], "_fit_chunk" if kind == "continuous" else "_fit_tables"
+    original = getattr(simulation, path)
+
+    def recording(*args):
+        stacks.append((args, original(*args)))
+        return stacks[-1][-1]
+
+    monkeypatch.setattr(simulation, path, recording)
     result = run_cell(cfg)
-    assert [shapes[:2] for shapes in chunks] == [
-        ((4, 40), (4, 40)), ((4, 40), (4, 40)), ((3, 40), (3, 40))]
-    gammas, betas, betas_r, usable = map(np.concatenate,
-                                         zip(*(c[-1] for c in chunks)))
-    assert result.excluded == 1 and np.flatnonzero(~usable).tolist() == [4]
+    args, fits = zip(*stacks)
+    gammas, betas, betas_r, usable = map(np.concatenate, zip(*fits))
+    assert [[a.shape for a in chunk] for chunk in args] == (
+        [[(n,), (4, n), (4, n)]] * 2 + [[(n,), (3, n), (3, n)]]
+        if kind == "continuous" else [[(11, 2, 2, 2)]])
+    xs = fixed_treatment_sample(cfg.seed, n, 5000)
+    assert kind == "binary" or all(np.array_equal(x, xs) for x, *_ in args)
+    assert np.flatnonzero(~usable).tolist() == excluded
+    assert result.excluded == len(excluded)
     for i in range(cfg.replications):
-        data = generate_data(cfg, i)
-        gamma, beta, beta_r, kept = _fit_models(
-            *(data.columns[v].astype(float) for v in "XWY"))
+        x, w, y = (generate_data(cfg, i).columns[v].astype(float)
+                   for v in "XWY")
+        # alone: the cell's path on a stack of one
+        gamma, beta, beta_r, kept = _fit_models(x, w, y)
         assert gammas[i].tobytes() == gamma.tobytes()
         assert betas[i].tobytes() == beta.tobytes()
         assert usable[i] == kept
-        # KHB's OLS fits of a chunk are one product with a pseudo-inverse
         assert np.all(np.abs(betas_r[i] - beta_r)
                       <= 1e-14 * (1.0 + np.abs(beta_r)))
+        # serially: irls on the replication's own [1, x] and [1, x, w]
+        # rows (its distinct rows, counted, for a 0/1 treatment), and KHB's
+        # (a, b) from lstsq
+        if kind == "continuous":
+            ones = np.ones(n)
+            w_fit, y_fit = (irls(np.column_stack([ones, *c[:-1]]), c[-1],
+                                 ones) for c in ((x, w), (x, w, y)))
+            tied = False
+        else:
+            w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
+            tied = (y[x == 1].sum() * np.count_nonzero(x == 0)
+                    == y[x == 0].sum() * np.count_nonzero(x == 1))
+        assert gammas[i].tobytes() == w_fit[0].tobytes()
+        assert betas[i].tobytes() == y_fit[0].tobytes()
+        assert usable[i] == (x.min() < x.max() and not tied and all(
+            f[4] and not f[5] for f in (w_fit, y_fit)))
+        xw = np.column_stack([np.ones(n), x])
+        ols = np.linalg.lstsq(xw, w, rcond=None)[0]
+        want = np.append(betas[i][:2] + ols * betas[i][2], betas[i][2])
+        assert np.all(np.abs(betas_r[i] - want)
+                      <= 1e-14 * (1.0 + np.abs(want)))
 
 
 def pattern_fit(*columns):
