@@ -282,18 +282,27 @@ def _log_ratio(a, delta, d=None, ddelta=None):
     noise, where two log-sum-exps of the whole l would not.  With the
     slopes ``d`` and ``ddelta`` in x, the pair with the slope: the mean of
     d + ddelta under the posterior given exp(delta) less the mean of d
-    under pi."""
+    under pi.  Where delta spans beyond expm1's range, a result that is
+    not finite (its sum is not) is the difference of the two log-sum-exps,
+    each by ``np.logaddexp``, which is stable pair by pair."""
     u = np.exp(a - np.maximum.reduce(a, 0))
     u = u / np.add.reduce(u, 0)
     m = np.add.reduce(u * delta, 0)
     grow = u * np.expm1(delta - m)
     z = np.add.reduce(grow, 0)
-    val = _value(m + np.log1p(z))
+    val = m + np.log1p(z)
+    if not math.isfinite(np.add.reduce(val, None) if val.ndim else val):
+        wide = ~np.isfinite(val)
+        b = a + delta
+        top = np.logaddexp.reduce(b, 0)
+        val = np.where(wide, top - np.logaddexp.reduce(a, 0), val)
+        # there, u + grow is the posterior exp(b - top) and 1 + z is 1
+        grow = np.where(wide, np.exp(b - top) - u, grow)
+        z = np.where(wide, 0.0, z)
     if d is None:
-        return val
-    v = u + grow
-    return val, _value(np.add.reduce(v * (d + ddelta), 0) / (1.0 + z)
-                       - np.add.reduce(u * d, 0))
+        return _value(val)
+    slope = np.add.reduce((u + grow) * (d + ddelta), 0) / (1.0 + z)
+    return _value(val), _value(slope - np.add.reduce(u * d, 0))
 
 
 def g_recursive(params: ParameterSet, j: int, y: int, x,

@@ -280,9 +280,9 @@ def tabulate(columns: Sequence, radices: Sequence[int]) -> np.ndarray:
 
 
 def patterns(table: np.ndarray):
-    """The nonzero cells of a ``tabulate`` table, in its order, as (values,
-    one row per cell; float counts).  A logistic fit on these rows,
-    weighted, has the likelihood of the fit on the tabulated rows."""
+    """The nonzero cells of a ``tabulate`` table (every cell of a table of
+    ones), in its order, as (values, one row per cell; float counts).  A
+    weighted logistic fit on them has the likelihood of the tabulated rows."""
     present = np.nonzero(table)
     return np.column_stack(present).astype(float), table[present].astype(float)
 

@@ -25,10 +25,11 @@ Each replication fits the system and produces the mediated share two ways:
   rescaling of a continuous treatment's share cancels out of the ratio.
 
 Each replication is fitted only by its cell's path, on a stack of
-replications: a binary cell fits all its replications at once from their
-(x, w, y) counts (``_fit_tables``), and a continuous cell, whose W ~ X
-has the one design [1, x], in chunks of at most ``CHUNK_ROWS`` rows
-(``_fit_chunk``).  ``_fit_models`` is that path on a stack of one.
+replications: a binary cell fits each equation as one stack on the cell
+grid of its replications' (x, w, y) counts (``_fit_tables``), and a
+continuous cell, whose W ~ X has the one design [1, x], in chunks of at
+most ``CHUNK_ROWS`` rows (``_fit_chunk``).  ``_fit_models`` is that path
+on a stack of one.
 
 Replications whose treatment takes one value, whose binary counts tie
 (the mean of y the same at x = 0 and x = 1, so the fitted total effect
@@ -300,16 +301,15 @@ def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
 
 def _fit_tables(tables: np.ndarray):
     """The fits of a stack of replications with a 0/1 treatment, given as
-    their (x, w, y) counts, shape (R, 2, 2, 2).  W ~ X is fitted on each
-    replication's at most 4 distinct (x, w) rows and Y ~ X + W on its at
-    most 8 (x, w, y) rows, each counted once, with the same likelihood
-    as its n rows; a and a + b are the means of w at x = 0 and x = 1.  A
-    replication is not usable when x takes one value, when either fit
-    does not converge or flags separation, or when the means of y at
-    x = 0 and x = 1 tie, y11 n0 = y01 n1 in its counts: its fitted total
-    effect is then 0 up to the fits' stopping error, and its share
-    undefined.  Returns (gammas, betas, betas_r, usable), stacked on a
-    first axis of R."""
+    their (x, w, y) counts, shape (R, 2, 2, 2): W ~ X on the 4 (x, w)
+    cells and Y ~ X + W on the 8 (x, w, y) cells, weighted by the counts
+    (the likelihood of the n rows); a and a + b are the means of w at
+    x = 0 and x = 1.  A replication is not usable when x takes one value,
+    when either fit does not converge or flags separation, or when the
+    means of y at x = 0 and x = 1 tie, y11 n0 = y01 n1 in its counts: its
+    fitted total effect is then 0 up to the fits' stopping error, and its
+    share undefined.  Returns (gammas, betas, betas_r, usable), stacked
+    on a first axis of R."""
     xw = tables.sum(axis=3)
     at_x = xw.sum(axis=2)
     mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
@@ -323,23 +323,14 @@ def _fit_tables(tables: np.ndarray):
 
 def _pattern_fits(tables: np.ndarray):
     """The coefficients of the logistic fit of each table's last variable
-    on the others, on the table's nonzero cells (``patterns``), and
-    whether it converged without separation.  Tables with the same
-    nonzero cells fit on the same rows, so each such group is one
-    ``irls_stack``: every fit is ``irls``'s on its patterns, bit for bit."""
-    flat = tables.reshape(len(tables), -1)
-    cell_sets, group_of = np.unique(flat > 0, axis=0, return_inverse=True)
-    coefs = np.empty((len(tables), tables.ndim - 1))
-    ok = np.empty(len(tables), dtype=bool)
-    for key, cells in enumerate(cell_sets):
-        group = np.flatnonzero(group_of == key)
-        values, _ = patterns(tables[group[0]])      # the group's one design
-        X = np.column_stack([np.ones(len(values)), values[:, :-1]])
-        fit = irls_stack(X, np.broadcast_to(values[:, -1],
-                                            (len(group), len(X))),
-                         flat[group][:, cells].astype(float))
-        coefs[group], ok[group] = fit[0], fit[4] & ~fit[5]
-    return coefs, ok
+    on the others, one ``irls_stack`` on the full cell grid weighted by
+    each table's counts (an empty cell adds nothing to the likelihood),
+    and whether it converged without separation."""
+    values, _ = patterns(np.ones(tables.shape[1:]))     # every cell, C order
+    X = np.column_stack([np.ones(len(values)), values[:, :-1]])
+    fit = irls_stack(X, np.broadcast_to(values[:, -1], (len(tables), len(X))),
+                     tables.reshape(len(tables), -1).astype(float))
+    return fit[0], fit[4] & ~fit[5]
 
 
 def _shares(gammas, betas, betas_r, kind: str,

@@ -11,7 +11,7 @@ from logitpath import (Dataset, EffectError, ParameterSet, SystemSpec,
                        deltas)
 from logitpath.effects import (Decomposition, EffectRequest, component,
                                component_mask)
-from logitpath.multi import g_recursive, marginal_logit_multi
+from logitpath.multi import _reduce, g_recursive, marginal_logit_multi
 from conftest import (assert_close, enum_logit, enum_prob, make_system,
                       random_covariates, random_params, random_system,
                       random_treatment_pair)
@@ -515,3 +515,54 @@ def test_one_average_probability_effects_call_compiles_one_program(
         "W1": rng.integers(0, 2, 40)})
     average_probability_effects(params, data)
     assert compiled[0] == 1
+
+
+# -- corners whose logits span beyond exp's range --------------------------
+
+def study_system(beta_w, treatment="binary"):
+    """The study's truth (b0 -2, bx 0.9, g0 -2, gx 2) at a W -> Y
+    coefficient ``beta_w``."""
+    spec = make_system(1, treatment=treatment)
+    return ParameterSet.from_vector(spec, [-2.0, 0.9, beta_w, -2.0, 2.0])
+
+
+@pytest.mark.parametrize("beta_w", [710.0, 800.0, 5000.0])
+def test_a_total_effect_stays_finite_when_the_corners_span_far(beta_w):
+    # before: NaN, since expm1 of the corners' spread overflowed, although
+    # P(Y=1|x) = P(W=0|x) expit(b0 + bx x) + P(W=1|x) for such a beta_w
+    def logit_y(x):
+        pw = expit(-2.0 + 2.0 * x)
+        r = -2.0 + 0.9 * x
+        return (math.log((1.0 - pw) * expit(r) + pw * expit(r + beta_w))
+                - math.log((1.0 - pw) * expit(-r) + pw * expit(-r - beta_w)))
+    want = logit_y(1.0) - logit_y(0.0)
+    assert want == pytest.approx(1.7516470946214546, abs=1e-15)
+    request = EffectRequest.contrast(1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = decompose(study_system(beta_w), request)
+    assert_close(d.total, want, 1e-12, "TE")
+    assert_close(d.direct, 0.9, 1e-12, "DE")
+    # IE is flat in beta_w here too: P(Y=1|x, W=1) is 1 in floating point
+    assert_close(d.indirect, decompose(study_system(700.0), request).indirect,
+                 1e-12, "IE")
+
+
+@pytest.mark.parametrize("beta_w", [710.0, 800.0, 5000.0])
+def test_slopes_and_gradients_stay_finite_when_the_corners_span_far(beta_w):
+    # the slope in x and the gradient in theta take the same fallback;
+    # beyond beta_w ~ 40, P(Y=1|x, W=1) is 1 in floating point, so each
+    # agrees with its value at beta_w = 700, inside exp's range
+    request = EffectRequest.derivative(np.array([-1.0, 0.0, 2.5]))
+    spec = make_system(2)
+    theta = np.random.default_rng(88).normal(size=len(spec.flat_coords))
+    got, near = [], []
+    for bw, out in ((beta_w, got), (700.0, near)):
+        theta[2] = bw   # Y's W1 coefficient
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = decompose(study_system(bw, "continuous"), request)
+            out.append((d.total, d.direct, d.indirect))
+            out.extend(_reduce(ParameterSet.from_vector(spec, theta), 1))
+    assert np.all(np.isfinite(got[0]))
+    assert np.allclose(got[0], near[0], rtol=0, atol=1e-12)
+    assert np.allclose(got[1].vector, near[1].vector, rtol=0, atol=1e-12)
+    assert np.allclose(got[2], near[2], rtol=0, atol=1e-12)

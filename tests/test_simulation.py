@@ -1,5 +1,6 @@
 """The study harness against the generic effect machinery."""
 
+import itertools
 import re
 import warnings
 
@@ -125,15 +126,16 @@ def test_zero_mediator_arrow_means_zero_share():
 
 @pytest.mark.parametrize("kind,truth,te", [
     ("binary", {"gamma_x": 0.0}, "0"), ("continuous", {"gamma_x": 0.0}, "0"),
-    ("binary", {"beta_w": 800.0}, "nan"),
+    ("binary", {"beta0": 1e308, "beta_w": 1e308}, "nan"),
     ("continuous", {"gamma_x": -1e308}, "nan"),
 ], ids=["binary", "continuous", "binary-not-finite", "continuous-not-finite"])
 def test_a_cell_without_a_total_effect_at_the_truth_fails_first(
         kind, truth, te, monkeypatch):
     # before: a ZeroDivisionError (binary), or a true value and an rmse of
     # nan (continuous), after every replication was fitted; a truth that
-    # is not finite (expm1 overflows in the binary kernel, inf - inf in
-    # the continuous closed form) was a true value of nan
+    # is not finite (Y's linear predictor overflows to inf in the binary
+    # kernel, inf - inf in the continuous closed form) was a true value
+    # of nan
     fitted = []
 
     def recording_chunk(x, ws, ys):     # a continuous cell's fits, by chunk
@@ -427,7 +429,7 @@ def test_reduced_fit_is_the_full_fit_reparametrized(kind, seed, beta_x, n,
     near = 1e-7 * (1.0 + np.abs(full[0]))
     if kind == "continuous":    # fitted on its rows
         assert np.array_equal(beta, full[0])
-    else:                       # fitted on its patterns
+    else:                       # fitted on its cell grid
         assert np.all(np.abs(beta - full[0]) <= near)
     assert reduced[4:] == full[4:]
     assert kept == usable == all(f[4] and not f[5]
@@ -442,7 +444,7 @@ def test_reduced_fit_is_the_full_fit_reparametrized(kind, seed, beta_x, n,
 
 
 # (kind, n, excluded replications): a continuous replication 4's Y fit
-# separates at n = 40; n = 12 leaves pattern cells empty and separates
+# separates at n = 40; n = 12 leaves (x, w, y) cells empty and separates
 # most fits
 ALONE_AND_STACKED = [("continuous", 40, [4]),
                      ("continuous", 12, [0, 1, 2, 5, 6, 7, 8, 9, 10]),
@@ -489,8 +491,8 @@ def test_a_cell_fits_each_replication_as_it_fits_alone(kind, n, excluded,
         assert np.all(np.abs(betas_r[i] - beta_r)
                       <= 1e-14 * (1.0 + np.abs(beta_r)))
         # serially: irls on the replication's own [1, x] and [1, x, w]
-        # rows (its distinct rows, counted, for a 0/1 treatment), and KHB's
-        # (a, b) from lstsq
+        # rows (for a 0/1 treatment, every cell of their grid, weighted by
+        # its count), and KHB's (a, b) from lstsq
         if kind == "continuous":
             ones = np.ones(n)
             w_fit, y_fit = (irls(np.column_stack([ones, *c[:-1]]), c[-1],
@@ -511,19 +513,24 @@ def test_a_cell_fits_each_replication_as_it_fits_alone(kind, n, excluded,
                       <= 1e-14 * (1.0 + np.abs(want)))
 
 
-def pattern_fit(*columns):
-    """``irls`` on the distinct rows of ``columns``, each weighted by its
-    count: the last column is the response."""
-    rows, counts = np.unique(np.column_stack(columns), axis=0,
-                             return_counts=True)
+def pattern_fit(*columns, every_cell=True):
+    """``irls`` on the cells of the 0/1 ``columns``, each weighted by its
+    count, the last column the response: every cell of their grid in C
+    order, an empty one weighted 0, or only their distinct rows."""
+    data = np.column_stack(columns)
+    rows = np.array(list(itertools.product((0.0, 1.0), repeat=len(columns))))
+    counts = np.array([np.all(data == r, axis=1).sum() for r in rows], float)
+    if not every_cell:
+        rows, counts = rows[counts > 0], counts[counts > 0]
     return irls(np.column_stack([np.ones(len(rows)), rows[:, :-1]]),
-                rows[:, -1], counts.astype(float))
+                rows[:, -1], counts)
 
 
 # (seed, beta_x, n, replication, distinct (x, w) rows, distinct (x, w, y)
 # rows, usable): an empty (x, w) cell, where the W fit separates; every
 # (x, w) cell filled and a separated Y fit; empty (x, w, y) cells only;
-# every cell filled; and the study's sizes
+# every cell filled; and the study's sizes.  Each fit runs on the full
+# grid of 4 or 8 cells, an empty cell weighted 0
 PATTERNS = [(1, 1.8, 12, 1, 3, 5, False), (1, 1.8, 12, 4, 4, 4, False),
             (1, 1.8, 12, 0, 4, 7, True), (1, 1.8, 20, 2, 4, 8, True),
             (2, 0.4, 250, 0, 4, 8, True), (5, 0.9, 1000, 3, 4, 8, True)]
@@ -548,18 +555,57 @@ def test_a_binary_replication_is_fitted_on_its_patterns(
     monkeypatch.setattr(simulation, "irls_stack", recording)
     gamma, beta, beta_r, kept = _fit_models(x, w, y)
     w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
-    # each equation's one shared design, and a stack of one response
-    assert [shapes for shapes, _ in seen] == [
-        ((xw_rows, 2), (1, xw_rows)), ((xwy_rows, 3), (1, xwy_rows))]
+    # each equation's one shared grid design, and a stack of one response
+    assert [shapes for shapes, _ in seen] == [((4, 2), (1, 4)),
+                                              ((8, 3), (1, 8))]
+    assert [len(np.unique(np.column_stack(c), axis=0))
+            for c in ((x, w), (x, w, y))] == [xw_rows, xwy_rows]
     for (_, fit), want in zip(seen, (w_fit, y_fit)):
         assert all(np.array_equal(a[0], b) for a, b in zip(fit, want))
     assert np.array_equal(gamma, w_fit[0]) and np.array_equal(beta, y_fit[0])
+    if (xw_rows, xwy_rows) == (4, 8):   # every cell filled: the fit on the
+        # distinct rows alone, bit for bit (a design in another memory
+        # layout would round differently)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            y_fit, pattern_fit(x, w, y, every_cell=False)))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            w_fit, pattern_fit(x, w, every_cell=False)))
     assert kept == usable == all(f[4] and not f[5] for f in (w_fit, y_fit))
     # (a, b) of the OLS fit of w on x, from the pattern counts
     ols = np.linalg.lstsq(np.column_stack([np.ones(n), x]), w,
                           rcond=None)[0]
     assert np.allclose(beta_r, np.append(beta[:2] + ols * beta[2], beta[2]),
                        rtol=1e-14, atol=1e-14)
+
+
+def test_a_binary_cell_fits_each_equation_as_one_stack(monkeypatch):
+    # before: one irls_stack per set of nonzero cells, so a small-n cell
+    # whose replications leave different cells empty made many per
+    # equation
+    cfg = SimConfig(kind="binary", beta_x=1.8, n=12, replications=40,
+                    seed=4)
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    calls, tables = [], []
+    original_stack, original_tables = simulation.irls_stack, _fit_tables
+
+    def recording_stack(X, response, weights):
+        calls.append((X.shape, response.shape, weights.copy()))
+        return original_stack(X, response, weights)
+
+    def recording_tables(stack):
+        tables.append(stack.copy())
+        return original_tables(stack)
+
+    monkeypatch.setattr(simulation, "irls_stack", recording_stack)
+    monkeypatch.setattr(simulation, "_fit_tables", recording_tables)
+    run_cell(cfg)
+    (stack,) = tables
+    for cells in (stack.sum(axis=3), stack):    # (x, w) and (x, w, y)
+        filled = np.unique(cells.reshape(len(cells), -1) > 0, axis=0)
+        assert np.count_nonzero(~filled.all(axis=1)) > 1
+    assert [c[:2] for c in calls] == [((4, 2), (40, 4)), ((8, 3), (40, 8))]
+    assert np.array_equal(calls[0][2], stack.sum(axis=3).reshape(40, 4))
+    assert np.array_equal(calls[1][2], stack.reshape(40, 8))
 
 
 def test_a_treatment_of_one_value_is_excluded(monkeypatch):
