@@ -352,10 +352,9 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
         params.vector, component_mask(spec, "IE").apply(params).vector]), x)
     # g_recursive's log odds of W given Y = 0, 1, for each vector
     g0, g1 = (_log_ratio(ell[y][:1], ell[y][1:] - ell[y][:1]) for y in (0, 1))
-
-    def delta(a1, a0, i):   # each vector's values as its own call gives them
-        return expit(_value(a1[..., i])) - expit(_value(a0[..., i]))
-    return delta(eta[1], eta[0], 0), delta(g1, g0, 0), delta(g1, g0, 1)
+    p = expit(np.stack([eta[1], eta[0], g1, g0]))
+    dy, dw = p[0] - p[1], p[2] - p[3]
+    return _value(dy[..., 0]), _value(dw[..., 0]), _value(dw[..., 1])
 
 
 # -- requests and masks ----------------------------------------------------
@@ -531,8 +530,8 @@ def _decompose(spec: SystemSpec, theta: np.ndarray,
     gives each component a last axis: TE, DE and IE masked copies of theta
     in one stack, one program per treatment value.  Each component sums
     its own corners, so one vector gives ``component``'s bits; a stack
-    sums 8 or more corners in sequence, not pairwise, and takes the array
-    expit, so it may differ from per-vector calls in the last bits."""
+    sums 8 or more corners in sequence, not pairwise, so it may differ
+    from per-vector calls in the last bits."""
     _check_mediators(spec)
     slope = request.mode == "derivative"
     _check_slope(spec, slope)

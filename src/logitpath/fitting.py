@@ -8,6 +8,8 @@ contingency data can produce.
 
 Data can arrive as individual records or as weighted covariate patterns
 (rows plus a count column); both routes produce identical estimates.
+``expit`` and ``softplus``, one numpy formula each for floats and
+arrays, are the package's logistic primitives.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit as _np_expit
 
 from .model import (ModelSpecError, ParameterSet, SystemSpec, VariableSpec,
                     _float, _is, design, json_field, json_number)
@@ -42,30 +43,25 @@ class FitError(RuntimeError):
     """Raised when an equation cannot be fitted (for example collinearity)."""
 
 
-def _softplus_float(t: float) -> float:
-    # log(1 + e^t) without overflow: max(t, 0) + log1p(e^{-|t|})
-    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
-
-
-def _expit_float(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
 def softplus(t):
-    """log(1 + exp(t)) for floats or numpy arrays."""
+    """log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)) for floats or numpy
+    arrays, a float with the bits of an array entry of its value."""
     if isinstance(t, np.ndarray):
         return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    return _softplus_float(float(t))
+    t = float(t)
+    return max(t, 0.0) + float(np.log1p(np.exp(-abs(t))))
 
 
 def expit(t):
-    """Logistic function for floats or numpy arrays."""
+    """1 / (1 + exp(-t)) for floats or numpy arrays, a float with the bits
+    of an array entry of its value; 0 where exp(-t) overflows, unwarned."""
     if isinstance(t, np.ndarray):
-        return _np_expit(t)
-    return _expit_float(float(t))
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-t))
+    t = float(t)
+    if t < -709.0:  # exp(-t) may overflow: the errstate, off the common case
+        return float(expit(np.array(t)))
+    return 1.0 / (1.0 + float(np.exp(-t)))
 
 
 def _floats(values) -> np.ndarray:

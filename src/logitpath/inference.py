@@ -6,7 +6,7 @@ se = sqrt(g' Sigma g) with the fitted covariance.  A mediator reduction
 carries its full J Sigma J', with the exact Jacobian J that
 ``multi._reduce`` computes beside the reduced coefficients.  Wald
 intervals and two-sided normal p-values are reported on the effect's own
-scale.
+scale, from the standard library's normal quantile and ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .effects import (EffectRequest, _check_mediators, _check_setting,
                       _check_slope, component, component_mask,
@@ -101,10 +101,11 @@ def delta_se(fitted: FittedSystem, effect: Callable,
             f"{label}: negative variance {var:.3g}; the covariance is not "
             f"positive semi-definite")
     se = math.sqrt(max(var, 0.0))
-    z = float(ndtri(0.5 + level / 2.0))
+    # the lower tail: 0.5 + level / 2 rounds to 1 below level = 1
+    z = -NormalDist().inv_cdf(0.5 - level / 2.0)
     ci = (value - z * se, value + z * se)
-    if se > 0.0:
-        p = float(2.0 * ndtr(-(abs(value) / se)))
+    if se > 0.0:    # 2 P(Z > r) = erfc(r / sqrt 2)
+        p = math.erfc(abs(value) / se / math.sqrt(2.0))
     else:
         p = 1.0 if value == 0.0 else 0.0
     return EffectEstimate(label, value, se, ci, p, level)

@@ -45,7 +45,8 @@ continuous truth is computed once for the cells that differ only in n
 (the grid's sizes vary fastest).
 
 A binary cell's truth and rsd shares are ``decompose``'s bit for bit;
-a continuous cell's come from the closed form ``_tpe_ipe``.
+a continuous cell's come from the closed form ``_tpe_ipe``.  Both, and
+the draws, take ``fitting``'s ``expit``, as every other layer does.
 """
 
 from __future__ import annotations
@@ -59,10 +60,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .effects import EffectRequest, _decompose
-from .fitting import (Dataset, irls, irls_stack, patterns, softplus,
+from .fitting import (Dataset, expit, irls, irls_stack, patterns, softplus,
                       tabulate)
 from .model import SystemSpec, VariableSpec, _float, _is
 

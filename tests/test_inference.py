@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -29,16 +31,29 @@ def test_linear_functional_se_is_the_coefficient_se(example_fit):
         example_fit.se("Y", "X{2,1}"), abs=1e-8)
 
 
+def assert_p_is_the_normal_tail(value, se, p):
+    # pinned to its standard-library formula, 2 P(Z > r) = erfc(r / sqrt
+    # 2); scipy.stats' normal is the oracle, within 5e-13 relative (4.3e-13
+    # the largest gap measured)
+    assert p == math.erfc(abs(value) / se / math.sqrt(2.0))
+    want = 2.0 * norm.sf(abs(value) / se)
+    assert abs(p - want) <= 5e-13 * want
+
+
 def test_interval_and_p_value_formulas(example_fit):
-    # the normal quantile and tail come from scipy.special; scipy.stats'
-    # norm reduces to the same calls, so the numbers are identical
+    # the quantile is the standard library's, from the lower tail, and
+    # scipy.stats' normal is its oracle within 1e-15 relative: 0.5 +
+    # level / 2 rounds to 1 at the level just below 1, the lower tail
+    # keeps it
     req = EffectRequest.contrast(3, 1, {"C": 1})
-    for level in (0.8, 0.9, 0.95, 0.99):
+    for level in (1e-300, 0.8, 0.9, 0.95, 0.99, math.nextafter(1.0, 0.0)):
         est = delta_se(example_fit, lambda p: component(p, req, "TE"),
                        level=level)
-        z = float(norm.ppf(0.5 + level / 2.0))
+        z = -NormalDist().inv_cdf(0.5 - level / 2.0)
         assert est.ci == (est.value - z * est.se, est.value + z * est.se)
-        assert est.p_value == float(2.0 * norm.sf(abs(est.value) / est.se))
+        want = float(norm.isf((1.0 - level) / 2.0))
+        assert abs(z - want) <= 1e-15 * want
+        assert_p_is_the_normal_tail(est.value, est.se, est.p_value)
 
 
 @pytest.mark.parametrize("level", [-0.5, 0.0, 1.0, 1.5, float("nan"), "0.9",
@@ -145,7 +160,7 @@ def test_far_tail_p_value_equals_scipy_stats(example_fit, ratio):
     est = delta_se(example_fit, lambda p: p.get("Y", "X{2,1}") + shift)
     assert abs(est.value) / est.se == pytest.approx(ratio, rel=1e-6,
                                                     abs=1e-9)
-    assert est.p_value == float(2.0 * norm.sf(abs(est.value) / est.se))
+    assert_p_is_the_normal_tail(est.value, est.se, est.p_value)
     assert ratio < 35.0 or 0.0 < est.p_value < 1e-260
 
 

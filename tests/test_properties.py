@@ -9,10 +9,12 @@ conftest, so every run checks the same systems.
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import expit as scipy_expit
 
 from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
                        SystemSpec, ZeroMask, average_probability_effects,
@@ -232,6 +234,33 @@ def decompose_requests(data, spec):
                      for s in scales if continuous])
 
 
+LOGISTIC_EDGES = (709.0, -709.0, 710.0, -710.0, 1e308, -1e308, math.inf,
+                  -math.inf, math.nan)
+
+
+@given(st.lists(st.floats(), max_size=20))
+def test_a_float_and_an_array_take_one_expit_and_one_softplus(ts):
+    # bit for bit (a nan only as a nan: IEEE leaves its sign to the
+    # arithmetic), with no warning, even where exp(-t) overflows, and
+    # expit within 2 ulp of scipy's
+    ts = np.array(ts + list(LOGISTIC_EDGES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (fitting.expit, fitting.softplus):
+            whole, each = f(ts), [f(float(t)) for t in ts]
+            assert all(type(e) is float for e in each)
+            each = np.array(each)
+            nan = np.isnan(whole)
+            assert np.array_equal(nan, np.isnan(each))
+            assert whole[~nan].tobytes() == each[~nan].tobytes()
+    oracle = scipy_expit(ts)
+    got = fitting.expit(ts)
+    assert np.array_equal(np.isnan(got), np.isnan(oracle))
+    live = ~np.isnan(got)     # expit is >= 0: ulps are integer steps
+    ulps = np.abs(got[live].view(np.int64) - oracle[live].view(np.int64))
+    assert ulps.max() <= 2
+
+
 @given(st.data())
 def test_decompose_is_its_three_component_calls(data):
     # TE, DE and IE run as one stack, each summing its own corners, so
@@ -250,12 +279,11 @@ def test_decompose_is_its_three_component_calls(data):
 @given(st.data())
 def test_a_stacked_decomposition_is_a_loop_of_decompositions(data):
     # bit for bit at k <= 2 (at most 4 corners), which covers the study's
-    # k = 1, except on the probability scale at one setting: there the
-    # stack's logits are arrays and take numpy's expit, a float logit
-    # takes the scalar one, and the two differ in the last bit.  At k >= 3
-    # a stack sums its 8 or more corners in sequence where one vector
-    # sums them pairwise: on 10,000 random draws the largest difference
-    # was 1.8e-15 of max(1, |value|), held here to 4e-15.
+    # k = 1, on both scales: a float logit and an array of them take one
+    # expit with the same bits.  At k >= 3 a stack sums its 8 or more
+    # corners in sequence where one vector sums them pairwise: on 10,000
+    # random draws the largest difference was 1.8e-15 of max(1, |value|),
+    # held here to 4e-15.
     spec = data.draw(systems(ks=(1, 5), covariates=("categorical",))).spec
     p = len(spec.flat_coords)
     stack = np.array(data.draw(st.lists(st.lists(
@@ -263,8 +291,7 @@ def test_a_stacked_decomposition_is_a_loop_of_decompositions(data):
         max_size=4)))
     rows, requests = decompose_requests(data, spec)
     for req in requests:
-        exact = len(spec.mediators) <= 2 and (
-            rows or req.scale == "logodds")
+        exact = len(spec.mediators) <= 2
         stacked = _decompose(spec, stack, req).components()
         for i, theta in enumerate(stack):
             one = decompose(ParameterSet.from_vector(spec, theta),
