@@ -149,8 +149,8 @@ def cmd_decompose(fitted_path, contrasts, at_points, by_var, settings, scale,
     strata = [base_settings]
     if var is not None:
         if var.kind == "continuous":
-            _fail(f"--by needs a binary or categorical variable, "
-                  f"{by_var!r} is continuous")
+            _fail_for(f"--by needs a binary or categorical variable, "
+                      f"{by_var!r} is continuous", fitted_path)
         if var.name in base_settings:
             _fail(f"{var.name!r} is named by both --set and --by")
         strata = [{**base_settings, var.name: v}

@@ -282,9 +282,9 @@ def _log_ratio(a, delta, d=None, ddelta=None):
     noise, where two log-sum-exps of the whole l would not.  With the
     slopes ``d`` and ``ddelta`` in x, the pair with the slope: the mean of
     d + ddelta under the posterior given exp(delta) less the mean of d
-    under pi.  Where delta spans beyond expm1's range, a result that is
-    not finite (its sum is not) is the difference of the two log-sum-exps,
-    each by ``np.logaddexp``, which is stable pair by pair."""
+    under pi.  Where delta spans beyond expm1's range, so that this is
+    not finite (its sum is not), the whole call is the difference of the
+    two log-sum-exps, each by ``np.logaddexp``, stable pair by pair."""
     u = np.exp(a - np.maximum.reduce(a, 0))
     u = u / np.add.reduce(u, 0)
     m = np.add.reduce(u * delta, 0)
@@ -292,13 +292,11 @@ def _log_ratio(a, delta, d=None, ddelta=None):
     z = np.add.reduce(grow, 0)
     val = m + np.log1p(z)
     if not math.isfinite(np.add.reduce(val, None) if val.ndim else val):
-        wide = ~np.isfinite(val)
         b = a + delta
         top = np.logaddexp.reduce(b, 0)
-        val = np.where(wide, top - np.logaddexp.reduce(a, 0), val)
-        # there, u + grow is the posterior exp(b - top) and 1 + z is 1
-        grow = np.where(wide, np.exp(b - top) - u, grow)
-        z = np.where(wide, 0.0, z)
+        val = top - np.logaddexp.reduce(a, 0)
+        # u + grow is the posterior exp(b - top), and 1 + z is 1
+        grow, z = np.exp(b - top) - u, 0.0
     if d is None:
         return _value(val)
     slope = np.add.reduce((u + grow) * (d + ddelta), 0) / (1.0 + z)
@@ -556,7 +554,9 @@ def average_probability_effects(params: ParameterSet, data: Dataset):
     decomposition."""
     spec = params.spec
     if spec.treatment.kind != "continuous":
-        raise EffectError("average probability effects need a continuous treatment")
+        raise EffectError(f"average probability effects need a continuous "
+                          f"treatment; {spec.treatment.name!r} is "
+                          f"{spec.treatment.kind}")
     if data.nrows == 0 or data.n == 0:
         raise DataError("empty data")
     needed = [c.name for c in spec.covariates

@@ -329,27 +329,12 @@ def _newton_step(H: np.ndarray, score: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(H, score, rcond=None)[0]
 
 
-def _separated(X, y, w, beta, eta) -> bool:
-    """Whether a converged fit flags separation: a coefficient beyond
-    BIG_COEF, or a separation ray.  On a ray the fitted logits lie far
-    beyond anything an interior optimum produces, every one of them
-    classifying its observation perfectly, and the ray's direction
-    leaves the other logits unchanged, so those rows cannot pin every
-    coefficient (one far-out point is no ray)."""
-    if np.abs(beta).max() > BIG_COEF:
-        return True
-    live = w > 0
-    extreme = live & (np.abs(eta) > BIG_LOGIT)
-    return bool(np.any(extreme) and np.all(y[extreme] == (eta[extreme] > 0))
-                and _dependent(X[live & ~extreme]).size > 0)
-
-
 def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Newton iterations with step-halving.  Returns (beta, H, loglik,
     iterations, converged, separation) where H is the observed information
-    at the returned coefficients.  A step that still lowers the
-    log-likelihood after MAX_HALVINGS halvings is rejected and ends the
-    fit as not converged."""
+    at the returned coefficients and separation is ``_separation``'s on a
+    stack of one.  A step that still lowers the log-likelihood after
+    MAX_HALVINGS halvings is rejected and ends the fit as not converged."""
     beta = np.zeros(X.shape[1])
     eta = X @ beta
     XT = X.T
@@ -379,13 +364,31 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         if converged:
             break
     H = _information(X, XT, w, expit(eta) if prob is None else prob)
-    separation = not converged or _separated(X, y, w, beta, eta)
-    return beta, H, ll, it, converged, separation
+    return beta, H, ll, it, converged, bool(_separation(
+        X, y[None], w[None], beta[None], eta[None], np.array([converged]))[0])
 
 
 def _take(X: np.ndarray, slices) -> np.ndarray:
     """The designs of ``slices`` of a stack: a shared design is each one's."""
     return X if X.ndim == 2 else X[slices]
+
+
+def _separation(X, y, w, beta, eta, converged) -> np.ndarray:
+    """The separation flag of each fit of an ``irls_stack`` stack: set
+    where it did not converge, has a coefficient beyond BIG_COEF or lies
+    on a separation ray.  On a ray the logits beyond BIG_LOGIT, far past
+    any interior optimum's, each classify their observation perfectly,
+    and the ray's direction leaves the other logits unchanged, so those
+    rows cannot pin every coefficient (one far-out point is no ray).
+    Only a converged fit with such logits takes the QR that tells."""
+    live = w > 0
+    extreme = live & (np.abs(eta) > BIG_LOGIT)
+    flag = ~converged | (np.abs(beta).max(axis=1) > BIG_COEF)
+    for i in np.flatnonzero(~flag & extreme.any(axis=1)):
+        e = extreme[i]
+        flag[i] = (np.all(y[i][e] == (eta[i][e] > 0))
+                   and _dependent(_take(X, i)[live[i] & ~e]).size > 0)
+    return flag
 
 
 def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -396,7 +399,7 @@ def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     slice bit for bit.  The slices take their Newton steps in lock step,
     each by ``irls``'s rules, and a slice leaves the stack where ``irls``
     would stop; batched matmuls and solves do each slice's arithmetic as
-    ``irls`` does it."""
+    ``irls`` does it, and one ``_separation`` flags the stack."""
     R, p = len(y), X.shape[-1]
     beta = np.zeros((R, p))
     eta = (X @ beta[..., None])[..., 0]
@@ -448,12 +451,8 @@ def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         if not act.size:
             break
     H = _information(X, np.swapaxes(X, -1, -2), w, expit(eta))
-    separation = ~converged     # converged: where _separated could flag
-    suspect = converged & ((np.abs(beta).max(axis=1) > BIG_COEF) | (
-        (w > 0) & (np.abs(eta) > BIG_LOGIT)).any(axis=1))
-    for i in np.flatnonzero(suspect):
-        separation[i] = _separated(_take(X, i), y[i], w[i], beta[i], eta[i])
-    return beta, H, ll, iterations, converged, separation
+    return (beta, H, ll, iterations, converged,
+            _separation(X, y, w, beta, eta, converged))
 
 
 @dataclass

@@ -276,14 +276,16 @@ class SystemSpec:
     def outcome(self) -> VariableSpec:
         outs = [v for v in self.variables if v.role == "outcome"]
         if len(outs) != 1:
-            raise ModelSpecError("system must declare exactly one outcome")
+            raise ModelSpecError(f"system declares {len(outs)} outcome "
+                                 f"variables, needs 1")
         return outs[0]
 
     @cached_property
     def treatment(self) -> VariableSpec:
         tr = [v for v in self.variables if v.role == "treatment"]
         if len(tr) != 1:
-            raise ModelSpecError("system must declare exactly one treatment")
+            raise ModelSpecError(f"system declares {len(tr)} treatment "
+                                 f"variables, needs 1")
         return tr[0]
 
     @cached_property
@@ -428,14 +430,9 @@ class SystemSpec:
         """Collect invariant violations; empty list means the system is valid."""
         problems = []
         try:
-            self.by_name
+            self.by_name, self.outcome, self.treatment
         except ModelSpecError as e:
             return [str(e)]
-        for role, want in (("outcome", 1), ("treatment", 1)):
-            got = sum(1 for v in self.variables if v.role == role)
-            if got != want:
-                problems.append(f"system declares {got} {role} variables, needs {want}")
-                return problems
         if self.outcome.kind != "binary":
             problems.append(f"outcome {self.outcome.name!r} must be binary")
         idx = sorted(m.mediator_index for m in self.mediators)

@@ -280,7 +280,7 @@ def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
     pseudo-inverse; Y ~ X + W is fitted by ``irls`` on each replication's
     rows.  Returns (gammas, betas, betas_r, usable), stacked on a first
     axis of R; a replication is usable when x takes two values or more
-    and both its fits converged without separation.
+    and neither fit flags separation.
 
     One ``lstsq`` with a right-hand side per replication would give the
     OLS fits too, but it runs multithreaded BLAS: with the other vCPU of
@@ -289,14 +289,14 @@ def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
     ones = np.ones(len(x))
     xw_model = np.column_stack([ones, x])
     ols = ws @ np.linalg.pinv(xw_model).T
-    gammas, *_, w_converged, w_separated = irls_stack(
+    gammas, *_, w_separation = irls_stack(
         xw_model, ws, np.broadcast_to(ones, ws.shape))
     y_fits = [irls(np.column_stack([xw_model, w]), y, ones)
               for w, y in zip(ws, ys)]
     betas = np.array([fit[0] for fit in y_fits])
-    y_ok = np.array([fit[4] and not fit[5] for fit in y_fits])
+    y_ok = np.array([not fit[5] for fit in y_fits])
     return (gammas, betas, _reduced(betas, ols),
-            (x.min() < x.max()) & w_converged & ~w_separated & y_ok)
+            (x.min() < x.max()) & ~w_separation & y_ok)
 
 
 def _fit_tables(tables: np.ndarray):
@@ -305,11 +305,11 @@ def _fit_tables(tables: np.ndarray):
     cells and Y ~ X + W on the 8 (x, w, y) cells, weighted by the counts
     (the likelihood of the n rows); a and a + b are the means of w at
     x = 0 and x = 1.  A replication is not usable when x takes one value,
-    when either fit does not converge or flags separation, or when the
-    means of y at x = 0 and x = 1 tie, y11 n0 = y01 n1 in its counts: its
-    fitted total effect is then 0 up to the fits' stopping error, and its
-    share undefined.  Returns (gammas, betas, betas_r, usable), stacked
-    on a first axis of R."""
+    when either fit flags separation (as every fit that does not converge
+    does), or when the means of y at x = 0 and x = 1 tie, y11 n0 = y01 n1
+    in its counts: its fitted total effect is then 0 up to the fits'
+    stopping error, and its share undefined.  Returns (gammas, betas,
+    betas_r, usable), stacked on a first axis of R."""
     xw = tables.sum(axis=3)
     at_x = xw.sum(axis=2)
     mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
@@ -325,12 +325,12 @@ def _pattern_fits(tables: np.ndarray):
     """The coefficients of the logistic fit of each table's last variable
     on the others, one ``irls_stack`` on the full cell grid weighted by
     each table's counts (an empty cell adds nothing to the likelihood),
-    and whether it converged without separation."""
+    and whether its separation flag is clear."""
     values, _ = patterns(np.ones(tables.shape[1:]))     # every cell, C order
     X = np.column_stack([np.ones(len(values)), values[:, :-1]])
     fit = irls_stack(X, np.broadcast_to(values[:, -1], (len(tables), len(X))),
                      tables.reshape(len(tables), -1).astype(float))
-    return fit[0], fit[4] & ~fit[5]
+    return fit[0], ~fit[5]
 
 
 def _shares(gammas, betas, betas_r, kind: str,

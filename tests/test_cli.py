@@ -5,6 +5,7 @@ import codecs
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from hypothesis import given, strategies as st
 from importlib import resources
 
 from logitpath import (EffectError, EffectRequest, FittedSystem, SystemSpec,
-                       VariableSpec, effect_table)
+                       VariableSpec, decompose, effect_table)
 from logitpath.fitting import block_covariance
 from logitpath.cli import main
 
-from conftest import expected_data_fit, make_system
+from conftest import (enum_logit, enum_prob, expected_data_fit, make_system,
+                      random_params)
 
 
 def invoke(*args):
@@ -1021,3 +1023,110 @@ def test_simulate_names_the_config_and_the_field(workdir, change, field):
     assert isinstance(result.exception, SystemExit), result.exception
     assert combined(result).startswith(f"error: {config}: ")
     assert field in combined(result)
+
+
+# -- refusals and options no other test reaches -----------------------------
+
+def _write(workdir, name, text):
+    path = workdir / name
+    path.write_text(text)
+    return path
+
+
+def _treatment_response_model(workdir):
+    # the categorical treatment given an equation of its own
+    doc = json.loads((workdir / "example_model.json").read_text())
+    doc["equations"]["X"] = ["1"]
+    return _write(workdir, "treatment_response.json", json.dumps(doc))
+
+
+def _continuous_covariate_artifact(workdir):
+    doc = make_system(1, covariate=True).to_json_dict()
+    covariate = next(v for v in doc["variables"] if v["name"] == "C")
+    covariate["kind"] = "continuous"
+    spec = SystemSpec.from_json_dict(doc)
+    fitted = FittedSystem(spec, random_params(spec, np.random.default_rng(7)),
+                          np.eye(len(spec.flat_coords)), {}, 100.0)
+    return _write(workdir, "continuous_c.json",
+                  json.dumps(fitted.to_json_dict()))
+
+
+@pytest.mark.parametrize("args,named,message", [
+    pytest.param(lambda d, fit: (
+        "fit", "--model", _treatment_response_model(d),
+        "--data", d / "example_counts.json"), 2,
+        "response 'X' must be binary to fit", id="fit-treatment-response"),
+    pytest.param(lambda d, fit: (
+        "fit", "--model", d / "example_model.json", "--data",
+        _write(d, "no_c.csv", "Y,W,X,count\n1,0,1,3\n0,1,2,4\n")), 4,
+        "equation Y: data has no column 'C'", id="fit-csv-without-column"),
+    pytest.param(lambda d, fit: (
+        "fit", "--model", d / "example_model.json", "--data",
+        _write(d, "no_rows.json", "[]")), 4,
+        "equation Y: empty data", id="fit-no-rows"),
+    pytest.param(lambda d, fit: (
+        "decompose", "--fitted", _continuous_covariate_artifact(d),
+        "--contrast", "1,0", "--by", "C"), 2,
+        "--by needs a binary or categorical variable, 'C' is continuous",
+        id="by-continuous"),
+    pytest.param(lambda d, fit: (
+        "marginalize", "--fitted", fit, "--mediator", "1", "--out",
+        d / "reduced.json"), 2,
+        "summing a mediator out needs at least two mediators",
+        id="marginalize-one-mediator"),
+])
+def test_a_cli_refusal_names_the_value_and_the_file(workdir, artifact, args,
+                                                    named, message):
+    args = args(workdir, artifact)
+    result = invoke(*args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in combined(result)
+    assert str(args[named]) in combined(result)
+
+
+def test_simulate_seed_is_the_grid_seed(workdir):
+    config = _write(workdir, "seed_11.json",
+                    json.dumps({**SMALL_GRID, "seed": 11}))
+    seed_5 = _write(workdir, "seed_5.json",
+                    json.dumps({**SMALL_GRID, "seed": 5}))
+    written = []
+    for args in ((config, "--seed", 5), (seed_5,), (config,)):
+        out = workdir / f"seeded_{len(written)}.csv"
+        result = invoke("simulate", "--config", *args, "--out", out)
+        assert result.exit_code == 0, combined(result)
+        written.append(out.read_text())
+    assert written[0] == written[1] != written[2]
+
+
+# -- a derivative effect table ----------------------------------------------
+
+def test_a_derivative_effect_table_is_decompose_at_each_point(workdir):
+    spec = make_system(2, treatment="continuous", extra_terms=("X:W1",))
+    fitted = expected_data_fit(np.random.default_rng(134), spec=spec)
+    path = _write(workdir, "derivative.json",
+                  json.dumps(fitted.to_json_dict()))
+    points, h = (0.25, 0.8), 1e-4
+    requests = [EffectRequest.derivative(x, scale=scale)
+                for scale in ("logodds", "probability") for x in points]
+    rows = effect_table(fitted, requests).to_records()
+    assert len(rows) == 4 * len(requests)
+    for request, four in zip(requests, zip(*[iter(rows)] * 4)):
+        de, ie, res, te = (r["estimate"] for r in four)
+        assert {r["contrast"] for r in four} == {f"d/dx at {request.at}"}
+        assert abs(de + ie + res - te) <= 1e-12
+        d = decompose(fitted.params, request)
+        assert (de, ie, res, te) == (d.direct, d.indirect, d.residual,
+                                     d.total)
+        if request.scale == "logodds":
+            fd = [enum_logit(fitted.params, request.at + s * h)
+                  for s in (1, -1)]
+        else:
+            fd = [enum_prob(fitted.params, request.at + s * h)
+                  for s in (1, -1)]
+        assert abs(te - (fd[0] - fd[1]) / (2 * h)) <= 1e-6
+        assert all(math.isfinite(r["se"]) and r["se"] > 0 for r in four)
+    # the CLI's rows are the library's, both scales at each --at
+    cli = records(invoke("decompose", "--fitted", path, "--at", points[0],
+                         "--at", points[1], "--format", "json"))
+    assert cli == rows

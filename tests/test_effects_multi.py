@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -609,3 +610,28 @@ def test_no_mediators_delcared_is_rejected():
     params = random_params(spec, np.random.default_rng(106))
     with pytest.raises(EffectError, match="no mediators"):
         decompose(params, EffectRequest.contrast(1, 0))
+
+
+@pytest.mark.parametrize("seq", [5, None, 2.5])
+def test_a_path_that_is_no_sequence_is_refused_by_value(seq):
+    with pytest.raises(EffectError, match=re.escape(
+            f"cannot read path indices from {seq!r}")):
+        PathSpec.parse(seq)
+
+
+def test_without_mediators_the_marginal_logit_is_y_s_linear_predictor():
+    spec = SystemSpec.build(
+        [VariableSpec("Y", "outcome", "binary"),
+         VariableSpec("X", "treatment", "continuous"),
+         VariableSpec("C", "covariate", "binary")],
+        {"Y": ["1", "X", "C", "X:C"]})
+    params = random_params(spec, np.random.default_rng(140))
+    slope = params.get("Y", "X") + params.get("Y", "C:X")
+    xs = np.array([-1.5, 0.0, 2.0])
+    values, slopes = marginal_logit_multi(params, xs, {"C": 1}, slope=True)
+    for x, value, dx in zip(xs.tolist(), values, slopes):
+        assert marginal_logit_multi(params, x, {"C": 1}) == value
+        assert marginal_logit_multi(params, x, {"C": 1}, slope=True) == (
+            value, dx)
+        assert_close(value, enum_logit(params, x, {"C": 1}), 1e-12, "value")
+        assert_close(dx, slope, 1e-15, "slope")

@@ -1,14 +1,15 @@
 """Single-mediator effects against closed forms and enumeration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from logitpath import (Dataset, EffectError, ParameterSet, SystemSpec,
-                       VariableSpec, average_probability_effects, decompose,
-                       deltas)
+from logitpath import (DataError, Dataset, EffectError, ParameterSet,
+                       SystemSpec, VariableSpec, average_probability_effects,
+                       decompose, deltas)
 from logitpath.effects import (Decomposition, EffectRequest, component,
                                component_mask)
 from logitpath.multi import _reduce, g_recursive, marginal_logit_multi
@@ -566,3 +567,65 @@ def test_slopes_and_gradients_stay_finite_when_the_corners_span_far(beta_w):
     assert np.allclose(got[0], near[0], rtol=0, atol=1e-12)
     assert np.allclose(got[1].vector, near[1].vector, rtol=0, atol=1e-12)
     assert np.allclose(got[2], near[2], rtol=0, atol=1e-12)
+
+
+def test_one_point_spanning_far_leaves_each_other_point_at_its_own_value():
+    # at x = 800, Y's corners differ by b_w + b_xw x, beyond exp's range,
+    # so the call takes the log-sum-exps at every point: each entry stays
+    # within rounding of its own single-point call, finite
+    spec = make_system(1, treatment="continuous", extra_terms=("X:W1",))
+    xs = np.array([-1.0, 0.5, 800.0, 2.5])
+    for seed in range(12):
+        rng = np.random.default_rng([141, seed])
+        theta = rng.normal(size=len(spec.flat_coords))
+        theta[spec.coord("Y", "W1:X")] = rng.uniform(1.0, 2.0)
+        params = ParameterSet(spec, theta)
+        spread = np.abs(theta[spec.coord("Y", "W1")]
+                        + theta[spec.coord("Y", "W1:X")] * xs)
+        assert (spread > 709.0).tolist() == [False, False, True, False]
+        for scale in ("logodds", "probability"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = decompose(params, EffectRequest.derivative(
+                    xs, scale=scale))
+                for i, x in enumerate(xs.tolist()):
+                    one = decompose(params, EffectRequest.derivative(
+                        x, scale=scale))
+                    for got, want in ((d.total, one.total),
+                                      (d.direct, one.direct),
+                                      (d.indirect, one.indirect)):
+                        assert math.isfinite(got[i])
+                        assert abs(got[i] - want) <= 2e-15 * max(1.0,
+                                                                 abs(want))
+
+
+# -- refusals that name their value ----------------------------------------
+
+def _rows(x, y, count=1.0):
+    return Dataset.from_rows([{"X": x, "W1": 0, "Y": y, "count": count},
+                              {"X": x, "W1": 1, "Y": 1 - y, "count": count}])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: EffectRequest("bogus"), EffectError,
+                 "unknown mode 'bogus'", id="mode"),
+    pytest.param(lambda: EffectRequest("derivative"), EffectError,
+                 "derivative mode needs an evaluation point", id="no-point"),
+    pytest.param(lambda: average_probability_effects(
+        study_system(1.0), _rows(1, 0)), EffectError,
+        "effects need a continuous treatment; 'X' is binary",
+        id="ape-binary-treatment"),
+    pytest.param(lambda: average_probability_effects(
+        study_system(1.0, "continuous"), Dataset.from_rows([])),
+        DataError, "empty data", id="ape-no-rows"),
+    pytest.param(lambda: average_probability_effects(
+        study_system(1.0, "continuous"), _rows(0.5, 1, count=0.0)),
+        DataError, "empty data", id="ape-no-counts"),
+    pytest.param(lambda: decompose(plain_system(
+        np.random.default_rng(3))[1], EffectRequest.derivative(
+            np.array([[0.5], 1.0], dtype=object))),
+        EffectError, "treatment 'X' cannot take array([list([",
+        id="unhashable-entry"),
+])
+def test_an_effect_refusal_names_the_value(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

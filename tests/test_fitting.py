@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import expit
 
-from logitpath import (Dataset, FittedSystem, VariableSpec, fit_logistic,
-                       fit_system)
+from logitpath import (Dataset, FittedSystem, ModelSpecError, SystemSpec,
+                       VariableSpec, fit_logistic, fit_system)
 from logitpath.fitting import (DataError, FitError, _dependent, coerce_column,
                                coerce_value, design_matrix, irls, patterns,
                                tabulate)
@@ -499,3 +499,59 @@ def test_irls_rejects_a_step_that_halving_cannot_rescue():
         float(np.sum(w * (y * eta - np.logaddexp(0.0, eta)))), abs=1e-12)
     assert iterations == 11
     assert not converged and separation
+
+
+# -- refusals that name their value ----------------------------------------
+
+def _diagnostics_of_no_equation():
+    spec = small_spec()
+    data = simulate(spec, random_params(spec, np.random.default_rng(43)),
+                    300, seed=44)
+    doc = json.loads(json.dumps(fit_system(data, spec).to_json_dict()))
+    doc["diagnostics"]["Q"] = doc["diagnostics"]["Y"]
+    return doc
+
+
+def _treatment_response():
+    # a categorical treatment given an equation of its own
+    spec = make_system(1, treatment="categorical")
+    doc = spec.to_json_dict()
+    doc["equations"]["X"] = ["1"]
+    return SystemSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: fit_system(Dataset.from_rows([]), small_spec()),
+                 DataError, "equation Y: empty data", id="no-rows"),
+    pytest.param(lambda: fit_system(Dataset.from_records(
+        {"Y": [0, 1], "X": [0, 1]}), small_spec()),
+        DataError, "equation Y: data has no column 'W1'", id="no-column"),
+    pytest.param(lambda: fit_system(Dataset.from_records(
+        {"Y": [0, 1] * 6, "X": [1, 2, 3] * 4, "W1": [0, 0, 1, 1] * 3}),
+        _treatment_response()),
+        ModelSpecError, "response 'X' must be binary to fit",
+        id="non-binary-response"),
+    pytest.param(lambda: FittedSystem.from_json_dict(
+        _diagnostics_of_no_equation()), ModelSpecError, "'diagnostics' has 'Q', which has no equation",
+        id="diagnostics-of-no-equation"),
+])
+def test_a_fitting_refusal_names_the_value(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_a_singular_information_takes_the_pseudo_inverse_and_flags_it(
+        monkeypatch):
+    spec = small_spec()
+    data = simulate(spec, random_params(spec, np.random.default_rng(45)),
+                    300, seed=46)
+    fit = fit_logistic(data, spec, "Y")
+    assert fit.converged and not fit.separation
+
+    def singular(H):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    again = fit_logistic(data, spec, "Y")
+    assert again.converged and again.separation
+    assert np.array_equal(again.coef, fit.coef)
+    assert np.allclose(again.cov, fit.cov, rtol=1e-10, atol=0.0)

@@ -311,3 +311,70 @@ def test_spec_from_json_rejects_bad_role():
            "equations": {}}
     with pytest.raises(ModelSpecError):
         SystemSpec.from_json_dict(doc)
+
+
+# -- refusals that name their value ----------------------------------------
+
+def _one_mediator(mediator_kind="binary", **equations):
+    V = VariableSpec
+    return SystemSpec.build(
+        [V("Y", "outcome", "binary"),
+         V("W", "mediator", mediator_kind, mediator_index=1),
+         V("X", "treatment", "binary")],
+        {"Y": ["1", "X", "W"], "W": ["1", "X"], **equations})
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: VariableSpec("X", "treatment", "categorical",
+                                      levels=(1, 1)),
+                 "categorical variable 'X' has duplicate levels",
+                 id="duplicate-levels"),
+    pytest.param(lambda: VariableSpec("X", "treatment", "continuous",
+                                      levels=(1, 2)),
+                 "levels are only allowed on categorical variables ('X')",
+                 id="levels-on-continuous"),
+    pytest.param(lambda: SystemSpec.build(
+        [VariableSpec("Y", "outcome", "binary"),
+         VariableSpec("Y", "treatment", "binary")], {"Y": ["1"]}
+    ).require_valid(), "duplicate variable name 'Y'", id="duplicate-name"),
+    pytest.param(lambda: SystemSpec.build(
+        [VariableSpec("X", "treatment", "binary")], {}).require_valid(),
+        "system declares 0 outcome variables, needs 1", id="no-outcome"),
+    pytest.param(lambda: SystemSpec.build(
+        [VariableSpec("Y", "outcome", "binary"),
+         VariableSpec("X", "treatment", "binary"),
+         VariableSpec("Z", "treatment", "binary")], {"Y": ["1"]}).treatment,
+        "system declares 2 treatment variables, needs 1",
+        id="two-treatments"),
+    pytest.param(lambda: _one_mediator().terms("Q"),
+                 "no equation for response 'Q'", id="terms"),
+    pytest.param(lambda: _one_mediator().columns("Q"),
+                 "no equation for response 'Q'", id="columns"),
+    pytest.param(lambda: _one_mediator().coord("W", "W"),
+                 "no coefficient for 'W' column 'W'", id="coord"),
+    pytest.param(lambda: _one_mediator("continuous").require_valid(),
+                 "mediator 'W' must be binary", id="continuous-mediator"),
+    pytest.param(lambda: _one_mediator(Q=["1"]).require_valid(),
+                 "equation for undeclared variable 'Q'",
+                 id="undeclared-response"),
+    pytest.param(lambda: _one_mediator(W=["1", "X", "X"]).require_valid(),
+                 "W: duplicate term X", id="duplicate-term"),
+    pytest.param(lambda: ParameterSet(_one_mediator(), [1.0, 2.0]),
+                 "vector of shape (2,) does not match the 5 coefficients",
+                 id="vector-shape"),
+    pytest.param(lambda: ParameterSet(_one_mediator(), np.zeros(5))
+                 .linear_predictor("Q", {}),
+                 "no equation for response 'Q'", id="linear-predictor"),
+])
+def test_a_model_refusal_names_the_value(call, message):
+    with pytest.raises(ModelSpecError, match=re.escape(message)):
+        call()
+
+
+def test_a_parameter_set_equals_only_its_system_and_values():
+    spec = _one_mediator()
+    params = ParameterSet(spec, np.arange(5.0))
+    assert params == ParameterSet(_one_mediator(), np.arange(5.0))
+    assert params != ParameterSet(spec, np.arange(5.0) + 1.0)
+    assert params != "params"
+    assert params.__eq__(np.arange(5.0)) is NotImplemented

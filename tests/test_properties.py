@@ -696,12 +696,16 @@ def on_design(X, kind, seed):
 
 def assert_stack_is_irls(fits, shared=False):
     """Every field of every slice of ``irls_stack`` is ``irls``'s on that
-    slice, in value, dtype and bytes; with ``shared``, every fit has the
-    first fit's design, passed once as an (m, p) array."""
+    slice, in value, dtype and bytes, and flags separation wherever it
+    did not converge; with ``shared``, every fit has the first fit's
+    design, passed once as an (m, p) array."""
     X, y, w = map(np.array, zip(*fits))
     got = irls_stack(X[0] if shared else X, y, w)
+    assert (got[5] | got[4]).all()  # a fit that did not converge is flagged
     for i, fit in enumerate(fits):
-        for a, b in zip(got, irls(*fit)):
+        single = irls(*fit)
+        assert single[5] or single[4]
+        for a, b in zip(got, single):
             a, b = np.asarray(a[i]), np.asarray(b)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     return got
@@ -780,3 +784,31 @@ def test_a_shared_design_stack_ends_its_slices_every_way_irls_ends(
     # complete separation, flagged beyond it
     assert separation.tolist() == [False, False, False, True, True]
     assert np.abs(beta[3]).max() < 50.0 < np.abs(beta[4]).max()
+
+
+def test_separation_takes_the_qr_only_for_a_converged_fit_out_far(
+        monkeypatch):
+    X, y, w = fit_slice("ray", 6, 3, 5)
+    beta, *_ = irls(X, y, w)
+    eta = X @ beta
+    stack = (X, np.array([y, y]), np.array([w, w]), np.array([beta, beta]),
+             np.array([eta, eta]))
+    assert np.abs(beta).max() < fitting.BIG_COEF
+    assert (np.abs(eta) > fitting.BIG_LOGIT).any()
+    qr, dependent = [], fitting._dependent
+    monkeypatch.setattr(fitting, "_dependent",
+                        lambda A: qr.append(A.shape) or dependent(A))
+    # a fit that did not converge is flagged, its extreme logits unread
+    assert fitting._separation(*stack, np.array([False, False])).all()
+    assert qr == []
+    # a converged ray is flagged by the QR of the rows it leaves
+    assert fitting._separation(*stack, np.array([True, False])).all()
+    assert len(qr) == 1
+    # a coefficient beyond BIG_COEF is flagged, with no logit out far
+    flat = np.zeros((1, 6))
+    big = np.array([[0.0, 0.0, 2.0 * fitting.BIG_COEF]])
+    assert fitting._separation(X * [1.0, 1.0, 0.0], y[None], w[None], big,
+                               flat, np.array([True]))[0]
+    assert not fitting._separation(X, y[None], w[None], big / 4.0, flat,
+                                   np.array([True]))[0]
+    assert len(qr) == 1
