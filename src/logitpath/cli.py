@@ -91,8 +91,6 @@ def cmd_fit(data_path, model_path, out):
         fitted = fit_system(data, spec)
     except (DataError, FitError) as e:     # a rank deficiency is the data's
         _fail_for(f"{data_path}: {e}", model_path)
-    except _ERRORS as e:
-        _fail(f"{model_path}: {e}")
     click.echo(fitted.summary_text())
     if out:
         _write_or_echo(json.dumps(fitted.to_json_dict(), indent=2), out)

@@ -158,11 +158,18 @@ class VariableSpec:
             self.levels if self.kind == "categorical" else (0, 1))
 
     def refusal(self, value) -> str:
-        """The message for a ``value`` that the variable cannot take."""
+        """The message for a ``value`` that the variable cannot take; for
+        an array, its first entry the variable cannot take, and where."""
         wanted = {"binary": "0 or 1", "continuous": "a finite number"}.get(
             self.kind, f"a level in {list(self.levels)}")
-        return (f"{self.role} {self.name!r} cannot take "
-                f"{reprlib.repr(value)}; it takes {wanted}")
+        named = reprlib.repr(value)
+        if isinstance(value, np.ndarray):   # whole if each entry passes
+            named = next((f"{reprlib.repr(v)} (array entry {list(i)})"
+                          for i, v in zip(np.ndindex(value.shape),
+                                          value.ravel().tolist())
+                          if not self.takes(v)), named)
+        return (f"{self.role} {self.name!r} cannot take {named}; it takes "
+                f"{wanted}")
 
 
 @dataclass(frozen=True)
@@ -446,8 +453,9 @@ class SystemSpec:
             if resp not in self.by_name:
                 problems.append(f"equation for undeclared variable {resp!r}")
                 continue
-            if self.by_name[resp].role == "covariate":
-                problems.append(f"covariate {resp!r} cannot be a response")
+            role = self.by_name[resp].role
+            if role in ("covariate", "treatment"):
+                problems.append(f"{role} {resp!r} cannot be a response")
                 continue
             if not terms:
                 problems.append(f"equation {resp!r} has no terms")

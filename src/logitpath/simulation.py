@@ -28,8 +28,7 @@ Each replication is fitted only by its cell's path, on a stack of
 replications: a binary cell fits each equation as one stack on the cell
 grid of its replications' (x, w, y) counts (``_fit_tables``), and a
 continuous cell, whose W ~ X has the one design [1, x], in chunks of at
-most ``CHUNK_ROWS`` rows (``_fit_chunk``).  ``_fit_models`` is that path
-on a stack of one.
+most ``CHUNK_ROWS`` rows (``_fit_chunk``).
 
 Replications whose treatment takes one value, whose binary counts tie
 (the mean of y the same at x = 0 and x = 1, so the fitted total effect
@@ -44,9 +43,12 @@ execution order.  The pseudo-population is drawn once per seed, and a
 continuous truth is computed once for the cells that differ only in n
 (the grid's sizes vary fastest).
 
-A binary cell's truth and rsd shares are ``decompose``'s bit for bit;
-a continuous cell's come from the closed form ``_tpe_ipe``.  Both, and
-the draws, take ``fitting``'s ``expit``, as every other layer does.
+A binary cell's truth and rsd shares are ``decompose``'s bit for bit.
+A continuous cell's come from ``_tpe_ipe``, the x-derivative of
+P(Y=1|x) in closed form: its truth from one call on the population, and
+its rsd shares from one ``share_continuous`` call on the stack of kept
+fits.  Both kinds, and the draws, take ``fitting``'s ``expit``, as every
+other layer does.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .effects import EffectRequest, _decompose
-from .fitting import (Dataset, expit, irls, irls_stack, patterns, softplus,
-                      tabulate)
+from .fitting import Dataset, expit, irls, irls_stack, patterns, tabulate
 from .model import SystemSpec, VariableSpec, _float, _is
 
 PSEUDO_POPULATION = 150_000
@@ -72,7 +73,8 @@ EXCLUSION_LIMIT = 0.05
 # of 100 replications, serial calls took 38-47, 44-56 and 59-72 ms at
 # n = 250, 500 and 1000, and chunks of 15,000 rows 13-15, 28-29 and 39-51
 # ms, the best or within noise of the best of 5,000 to 50,000 rows;
-# 25,000 rows took 13-16, 28-31 and 44-50 ms (2-vCPU Intel Xeon VM).
+# 25,000 rows took 13-16, 28-31 and 44-50 ms (2-vCPU Intel Xeon VM).  It
+# bounds the (replications x n) slabs of ``share_continuous`` too.
 CHUNK_ROWS = 15_000
 _POP_TAG = 101
 _SUB_TAG = 102
@@ -137,31 +139,30 @@ def _label(config: SimConfig) -> str:
 # -- the two-equation model's effects -------------------------------------
 
 def _tpe_ipe(b0, bx, bw, g0, gx, x):
-    """Pointwise TPE and IPE derivatives at each x (arrays welcome):
-    ``pe`` writes the chain rule through the marginal logit
-    softplus(bw + core) - softplus(core) + r0 out by hand, in one pass;
-    the IPE is the TPE at r0 = b0 and slope bx = 0.  The study's
-    continuous cells use this closed form, not ``effects._decompose``: on
-    the stacked kernel 100 replications at n = 1000 took 105-129 ms, not
-    28 ms, and the 150000-draw truth 150 ms, not 32 ms (2-vCPU Intel Xeon
-    VM)."""
-    rw = g0 + gx * x
-
-    def pe(r0, bx):     # Y's log odds at W = 0, and its slope in x
-        r1 = r0 + bw
-        core = softplus(r0) - softplus(r1) + rw
-        eta = softplus(bw + core) - softplus(core) + r0
-        dcore = (expit(r0) - expit(r1)) * bx + gx
-        deta = (expit(bw + core) - expit(core)) * dcore + bx
-        p = expit(eta)
-        return p * (1.0 - p) * deta
-    return pe(b0 + bx * x, bx), pe(b0, 0.0)
+    """Pointwise TPE and IPE at each x (arrays welcome): with
+    pi = expit(g0 + gx x) and p_w = expit(b0 + bx x + bw w), the TPE is
+    the x-derivative of P(Y=1|x) = (1 - pi) p0 + pi p1,
+    bx [(1 - pi) p0 (1 - p0) + pi p1 (1 - p1)] + gx pi (1 - pi) (p1 - p0),
+    and the IPE is the TPE at bx = 0."""
+    pi, eta = expit(g0 + gx * x), b0 + bx * x
+    p0, p1 = expit(eta), expit(eta + bw)
+    mix = gx * pi * (1.0 - pi)
+    return (bx * ((1.0 - pi) * p0 * (1.0 - p0) + pi * p1 * (1.0 - p1))
+            + mix * (p1 - p0), mix * (expit(b0 + bw) - expit(b0)))
 
 
-def share_continuous(b0, bx, bw, g0, gx, xs: np.ndarray) -> float:
-    """AIPE / ATPE over the supplied treatment values."""
-    tpe, ipe = _tpe_ipe(b0, bx, bw, g0, gx, np.asarray(xs, dtype=float))
-    return float(np.mean(ipe) / np.mean(tpe))
+def share_continuous(b0, bx, bw, g0, gx, xs: np.ndarray):
+    """AIPE / ATPE over the treatment values ``xs``: a float for float
+    coefficients, and for (R,) coefficient arrays the R shares, computed
+    over (R, n) slabs of at most ``CHUNK_ROWS`` rows."""
+    xs = np.asarray(xs, dtype=float)
+    coefs = np.array([b0, bx, bw, g0, gx], dtype=float).reshape(5, -1, 1)
+    size, shares = max(1, CHUNK_ROWS // len(xs)), np.empty(coefs.shape[1])
+    for i in range(0, len(shares), size):
+        tpe, ipe = (np.mean(e, axis=1)
+                    for e in _tpe_ipe(*coefs[:, i:i + size], xs))
+        shares[i:i + size] = ipe / tpe
+    return shares if np.ndim(b0) else float(shares[0])
 
 
 # -- seeded draws ----------------------------------------------------------
@@ -247,18 +248,6 @@ def generate_data(config: SimConfig, replication: int) -> Dataset:
 
 # -- a cell's estimators ---------------------------------------------------
 
-def _fit_models(x: np.ndarray, w: np.ndarray, y: np.ndarray):
-    """One replication's fits, by its cell's path on a stack of one:
-    ``_fit_tables`` on the counts of a 0/1 treatment, ``_fit_chunk`` on
-    any other.  Returns (w-model coefs, y-model coefs, reduced y-model
-    coefs, usable flag)."""
-    if np.all((x == 0.0) | (x == 1.0)):
-        *coefs, usable = _fit_tables(tabulate((x, w, y), (2, 2, 2))[None])
-    else:
-        *coefs, usable = _fit_chunk(x, w[None], y[None])
-    return (*(c[0] for c in coefs), bool(usable[0]))
-
-
 def _reduced(betas: np.ndarray, ols: np.ndarray) -> np.ndarray:
     """KHB's reduced-model coefficients (b0 + a bw, bx + b bw, bw) of full
     fits (b0, bx, bw) and OLS fits (a, b), each on a last axis.  The
@@ -342,11 +331,11 @@ def _shares(gammas, betas, betas_r, kind: str,
     (bx_red - bx_full) / bx_red for either kind: the reduced model's eta
     is the full model's, so rescaling both coefficients by one average
     partial effect would cancel out of the ratio."""
-    rsd = ([share_continuous(*b, *g, xs) for b, g in zip(betas, gammas)]
+    rsd = (share_continuous(*betas.T, *gammas.T, xs)
            if kind == "continuous" else _decompose(
                _BINARY, np.hstack([betas, gammas]),
                EffectRequest.contrast(1, 0)).mediated_share()[0])
-    return np.asarray(rsd), (betas_r[:, 1] - betas[:, 1]) / betas_r[:, 1]
+    return rsd, (betas_r[:, 1] - betas[:, 1]) / betas_r[:, 1]
 
 
 # -- the study -------------------------------------------------------------

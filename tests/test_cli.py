@@ -1055,7 +1055,7 @@ def _continuous_covariate_artifact(workdir):
     pytest.param(lambda d, fit: (
         "fit", "--model", _treatment_response_model(d),
         "--data", d / "example_counts.json"), 2,
-        "response 'X' must be binary to fit", id="fit-treatment-response"),
+        "treatment 'X' cannot be a response", id="fit-treatment-response"),
     pytest.param(lambda d, fit: (
         "fit", "--model", d / "example_model.json", "--data",
         _write(d, "no_c.csv", "Y,W,X,count\n1,0,1,3\n0,1,2,4\n")), 4,

@@ -623,7 +623,8 @@ def _rows(x, y, count=1.0):
     pytest.param(lambda: decompose(plain_system(
         np.random.default_rng(3))[1], EffectRequest.derivative(
             np.array([[0.5], 1.0], dtype=object))),
-        EffectError, "treatment 'X' cannot take array([list([",
+        EffectError, "treatment 'X' cannot take [0.5] (array entry [0]); "
+        "it takes a finite number",
         id="unhashable-entry"),
 ])
 def test_an_effect_refusal_names_the_value(call, error, message):

@@ -520,17 +520,24 @@ def _treatment_response():
     return SystemSpec.from_json_dict(doc)
 
 
+def _treatment_data():
+    return Dataset.from_records({"Y": [0, 1] * 6, "X": [1, 2, 3] * 4,
+                                 "W1": [0, 0, 1, 1] * 3})
+
+
 @pytest.mark.parametrize("call,error,message", [
     pytest.param(lambda: fit_system(Dataset.from_rows([]), small_spec()),
                  DataError, "equation Y: empty data", id="no-rows"),
     pytest.param(lambda: fit_system(Dataset.from_records(
         {"Y": [0, 1], "X": [0, 1]}), small_spec()),
         DataError, "equation Y: data has no column 'W1'", id="no-column"),
-    pytest.param(lambda: fit_system(Dataset.from_records(
-        {"Y": [0, 1] * 6, "X": [1, 2, 3] * 4, "W1": [0, 0, 1, 1] * 3}),
-        _treatment_response()),
-        ModelSpecError, "response 'X' must be binary to fit",
-        id="non-binary-response"),
+    pytest.param(lambda: fit_logistic(_treatment_data(),
+                                      _treatment_response(), "X"),
+                 ModelSpecError, "response 'X' must be binary to fit",
+                 id="non-binary-response"),
+    pytest.param(lambda: fit_system(_treatment_data(), _treatment_response()),
+                 ModelSpecError, "treatment 'X' cannot be a response",
+                 id="treatment-response"),
     pytest.param(lambda: FittedSystem.from_json_dict(
         _diagnostics_of_no_equation()), ModelSpecError, "'diagnostics' has 'Q', which has no equation",
         id="diagnostics-of-no-equation"),

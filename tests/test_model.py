@@ -359,6 +359,9 @@ def _one_mediator(mediator_kind="binary", **equations):
                  id="undeclared-response"),
     pytest.param(lambda: _one_mediator(W=["1", "X", "X"]).require_valid(),
                  "W: duplicate term X", id="duplicate-term"),
+    pytest.param(lambda: _one_mediator(X=["1"]).require_valid(),
+                 "treatment 'X' cannot be a response",
+                 id="treatment-response"),
     pytest.param(lambda: ParameterSet(_one_mediator(), [1.0, 2.0]),
                  "vector of shape (2,) does not match the 5 coefficients",
                  id="vector-shape"),
@@ -369,6 +372,31 @@ def _one_mediator(mediator_kind="binary", **equations):
 def test_a_model_refusal_names_the_value(call, message):
     with pytest.raises(ModelSpecError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("kind,value,named", [
+    ("continuous", np.array([[0.5], 1.0], dtype=object),
+     "[0.5] (array entry [0])"),
+    ("continuous", np.array([[1.0, 2.0], [np.inf, np.nan]]),
+     "inf (array entry [1, 0])"),
+    ("binary", np.array([0, 1, 2, 3]), "2 (array entry [2])"),
+    ("binary", np.array([True, False]), "True (array entry [0])"),
+    ("continuous", np.array([np.array([0.5]), 1.0], dtype=object),
+     "array([array(... dtype=object)"),
+    ("continuous", "a", "'a'"),
+    ("binary", 2, "2"),
+], ids=["unhashable-entry", "2-d", "binary-2", "boolean", "nested-array",
+        "text", "scalar"])
+def test_a_refusal_names_the_first_array_entry_at_fault(kind, value, named):
+    # before: reprlib's 30 characters of the whole array, such as
+    # "array([list([... dtype=object)"; a scalar's message is unchanged,
+    # and an array whose entries each pass (an array nested in one) is
+    # named whole
+    var = VariableSpec("X", "treatment", kind)
+    assert not var.takes(value)
+    wanted = "a finite number" if kind == "continuous" else "0 or 1"
+    assert var.refusal(value) == (f"treatment 'X' cannot take {named}; "
+                                  f"it takes {wanted}")
 
 
 def test_a_parameter_set_equals_only_its_system_and_values():

@@ -12,8 +12,8 @@ from logitpath import (Dataset, SystemSpec, VariableSpec,
 from logitpath.effects import EffectRequest
 import logitpath.fitting as fitting
 import logitpath.simulation as simulation
-from logitpath.simulation import (SimConfig, SimulationError, _cell_seed,
-                                  _fit_chunk, _fit_models, _fit_tables,
+from logitpath.simulation import (CHUNK_ROWS, SimConfig, SimulationError,
+                                  _cell_seed, _fit_chunk, _fit_tables,
                                   _stats, _tpe_ipe, _shares,
                                   fixed_treatment_sample,
                                   generate_data, pseudo_population,
@@ -36,6 +36,18 @@ def study_params(kind, b0, bx, bw, g0, gx):
     return ParameterSet.from_nested(study_spec(kind), {
         "Y": {"1": b0, "X": bx, "W": bw},
         "W": {"1": g0, "X": gx}})
+
+
+def _fit_models(x, w, y):
+    """One replication's fits, by its cell's path on a stack of one:
+    ``_fit_tables`` on the counts of a 0/1 treatment, ``_fit_chunk`` on
+    any other.  Returns (w-model coefs, y-model coefs, reduced y-model
+    coefs, usable flag)."""
+    if np.all((x == 0.0) | (x == 1.0)):
+        *coefs, usable = _fit_tables(tabulate((x, w, y), (2, 2, 2))[None])
+    else:
+        *coefs, usable = _fit_chunk(x, w[None], y[None])
+    return (*(c[0] for c in coefs), bool(usable[0]))
 
 
 def test_config_validation():
@@ -92,10 +104,12 @@ def test_a_whole_float_is_the_integer_it_names():
 
 def test_probability_derivatives_closed_form():
     rng = np.random.default_rng(122)
-    for _ in range(50):
-        b0, bx, bw, g0, gx = rng.normal(0.0, 1.2, 5)
+    # 50 random points, and a far-tail one of the study's truth, where
+    # P(W=1|x) is about 1e-6 and P(Y=1|x, W=0) about 0.997
+    for b0, bx, bw, g0, gx, x in itertools.chain(
+            ((*rng.normal(0.0, 1.2, 5), float(rng.normal(0.0, 1.4)))
+             for _ in range(50)), [(-2.0, -1.3, 2.0, -2.0, 2.0, -5.93)]):
         params = study_params("continuous", b0, bx, bw, g0, gx)
-        x = float(rng.normal(0.0, 1.4))
         tpe, ipe = _tpe_ipe(b0, bx, bw, g0, gx, x)
         d = decompose(params, EffectRequest.derivative(
             x, scale="probability"))
@@ -115,6 +129,68 @@ def test_continuous_share_is_the_average_effect_ratio():
                  aipe / atpe, 1e-12, "continuous share")
 
 
+@pytest.mark.parametrize("chunk_rows,replications", [
+    (CHUNK_ROWS, 23), (4 * 50 - 1, 11), (49, 5)],
+    ids=["one-slab", "slabs-of-3", "slabs-of-1"])
+def test_stacked_continuous_shares_are_the_scalar_ones(chunk_rows,
+                                                       replications,
+                                                       monkeypatch):
+    # at n = 50: one slab of every replication, slabs of 3 rows with a
+    # last one of 2, and with n > CHUNK_ROWS slabs of one replication
+    rng = np.random.default_rng(125)
+    xs = rng.normal(0.0, np.sqrt(2.0), 50)
+    coefs = rng.normal(0.0, 1.2, (5, replications)) + [[-2.0], [0.9],
+                                                        [2.0], [-2.0], [2.0]]
+    slabs = []
+
+    def recording(*args):
+        slabs.append(np.broadcast_shapes(*map(np.shape, args)))
+        return _tpe_ipe(*args)
+
+    monkeypatch.setattr(simulation, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(simulation, "_tpe_ipe", recording)
+    stacked = share_continuous(*coefs, xs)
+    size = max(1, chunk_rows // 50)
+    assert slabs == [(min(size, replications - i), 50)
+                     for i in range(0, replications, size)]
+    scalar = [share_continuous(*map(float, c), xs) for c in coefs.T]
+    assert all(type(v) is float for v in scalar)
+    assert stacked.tobytes() == np.array(scalar).tobytes()
+    # and each is AIPE / ATPE of the pointwise closed form
+    for c, share in zip(coefs.T, scalar):
+        tpe, ipe = _tpe_ipe(*c, xs)
+        assert share == np.mean(ipe) / np.mean(tpe)
+
+
+def test_a_continuous_cell_takes_one_share_call_in_bounded_slabs(
+        monkeypatch):
+    # before: one share_continuous call per kept replication; now one
+    # call per cell, whose slabs hold at most CHUNK_ROWS rows
+    cfg = SimConfig(kind="continuous", beta_x=0.9, n=60, replications=40,
+                    seed=7, pseudo_population=2000)
+    monkeypatch.setattr(simulation, "CHUNK_ROWS", 7 * 60 + 59)
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    calls, rows = [], []
+    original_share, original_effects = share_continuous, _tpe_ipe
+
+    def counting_share(*args):
+        calls.append(len(args[0]))
+        return original_share(*args)
+
+    def counting_effects(*args):
+        rows.append(np.prod(np.broadcast_shapes(*map(np.shape, args))))
+        return original_effects(*args)
+
+    simulation._population_effects.cache_clear()
+    monkeypatch.setattr(simulation, "share_continuous", counting_share)
+    monkeypatch.setattr(simulation, "_tpe_ipe", counting_effects)
+    result = run_cell(cfg)
+    assert calls == [40 - result.excluded]
+    truth, *slabs = rows    # the truth's one call on the population
+    assert truth == 2000 and len(slabs) == -(-calls[0] // 7)
+    assert max(slabs) == 7 * 60 <= simulation.CHUNK_ROWS
+
+
 def test_zero_mediator_arrow_means_zero_share():
     cfg = SimConfig(kind="binary", beta_x=0.9, n=50, replications=2,
                     seed=3, beta_w=0.0)
@@ -127,15 +203,17 @@ def test_zero_mediator_arrow_means_zero_share():
 @pytest.mark.parametrize("kind,truth,te", [
     ("binary", {"gamma_x": 0.0}, "0"), ("continuous", {"gamma_x": 0.0}, "0"),
     ("binary", {"beta0": 1e308, "beta_w": 1e308}, "nan"),
-    ("continuous", {"gamma_x": -1e308}, "nan"),
+    ("continuous", {"gamma_x": -1e308}, "0"),
 ], ids=["binary", "continuous", "binary-not-finite", "continuous-not-finite"])
 def test_a_cell_without_a_total_effect_at_the_truth_fails_first(
         kind, truth, te, monkeypatch):
     # before: a ZeroDivisionError (binary), or a true value and an rmse of
     # nan (continuous), after every replication was fitted; a truth that
     # is not finite (Y's linear predictor overflows to inf in the binary
-    # kernel, inf - inf in the continuous closed form) was a true value
-    # of nan
+    # kernel) was a true value of nan.  The continuous closed form is
+    # finite for finite coefficients, |TPE| <= (|beta_x| + |gamma_x|) / 4
+    # at each x: where gamma_x x overflows, P(W=1|x) is 0 or 1 and its
+    # slope 0, so at beta_x = 0 this cell's total effect is 0
     fitted = []
 
     def recording_chunk(x, ws, ys):     # a continuous cell's fits, by chunk
