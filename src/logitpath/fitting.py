@@ -267,11 +267,11 @@ def design_matrix(spec: SystemSpec, response: str, data: Dataset):
 def tabulate(columns: Sequence, radices: Sequence[int]) -> np.ndarray:
     """The count of each combination of values of the whole-valued
     ``columns`` (column j in range(radices[j])), as an array of shape
-    ``radices``: one bincount over the rows' mixed-radix code."""
+    ``radices``: one bincount over the rows' raveled mixed-radix code."""
     code = 0
     for column, radix in zip(columns, radices):
         code = code * radix + column
-    return np.bincount(np.asarray(code, dtype=np.intp),
+    return np.bincount(np.asarray(code, dtype=np.intp).ravel(),
                        minlength=math.prod(radices)).reshape(radices)
 
 
@@ -466,7 +466,8 @@ class EquationFit:
 
 
 def fit_logistic(data: Dataset, spec: SystemSpec, response: str) -> EquationFit:
-    """Fit one equation of the system by maximum likelihood."""
+    """Fit one equation of a valid system by maximum likelihood."""
+    spec.require_valid()
     if data.nrows == 0 or data.n == 0:
         raise DataError("empty data")
     X, y, w = design_matrix(spec, response, data)

@@ -143,9 +143,11 @@ class VariableSpec:
         boolean is none of them."""
         if isinstance(value, np.ndarray):
             if value.dtype.kind in "iuf":   # numbers, none of them boolean
-                return (bool(np.isfinite(value).all())
-                        if self.kind == "continuous"
-                        else all(map(self.takes, np.unique(value).tolist())))
+                if self.kind == "continuous":
+                    return bool(np.isfinite(value).all())
+                flat = np.sort(value, axis=None)    # each equal run once
+                return all(map(self.takes, np.concatenate(
+                    [flat[:1], flat[1:][flat[1:] != flat[:-1]]]).tolist()))
             flat = value.ravel().tolist()
             try:    # each distinct value of each type: True equals 1
                 return all(self.takes(v) for _, v in set(zip(map(type, flat),

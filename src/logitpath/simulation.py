@@ -24,11 +24,12 @@ Each replication fits the system and produces the mediated share two ways:
   Y ~ X + W.  Both models share one eta, so the average-partial-effect
   rescaling of a continuous treatment's share cancels out of the ratio.
 
-Each replication is fitted only by its cell's path, on a stack of
-replications: a binary cell fits each equation as one stack on the cell
-grid of its replications' (x, w, y) counts (``_fit_tables``), and a
-continuous cell, whose W ~ X has the one design [1, x], in chunks of at
-most ``CHUNK_ROWS`` rows (``_fit_chunk``).
+A cell draws its replications in chunks of at most ``CHUNK_ROWS`` rows
+(replications x n), one ``_draw`` each, and fits each only by its
+cell's path, on a stack: a binary cell one stack per equation on the
+cell grid of all its replications' (x, w, y) counts (``_fit_tables``),
+a continuous cell, whose W ~ X has the one design [1, x], a stack per
+chunk (``_fit_chunk``).
 
 Replications whose treatment takes one value, whose binary counts tie
 (the mean of y the same at x = 0 and x = 1, so the fitted total effect
@@ -45,10 +46,10 @@ continuous truth is computed once for the cells that differ only in n
 
 A binary cell's truth and rsd shares are ``decompose``'s bit for bit.
 A continuous cell's come from ``_tpe_ipe``, the x-derivative of
-P(Y=1|x) in closed form: its truth from one call on the population, and
-its rsd shares from one ``share_continuous`` call on the stack of kept
-fits.  Both kinds, and the draws, take ``fitting``'s ``expit``, as every
-other layer does.
+P(Y=1|x) in closed form: its truth from the population in slabs of at
+most ``CHUNK_ROWS`` values, its rsd shares from one ``share_continuous``
+call on the stack of kept fits.  Both kinds, and the draws, take
+``fitting``'s ``expit``, as every other layer does.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ from .model import SystemSpec, VariableSpec, _float, _is
 
 PSEUDO_POPULATION = 150_000
 EXCLUSION_LIMIT = 0.05
-# Rows (replications x n) a continuous chunk fits.  On the W fits and OLS
+# Rows (replications x n) of a chunk of draws.  On the W fits and OLS
 # of 100 replications, serial calls took 38-47, 44-56 and 59-72 ms at
 # n = 250, 500 and 1000, and chunks of 15,000 rows 13-15, 28-29 and 39-51
 # ms, the best or within noise of the best of 5,000 to 50,000 rows;
 # 25,000 rows took 13-16, 28-31 and 44-50 ms (2-vCPU Intel Xeon VM).  It
-# bounds the (replications x n) slabs of ``share_continuous`` too.
+# bounds the slabs of ``share_continuous`` and of a continuous truth too.
 CHUNK_ROWS = 15_000
 _POP_TAG = 101
 _SUB_TAG = 102
@@ -183,10 +184,12 @@ def _shared_population(seed: int, size: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _population_effects(truth: tuple, seed: int, size: int) -> tuple:
-    """(ATPE, AIPE) at ``truth`` over the pseudo-population, computed once
-    for consecutive cells that differ only in n."""
-    return tuple(map(np.mean, _tpe_ipe(*truth,
-                                       _shared_population(seed, size))))
+    """(ATPE, AIPE) at ``truth`` over the pseudo-population, in slabs of
+    ``CHUNK_ROWS``, once for consecutive cells that differ only in n."""
+    pop, effects = _shared_population(seed, size), np.empty((2, size))
+    for i in range(0, size, CHUNK_ROWS):
+        effects[:, i:i + CHUNK_ROWS] = _tpe_ipe(*truth, pop[i:i + CHUNK_ROWS])
+    return tuple(map(np.mean, effects))
 
 
 def fixed_treatment_sample(seed: int, n: int,
@@ -214,14 +217,18 @@ def _cell_seed(config: SimConfig) -> np.random.SeedSequence:
                                    *beta, int(config.n)])
 
 
-def _draw(config: SimConfig, rng: np.random.Generator,
+def _draw(config: SimConfig, rngs: Sequence[np.random.Generator],
           xs: Optional[np.ndarray]):
-    def coin(eta):      # one draw per unit of a binary variable
-        return (rng.random(config.n) < expit(eta)).astype(float)
-    x = coin(0.0) if config.kind == "binary" else xs
-    w = coin(config.gamma0 + config.gamma_x * x)
-    y = coin(config.beta0 + config.beta_x * x + config.beta_w * w)
-    return x, w, y
+    """(x, w, y) of a chunk of replications, one per generator, as (R, n)
+    arrays of 0.0 and 1.0: per generator one ``random((m, n))``, the
+    stream of m calls of ``random(n)``, a row per binary variable drawn."""
+    binary = config.kind == "binary"
+    u = np.array([rng.random((3 if binary else 2, config.n)) for rng in rngs])
+    x = (u[:, 0] < expit(0.0)).astype(float) if binary else xs
+    w = (u[:, -2] < expit(config.gamma0 + config.gamma_x * x)).astype(float)
+    y = (u[:, -1] < expit(config.beta0 + config.beta_x * x
+                          + config.beta_w * w)).astype(float)
+    return np.broadcast_to(x, w.shape), w, y
 
 
 def _streams(config: SimConfig, count: int):
@@ -242,7 +249,8 @@ def generate_data(config: SimConfig, replication: int) -> Dataset:
                               f"integer, got {replication!r}")
     replication = int(replication)
     xs, rngs = _streams(config, replication + 1)
-    x, w, y = _draw(config, next(itertools.islice(rngs, replication, None)), xs)
+    x, w, y = (v[0] for v in _draw(
+        config, list(itertools.islice(rngs, replication, None)), xs))
     return Dataset.from_records({"Y": y, "X": x, "W": w})
 
 
@@ -392,18 +400,15 @@ def run_cell(config: SimConfig) -> SimResult:
     comes first, so a cell without one fails before its first draw."""
     truth = true_value(config)
     xs, rngs = _streams(config, config.replications)
-    if config.kind == "binary":     # counts only: no replication's rows kept
-        tables = np.zeros((config.replications, 2, 2, 2), dtype=np.intp)
-        for table, rng in zip(tables, rngs):
-            table[...] = tabulate(_draw(config, rng, xs), (2, 2, 2))
-        *coefs, kept = _fit_tables(tables)
-    else:       # chunks of at most CHUNK_ROWS rows, drawn in order
-        size, chunks = max(1, CHUNK_ROWS // config.n), []
-        while chunk := list(itertools.islice(rngs, size)):
-            ws, ys = (np.array(v) for v in zip(*(
-                _draw(config, rng, xs)[1:] for rng in chunk)))
-            chunks.append(_fit_chunk(xs, ws, ys))
-        *coefs, kept = map(np.concatenate, zip(*chunks))
+    size, chunks = max(1, CHUNK_ROWS // config.n), []
+    while chunk := list(itertools.islice(rngs, size)):     # drawn in order
+        x, w, y = _draw(config, chunk, xs)
+        chunks.append(_fit_chunk(xs, w, y) if config.kind == "continuous"
+                      else tabulate((np.arange(len(chunk))[:, None], x, w, y),
+                                    (len(chunk), 2, 2, 2)))
+    *coefs, kept = (_fit_tables(np.concatenate(chunks))     # counts only
+                    if config.kind == "binary"
+                    else map(np.concatenate, zip(*chunks)))
     excluded = config.replications - int(np.count_nonzero(kept))
     if excluded > EXCLUSION_LIMIT * config.replications or not kept.any():
         raise SimulationError(

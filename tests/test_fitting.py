@@ -512,9 +512,9 @@ def _diagnostics_of_no_equation():
     return doc
 
 
-def _treatment_response():
-    # a categorical treatment given an equation of its own
-    spec = make_system(1, treatment="categorical")
+def _treatment_response(treatment="categorical"):
+    # a treatment given an equation of its own
+    spec = make_system(1, treatment=treatment)
     doc = spec.to_json_dict()
     doc["equations"]["X"] = ["1"]
     return SystemSpec.from_json_dict(doc)
@@ -531,10 +531,19 @@ def _treatment_data():
     pytest.param(lambda: fit_system(Dataset.from_records(
         {"Y": [0, 1], "X": [0, 1]}), small_spec()),
         DataError, "equation Y: data has no column 'W1'", id="no-column"),
-    pytest.param(lambda: fit_logistic(_treatment_data(),
-                                      _treatment_response(), "X"),
+    pytest.param(lambda: design_matrix(_treatment_response(), "X",
+                                       _treatment_data()),
                  ModelSpecError, "response 'X' must be binary to fit",
                  id="non-binary-response"),
+    pytest.param(lambda: fit_logistic(_treatment_data(),
+                                      _treatment_response(), "X"),
+                 ModelSpecError, "treatment 'X' cannot be a response",
+                 id="fit-logistic-treatment-response"),
+    pytest.param(lambda: fit_logistic(Dataset.from_records(
+        {"Y": [0, 1] * 6, "X": [0, 1, 1] * 4, "W1": [0, 0, 1, 1] * 3}),
+        _treatment_response("binary"), "X"),
+        ModelSpecError, "treatment 'X' cannot be a response",
+        id="fit-logistic-binary-treatment-response"),
     pytest.param(lambda: fit_system(_treatment_data(), _treatment_response()),
                  ModelSpecError, "treatment 'X' cannot be a response",
                  id="treatment-response"),

@@ -94,3 +94,19 @@ def test_a_collinear_design_still_names_its_terms():
         "print(json.dumps(['scipy.linalg' in sys.modules, message]))\n")
     assert not loaded
     assert message.endswith("collinear terms: ['C']")
+
+
+def test_a_fit_never_loads_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (numpy 2.4), about
+    # 1.3 MB and 10-16 ms of a fresh process; checking a column's values
+    # needs neither
+    fitted = str(tmp_path / "fit.json")
+    code, loaded = run_fresh(
+        "import json, sys\n"
+        "from click.testing import CliRunner\n"
+        "from logitpath.cli import main\n"
+        f"run = CliRunner().invoke(main, ['fit', '--data', "
+        f"{str(DATA / 'example_counts.json')!r}, '--model', "
+        f"{str(DATA / 'example_model.json')!r}, '--out', {fitted!r}])\n"
+        "print(json.dumps([run.exit_code, 'numpy.ma' in sys.modules]))\n")
+    assert code == 0 and not loaded

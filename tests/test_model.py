@@ -406,3 +406,27 @@ def test_a_parameter_set_equals_only_its_system_and_values():
     assert params != ParameterSet(spec, np.arange(5.0) + 1.0)
     assert params != "params"
     assert params.__eq__(np.arange(5.0)) is NotImplemented
+
+
+@pytest.mark.parametrize("kind,levels", [
+    ("binary", ()), ("categorical", (1, 2.5, 3)),
+    ("categorical", ("1", "2", 3.0)), ("categorical", (0, -1, 2 ** 60))])
+def test_a_numeric_array_is_taken_as_each_of_its_values(kind, levels):
+    # an array of numbers passes exactly when each of its distinct values
+    # does, whatever its dtype, order or shape
+    var = VariableSpec("X", "treatment", kind, levels=levels)
+    values = [0, 1, 2, 2.5, 3, -1, -0.0, np.nan, np.inf, -np.inf, 2 ** 60]
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 3, 6):
+        for _ in range(40):
+            picked = rng.choice(np.array(values, dtype=object), size)
+            for dtype in (float, np.int64, np.uint8):
+                try:
+                    array = np.array(list(picked), dtype=dtype)
+                except (OverflowError, ValueError):
+                    continue
+                if array.tolist() != list(picked) and dtype is not float:
+                    continue    # a value the dtype cannot hold
+                expected = all(var.takes(v) for v in array.ravel().tolist())
+                assert var.takes(array) is expected
+                assert var.takes(array.reshape(-1, 1)) is expected

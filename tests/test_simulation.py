@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_a_continuous_cell_takes_one_share_call_in_bounded_slabs(
         return original_share(*args)
 
     def counting_effects(*args):
-        rows.append(np.prod(np.broadcast_shapes(*map(np.shape, args))))
+        rows.append(np.broadcast_shapes(*map(np.shape, args)))
         return original_effects(*args)
 
     simulation._population_effects.cache_clear()
@@ -186,8 +187,11 @@ def test_a_continuous_cell_takes_one_share_call_in_bounded_slabs(
     monkeypatch.setattr(simulation, "_tpe_ipe", counting_effects)
     result = run_cell(cfg)
     assert calls == [40 - result.excluded]
-    truth, *slabs = rows    # the truth's one call on the population
-    assert truth == 2000 and len(slabs) == -(-calls[0] // 7)
+    # the truth's slabs of the population come first, then the shares'
+    truth = [shape[0] for shape in rows if len(shape) == 1]
+    slabs = [np.prod(shape) for shape in rows[len(truth):]]
+    assert truth == [7 * 60 + 59] * 4 + [2000 - 4 * (7 * 60 + 59)]
+    assert len(slabs) == -(-calls[0] // 7)
     assert max(slabs) == 7 * 60 <= simulation.CHUNK_ROWS
 
 
@@ -391,17 +395,107 @@ def test_run_cell_uses_the_same_replications_as_generate_data(monkeypatch):
         stacks.append(tables.copy())
         return original_fit(tables)
 
+    monkeypatch.setattr(simulation, "CHUNK_ROWS", 2 * 150 + 149)
     monkeypatch.setattr(simulation, "_draw", recording)
     monkeypatch.setattr(simulation, "_fit_tables", recording_stack)
     run_cell(cfg)
-    assert len(seen) == 4 and len(stacks) == 1 and len(stacks[0]) == 4
-    for i, ((x, w, y), table) in enumerate(zip(seen, stacks[0])):
+    # two chunks of two replications, fitted as one stack of four
+    assert [len(chunk[0]) for chunk in seen] == [2, 2]
+    assert len(stacks) == 1 and len(stacks[0]) == 4
+    rows = (np.concatenate(v) for v in zip(*seen))
+    for i, (x, w, y, table) in enumerate(zip(*rows, stacks[0])):
         d = generate_data(cfg, i)
         assert np.array_equal(x, d.columns["X"].astype(float))
         assert np.array_equal(w, d.columns["W"].astype(float))
         assert np.array_equal(y, d.columns["Y"].astype(float))
         # the cell fits the counts of exactly these values
         assert np.array_equal(table, tabulate((x, w, y), (2, 2, 2)))
+
+
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+@pytest.mark.parametrize("chunk_rows,sizes", [
+    (7 * 30 + 29, [7, 7, 3]),   # a last partial chunk
+    (29, [1] * 17),             # n > CHUNK_ROWS: chunks of one
+])
+def test_a_chunk_draws_what_each_replication_draws_alone(
+        monkeypatch, kind, chunk_rows, sizes):
+    # one random((m, n)) per generator and one expit per variable of the
+    # chunk give each replication's own draws, bit for bit
+    cfg = SimConfig(kind=kind, beta_x=0.9, n=30, replications=17, seed=71,
+                    gamma_x=1.5, pseudo_population=2000)
+    seen, original = [], simulation._draw
+
+    def recording(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(simulation, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    monkeypatch.setattr(simulation, "_draw", recording)
+    run_cell(cfg)
+    assert [len(chunk[0]) for chunk in seen] == sizes
+    assert all(v.shape == (len(chunk[0]), 30) for chunk in seen for v in chunk)
+    rows = [np.concatenate(v) for v in zip(*seen)]
+    xs = fixed_treatment_sample(71, 30, 2000)
+    for i, seed in enumerate(_cell_seed(cfg).spawn(17)):
+        rng = np.random.default_rng(seed)
+
+        def coin(eta):
+            return (rng.random(30) < fitting.expit(eta)).astype(float)
+        x = coin(0.0) if kind == "binary" else xs
+        w = coin(-2.0 + 1.5 * x)
+        y = coin(-2.0 + 0.9 * x + 2.0 * w)
+        for got, want in zip(rows, (x, w, y)):
+            assert got[i].tobytes() == want.tobytes()
+
+
+def test_a_chunk_counts_what_each_replication_counts_alone(monkeypatch):
+    # one bincount over (replication, x, w, y) codes per chunk; at n = 12
+    # most replications leave some of their 8 cells empty
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=12, replications=8, seed=73)
+    seen, stacks = [], []
+    original_draw, original_fit = simulation._draw, simulation._fit_tables
+
+    def recording(*args):
+        seen.append(original_draw(*args))
+        return seen[-1]
+
+    def recording_stack(tables):
+        stacks.append(tables)
+        return original_fit(tables)
+
+    monkeypatch.setattr(simulation, "CHUNK_ROWS", 3 * 12 + 11)
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    monkeypatch.setattr(simulation, "_draw", recording)
+    monkeypatch.setattr(simulation, "_fit_tables", recording_stack)
+    run_cell(cfg)
+    assert [len(chunk[0]) for chunk in seen] == [3, 3, 2]
+    (tables,) = stacks
+    expected = [tabulate(row, (2, 2, 2)) for chunk in seen
+                for row in zip(*chunk)]
+    assert tables.dtype == np.intp
+    assert np.array_equal(tables, expected)
+    assert np.count_nonzero(tables == 0) > 8    # empty cells counted as 0
+
+
+def test_a_continuous_truth_sums_its_population_in_bounded_slabs():
+    # before: one _tpe_ipe call on all 150,000 values, whose temporaries
+    # peaked at 9.6 MB under tracemalloc; the means keep their bits
+    cfg = SimConfig(kind="continuous", beta_x=0.9, n=250, replications=2,
+                    seed=83)
+    pop = simulation._shared_population(83, simulation.PSEUDO_POPULATION)
+    simulation._population_effects.cache_clear()
+    tracemalloc.start()
+    try:
+        share = true_value(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    tpe, ipe = map(np.mean, _tpe_ipe(-2.0, 0.9, 2.0, -2.0, 2.0, pop))
+    assert simulation._population_effects(
+        (-2.0, 0.9, 2.0, -2.0, 2.0), 83, len(pop)) == (tpe, ipe)
+    assert share == float(ipe / tpe)
 
 
 # -- per-replication estimators --------------------------------------------
@@ -691,12 +785,12 @@ def test_a_treatment_of_one_value_is_excluded(monkeypatch):
     rng = np.random.default_rng(0)
     w, y = ((rng.random(12) < 0.5).astype(float) for _ in "wy")
     original = simulation._draw
-    calls = {"n": 0}
 
-    def constant_once(*args):
-        calls["n"] += 1
+    def constant_once(*args):   # the x of replication 1 of the one chunk
         x, w, y = original(*args)
-        return (np.zeros_like(x) if calls["n"] == 2 else x), w, y
+        x = x.copy()
+        x[1] = 0.0
+        return x, w, y
 
     cfg = SimConfig(kind="binary", beta_x=0.9, n=200, replications=30,
                     seed=61)

@@ -24,7 +24,10 @@ continuous cells as two entries, then its binary cells at n 5, 12 and
 cell reports its kept replications: small samples leave (x, w, y) cells
 empty and designs singular), and its continuous cells at n 12 and 40
 (200 replications, the limit lifted: many fits in a chunk of
-replications separate), and every field ``irls`` returns on seeded
+replications separate), the draws behind a study (``generate_data``'s
+columns for the first, middle and last of 100 replications of a binary
+and of a continuous cell) and continuous truths at two seeds, and every
+field ``irls`` returns on seeded
 weighted designs, some with zero counts, some needing
 step-halvings, and one whose step halving cannot rescue, then on the
 same designs with unit weights, most of whose fits stop on the score
@@ -303,6 +306,24 @@ def small_n_study_numbers(kind):
         simulation.EXCLUSION_LIMIT = limit
 
 
+def draw_numbers():
+    """The X, W and Y columns of ``generate_data`` for replications 0, 50
+    and 99 of a binary and of a continuous cell, then the continuous
+    truths at two seeds, each at beta_x 0.4 and 1.8."""
+    from logitpath.simulation import SimConfig, generate_data, true_value
+    out = {}
+    for kind in ("binary", "continuous"):
+        config = SimConfig(kind, 0.9, 250, 100, STUDY_GRID["seed"])
+        out[f"generate_data {kind}"] = [
+            np.asarray(generate_data(config, r).columns[c], float).tolist()
+            for r in (0, 50, 99) for c in "XWY"]
+    out["continuous truths"] = [
+        true_value(SimConfig("continuous", beta_x, 250, 1, seed))
+        for seed in (STUDY_GRID["seed"], SMALL_N_GRID["seed"])
+        for beta_x in STUDY_GRID["beta_x"]]
+    return out
+
+
 def irls_numbers(unit=False):
     """Every field ``irls`` returns on seeded weighted designs (a fifth of
     the counts zero; several need step-halvings), then on a design whose
@@ -391,6 +412,7 @@ def dump(path):
     exact, study, khb = direct_numbers(), {}, {}
     reduced, transformed = {}, {}
     exact.update(data_path_numbers())
+    exact.update(draw_numbers())
     cells = study_numbers()
     exact["run_study continuous"], khb["run_study continuous"] = cells[
         "continuous"]
