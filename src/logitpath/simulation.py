@@ -39,10 +39,11 @@ identical replication sets) and counted; more than 5 percent exclusions,
 or none kept, aborts the cell.
 
 All randomness descends from one master seed through named SeedSequence
-children, so results are bit-for-bit reproducible and independent of
-execution order.  The pseudo-population is drawn once per seed, and a
-continuous truth is computed once for the cells that differ only in n
-(the grid's sizes vary fastest).
+children: replication r draws numpy's ``SeedSequence(...).spawn`` child
+r stream bit for bit, seeded with the whole cell at once, so results are
+reproducible and independent of execution order.  The pseudo-population
+is drawn once per seed, and a continuous truth is computed once for the
+cells that differ only in n (the grid's sizes vary fastest).
 
 A binary cell's truth and rsd shares are ``decompose``'s bit for bit.
 A continuous cell's come from ``_tpe_ipe``, the x-derivative of
@@ -81,6 +82,9 @@ _POP_TAG = 101
 _SUB_TAG = 102
 _REP_TAG = 200
 _BITS_TAG = 2 ** 32 - 1
+# numpy's SeedSequence (INIT, MULT) pairs and (MIX_MULT_L, MIX_MULT_R), PCG's M
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX, _PCG_MULT = (0xCA01F9DD, 0x4973F715), 0x2360ED051FC65DA44385DF649FCCF645
 _BINARY = SystemSpec.build(     # flat_coords order: b0, bx, bw, g0, gx
     [VariableSpec("Y", "outcome", "binary"),
      VariableSpec("W", "mediator", "binary", mediator_index=1),
@@ -217,29 +221,57 @@ def _cell_seed(config: SimConfig) -> np.random.SeedSequence:
                                    *beta, int(config.n)])
 
 
-def _draw(config: SimConfig, rngs: Sequence[np.random.Generator],
-          xs: Optional[np.ndarray]):
-    """(x, w, y) of a chunk of replications, one per generator, as (R, n)
-    arrays of 0.0 and 1.0: per generator one ``random((m, n))``, the
-    stream of m calls of ``random(n)``, a row per binary variable drawn."""
-    binary = config.kind == "binary"
-    u = np.array([rng.random((3 if binary else 2, config.n)) for rng in rngs])
-    x = (u[:, 0] < expit(0.0)).astype(float) if binary else xs
+def _hashmix(value: np.ndarray, hashes: int, init: int, mult: int):
+    """SeedSequence's hashmix of uint32 row i of ``value`` at hash constant
+    init mult^k, k = hashes + i (numpy's constants, stable by NEP 19)."""
+    const = np.array([init * pow(mult, hashes + i, 2 ** 32) % 2 ** 32
+                      for i in range(len(value) + 1)], np.uint32)[:, None]
+    value = (value ^ const[:-1]) * const[1:]
+    return value ^ value >> 16
+
+
+def _seed_states(config: SimConfig, indices) -> np.ndarray:
+    """``_cell_seed(config).spawn`` child r's ``generate_state(4,
+    np.uint64)`` for each r in ``indices``, (count, 4): the cell's pool is
+    shared, and each child mixes in its spawn key's one or two words."""
+    seed, keys = _cell_seed(config), np.asarray(indices, dtype=np.uint64)
+    words = sum(-(-max(v.bit_length(), 1) // 32) for v in seed.entropy)
+    # the pool took 4 hashes per entropy word (a cell has more than 4)
+    pool, hashes = seed.pool[:, None], 4 * words
+    for take, word in ((True, keys), (keys >> 32 > 0, keys >> 32)):
+        mixed = pool * _MIX[0] - _MIX[1] * _hashmix(
+            np.tile(word.astype(np.uint32), (4, 1)), hashes, *_HASH_A)
+        pool, hashes = np.where(take, mixed ^ mixed >> 16, pool), hashes + 4
+    out = _hashmix(np.tile(pool, (2, 1)), 0, *_HASH_B).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
+
+
+def _draw(config: SimConfig, states: np.ndarray, xs: Optional[np.ndarray]):
+    """(x, w, y) of a chunk of replications, one per row of seed states,
+    as (R, n) arrays of 0.0 and 1.0: a row per binary variable drawn of
+    each child's ``default_rng(child).random((m, n))``, from one PCG64
+    given each child's state in turn by PCG's srandom step (O'Neill 2014)."""
+    bitgen, m = np.random.PCG64(0), 3 if config.kind == "binary" else 2
+    gen, u = np.random.Generator(bitgen), np.empty((len(states), m, config.n))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(u, states.tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2 ** 128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % 2 ** 128
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                        "uinteger": 0, "state": {"state": state, "inc": inc}}
+        gen.random(out=row)
+    x = (u[:, 0] < expit(0.0)).astype(float) if m == 3 else xs
     w = (u[:, -2] < expit(config.gamma0 + config.gamma_x * x)).astype(float)
     y = (u[:, -1] < expit(config.beta0 + config.beta_x * x
                           + config.beta_w * w)).astype(float)
     return np.broadcast_to(x, w.shape), w, y
 
 
-def _streams(config: SimConfig, count: int):
-    """The cell's shared treatment sample (None for a binary treatment)
-    and an iterator over the generators of its first ``count``
-    replications, each made when it is reached."""
-    xs = None
-    if config.kind == "continuous":
-        xs = fixed_treatment_sample(config.seed, config.n,
-                                    config.pseudo_population)
-    return xs, map(np.random.default_rng, _cell_seed(config).spawn(count))
+def _streams(config: SimConfig, indices):
+    """The seed states of the cell's replications ``indices``, and its
+    shared treatment sample (None for a binary treatment)."""
+    return _seed_states(config, indices), (
+        None if config.kind == "binary" else fixed_treatment_sample(
+            config.seed, config.n, config.pseudo_population))
 
 
 def generate_data(config: SimConfig, replication: int) -> Dataset:
@@ -247,10 +279,8 @@ def generate_data(config: SimConfig, replication: int) -> Dataset:
     if not (_is(replication, int) and replication >= 0):
         raise SimulationError(f"'replication' must be a nonnegative "
                               f"integer, got {replication!r}")
-    replication = int(replication)
-    xs, rngs = _streams(config, replication + 1)
-    x, w, y = (v[0] for v in _draw(
-        config, list(itertools.islice(rngs, replication, None)), xs))
+    states, xs = _streams(config, [int(replication)])
+    x, w, y = (v[0] for v in _draw(config, states, xs))
     return Dataset.from_records({"Y": y, "X": x, "W": w})
 
 
@@ -399,13 +429,13 @@ def run_cell(config: SimConfig) -> SimResult:
     """All replications of one (kind, beta_x, n) scenario; the truth
     comes first, so a cell without one fails before its first draw."""
     truth = true_value(config)
-    xs, rngs = _streams(config, config.replications)
+    states, xs = _streams(config, np.arange(config.replications))
     size, chunks = max(1, CHUNK_ROWS // config.n), []
-    while chunk := list(itertools.islice(rngs, size)):     # drawn in order
-        x, w, y = _draw(config, chunk, xs)
+    for i in range(0, config.replications, size):     # drawn in order
+        x, w, y = _draw(config, states[i:i + size], xs)
         chunks.append(_fit_chunk(xs, w, y) if config.kind == "continuous"
-                      else tabulate((np.arange(len(chunk))[:, None], x, w, y),
-                                    (len(chunk), 2, 2, 2)))
+                      else tabulate((np.arange(len(x))[:, None], x, w, y),
+                                    (len(x), 2, 2, 2)))
     *coefs, kept = (_fit_tables(np.concatenate(chunks))     # counts only
                     if config.kind == "binary"
                     else map(np.concatenate, zip(*chunks)))

@@ -1,5 +1,6 @@
 """The study harness against the generic effect machinery."""
 
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from logitpath import (Dataset, SystemSpec, VariableSpec,
                        average_probability_effects, decompose, fit_system)
@@ -287,6 +289,125 @@ def test_generate_data_reads_a_whole_float_replication():
         assert np.array_equal(d2.columns[col], again.columns[col])
 
 
+def test_generate_data_seeds_its_own_replication_only(monkeypatch):
+    # before: replication r spawned r + 1 children and kept the last
+    asked, original = [], simulation._seed_states
+
+    def recording(config, indices):
+        asked.append(list(indices))
+        return original(config, indices)
+
+    monkeypatch.setattr(simulation, "_seed_states", recording)
+    for kind in ("binary", "continuous"):
+        cfg = SimConfig(kind=kind, beta_x=0.9, n=60, replications=4,
+                        seed=11, pseudo_population=2000)
+        generate_data(cfg, 1000)
+    assert asked == [[1000], [1000]]
+
+
+def _reference_columns(cfg, child):
+    """A replication's (x, w, y) from ``default_rng(child)``, one
+    ``random(n)`` per binary variable drawn."""
+    rng = np.random.default_rng(child)
+
+    def coin(eta):
+        return (rng.random(cfg.n) < fitting.expit(eta)).astype(float)
+    x = (coin(0.0) if cfg.kind == "binary" else
+         fixed_treatment_sample(cfg.seed, cfg.n, cfg.pseudo_population))
+    w = coin(cfg.gamma0 + cfg.gamma_x * x)
+    return x, w, coin(cfg.beta0 + cfg.beta_x * x + cfg.beta_w * w)
+
+
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_generate_data_reaches_a_replication_beyond_32_bits(kind):
+    # its spawn key takes two 32-bit words
+    r = 2 ** 32 + 7
+    cfg = SimConfig(kind=kind, beta_x=0.9, n=40, replications=4, seed=13,
+                    pseudo_population=2000)
+    child = np.random.SeedSequence(_cell_seed(cfg).entropy, spawn_key=(r,))
+    data = generate_data(cfg, r)
+    for name, want in zip("XWY", _reference_columns(cfg, child)):
+        assert data.columns[name].astype(float).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_a_cell_builds_no_generator_per_replication(monkeypatch, kind):
+    # before: one default_rng per replication
+    calls, original = [], np.random.default_rng
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    simulation._shared_population.cache_clear()
+    simulation._population_effects.cache_clear()
+    run_cell(SimConfig(kind=kind, beta_x=0.9, n=40, replications=50,
+                       seed=19, pseudo_population=2000))
+    # the population and the treatment subsample of a continuous cell
+    assert len(calls) == (0 if kind == "binary" else 2)
+
+
+_SEED_WORDS = st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3]) | \
+    st.integers(0, 2 ** 70)
+_BETA_X = st.sampled_from([0.4, 1.8, -0.5, 1.7e308, -2.0 ** -40]) | \
+    st.floats(-1e3, 1e3)
+_PINNED = [0, 99, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
+_INDICES = st.lists(st.sampled_from(_PINNED) | st.integers(0, 2 ** 64 - 1),
+                    min_size=1, max_size=6)
+
+
+@example(seed=0, beta_x=-0.5, kind="binary", n=1, indices=_PINNED)
+@example(seed=2 ** 32 - 1, beta_x=1.7e308, kind="continuous", n=7,
+         indices=_PINNED)
+@example(seed=2 ** 32, beta_x=-2.0 ** -40, kind="binary", n=250,
+         indices=_PINNED)
+@example(seed=2 ** 64 + 3, beta_x=0.4, kind="continuous", n=2 ** 33,
+         indices=_PINNED)
+@given(seed=_SEED_WORDS, beta_x=_BETA_X,
+       kind=st.sampled_from(["binary", "continuous"]),
+       n=st.sampled_from([1, 7, 250, 2 ** 33]), indices=_INDICES)
+def test_seed_states_are_numpys_spawned_children(seed, beta_x, kind, n,
+                                                 indices):
+    # numpy's SeedSequence hash and PCG64 seeding, computed for a whole
+    # cell at once; a change to either in numpy fails here
+    cfg = SimConfig(kind=kind, beta_x=beta_x, n=n, replications=1,
+                    seed=seed, pseudo_population=2 ** 33)
+    entropy = _cell_seed(cfg).entropy
+    children = [np.random.SeedSequence(entropy, spawn_key=(r,))
+                for r in indices]
+    spawned = _cell_seed(cfg).spawn(100)
+    for r, child in zip(indices, children):
+        if r < 100:
+            assert spawned[r].generate_state(4).tolist() == \
+                child.generate_state(4).tolist()
+    states = simulation._seed_states(cfg, indices)
+    assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
+    assert states.tolist() == [c.generate_state(4, np.uint64).tolist()
+                               for c in children]
+    # the uniforms that _draw thresholds, one random((m, n)) per child
+    rows, generator = [], np.random.Generator
+
+    class Recording:
+        def __init__(self, bitgen):
+            self.gen = generator(bitgen)
+
+        def random(self, out):
+            self.gen.random(out=out)
+            rows.append(out.copy())
+
+    m, width = (3 if kind == "binary" else 2), min(n, 9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "Generator", Recording)
+        simulation._draw(dataclasses.replace(cfg, n=width), states,
+                         np.zeros(width))
+    assert len(rows) == len(children)
+    for row, child in zip(rows, children):
+        want = np.random.default_rng(child).random((m, width))
+        assert row.tobytes() == want.tobytes()
+
+
 def test_cell_seed_keeps_the_milli_encoding():
     # non-negative multiples of 0.001 keep their original entropy, so the
     # acceptance study and the benchmark's study cells draw the same data
@@ -419,8 +540,8 @@ def test_run_cell_uses_the_same_replications_as_generate_data(monkeypatch):
 ])
 def test_a_chunk_draws_what_each_replication_draws_alone(
         monkeypatch, kind, chunk_rows, sizes):
-    # one random((m, n)) per generator and one expit per variable of the
-    # chunk give each replication's own draws, bit for bit
+    # one random((m, n)) per child's seed states and one expit per variable
+    # of the chunk give each replication's own draws, bit for bit
     cfg = SimConfig(kind=kind, beta_x=0.9, n=30, replications=17, seed=71,
                     gamma_x=1.5, pseudo_population=2000)
     seen, original = [], simulation._draw
@@ -436,16 +557,8 @@ def test_a_chunk_draws_what_each_replication_draws_alone(
     assert [len(chunk[0]) for chunk in seen] == sizes
     assert all(v.shape == (len(chunk[0]), 30) for chunk in seen for v in chunk)
     rows = [np.concatenate(v) for v in zip(*seen)]
-    xs = fixed_treatment_sample(71, 30, 2000)
-    for i, seed in enumerate(_cell_seed(cfg).spawn(17)):
-        rng = np.random.default_rng(seed)
-
-        def coin(eta):
-            return (rng.random(30) < fitting.expit(eta)).astype(float)
-        x = coin(0.0) if kind == "binary" else xs
-        w = coin(-2.0 + 1.5 * x)
-        y = coin(-2.0 + 0.9 * x + 2.0 * w)
-        for got, want in zip(rows, (x, w, y)):
+    for i, child in enumerate(_cell_seed(cfg).spawn(17)):
+        for got, want in zip(rows, _reference_columns(cfg, child)):
             assert got[i].tobytes() == want.tobytes()
 
 

@@ -26,9 +26,9 @@ empty and designs singular), and its continuous cells at n 12 and 40
 (200 replications, the limit lifted: many fits in a chunk of
 replications separate), the draws behind a study (``generate_data``'s
 columns for the first, middle and last of 100 replications of a binary
-and of a continuous cell) and continuous truths at two seeds, and every
-field ``irls`` returns on seeded
-weighted designs, some with zero counts, some needing
+and of a continuous cell, and for replication 1000 of each) and
+continuous truths at two seeds, and every field ``irls`` returns on
+seeded weighted designs, some with zero counts, some needing
 step-halvings, and one whose step halving cannot rescue, then on the
 same designs with unit weights, most of whose fits stop on the score
 test.  The data path
@@ -308,8 +308,9 @@ def small_n_study_numbers(kind):
 
 def draw_numbers():
     """The X, W and Y columns of ``generate_data`` for replications 0, 50
-    and 99 of a binary and of a continuous cell, then the continuous
-    truths at two seeds, each at beta_x 0.4 and 1.8."""
+    and 99 of a binary and of a continuous cell, and for replication 1000
+    of each (a deep spawn index), then the continuous truths at two
+    seeds, each at beta_x 0.4 and 1.8."""
     from logitpath.simulation import SimConfig, generate_data, true_value
     out = {}
     for kind in ("binary", "continuous"):
@@ -317,6 +318,9 @@ def draw_numbers():
         out[f"generate_data {kind}"] = [
             np.asarray(generate_data(config, r).columns[c], float).tolist()
             for r in (0, 50, 99) for c in "XWY"]
+        out[f"generate_data {kind} replication 1000"] = [
+            np.asarray(generate_data(config, 1000).columns[c], float).tolist()
+            for c in "XWY"]
     out["continuous truths"] = [
         true_value(SimConfig("continuous", beta_x, 250, 1, seed))
         for seed in (STUDY_GRID["seed"], SMALL_N_GRID["seed"])
