@@ -8,6 +8,8 @@ contingency data can produce.
 
 Data can arrive as individual records or as weighted covariate patterns
 (rows plus a count column); both routes produce identical estimates.
+``fit_system`` fits data whose every variable is binary or categorical
+on its distinct rows weighted by their counts, and other data on rows.
 ``expit`` and ``softplus``, one numpy formula each for floats and
 arrays, are the package's logistic primitives.
 """
@@ -264,14 +266,17 @@ def design_matrix(spec: SystemSpec, response: str, data: Dataset):
     return X, y.astype(float), np.asarray(data.counts, dtype=float)
 
 
-def tabulate(columns: Sequence, radices: Sequence[int]) -> np.ndarray:
+def tabulate(columns: Sequence, radices: Sequence[int],
+             weights=None) -> np.ndarray:
     """The count of each combination of values of the whole-valued
-    ``columns`` (column j in range(radices[j])), as an array of shape
-    ``radices``: one bincount over the rows' raveled mixed-radix code."""
+    ``columns`` (column j in range(radices[j])), or the sum of the rows'
+    ``weights`` over it, as an array of shape ``radices``: one bincount
+    over the rows' raveled mixed-radix code."""
     code = 0
     for column, radix in zip(columns, radices):
         code = code * radix + column
     return np.bincount(np.asarray(code, dtype=np.intp).ravel(),
+                       None if weights is None else np.ravel(weights),
                        minlength=math.prod(radices)).reshape(radices)
 
 
@@ -281,6 +286,43 @@ def patterns(table: np.ndarray):
     weighted logistic fit on them has the likelihood of the tabulated rows."""
     present = np.nonzero(table)
     return np.column_stack(present).astype(float), table[present].astype(float)
+
+
+def weighted_patterns(spec: SystemSpec, data: Dataset) -> Dataset:
+    """``data`` as its distinct rows weighted by their summed counts, one
+    ``tabulate`` of the coerced columns coded as whole numbers (a level by
+    its index), when every variable of the equations is binary or
+    categorical and their grid has no more cells than ``data`` has rows;
+    else ``data`` itself, for a fit on rows.  A fit on the patterns has
+    the likelihood of the rows.  A column that cannot be coerced leaves
+    ``data`` as it is, so that its fit names the equation and the row."""
+    names = sorted(set().union(*(spec.predictors(resp) | {resp}
+                                 for resp in spec.responses)))
+    variables = [spec.variable(name) for name in names]
+    radices = [len(var.levels) or 2 for var in variables]
+    if (any(var.kind == "continuous" for var in variables)
+            or math.prod(radices) > data.nrows):
+        return data
+    try:
+        coerced = coerce_columns(spec, data, names)
+    except DataError:
+        return data
+    codes = []
+    for var, column in zip(variables, coerced.values()):
+        if var.kind == "categorical":
+            index = {lvl: i for i, lvl in enumerate(var.levels)}
+            column = np.fromiter(map(index.__getitem__, column.tolist()),
+                                 np.intp, len(column))
+        codes.append(column)
+    values, counts = patterns(tabulate(codes, radices, data.counts))
+    columns = [code if var.kind == "binary" else np.array(
+        var.levels, dtype=object)[code.astype(np.intp)]
+        for var, code in zip(variables, values.T)]
+    for column in columns:
+        column.setflags(write=False)
+    table = Dataset(dict(zip(names, columns)), counts)
+    table._coerced.update(zip(variables, columns))     # coerced already
+    return table
 
 
 def _dependent(X: np.ndarray) -> np.ndarray:
@@ -612,12 +654,14 @@ class FittedSystem:
 
 
 def fit_system(data: Dataset, spec: SystemSpec) -> FittedSystem:
-    """Fit every declared equation and assemble the joint fitted system."""
+    """Fit every declared equation and assemble the joint fitted system:
+    on ``weighted_patterns`` of ``data``, its rows when it has a
+    continuous variable."""
     spec.require_valid()
-    diagnostics = {}
+    diagnostics, table = {}, weighted_patterns(spec, data)
     for resp in spec.responses:
         try:
-            diagnostics[resp] = fit_logistic(data, spec, resp)
+            diagnostics[resp] = fit_logistic(table, spec, resp)
         except (DataError, FitError) as e:
             raise type(e)(f"equation {resp}: {e}") from e
     params = ParameterSet(spec, np.concatenate(

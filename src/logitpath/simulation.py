@@ -279,6 +279,9 @@ def generate_data(config: SimConfig, replication: int) -> Dataset:
     if not (_is(replication, int) and replication >= 0):
         raise SimulationError(f"'replication' must be a nonnegative "
                               f"integer, got {replication!r}")
+    if replication >= 2 ** 64:      # a spawn key is one uint64
+        raise SimulationError(f"'replication' must be below 2**64, got "
+                              f"{replication!r}")
     states, xs = _streams(config, [int(replication)])
     x, w, y = (v[0] for v in _draw(config, states, xs))
     return Dataset.from_records({"Y": y, "X": x, "W": w})

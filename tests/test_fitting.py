@@ -13,7 +13,7 @@ from logitpath import (Dataset, FittedSystem, ModelSpecError, SystemSpec,
                        VariableSpec, fit_logistic, fit_system)
 from logitpath.fitting import (DataError, FitError, _dependent, coerce_column,
                                coerce_value, design_matrix, irls, patterns,
-                               tabulate)
+                               tabulate, weighted_patterns)
 from conftest import make_system, random_params
 
 
@@ -318,13 +318,23 @@ def test_pattern_weights_match_expanded_rows():
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
-                          st.integers(0, 3)), min_size=1, max_size=40))
+                          st.integers(0, 3),
+                          st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.25])),
+                min_size=1, max_size=40))
 def test_tabulated_patterns_are_the_distinct_rows_and_their_counts(rows):
-    columns = np.array(rows, dtype=float).T
+    keys, weights = np.array([r[:3] for r in rows]), [r[3] for r in rows]
+    columns = keys.T.astype(float)
     values, counts = patterns(tabulate(columns, (3, 2, 4)))
-    want, want_counts = np.unique(np.array(rows), axis=0, return_counts=True)
+    want, inverse, want_counts = np.unique(
+        keys, axis=0, return_inverse=True, return_counts=True)
     assert np.array_equal(values, want) and values.dtype == float
     assert np.array_equal(counts, want_counts) and counts.dtype == float
+    # weighted: each distinct row's summed weights, a zero sum dropped
+    sums = np.zeros(len(want))
+    np.add.at(sums, inverse.ravel(), weights)
+    values, counts = patterns(tabulate(columns, (3, 2, 4), weights))
+    assert np.array_equal(values, want[sums > 0]) and values.dtype == float
+    assert np.array_equal(counts, sums[sums > 0]) and counts.dtype == float
 
 
 def test_zero_count_patterns_are_inert():
@@ -337,6 +347,105 @@ def test_zero_count_patterns_are_inert():
     f1 = fit_system(Dataset.from_rows(rows), spec)
     f2 = fit_system(Dataset.from_rows(with_zero), spec)
     assert np.allclose(f1.params.vector, f2.params.vector, atol=1e-12)
+
+
+# a fit on patterns and one on rows stop at points within the stopping rule
+# that differ by at most this much of 1 + |beta| (``DISCRETE_BOUND`` of
+# tools/same_numbers.py)
+DISCRETE_BOUND = 3e-8
+
+
+def drawn_records(spec, n, seed):
+    """``n`` records of ``spec`` drawn from seeded coefficients, outermost
+    mediator first, with counts 0, 1/3, 2/3 and 1, whose sums round."""
+    rng = np.random.default_rng(seed)
+    truth = random_params(spec, rng, scale=0.7)
+
+    def draw(var):
+        if var.kind == "categorical":
+            return np.array(var.levels, dtype=object)[
+                rng.integers(0, len(var.levels), n)]
+        if var.kind == "binary":
+            return (rng.random(n) < 0.5).astype(float)
+        return rng.normal(0.0, 1.2, n)
+
+    cols = {v.name: draw(v) for v in (spec.treatment, *spec.covariates)}
+    for resp in reversed(spec.responses):
+        p = expit(np.broadcast_to(truth.linear_predictor(resp, cols), n))
+        cols[resp] = (rng.random(n) < p).astype(float)
+    return Dataset.from_patterns(cols, rng.integers(0, 4, n) / 3)
+
+
+def test_a_discrete_system_is_fitted_on_its_weighted_patterns():
+    spec = make_system(1, treatment="categorical", covariate=True)
+    data = drawn_records(spec, 3000, seed=34)
+    assert np.any(data.counts == 0)
+    table = weighted_patterns(spec, data)
+    # Y, W1, C binary and X of 3 levels: at most 24 patterns, none empty
+    assert table.nrows <= 24 and np.all(table.counts > 0)
+    assert np.isclose(table.n, data.n, rtol=1e-13)
+    fitted = fit_system(data, spec)
+    assert fitted.n == data.n
+    for resp in spec.responses:
+        on_patterns, on_rows = (fitted.diagnostics[resp],
+                                fit_logistic(data, spec, resp))
+        assert np.all(np.abs(on_patterns.coef - on_rows.coef)
+                      <= DISCRETE_BOUND * (1.0 + np.abs(on_rows.coef)))
+        assert np.allclose(on_patterns.cov, on_rows.cov, rtol=1e-8, atol=0.0)
+        assert on_patterns.converged and on_rows.converged
+        assert on_patterns.separation == on_rows.separation
+
+
+@pytest.mark.parametrize("spec,n", [
+    (make_system(2, treatment="continuous", covariate=True), 2000),
+    (make_system(2, treatment="categorical", covariate="categorical"), 60),
+], ids=["continuous-treatment", "grid-larger-than-the-rows"])
+def test_a_system_not_fitted_on_patterns_keeps_the_row_fit_bits(spec, n):
+    # a continuous variable, or a grid (2^3 x 3 x 3 = 72 cells here) with
+    # more cells than the data has rows, leaves the data as it is
+    data = drawn_records(spec, n, seed=35)
+    assert weighted_patterns(spec, data) is data
+    fitted = fit_system(data, spec)
+    for resp in spec.responses:
+        rows = fit_logistic(data, spec, resp)
+        got = fitted.diagnostics[resp]
+        assert got.coef.tobytes() == rows.coef.tobytes()
+        assert got.cov.tobytes() == rows.cov.tobytes()
+        assert (got.loglik, got.iterations) == (rows.loglik, rows.iterations)
+
+
+def test_a_bad_field_of_a_pattern_fitted_csv_names_the_file_and_row(
+        tmp_path):
+    from click.testing import CliRunner
+    from importlib import resources
+    from logitpath.cli import main
+    # 200 records of the bundled model's 24 cells, X = 4 in row 137
+    rows = [f"{i % 2},{i // 2 % 2},{i % 3 + 1},{i // 6 % 2}"
+            for i in range(200)]
+    rows[136] = "1,0,4,1"
+    data = tmp_path / "records.csv"
+    data.write_text("Y,W,X,C\n" + "\n".join(rows) + "\n")
+    model = resources.files("logitpath") / "data" / "example_model.json"
+    message = ("equation Y: row 137: treatment 'X' cannot take '4'; it "
+               "takes a level in [1, 2, 3]")
+    spec = SystemSpec.from_json_dict(json.loads(model.read_text()))
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        fit_system(Dataset.load(data), spec)
+    result = CliRunner().invoke(main, ["fit", "--data", str(data),
+                                       "--model", str(model)])
+    assert result.exit_code == 1
+    assert f"error: {data}: {message} (for the system in" in result.output
+
+
+def test_a_separated_discrete_table_is_still_flagged():
+    spec = small_spec()
+    # 80 records of 4 patterns, Y == W1 in each
+    data = Dataset.from_rows([{"Y": w, "X": x, "W1": w}
+                              for x in (0, 1) for w in (0, 1)] * 20)
+    assert weighted_patterns(spec, data).nrows == 4
+    fitted = fit_system(data, spec)
+    assert fitted.diagnostics["Y"].separation
+    assert fit_logistic(data, spec, "Y").separation
 
 
 # -- estimation ------------------------------------------------------------

@@ -282,6 +282,27 @@ def test_generate_data_refuses_a_replication_that_is_no_index(replication):
         generate_data(cfg, replication)
 
 
+@pytest.mark.parametrize("replication", [2 ** 64, 2 ** 70 + 1, 2.0 ** 64],
+                         ids=["2**64", "2**70+1", "float-2**64"])
+def test_generate_data_refuses_a_replication_beyond_the_spawn_keys(
+        replication):
+    # before: a bare OverflowError from the uint64 spawn keys
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=60, replications=4, seed=11)
+    with pytest.raises(SimulationError, match=(
+            rf"^'replication' must be below 2\*\*64, got "
+            rf"{re.escape(repr(replication))}$")):
+        generate_data(cfg, replication)
+
+
+def test_generate_data_draws_the_last_replication_below_2_64():
+    cfg = SimConfig(kind="binary", beta_x=0.9, n=60, replications=4, seed=11)
+    r = 2 ** 64 - 1
+    child = np.random.SeedSequence(_cell_seed(cfg).entropy, spawn_key=(r,))
+    data = generate_data(cfg, r)
+    for col, want in zip("XWY", _reference_columns(cfg, child)):
+        assert np.array_equal(data.columns[col], want)
+
+
 def test_generate_data_reads_a_whole_float_replication():
     cfg = SimConfig(kind="binary", beta_x=0.9, n=60, replications=4, seed=11)
     d2, again = generate_data(cfg, 2), generate_data(cfg, 2.0)
