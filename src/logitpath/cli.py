@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -70,8 +71,13 @@ def _write_or_echo(text: str, out):
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Fit recursive logistic systems and decompose treatment effects."""
+    # numpy's overflow warnings ahead of effects' finite log-sum-exp fallback
+    ctx.with_resource(warnings.catch_warnings())
+    warnings.filterwarnings("ignore", category=RuntimeWarning,
+                            module=r"logitpath\.effects")
 
 
 @main.command("fit")

@@ -12,8 +12,8 @@ corner w and outcome y,
 and a difference of two log-sum-exps over corners (``_log_ratio``):
 l_1 against l_0 is the marginal logit (``marginal_logit_multi``), and
 l_y at W_j = 1 against W_j = 0 is the log odds of W_j given Y = y
-(``g_recursive``, from which ``deltas`` reads its single-mediator
-differences).  ``marginal_logit_multi(..., slope=True)`` gives the
+(``g_recursive``; with one mediator, the corner difference that
+``deltas`` reads).  ``marginal_logit_multi(..., slope=True)`` gives the
 derivative in a continuous treatment too, the difference of the posterior
 means of dl/dx; arrays of settings (one per row) give many points at
 once.  ``_corner_design`` builds the signed design of any such sum, and
@@ -349,7 +349,7 @@ def deltas(params: ParameterSet, x, covariates: Optional[Mapping] = None):
     eta, _, ell, _ = _joint(_program(spec, 1, x, covariates), np.stack([
         params.vector, component_mask(spec, "IE").apply(params).vector]), x)
     # g_recursive's log odds of W given Y = 0, 1, for each vector
-    g0, g1 = (_log_ratio(ell[y][:1], ell[y][1:] - ell[y][:1]) for y in (0, 1))
+    g0, g1 = (ell[y][1] - ell[y][0] for y in (0, 1))
     p = expit(np.stack([eta[1], eta[0], g1, g0]))
     dy, dw = p[0] - p[1], p[2] - p[3]
     return _value(dy[..., 0]), _value(dw[..., 0]), _value(dw[..., 1])

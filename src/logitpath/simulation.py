@@ -19,10 +19,10 @@ Each replication fits the system and produces the mediated share two ways:
   against reduced model Y ~ X + R with R the OLS residual of W on X,
   share = (reduced X coefficient - full X coefficient) / reduced X
   coefficient.  The reduced model is the full one in other coordinates
-  (Karlson, Holm & Breen 2012), so its coefficients come from the full
-  fit and the OLS fit: a replication runs two logistic fits, W ~ X and
-  Y ~ X + W.  Both models share one eta, so the average-partial-effect
-  rescaling of a continuous treatment's share cancels out of the ratio.
+  (Karlson, Holm & Breen 2012), its X coefficient bx + b bw with b the
+  OLS slope of W on X, so a replication fits only W ~ X and Y ~ X + W.
+  Both models share one eta, so the average-partial-effect rescaling of
+  a continuous treatment's share cancels out of the ratio.
 
 A cell draws its replications in chunks of at most ``CHUNK_ROWS`` rows
 (replications x n), one ``_draw`` each, and fits each only by its
@@ -289,43 +289,30 @@ def generate_data(config: SimConfig, replication: int) -> Dataset:
 
 # -- a cell's estimators ---------------------------------------------------
 
-def _reduced(betas: np.ndarray, ols: np.ndarray) -> np.ndarray:
-    """KHB's reduced-model coefficients (b0 + a bw, bx + b bw, bw) of full
-    fits (b0, bx, bw) and OLS fits (a, b), each on a last axis.  The
-    reduced model Y ~ X + R, with R = W - a - b X the OLS residual, is the
-    full model in other coordinates, with the same eta.  Newton's method
-    is affine-invariant, so a fit of the reduced design would follow the
-    full fit's path up to rounding and the stopping rule, and would flag
-    as it does unless W is affine in X, where the W fit separates anyway."""
-    return np.concatenate([betas[..., :2] + ols * betas[..., 2:],
-                           betas[..., 2:]], axis=-1)
-
-
 def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
     """The fits of a chunk of replications of a continuous cell, which
     share the treatment sample ``x``; ``ws`` and ``ys`` have shape
     (R, n).  W ~ X has the one design [1, x] for every replication, so
     its fits are one ``irls_stack`` on the shared design, and KHB's OLS
-    fits (a, b) are the chunk's responses times the design's
+    slopes b are the chunk's responses times the design's
     pseudo-inverse; Y ~ X + W is fitted by ``irls`` on each replication's
-    rows.  Returns (gammas, betas, betas_r, usable), stacked on a first
+    rows.  Returns (gammas, betas, slopes, usable), stacked on a first
     axis of R; a replication is usable when x takes two values or more
     and neither fit flags separation.
 
     One ``lstsq`` with a right-hand side per replication would give the
-    OLS fits too, but it runs multithreaded BLAS: with the other vCPU of
+    OLS slopes too, but it runs multithreaded BLAS: with the other vCPU of
     a 2-vCPU VM busy it took 16 ms a chunk, not 0.17 ms, where the
     pseudo-inverse took 0.06-0.08 ms."""
     ones = np.ones(len(x))
     xw_model = np.column_stack([ones, x])
-    ols = ws @ np.linalg.pinv(xw_model).T
     gammas, *_, w_separation = irls_stack(
         xw_model, ws, np.broadcast_to(ones, ws.shape))
     y_fits = [irls(np.column_stack([xw_model, w]), y, ones)
               for w, y in zip(ws, ys)]
     betas = np.array([fit[0] for fit in y_fits])
     y_ok = np.array([not fit[5] for fit in y_fits])
-    return (gammas, betas, _reduced(betas, ols),
+    return (gammas, betas, (ws @ np.linalg.pinv(xw_model).T)[:, 1],
             (x.min() < x.max()) & ~w_separation & y_ok)
 
 
@@ -333,21 +320,20 @@ def _fit_tables(tables: np.ndarray):
     """The fits of a stack of replications with a 0/1 treatment, given as
     their (x, w, y) counts, shape (R, 2, 2, 2): W ~ X on the 4 (x, w)
     cells and Y ~ X + W on the 8 (x, w, y) cells, weighted by the counts
-    (the likelihood of the n rows); a and a + b are the means of w at
-    x = 0 and x = 1.  A replication is not usable when x takes one value,
-    when either fit flags separation (as every fit that does not converge
-    does), or when the means of y at x = 0 and x = 1 tie, y11 n0 = y01 n1
-    in its counts: its fitted total effect is then 0 up to the fits'
-    stopping error, and its share undefined.  Returns (gammas, betas,
-    betas_r, usable), stacked on a first axis of R."""
+    (the likelihood of the n rows); the OLS slope b is the mean of w at
+    x = 1 less that at x = 0.  A replication is not usable when x takes
+    one value, when either fit flags separation (as every fit that does
+    not converge does), or when the means of y at x = 0 and x = 1 tie,
+    y11 n0 = y01 n1 in its counts: its fitted total effect is then 0 up
+    to the fits' stopping error, and its share undefined.  Returns
+    (gammas, betas, slopes, usable), stacked on a first axis of R."""
     xw = tables.sum(axis=3)
     at_x = xw.sum(axis=2)
     mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
-    ols = np.column_stack([mean[:, 0], mean[:, 1] - mean[:, 0]])
     (gammas, w_ok), (betas, y_ok) = map(_pattern_fits, (xw, tables))
     y1 = tables[..., 1].sum(axis=2)     # of y = 1 at x = 0, 1
     tied = y1[:, 1] * at_x[:, 0] == y1[:, 0] * at_x[:, 1]
-    return (gammas, betas, _reduced(betas, ols),
+    return (gammas, betas, mean[:, 1] - mean[:, 0],
             (at_x > 0).all(axis=1) & ~tied & w_ok & y_ok)
 
 
@@ -363,20 +349,25 @@ def _pattern_fits(tables: np.ndarray):
     return fit[0], ~fit[5]
 
 
-def _shares(gammas, betas, betas_r, kind: str,
+def _shares(gammas, betas, slopes, kind: str,
             xs: Optional[np.ndarray]) -> tuple:
-    """(rsd, khb) shares of kept replications' stacked coefficients, as
-    arrays; ``xs`` is a continuous treatment's shared sample.  A binary
-    rsd share is IE/TE of one ``_decompose`` over the stack of fits,
-    ``decompose``'s on each fit bit for bit.  The KHB share is
-    (bx_red - bx_full) / bx_red for either kind: the reduced model's eta
-    is the full model's, so rescaling both coefficients by one average
-    partial effect would cancel out of the ratio."""
+    """(rsd, khb) shares of kept replications' stacked fits and OLS
+    slopes, as arrays; ``xs`` is a continuous treatment's shared sample.
+    A binary rsd share is IE/TE of one ``_decompose`` over the stack of
+    fits, ``decompose``'s on each fit bit for bit.  The KHB share is
+    (bx_red - bx) / bx_red for either kind, bx_red = bx + b bw: the
+    reduced model Y ~ X + R, R = W - a - b X the OLS residual, is the full
+    model in other coordinates, with the same eta.  Newton's method is
+    affine-invariant, so a fit of the reduced design would follow the
+    full fit's path up to rounding and the stopping rule, and would flag
+    as it does unless W is affine in X, where the W fit separates anyway;
+    and one average partial effect rescaling both would cancel out."""
     rsd = (share_continuous(*betas.T, *gammas.T, xs)
            if kind == "continuous" else _decompose(
                _BINARY, np.hstack([betas, gammas]),
                EffectRequest.contrast(1, 0)).mediated_share()[0])
-    return rsd, (betas_r[:, 1] - betas[:, 1]) / betas_r[:, 1]
+    reduced = betas[:, 1] + slopes * betas[:, 2]
+    return rsd, (reduced - betas[:, 1]) / reduced
 
 
 # -- the study -------------------------------------------------------------

@@ -6,6 +6,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 from importlib import resources
 
-from logitpath import (EffectError, EffectRequest, FittedSystem, SystemSpec,
-                       VariableSpec, decompose, effect_table)
+import logitpath
+from logitpath import (EffectError, EffectRequest, FittedSystem, ParameterSet,
+                       SystemSpec, VariableSpec, decompose, effect_table)
 from logitpath.fitting import block_covariance
 from logitpath.cli import main
 
@@ -1097,6 +1102,56 @@ def test_simulate_seed_is_the_grid_seed(workdir):
         assert result.exit_code == 0, combined(result)
         written.append(out.read_text())
     assert written[0] == written[1] != written[2]
+
+
+# -- what a fresh process writes to stderr ---------------------------------
+
+def run_fresh(*args):
+    """The CLI in a new interpreter that finds this logitpath, with
+    Python's default warning filters: (exit code, stdout, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (
+        str(Path(logitpath.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "logitpath.cli", *map(str, args)], env=env,
+        capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_simulate_writes_only_its_error_line_to_stderr(workdir):
+    # before: two numpy RuntimeWarnings from effects.py (an overflow in
+    # expm1 and an invalid value) ahead of the error line
+    config = _write(workdir, "beta_w_800.json", json.dumps({
+        "seed": 7, "replications": 20, "treatment": ["binary"],
+        "beta_x": [0.9], "n": [250], "beta_w": 800}))
+    code, _, err = run_fresh("simulate", "--config", config)
+    assert code == 1
+    assert err == (f"error: {config}: 20 of 20 replications excluded "
+                   f"(limit 5%) in cell binary/beta_x=0.9/n=250, so it has "
+                   f"no share to average\n")
+
+
+def test_decompose_of_corners_beyond_exp_range_writes_no_stderr(workdir):
+    # Y's log odds at W1 = 1 and W1 = 0 are 800 apart, beyond the 709 that
+    # exp takes: the library warns before its fallback gives the finite
+    # table, and the CLI prints the table alone
+    spec = make_system(1)
+    params = ParameterSet.from_nested(spec, {
+        "Y": {"1": -2.0, "X": 0.5, "W1": 800.0}, "W1": {"1": -1.0, "X": 1.0}})
+    fitted = FittedSystem(spec, params, np.eye(len(spec.flat_coords)) / 100,
+                          {}, 100.0)
+    path = _write(workdir, "beyond_exp.json",
+                  json.dumps(fitted.to_json_dict()))
+    with pytest.warns(RuntimeWarning):
+        decompose(params, EffectRequest.contrast(1, 0))
+    code, out, err = run_fresh("decompose", "--fitted", path, "--contrast",
+                               "1,0", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert rows == records(invoke("decompose", "--fitted", path,
+                                  "--contrast", "1,0", "--format", "json"))
+    assert all(math.isfinite(r["estimate"]) for r in rows)
 
 
 # -- a derivative effect table ----------------------------------------------

@@ -44,13 +44,20 @@ def study_params(kind, b0, bx, bw, g0, gx):
 def _fit_models(x, w, y):
     """One replication's fits, by its cell's path on a stack of one:
     ``_fit_tables`` on the counts of a 0/1 treatment, ``_fit_chunk`` on
-    any other.  Returns (w-model coefs, y-model coefs, reduced y-model
-    coefs, usable flag)."""
+    any other.  Returns (w-model coefs, y-model coefs, the OLS slope b of
+    w on x, usable flag)."""
     if np.all((x == 0.0) | (x == 1.0)):
         *coefs, usable = _fit_tables(tabulate((x, w, y), (2, 2, 2))[None])
     else:
         *coefs, usable = _fit_chunk(x, w[None], y[None])
     return (*(c[0] for c in coefs), bool(usable[0]))
+
+
+def reduced_coefs(beta, slope, a):
+    """KHB's reduced-model coefficients (b0 + a bw, bx + b bw, bw) of a
+    full fit (b0, bx, bw) and the OLS fit (a, b) of w on x."""
+    return np.array([beta[0] + a * beta[2], beta[1] + slope * beta[2],
+                     beta[2]])
 
 
 def test_config_validation():
@@ -672,8 +679,8 @@ def test_ratio_estimator_equals_the_generic_pipeline(monkeypatch):
     y = data.columns["Y"].astype(float)
     fitted = fit_system(data, study_spec("continuous"))
     atpe, _, aipe = average_probability_effects(fitted.params, data)
-    gamma, beta, beta_r, _ = _fit_models(x, w, y)
-    assert_close(_shares(gamma[None], beta[None], beta_r[None],
+    gamma, beta, slope, _ = _fit_models(x, w, y)
+    assert_close(_shares(gamma[None], beta[None], np.array([slope]),
                          "continuous", x)[0][0],
                  aipe / atpe, 1e-8, "continuous rsd")
 
@@ -687,11 +694,12 @@ def test_scaled_and_plain_residualization_shares_coincide():
                         replications=1, seed=seed, pseudo_population=5000)
         data = generate_data(cfg, 0)
         x, w, y = (data.columns[v].astype(float) for v in "XWY")
-        fit = _fit_models(x, w, y)
-        gamma, beta, beta_r, kept = fit
+        gamma, beta, slope, kept = _fit_models(x, w, y)
         ones = np.ones(len(x))
         xw = np.column_stack([ones, x])
-        residual = w - xw @ np.linalg.lstsq(xw, w, rcond=None)[0]
+        ols = np.linalg.lstsq(xw, w, rcond=None)[0]
+        residual = w - xw @ ols
+        beta_r = reduced_coefs(beta, slope, ols[0])
 
         def ape(eta):
             p = 1.0 / (1.0 + np.exp(-eta))
@@ -700,7 +708,7 @@ def test_scaled_and_plain_residualization_shares_coincide():
         bx_red = beta_r[1] * ape(np.column_stack([ones, x, residual])
                                  @ beta_r)
         assert kept
-        assert_close(_shares(gamma[None], beta[None], beta_r[None],
+        assert_close(_shares(gamma[None], beta[None], np.array([slope]),
                              "continuous", x)[1][0],
                      (bx_red - bx) / bx_red, 1e-12, "residualization share")
 
@@ -727,7 +735,8 @@ def test_reduced_fit_is_the_full_fit_reparametrized(kind, seed, beta_x, n,
     ols = np.linalg.lstsq(xw, w, rcond=None)[0]
     reduced = irls(np.column_stack([ones, x, w - xw @ ols]), y, ones)
     full = irls(np.column_stack([ones, x, w]), y, ones)
-    gamma, beta, beta_r, kept = _fit_models(x, w, y)
+    gamma, beta, slope, kept = _fit_models(x, w, y)
+    beta_r = reduced_coefs(beta, slope, ols[0])
     # two fits of one likelihood stop at different points within the
     # stopping rule: at most 1.3e-8 of 1 + |beta| over 3,510 usable
     # replications, n from 12 to 1,000 (reduced against full), and
@@ -778,7 +787,7 @@ def test_a_cell_fits_each_replication_as_it_fits_alone(kind, n, excluded,
     monkeypatch.setattr(simulation, path, recording)
     result = run_cell(cfg)
     args, fits = zip(*stacks)
-    gammas, betas, betas_r, usable = map(np.concatenate, zip(*fits))
+    gammas, betas, slopes, usable = map(np.concatenate, zip(*fits))
     assert [[a.shape for a in chunk] for chunk in args] == (
         [[(n,), (4, n), (4, n)]] * 2 + [[(n,), (3, n), (3, n)]]
         if kind == "continuous" else [[(11, 2, 2, 2)]])
@@ -789,12 +798,16 @@ def test_a_cell_fits_each_replication_as_it_fits_alone(kind, n, excluded,
     for i in range(cfg.replications):
         x, w, y = (generate_data(cfg, i).columns[v].astype(float)
                    for v in "XWY")
+        xw = np.column_stack([np.ones(n), x])
+        ols = np.linalg.lstsq(xw, w, rcond=None)[0]
+        stacked_r = reduced_coefs(betas[i], slopes[i], ols[0])
         # alone: the cell's path on a stack of one
-        gamma, beta, beta_r, kept = _fit_models(x, w, y)
+        gamma, beta, slope, kept = _fit_models(x, w, y)
+        beta_r = reduced_coefs(beta, slope, ols[0])
         assert gammas[i].tobytes() == gamma.tobytes()
         assert betas[i].tobytes() == beta.tobytes()
         assert usable[i] == kept
-        assert np.all(np.abs(betas_r[i] - beta_r)
+        assert np.all(np.abs(stacked_r - beta_r)
                       <= 1e-14 * (1.0 + np.abs(beta_r)))
         # serially: irls on the replication's own [1, x] and [1, x, w]
         # rows (for a 0/1 treatment, every cell of their grid, weighted by
@@ -812,10 +825,8 @@ def test_a_cell_fits_each_replication_as_it_fits_alone(kind, n, excluded,
         assert betas[i].tobytes() == y_fit[0].tobytes()
         assert usable[i] == (x.min() < x.max() and not tied and all(
             f[4] and not f[5] for f in (w_fit, y_fit)))
-        xw = np.column_stack([np.ones(n), x])
-        ols = np.linalg.lstsq(xw, w, rcond=None)[0]
         want = np.append(betas[i][:2] + ols * betas[i][2], betas[i][2])
-        assert np.all(np.abs(betas_r[i] - want)
+        assert np.all(np.abs(stacked_r - want)
                       <= 1e-14 * (1.0 + np.abs(want)))
 
 
@@ -859,7 +870,7 @@ def test_a_binary_replication_is_fitted_on_its_patterns(
         return seen[-1][-1]
 
     monkeypatch.setattr(simulation, "irls_stack", recording)
-    gamma, beta, beta_r, kept = _fit_models(x, w, y)
+    gamma, beta, slope, kept = _fit_models(x, w, y)
     w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
     # each equation's one shared grid design, and a stack of one response
     assert [shapes for shapes, _ in seen] == [((4, 2), (1, 4)),
@@ -880,7 +891,8 @@ def test_a_binary_replication_is_fitted_on_its_patterns(
     # (a, b) of the OLS fit of w on x, from the pattern counts
     ols = np.linalg.lstsq(np.column_stack([np.ones(n), x]), w,
                           rcond=None)[0]
-    assert np.allclose(beta_r, np.append(beta[:2] + ols * beta[2], beta[2]),
+    assert np.allclose(reduced_coefs(beta, slope, ols[0]),
+                       np.append(beta[:2] + ols * beta[2], beta[2]),
                        rtol=1e-14, atol=1e-14)
 
 
@@ -1005,7 +1017,7 @@ def test_exclusion_accounting(monkeypatch):
 
 def test_nonconvergent_single_replications_give_no_shares(monkeypatch):
     def never(r):
-        return np.zeros((r, 2)), np.zeros((r, 3)), np.zeros((r, 3)), \
+        return np.zeros((r, 2)), np.zeros((r, 3)), np.zeros(r), \
             np.zeros(r, dtype=bool)
 
     monkeypatch.setattr(simulation, "_fit_chunk",
