@@ -25,11 +25,15 @@ Each replication fits the system and produces the mediated share two ways:
   a continuous treatment's share cancels out of the ratio.
 
 A cell draws its replications in chunks of at most ``CHUNK_ROWS`` rows
-(replications x n), one ``_draw`` each, and fits each only by its
-cell's path, on a stack: a binary cell one stack per equation on the
-cell grid of all its replications' (x, w, y) counts (``_fit_tables``),
-a continuous cell, whose W ~ X has the one design [1, x], a stack per
-chunk (``_fit_chunk``).
+(replications x n), one ``_draw`` each, which computes each draw
+probability once per distinct parent value, and fits each only by its
+cell's path (``_fit_tables``, ``_fit_chunk``).  A binary cell keeps its
+replications' (x, w, y) counts.  Its W ~ X is saturated, so its
+maximum-likelihood fit is the observed log odds of w, read off the
+(x, w) counts n_xw: gamma0 = log(n01 / n00), gamma_x = log(n11 / n10) -
+gamma0, separated exactly when a count is 0.  Its Y ~ X + W is one
+stack on the cell grid of all its replications' counts.  A continuous
+cell, whose W ~ X has the one design [1, x], fits a stack per chunk.
 
 Replications whose treatment takes one value, whose binary counts tie
 (the mean of y the same at x = 0 and x = 1, so the fitted total effect
@@ -85,6 +89,7 @@ _BITS_TAG = 2 ** 32 - 1
 # numpy's SeedSequence (INIT, MULT) pairs and (MIX_MULT_L, MIX_MULT_R), PCG's M
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX, _PCG_MULT = (0xCA01F9DD, 0x4973F715), 0x2360ED051FC65DA44385DF649FCCF645
+_LEVELS = np.array([0.0, 1.0])  # of a binary variable
 _BINARY = SystemSpec.build(     # flat_coords order: b0, bx, bw, g0, gx
     [VariableSpec("Y", "outcome", "binary"),
      VariableSpec("W", "mediator", "binary", mediator_index=1),
@@ -250,7 +255,13 @@ def _draw(config: SimConfig, states: np.ndarray, xs: Optional[np.ndarray]):
     """(x, w, y) of a chunk of replications, one per row of seed states,
     as (R, n) arrays of 0.0 and 1.0: a row per binary variable drawn of
     each child's ``default_rng(child).random((m, n))``, from one PCG64
-    given each child's state in turn by PCG's srandom step (O'Neill 2014)."""
+    given each child's state in turn by PCG's srandom step (O'Neill 2014).
+    A variable is 1 where its uniform falls below its probability given
+    its parents, computed once per distinct parent value and indexed by
+    the parents' draws: P(W=1|x) at x = 0, 1 or at each shared ``xs``,
+    P(Y=1|x, w) at each (x, w), by the code 2x + w, or at w x ``xs``.
+    Each is the expression a row-wise ``expit`` would take, so the draws
+    are its bit for bit."""
     bitgen, m = np.random.PCG64(0), 3 if config.kind == "binary" else 2
     gen, u = np.random.Generator(bitgen), np.empty((len(states), m, config.n))
     for row, (s_hi, s_lo, i_hi, i_lo) in zip(u, states.tolist()):
@@ -259,11 +270,18 @@ def _draw(config: SimConfig, states: np.ndarray, xs: Optional[np.ndarray]):
         bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0,
                         "uinteger": 0, "state": {"state": state, "inc": inc}}
         gen.random(out=row)
-    x = (u[:, 0] < expit(0.0)).astype(float) if m == 3 else xs
-    w = (u[:, -2] < expit(config.gamma0 + config.gamma_x * x)).astype(float)
-    y = (u[:, -1] < expit(config.beta0 + config.beta_x * x
-                          + config.beta_w * w)).astype(float)
-    return np.broadcast_to(x, w.shape), w, y
+    g0, gx, b0, bx, bw = (config.gamma0, config.gamma_x, config.beta0,
+                          config.beta_x, config.beta_w)
+    if m == 3:
+        x = (u[:, 0] < expit(0.0)).view(np.uint8)
+        w = (u[:, 1] < expit(g0 + gx * _LEVELS).take(x)).view(np.uint8)
+        y = u[:, 2] < expit(b0 + bx * _LEVELS[:, None]
+                            + bw * _LEVELS).take(2 * x + w)
+        return x.astype(float), w.astype(float), y.astype(float)
+    w = u[:, 0] < expit(g0 + gx * xs)
+    p0, p1 = expit(b0 + bx * xs + bw * _LEVELS[:, None])
+    y = u[:, 1] < np.where(w, p1, p0)
+    return np.broadcast_to(xs, w.shape), w.astype(float), y.astype(float)
 
 
 def _streams(config: SimConfig, indices):
@@ -318,23 +336,32 @@ def _fit_chunk(x: np.ndarray, ws: np.ndarray, ys: np.ndarray):
 
 def _fit_tables(tables: np.ndarray):
     """The fits of a stack of replications with a 0/1 treatment, given as
-    their (x, w, y) counts, shape (R, 2, 2, 2): W ~ X on the 4 (x, w)
-    cells and Y ~ X + W on the 8 (x, w, y) cells, weighted by the counts
-    (the likelihood of the n rows); the OLS slope b is the mean of w at
-    x = 1 less that at x = 0.  A replication is not usable when x takes
-    one value, when either fit flags separation (as every fit that does
-    not converge does), or when the means of y at x = 0 and x = 1 tie,
-    y11 n0 = y01 n1 in its counts: its fitted total effect is then 0 up
-    to the fits' stopping error, and its share undefined.  Returns
-    (gammas, betas, slopes, usable), stacked on a first axis of R."""
+    their (x, w, y) counts, shape (R, 2, 2, 2).  W ~ X is saturated: its
+    maximum-likelihood fit is the observed log odds of w, gamma0 =
+    log(n01 / n00) and gamma_x = log(n11 / n10) - gamma0 from the (x, w)
+    counts n_xw, and it is separated (no finite estimate; nan here)
+    exactly when one of the four counts is 0, x taking one value among
+    those.  Y ~ X + W is one ``irls_stack`` on the 8 (x, w, y) cells,
+    weighted by the counts (the likelihood of the n rows).  The OLS slope
+    b is the mean of w at x = 1 less that at x = 0.  A replication is
+    not usable when an (x, w) count is 0, when the Y fit flags separation
+    (as every fit that does not converge does), or when the means of y
+    at x = 0 and x = 1 tie, y11 n0 = y01 n1 in its counts: its fitted
+    total effect is then 0 up to the fit's stopping error, and its share
+    undefined.  Returns (gammas, betas, slopes, usable), stacked on a
+    first axis of R."""
     xw = tables.sum(axis=3)
     at_x = xw.sum(axis=2)
     mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
-    (gammas, w_ok), (betas, y_ok) = map(_pattern_fits, (xw, tables))
+    filled = (xw > 0).all(axis=(1, 2))
+    log_odds = np.log(np.divide(xw[:, :, 1], xw[:, :, 0], out=np.full(
+        at_x.shape, np.nan), where=filled[:, None]))     # of w at x = 0, 1
+    betas, y_ok = _pattern_fits(tables)
     y1 = tables[..., 1].sum(axis=2)     # of y = 1 at x = 0, 1
     tied = y1[:, 1] * at_x[:, 0] == y1[:, 0] * at_x[:, 1]
-    return (gammas, betas, mean[:, 1] - mean[:, 0],
-            (at_x > 0).all(axis=1) & ~tied & w_ok & y_ok)
+    g0, g1 = log_odds.T
+    return (np.column_stack([g0, g1 - g0]), betas, mean[:, 1] - mean[:, 0],
+            filled & ~tied & y_ok)
 
 
 def _pattern_fits(tables: np.ndarray):

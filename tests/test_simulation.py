@@ -590,6 +590,31 @@ def test_a_chunk_draws_what_each_replication_draws_alone(
             assert got[i].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_a_chunk_computes_each_draw_probability_once_per_pattern(
+        monkeypatch, kind):
+    # before: expit over all R x n rows for Y, and for W of a binary
+    # treatment; now over each parent value once: x for the treatment of
+    # a binary cell, x in {0, 1} or the n shared xs for W, and (x, w) or
+    # w x xs for Y
+    cfg = SimConfig(kind=kind, beta_x=0.9, n=30, replications=5, seed=71,
+                    gamma_x=1.5, pseudo_population=2000)
+    states, xs = simulation._streams(cfg, range(5))
+    sizes, original = [], simulation.expit
+
+    def recording(t):
+        sizes.append(np.size(t))
+        return original(t)
+
+    monkeypatch.setattr(simulation, "expit", recording)
+    draws = simulation._draw(cfg, states, xs)
+    assert sizes == ([1, 2, 4] if kind == "binary" else [30, 60])
+    assert max(sizes) < 5 * 30
+    for i, child in enumerate(_cell_seed(cfg).spawn(5)):
+        for got, want in zip(draws, _reference_columns(cfg, child)):
+            assert got[i].tobytes() == want.tobytes()
+
+
 def test_a_chunk_counts_what_each_replication_counts_alone(monkeypatch):
     # one bincount over (replication, x, w, y) codes per chunk; at n = 12
     # most replications leave some of their 8 cells empty
@@ -817,11 +842,17 @@ def test_a_cell_fits_each_replication_as_it_fits_alone(kind, n, excluded,
             w_fit, y_fit = (irls(np.column_stack([ones, *c[:-1]]), c[-1],
                                  ones) for c in ((x, w), (x, w, y)))
             tied = False
+            assert gammas[i].tobytes() == w_fit[0].tobytes()
         else:
             w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
             tied = (y[x == 1].sum() * np.count_nonzero(x == 0)
                     == y[x == 0].sum() * np.count_nonzero(x == 1))
-        assert gammas[i].tobytes() == w_fit[0].tobytes()
+            # the W fit of a 0/1 treatment is its observed log odds, where
+            # Newton's stops near it
+            assert gammas[i].tobytes() == log_odds(x, w).tobytes()
+            assert not np.all(np.isfinite(gammas[i])) or np.all(
+                np.abs(gammas[i] - w_fit[0])
+                <= 1e-7 * (1.0 + np.abs(gammas[i])))
         assert betas[i].tobytes() == y_fit[0].tobytes()
         assert usable[i] == (x.min() < x.max() and not tied and all(
             f[4] and not f[5] for f in (w_fit, y_fit)))
@@ -843,11 +874,24 @@ def pattern_fit(*columns, every_cell=True):
                 rows[:, -1], counts)
 
 
+def log_odds(x, w):
+    """(g0, gx) of the saturated fit of the 0/1 ``w`` on the 0/1 ``x``
+    from their counts: the log odds of w at x = 0, and at x = 1 less it;
+    nan when an (x, w) cell is empty."""
+    n = np.array([[np.count_nonzero((x == a) & (w == b)) for b in (0, 1)]
+                  for a in (0, 1)], dtype=float)
+    if not n.all():
+        return np.full(2, np.nan)
+    g0 = np.log(n[0, 1] / n[0, 0])
+    return np.array([g0, np.log(n[1, 1] / n[1, 0]) - g0])
+
+
 # (seed, beta_x, n, replication, distinct (x, w) rows, distinct (x, w, y)
 # rows, usable): an empty (x, w) cell, where the W fit separates; every
 # (x, w) cell filled and a separated Y fit; empty (x, w, y) cells only;
-# every cell filled; and the study's sizes.  Each fit runs on the full
-# grid of 4 or 8 cells, an empty cell weighted 0
+# every cell filled; and the study's sizes.  The Y fit runs on the full
+# grid of 8 cells, an empty cell weighted 0, and W is read off its 4
+# (x, w) counts
 PATTERNS = [(1, 1.8, 12, 1, 3, 5, False), (1, 1.8, 12, 4, 4, 4, False),
             (1, 1.8, 12, 0, 4, 7, True), (1, 1.8, 20, 2, 4, 8, True),
             (2, 0.4, 250, 0, 4, 8, True), (5, 0.9, 1000, 3, 4, 8, True)]
@@ -872,14 +916,17 @@ def test_a_binary_replication_is_fitted_on_its_patterns(
     monkeypatch.setattr(simulation, "irls_stack", recording)
     gamma, beta, slope, kept = _fit_models(x, w, y)
     w_fit, y_fit = pattern_fit(x, w), pattern_fit(x, w, y)
-    # each equation's one shared grid design, and a stack of one response
-    assert [shapes for shapes, _ in seen] == [((4, 2), (1, 4)),
-                                              ((8, 3), (1, 8))]
+    # Y's one shared grid design, and a stack of one response; W's fit is
+    # its observed log odds, where Newton's on its grid stops near it
+    assert [shapes for shapes, _ in seen] == [((8, 3), (1, 8))]
     assert [len(np.unique(np.column_stack(c), axis=0))
             for c in ((x, w), (x, w, y))] == [xw_rows, xwy_rows]
-    for (_, fit), want in zip(seen, (w_fit, y_fit)):
-        assert all(np.array_equal(a[0], b) for a, b in zip(fit, want))
-    assert np.array_equal(gamma, w_fit[0]) and np.array_equal(beta, y_fit[0])
+    (_, fit), = seen
+    assert all(np.array_equal(a[0], b) for a, b in zip(fit, y_fit))
+    assert np.array_equal(beta, y_fit[0])
+    assert gamma.tobytes() == log_odds(x, w).tobytes()
+    assert np.isnan(gamma).all() if xw_rows < 4 else np.all(
+        np.abs(gamma - w_fit[0]) <= 1e-7 * (1.0 + np.abs(gamma)))
     if (xw_rows, xwy_rows) == (4, 8):   # every cell filled: the fit on the
         # distinct rows alone, bit for bit (a design in another memory
         # layout would round differently)
@@ -896,10 +943,75 @@ def test_a_binary_replication_is_fitted_on_its_patterns(
                        rtol=1e-14, atol=1e-14)
 
 
+def test_a_binary_w_fit_is_its_observed_log_odds():
+    # before: a Newton irls_stack on the 4 (x, w) cells, which stopped up
+    # to 1.3e-8 short of the saturated model's exact estimate.  Seeded
+    # counts, then each single empty cell, each pair (x = 0 or x = 1
+    # absent among them) and three empty cells
+    rng = np.random.default_rng(97)
+    xw = rng.integers(1, 400, size=(60, 2, 2))
+    xw[:20] = rng.integers(1, 8, size=(20, 2, 2))     # small counts too
+    empty = [*itertools.combinations(range(4), 1),
+             *itertools.combinations(range(4), 2), (0, 1, 3)]
+    for i, cells in enumerate(empty):
+        xw[i].flat[list(cells)] = 0
+    y1 = rng.binomial(xw, 0.3)
+    tables = np.stack([xw - y1, y1], axis=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gammas, _, _, usable = _fit_tables(tables)
+    newton, clear = simulation._pattern_fits(xw)
+    filled = (xw > 0).all(axis=(1, 2))
+    both = (xw.sum(axis=2) > 0).all(axis=1)     # x takes both values
+    assert np.count_nonzero(~filled) == len(empty)
+    assert np.count_nonzero(~both) == 3
+    # the zero-count rule flags what Newton flags; with an x level absent
+    # Newton finds a flat direction, not separation, and x rules it out
+    assert np.array_equal(filled[both], clear[both])
+    assert not usable[~filled].any() and np.isnan(gammas[~filled]).all()
+    for gamma, ((n00, n01), (n10, n11)) in zip(gammas[filled], xw[filled]):
+        g0 = np.log(np.float64(n01) / np.float64(n00))
+        want = np.array([g0, np.log(np.float64(n11) / np.float64(n10)) - g0])
+        assert gamma.tobytes() == want.tobytes()
+    assert np.isfinite(newton[filled]).all()
+    assert np.all(np.abs(gammas[filled] - newton[filled])
+                  <= 1e-7 * (1.0 + np.abs(gammas[filled])))
+
+
+def test_a_binary_study_shares_only_its_filled_w_fits(monkeypatch):
+    # at n = 12 many replications leave an (x, w) cell empty: their W fit
+    # has no estimate, and it neither warns nor reaches the shares
+    cfg = SimConfig(kind="binary", beta_x=1.8, n=12, replications=200,
+                    seed=4)
+    seen, fits = [], []
+    original_shares, original_tables = simulation._shares, _fit_tables
+
+    def recording_shares(gammas, *rest):
+        seen.append(gammas)
+        return original_shares(gammas, *rest)
+
+    def recording_tables(tables):
+        fits.append((tables, original_tables(tables)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
+    monkeypatch.setattr(simulation, "_shares", recording_shares)
+    monkeypatch.setattr(simulation, "_fit_tables", recording_tables)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cell(cfg)
+    (tables, (_, _, _, usable)), = fits
+    filled = (tables.sum(axis=3) > 0).all(axis=(1, 2))
+    assert np.count_nonzero(~filled) > 20 and not usable[~filled].any()
+    (gammas,) = seen
+    assert len(gammas) == 200 - result.excluded
+    assert np.isfinite(gammas).all()
+
+
 def test_a_binary_cell_fits_each_equation_as_one_stack(monkeypatch):
     # before: one irls_stack per set of nonzero cells, so a small-n cell
     # whose replications leave different cells empty made many per
-    # equation
+    # equation; W ~ X, saturated, now takes none (its log odds)
     cfg = SimConfig(kind="binary", beta_x=1.8, n=12, replications=40,
                     seed=4)
     monkeypatch.setattr(simulation, "EXCLUSION_LIMIT", 1.0)
@@ -921,9 +1033,8 @@ def test_a_binary_cell_fits_each_equation_as_one_stack(monkeypatch):
     for cells in (stack.sum(axis=3), stack):    # (x, w) and (x, w, y)
         filled = np.unique(cells.reshape(len(cells), -1) > 0, axis=0)
         assert np.count_nonzero(~filled.all(axis=1)) > 1
-    assert [c[:2] for c in calls] == [((4, 2), (40, 4)), ((8, 3), (40, 8))]
-    assert np.array_equal(calls[0][2], stack.sum(axis=3).reshape(40, 4))
-    assert np.array_equal(calls[1][2], stack.reshape(40, 8))
+    assert [c[:2] for c in calls] == [((8, 3), (40, 8))]
+    assert np.array_equal(calls[0][2], stack.reshape(40, 8))
 
 
 def test_a_treatment_of_one_value_is_excluded(monkeypatch):
@@ -1041,15 +1152,15 @@ def test_separated_replications_are_excluded(monkeypatch):
     def separated_once(X, y, w):
         stacks.append(y.shape)
         out = original(X, y, w)
-        if len(stacks) == 2:    # the Y stack: flag the second replication
+        if len(stacks) == 1:    # the Y stack: flag the second replication
             assert not out[-1].any()
             out[-1][1] = True
         return out
 
     monkeypatch.setattr(simulation, "irls_stack", separated_once)
     assert run_cell(cfg).excluded == 1
-    # one W stack and one Y stack, each of every replication in order
-    assert stacks == [(30, 4), (30, 8)]
+    # one Y stack of every replication in order (W takes no Newton fit)
+    assert stacks == [(30, 8)]
 
 
 def test_small_separated_cell_gives_no_nan():
