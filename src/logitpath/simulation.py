@@ -32,7 +32,7 @@ replications' (x, w, y) counts.  Its W ~ X is saturated, so its
 maximum-likelihood fit is the observed log odds of w, read off the
 (x, w) counts n_xw: gamma0 = log(n01 / n00), gamma_x = log(n11 / n10) -
 gamma0, separated exactly when a count is 0.  Its Y ~ X + W is one
-stack on the cell grid of all its replications' counts.  A continuous
+stack on ``_Y_DESIGN`` weighted by its replications' counts.  A continuous
 cell, whose W ~ X has the one design [1, x], fits a stack per chunk.
 
 Replications whose treatment takes one value, whose binary counts tie
@@ -90,6 +90,9 @@ _BITS_TAG = 2 ** 32 - 1
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX, _PCG_MULT = (0xCA01F9DD, 0x4973F715), 0x2360ED051FC65DA44385DF649FCCF645
 _LEVELS = np.array([0.0, 1.0])  # of a binary variable
+_CELLS = patterns(np.ones((2, 2, 2)))[0]   # the (x, w, y) cells, C order
+_Y_DESIGN = np.column_stack([np.ones(len(_CELLS)), _CELLS[:, :2]])  # [1, x, w]
+_CELLS.flags.writeable = _Y_DESIGN.flags.writeable = False
 _BINARY = SystemSpec.build(     # flat_coords order: b0, bx, bw, g0, gx
     [VariableSpec("Y", "outcome", "binary"),
      VariableSpec("W", "mediator", "binary", mediator_index=1),
@@ -341,39 +344,29 @@ def _fit_tables(tables: np.ndarray):
     log(n01 / n00) and gamma_x = log(n11 / n10) - gamma0 from the (x, w)
     counts n_xw, and it is separated (no finite estimate; nan here)
     exactly when one of the four counts is 0, x taking one value among
-    those.  Y ~ X + W is one ``irls_stack`` on the 8 (x, w, y) cells,
-    weighted by the counts (the likelihood of the n rows).  The OLS slope
-    b is the mean of w at x = 1 less that at x = 0.  A replication is
-    not usable when an (x, w) count is 0, when the Y fit flags separation
-    (as every fit that does not converge does), or when the means of y
-    at x = 0 and x = 1 tie, y11 n0 = y01 n1 in its counts: its fitted
-    total effect is then 0 up to the fit's stopping error, and its share
-    undefined.  Returns (gammas, betas, slopes, usable), stacked on a
-    first axis of R."""
+    those.  Y ~ X + W is one ``irls_stack`` on ``_Y_DESIGN``, [1, x, w] on
+    the 8 (x, w, y) cells, weighted by the counts (the n rows' likelihood).
+    The OLS slope b is the mean of w at x = 1 less that at x = 0.  A
+    replication is not usable when an (x, w) count is 0, when the Y fit
+    flags separation (as every fit that does not converge does), or when
+    the means of y at x = 0 and x = 1 tie, y11 n0 = y01 n1 in its counts:
+    its fitted total effect is then 0 up to the fit's stopping error, and
+    its share undefined.  Returns (gammas, betas, slopes, usable), stacked
+    on a first axis of R."""
     xw = tables.sum(axis=3)
     at_x = xw.sum(axis=2)
     mean = xw[:, :, 1] / np.maximum(at_x, 1)   # of w at x = 0, 1
     filled = (xw > 0).all(axis=(1, 2))
     log_odds = np.log(np.divide(xw[:, :, 1], xw[:, :, 0], out=np.full(
         at_x.shape, np.nan), where=filled[:, None]))     # of w at x = 0, 1
-    betas, y_ok = _pattern_fits(tables)
+    betas, *_, y_separation = irls_stack(
+        _Y_DESIGN, np.broadcast_to(_CELLS[:, 2], (len(tables), 8)),
+        tables.reshape(len(tables), 8).astype(float))
     y1 = tables[..., 1].sum(axis=2)     # of y = 1 at x = 0, 1
     tied = y1[:, 1] * at_x[:, 0] == y1[:, 0] * at_x[:, 1]
     g0, g1 = log_odds.T
     return (np.column_stack([g0, g1 - g0]), betas, mean[:, 1] - mean[:, 0],
-            filled & ~tied & y_ok)
-
-
-def _pattern_fits(tables: np.ndarray):
-    """The coefficients of the logistic fit of each table's last variable
-    on the others, one ``irls_stack`` on the full cell grid weighted by
-    each table's counts (an empty cell adds nothing to the likelihood),
-    and whether its separation flag is clear."""
-    values, _ = patterns(np.ones(tables.shape[1:]))     # every cell, C order
-    X = np.column_stack([np.ones(len(values)), values[:, :-1]])
-    fit = irls_stack(X, np.broadcast_to(values[:, -1], (len(tables), len(X))),
-                     tables.reshape(len(tables), -1).astype(float))
-    return fit[0], ~fit[5]
+            filled & ~tied & ~y_separation)
 
 
 def _shares(gammas, betas, slopes, kind: str,

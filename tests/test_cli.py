@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -1117,6 +1118,20 @@ def run_fresh(*args):
         [sys.executable, "-m", "logitpath.cli", *map(str, args)], env=env,
         capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_m_logitpath_cli_runs_the_group(monkeypatch, capsys):
+    # in process, so that tools/untested_lines.py sees the __main__ guard
+    # run; unloaded first, as a fresh `python -m` finds it (runpy warns
+    # when the module is already loaded)
+    monkeypatch.setattr(sys, "argv", ["logitpath", "--help"])
+    monkeypatch.delitem(sys.modules, "logitpath.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("logitpath.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert main.help in out
+    assert all(name in out for name in main.commands)
 
 
 def test_simulate_writes_only_its_error_line_to_stderr(workdir):

@@ -960,7 +960,12 @@ def test_a_binary_w_fit_is_its_observed_log_odds():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gammas, _, _, usable = _fit_tables(tables)
-    newton, clear = simulation._pattern_fits(xw)
+    cells = fitting.patterns(np.ones((2, 2)))[0]    # the (x, w) cells
+    fit = fitting.irls_stack(
+        np.column_stack([np.ones(4), cells[:, :1]]),
+        np.broadcast_to(cells[:, 1], (len(xw), 4)),
+        xw.reshape(len(xw), 4).astype(float))
+    newton, clear = fit[0], ~fit[5]
     filled = (xw > 0).all(axis=(1, 2))
     both = (xw.sum(axis=2) > 0).all(axis=1)     # x takes both values
     assert np.count_nonzero(~filled) == len(empty)
