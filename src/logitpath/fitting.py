@@ -3,8 +3,8 @@
 The joint likelihood of a recursive system factorizes over equations, so
 each response is fitted on its own design matrix and the joint covariance
 is block-diagonal by equation.  Fitting is plain Newton / IRLS with
-step-halving, which copes with the quasi-separated cells that sparse
-contingency data can produce.
+step-halving (one rule, ``_halve``, for a fit and a stack), which copes
+with the quasi-separated cells that sparse contingency data can produce.
 
 Data can arrive as individual records or as weighted covariate patterns
 (rows plus a count column); both routes produce identical estimates.
@@ -371,12 +371,25 @@ def _newton_step(H: np.ndarray, score: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(H, score, rcond=None)[0]
 
 
+def _halve(X, y, w, beta, step, ll):
+    """The full step, then halves while the log-likelihood comes out below
+    ``ll``, at most MAX_HALVINGS of them: (beta, eta, loglik) of the last."""
+    for _ in range(MAX_HALVINGS + 1):
+        new_beta = beta + step
+        new_eta = X @ new_beta
+        new_ll = float(_loglik(new_eta, y, w))
+        if not new_ll < ll:
+            break
+        step = 0.5 * step
+    return new_beta, new_eta, new_ll
+
+
 def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Newton iterations with step-halving.  Returns (beta, H, loglik,
     iterations, converged, separation) where H is the observed information
     at the returned coefficients and separation is ``_separation``'s on a
     stack of one.  A step that still lowers the log-likelihood after
-    MAX_HALVINGS halvings is rejected and ends the fit as not converged."""
+    ``_halve``'s halvings is rejected and ends the fit as not converged."""
     beta = np.zeros(X.shape[1])
     eta = X @ beta
     XT = X.T
@@ -391,13 +404,7 @@ def irls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
             converged = True
             break
         step = _newton_step(_information(X, XT, w, prob), score)
-        for _ in range(MAX_HALVINGS + 1):   # the full step, then halves
-            new_beta = beta + step
-            new_eta = X @ new_beta
-            new_ll = float(_loglik(new_eta, y, w))
-            if not new_ll < ll:
-                break
-            step = 0.5 * step
+        new_beta, new_eta, new_ll = _halve(X, y, w, beta, step, ll)
         tol = LOGLIK_TOL * (1.0 + abs(ll))
         if ll - new_ll > tol:   # a smaller drop is rounding at the optimum
             break
@@ -438,10 +445,10 @@ def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     shape (R, m, p), or (m, p) for one design shared by every slice,
     which is broadcast and never copied.  Returns ``irls``'s six fields,
     each stacked on a first axis of R, and equal to ``irls``'s on each
-    slice bit for bit.  The slices take their Newton steps in lock step,
-    each by ``irls``'s rules, and a slice leaves the stack where ``irls``
-    would stop; batched matmuls and solves do each slice's arithmetic as
-    ``irls`` does it, and one ``_separation`` flags the stack."""
+    slice bit for bit.  The slices take full Newton steps in lock step,
+    ``_halve`` halves a slice's step that needs it, as ``irls`` does, and
+    a slice leaves the stack where ``irls`` would stop; batched matmuls and
+    solves do ``irls``'s arithmetic, and one ``_separation`` flags them."""
     R, p = len(y), X.shape[-1]
     beta = np.zeros((R, p))
     eta = (X @ beta[..., None])[..., 0]
@@ -472,16 +479,9 @@ def irls_stack(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         new_beta = beta[act] + step
         new_eta = (Xa @ new_beta[..., None])[..., 0]
         new_ll = _loglik(new_eta, ya, wa)
-        lower = new_ll < old
-        for _ in range(MAX_HALVINGS):   # the full step was tried: halves
-            if not lower.any():
-                break
-            h = np.flatnonzero(lower)
-            step[h] = 0.5 * step[h]
-            new_beta[h] = beta[act[h]] + step[h]
-            new_eta[h] = (_take(Xa, h) @ new_beta[h][..., None])[..., 0]
-            new_ll[h] = _loglik(new_eta[h], ya[h], wa[h])
-            lower[h] = new_ll[h] < old[h]
+        for h in np.flatnonzero(new_ll < old):  # a loss: halve, as irls
+            new_beta[h], new_eta[h], new_ll[h] = _halve(
+                _take(Xa, h), ya[h], wa[h], beta[act[h]], step[h], old[h])
         tol = LOGLIK_TOL * (1.0 + np.abs(old))
         kept = ~(old - new_ll > tol)    # a rejected step ends its slice
         beta[act[kept]], eta[act[kept]] = new_beta[kept], new_eta[kept]

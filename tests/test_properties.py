@@ -23,10 +23,12 @@ from logitpath import (Dataset, EffectRequest, FittedSystem, ParameterSet,
 from logitpath.effects import (_decompose, _joint, _program, component,
                                component_mask)
 from logitpath import fitting
-from logitpath.fitting import irls, irls_stack
+from logitpath.fitting import irls, irls_stack, tabulate
 from logitpath.inference import STEP_SCALE
 from logitpath.model import column_value
 from logitpath.multi import PathSpec, _reduce
+from logitpath.simulation import (SimConfig, _CELLS, _Y_DESIGN, _draw,
+                                  _seed_states)
 from conftest import _expit, enum_g, enum_logit, enum_prob, make_system
 
 TREATMENTS = ("binary", "categorical", "continuous")
@@ -719,18 +721,22 @@ def test_a_stacked_irls_is_irls_on_each_slice(data):
     fits = data.draw(st.lists(st.builds(
         fit_slice, st.sampled_from(FIT_KINDS), st.just(m), st.just(p),
         st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
-    assert_stack_is_irls(fits)
-    # one design shared by every slice, whole and in chunks of c slices
-    X = shared_design(m, p, data.draw(st.integers(0, 2 ** 32 - 1)),
-                      data.draw(st.booleans()))
-    shared = [on_design(X, kind, seed) for kind, seed in data.draw(
-        st.lists(st.tuples(st.sampled_from(SHARED_KINDS),
-                           st.integers(0, 2 ** 32 - 1)),
-                 min_size=1, max_size=9))]
-    assert_stack_is_irls(shared, shared=True)
-    c = data.draw(st.integers(1, len(shared)))
-    for start in range(0, len(shared), c):
-        assert_stack_is_irls(shared[start:start + c], shared=True)
+    # one halving limit for both loops: none, a few, or the default
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "MAX_HALVINGS",
+                      data.draw(st.sampled_from([0, 3, 10])))
+        assert_stack_is_irls(fits)
+        # one design shared by every slice, whole and in chunks of c slices
+        X = shared_design(m, p, data.draw(st.integers(0, 2 ** 32 - 1)),
+                          data.draw(st.booleans()))
+        shared = [on_design(X, kind, seed) for kind, seed in data.draw(
+            st.lists(st.tuples(st.sampled_from(SHARED_KINDS),
+                               st.integers(0, 2 ** 32 - 1)),
+                     min_size=1, max_size=9))]
+        assert_stack_is_irls(shared, shared=True)
+        c = data.draw(st.integers(1, len(shared)))
+        for start in range(0, len(shared), c):
+            assert_stack_is_irls(shared[start:start + c], shared=True)
 
 
 def test_one_stack_ends_its_slices_every_way_irls_ends(monkeypatch):
@@ -784,6 +790,45 @@ def test_a_shared_design_stack_ends_its_slices_every_way_irls_ends(
     # complete separation, flagged beyond it
     assert separation.tolist() == [False, False, False, True, True]
     assert np.abs(beta[3]).max() < 50.0 < np.abs(beta[4]).max()
+
+
+def test_a_study_stack_halves_exactly_where_irls_halves(monkeypatch):
+    # the Y ~ X + W stack of a bench-shaped binary cell (seed 2, beta_x
+    # 1.8, n 250, 100 replications), whose slices 19, 21 and 82 halve
+    # their last step near the optimum, after 4, 5 and 4 full steps
+    config = SimConfig("binary", 1.8, 250, 100, 2)
+    x, w, y = _draw(config, _seed_states(config, np.arange(100)), None)
+    counts = tabulate((np.arange(100)[:, None], x, w, y),
+                      (100, 2, 2, 2)).reshape(100, 8).astype(float)
+    fits = [(_Y_DESIGN, _CELLS[:, 2], row) for row in counts]
+    assert_stack_is_irls(fits, shared=True)
+    halve, calls = fitting._halve, []
+
+    def recording(X, y, w, beta, step, ll):
+        lower = float(fitting._loglik(X @ (beta + step), y, w)) < ll
+        calls.append((w.tobytes(), beta.tobytes(), lower))
+        return halve(X, y, w, beta, step, ll)
+
+    monkeypatch.setattr(fitting, "_halve", recording)
+    paths = []      # each slice's (iterate, full step lowers) by iteration
+    for fit in fits:
+        calls.clear()
+        irls(*fit)
+        paths.append([call[1:] for call in calls])
+    lowered = [(i, it) for i, path in enumerate(paths)
+               for it, (_, lower) in enumerate(path, 1) if lower]
+    assert lowered == [(19, 5), (21, 6), (82, 5)]
+    # the stack halves those steps, and only those: each call's counts
+    # name its slice (no two tables are equal), its iterate the iteration
+    slice_of = {row.tobytes(): i for i, row in enumerate(counts)}
+    assert len(slice_of) == len(counts)
+    calls.clear()
+    irls_stack(_Y_DESIGN, np.broadcast_to(_CELLS[:, 2], counts.shape), counts)
+    halved = []
+    for weights, beta, _ in calls:
+        i = slice_of[weights]
+        halved.append((i, [b for b, _ in paths[i]].index(beta) + 1))
+    assert sorted(halved) == lowered
 
 
 def test_separation_takes_the_qr_only_for_a_converged_fit_out_far(

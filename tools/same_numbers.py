@@ -31,7 +31,10 @@ continuous truths at two seeds, and every field ``irls`` returns on
 seeded weighted designs, some with zero counts, some needing
 step-halvings, and one whose step halving cannot rescue, then on the
 same designs with unit weights, most of whose fits stop on the score
-test.  The data path
+test; and every field ``irls_stack`` returns on a stack of seeded fits
+of one shape, each on its own design, and on a stack of seeded fits on
+one shared design, some slices of each halving a step, so that a change
+to the Newton rules is compared on the stacks themselves.  The data path
 is dumped too: every number of ``fit_system`` on seeded files that
 ``Dataset.load`` reads, a CSV with a count column whose categorical X is
 written "2" or "2.0" at random, a JSON rows file, and a JSON rows file
@@ -48,11 +51,11 @@ Run the dump once per tree, then compare:
 
 ``compare`` exits 1 when a bound fails; an entry found in only one dump
 is listed and fails nothing.  The tables of continuous-treatment fits,
-the APE, the direct calls, the draws, the ``irls`` fields and the
-continuous study cells must be bit-identical (``compare`` prints the
-count of numbers that differ, and the largest absolute difference beside
-a count above 0), and so must the small-n
-continuous cells but for their KHB statistics.  Every number of a fit of
+the APE, the direct calls, the draws, the ``irls`` and ``irls_stack``
+fields and the continuous study cells must be bit-identical (``compare``
+prints the count of numbers that differ, and the largest absolute
+difference beside a count above 0), and so must the small-n continuous
+cells but for their KHB statistics.  Every number of a fit of
 discrete data by ``fit_system`` (the data path fits, the tables of
 binary- and categorical-treatment fits, and the reduced tables and
 transforms of those fits) is one group, held within 3e-8 of 1 + |a|
@@ -379,22 +382,30 @@ def draw_numbers():
     return out
 
 
+def seeded_fit(rng, n, p, X=None):
+    """A weighted logistic fit (X, y, w) drawn from ``rng``: an intercept
+    and p - 1 normal columns of n rows (or the design ``X``), y drawn at
+    normal coefficients, and exponential counts, a fifth of them zero."""
+    from logitpath import expit
+    if X is None:
+        X = np.column_stack([np.ones(n), rng.normal(
+            0.0, 1.0 + 2.0 * rng.random(), (n, p - 1))])
+    y = (rng.random(n) < expit(X @ rng.normal(0.0, 2.0, p))).astype(float)
+    w = rng.exponential(1.0 + 50.0 * rng.random(), n) * (rng.random(n) > 0.2)
+    return X, y, w
+
+
 def irls_numbers(unit=False):
     """Every field ``irls`` returns on seeded weighted designs (a fifth of
     the counts zero; several need step-halvings), then on a design whose
     step halving cannot rescue; with ``unit``, on the same seeded designs
     with unit weights, 43 of whose 60 fits stop on the score test."""
-    from logitpath import expit
     from logitpath.fitting import irls
     designs = []
     for seed in range(60):
         rng = np.random.default_rng([seed, 15])
         n, p = int(rng.integers(8, 60)), int(rng.integers(2, 5))
-        X = np.column_stack([np.ones(n), rng.normal(
-            0.0, 1.0 + 2.0 * rng.random(), (n, p - 1))])
-        y = (rng.random(n) < expit(X @ rng.normal(0.0, 2.0, p))).astype(float)
-        w = rng.exponential(1.0 + 50.0 * rng.random(), n) * (
-            rng.random(n) > 0.2)
+        X, y, w = seeded_fit(rng, n, p)
         designs.append((X, y, np.ones(n) if unit else w))
     if not unit:
         designs.append((np.column_stack([
@@ -406,6 +417,25 @@ def irls_numbers(unit=False):
     for X, y, w in designs:
         beta, H, loglik, iterations, converged, separation = irls(X, y, w)
         out += [*beta, *H.ravel(), loglik, iterations, converged, separation]
+    return out
+
+
+def irls_stack_numbers():
+    """Every field ``irls_stack`` returns on a stack of 60 seeded fits
+    of 20 rows and 3 columns, each on its own design (3 of them halve a
+    step), then on 60 seeded fits on one shared design of 40 rows and 3
+    columns (6 of them halve a step); each drawn by ``seeded_fit``."""
+    from logitpath.fitting import irls_stack
+    own = [seeded_fit(np.random.default_rng([seed, 16]), 20, 3)
+           for seed in range(60)]
+    X = seeded_fit(np.random.default_rng(17), 40, 3)[0]
+    shared = [seeded_fit(np.random.default_rng([seed, 18]), 40, 3, X)[1:]
+              for seed in range(60)]
+    out = []
+    for stack in ([*map(np.array, zip(*own))],
+                  [X, *map(np.array, zip(*shared))]):
+        for field in irls_stack(*stack):
+            out += np.ravel(field).tolist()
     return out
 
 
@@ -511,6 +541,7 @@ def dump(path):
          "continuous")
     exact["irls"] = irls_numbers()
     exact["irls unit weights"] = irls_numbers(unit=True)
+    exact["irls_stack"] = irls_stack_numbers()
     for k in (1, 2, 3, 4, 5):
         discrete[f"table binary k={k}"] = table_numbers(draw_fit(1, k)[0])
     for k in (1, 2, 3):
